@@ -7,36 +7,42 @@ backward, and ``sup_k |v_k| <= L sup_k |w_k|`` with
 
     L = C^2 (1 + lam) / (1 - lam).
 
-Four routes are provided and kept deliberately independent:
+The sums are written once, in ``perron_sums``: the forward recursion of
+the stable sum and the backward recursion of the unstable sum on one
+segment of raw coefficient arrays, evaluated at chosen time points.  The
+routes built on it are
 
-* ``perron_solve``            -- the two-recursion evaluation of the sums
-  on a finite interval, with the convention that w vanishes outside it;
-* ``periodic_green_solve``    -- the same sums for periodic data, truncated
-  once the certificate's tail bound drops below 1e-12;
+* ``perron_solve``            -- the sums on a finite interval, with the
+  convention that w vanishes outside it;
+* ``periodic_green_solve``    -- the same sums for periodic data, each point
+  of one period read off the middle of its own segment, truncated once
+  the certificate's tail bound drops below 1e-12;
 * ``neumann_perturbed_solve`` -- the bounded solution for a perturbed
-  sequence B_k = A_k + Delta_k, by fixed-point iteration against the
-  unperturbed solver (geometric rate L*eps < 1/2);
-* ``banded_direct_solve``     -- a test oracle that assembles the
-  difference equation as one dense least-squares system and never touches
-  the sums.
+  sequence B_k = A_k + Delta_k, by fixed-point iteration against
+  ``perron_solve`` for the unperturbed one (geometric rate L*eps < 1/2);
+* ``semiconj.orbit_perron_apply`` and the displacement sweeps of
+  :mod:`semiconj` -- the sums along orbit segments of a map.
+
+``banded_direct_solve`` stays independent of the kernel: it is the test
+oracle, which assembles the difference equation as one dense
+least-squares system and never touches the sums.
 
 Every solver recomputes its residual max_k |v_{k+1} - A_k v_k - w_{k+1}|
 and stores it in the result.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .seqcore import (
-    SeqVec, OperatorSeq, norm, op_apply, op_norm, dense, diag, shift_diag,
-    PreconditionError, ConvergenceError,
+    SeqVec, OperatorSeq, norm, apply_coeffs, op_apply, op_norm, dense, diag,
+    shift_diag, PreconditionError, ConvergenceError,
 )
 from .clstruct import verify_cl_opseq
 
 __all__ = [
-    "InhomProblem", "BoundedSolution", "perron_constant",
+    "InhomProblem", "BoundedSolution", "perron_constant", "perron_sums",
     "perron_solve", "periodic_green_solve", "neumann_perturbed_solve",
     "banded_direct_solve", "random_hyperbolic_instance",
 ]
@@ -131,19 +137,43 @@ def _solution(prob, v, period=None, meta=None):
     return BoundedSolution(v, sup, res, period=period, meta=meta or {})
 
 
+def perron_sums(ops, inv_ops, pairs, w, at):
+    """The two-recursion sums of the bounded solution on one segment.
+
+    Time points are 0 .. len(w)-1: ``w[j]`` is the raw forcing there,
+    ``pairs[j]`` its projection pair, and ``ops[j]`` / ``inv_ops[j]`` map
+    time j to j+1 and back.  The stable sum runs forward,
+    u_0 = P_0 w_0 and u_j = P_j(A_{j-1} u_{j-1} + P_j w_j), and the
+    unstable sum backward, s_last = 0 and
+    s_j = Q_j A_j^{-1}(s_{j+1} + Q_{j+1} w_{j+1}).  The exact sums already
+    lie in the stable/unstable family, so the outer projections change
+    nothing algebraically; numerically they stop round-off from seeding
+    content in the opposite space, which the recursion would otherwise
+    amplify exponentially along the segment.  Returns the rows
+    v_j = u_j - s_j for j in the range ``at``; only ``ops[:at[-1]]`` and
+    ``inv_ops[at[0]:]`` are read.
+    """
+    last = len(w) - 1
+    us = [apply_coeffs(pairs[0].P, w[0])]
+    for j in range(1, at[-1] + 1):
+        P = pairs[j].P
+        us.append(apply_coeffs(P, apply_coeffs(ops[j - 1], us[-1])
+                               + apply_coeffs(P, w[j])))
+    ss = [np.zeros(len(w[0]))]                     # ss[i] is s_{last - i}
+    for j in range(last - 1, at[0] - 1, -1):
+        drive = ss[-1] + apply_coeffs(pairs[j + 1].Q, w[j + 1])
+        ss.append(apply_coeffs(pairs[j].Q, apply_coeffs(inv_ops[j], drive)))
+    return np.array([us[j] - ss[last - j] for j in at])
+
+
 def perron_solve(prob, cert, verify_cert=False):
     """Distinguished bounded solution on the sequence's interval.
 
-    Evaluates the causal sum over stable projections by the forward
-    recursion u_k = P_k(A_{k-1} u_{k-1} + P_k w_k) and the anticausal sum
-    over unstable projections by the backward recursion
-    s_k = Q_k(A_k^{-1}(s_{k+1} + Q_{k+1} w_{k+1})); the solution is u - s.
-    The exact running sums already lie in the stable/unstable family, so
-    the outer projections change nothing algebraically; numerically they
-    stop round-off from seeding content in the opposite space, which the
-    recursion would otherwise amplify exponentially along the interval.
-    Pass ``verify_cert=True`` to run the splitting verifier first (callers
-    in an inner loop check their certificate once, outside).
+    The causal sum over stable projections and the anticausal sum over
+    unstable projections are evaluated by :func:`perron_sums`, with the
+    convention that w vanishes outside the interval; the solution is their
+    difference.  Pass ``verify_cert=True`` to run the splitting verifier
+    first (callers in an inner loop check their certificate once, outside).
     """
     if verify_cert:
         rep = verify_cl_opseq(prob.seq, cert)
@@ -151,21 +181,13 @@ def perron_solve(prob, cert, verify_cert=False):
             raise PreconditionError(
                 f"splitting certificate fails on the sequence: {rep.to_json()}")
     a, b = prob.seq.lo, prob.seq.hi
-    u = op_apply(cert.proj_at(a).P, prob.w_at(a))
-    us = {a: u}
-    for k in range(a + 1, b + 1):
-        u = _vec_add(op_apply(prob.seq.op_at(k - 1), u, check_loss=False),
-                     op_apply(cert.proj_at(k).P, prob.w_at(k)))
-        u = op_apply(cert.proj_at(k).P, u, check_loss=False)
-        us[k] = u
-    s = SeqVec.zero(prob.window, prob.p)
-    v = {b: _vec_add(us[b], s, cy=-1.0)}
-    for k in range(b - 1, a - 1, -1):
-        drive = _vec_add(s, op_apply(cert.proj_at(k + 1).Q, prob.w_at(k + 1)))
-        s = op_apply(prob.seq.op_at(k).inverse(), drive, check_loss=False)
-        s = op_apply(cert.proj_at(k).Q, s, check_loss=False)
-        v[k] = _vec_add(us[k], s, cy=-1.0)
-    return _solution(prob, v)
+    ops = prob.seq.ops
+    v = perron_sums(ops, [A.inverse() for A in ops],
+                    [cert.proj_at(k) for k in range(a, b + 1)],
+                    [prob.w_at(k).coeffs for k in range(a, b + 1)],
+                    range(b - a + 1))
+    return _solution(prob, {k: SeqVec(prob.window, v[k - a], prob.p)
+                            for k in range(a, b + 1)})
 
 
 def periodic_green_solve(prob, cert, m=None):
@@ -174,6 +196,8 @@ def periodic_green_solve(prob, cert, m=None):
     Both sums are cut T steps out, where T is the first depth at which the
     certificate bound C^2 lam^T/(1-lam) * sup|w| falls below 1e-12; the
     result is exactly periodic because one period is computed and reused.
+    Each point of the period is the middle of its own 2T-step segment of
+    :func:`perron_sums`.
     """
     if prob.seq.period is None:
         raise PreconditionError("periodic_green_solve needs a periodic sequence")
@@ -187,19 +211,16 @@ def periodic_green_solve(prob, cert, m=None):
     while perron_constant(cert.C, cert.lam) * cert.lam ** T * W >= 1e-12:
         T += 1
     lo = prob.seq.lo
+    ops = prob.seq.ops
+    inv_ops = [A.inverse() for A in ops]
     v = {}
     for k in range(lo, lo + m):
-        u = op_apply(cert.proj_at(k - T).P, prob.w_at(k - T))
-        for i in range(k - T + 1, k + 1):
-            u = _vec_add(op_apply(prob.seq.op_at(i - 1), u, check_loss=False),
-                         op_apply(cert.proj_at(i).P, prob.w_at(i)))
-            u = op_apply(cert.proj_at(i).P, u, check_loss=False)
-        s = SeqVec.zero(prob.window, prob.p)
-        for j in range(k + T - 1, k - 1, -1):
-            drive = _vec_add(s, op_apply(cert.proj_at(j + 1).Q, prob.w_at(j + 1)))
-            s = op_apply(prob.seq.op_at(j).inverse(), drive, check_loss=False)
-            s = op_apply(cert.proj_at(j).Q, s, check_loss=False)
-        v[k] = _vec_add(u, s, cy=-1.0)
+        times = range(k - T, k + T + 1)
+        steps = [(i - lo) % m for i in times[:-1]]
+        row = perron_sums([ops[i] for i in steps], [inv_ops[i] for i in steps],
+                          [cert.proj_at(i) for i in times],
+                          [prob.w_at(i).coeffs for i in times], range(T, T + 1))
+        v[k] = SeqVec(prob.window, row[0], prob.p)
     return _solution(prob, v, period=m, meta={"tail_depth": T})
 
 
@@ -263,10 +284,13 @@ def banded_direct_solve(prob, cert, max_unknowns=20_000):
     """Independent oracle: one dense least-squares solve, no sums.
 
     Stacks the difference-equation blocks v_{k+1} - A_k v_k = w_{k+1} with
-    two boundary blocks P_a v_a = 0 and Q_b v_b = 0 -- the conditions that
-    single out the distinguished bounded solution (no stable content
-    enters at the left end, no unstable content at the right end) -- and
-    hands the whole thing to numpy's lstsq.
+    two boundary blocks P_a v_a = 0 and Q_b v_b = 0 -- no stable content
+    enters at the left end, no unstable content at the right end -- and
+    hands the whole thing to numpy's lstsq.  Under an exponential
+    dichotomy these conditions single out the distinguished bounded
+    solution.  Under an inclusion-only splitting, such as the weighted
+    shifts' (A_k carries coordinate -1 into the stable side), the system
+    keeps homogeneous solutions and lstsq returns the least-norm one.
     """
     a, b = prob.seq.lo, prob.seq.hi
     n = prob.window.length

@@ -25,9 +25,7 @@ Config keys (all optional, defaults depend on the experiment): ``system``
 verification length), ``periods`` (shadow-periodic), ``side`` (verify-ed),
 ``points`` (verify-cl sample count), ``lam1`` (relaxed decay rate for
 transfers), ``tolerances`` (per-check bounds), ``out``.  Sweep cells
-(d x seed and the like) run in a thread pool capped by the
-``SHADOWKIT_THREADS`` environment variable; results are ordered by cell, so
-the artifacts do not depend on the pool size.
+(d x seed and the like) run one after another, in cell order.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import math
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -292,29 +289,9 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
 # plumbing
 
 
-def _worker_cap():
-    env = os.environ.get("SHADOWKIT_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(env)
-    except ValueError:
-        raise PreconditionError(
-            f"SHADOWKIT_THREADS must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise PreconditionError(
-            f"SHADOWKIT_THREADS must be positive, got {cap}")
-    return cap
-
-
 def _map_cells(fn, cells):
-    """Run independent cells, optionally in a thread pool, keeping order."""
-    cells = list(cells)
-    cap = min(_worker_cap(), len(cells))
-    if cap <= 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, cells))
+    """Run independent sweep cells in order."""
+    return [fn(cell) for cell in cells]
 
 
 def _fmt(value):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, norm, op_apply, op_norm, compose, identity_op,
+    SeqVec, norm, op_apply, op_norm, compose,
     PreconditionError, TruncationError,
 )
 
@@ -197,6 +197,43 @@ def _proj_lipschitz(pairs_pts, p):
     return worst
 
 
+def _verify(cert, key, samples, local, n_dirs, tol, decay_tol, seed):
+    """The loop shared by the splitting verifiers.
+
+    ``samples`` lists ``(label, item, window, p)``: the witness label, the
+    point or index whose projection pair ``cert.proj_at(item)`` is checked,
+    and the space it acts on; ``key`` names the label in the witnesses.
+    ``local(item, pair)`` returns the sample's one-step inclusion residual
+    and its forward/backward operator lists.  Per sample the pair is
+    validated, its norms and inclusion residual recorded, and unit
+    directions of the stable (then unstable) image are scanned for decay
+    against C lam^n.
+    """
+    rng = np.random.default_rng(seed)
+    rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam,
+                             tol=tol, decay_tol=decay_tol)
+    for label, item, window, p in samples:
+        pair = cert.proj_at(item)
+        pair.validate(p=p)
+        pn = max(op_norm(pair.P, p), op_norm(pair.Q, p))
+        if pn > rep.max_proj_norm:
+            rep.max_proj_norm = pn
+            rep.witnesses["proj_norm"] = {key: label, "norm": pn}
+        res, fwd_ops, bwd_ops = local(item, pair)
+        if res > rep.max_inclusion_residual:
+            rep.max_inclusion_residual = res
+            rep.witnesses["inclusion"] = {key: label, "residual": res}
+        sdirs = _directions(pair.P, window, p, n_dirs, rng)
+        udirs = _directions(pair.Q, window, p, n_dirs, rng)
+        ws = _decay_scan(sdirs, fwd_ops, cert.C, cert.lam,
+                         rep.witnesses, f"decay_stable@{label}")
+        wu = _decay_scan(udirs, bwd_ops, cert.C, cert.lam,
+                         rep.witnesses, f"decay_unstable@{label}")
+        rep.worst_decay_ratio = max(rep.worst_decay_ratio, ws, wu)
+        rep.samples += 1 + len(sdirs) + len(udirs)
+    return _merge_pass(rep)
+
+
 def verify_cl_diffeo(sys, cert, points, horizon=12, n_dirs=16,
                      tol=ALGEBRAIC_TOL, decay_tol=DECAY_TOL, seed=0):
     """Check the splitting structure of a diffeomorphism at sampled points.
@@ -207,50 +244,24 @@ def verify_cl_diffeo(sys, cert, points, horizon=12, n_dirs=16,
     directions under backward differentials for n <= horizon, against
     C lam^n, over all window coordinate directions plus n_dirs random ones.
     """
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam,
-                             tol=tol, decay_tol=decay_tol)
     sampled_pairs = []
-    for pt_idx, x in enumerate(points):
-        pair = cert.proj_at(x)
-        pair.validate(p=x.p)
-        sampled_pairs.append((x, pair.P))
-        pn = max(op_norm(pair.P, x.p), op_norm(pair.Q, x.p))
-        if pn > rep.max_proj_norm:
-            rep.max_proj_norm = pn
-            rep.witnesses["proj_norm"] = {"point": pt_idx, "norm": pn}
 
-        fx = sys.forward(x)
-        fix = sys.inverse(x)
-        pair_f = cert.proj_at(fx)
-        pair_b = cert.proj_at(fix)
+    def local(x, pair):
+        sampled_pairs.append((x, pair.P))
+        pair_f = cert.proj_at(sys.forward(x))
+        pair_b = cert.proj_at(sys.inverse(x))
         res_s = op_norm(compose(pair_f.Q, compose(sys.dforward(x), pair.P)), x.p)
         res_u = op_norm(compose(pair_b.P, compose(sys.dinverse(x), pair.Q)), x.p)
-        res = max(res_s, res_u)
-        if res > rep.max_inclusion_residual:
-            rep.max_inclusion_residual = res
-            rep.witnesses["inclusion"] = {"point": pt_idx, "residual": res}
+        # forward orbit differentials / backward orbit inverse
+        # differentials, shortened when the orbit reaches the window guard
+        return (max(res_s, res_u),
+                _orbit_ops(sys.dforward, sys.forward, x, horizon),
+                _orbit_ops(sys.dinverse, sys.inverse, x, horizon))
 
-        # forward orbit differentials / backward orbit inverse differentials,
-        # shortened when the orbit reaches the window guard
-        fwd_ops = _orbit_ops(sys.dforward, sys.forward, x, horizon)
-        bwd_ops = _orbit_ops(sys.dinverse, sys.inverse, x, horizon)
-
-        sdirs = _directions(pair.P, x.window, x.p, n_dirs, rng)
-        udirs = _directions(pair.Q, x.window, x.p, n_dirs, rng)
-        ws = _decay_scan(sdirs, fwd_ops, cert.C, cert.lam,
-                         rep.witnesses, f"decay_stable@{pt_idx}")
-        wu = _decay_scan(udirs, bwd_ops, cert.C, cert.lam,
-                         rep.witnesses, f"decay_unstable@{pt_idx}")
-        rep.worst_decay_ratio = max(rep.worst_decay_ratio, ws, wu)
-        rep.samples += 1 + len(sdirs) + len(udirs)
+    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
+    rep = _verify(cert, "point", samples, local, n_dirs, tol, decay_tol, seed)
     rep.proj_lipschitz = _proj_lipschitz(sampled_pairs, points[0].p if points else 2.0)
-    return _merge_pass(rep)
-
-
-def _opseq_window_p(seq):
-    dom = seq.ops[0].domain
-    return dom, 2.0
+    return rep
 
 
 def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16,
@@ -265,53 +276,31 @@ def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16,
     ``dichotomy=True`` the reverse leakage residual |P_{k+1} A_k Q_k| is
     included, turning the invariance inclusions into equalities.
     """
-    rng = np.random.default_rng(seed)
-    window, _ = _opseq_window_p(seq)
-    rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam,
-                             tol=tol, decay_tol=decay_tol)
+    window = seq.ops[0].domain
     if indices is None:
         if seq.period is not None:
             indices = range(seq.lo, seq.lo + seq.period)
         else:
             indices = range(seq.lo, seq.hi + 1)
-    indices = list(indices)
 
-    for k in indices:
-        pair = cert.proj_at(k)
-        pair.validate(p=p)
-        pn = max(op_norm(pair.P, p), op_norm(pair.Q, p))
-        if pn > rep.max_proj_norm:
-            rep.max_proj_norm = pn
-            rep.witnesses["proj_norm"] = {"index": k, "norm": pn}
-
-        has_next = seq.period is not None or k < seq.hi
-        if has_next:
+    def local(k, pair):
+        res = 0.0
+        if seq.period is not None or k < seq.hi:
             A = seq.op_at(k)
             pair_n = cert.proj_at(k + 1)
             res = op_norm(compose(pair_n.Q, compose(A, pair.P)), p)
             if dichotomy:
                 res = max(res, op_norm(compose(pair_n.P, compose(A, pair.Q)), p))
-            if res > rep.max_inclusion_residual:
-                rep.max_inclusion_residual = res
-                rep.witnesses["inclusion"] = {"index": k, "residual": res}
-
         if seq.period is not None:
             n_fwd = n_bwd = horizon
         else:
             n_fwd = min(horizon, seq.hi - k)
             n_bwd = min(horizon, k - seq.lo)
-        fwd_ops = [seq.op_at(k + j) for j in range(n_fwd)]
-        bwd_ops = [seq.op_at(k - 1 - j).inverse() for j in range(n_bwd)]
+        return (res, [seq.op_at(k + j) for j in range(n_fwd)],
+                [seq.op_at(k - 1 - j).inverse() for j in range(n_bwd)])
 
-        sdirs = _directions(pair.P, window, p, n_dirs, rng)
-        udirs = _directions(pair.Q, window, p, n_dirs, rng)
-        ws = _decay_scan(sdirs, fwd_ops, cert.C, cert.lam,
-                         rep.witnesses, f"decay_stable@{k}")
-        wu = _decay_scan(udirs, bwd_ops, cert.C, cert.lam,
-                         rep.witnesses, f"decay_unstable@{k}")
-        rep.worst_decay_ratio = max(rep.worst_decay_ratio, ws, wu)
-        rep.samples += 1 + len(sdirs) + len(udirs)
-    return _merge_pass(rep)
+    samples = [(k, k, window, p) for k in indices]
+    return _verify(cert, "index", samples, local, n_dirs, tol, decay_tol, seed)
 
 
 def verify_dichotomy(seq, cert, side="Z", horizon=12, n_dirs=16,
@@ -351,27 +340,12 @@ def verify_cocycle_cl(sys, A, cert, points, horizon=12, n_dirs=16,
     (A(alpha^{-1} x))^{-1}, so unstable decay multiplies those along the
     backward orbit.  Horizon counts orbit steps.
     """
-    rng = np.random.default_rng(seed)
-    rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam,
-                             tol=tol, decay_tol=decay_tol)
-    for pt_idx, x in enumerate(points):
-        pair = cert.proj_at(x)
-        pair.validate(p=x.p)
-        pn = max(op_norm(pair.P, x.p), op_norm(pair.Q, x.p))
-        if pn > rep.max_proj_norm:
-            rep.max_proj_norm = pn
-            rep.witnesses["proj_norm"] = {"point": pt_idx, "norm": pn}
-
+    def local(x, pair):
         ax = sys.forward(x)
         bx = sys.inverse(x)
         res_s = op_norm(compose(cert.proj_at(ax).Q, compose(A(x), pair.P)), x.p)
         res_u = op_norm(compose(cert.proj_at(bx).P,
                                 compose(A(bx).inverse(), pair.Q)), x.p)
-        res = max(res_s, res_u)
-        if res > rep.max_inclusion_residual:
-            rep.max_inclusion_residual = res
-            rep.witnesses["inclusion"] = {"point": pt_idx, "residual": res}
-
         fwd_ops = _orbit_ops(A, sys.forward, x, horizon)
         bwd_ops, y = [], x
         for _ in range(horizon):
@@ -380,13 +354,7 @@ def verify_cocycle_cl(sys, A, cert, points, horizon=12, n_dirs=16,
             except TruncationError:
                 break
             bwd_ops.append(A(y).inverse())
+        return max(res_s, res_u), fwd_ops, bwd_ops
 
-        sdirs = _directions(pair.P, x.window, x.p, n_dirs, rng)
-        udirs = _directions(pair.Q, x.window, x.p, n_dirs, rng)
-        ws = _decay_scan(sdirs, fwd_ops, cert.C, cert.lam,
-                         rep.witnesses, f"decay_stable@{pt_idx}")
-        wu = _decay_scan(udirs, bwd_ops, cert.C, cert.lam,
-                         rep.witnesses, f"decay_unstable@{pt_idx}")
-        rep.worst_decay_ratio = max(rep.worst_decay_ratio, ws, wu)
-        rep.samples += 1 + len(sdirs) + len(udirs)
-    return _merge_pass(rep)
+    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
+    return _verify(cert, "point", samples, local, n_dirs, tol, decay_tol, seed)

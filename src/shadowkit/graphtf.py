@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      TruncationError, compose, dense, norm as vec_norm,
-                      op_apply, op_norm)
+                      TruncationError, compose, dense, monitored_fixed_point,
+                      norm as vec_norm, op_apply, op_norm)
 from .clstruct import CLCertificate, ProjPair, _directions
 from .shadow import (Pseudotrajectory, recompute_step_error, shadow,
                      shadow_periodic)
@@ -39,8 +39,6 @@ __all__ = [
     "perturbed_cl_for_diffeo",
 ]
 
-#: fixed-point iteration stops when successive iterates differ by at most this
-STOP_TOL = 1e-12
 #: dropped tail allowance for the periodic correction series
 SERIES_TAIL_TOL = 1e-13
 #: one-step leakage allowance for the rebuilt splitting
@@ -51,8 +49,6 @@ DECAY_SLACK = 1e-6
 CONTRACTION_SLACK = 1e-9
 #: fixed-point iteration cap
 MAX_FP_ITERATIONS = 80
-#: allowance on the residual of the converged fixed point
-FP_RESIDUAL_TOL = 1e-11
 
 _NORM_ORDS = {1.0: 1, 2.0: 2, math.inf: np.inf}
 
@@ -212,10 +208,8 @@ def _series_terms(C, lam, s_norm):
 def _fixed_point(blk, C, lam, p, period, label):
     """Iterate H -> series(Q-update(H)) from H = 0 until it stabilizes.
 
-    Returns ``(H, iterations, fp_residual, worst_ratio)``; raises
-    ConvergenceError when a successive-difference ratio exceeds
-    1/2 + slack, when the iteration fails to stabilize, or when the
-    converged point does not reproduce itself to FP_RESIDUAL_TOL.
+    The update is certified 1/2-contracting, which the monitor enforces;
+    returns ``(H, iterations, fp_residual, worst_ratio)``.
     """
     n_ops = len(blk["Z"])
     dim = blk["Z"][0].shape[0]
@@ -255,34 +249,11 @@ def _fixed_point(blk, C, lam, p, period, label):
             new[j] = acc
         return new
 
-    H = [zero] * n_times
-    prev_diff = None
-    worst_ratio = 0.0
-    for iterations in range(1, MAX_FP_ITERATIONS + 1):
-        new = apply_series(q_step(H))
-        diff = max(_mat_norm(new[j] - H[j], p) for j in range(n_times))
-        if prev_diff is not None and prev_diff > 1e-13:
-            ratio = diff / prev_diff
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > 0.5 * (1.0 + CONTRACTION_SLACK):
-                raise ConvergenceError(
-                    f"{label} graph iteration contracted at ratio {ratio:.6f}, "
-                    "above the certified 1/2")
-        H = new
-        if diff <= STOP_TOL:
-            break
-        prev_diff = diff
-    else:
-        raise ConvergenceError(
-            f"{label} graph iteration still moving by {diff:.3g} after "
-            f"{MAX_FP_ITERATIONS} steps")
-    res = apply_series(q_step(H))
-    fp_residual = max(_mat_norm(res[j] - H[j], p) for j in range(n_times))
-    if fp_residual > FP_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"{label} fixed-point residual {fp_residual:.3g} exceeds "
-            f"{FP_RESIDUAL_TOL}")
-    return H, iterations, fp_residual, worst_ratio
+    return monitored_fixed_point(
+        lambda H: apply_series(q_step(H)), [zero] * n_times,
+        lambda new, H: max(_mat_norm(new[j] - H[j], p) for j in range(n_times)),
+        f"{label} graph", ratio_bound=0.5, ratio_floor=1e-13,
+        max_iter=MAX_FP_ITERATIONS)
 
 
 def _transfer(seq, cert, pert, lam1, eps, p, period):

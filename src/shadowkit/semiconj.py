@@ -9,7 +9,11 @@ displacement fields tie the dynamics together:
 
 Each is the fixed point of a contraction built from the orbit Perron
 operation: the bounded solution of  v(a(x)) - A(x) v(x) = w(a(x))  along
-the orbit of a base map a with derivative cocycle A.  h1 rides the f-orbit
+the orbit of a base map a with derivative cocycle A, summed by
+``boundedsol.perron_sums`` with the same projected recursions as the
+sequence solvers.  The iteration runs under ``seqcore``'s fixed-point
+monitor, which gates the observed contraction ratio; the per-sweep gate
+on the size of the iterate stays here.  h1 rides the f-orbit
 of the query with cocycle Df and forcing g(x+h) - f(x) - Df(x)h; h2 rides
 the certified g-orbit with the same cocycle Df and forcing
 f(x+h) - g(x) - Df(x)h, taking its splitting from the derivative-sequence
@@ -27,17 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundedsol import perron_constant
+from .boundedsol import perron_constant, perron_sums
 from .clstruct import CLCertificate
 from .graphtf import _diff_norm, graph_transform_seq, upgraded_constant
-from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      SeqVec, TruncationError, norm, op_apply)
+from .seqcore import (FP_STOP_TOL, ConvergenceError, OperatorSeq,
+                      PreconditionError, SeqVec, TruncationError, apply_coeffs,
+                      coeff_norm, monitored_fixed_point, norm)
 from .shadow import Pseudotrajectory, recompute_step_error, shadow
 from .systems import DiffeoSystem
 
 TAIL_TOL = 1e-12
-STOP_TOL = 1e-12
-FP_RESIDUAL_TOL = 1e-11
 CONTRACTION_SLACK = 1e-9
 BALL_SLACK = 1e-9
 ANCHOR_TOL = 1e-8
@@ -99,10 +102,11 @@ def orbit_perron_apply(alpha, A, cert, w, x, T):
     """Bounded solution of  v(a(x)) - A(x) v(x) = w(a(x))  evaluated at x.
 
     Sums the splitting-weighted series over the 2T-step orbit segment of
-    alpha through x: contracting-side terms are pushed forward from step
-    -T and expanding-side terms pulled back from step T, one Horner pass
-    each.  Requires the geometric tail C lam^T sup|w| / (1 - lam) to sit
-    below TAIL_TOL; the result is checked against the L sup|w| bound.
+    alpha through x with :func:`perron_sums`: contracting-side terms are
+    pushed forward from step -T and expanding-side terms pulled back from
+    step T, and only the sums at x are formed.  Requires the geometric
+    tail C lam^T sup|w| / (1 - lam) to sit below TAIL_TOL; the result is
+    checked against the L sup|w| bound.
     """
     pts = {0: x}
     try:
@@ -120,23 +124,13 @@ def orbit_perron_apply(alpha, A, cert, w, x, T):
     if not tail < TAIL_TOL:
         raise PreconditionError(
             f"series tail {tail:.3g} at T = {T} is not below {TAIL_TOL:.0e}")
-    pairs = {i: cert.proj_at(pts[i]) for i in range(-T, T + 1)}
-    run = op_apply(pairs[-T].P, ws[-T], check_loss=False)
-    for i in range(-T + 1, 1):
-        pushed = op_apply(A(pts[i - 1]), run, check_loss=False)
-        term = op_apply(pairs[i].P, ws[i], check_loss=False)
-        run = pushed.with_coeffs(pushed.coeffs + term.coeffs)
-    run_u = None
-    for i in range(T, 0, -1):
-        term = op_apply(pairs[i].Q, ws[i], check_loss=False)
-        if run_u is not None:
-            carried = op_apply(A(pts[i]).inverse(), run_u, check_loss=False)
-            term = term.with_coeffs(term.coeffs + carried.coeffs)
-        run_u = term
-    value = run
-    if run_u is not None:
-        pull = op_apply(A(pts[0]).inverse(), run_u, check_loss=False)
-        value = run.with_coeffs(run.coeffs - pull.coeffs)
+    # the segment's time points 0 .. 2T are the orbit steps -T .. T
+    row = perron_sums({j: A(pts[j - T]) for j in range(T)},
+                      {j: A(pts[j - T]).inverse() for j in range(T, 2 * T)},
+                      [cert.proj_at(pts[i]) for i in range(-T, T + 1)],
+                      [ws[i].coeffs for i in range(-T, T + 1)],
+                      range(T, T + 1))
+    value = ws[0].with_coeffs(row[0])
     bound = perron_constant(cert.C, cert.lam) * w_sup
     if bound > 0.0 and norm(value) > bound * (1.0 + BALL_SLACK):
         raise PreconditionError(
@@ -301,7 +295,6 @@ def _h1_frame(job, x):
     ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi + 1)}
     return {
         "lo": lo, "hi": hi, "query": 0, "pts": pts, "ops": ops,
-        "inv_ops": {j: ops[j].inverse() for j in range(lo, hi + 1)},
         "pairs": {j: job.cert.proj_at(pts[j]) for j in range(lo, hi + 1)},
         "images": {j: pts[j + 1].coeffs for j in range(lo - 1, hi)},
         "other": g.forward, "tail_C": job.cert.C, "tail_lam": job.cert.lam,
@@ -319,7 +312,6 @@ def _h2_frame(job, x):
     ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi + 1)}
     return {
         "lo": lo, "hi": hi, "query": q, "pts": pts, "ops": ops,
-        "inv_ops": {j: ops[j].inverse() for j in range(lo, hi + 1)},
         "pairs": {j: job.cert_g.proj_at(j) for j in range(lo, hi + 1)},
         "images": {j: job.orbit[j + 1].coeffs for j in range(lo - 1, hi)},
         "other": f.forward, "tail_C": job.C1, "tail_lam": job.lam1,
@@ -330,87 +322,48 @@ def _h2_frame(job, x):
 def _fixed_point(job, frame):
     lo, hi = frame["lo"], frame["hi"]
     pts, ops = frame["pts"], frame["ops"]
-    inv_ops, pairs = frame["inv_ops"], frame["pairs"]
     images, other = frame["images"], frame["other"]
     T = job.truncation
     window, p = job.f.window, job.f.p
-    zero = SeqVec(window, np.zeros(window.length), p)
+    zero = np.zeros(window.length)
     ball = 2.0 * job.L * job.d
-    hs = {j: zero for j in range(lo, hi + 1)}
+    # segment time points 0 .. hi-lo are the orbit indices lo .. hi
+    seg_ops = [ops[j] for j in range(lo, hi)]
+    seg_inv = [A.inverse() for A in seg_ops]
+    seg_pairs = [frame["pairs"][j] for j in range(lo, hi + 1)]
 
-    def apply_once(cur):
-        cs = {}
+    def sweep(hs):
+        # forcing c_{j-1} at index j = lo .. hi, with h_{lo-1} taken as zero
+        cs = []
         w_sup = 0.0
         for j in range(lo - 1, hi):
-            hj = cur.get(j, zero)
-            xp = pts[j].with_coeffs(pts[j].coeffs + hj.coeffs)
-            lin = op_apply(ops[j], hj, check_loss=False)
-            cj = SeqVec(window,
-                        other(xp).coeffs - images[j] - lin.coeffs, p)
-            cs[j] = cj
-            w_sup = max(w_sup, norm(cj))
+            hj = hs[j - lo] if j >= lo else zero
+            xp = pts[j].with_coeffs(pts[j].coeffs + hj)
+            cs.append(other(xp).coeffs - images[j] - apply_coeffs(ops[j], hj))
+            w_sup = max(w_sup, coeff_norm(cs[-1], p))
         tail = _tail(frame["tail_C"], frame["tail_lam"], T, w_sup)
         if not tail < TAIL_TOL:
             raise PreconditionError(
                 f"series tail {tail:.3g} during the sweep is not below "
                 f"{TAIL_TOL:.0e}; increase the truncation")
-        new = {}
-        run = op_apply(pairs[lo].P, cs[lo - 1], check_loss=False)
-        new[lo] = run
-        for j in range(lo + 1, hi + 1):
-            pushed = op_apply(ops[j - 1], run, check_loss=False)
-            term = op_apply(pairs[j].P, cs[j - 1], check_loss=False)
-            run = pushed.with_coeffs(pushed.coeffs + term.coeffs)
-            new[j] = run
-        run_u = None
-        for j in range(hi, lo - 1, -1):
-            if run_u is not None:
-                pull = op_apply(inv_ops[j], run_u, check_loss=False)
-                new[j] = new[j].with_coeffs(new[j].coeffs - pull.coeffs)
-                qc = op_apply(pairs[j].Q, cs[j - 1], check_loss=False)
-                run_u = qc.with_coeffs(qc.coeffs + pull.coeffs)
-            else:
-                run_u = op_apply(pairs[j].Q, cs[j - 1], check_loss=False)
-        return new
-
-    prev = None
-    ratio_seen = 0.0
-    for sweep in range(1, MAX_SWEEPS + 1):
-        new = apply_once(hs)
-        diff = max(norm(new[j].with_coeffs(new[j].coeffs - hs[j].coeffs))
-                   for j in range(lo, hi + 1))
-        hs = new
-        sup_h = max(norm(hs[j]) for j in range(lo, hi + 1))
+        new = perron_sums(seg_ops, seg_inv, seg_pairs, cs, range(hi - lo + 1))
+        sup_h = max(coeff_norm(h, p) for h in new)
         if ball > 0.0 and sup_h > ball * (1.0 + BALL_SLACK):
             raise ConvergenceError(
                 f"iterate left the radius-{ball:.3g} ball (size {sup_h:.3g})")
-        if prev is not None and prev > 100.0 * STOP_TOL:
-            ratio = diff / prev
-            ratio_seen = max(ratio_seen, ratio)
-            if ratio > frame["ratio_bound"] * (1.0 + CONTRACTION_SLACK):
-                raise ConvergenceError(
-                    f"observed contraction {ratio:.4f} exceeds the "
-                    f"{frame['ratio_bound']:.4f} factor; precondition "
-                    "violation")
-        if diff <= STOP_TOL:
-            break
-        prev = diff
-    else:
-        raise ConvergenceError(
-            f"no convergence within {MAX_SWEEPS} sweeps (last move {diff:.3g})")
-    final = apply_once(hs)
-    fp_residual = max(norm(final[j].with_coeffs(final[j].coeffs - hs[j].coeffs))
-                      for j in range(lo, hi + 1))
-    if fp_residual > FP_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"fixed-point residual {fp_residual:.3g} is above "
-            f"{FP_RESIDUAL_TOL:.0e}")
+        return new
+
+    hs, sweeps, fp_residual, ratio_seen = monitored_fixed_point(
+        sweep, np.zeros((hi - lo + 1, window.length)),
+        lambda new, old: max(coeff_norm(a - b, p) for a, b in zip(new, old)),
+        f"h{frame['kind']} sweep", ratio_bound=frame["ratio_bound"],
+        ratio_floor=100.0 * FP_STOP_TOL, max_iter=MAX_SWEEPS)
     job.meta["last_evaluation"] = {
         "kind": frame["kind"], "anchor": frame["query"],
-        "iterations": sweep, "fp_residual": fp_residual,
+        "iterations": sweeps, "fp_residual": fp_residual,
         "contraction_observed": ratio_seen,
     }
-    return hs[frame["query"]]
+    return SeqVec(window, hs[frame["query"] - lo], p)
 
 
 def h1_at(job, x):

@@ -17,9 +17,14 @@ A ShiftDiag pushes one coefficient over the window edge at every
 application.  Truncation is legitimate only while that coefficient is
 negligible, so ``op_apply`` raises :class:`TruncationError` when the mass
 it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``.
+``apply_coeffs`` is the unguarded application to a raw coefficient array
+that ``op_apply`` wraps, for inner loops that account for the boundary
+themselves.
+
+``monitored_fixed_point`` runs the contraction-monitored fixed-point
+iterations of the splitting transfer and of the displacement maps.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,13 +32,20 @@ import numpy as np
 
 __all__ = [
     "Window", "SeqVec", "LinOp", "OperatorSeq",
-    "norm", "op_apply", "op_norm", "cocycle", "compose",
+    "norm", "coeff_norm", "op_apply", "apply_coeffs", "op_norm", "cocycle",
+    "compose", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
 ]
 
 #: mass allowed to fall off the window edge per shift application
 LOST_TOL = 1e-12
+#: a monitored fixed-point iteration stops once an iterate moves by at most this
+FP_STOP_TOL = 1e-12
+#: allowance on the residual of a converged fixed point
+FP_RESIDUAL_TOL = 1e-11
+#: dimensionless slack on the contraction-ratio gate
+FP_RATIO_SLACK = 1e-9
 
 
 class PreconditionError(ValueError):
@@ -138,13 +150,18 @@ class SeqVec:
 
 def norm(v):
     """l^p norm of a SeqVec (max-abs when p = inf)."""
-    if v.p == math.inf:
-        return float(np.max(np.abs(v.coeffs))) if v.coeffs.size else 0.0
-    if v.p == 2.0:
-        return float(np.linalg.norm(v.coeffs))
-    if v.p == 1.0:
-        return float(np.sum(np.abs(v.coeffs)))
-    return float(np.sum(np.abs(v.coeffs) ** v.p) ** (1.0 / v.p))
+    return coeff_norm(v.coeffs, v.p)
+
+
+def coeff_norm(c, p):
+    """l^p norm of a raw coefficient array."""
+    if p == math.inf:
+        return float(np.max(np.abs(c))) if c.size else 0.0
+    if p == 2.0:
+        return float(np.linalg.norm(c))
+    if p == 1.0:
+        return float(np.sum(np.abs(c)))
+    return float(np.sum(np.abs(c) ** p) ** (1.0 / p))
 
 
 class LinOp:
@@ -190,19 +207,22 @@ class LinOp:
                 raise PreconditionError("diag operator with zero scalar is singular")
             return diag(self.domain, 1.0 / self.scalars)
         if self.kind == "shift_diag":
-            if np.any(self.scalars == 0.0):
-                raise PreconditionError("shift_diag operator with zero scalar is singular")
             s = self.shift
-            n = self.domain.length
-            inv = np.ones(n)
+            c = self.scalars
+            # the scalar of the coordinate pushed over the window edge never
+            # acts (compose zeroes it), so only the others must be nonzero
+            kept = c[:-1] if s == 1 else c[1:]
+            if np.any(kept == 0.0):
+                raise PreconditionError("shift_diag operator with zero scalar is singular")
+            inv = np.ones(self.domain.length)
             # (A^{-1} w)_k = w_{k+s} / c_k  ==  shift -s with scalar 1/c_{j-s}
-            # at input coordinate j.
+            # at input coordinate j; the unused entry is kept nonzero
             if s == 1:
-                inv[1:] = 1.0 / self.scalars[:-1]
-                inv[0] = 1.0 / self.scalars[0]  # unused row; kept nonzero
+                inv[1:] = 1.0 / kept
+                inv[0] = 1.0 / c[0] if c[0] else 1.0
             else:
-                inv[:-1] = 1.0 / self.scalars[1:]
-                inv[-1] = 1.0 / self.scalars[-1]
+                inv[:-1] = 1.0 / kept
+                inv[-1] = 1.0 / c[-1] if c[-1] else 1.0
             return LinOp("shift_diag", self.domain, self.domain,
                          scalars=inv, shift=-s)
         return dense(np.linalg.inv(self.matrix), self.codomain, self.domain)
@@ -270,6 +290,22 @@ def identity_op(window):
     return diag(window, np.ones(window.length))
 
 
+def apply_coeffs(A, x):
+    """Apply A to a raw coefficient array; a shift drops the coefficient it
+    pushes over the window edge."""
+    if A.kind == "diag":
+        return A.scalars * x
+    if A.kind == "shift_diag":
+        scaled = A.scalars * x
+        out = np.zeros_like(scaled)
+        if A.shift == 1:
+            out[1:] = scaled[:-1]
+        else:
+            out[:-1] = scaled[1:]
+        return out
+    return A.matrix @ x
+
+
 def op_apply(A, v, check_loss=True):
     """Apply A to v.  Structured kinds never materialize a matrix.
 
@@ -280,23 +316,14 @@ def op_apply(A, v, check_loss=True):
     """
     if v.window != A.domain:
         raise PreconditionError("vector window does not match operator domain")
-    if A.kind == "diag":
-        return SeqVec(A.codomain, A.scalars * v.coeffs, v.p)
-    if A.kind == "shift_diag":
-        scaled = A.scalars * v.coeffs
-        out = np.zeros_like(scaled)
-        if A.shift == 1:
-            out[1:] = scaled[:-1]
-            lost = scaled[-1]
-        else:
-            out[:-1] = scaled[1:]
-            lost = scaled[0]
-        if check_loss and abs(lost) > LOST_TOL * (1.0 + float(np.max(np.abs(v.coeffs), initial=0.0))):
+    if check_loss and A.kind == "shift_diag":
+        edge = -1 if A.shift == 1 else 0
+        lost = A.scalars[edge] * v.coeffs[edge]
+        if abs(lost) > LOST_TOL * (1.0 + float(np.max(np.abs(v.coeffs), initial=0.0))):
             raise TruncationError(
                 f"shift drops coefficient of magnitude {abs(lost):.3e}; "
                 "window too small")
-        return SeqVec(A.codomain, out, v.p)
-    return SeqVec(A.codomain, A.matrix @ v.coeffs, v.p)
+    return SeqVec(A.codomain, apply_coeffs(A, v.coeffs), v.p)
 
 
 def _dense_two_norm(m):
@@ -444,6 +471,42 @@ def compose(A, B):
     return dense(m, B.domain, A.codomain)
 
 
-def seq_json(vectors):
-    """Serialize a list of SeqVec to a JSON string (shared wire format)."""
-    return json.dumps([v.to_json() for v in vectors])
+def monitored_fixed_point(step, x0, dist, label, *, ratio_bound, ratio_floor,
+                          max_iter):
+    """Iterate x <- step(x) from x0, watching the contraction.
+
+    ``dist(new, old)`` measures each move.  Once the previous move exceeds
+    ``ratio_floor``, the ratio of successive moves must stay within
+    ``ratio_bound`` (up to FP_RATIO_SLACK); the iteration stops at a move of
+    at most FP_STOP_TOL and gives up after ``max_iter`` steps.  The last
+    iterate is stepped once more and must reproduce itself to
+    FP_RESIDUAL_TOL.  Every failure raises :class:`ConvergenceError` naming
+    ``label``.  Returns ``(x, iterations, fp_residual, worst_ratio)``.
+    """
+    x = x0
+    prev = None
+    worst_ratio = 0.0
+    for iterations in range(1, max_iter + 1):
+        new = step(x)
+        diff = dist(new, x)
+        if prev is not None and prev > ratio_floor:
+            ratio = diff / prev
+            worst_ratio = max(worst_ratio, ratio)
+            if ratio > ratio_bound * (1.0 + FP_RATIO_SLACK):
+                raise ConvergenceError(
+                    f"{label} iteration {iterations} contracted at ratio "
+                    f"{ratio:.6f}, above the certified {ratio_bound:.6f}")
+        x = new
+        if diff <= FP_STOP_TOL:
+            break
+        prev = diff
+    else:
+        raise ConvergenceError(
+            f"{label} iteration still moving by {diff:.3g} after "
+            f"{max_iter} steps")
+    fp_residual = dist(step(x), x)
+    if fp_residual > FP_RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"{label} fixed-point residual {fp_residual:.3g} exceeds "
+            f"{FP_RESIDUAL_TOL:.0e}")
+    return x, iterations, fp_residual, worst_ratio

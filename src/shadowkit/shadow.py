@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, OperatorSeq, norm, PreconditionError, ConvergenceError,
+    OperatorSeq, norm, PreconditionError, ConvergenceError,
 )
 from .clstruct import CLCertificate
 from .boundedsol import (

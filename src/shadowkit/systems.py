@@ -111,10 +111,6 @@ class LinearShiftFamily:
     def apply_inv(self, ks, ys):
         return ys / self._slopes(ks)
 
-    def __call__(self, k):
-        s = self.neg_slope if k < 0 else self.pos_slope
-        return (lambda x: s * x), (lambda x: s), (lambda y: y / s)
-
 
 class TanhShiftFamily:
     """a_k(x) = 2x + 0.1 tanh x for k < 0, 0.45x + 0.04 tanh x for k >= 0.
@@ -158,14 +154,6 @@ class TanhShiftFamily:
             xs = xs - fx / (c1 + c2 / np.cosh(xs) ** 2)
         return xs
 
-    def __call__(self, k):
-        c1, c2 = (self.neg if k < 0 else self.pos)
-        a = lambda x: c1 * x + c2 * math.tanh(x)
-        da = lambda x: c1 + c2 / math.cosh(x) ** 2
-        def ainv(y):
-            return float(self.apply_inv(np.array([k]), np.array([float(y)]))[0])
-        return a, da, ainv
-
 
 class SinPerturbedFamily:
     """base family plus amp*sin on every branch: a_k(x) + amp sin x."""
@@ -189,14 +177,6 @@ class SinPerturbedFamily:
                 break
             xs = xs - fx / self.deriv(ks, xs)
         return xs
-
-    def __call__(self, k):
-        a0, da0, _ = self.base(k)
-        a = lambda x: a0(x) + self.amp * math.sin(x)
-        da = lambda x: da0(x) + self.amp * math.cos(x)
-        def ainv(y):
-            return float(self.apply_inv(np.array([k]), np.array([float(y)]))[0])
-        return a, da, ainv
 
 
 def _validate_shift_family(family, lam, R, window):

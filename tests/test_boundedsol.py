@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, diag, dense, norm,
+    Window, SeqVec, OperatorSeq, diag, dense, norm, shift_diag,
     PreconditionError,
 )
 from shadowkit.clstruct import constant_cert
@@ -121,6 +121,59 @@ def test_oracle_agreement_long_windows_stay_tight():
         for k in sp.v:
             gap = np.max(np.abs(sp.v_at(k).coeffs - sb.v_at(k).coeffs))
             assert gap <= 1e-12
+
+
+def weighted_shift_instance(seed, length, half=10):
+    """Weighted shifts expanding below index 0 and contracting from 0 on,
+    with the constant splitting "support on k >= 0" and forcing on
+    [-half, half]; content moves one coordinate per step, so the window
+    is wide enough that none of it reaches an edge."""
+    rng = np.random.default_rng(seed)
+    win = Window(-half - length, half + length)
+    ks = np.arange(win.lo, win.hi + 1)
+    ops = [shift_diag(win, np.where(ks < 0, rng.uniform(2.0, 3.0, ks.size),
+                                    rng.uniform(0.25, 0.5, ks.size)))
+           for _ in range(length)]
+    w = {}
+    for k in range(1, length + 1):
+        c = np.zeros(win.length)
+        c[win.offset(-half):win.offset(half) + 1] = rng.uniform(-1.0, 1.0, 2 * half + 1)
+        w[k] = SeqVec(win, c)
+    stable = (ks >= 0).astype(float)
+    cert = constant_cert(1.0, 0.5, 3.0, diag(win, stable), diag(win, 1.0 - stable))
+    return InhomProblem(OperatorSeq(0, ops), w), cert
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
+def test_oracle_on_weighted_shift_sequences(seed, length):
+    prob, cert = weighted_shift_instance(seed, length)
+    sp = perron_solve(prob, cert)
+    sb = banded_direct_solve(prob, cert)
+    a, b = prob.seq.lo, prob.seq.hi
+    P = cert.proj_at(a).P.to_dense_matrix()
+    Q = cert.proj_at(a).Q.to_dense_matrix()
+    As = [prob.seq.op_at(k).to_dense_matrix() for k in range(a, b)]
+    scale = 1.0 + sp.sup_norm
+    assert sp.max_residual <= 1e-12 * scale
+    assert sp.sup_norm <= perron_constant(cert.C, cert.lam) * prob.w_bound * (1 + 1e-12)
+    # the Perron solution meets the oracle's boundary rows exactly, so the
+    # two solutions differ by a homogeneous solution of the same problem
+    assert not np.any(P @ sp.v_at(a).coeffs) and not np.any(Q @ sp.v_at(b).coeffs)
+    gap = {k: sp.v_at(k).coeffs - sb.v_at(k).coeffs for k in sp.v}
+    for k in range(a, b):
+        assert np.max(np.abs(gap[k + 1] - As[k - a] @ gap[k])) <= 1e-10 * scale
+    assert np.max(np.abs(P @ gap[a])) <= 1e-10 * scale
+    assert np.max(np.abs(Q @ gap[b])) <= 1e-10 * scale
+    # the splitting is an inclusion only (A_k carries coordinate -1 into the
+    # stable side), so that problem keeps homogeneous solutions and the
+    # oracle returns its least-norm one; the Perron solution is singled out
+    # by an unstable part that never leaks into the stable side
+    stacked = [np.concatenate([sol.v_at(k).coeffs for k in range(a, b + 1)])
+               for sol in (sp, sb)]
+    assert np.linalg.norm(stacked[1]) <= np.linalg.norm(stacked[0]) * (1 + 1e-9)
+    for k in range(a, b):
+        assert not np.any(P @ As[k - a] @ Q @ sp.v_at(k).coeffs)
 
 
 def test_nested_interval_restriction_keeps_bound():

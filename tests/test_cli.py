@@ -116,6 +116,15 @@ def test_verify_cl_passes_on_base_and_conjugated_systems(tmp_path, capsys):
     assert manifest["constants"]["C"] == pytest.approx(1.1080332409972298)
 
 
+def test_shadow_passes_on_conjugated_system(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, lines, _ = run_cli(
+        ["shadow", "--out", str(out),
+         "--override", "system.name=conjugated:weighted_shift_linear"], capsys)
+    assert code == 0
+    assert lines and all(line.startswith("PASS") for line in lines)
+
+
 def test_verify_ed_reports_the_expected_separation(tmp_path, capsys):
     out = tmp_path / "run"
     code, lines, _ = run_cli(["verify-ed", "--out", str(out)], capsys)

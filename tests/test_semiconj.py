@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowkit.boundedsol import perron_constant
+from shadowkit.boundedsol import InhomProblem, perron_constant, perron_solve
+from shadowkit.clstruct import CLCertificate
 from shadowkit.semiconj import (continuity_probe, h1_at, h2_at,
                                 make_conjugacy_job, orbit_perron_apply,
                                 required_truncation, semiconjugacy_report,
                                 translate_system)
-from shadowkit.seqcore import (PreconditionError, SeqVec, TruncationError,
-                               Window, norm, op_apply)
+from shadowkit.seqcore import (OperatorSeq, PreconditionError, SeqVec,
+                               TruncationError, Window, norm, op_apply)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                TanhShiftFamily, make_weighted_shift)
 
@@ -169,6 +170,26 @@ def test_perron_apply_bound_and_equation_property(seed):
     v_fx = orbit_perron_apply(f, f.dforward, f.cert, smooth_forcing, fx, 44)
     lhs = v_fx.coeffs - op_apply(f.dforward(x), v, check_loss=False).coeffs
     assert norm(SeqVec(W, lhs - smooth_forcing(fx).coeffs, 2.0)) <= 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_perron_apply_matches_perron_solve_on_its_segment(seed):
+    f = linear_shift()
+    x = random_interior_point(seed)
+    T = 44
+    v = orbit_perron_apply(f, f.dforward, f.cert, smooth_forcing, x, T)
+    pts = {0: x}
+    for i in range(1, T + 1):
+        pts[i] = f.forward(pts[i - 1])
+    for i in range(0, -T, -1):
+        pts[i - 1] = f.inverse(pts[i])
+    seq = OperatorSeq(-T, [f.dforward(pts[i]) for i in range(-T, T)])
+    cert = CLCertificate(f.cert.C, f.cert.lam, f.cert.R,
+                         lambda k: f.cert.proj_at(pts[k]))
+    prob = InhomProblem(seq, {i: smooth_forcing(pts[i]) for i in range(-T, T + 1)})
+    ref = perron_solve(prob, cert).v_at(0)
+    assert np.max(np.abs(v.coeffs - ref.coeffs)) <= 1e-12
 
 
 def test_perron_apply_gates():

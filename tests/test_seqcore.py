@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle,
-    dense, diag, shift_diag, identity_op, PreconditionError, TruncationError,
+    Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
+    dense, diag, shift_diag, identity_op, monitored_fixed_point,
+    ConvergenceError, PreconditionError, TruncationError,
 )
 
 
@@ -101,6 +102,29 @@ def test_inverse_round_trip_shift_diag_both_shifts():
         A = shift_diag(w, c, shift=s)
         back = op_apply(A.inverse(), op_apply(A, v))
         assert np.max(np.abs(back.coeffs - v.coeffs)) <= 1e-12
+
+
+def test_inverse_of_composed_shift_matches_dense_view_on_interior():
+    # compose(diag, shift_diag) zeroes the scalar of the coordinate pushed
+    # over the window edge; that scalar never acts, so the inverse exists
+    w = Window(-4, 4)
+    n = w.length
+    rng = np.random.default_rng(3)
+    for s in (1, -1):
+        A = compose(diag(w, 0.5 + rng.random(n)),
+                    shift_diag(w, 0.5 + rng.random(n), shift=s))
+        assert A.scalars[-1 if s == 1 else 0] == 0.0
+        m, m_inv = A.to_dense_matrix(), A.inverse().to_dense_matrix()
+        # the coordinates A keeps, and those it reaches
+        kept = slice(0, n - 1) if s == 1 else slice(1, n)
+        reached = slice(1, n) if s == 1 else slice(0, n - 1)
+        assert np.max(np.abs((m_inv @ m)[kept, kept] - np.eye(n - 1))) <= 1e-14
+        assert np.max(np.abs((m @ m_inv)[reached, reached] - np.eye(n - 1))) <= 1e-14
+    # a zero scalar on a kept coordinate is still singular
+    c = np.ones(n)
+    c[0] = 0.0
+    with pytest.raises(PreconditionError, match="singular"):
+        shift_diag(w, c, shift=1).inverse()
 
 
 def test_cocycle_identity_and_diag_powers():
@@ -202,3 +226,23 @@ def test_linop_json_round_trip():
         B = sc.LinOp.from_json(A.to_json())
         assert B.kind == A.kind
         assert np.array_equal(B.to_dense_matrix(), A.to_dense_matrix())
+
+
+def test_monitored_fixed_point_converges_and_gates():
+    def run(step, label, ratio_bound=0.5, max_iter=80):
+        return monitored_fixed_point(step, 0.0, lambda a, b: abs(a - b), label,
+                                     ratio_bound=ratio_bound,
+                                     ratio_floor=1e-13, max_iter=max_iter)
+
+    x, iterations, fp_residual, worst = run(lambda x: 0.25 * x + 1.0, "quarter")
+    assert abs(x - 4.0 / 3.0) <= 1e-12 and fp_residual <= 1e-11
+    assert iterations < 30 and worst == pytest.approx(0.25)
+    with pytest.raises(ConvergenceError,
+                       match="slow iteration 2 contracted at ratio 0.900000"):
+        run(lambda x: 0.9 * x + 1.0, "slow")
+    with pytest.raises(ConvergenceError, match="capped iteration still moving"):
+        run(lambda x: 0.5 * x + 1.0, "capped", ratio_bound=0.6, max_iter=5)
+    # settles at once, then moves again when the residual is checked
+    moves = iter([0.0, 1e-10])
+    with pytest.raises(ConvergenceError, match="jumpy fixed-point residual"):
+        run(lambda x: x + next(moves), "jumpy")
