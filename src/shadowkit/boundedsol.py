@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, OperatorSeq, norm, apply_coeffs, op_apply, op_norm, dense, diag,
-    shift_diag, PreconditionError, ConvergenceError,
+    SeqVec, OperatorSeq, norm, apply_coeffs, op_apply, op_norm, dense, sub,
+    PreconditionError, ConvergenceError,
 )
 from .clstruct import verify_cl_opseq
 
@@ -224,14 +224,6 @@ def periodic_green_solve(prob, cert, m=None):
     return _solution(prob, v, period=m, meta={"tail_depth": T})
 
 
-def _op_sub(B, A):
-    if B.kind == A.kind == "diag":
-        return diag(B.domain, B.scalars - A.scalars)
-    if B.kind == A.kind == "shift_diag" and B.shift == A.shift:
-        return shift_diag(B.domain, B.scalars - A.scalars, B.shift)
-    return dense(B.to_dense_matrix() - A.to_dense_matrix(), B.domain, B.codomain)
-
-
 def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps,
                             max_iter=200, tol=1e-13):
     """Bounded solution for B_k = A_k + Delta_k via the unperturbed solver.
@@ -250,7 +242,7 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps,
     a, b = base_seq.lo, base_seq.hi
     deltas = {}
     for k in range(a, b):
-        d = _op_sub(prob_b.seq.op_at(k), base_seq.op_at(k))
+        d = sub(prob_b.seq.op_at(k), base_seq.op_at(k))
         dn = op_norm(d, prob_b.p)
         if dn > eps * (1.0 + 1e-9) + 1e-15:
             raise PreconditionError(

@@ -10,6 +10,14 @@ time-reversed inverse sequence.  The rebuilt splitting is certified at a
 relaxed decay rate ``lam1 > lam`` with constant ``((R + 1) / lam1) ** N``,
 where N is the block length at which the original decay beats ``lam1``.
 
+The whole construction runs on :class:`seqcore.LinOp` operands, so on
+weighted shifts with diagonal projections every block, iterate and norm
+is a weighted shift, O(n) per product, and only the final tilts are
+materialized.  One dense operand (a dense perturbation, dense projections)
+makes the products it enters dense, by the same matrix products in the
+same order; that path is admitted only while its estimated memory,
+``_dense_bytes``, stays below ``MAX_DENSE_BYTES``.
+
 ``perturbed_cl_for_diffeo`` lifts the construction to diffeomorphisms: an
 orbit of the perturbed map is shadowed by an exact trajectory of the base
 map, the base splitting is read off along the shadow, and the transfer
@@ -21,8 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      TruncationError, compose, dense, monitored_fixed_point,
-                      norm as vec_norm, op_apply, op_norm)
+                      TruncationError, compose, dense, diag,
+                      monitored_fixed_point, norm as vec_norm, op_apply,
+                      op_norm, sub)
 from .clstruct import CLCertificate, ProjPair, _directions
 from .shadow import (Pseudotrajectory, recompute_step_error, shadow,
                      shadow_periodic)
@@ -49,6 +58,8 @@ DECAY_SLACK = 1e-6
 CONTRACTION_SLACK = 1e-9
 #: fixed-point iteration cap
 MAX_FP_ITERATIONS = 80
+#: memory the dense transfer path may claim (see ``_dense_bytes``)
+MAX_DENSE_BYTES = 2 * 1024 ** 3
 
 _NORM_ORDS = {1.0: 1, 2.0: 2, math.inf: np.inf}
 
@@ -154,36 +165,49 @@ class PerturbedCert:
         }
 
 
-def _mat_norm(mat, p):
-    return float(np.linalg.norm(mat, _NORM_ORDS[p]))
+def _norm(op, p):
+    """Exact l^p operator norm: seqcore's for a weighted shift, numpy's
+    (the SVD for p = 2) for a dense matrix."""
+    if op.matrix is None:
+        return op_norm(op, p)
+    return float(np.linalg.norm(op.matrix, _NORM_ORDS[p]))
 
 
 def _diff_norm(b_op, a_op, p):
-    """|B - A| without densifying structured pairs of matching shape.
+    """|B - A|, with the difference taken by :func:`seqcore.sub`.
 
-    For two diag or two equally-shifted shift_diag operators the
-    difference has the same structure, so its norm is the largest scalar
-    gap -- including the entry the dense zero-extended view drops at the
-    window edge.
+    For two weighted shifts by the same s the difference is one too, and
+    its norm is the largest scalar gap -- including the gaps at the
+    coordinates the dense zero-extended view drops at the window edge.
     """
-    if (a_op.kind == b_op.kind != "dense" and a_op.shift == b_op.shift
-            and a_op.domain == b_op.domain):
-        return float(np.max(np.abs(b_op.scalars - a_op.scalars)))
-    return _mat_norm(b_op.to_dense_matrix() - a_op.to_dense_matrix(), p)
+    d = sub(b_op, a_op)
+    if d.matrix is None:
+        return float(np.max(np.abs(d.scalars)))
+    return _norm(d, p)
 
 
-def _blocks(Am, Ai, Bm, P, Q, wrap):
+def _dense_bytes(n_ops, n):
+    """Bytes the dense transfer holds for ``n_ops`` steps on a window of
+    length n: 28 n x n float64 arrays per step.  The all-dense transfer
+    allocates 22.5 to 25.6 per step (inverses, projections, both sides'
+    blocks and iterates; the tracemalloc peak of robustness's route with
+    6 to 24 steps on windows of 21 to 161), and the caller holds the two
+    input operators."""
+    return 28 * n_ops * n * n * 8
+
+
+def _blocks(A, Ai, B, P, Q, wrap):
     """Split each step into stable/unstable components against (P, Q)."""
     n_times = len(P)
     out = {name: [] for name in ("Z", "Ass", "Aus", "Bsu", "Dss", "Dus", "Duu")}
-    for j in range(len(Am)):
+    for j in range(len(A)):
         nj = (j + 1) % n_times if wrap else j + 1
         Pj, Qj, Pn, Qn = P[j], Q[j], P[nj], Q[nj]
-        D = Bm[j] - Am[j]
+        D = B[j] - A[j]
         out["Z"].append(Ai[j] @ Qn)
-        out["Ass"].append(Pn @ Am[j] @ Pj)
-        out["Aus"].append(Pn @ Am[j] @ Qj)
-        out["Bsu"].append(Qn @ Bm[j] @ Pj)
+        out["Ass"].append(Pn @ A[j] @ Pj)
+        out["Aus"].append(Pn @ A[j] @ Qj)
+        out["Bsu"].append(Qn @ B[j] @ Pj)
         out["Dss"].append(Pn @ D @ Pj)
         out["Dus"].append(Pn @ D @ Qj)
         out["Duu"].append(Qn @ D @ Qj)
@@ -212,9 +236,9 @@ def _fixed_point(blk, C, lam, p, period, label):
     returns ``(H, iterations, fp_residual, worst_ratio)``.
     """
     n_ops = len(blk["Z"])
-    dim = blk["Z"][0].shape[0]
     n_times = n_ops if period else n_ops + 1
-    zero = np.zeros((dim, dim))
+    W = blk["Z"][0].domain
+    zero = diag(W, np.zeros(W.length))
 
     def q_step(H):
         S = []
@@ -232,26 +256,26 @@ def _fixed_point(blk, C, lam, p, period, label):
         if period is None:
             # the finite backward sweep sums the whole series exactly;
             # at the last time there are no later terms to pick up
-            new[n_ops] = zero.copy()
+            new[n_ops] = zero
             for j in range(n_ops - 1, -1, -1):
                 new[j] = S[j] + blk["Z"][j] @ new[j + 1] @ blk["Ass"][j]
             return new
-        T = _series_terms(C, lam, max(_mat_norm(s, p) for s in S))
+        T = _series_terms(C, lam, max(_norm(s, p) for s in S))
         for j in range(n_times):
-            acc = S[j].copy()
+            acc = S[j]
             left = None
             right = None
             for l in range(1, T):
                 zi = (j + l - 1) % n_ops
                 left = blk["Z"][zi] if left is None else left @ blk["Z"][zi]
                 right = blk["Ass"][zi] if right is None else blk["Ass"][zi] @ right
-                acc += left @ S[(j + l) % n_ops] @ right
+                acc = acc + left @ S[(j + l) % n_ops] @ right
             new[j] = acc
         return new
 
     return monitored_fixed_point(
         lambda H: apply_series(q_step(H)), [zero] * n_times,
-        lambda new, H: max(_mat_norm(new[j] - H[j], p) for j in range(n_times)),
+        lambda new, H: max(_norm(new[j] - H[j], p) for j in range(n_times)),
         f"{label} graph", ratio_bound=0.5, ratio_floor=1e-13,
         max_iter=MAX_FP_ITERATIONS)
 
@@ -275,15 +299,20 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
 
     a_ops = [seq.op_at(lo + j) for j in range(n_ops)]
     b_ops = [pert.op_at(lo + j) for j in range(n_ops)]
+    base_pairs = [cert.proj_at(k) for k in ks]
+    P = [pr.P for pr in base_pairs]
+    Q = [pr.Q for pr in base_pairs]
+    # weighted shifts stay structured; one dense operand makes the blocks
+    # and iterates dense, so admit that path only within its memory cap
+    if any(op.matrix is not None for op in (*a_ops, *b_ops, *P, *Q)):
+        need = _dense_bytes(n_ops, W.length)
+        if need > MAX_DENSE_BYTES:
+            raise PreconditionError(
+                f"dense splitting transfer over {n_ops} steps on a window of "
+                f"{W.length} needs about {need} bytes, above the cap "
+                f"{MAX_DENSE_BYTES}")
     a_inv = [op.inverse() for op in a_ops]
     b_inv = [op.inverse() for op in b_ops]
-    Am = [op.to_dense_matrix() for op in a_ops]
-    Bm = [op.to_dense_matrix() for op in b_ops]
-    Ai = [op.to_dense_matrix() for op in a_inv]
-    Bi = [op.to_dense_matrix() for op in b_inv]
-    base_pairs = [cert.proj_at(k) for k in ks]
-    Pm = [pr.P.to_dense_matrix() for pr in base_pairs]
-    Qm = [pr.Q.to_dense_matrix() for pr in base_pairs]
 
     eps_meas = max(_diff_norm(b_ops[j], a_ops[j], p) for j in range(n_ops))
     if eps is None:
@@ -305,20 +334,20 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     # sequence: reversed time j sits at original time hi-j (period: index
     # (m-j) mod m), and its step applies the inverse of the original step
     # into that time point
-    fwd = _blocks(Am, Ai, Bm, Pm, Qm, wrap=period is not None)
+    fwd = _blocks(a_ops, a_inv, b_ops, P, Q, wrap=period is not None)
     if period is None:
-        rAm = [Ai[n_ops - 1 - j] for j in range(n_ops)]
-        rAi = [Am[n_ops - 1 - j] for j in range(n_ops)]
-        rBm = [Bi[n_ops - 1 - j] for j in range(n_ops)]
-        rP = [Qm[n_ops - j] for j in range(n_times)]
-        rQ = [Pm[n_ops - j] for j in range(n_times)]
+        rA = [a_inv[n_ops - 1 - j] for j in range(n_ops)]
+        rAi = [a_ops[n_ops - 1 - j] for j in range(n_ops)]
+        rB = [b_inv[n_ops - 1 - j] for j in range(n_ops)]
+        rP = [Q[n_ops - j] for j in range(n_times)]
+        rQ = [P[n_ops - j] for j in range(n_times)]
     else:
-        rAm = [Ai[period - 1 - j] for j in range(n_ops)]
-        rAi = [Am[period - 1 - j] for j in range(n_ops)]
-        rBm = [Bi[period - 1 - j] for j in range(n_ops)]
-        rP = [Qm[(period - j) % period] for j in range(n_times)]
-        rQ = [Pm[(period - j) % period] for j in range(n_times)]
-    rev = _blocks(rAm, rAi, rBm, rP, rQ, wrap=period is not None)
+        rA = [a_inv[period - 1 - j] for j in range(n_ops)]
+        rAi = [a_ops[period - 1 - j] for j in range(n_ops)]
+        rB = [b_inv[period - 1 - j] for j in range(n_ops)]
+        rP = [Q[(period - j) % period] for j in range(n_times)]
+        rQ = [P[(period - j) % period] for j in range(n_times)]
+    rev = _blocks(rA, rAi, rB, rP, rQ, wrap=period is not None)
 
     Hs, it_s, fpres_s, ratio_s = _fixed_point(fwd, C, lam, p, period, "stable")
     Hr, it_u, fpres_u, ratio_u = _fixed_point(rev, C, lam, p, period, "unstable")
@@ -330,14 +359,17 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     Lp = series_gain(C, lam)
     eps2_fwd = 2.0 * Lp * C * eps_use
     eps2_rev = 2.0 * Lp * C * eps_rev
-    h_norms = [_mat_norm(Hs[j], p) for j in range(n_times)]
-    hu_norms = [_mat_norm(Hu[j], p) for j in range(n_times)]
+    h_norms = [_norm(Hs[j], p) for j in range(n_times)]
+    hu_norms = [_norm(Hu[j], p) for j in range(n_times)]
     for attained, ball, label in ((max(h_norms), eps2_fwd, "stable"),
                                   (max(hu_norms), eps2_rev, "unstable")):
         if attained > ball * (1.0 + CONTRACTION_SLACK):
             raise ConvergenceError(
                 f"{label} tilt norm {attained:.3g} left its ball {ball:.3g}")
 
+    # the tilts are densified once, for GraphMaps and the tilted pairs
+    Hs = [H.to_dense_matrix() for H in Hs]
+    Hu = [H.to_dense_matrix() for H in Hu]
     eye = np.eye(W.length)
     pairs = []
     for j in range(n_times):
@@ -347,7 +379,8 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
             pairs.append(base_pairs[j])
             continue
         tilt = np.linalg.inv(eye - Hu[j] @ Hs[j])
-        Pt = (eye + Hs[j]) @ tilt @ (Pm[j] - Hu[j] @ Qm[j])
+        Pt = (eye + Hs[j]) @ tilt @ (P[j].to_dense_matrix()
+                                     - Hu[j] @ Q[j].to_dense_matrix())
         pair = ProjPair(dense(Pt, W), dense(eye - Pt, W))
         try:
             pair.validate(p=p)

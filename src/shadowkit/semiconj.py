@@ -285,14 +285,15 @@ def _h1_frame(job, x):
         ) from exc
     # the declared distance must hold along this fresh orbit as well; the
     # derivative-side proximity is monitored by the observed contraction
-    d_here = max(norm(g.forward(pts[j]).with_coeffs(
-        g.forward(pts[j]).coeffs - pts[j + 1].coeffs))
-        for j in range(lo - 1, hi))
+    d_here = 0.0
+    for j in range(lo - 1, hi):
+        gy = g.forward(pts[j])
+        d_here = max(d_here, norm(gy.with_coeffs(gy.coeffs - pts[j + 1].coeffs)))
     if d_here > job.d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
             f"measured distance {d_here:.3g} along the query orbit exceeds "
             f"the declared d = {job.d:.3g}")
-    ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi + 1)}
+    ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi)}
     return {
         "lo": lo, "hi": hi, "query": 0, "pts": pts, "ops": ops,
         "pairs": {j: job.cert.proj_at(pts[j]) for j in range(lo, hi + 1)},
@@ -309,7 +310,7 @@ def _h2_frame(job, x):
     f = job.f
     lo, hi = q - B, q + B
     pts = {j: job.orbit[j] for j in range(lo - 1, hi + 1)}
-    ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi + 1)}
+    ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi)}
     return {
         "lo": lo, "hi": hi, "query": q, "pts": pts, "ops": ops,
         "pairs": {j: job.cert_g.proj_at(j) for j in range(lo, hi + 1)},

@@ -1,20 +1,22 @@
 """Windowed sequence-space vectors and structured linear operators.
 
 Points of l^p(Z) are represented by their coefficients on a finite index
-window [lo, hi]; everything outside the window is implicitly zero.  Linear
-maps come in three kinds:
+window [lo, hi]; everything outside the window is implicitly zero.  A
+linear map (``LinOp``) is one of two things:
 
-* ``Dense``     -- an explicit matrix acting window -> window,
-* ``Diag``      -- coordinate-wise scaling (Av)_k = c_k v_k,
-* ``ShiftDiag`` -- unit shift composed with scaling, (Av)_{k+s} = c_k v_k
-  with s = +1 or -1.
+* a weighted shift by an integer s, (Av)_{k+s} = c_k v_k, with s = 0 the
+  diagonal (``kind`` "diag") and s != 0 a shift (``kind`` "shift_diag");
+* a dense matrix acting window -> window (``kind`` "dense").
 
-Diag and ShiftDiag have exact inverses; both example families of dynamics
-in this package linearize to ShiftDiag or Diag operators, so the dense
-kind is only needed for perturbations and for materialized cocycles.
+Weighted shifts are closed under ``compose`` (shifts add), ``inverse``
+(the shift changes sign), ``cocycle`` (a fold of ``compose``) and the
+same-shift ``add`` / ``sub``; their ``op_norm`` is exact.  Mixed shifts in
+a sum, and any dense operand, are materialized dense.  The example
+families of dynamics in this package linearize to weighted shifts, so the
+dense kind is only needed for perturbations.
 
-A ShiftDiag pushes one coefficient over the window edge at every
-application.  Truncation is legitimate only while that coefficient is
+A shift by s pushes |s| coefficients over the window edge at every
+application.  Truncation is legitimate only while those coefficients are
 negligible, so ``op_apply`` raises :class:`TruncationError` when the mass
 it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``.
 ``apply_coeffs`` is the unguarded application to a raw coefficient array
@@ -33,7 +35,7 @@ import numpy as np
 __all__ = [
     "Window", "SeqVec", "LinOp", "OperatorSeq",
     "norm", "coeff_norm", "op_apply", "apply_coeffs", "op_norm", "cocycle",
-    "compose", "monitored_fixed_point",
+    "compose", "add", "sub", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
 ]
@@ -164,92 +166,87 @@ def coeff_norm(c, p):
     return float(np.sum(np.abs(c) ** p) ** (1.0 / p))
 
 
+def _acting(n, s):
+    """Slices of the coordinates a shift by s keeps in a window of length n,
+    and of the coordinates they land on."""
+    m = max(n - abs(s), 0)
+    start = max(-s, 0)
+    return slice(start, start + m), slice(start + s, start + s + m)
+
+
 class LinOp:
-    """Structured linear operator between two windows.
+    """Linear operator between two windows: a weighted shift or dense.
 
-    ``kind`` is one of "dense", "diag", "shift_diag".  Parameters:
-
-    * dense: ``matrix`` of shape (codomain.length, domain.length)
-    * diag: ``scalars[j]`` multiplies coordinate ``domain.lo + j``
-    * shift_diag: ``shift`` in {+1, -1}; coordinate k of the input is
-      scaled by ``scalars[k - domain.lo]`` and lands on coordinate k+shift.
+    A weighted shift by ``shift`` = s (any integer; s = 0 is the diagonal)
+    acts on one shared window: coordinate k of the input is scaled by
+    ``scalars[k - domain.lo]`` and lands on coordinate k + s, and the |s|
+    coordinates that land outside the window are dropped.  A dense operator
+    holds ``matrix`` of shape (codomain.length, domain.length) and has no
+    scalars.  ``kind`` is the derived label "diag" (s = 0), "shift_diag"
+    (s != 0) or "dense".
     """
 
-    __slots__ = ("kind", "domain", "codomain", "matrix", "scalars", "shift")
+    __slots__ = ("domain", "codomain", "matrix", "scalars", "shift")
 
-    def __init__(self, kind, domain, codomain, matrix=None, scalars=None, shift=0):
-        self.kind = kind
+    def __init__(self, domain, codomain, matrix=None, scalars=None, shift=0):
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
         self.scalars = scalars
         self.shift = shift
-        if kind == "dense":
+        if matrix is not None:
             if matrix.shape != (codomain.length, domain.length):
                 raise PreconditionError("dense matrix shape does not match windows")
-        elif kind == "diag":
-            if len(scalars) != domain.length or domain != codomain:
-                raise PreconditionError("diag scalars must fill the (shared) window")
-        elif kind == "shift_diag":
-            if shift not in (1, -1):
-                raise PreconditionError("shift_diag shift must be +1 or -1")
-            if len(scalars) != domain.length or domain != codomain:
-                raise PreconditionError("shift_diag scalars must fill the (shared) window")
-        else:
-            raise PreconditionError(f"unknown LinOp kind {kind!r}")
+        elif len(scalars) != domain.length or domain != codomain:
+            raise PreconditionError("weighted-shift scalars must fill the (shared) window")
+
+    @property
+    def kind(self):
+        if self.matrix is not None:
+            return "dense"
+        return "diag" if self.shift == 0 else "shift_diag"
 
     # -- constructors -------------------------------------------------
 
     def inverse(self):
-        """Exact inverse for diag/shift_diag; numerical inverse for dense."""
-        if self.kind == "diag":
-            if np.any(self.scalars == 0.0):
-                raise PreconditionError("diag operator with zero scalar is singular")
-            return diag(self.domain, 1.0 / self.scalars)
-        if self.kind == "shift_diag":
-            s = self.shift
-            c = self.scalars
-            # the scalar of the coordinate pushed over the window edge never
-            # acts (compose zeroes it), so only the others must be nonzero
-            kept = c[:-1] if s == 1 else c[1:]
-            if np.any(kept == 0.0):
-                raise PreconditionError("shift_diag operator with zero scalar is singular")
-            inv = np.ones(self.domain.length)
-            # (A^{-1} w)_k = w_{k+s} / c_k  ==  shift -s with scalar 1/c_{j-s}
-            # at input coordinate j; the unused entry is kept nonzero
-            if s == 1:
-                inv[1:] = 1.0 / kept
-                inv[0] = 1.0 / c[0] if c[0] else 1.0
-            else:
-                inv[:-1] = 1.0 / kept
-                inv[-1] = 1.0 / c[-1] if c[-1] else 1.0
-            return LinOp("shift_diag", self.domain, self.domain,
-                         scalars=inv, shift=-s)
-        return dense(np.linalg.inv(self.matrix), self.codomain, self.domain)
+        """Exact inverse of a weighted shift; numerical inverse for dense.
+
+        The inverse of a shift by s is a shift by -s.  Only the scalars of
+        the coordinates the shift keeps must be nonzero; the |s| inverse
+        scalars that never act are set to 1/c at their own coordinate (1
+        where c is zero), so the edge guard of ``op_apply`` still sees a
+        scale there.
+        """
+        if self.matrix is not None:
+            return dense(np.linalg.inv(self.matrix), self.codomain, self.domain)
+        c, s = self.scalars, self.shift
+        n = len(c)
+        kept, landed = _acting(n, s)
+        if np.any(c[kept] == 0.0):
+            raise PreconditionError("weighted shift with a zero scalar is singular")
+        # (A^{-1} w)_k = w_{k+s} / c_k: input coordinate j = k + s carries 1/c_k
+        inv = np.ones(n)
+        inv[landed] = 1.0 / c[kept]
+        for j in range(min(s, n)) if s > 0 else range(max(n + s, 0), n):
+            if c[j]:
+                inv[j] = 1.0 / c[j]
+        return shift_diag(self.domain, inv, -s)
 
     def to_dense_matrix(self):
-        if self.kind == "dense":
+        if self.matrix is not None:
             return self.matrix
         n = self.domain.length
-        if self.kind == "diag":
-            return np.diag(self.scalars)
+        kept, _ = _acting(n, self.shift)
+        cols = np.arange(n)[kept]
         m = np.zeros((n, n))
-        if self.shift == 1:
-            for j in range(n - 1):
-                m[j + 1, j] = self.scalars[j]
-        else:
-            for j in range(1, n):
-                m[j - 1, j] = self.scalars[j]
+        m[cols + self.shift, cols] = self.scalars[kept]
         return m
 
     def to_json(self):
-        if self.kind == "dense":
+        if self.matrix is not None:
             params = {"matrix": [list(r) for r in self.matrix],
                       "domain": [self.domain.lo, self.domain.hi],
                       "codomain": [self.codomain.lo, self.codomain.hi]}
-        elif self.kind == "diag":
-            params = {"scalars": list(self.scalars),
-                      "domain": [self.domain.lo, self.domain.hi]}
         else:
             params = {"scalars": list(self.scalars), "shift": self.shift,
                       "domain": [self.domain.lo, self.domain.hi]}
@@ -257,15 +254,27 @@ class LinOp:
 
     @classmethod
     def from_json(cls, obj):
-        kind, params = obj["kind"], obj["params"]
+        params = obj["params"]
         dom = Window(*params["domain"])
-        if kind == "dense":
+        if obj["kind"] == "dense":
             return dense(np.asarray(params["matrix"], dtype=float),
                          dom, Window(*params["codomain"]))
-        if kind == "diag":
-            return diag(dom, np.asarray(params["scalars"], dtype=float))
         return shift_diag(dom, np.asarray(params["scalars"], dtype=float),
-                          params["shift"])
+                          params.get("shift", 0))
+
+    def __matmul__(self, other):
+        return compose(self, other)
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __sub__(self, other):
+        return sub(self, other)
+
+    def __neg__(self):
+        if self.matrix is not None:
+            return dense(-self.matrix, self.domain, self.codomain)
+        return shift_diag(self.domain, -self.scalars, self.shift)
 
     def __repr__(self):
         return f"LinOp({self.kind}, [{self.domain.lo},{self.domain.hi}])"
@@ -273,17 +282,17 @@ class LinOp:
 
 def dense(matrix, domain, codomain=None):
     codomain = domain if codomain is None else codomain
-    return LinOp("dense", domain, codomain, matrix=np.asarray(matrix, dtype=float))
+    return LinOp(domain, codomain, matrix=np.asarray(matrix, dtype=float))
 
 
 def diag(window, scalars):
-    return LinOp("diag", window, window,
-                 scalars=np.asarray(scalars, dtype=float))
+    return shift_diag(window, scalars, shift=0)
 
 
 def shift_diag(window, scalars, shift=1):
-    return LinOp("shift_diag", window, window,
-                 scalars=np.asarray(scalars, dtype=float), shift=shift)
+    """Weighted shift by ``shift``: (Av)_{k+shift} = scalars[k - lo] v_k."""
+    return LinOp(window, window, scalars=np.asarray(scalars, dtype=float),
+                 shift=int(shift))
 
 
 def identity_op(window):
@@ -291,37 +300,35 @@ def identity_op(window):
 
 
 def apply_coeffs(A, x):
-    """Apply A to a raw coefficient array; a shift drops the coefficient it
+    """Apply A to a raw coefficient array; a shift drops the coefficients it
     pushes over the window edge."""
-    if A.kind == "diag":
+    if A.matrix is not None:
+        return A.matrix @ x
+    if A.shift == 0:
         return A.scalars * x
-    if A.kind == "shift_diag":
-        scaled = A.scalars * x
-        out = np.zeros_like(scaled)
-        if A.shift == 1:
-            out[1:] = scaled[:-1]
-        else:
-            out[:-1] = scaled[1:]
-        return out
-    return A.matrix @ x
+    kept, landed = _acting(len(x), A.shift)
+    out = np.zeros(len(x))
+    out[landed] = A.scalars[kept] * x[kept]
+    return out
 
 
 def op_apply(A, v, check_loss=True):
-    """Apply A to v.  Structured kinds never materialize a matrix.
+    """Apply A to v.  Weighted shifts never materialize a matrix.
 
-    For shift_diag the coefficient pushed over the window edge is dropped;
-    if its magnitude exceeds ``LOST_TOL * (1 + |v|_inf)`` a
+    A shift by s drops the |s| coefficients it pushes over the window edge;
+    if the largest dropped magnitude exceeds ``LOST_TOL * (1 + |v|_inf)`` a
     :class:`TruncationError` is raised (``check_loss=False`` disables the
     guard, for callers that have already accounted for the boundary).
     """
     if v.window != A.domain:
         raise PreconditionError("vector window does not match operator domain")
-    if check_loss and A.kind == "shift_diag":
-        edge = -1 if A.shift == 1 else 0
-        lost = A.scalars[edge] * v.coeffs[edge]
-        if abs(lost) > LOST_TOL * (1.0 + float(np.max(np.abs(v.coeffs), initial=0.0))):
+    if check_loss and A.matrix is None and A.shift != 0:
+        kept, _ = _acting(len(v.coeffs), A.shift)
+        edge = slice(kept.stop, None) if A.shift > 0 else slice(0, kept.start)
+        lost = float(np.abs(A.scalars[edge] * v.coeffs[edge]).max())
+        if lost > LOST_TOL * (1.0 + float(np.abs(v.coeffs).max())):
             raise TruncationError(
-                f"shift drops coefficient of magnitude {abs(lost):.3e}; "
+                f"shift drops coefficient of magnitude {lost:.3e}; "
                 "window too small")
     return SeqVec(A.codomain, apply_coeffs(A, v.coeffs), v.p)
 
@@ -364,13 +371,14 @@ def _dense_two_norm(m):
 def op_norm(A, p=2.0):
     """Operator norm of A as a map of l^p.
 
-    diag / shift_diag: exactly max |scalar| for every p (the shift is an
-    isometry).  dense: exact column/row sums for p = 1 / inf, power
-    iteration within 5% for p = 2; other exponents are not supported for
-    dense operators.
+    Weighted shift: exactly the largest |scalar| over the coordinates that
+    stay in the window, for every p (the shift is an isometry).  dense:
+    exact column/row sums for p = 1 / inf, power iteration within 5% for
+    p = 2; other exponents are not supported for dense operators.
     """
-    if A.kind in ("diag", "shift_diag"):
-        return float(np.max(np.abs(A.scalars))) if len(A.scalars) else 0.0
+    if A.matrix is None:
+        kept, _ = _acting(len(A.scalars), A.shift)
+        return float(np.abs(A.scalars[kept]).max(initial=0.0))
     if p == 1.0:
         return float(np.max(np.sum(np.abs(A.matrix), axis=0)))
     if p == math.inf:
@@ -419,8 +427,10 @@ def cocycle(seq, k, l):
     """Two-sided cocycle Phi(k, l) of an operator sequence, as a LinOp.
 
     Phi(k, l) = A_{k-1} ... A_l for l < k, the identity for l = k, and
-    A_k^{-1} ... A_{l-1}^{-1} for l > k.  Products of diag factors stay
-    diag (and exact); anything else is materialized dense.
+    A_k^{-1} ... A_{l-1}^{-1} for l > k: a fold of :func:`compose`, so a
+    product of weighted shifts stays a weighted shift (exact up to the
+    rounding of each scalar product) and any dense factor makes the product
+    dense.
     """
     if k == l:
         if seq.period is None and k == seq.hi:
@@ -430,45 +440,49 @@ def cocycle(seq, k, l):
         factors = [seq.op_at(j) for j in range(l, k)]          # apply A_l first
     else:
         factors = [seq.op_at(j).inverse() for j in range(l - 1, k - 1, -1)]
-    if all(f.kind == "diag" for f in factors):
-        scal = factors[0].scalars.copy()
-        for f in factors[1:]:
-            scal = scal * f.scalars
-        return diag(factors[0].domain, scal)
-    m = factors[0].to_dense_matrix()
+    out = factors[0]
     for f in factors[1:]:
-        m = f.to_dense_matrix() @ m
-    return dense(m, factors[0].domain, factors[-1].codomain)
+        out = compose(f, out)
+    return out
 
 
 def compose(A, B):
-    """The composition A . B (B applied first), structured when possible.
+    """The composition A . B (B applied first).
 
-    diag.diag and diag/shift_diag mixtures keep their structure; any other
-    combination is materialized dense.
+    Two weighted shifts compose to the shift by the sum of their shifts,
+    with scalar a_{k+s_B} b_k at coordinate k; a coordinate that B pushes
+    over the window edge meets A extended by zero, so its scalar is zero
+    (which keeps the scalars consistent with the dense view and with
+    op_norm).  A product with a dense factor is materialized dense.
     """
     if B.codomain != A.domain:
         raise PreconditionError("operators do not chain")
-    if A.kind == "diag" and B.kind == "diag":
-        return diag(B.domain, A.scalars * B.scalars)
-    if A.kind == "diag" and B.kind == "shift_diag":
-        # (A.B v)_{k+s} = a_{k+s} c_k v_k; the column exiting the window
-        # meets A extended by zero, so it composes to zero (keeping the
-        # scalars consistent with the dense view and with op_norm)
-        s = B.shift
-        c = B.scalars.copy()
-        if s == 1:
-            c[:-1] *= A.scalars[1:]
-            c[-1] = 0.0
-        else:
-            c[1:] *= A.scalars[:-1]
-            c[0] = 0.0
-        return LinOp("shift_diag", B.domain, B.domain, scalars=c, shift=s)
-    if A.kind == "shift_diag" and B.kind == "diag":
-        return LinOp("shift_diag", B.domain, B.domain,
-                     scalars=A.scalars * B.scalars, shift=A.shift)
-    m = A.to_dense_matrix() @ B.to_dense_matrix()
-    return dense(m, B.domain, A.codomain)
+    if A.matrix is None and B.matrix is None:
+        kept, landed = _acting(len(B.scalars), B.shift)
+        c = np.zeros(len(B.scalars))
+        c[kept] = A.scalars[landed] * B.scalars[kept]
+        return shift_diag(B.domain, c, A.shift + B.shift)
+    return dense(A.to_dense_matrix() @ B.to_dense_matrix(), B.domain, A.codomain)
+
+
+def _combine(A, B, ufunc):
+    if A.domain != B.domain or A.codomain != B.codomain:
+        raise PreconditionError("operators act between different windows")
+    if A.matrix is None and B.matrix is None and A.shift == B.shift:
+        return shift_diag(A.domain, ufunc(A.scalars, B.scalars), A.shift)
+    return dense(ufunc(A.to_dense_matrix(), B.to_dense_matrix()),
+                 A.domain, A.codomain)
+
+
+def add(A, B):
+    """A + B; two weighted shifts by the same s add scalar by scalar (the
+    dropped edge scalars included), anything else is materialized dense."""
+    return _combine(A, B, np.add)
+
+
+def sub(A, B):
+    """A - B, structured exactly when :func:`add` is."""
+    return _combine(A, B, np.subtract)
 
 
 def monitored_fixed_point(step, x0, dist, label, *, ratio_bound, ratio_floor,

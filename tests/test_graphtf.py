@@ -1,21 +1,25 @@
 """Tests for the splitting-transfer engine."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowkit.boundedsol import random_hyperbolic_instance
-from shadowkit.clstruct import (CLCertificate, constant_cert, verify_cl_diffeo,
-                                verify_cl_opseq)
-from shadowkit.graphtf import (graph_transform_periodic, graph_transform_seq,
+from shadowkit import semiconj
+from shadowkit.boundedsol import (InhomProblem, neumann_perturbed_solve,
+                                  random_hyperbolic_instance)
+from shadowkit.clstruct import (CLCertificate, ProjPair, constant_cert,
+                                verify_cl_diffeo, verify_cl_opseq)
+from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes, _diff_norm,
+                               graph_transform_periodic, graph_transform_seq,
                                perturbation_budget, perturbed_cl_for_diffeo,
                                rate_upgrade_steps, series_gain,
                                upgraded_constant)
-from shadowkit.seqcore import (OperatorSeq, PreconditionError, SeqVec, Window,
-                               dense, diag, op_norm)
+from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError, SeqVec,
+                               Window, dense, diag, op_norm, shift_diag, sub)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                linear_example_cert, make_linear_example_seq,
                                make_weighted_shift)
@@ -323,3 +327,210 @@ def test_serialization_and_residual_rows():
     assert k == 0
     assert h_norm == pytest.approx(abs(got[1, 0]), rel=1e-12)
     assert resid <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# structured transfers against the same transfer on densified inputs
+
+def _as_dense(op):
+    return dense(op.to_dense_matrix(), op.domain, op.codomain)
+
+
+def _dense_ops(seq):
+    return OperatorSeq(seq.lo, [_as_dense(op) for op in seq.ops],
+                       period=seq.period)
+
+
+def _dense_pairs(cert):
+    def proj_at(k):
+        pair = cert.proj_at(k)
+        return ProjPair(_as_dense(pair.P), _as_dense(pair.Q))
+
+    return CLCertificate(cert.C, cert.lam, cert.R, proj_at)
+
+
+def _assert_same_transfer(pc, pc_dense):
+    assert pc.graph.iterations == pc_dense.graph.iterations
+    assert pc.graph.meta == pc_dense.graph.meta
+    assert pc.graph.attained == pc_dense.graph.attained
+    assert sorted(pc.graph.H) == sorted(pc_dense.graph.H)
+    for k in pc.graph.H:
+        for tilts in ("H", "H_u"):
+            assert np.array_equal(getattr(pc.graph, tilts)[k].matrix,
+                                  getattr(pc_dense.graph, tilts)[k].matrix)
+        pair, pair_dense = pc.result.proj_at(k), pc_dense.result.proj_at(k)
+        assert np.array_equal(pair.P.to_dense_matrix(), pair_dense.P.matrix)
+        assert np.array_equal(pair.Q.to_dense_matrix(), pair_dense.Q.matrix)
+    assert pc.inclusion_residuals == pc_dense.inclusion_residuals
+
+
+def _count_densifications(monkeypatch):
+    calls = []
+    real = LinOp.to_dense_matrix
+
+    def counted(op):
+        calls.append(op.kind)
+        return real(op)
+
+    monkeypatch.setattr(LinOp, "to_dense_matrix", counted)
+    return calls
+
+
+def test_conjugacy_job_transfer_stays_structured(monkeypatch):
+    # zero tilt: the semiconj job's transfer of f's splitting onto Df read
+    # along the g-orbit, cut to 24 steps so the dense copy stays small
+    captured = []
+    real_transfer = semiconj.graph_transform_seq
+
+    def spy(seq, cert, pert, lam1, **kw):
+        captured.append((seq, cert, pert, lam1, kw))
+        return real_transfer(seq, cert, pert, lam1, **kw)
+
+    monkeypatch.setattr(semiconj, "graph_transform_seq", spy)
+    W = Window(-48, 48)
+    f = make_weighted_shift(LinearShiftFamily(), 0.5, 2.0, W)
+    g = make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), 1e-4),
+                            0.5002, 2.001, W, name="wobbly_shift")
+    coeffs = np.zeros(W.length)
+    coeffs[W.offset(-3):W.offset(3)] = [0.01, -0.02, 0.015, 0.01, -0.005, 0.02]
+    semiconj.make_conjugacy_job(f, g, SeqVec(W, coeffs), d=1e-4)
+    (seq, cert, pert, lam1, kw), = captured
+    a = len(seq.ops) // 2
+    seq = OperatorSeq(seq.lo + a, seq.ops[a:a + 24])
+    pert = OperatorSeq(pert.lo + a, pert.ops[a:a + 24])
+    calls = _count_densifications(monkeypatch)
+    pc = graph_transform_seq(seq, cert, pert, lam1, **kw)
+    # the final H and H_u only
+    assert len(calls) <= 2 * (len(seq.ops) + 1)
+    assert pc.graph.attained == 0.0
+    # the dense view of a shift is singular, so the reference densifies the
+    # projections: every block, iterate and norm then takes the dense path
+    pc_dense = graph_transform_seq(seq, _dense_pairs(cert), pert, lam1, **kw)
+    _assert_same_transfer(pc, pc_dense)
+
+
+def _dense_perturbation_route(W, n_ops, eps):
+    """Robustness's sequence route: a diagonal base sequence and coordinate
+    splitting, and a dense perturbation of size 0.9 eps."""
+    seq = make_linear_example_seq(W, range(0, n_ops))
+    rng = np.random.default_rng(4)
+    pert = []
+    for k in range(seq.lo, seq.hi):
+        raw = rng.standard_normal((W.length, W.length))
+        raw *= 0.9 * eps / op_norm(dense(raw, W), 2.0)
+        pert.append(dense(seq.op_at(k).to_dense_matrix() + raw, W))
+    return seq, linear_example_cert(W), OperatorSeq(seq.lo, pert)
+
+
+def test_diag_base_with_dense_perturbation_matches_all_dense():
+    # nonzero tilt on the dense perturbation route
+    eps = 1e-4
+    seq, cert, pseq = _dense_perturbation_route(Window(-10, 10), 12, eps)
+    pc = graph_transform_seq(seq, cert, pseq, 0.75, eps=eps)
+    assert pc.graph.attained > 0.0
+    _assert_same_transfer(pc, graph_transform_seq(
+        _dense_ops(seq), _dense_pairs(cert), pseq, 0.75, eps=eps))
+
+
+def test_periodic_transfers_match_dense_reference():
+    W = Window(0, 3)
+    rng = np.random.default_rng(5)
+    ops = [diag(W, np.array([0.5, 0.4, 2.0, 2.5]) * (1.0 + 0.01 * k))
+           for k in range(3)]
+    pert = [dense(op.to_dense_matrix() + 2e-4 * rng.uniform(-1, 1, (4, 4)), W)
+            for op in ops]
+    seq = OperatorSeq(0, ops, period=3)
+    pseq = OperatorSeq(0, pert, period=3)
+    cert = coordinate_cert(W, [1.0, 1.0, 0.0, 0.0])
+    pc = graph_transform_periodic(seq, cert, pseq, 0.75)
+    assert pc.graph.attained > 0.0
+    _assert_same_transfer(pc, graph_transform_periodic(
+        _dense_ops(seq), _dense_pairs(cert), pseq, 0.75))
+
+    # zero tilt on weighted shifts: the fixed point of the closed-orbit route
+    W = Window(-16, 32)
+    f = make_weighted_shift(LinearShiftFamily(), 0.5, 2.0, W)
+    g = make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), 1e-4),
+                            0.5002, 2.001, W, name="wobbly_shift")
+    zero = SeqVec(W, np.zeros(W.length), 2.0)
+    seq = OperatorSeq(0, [f.dforward(zero)], period=1)
+    pseq = OperatorSeq(0, [g.dforward(zero)], period=1)
+    pc = graph_transform_periodic(seq, f.cert, pseq, 0.75)
+    assert pc.graph.attained == 0.0
+    _assert_same_transfer(pc, graph_transform_periodic(
+        seq, _dense_pairs(f.cert), pseq, 0.75))
+
+
+def test_dense_transfer_admission_estimate():
+    # the estimate bounds, and stays close to, the peak the all-dense
+    # transfer allocates at two window sizes
+    eps = 1e-4
+    for half in (10, 20):
+        W = Window(-half, half)
+        seq, cert, pseq = _dense_perturbation_route(W, 12, eps)
+        seq, cert = _dense_ops(seq), _dense_pairs(cert)
+        tracemalloc.start()
+        try:
+            graph_transform_seq(seq, cert, pseq, 0.75, eps=eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * _dense_bytes(12, W.length) < peak <= _dense_bytes(12, W.length)
+    # the CLI's dense transfer (robustness) at N=48 and a long horizon
+    assert _dense_bytes(200, 97) < MAX_DENSE_BYTES
+    # extreme window and horizon: the estimate alone, nothing allocated
+    assert _dense_bytes(100_000, 2 * 10_000 + 1) > MAX_DENSE_BYTES
+    # the transfer refuses before it builds anything per step
+    W = Window(0, 999)
+    A = dense(np.diag(np.where(np.arange(1000) < 500, 0.5, 2.0)), W)
+    seq = OperatorSeq(0, [A] * 400)
+    cert = coordinate_cert(W, np.arange(1000) < 500)
+    need = _dense_bytes(400, 1000)
+    with pytest.raises(PreconditionError, match=f"needs about {need} bytes"):
+        graph_transform_seq(seq, cert, seq, 0.75)
+
+
+def test_edge_scalars_of_a_shift_count_only_in_the_eps_gate():
+    # A weighted shift by s drops its |s| edge coordinates.  The transfer's
+    # eps gate (_diff_norm) still counts the scalar gap there; the certified
+    # R and the Neumann solver's |Delta| gate take the operator norm of the
+    # dense view, which does not.
+    W = Window(-16, 32)
+    f = make_weighted_shift(LinearShiftFamily(), 0.5, 2.0, W)
+    g = make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), 1e-4),
+                            0.5002, 2.001, W, name="wobbly_shift")
+    zero = SeqVec(W, np.zeros(W.length), 2.0)
+    A, B = f.dforward(zero), g.dforward(zero)
+    assert A.shift == B.shift == 1
+    edge = W.length - 1
+
+    def with_edge(op, c):
+        scalars = op.scalars.copy()
+        scalars[edge] = c
+        return shift_diag(W, scalars, op.shift)
+
+    def periodic(op):
+        return OperatorSeq(0, [op], period=1)
+
+    # the largest scalar of both shifts sits on the dropped edge
+    pc = graph_transform_periodic(periodic(A), f.cert, periodic(B), 0.75)
+    pc_edge = graph_transform_periodic(periodic(with_edge(A, 50.0)), f.cert,
+                                       periodic(with_edge(B, 50.0)), 0.75)
+    assert pc_edge.result.R == pc.result.R == max(op_norm(B),
+                                                   op_norm(B.inverse()))
+    assert pc_edge.result.R < 50.0
+
+    # a gap on the edge alone: the Neumann gate admits what the eps gate refuses
+    B_gap = with_edge(B, B.scalars[edge] + 1e-3)
+    acting_gap = op_norm(sub(B, A))
+    assert op_norm(sub(B_gap, A)) == acting_gap
+    assert _diff_norm(B_gap, A, 2.0) == pytest.approx(1e-3 + acting_gap)
+    eps = 2.0 * acting_gap
+    with pytest.raises(PreconditionError, match="below the measured"):
+        graph_transform_periodic(periodic(A), f.cert, periodic(B_gap), 0.75,
+                                 eps=eps)
+    n = 6
+    w = {k: SeqVec.basis(W, 0) for k in range(1, n + 1)}
+    sol = neumann_perturbed_solve(InhomProblem(OperatorSeq(0, [B_gap] * n), w),
+                                  OperatorSeq(0, [A] * n), f.cert, eps=eps)
+    assert sol.max_residual <= 1e-10 * (1.0 + sol.sup_norm)

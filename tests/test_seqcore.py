@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowkit.graphtf import _diff_norm
 from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
-    dense, diag, shift_diag, identity_op, monitored_fixed_point,
-    ConvergenceError, PreconditionError, TruncationError,
+    dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
+    apply_coeffs, LOST_TOL, ConvergenceError, PreconditionError,
+    TruncationError,
 )
 
 
@@ -246,3 +248,173 @@ def test_monitored_fixed_point_converges_and_gates():
     moves = iter([0.0, 1e-10])
     with pytest.raises(ConvergenceError, match="jumpy fixed-point residual"):
         run(lambda x: x + next(moves), "jumpy")
+
+
+# ---------------------------------------------------------------------------
+# weighted shifts against their dense view
+
+def _random_shift(rng, w, s, zeros=True):
+    c = rng.uniform(-2.0, 2.0, w.length)
+    if zeros:
+        c[rng.random(w.length) < 0.2] = 0.0
+    return shift_diag(w, c, shift=s)
+
+
+def _kept(n, s):
+    """Input coordinates a shift by s keeps in a window of length n."""
+    return [j for j in range(n) if 0 <= j + s < n]
+
+
+shift_cases = given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7),
+                    st.integers(-3, 3))
+
+
+@settings(max_examples=150)
+@shift_cases
+def test_apply_and_edge_guard_match_dense_view(seed, n, s):
+    rng = np.random.default_rng(seed)
+    w = Window(-2, n - 3)
+    A = _random_shift(rng, w, s)
+    x = rng.standard_normal(n)
+    assert A.kind == ("diag" if s == 0 else "shift_diag")
+    assert np.array_equal(apply_coeffs(A, x), A.to_dense_matrix() @ x)
+    dropped = [abs(A.scalars[j] * x[j]) for j in range(n)
+               if j not in _kept(n, s)]
+    limit = LOST_TOL * (1.0 + np.max(np.abs(x)))
+    v = SeqVec(w, x)
+    if max(dropped, default=0.0) > limit:
+        with pytest.raises(TruncationError):
+            op_apply(A, v)
+    else:
+        assert np.array_equal(op_apply(A, v).coeffs, apply_coeffs(A, x))
+    # mass exactly on the dropped coordinates is what the guard reads
+    x[_kept(n, s)] = 0.0
+    assert np.array_equal(op_apply(A, SeqVec(w, x), check_loss=False).coeffs,
+                          np.zeros(n))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_compose_matches_dense_product(seed, n, sa, sb):
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    A, B = _random_shift(rng, w, sa), _random_shift(rng, w, sb)
+    AB = compose(A, B)
+    assert AB.kind != "dense" and AB.shift == sa + sb
+    assert np.array_equal(AB.to_dense_matrix(),
+                          A.to_dense_matrix() @ B.to_dense_matrix())
+    assert np.array_equal((A @ B).to_dense_matrix(), AB.to_dense_matrix())
+    # a dense factor makes the product dense, by the same matrix product
+    M = dense(rng.standard_normal((n, n)), w)
+    for X, Y in ((M, B), (A, M)):
+        XY = compose(X, Y)
+        assert XY.kind == "dense"
+        assert np.array_equal(XY.matrix,
+                              X.to_dense_matrix() @ Y.to_dense_matrix())
+
+
+@settings(max_examples=150)
+@shift_cases
+def test_inverse_of_shift_matches_dense_view(seed, n, s):
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    A = _random_shift(rng, w, s, zeros=False)
+    inv = A.inverse()
+    assert inv.kind == A.kind and inv.shift == -s
+    m, m_inv = A.to_dense_matrix(), inv.to_dense_matrix()
+    kept = _kept(n, s)
+    reached = [j + s for j in kept]
+    eye = np.eye(len(kept))
+    assert np.max(np.abs((m_inv @ m)[np.ix_(kept, kept)] - eye),
+                  initial=0.0) <= 1e-15
+    assert np.max(np.abs((m @ m_inv)[np.ix_(reached, reached)] - eye),
+                  initial=0.0) <= 1e-15
+    if kept:
+        c = A.scalars.copy()
+        c[kept[0]] = 0.0
+        with pytest.raises(PreconditionError, match="singular"):
+            shift_diag(w, c, shift=s).inverse()
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_add_sub_match_dense_view(seed, n, sa, sb):
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    A, B = _random_shift(rng, w, sa), _random_shift(rng, w, sb)
+    for got, ref in ((add(A, B), A.to_dense_matrix() + B.to_dense_matrix()),
+                     (sub(A, B), A.to_dense_matrix() - B.to_dense_matrix()),
+                     (A + B, A.to_dense_matrix() + B.to_dense_matrix()),
+                     (A - B, A.to_dense_matrix() - B.to_dense_matrix()),
+                     (-A, -A.to_dense_matrix())):
+        assert np.array_equal(got.to_dense_matrix(), ref)
+    assert (sub(A, B).kind == "dense") == (sa != sb)
+    if sa == sb:
+        # same-shift differences keep every scalar, the dropped ones too
+        assert np.array_equal(sub(A, B).scalars, A.scalars - B.scalars)
+    with pytest.raises(PreconditionError):
+        add(A, identity_op(Window(0, n)))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
+       st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+def test_cocycle_of_shifts_stays_structured(seed, n, shifts):
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    seq = OperatorSeq(0, [_random_shift(rng, w, s, zeros=False) for s in shifts])
+    m = len(shifts)
+    for k, l in ((m, 0), (0, m), (m - 1, 0), (m, 1)):
+        phi = cocycle(seq, k, l)
+        if k == l:
+            continue
+        factors = ([seq.op_at(j) for j in range(l, k)] if l < k else
+                   [seq.op_at(j).inverse() for j in range(l - 1, k - 1, -1)])
+        ref = factors[0].to_dense_matrix()
+        for f in factors[1:]:
+            ref = f.to_dense_matrix() @ ref
+        assert phi.kind != "dense"
+        assert phi.shift == sum(f.shift for f in factors)
+        assert np.array_equal(phi.to_dense_matrix(), ref)
+
+
+@settings(max_examples=200)
+@shift_cases
+def test_op_norm_of_shift_is_the_dense_view_norm(seed, n, s):
+    rng = np.random.default_rng(seed)
+    A = _random_shift(rng, Window(0, n - 1), s)
+    m = A.to_dense_matrix()
+    exact, svd = op_norm(A, 2.0), float(np.linalg.norm(m, 2))
+    assert exact == float(np.max(np.abs(m), initial=0.0))
+    if s == 0:
+        assert exact == svd
+    else:
+        # LAPACK may return the singular value of a shift an ulp low; the
+        # structured norm is the exact one, hence never below it
+        assert svd <= exact <= svd * (1.0 + 4.0 * np.finfo(float).eps)
+    assert op_norm(A, 1.0) == float(np.max(np.sum(np.abs(m), axis=0)))
+    assert op_norm(A, math.inf) == float(np.max(np.sum(np.abs(m), axis=1)))
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(-3, 3),
+       st.integers(-3, 3), st.sampled_from([1.0, 2.0, math.inf]))
+def test_diff_norm_against_dense_difference(seed, n, sa, sb, p):
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    A, B = _random_shift(rng, w, sa), _random_shift(rng, w, sb)
+    ords = {1.0: 1, 2.0: 2, math.inf: np.inf}
+    gap = B.to_dense_matrix() - A.to_dense_matrix()
+    if sa == sb:
+        # one entry per column: the largest entry is the norm, and the gaps
+        # at the coordinates the dense view drops count too
+        edge = [abs(B.scalars[j] - A.scalars[j]) for j in range(n)
+                if j not in _kept(n, sa)]
+        assert _diff_norm(B, A, p) == max([np.max(np.abs(gap)), *edge])
+    else:
+        assert _diff_norm(B, A, p) == float(np.linalg.norm(gap, ords[p]))
+    M = dense(rng.standard_normal((n, n)), w)
+    assert _diff_norm(M, A, p) == float(
+        np.linalg.norm(M.matrix - A.to_dense_matrix(), ords[p]))
