@@ -197,7 +197,8 @@ def periodic_green_solve(prob, cert, m=None):
     certificate bound C^2 lam^T/(1-lam) * sup|w| falls below 1e-12; the
     result is exactly periodic because one period is computed and reused.
     Each point of the period is the middle of its own 2T-step segment of
-    :func:`perron_sums`.
+    :func:`perron_sums`.  The certificate's m projection pairs of one
+    period are built once and, like the operators, read modulo m.
     """
     if prob.seq.period is None:
         raise PreconditionError("periodic_green_solve needs a periodic sequence")
@@ -213,12 +214,14 @@ def periodic_green_solve(prob, cert, m=None):
     lo = prob.seq.lo
     ops = prob.seq.ops
     inv_ops = [A.inverse() for A in ops]
+    pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
     v = {}
     for k in range(lo, lo + m):
         times = range(k - T, k + T + 1)
-        steps = [(i - lo) % m for i in times[:-1]]
-        row = perron_sums([ops[i] for i in steps], [inv_ops[i] for i in steps],
-                          [cert.proj_at(i) for i in times],
+        steps = [(i - lo) % m for i in times]
+        row = perron_sums([ops[i] for i in steps[:-1]],
+                          [inv_ops[i] for i in steps[:-1]],
+                          [pairs[i] for i in steps],
                           [prob.w_at(i).coeffs for i in times], range(T, T + 1))
         v[k] = SeqVec(prob.window, row[0], prob.p)
     return _solution(prob, v, period=m, meta={"tail_depth": T})

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, norm, op_apply, op_norm, compose,
+    SeqVec, norm, op_apply, op_norm, compose, row_norms,
     PreconditionError, TruncationError,
 )
 
@@ -129,13 +129,27 @@ def _merge_pass(report):
 
 def _directions(pair_side, window, p, n_dirs, rng):
     """Unit directions spanning the image of a projection: every nonzero
-    projected coordinate vector plus n_dirs random projected vectors."""
-    dirs = []
-    for j in window.indices():
-        v = op_apply(pair_side, SeqVec.basis(window, j, p))
-        nv = norm(v)
-        if nv > 1e-14:
-            dirs.append(v.with_coeffs(v.coeffs / nv))
+    projected coordinate vector plus n_dirs random projected vectors.
+
+    A diagonal projection maps e_j to c_j e_j, so its coordinate directions
+    are read off its scalars c in one array operation, with the same bits
+    as applying it to every basis vector.
+    """
+    if (pair_side.matrix is None and pair_side.shift == 0
+            and pair_side.domain == window):
+        js = np.flatnonzero(pair_side.scalars)
+        basis = np.zeros((len(js), window.length))
+        basis[np.arange(len(js)), js] = 1.0
+        images = pair_side.scalars * basis
+        dirs = [SeqVec(window, v / nv, p)
+                for v, nv in zip(images, row_norms(images, p)) if nv > 1e-14]
+    else:
+        dirs = []
+        for j in window.indices():
+            v = op_apply(pair_side, SeqVec.basis(window, j, p))
+            nv = norm(v)
+            if nv > 1e-14:
+                dirs.append(v.with_coeffs(v.coeffs / nv))
     for _ in range(n_dirs):
         v = op_apply(pair_side, SeqVec(window, rng.standard_normal(window.length), p))
         nv = norm(v)

@@ -11,16 +11,22 @@ Each is the fixed point of a contraction built from the orbit Perron
 operation: the bounded solution of  v(a(x)) - A(x) v(x) = w(a(x))  along
 the orbit of a base map a with derivative cocycle A, summed by
 ``boundedsol.perron_sums`` with the same projected recursions as the
-sequence solvers.  The iteration runs under ``seqcore``'s fixed-point
-monitor, which gates the observed contraction ratio; the per-sweep gate
-on the size of the iterate stays here.  h1 rides the f-orbit
-of the query with cocycle Df and forcing g(x+h) - f(x) - Df(x)h; h2 rides
-the certified g-orbit with the same cocycle Df and forcing
-f(x+h) - g(x) - Df(x)h, taking its splitting from the derivative-sequence
-transfer of f's certificate onto Df read along the g-orbit (rate lam1,
-constant C1).  Values are computed on an orbit segment two truncation
-radii wide on each side of the query, which keeps boundary effects below
-the series tail tolerance at the reported index.
+sequence solvers.  A sweep works on the whole orbit segment at once: the
+segment's iterates are one (m, n) block of coefficient rows, the forcing
+of every step comes from one call of the system's row map
+(``DiffeoSystem.map_rows``) and one ``seqcore.apply_rows``, and the tail,
+ball and stop tests read ``seqcore.row_norms``; every row carries the
+same bits as a point-by-point sweep.  The iteration runs under
+``seqcore``'s fixed-point monitor, which gates the observed contraction
+ratio; the per-sweep gate on the size of the iterate stays here.
+
+h1 rides the f-orbit of the query with cocycle Df and forcing
+g(x+h) - f(x) - Df(x)h; h2 rides the certified g-orbit with the same
+cocycle Df and forcing f(x+h) - g(x) - Df(x)h, taking its splitting from
+the derivative-sequence transfer of f's certificate onto Df read along
+the g-orbit (rate lam1, constant C1).  Values are computed on an orbit
+segment two truncation radii wide on each side of the query, which keeps
+boundary effects below the series tail tolerance at the reported index.
 
 The composition (Id + h1)(Id + h2) is probed and reported, never asserted
 to be the identity.  Splitting data along the g-orbit is certified only at
@@ -35,8 +41,8 @@ from .boundedsol import perron_constant, perron_sums
 from .clstruct import CLCertificate
 from .graphtf import _diff_norm, graph_transform_seq, upgraded_constant
 from .seqcore import (FP_STOP_TOL, ConvergenceError, OperatorSeq,
-                      PreconditionError, SeqVec, TruncationError, apply_coeffs,
-                      coeff_norm, monitored_fixed_point, norm)
+                      PreconditionError, SeqVec, TruncationError, apply_rows,
+                      monitored_fixed_point, norm, row_norms)
 from .shadow import Pseudotrajectory, recompute_step_error, shadow
 from .systems import DiffeoSystem
 
@@ -74,17 +80,21 @@ def translate_system(sys, offset):
     """Rigid displacement x -> sys(x) + offset, the simplest C1-small change.
 
     The derivative cocycle is untouched, so the base certificate remains
-    valid for the translated map.
+    valid for the translated map.  Its row map is the base row map plus
+    the offset.
     """
     if offset.window != sys.window:
         raise PreconditionError("offset lives on a different window")
     base_forward, base_inverse = sys.forward, sys.inverse
-    base_dinverse = sys.dinverse
+    base_dinverse, base_rows = sys.dinverse, sys.map_rows
     off = np.asarray(offset.coeffs, dtype=float)
 
     def forward(x):
         y = base_forward(x)
         return y.with_coeffs(y.coeffs + off)
+
+    def forward_rows(xs):
+        return base_rows(xs) + off
 
     def inverse(y):
         return base_inverse(y.with_coeffs(y.coeffs - off))
@@ -95,7 +105,8 @@ def translate_system(sys, offset):
     return DiffeoSystem(sys.name + "+shift", sys.window, sys.p, forward,
                         inverse, sys.dforward, dinverse, sys.R, sys.modulus,
                         sys.support_shift, sys.cert,
-                        {**sys.meta, "translation_norm": float(norm(offset))})
+                        {**sys.meta, "translation_norm": float(norm(offset))},
+                        forward_rows)
 
 
 def orbit_perron_apply(alpha, A, cert, w, x, T):
@@ -283,72 +294,76 @@ def _h1_frame(job, x):
         raise TruncationError(
             f"f-orbit escapes the window around the query point: {exc}"
         ) from exc
+    rows = np.array([pts[j].coeffs for j in range(lo - 1, hi + 1)])
     # the declared distance must hold along this fresh orbit as well; the
     # derivative-side proximity is monitored by the observed contraction
-    d_here = 0.0
-    for j in range(lo - 1, hi):
-        gy = g.forward(pts[j])
-        d_here = max(d_here, norm(gy.with_coeffs(gy.coeffs - pts[j + 1].coeffs)))
+    d_here = row_norms(g.map_rows(rows[:-1]) - rows[1:], f.p).max()
     if d_here > job.d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
             f"measured distance {d_here:.3g} along the query orbit exceeds "
             f"the declared d = {job.d:.3g}")
-    ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi)}
     return {
-        "lo": lo, "hi": hi, "query": 0, "pts": pts, "ops": ops,
-        "pairs": {j: job.cert.proj_at(pts[j]) for j in range(lo, hi + 1)},
-        "images": {j: pts[j + 1].coeffs for j in range(lo - 1, hi)},
-        "other": g.forward, "tail_C": job.cert.C, "tail_lam": job.cert.lam,
+        "lo": lo, "hi": hi, "query": 0, "rows": rows,
+        "ops": [f.dforward(pts[j]) for j in range(lo - 1, hi)],
+        "pairs": [job.cert.proj_at(pts[j]) for j in range(lo, hi + 1)],
+        "other": g.map_rows, "tail_C": job.cert.C, "tail_lam": job.cert.lam,
         "ratio_bound": H1_RATIO, "kind": 1,
     }
 
 
-def _h2_frame(job, x):
-    q = _anchor_index(job, x)
+def _h2_frame(job, q):
     T = job.truncation
     B = 2 * T
     f = job.f
     lo, hi = q - B, q + B
-    pts = {j: job.orbit[j] for j in range(lo - 1, hi + 1)}
-    ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi)}
+    pts = [job.orbit[j] for j in range(lo - 1, hi + 1)]
     return {
-        "lo": lo, "hi": hi, "query": q, "pts": pts, "ops": ops,
-        "pairs": {j: job.cert_g.proj_at(j) for j in range(lo, hi + 1)},
-        "images": {j: job.orbit[j + 1].coeffs for j in range(lo - 1, hi)},
-        "other": f.forward, "tail_C": job.C1, "tail_lam": job.lam1,
+        "lo": lo, "hi": hi, "query": q,
+        "rows": np.array([y.coeffs for y in pts]),
+        "ops": [f.dforward(y) for y in pts[:-1]],
+        "pairs": [job.cert_g.proj_at(j) for j in range(lo, hi + 1)],
+        "other": f.map_rows, "tail_C": job.C1, "tail_lam": job.lam1,
         "ratio_bound": H2_RATIO, "kind": 2,
     }
 
 
 def _fixed_point(job, frame):
+    """Solve one frame's displacement by monitored Perron sweeps.
+
+    The frame holds the orbit rows x_{lo-1} .. x_hi, the differentials
+    A_j = Df(x_j) for j = lo-1 .. hi-1, the projection pairs at lo .. hi
+    and ``other``, the row map of the system the displacement carries the
+    orbit into.  One sweep takes the segment's (m, n) block of iterates
+    h_lo .. h_hi, forms every forcing row
+    c_j = other(x_j + h_j) - x_{j+1} - A_j h_j (h_{lo-1} = 0) in a few
+    whole-array operations, and sums them with :func:`perron_sums`.  The
+    tail, ball and stop tests read the row norms of the block.  Each row
+    carries the same bits as a point-by-point sweep.
+    """
     lo, hi = frame["lo"], frame["hi"]
-    pts, ops = frame["pts"], frame["ops"]
-    images, other = frame["images"], frame["other"]
+    rows, ops, other = frame["rows"], frame["ops"], frame["other"]
     T = job.truncation
     window, p = job.f.window, job.f.p
-    zero = np.zeros(window.length)
     ball = 2.0 * job.L * job.d
     # segment time points 0 .. hi-lo are the orbit indices lo .. hi
-    seg_ops = [ops[j] for j in range(lo, hi)]
+    seg_ops = ops[1:]
     seg_inv = [A.inverse() for A in seg_ops]
-    seg_pairs = [frame["pairs"][j] for j in range(lo, hi + 1)]
+    base, images = rows[:-1], rows[1:]
 
     def sweep(hs):
-        # forcing c_{j-1} at index j = lo .. hi, with h_{lo-1} taken as zero
-        cs = []
-        w_sup = 0.0
-        for j in range(lo - 1, hi):
-            hj = hs[j - lo] if j >= lo else zero
-            xp = pts[j].with_coeffs(pts[j].coeffs + hj)
-            cs.append(other(xp).coeffs - images[j] - apply_coeffs(ops[j], hj))
-            w_sup = max(w_sup, coeff_norm(cs[-1], p))
+        # forcing rows for the steps lo-1 .. hi-1: h shifted down by one
+        prev = np.zeros(hs.shape)
+        prev[1:] = hs[:-1]
+        cs = other(base + prev) - images - apply_rows(ops, prev)
+        w_sup = row_norms(cs, p).max()
         tail = _tail(frame["tail_C"], frame["tail_lam"], T, w_sup)
         if not tail < TAIL_TOL:
             raise PreconditionError(
                 f"series tail {tail:.3g} during the sweep is not below "
                 f"{TAIL_TOL:.0e}; increase the truncation")
-        new = perron_sums(seg_ops, seg_inv, seg_pairs, cs, range(hi - lo + 1))
-        sup_h = max(coeff_norm(h, p) for h in new)
+        new = perron_sums(seg_ops, seg_inv, frame["pairs"], cs,
+                          range(hi - lo + 1))
+        sup_h = row_norms(new, p).max()
         if ball > 0.0 and sup_h > ball * (1.0 + BALL_SLACK):
             raise ConvergenceError(
                 f"iterate left the radius-{ball:.3g} ball (size {sup_h:.3g})")
@@ -356,7 +371,7 @@ def _fixed_point(job, frame):
 
     hs, sweeps, fp_residual, ratio_seen = monitored_fixed_point(
         sweep, np.zeros((hi - lo + 1, window.length)),
-        lambda new, old: max(coeff_norm(a - b, p) for a, b in zip(new, old)),
+        lambda new, old: float(row_norms(new - old, p).max()),
         f"h{frame['kind']} sweep", ratio_bound=frame["ratio_bound"],
         ratio_floor=100.0 * FP_STOP_TOL, max_iter=MAX_SWEEPS)
     job.meta["last_evaluation"] = {
@@ -383,19 +398,30 @@ def h2_at(job, x):
     splitting along the segment comes from the job's transferred
     certificate.
     """
-    return _fixed_point(job, _h2_frame(job, x))
+    return _fixed_point(job, _h2_frame(job, _anchor_index(job, x)))
 
 
 def semiconjugacy_report(job, indices=None):
     """Independent per-point evaluations over the certified span.
 
-    Each row records the displacement sizes, both equation residuals with
-    every h value computed by its own solve (so the defining equations are
-    genuinely rechecked, not replayed), and the round-trip probe
-    |h2(x) + h1(x + h2(x))|, which is reported without any assertion.
+    Each row records the displacement sizes, both equation residuals, and
+    the round-trip probe |h2(x) + h1(x + h2(x))|, which is reported
+    without any assertion.  Each residual takes its values at x and at the
+    image point from distinct solves, so the defining equations are
+    genuinely rechecked, not replayed.  h2 is solved once per anchor of
+    the g-orbit: row q's h2(g(x)) is the frame of row q+1's h2(x), so the
+    two rows share that solve.
     """
     if indices is None:
         indices = range(job.query_lo, job.query_hi + 1)
+    h2_by_anchor = {}
+
+    def h2(y):
+        q = _anchor_index(job, y)
+        if q not in h2_by_anchor:
+            h2_by_anchor[q] = h2_at(job, y)
+        return h2_by_anchor[q]
+
     rows = []
     for q in indices:
         q = int(q)
@@ -405,10 +431,10 @@ def semiconjugacy_report(job, indices=None):
                 f"[{job.query_lo}, {job.query_hi}]")
         x = job.orbit[q]
         h1x = h1_at(job, x)
-        h2x = h2_at(job, x)
+        h2x = h2(x)
         fx = job.f.forward(x)
         h1fx = h1_at(job, fx)
-        h2gx = h2_at(job, job.orbit[q + 1])
+        h2gx = h2(job.orbit[q + 1])
         xp = x.with_coeffs(x.coeffs + h1x.coeffs)
         r1 = norm(SeqVec(job.f.window,
                          job.g.forward(xp).coeffs - fx.coeffs - h1fx.coeffs,

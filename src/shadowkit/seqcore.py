@@ -21,7 +21,9 @@ negligible, so ``op_apply`` raises :class:`TruncationError` when the mass
 it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``.
 ``apply_coeffs`` is the unguarded application to a raw coefficient array
 that ``op_apply`` wraps, for inner loops that account for the boundary
-themselves.
+themselves; ``apply_rows`` applies one operator per row of a coefficient
+block, and ``row_norms`` takes the norm of every row, each bit for bit the
+row-by-row result.
 
 ``monitored_fixed_point`` runs the contraction-monitored fixed-point
 iterations of the splitting transfer and of the displacement maps.
@@ -34,7 +36,8 @@ import numpy as np
 
 __all__ = [
     "Window", "SeqVec", "LinOp", "OperatorSeq",
-    "norm", "coeff_norm", "op_apply", "apply_coeffs", "op_norm", "cocycle",
+    "norm", "coeff_norm", "row_norms", "op_apply", "apply_coeffs",
+    "apply_rows", "op_norm", "cocycle",
     "compose", "add", "sub", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
@@ -164,6 +167,22 @@ def coeff_norm(c, p):
     if p == 1.0:
         return float(np.sum(np.abs(c)))
     return float(np.sum(np.abs(c) ** p) ** (1.0 / p))
+
+
+def row_norms(c, p):
+    """l^p norms of the rows of an (m, n) coefficient array.
+
+    Each entry equals ``coeff_norm`` of its row bit for bit: a row times
+    column ``matmul`` runs the same dot kernel as ``np.linalg.norm``, and
+    the 1/p-th power of a general exponent is taken per row, as a scalar.
+    """
+    if p == math.inf:
+        return np.max(np.abs(c), axis=-1, initial=0.0)
+    if p == 2.0:
+        return np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0])
+    if p == 1.0:
+        return np.sum(np.abs(c), axis=-1)
+    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(c) ** p, axis=-1)])
 
 
 def _acting(n, s):
@@ -310,6 +329,22 @@ def apply_coeffs(A, x):
     out = np.zeros(len(x))
     out[landed] = A.scalars[kept] * x[kept]
     return out
+
+
+def apply_rows(ops, rows):
+    """Apply ``ops[i]`` to row i of an (m, n) coefficient array.
+
+    The same products as ``apply_coeffs`` row by row; weighted shifts by one
+    common s act as one array operation, any other mix row by row.
+    """
+    s = ops[0].shift
+    if all(A.matrix is None and A.shift == s for A in ops):
+        kept, landed = _acting(rows.shape[1], s)
+        scalars = np.array([A.scalars for A in ops])
+        out = np.zeros(rows.shape)
+        out[:, landed] = scalars[:, kept] * rows[:, kept]
+        return out
+    return np.array([apply_coeffs(A, x) for A, x in zip(ops, rows)])
 
 
 def op_apply(A, v, check_loss=True):

@@ -8,10 +8,11 @@ from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, diag, dense, norm, shift_diag,
     PreconditionError,
 )
-from shadowkit.clstruct import constant_cert
+from shadowkit.clstruct import CLCertificate, ProjPair, constant_cert
 from shadowkit.boundedsol import (
     InhomProblem, perron_constant, perron_solve, periodic_green_solve,
     neumann_perturbed_solve, banded_direct_solve, random_hyperbolic_instance,
+    perron_sums,
 )
 
 W2 = Window(0, 1)
@@ -227,6 +228,41 @@ def test_periodic_green_matches_long_interval_middle():
         assert np.max(np.abs(gap)) <= 1e-10
     assert sol_p.sup_norm <= perron_constant(1.0, 0.5) * sol_p.meta.get(
         "tail_depth", 0) * 0 + 3.0 * max(norm(w) for w in ws) + 1e-10
+
+
+def test_periodic_green_builds_each_pair_once():
+    # a period-3 sequence whose pairs differ from index to index (they need
+    # not be invariant: the test is about which pair is read where)
+    W3 = Window(0, 2)
+    m, lo = 3, 2
+    scales = [np.array([0.5, 2.0, 0.4]), np.array([2.2, 0.45, 0.5]),
+              np.array([0.3, 0.5, 2.5])]
+    masks = [np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0]),
+             np.array([1.0, 1.0, 0.0])]
+    seq = OperatorSeq(lo, [diag(W3, c) for c in scales], period=m)
+    rng = np.random.default_rng(4)
+    prob = InhomProblem(seq, {lo + 1 + k: SeqVec(W3, rng.uniform(-1, 1, 3))
+                              for k in range(m)})
+    calls = []
+
+    def proj_at(k):
+        calls.append(k)
+        mask = masks[(k - lo) % m]
+        return ProjPair(diag(W3, mask), diag(W3, 1.0 - mask))
+
+    cert = CLCertificate(1.0, 0.5, 2.5, proj_at)
+    sol = periodic_green_solve(prob, cert)
+    assert len(calls) == m
+    # reference: the pair of every time point of every segment, built anew
+    T = sol.meta["tail_depth"]
+    inv = [A.inverse() for A in seq.ops]
+    for k in range(lo, lo + m):
+        times = range(k - T, k + T + 1)
+        steps = [(i - lo) % m for i in times[:-1]]
+        row = perron_sums([seq.ops[i] for i in steps], [inv[i] for i in steps],
+                          [proj_at(i) for i in times],
+                          [prob.w_at(i).coeffs for i in times], range(T, T + 1))
+        assert sol.v_at(k).coeffs.tobytes() == row[0].tobytes()
 
 
 def test_periodic_green_rejects_aperiodic():

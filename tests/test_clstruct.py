@@ -6,11 +6,12 @@ import pytest
 
 from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, diag, shift_diag, identity_op, norm,
-    PreconditionError,
+    op_apply, PreconditionError,
 )
 from shadowkit.clstruct import (
     ProjPair, CLCertificate, constant_cert,
     verify_cl_diffeo, verify_cl_opseq, verify_dichotomy, verify_cocycle_cl,
+    _directions,
 )
 from shadowkit.systems import (
     make_system, make_linear_example_seq, linear_example_cert,
@@ -205,3 +206,40 @@ def test_ms_product_certificate_passes():
     assert rep.passed
     assert rep.max_inclusion_residual == 0.0
     assert rep.max_proj_norm == 1.0
+
+
+def _directions_by_basis(pair_side, window, p, n_dirs, rng):
+    # reference: apply the projection to every basis vector
+    dirs = []
+    for j in window.indices():
+        v = op_apply(pair_side, SeqVec.basis(window, j, p))
+        nv = norm(v)
+        if nv > 1e-14:
+            dirs.append(v.with_coeffs(v.coeffs / nv))
+    for _ in range(n_dirs):
+        v = op_apply(pair_side, SeqVec(window, rng.standard_normal(window.length), p))
+        nv = norm(v)
+        if nv > 1e-12:
+            dirs.append(v.with_coeffs(v.coeffs / nv))
+    return dirs
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_diagonal_directions_match_basis_vector_loop(p):
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        w = Window(-int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+        mask = (rng.random(w.length) < 0.5).astype(float)
+        # masks, general scalars with signs and zeros, and sub-threshold ones
+        scalars = [mask, 1.0 - mask,
+                   rng.uniform(-3.0, 3.0, w.length) * mask,
+                   np.where(mask > 0, 1e-15, 0.7)]
+        for c in scalars:
+            seed = int(rng.integers(2 ** 31))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _directions(diag(w, c), w, p, 3, rng_a)
+            want = _directions_by_basis(diag(w, c), w, p, 3, rng_b)
+            assert [v.coeffs.tobytes() for v in got] == \
+                [v.coeffs.tobytes() for v in want]
+            assert all(v.p == p and v.window == w for v in got)
+            assert rng_a.random() == rng_b.random()

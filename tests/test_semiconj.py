@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowkit.boundedsol import InhomProblem, perron_constant, perron_solve
+from shadowkit.boundedsol import (InhomProblem, perron_constant, perron_solve,
+                                  perron_sums)
 from shadowkit.clstruct import CLCertificate
-from shadowkit.semiconj import (continuity_probe, h1_at, h2_at,
+from shadowkit.semiconj import (MAX_SWEEPS, H1_RATIO, H2_RATIO,
+                                continuity_probe, h1_at, h2_at,
                                 make_conjugacy_job, orbit_perron_apply,
                                 required_truncation, semiconjugacy_report,
                                 translate_system)
-from shadowkit.seqcore import (OperatorSeq, PreconditionError, SeqVec,
-                               TruncationError, Window, norm, op_apply)
+from shadowkit.seqcore import (FP_STOP_TOL, OperatorSeq, PreconditionError,
+                               SeqVec, TruncationError, Window, apply_coeffs,
+                               coeff_norm, monitored_fixed_point, norm,
+                               op_apply)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                TanhShiftFamily, make_weighted_shift)
 
@@ -300,6 +304,72 @@ def test_smooth_perturbation_bounds_residuals_and_truncation():
     assert job.meta["transfer_eps"] == 0.0
     assert job.meta["graph_sup"] == 0.0
     assert job.meta["continuity"] == "sampled points only"
+
+
+def _pointwise_displacement(job, kind, x, q=None):
+    """Reference sweep: one forward, one apply and one norm per orbit point.
+
+    h1 rides the f-orbit through x and maps it by g; h2 rides the job's
+    g-orbit around anchor q and maps it by f.
+    """
+    B = 2 * job.truncation
+    f, p = job.f, job.f.p
+    if kind == 1:
+        lo, hi = -B, B
+        pts = {0: x}
+        for j in range(1, hi + 1):
+            pts[j] = f.forward(pts[j - 1])
+        for j in range(0, lo - 1, -1):
+            pts[j - 1] = f.inverse(pts[j])
+        other, ratio = job.g.forward, H1_RATIO
+        pairs = [job.cert.proj_at(pts[j]) for j in range(lo, hi + 1)]
+    else:
+        lo, hi = q - B, q + B
+        pts = {j: job.orbit[j] for j in range(lo - 1, hi + 1)}
+        other, ratio = f.forward, H2_RATIO
+        pairs = [job.cert_g.proj_at(j) for j in range(lo, hi + 1)]
+    ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi)}
+    seg_ops = [ops[j] for j in range(lo, hi)]
+    seg_inv = [A.inverse() for A in seg_ops]
+    zero = np.zeros(W.length)
+
+    def sweep(hs):
+        cs = []
+        for j in range(lo - 1, hi):
+            hj = hs[j - lo] if j >= lo else zero
+            xp = pts[j].with_coeffs(pts[j].coeffs + hj)
+            cs.append(other(xp).coeffs - pts[j + 1].coeffs
+                      - apply_coeffs(ops[j], hj))
+        return perron_sums(seg_ops, seg_inv, pairs, cs, range(hi - lo + 1))
+
+    hs, *_ = monitored_fixed_point(
+        sweep, np.zeros((hi - lo + 1, W.length)),
+        lambda new, old: max(coeff_norm(a - b, p) for a, b in zip(new, old)),
+        "reference", ratio_bound=ratio, ratio_floor=100.0 * FP_STOP_TOL,
+        max_iter=MAX_SWEEPS)
+    return hs[(0 if kind == 1 else q) - lo]
+
+
+def test_row_batched_sweeps_match_the_pointwise_sweep_bit_for_bit():
+    f, g, job = wobbly_setup()
+    x0 = job.orbit[0]
+    off = x0.with_coeffs(x0.coeffs + translation_vector(f, 1e-3, k=2).coeffs)
+    for x in (x0, off):
+        want = _pointwise_displacement(job, 1, x)
+        assert h1_at(job, x).coeffs.tobytes() == want.tobytes()
+    h2_ref = {q: _pointwise_displacement(job, 2, job.orbit[q], q)
+              for q in (0, 1, 2)}
+    for q in (0, 2):
+        assert h2_at(job, job.orbit[q]).coeffs.tobytes() == h2_ref[q].tobytes()
+    # the report solves h2 once per anchor and shares it between rows
+    rows = semiconjugacy_report(job, range(0, 2))
+    for row in rows:
+        q = row["point"]
+        assert row["h2_norm"] == norm(SeqVec(W, h2_ref[q], 2.0))
+        x = job.orbit[q]
+        r2 = (f.forward(x.with_coeffs(x.coeffs + h2_ref[q])).coeffs
+              - job.orbit[q + 1].coeffs - h2_ref[q + 1])
+        assert row["residual2"] == norm(SeqVec(W, r2, 2.0))
 
 
 def test_job_precondition_gates():

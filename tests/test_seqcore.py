@@ -8,8 +8,8 @@ from shadowkit.graphtf import _diff_norm
 from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
-    apply_coeffs, LOST_TOL, ConvergenceError, PreconditionError,
-    TruncationError,
+    apply_coeffs, apply_rows, coeff_norm, row_norms, LOST_TOL,
+    ConvergenceError, PreconditionError, TruncationError,
 )
 
 
@@ -418,3 +418,24 @@ def test_diff_norm_against_dense_difference(seed, n, sa, sb, p):
     M = dense(rng.standard_normal((n, n)), w)
     assert _diff_norm(M, A, p) == float(
         np.linalg.norm(M.matrix - A.to_dense_matrix(), ords[p]))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.integers(1, 12),
+       st.sampled_from([-2, 0, 1, None]))
+def test_row_operations_match_row_by_row_bits(seed, m, n, s):
+    # s = None mixes shifts and a dense operator, the row-by-row fallback
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    rows = rng.standard_normal((m, n)) * rng.choice([1e-9, 1.0, 1e7], (m, 1))
+    rows[rng.random((m, n)) < 0.2] = 0.0
+    if s is None:
+        ops = [_random_shift(rng, w, int(rng.integers(-2, 3))) for _ in range(m)]
+        ops[-1] = dense(rng.standard_normal((n, n)), w)
+    else:
+        ops = [_random_shift(rng, w, s) for _ in range(m)]
+    want = np.array([apply_coeffs(A, x) for A, x in zip(ops, rows)])
+    assert apply_rows(ops, rows).tobytes() == want.tobytes()
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        want = np.array([coeff_norm(x, p) for x in rows])
+        assert row_norms(rows, p).tobytes() == want.tobytes()

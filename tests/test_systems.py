@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shadowkit.semiconj import translate_system
 from shadowkit.seqcore import (
     Window, SeqVec, norm, op_apply, identity_op, PreconditionError,
     TruncationError,
@@ -321,3 +323,59 @@ def test_make_system_registry():
     assert seq.op_at(0).kind == "diag"
     with pytest.raises(PreconditionError):
         make_system("no_such_system", W)
+
+
+# ------------------------------------------------------------- row maps
+
+def _row_map_systems():
+    lin = shift_linear()
+    tanh = shift_tanh()
+    wobbly = make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), 1e-4),
+                                 0.5002, 2.001, W, name="wobbly")
+    off = np.zeros(W.length)
+    off[W.offset(0)] = 1e-4
+    return [lin, tanh, wobbly, translate_system(wobbly, SeqVec(W, off))]
+
+
+ROW_MAP_SYSTEMS = _row_map_systems()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
+       st.sampled_from(range(len(ROW_MAP_SYSTEMS))))
+def test_row_map_equals_stacked_forward(seed, m, which):
+    # rows with a zero, a negligible, a borderline or a heavy edge
+    # coordinate: the borderline one (edge image 1.5e-12) trips the guard
+    # only on rows whose largest coefficient is small, so the guard must be
+    # judged per row
+    sys = ROW_MAP_SYSTEMS[which]
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, (m, W.length)) * rng.choice([1e-3, 1.0], (m, 1))
+    xs[:, -1] = rng.choice([0.0, 1e-14, 3e-13, 3e-12, 0.5], m)
+    expected, trips = [], False
+    for x in xs:
+        try:
+            expected.append(sys.forward(SeqVec(W, x, sys.p)).coeffs)
+        except TruncationError:
+            trips = True
+    for shape in ((m, W.length), (1, m, W.length)):
+        if trips:
+            with pytest.raises(TruncationError):
+                sys.map_rows(xs.reshape(shape))
+        else:
+            got = sys.map_rows(xs.reshape(shape)).reshape(m, W.length)
+            assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_row_map_defaults_to_forward_row_by_row():
+    g = conjugate(shift_tanh(), make_sin_wobble(W))
+    assert g.forward_rows is None
+    xs = np.array([x.coeffs for x in sample_interior_points(g, 4, seed=3)])
+    want = np.array([g.forward(SeqVec(W, x, g.p)).coeffs for x in xs])
+    assert g.map_rows(xs).tobytes() == want.tobytes()
+    xs[1, -1] = 0.5
+    with pytest.raises(TruncationError):
+        g.map_rows(xs)
+    # the certificate swap keeps the row map
+    lin = shift_linear()
+    assert lin.with_cert(None).forward_rows is lin.forward_rows
