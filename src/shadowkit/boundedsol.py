@@ -28,7 +28,9 @@ oracle, which assembles the difference equation as one dense
 least-squares system and never touches the sums.
 
 Every solver recomputes its residual max_k |v_{k+1} - A_k v_k - w_{k+1}|
-and stores it in the result.
+and stores it in the result.  The recheck runs on the solution's block of
+rows, one ``seqcore.apply_rows`` and one ``seqcore.row_norms``, with the
+bits of a step-by-step recheck.
 """
 
 from dataclasses import dataclass, field
@@ -36,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, OperatorSeq, norm, apply_coeffs, op_apply, op_norm, dense, sub,
-    PreconditionError, ConvergenceError,
+    SeqVec, OperatorSeq, norm, apply_coeffs, apply_rows, op_apply, op_norm,
+    row_norms, dense, sub, PreconditionError, ConvergenceError,
 )
 from .clstruct import verify_cl_opseq
 
@@ -46,10 +48,6 @@ __all__ = [
     "perron_solve", "periodic_green_solve", "neumann_perturbed_solve",
     "banded_direct_solve", "random_hyperbolic_instance",
 ]
-
-#: relative residual every solver output must satisfy
-RESIDUAL_TOL = 1e-10
-
 
 def perron_constant(C, lam):
     """The bounded-solution constant L = C^2 (1+lam)/(1-lam)."""
@@ -121,20 +119,27 @@ def _vec_add(x, y, cx=1.0, cy=1.0):
     return x.with_coeffs(cx * x.coeffs + cy * y.coeffs)
 
 
-def _solution(prob, v, period=None, meta=None):
-    """Package a solution map, recomputing its residual from scratch."""
-    a = min(v)
-    ks = sorted(v)
-    sup = max(norm(v[k]) for k in ks)
-    res = 0.0
-    last = ks[-1] if period is None else ks[-1] + 1
-    for k in range(a, last):
-        A = prob.seq.op_at(k)
-        nxt = v[a + (k + 1 - a) % period] if period is not None else v[k + 1]
-        defect = nxt.coeffs - op_apply(A, v[k], check_loss=False).coeffs \
-            - prob.w_at(k + 1).coeffs
-        res = max(res, norm(v[k].with_coeffs(defect)))
-    return BoundedSolution(v, sup, res, period=period, meta=meta or {})
+def _solution(prob, rows, period=None, meta=None):
+    """Package a solution block, recomputing its residual from scratch.
+
+    Row i of ``rows`` is v_{lo+i}, from the first time point lo of the
+    sequence on.  The defects v_{k+1} - A_k v_k - w_{k+1} of every step
+    (for periodic data the last step wraps to v_lo) come from
+    ``apply_rows`` and their norms from ``row_norms``, each with the bits
+    of the step-by-step computation.
+    """
+    a, p = prob.seq.lo, prob.p
+    n_steps = len(rows) - 1 if period is None else len(rows)
+    succ = rows if period is None else rows[np.arange(n_steps + 1) % n_steps]
+    steps = range(a, a + n_steps)
+    defects = apply_rows([prob.seq.op_at(k) for k in steps], succ[:-1])
+    np.subtract(succ[1:], defects, out=defects)
+    defects -= np.array([prob.w_at(k + 1).coeffs for k in steps])
+    return BoundedSolution(
+        {a + i: SeqVec(prob.window, row, p) for i, row in enumerate(rows)},
+        float(row_norms(rows, p).max()),
+        float(row_norms(defects, p).max(initial=0.0)),
+        period=period, meta=meta or {})
 
 
 def perron_sums(ops, inv_ops, pairs, w, at):
@@ -182,15 +187,13 @@ def perron_solve(prob, cert, verify_cert=False):
                 f"splitting certificate fails on the sequence: {rep.to_json()}")
     a, b = prob.seq.lo, prob.seq.hi
     ops = prob.seq.ops
-    v = perron_sums(ops, [A.inverse() for A in ops],
-                    [cert.proj_at(k) for k in range(a, b + 1)],
-                    [prob.w_at(k).coeffs for k in range(a, b + 1)],
-                    range(b - a + 1))
-    return _solution(prob, {k: SeqVec(prob.window, v[k - a], prob.p)
-                            for k in range(a, b + 1)})
+    return _solution(prob, perron_sums(
+        ops, [A.inverse() for A in ops],
+        [cert.proj_at(k) for k in range(a, b + 1)],
+        [prob.w_at(k).coeffs for k in range(a, b + 1)], range(b - a + 1)))
 
 
-def periodic_green_solve(prob, cert, m=None):
+def periodic_green_solve(prob, cert):
     """Periodic bounded solution by tail-truncated two-sided sums.
 
     Both sums are cut T steps out, where T is the first depth at which the
@@ -202,11 +205,7 @@ def periodic_green_solve(prob, cert, m=None):
     """
     if prob.seq.period is None:
         raise PreconditionError("periodic_green_solve needs a periodic sequence")
-    if m is None:
-        m = prob.seq.period
-    if m != prob.seq.period:
-        raise PreconditionError(
-            f"declared period {m} differs from the sequence period {prob.seq.period}")
+    m = prob.seq.period
     W = prob.w_bound
     T = 1
     while perron_constant(cert.C, cert.lam) * cert.lam ** T * W >= 1e-12:
@@ -215,16 +214,16 @@ def periodic_green_solve(prob, cert, m=None):
     ops = prob.seq.ops
     inv_ops = [A.inverse() for A in ops]
     pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
-    v = {}
+    rows = []
     for k in range(lo, lo + m):
         times = range(k - T, k + T + 1)
         steps = [(i - lo) % m for i in times]
-        row = perron_sums([ops[i] for i in steps[:-1]],
-                          [inv_ops[i] for i in steps[:-1]],
-                          [pairs[i] for i in steps],
-                          [prob.w_at(i).coeffs for i in times], range(T, T + 1))
-        v[k] = SeqVec(prob.window, row[0], prob.p)
-    return _solution(prob, v, period=m, meta={"tail_depth": T})
+        rows.append(perron_sums([ops[i] for i in steps[:-1]],
+                                [inv_ops[i] for i in steps[:-1]],
+                                [pairs[i] for i in steps],
+                                [prob.w_at(i).coeffs for i in times],
+                                range(T, T + 1))[0])
+    return _solution(prob, np.array(rows), period=m, meta={"tail_depth": T})
 
 
 def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps,
@@ -271,8 +270,9 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps,
             f"perturbed solve did not converge in {max_iter} iterations "
             f"(last difference {diff_norms[-1]:.3g}); the perturbation "
             f"likely violates its bound")
-    return _solution(prob_b, v, meta={"iterations": len(diff_norms),
-                                      "diff_norms": diff_norms})
+    return _solution(prob_b, np.array([v[k].coeffs for k in range(a, b + 1)]),
+                     meta={"iterations": len(diff_norms),
+                           "diff_norms": diff_norms})
 
 
 def banded_direct_solve(prob, cert, max_unknowns=20_000):
@@ -306,9 +306,7 @@ def banded_direct_solve(prob, cert, max_unknowns=20_000):
     M[n * steps:n * steps + n, :n] = cert.proj_at(a).P.to_dense_matrix()
     M[n * steps + n:, N - n:] = cert.proj_at(b).Q.to_dense_matrix()
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    v = {k: SeqVec(prob.window, sol[n * (k - a):n * (k - a + 1)], prob.p)
-         for k in range(a, b + 1)}
-    out = _solution(prob, v)
+    out = _solution(prob, sol.reshape(steps + 1, n))
     if out.max_residual > 1e-8 * (1.0 + out.sup_norm):
         raise ConvergenceError(
             f"direct solve left residual {out.max_residual:.3g}; "

@@ -649,9 +649,8 @@ def _run_robustness(config):
 
         # map route: a smooth perturbation of the map itself, certified
         # along one of its own orbits
-        orbit = [_seeded_start(f, seed, scale=0.05, offsets=range(0, 4))]
-        for _ in range(config.horizon):
-            orbit.append(g.forward(orbit[-1]))
+        start = _seeded_start(f, seed, scale=0.05, offsets=range(0, 4))
+        orbit = g.orbit(start, 0, config.horizon)
         idx = [len(orbit) // 3, (2 * len(orbit)) // 3]
         pc_map = perturbed_cl_for_diffeo(f, g, orbit, lam1)
         rep_map = verify_cl_diffeo(

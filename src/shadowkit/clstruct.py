@@ -211,7 +211,7 @@ def _proj_lipschitz(pairs_pts, p):
     return worst
 
 
-def _verify(cert, key, samples, local, n_dirs, tol, decay_tol, seed):
+def _verify(cert, key, samples, local, n_dirs, seed):
     """The loop shared by the splitting verifiers.
 
     ``samples`` lists ``(label, item, window, p)``: the witness label, the
@@ -224,8 +224,7 @@ def _verify(cert, key, samples, local, n_dirs, tol, decay_tol, seed):
     against C lam^n.
     """
     rng = np.random.default_rng(seed)
-    rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam,
-                             tol=tol, decay_tol=decay_tol)
+    rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam)
     for label, item, window, p in samples:
         pair = cert.proj_at(item)
         pair.validate(p=p)
@@ -248,13 +247,12 @@ def _verify(cert, key, samples, local, n_dirs, tol, decay_tol, seed):
     return _merge_pass(rep)
 
 
-def verify_cl_diffeo(sys, cert, points, horizon=12, n_dirs=16,
-                     tol=ALGEBRAIC_TOL, decay_tol=DECAY_TOL, seed=0):
+def verify_cl_diffeo(sys, cert, points, horizon=12, n_dirs=16, seed=0):
     """Check the splitting structure of a diffeomorphism at sampled points.
 
     Per point x: projection norms <= C; one-step leakage residuals
-    |Q_{f(x)} Df(x) P_x| and |P_{f^{-1}(x)} Df^{-1}(x) Q_x| <= tol; decay of
-    stable directions under forward differentials and of unstable
+    |Q_{f(x)} Df(x) P_x| and |P_{f^{-1}(x)} Df^{-1}(x) Q_x| <= ALGEBRAIC_TOL;
+    decay of stable directions under forward differentials and of unstable
     directions under backward differentials for n <= horizon, against
     C lam^n, over all window coordinate directions plus n_dirs random ones.
     """
@@ -273,14 +271,13 @@ def verify_cl_diffeo(sys, cert, points, horizon=12, n_dirs=16,
                 _orbit_ops(sys.dinverse, sys.inverse, x, horizon))
 
     samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    rep = _verify(cert, "point", samples, local, n_dirs, tol, decay_tol, seed)
+    rep = _verify(cert, "point", samples, local, n_dirs, seed)
     rep.proj_lipschitz = _proj_lipschitz(sampled_pairs, points[0].p if points else 2.0)
     return rep
 
 
-def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16,
-                    tol=ALGEBRAIC_TOL, decay_tol=DECAY_TOL, seed=0,
-                    p=2.0, indices=None, dichotomy=False):
+def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16, seed=0, p=2.0,
+                    indices=None, dichotomy=False):
     """Check the splitting structure of an operator sequence.
 
     Indices run over the sequence interval (one period when the sequence is
@@ -314,11 +311,11 @@ def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16,
                 [seq.op_at(k - 1 - j).inverse() for j in range(n_bwd)])
 
     samples = [(k, k, window, p) for k in indices]
-    return _verify(cert, "index", samples, local, n_dirs, tol, decay_tol, seed)
+    return _verify(cert, "index", samples, local, n_dirs, seed)
 
 
-def verify_dichotomy(seq, cert, side="Z", horizon=12, n_dirs=16,
-                     tol=ALGEBRAIC_TOL, decay_tol=DECAY_TOL, seed=0, p=2.0):
+def verify_dichotomy(seq, cert, side="Z", horizon=12, n_dirs=16, seed=0,
+                     p=2.0):
     """Exponential dichotomy check on Z+, Z- or Z (within the interval).
 
     Same checks as verify_cl_opseq plus the reverse leakage residual, so a
@@ -338,15 +335,13 @@ def verify_dichotomy(seq, cert, side="Z", horizon=12, n_dirs=16,
         if lo > hi:
             raise PreconditionError(f"interval does not meet {side}")
         indices = range(lo, hi + 1)
-    rep = verify_cl_opseq(seq, cert, horizon=horizon, n_dirs=n_dirs, tol=tol,
-                          decay_tol=decay_tol, seed=seed, p=p,
-                          indices=indices, dichotomy=True)
+    rep = verify_cl_opseq(seq, cert, horizon=horizon, n_dirs=n_dirs,
+                          seed=seed, p=p, indices=indices, dichotomy=True)
     rep.notes = f"dichotomy check on {side}"
     return rep
 
 
-def verify_cocycle_cl(sys, A, cert, points, horizon=12, n_dirs=16,
-                      tol=ALGEBRAIC_TOL, decay_tol=DECAY_TOL, seed=0):
+def verify_cocycle_cl(sys, A, cert, points, horizon=12, n_dirs=16, seed=0):
     """Check the cocycle splitting property of a pair (alpha, A).
 
     ``sys`` supplies the base map alpha (forward/inverse); ``A`` maps a
@@ -371,4 +366,4 @@ def verify_cocycle_cl(sys, A, cert, points, horizon=12, n_dirs=16,
         return max(res_s, res_u), fwd_ops, bwd_ops
 
     samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    return _verify(cert, "point", samples, local, n_dirs, tol, decay_tol, seed)
+    return _verify(cert, "point", samples, local, n_dirs, seed)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      TruncationError, compose, dense, diag,
+                      TruncationError, anchor_index, compose, dense, diag,
                       monitored_fixed_point, norm as vec_norm, op_apply,
                       op_norm, sub)
 from .clstruct import CLCertificate, ProjPair, _directions
@@ -196,12 +196,12 @@ def _dense_bytes(n_ops, n):
     return 28 * n_ops * n * n * 8
 
 
-def _blocks(A, Ai, B, P, Q, wrap):
+def _blocks(A, Ai, B, P, Q):
     """Split each step into stable/unstable components against (P, Q)."""
     n_times = len(P)
     out = {name: [] for name in ("Z", "Ass", "Aus", "Bsu", "Dss", "Dus", "Duu")}
     for j in range(len(A)):
-        nj = (j + 1) % n_times if wrap else j + 1
+        nj = (j + 1) % n_times
         Pj, Qj, Pn, Qn = P[j], Q[j], P[nj], Q[nj]
         D = B[j] - A[j]
         out["Z"].append(Ai[j] @ Qn)
@@ -243,7 +243,7 @@ def _fixed_point(blk, C, lam, p, period, label):
     def q_step(H):
         S = []
         for j in range(n_ops):
-            Hn = H[(j + 1) % n_times] if period else H[j + 1]
+            Hn = H[(j + 1) % n_times]
             rhs = (-blk["Bsu"][j] - blk["Duu"][j] @ H[j]
                    + Hn @ (blk["Aus"][j] @ H[j])
                    + Hn @ blk["Dss"][j]
@@ -331,30 +331,17 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     eps_rev = max(_diff_norm(b_inv[j], a_inv[j], p) for j in range(n_ops))
 
     # stable side, then the unstable side on the time-reversed inverse
-    # sequence: reversed time j sits at original time hi-j (period: index
-    # (m-j) mod m), and its step applies the inverse of the original step
-    # into that time point
-    fwd = _blocks(a_ops, a_inv, b_ops, P, Q, wrap=period is not None)
-    if period is None:
-        rA = [a_inv[n_ops - 1 - j] for j in range(n_ops)]
-        rAi = [a_ops[n_ops - 1 - j] for j in range(n_ops)]
-        rB = [b_inv[n_ops - 1 - j] for j in range(n_ops)]
-        rP = [Q[n_ops - j] for j in range(n_times)]
-        rQ = [P[n_ops - j] for j in range(n_times)]
-    else:
-        rA = [a_inv[period - 1 - j] for j in range(n_ops)]
-        rAi = [a_ops[period - 1 - j] for j in range(n_ops)]
-        rB = [b_inv[period - 1 - j] for j in range(n_ops)]
-        rP = [Q[(period - j) % period] for j in range(n_times)]
-        rQ = [P[(period - j) % period] for j in range(n_times)]
-    rev = _blocks(rA, rAi, rB, rP, rQ, wrap=period is not None)
+    # sequence: reversed time j sits at time (n_ops - j) mod n_times, and its
+    # step applies the inverse of the original step into that time point
+    def reverse(xs):
+        return [xs[(n_ops - j) % n_times] for j in range(n_times)]
 
+    fwd = _blocks(a_ops, a_inv, b_ops, P, Q)
+    rev = _blocks(a_inv[::-1], a_ops[::-1], b_inv[::-1], reverse(Q),
+                  reverse(P))
     Hs, it_s, fpres_s, ratio_s = _fixed_point(fwd, C, lam, p, period, "stable")
     Hr, it_u, fpres_u, ratio_u = _fixed_point(rev, C, lam, p, period, "unstable")
-    if period is None:
-        Hu = [Hr[n_ops - j] for j in range(n_times)]
-    else:
-        Hu = [Hr[(period - j) % period] for j in range(n_times)]
+    Hu = reverse(Hr)
 
     Lp = series_gain(C, lam)
     eps2_fwd = 2.0 * Lp * C * eps_use
@@ -396,7 +383,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     incl = {}
     incl_rev_max = 0.0
     for j in range(n_ops):
-        nj = (j + 1) % n_times if period else j + 1
+        nj = (j + 1) % n_times
         r_f = float(op_norm(compose(pairs[nj].Q, compose(b_ops[j], pairs[j].P)), p))
         r_b = float(op_norm(compose(pairs[j].P, compose(b_inv[j], pairs[nj].Q)), p))
         incl[lo + j] = r_f
@@ -439,12 +426,10 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         fwd_js = bwd_js = list(range(n_times))
     stride = max(1, len(fwd_js) // 12)
     for j in fwd_js[::stride]:
-        scan(pairs[j].P,
-             lambda l, j=j: b_ops[(j + l) % n_ops if period else j + l])
+        scan(pairs[j].P, lambda l, j=j: b_ops[(j + l) % n_ops])
     stride = max(1, len(bwd_js) // 12)
     for j in bwd_js[::stride]:
-        scan(pairs[j].Q,
-             lambda l, j=j: b_inv[(j - 1 - l) % n_ops if period else j - 1 - l])
+        scan(pairs[j].Q, lambda l, j=j: b_inv[(j - 1 - l) % n_ops])
     if worst_n_step > bound:
         raise ConvergenceError(
             f"{N}-step decay {worst_n_step:.6f} exceeds lam1^{N} = "
@@ -595,17 +580,10 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1, *, eps=None):
     route = graph_transform_periodic if closed else graph_transform_seq
     pc = route(aseq, base_idx, bseq, lam1, eps=eps, p=p)
 
-    anchors = pts[:period] if closed else pts
+    anchors = np.array([y.coeffs for y in (pts[:period] if closed else pts)])
 
     def proj_at_point(y):
-        best, dist = None, math.inf
-        for i, yi in enumerate(anchors):
-            gap = vec_norm(y.with_coeffs(y.coeffs - yi.coeffs))
-            if gap < dist:
-                best, dist = i, gap
-        if dist > 1e-8 * (1.0 + vec_norm(y)):
-            raise PreconditionError("point is not on the certified orbit")
-        return pc.result.proj_at(best)
+        return pc.result.proj_at(anchor_index(anchors, y))
 
     result = CLCertificate(pc.result.C, pc.result.lam, pc.result.R,
                            proj_at_point)

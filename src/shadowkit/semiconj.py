@@ -18,7 +18,10 @@ of every step comes from one call of the system's row map
 ball and stop tests read ``seqcore.row_norms``; every row carries the
 same bits as a point-by-point sweep.  The iteration runs under
 ``seqcore``'s fixed-point monitor, which gates the observed contraction
-ratio; the per-sweep gate on the size of the iterate stays here.
+ratio; the per-sweep gate on the size of the iterate stays here.  Every
+orbit segment comes from ``DiffeoSystem.orbit``, the query orbit's
+distance check from ``DiffeoSystem.step_gaps``, and a query point finds
+its anchor on the certified segment through ``seqcore.anchor_index``.
 
 h1 rides the f-orbit of the query with cocycle Df and forcing
 g(x+h) - f(x) - Df(x)h; h2 rides the certified g-orbit with the same
@@ -41,7 +44,7 @@ from .boundedsol import perron_constant, perron_sums
 from .clstruct import CLCertificate
 from .graphtf import _diff_norm, graph_transform_seq, upgraded_constant
 from .seqcore import (FP_STOP_TOL, ConvergenceError, OperatorSeq,
-                      PreconditionError, SeqVec, TruncationError, apply_rows,
+                      PreconditionError, SeqVec, anchor_index, apply_rows,
                       monitored_fixed_point, norm, row_norms)
 from .shadow import Pseudotrajectory, recompute_step_error, shadow
 from .systems import DiffeoSystem
@@ -49,11 +52,12 @@ from .systems import DiffeoSystem
 TAIL_TOL = 1e-12
 CONTRACTION_SLACK = 1e-9
 BALL_SLACK = 1e-9
-ANCHOR_TOL = 1e-8
 MAX_SWEEPS = 120
 TRUNCATION_MARGIN = 2
 H1_RATIO = 2.0 / 3.0
 H2_RATIO = 1.0 / 3.0
+#: coordinate step of the continuity probe's finite differences
+PROBE_STEP = 1e-6
 
 __all__ = ["ConjugacyJob", "continuity_probe", "h1_at", "h2_at",
            "make_conjugacy_job", "orbit_perron_apply", "required_truncation",
@@ -119,29 +123,19 @@ def orbit_perron_apply(alpha, A, cert, w, x, T):
     tail C lam^T sup|w| / (1 - lam) to sit below TAIL_TOL; the result is
     checked against the L sup|w| bound.
     """
-    pts = {0: x}
-    try:
-        for i in range(1, T + 1):
-            pts[i] = alpha.forward(pts[i - 1])
-        for i in range(0, -T, -1):
-            pts[i - 1] = alpha.inverse(pts[i])
-    except TruncationError as exc:
-        raise TruncationError(
-            f"orbit escapes the window inside the {T}-step segment: {exc}"
-        ) from exc
-    ws = {i: w(pts[i]) for i in range(-T, T + 1)}
-    w_sup = max(norm(wi) for wi in ws.values())
+    # the segment's time points 0 .. 2T are the orbit steps -T .. T
+    pts = alpha.orbit(x, T, T)
+    ws = [w(y) for y in pts]
+    w_sup = max(norm(wi) for wi in ws)
     tail = _tail(cert.C, cert.lam, T, w_sup)
     if not tail < TAIL_TOL:
         raise PreconditionError(
             f"series tail {tail:.3g} at T = {T} is not below {TAIL_TOL:.0e}")
-    # the segment's time points 0 .. 2T are the orbit steps -T .. T
-    row = perron_sums({j: A(pts[j - T]) for j in range(T)},
-                      {j: A(pts[j - T]).inverse() for j in range(T, 2 * T)},
-                      [cert.proj_at(pts[i]) for i in range(-T, T + 1)],
-                      [ws[i].coeffs for i in range(-T, T + 1)],
-                      range(T, T + 1))
-    value = ws[0].with_coeffs(row[0])
+    row = perron_sums({j: A(pts[j]) for j in range(T)},
+                      {j: A(pts[j]).inverse() for j in range(T, 2 * T)},
+                      [cert.proj_at(y) for y in pts],
+                      [wi.coeffs for wi in ws], range(T, T + 1))
+    value = ws[T].with_coeffs(row[0])
     bound = perron_constant(cert.C, cert.lam) * w_sup
     if bound > 0.0 and norm(value) > bound * (1.0 + BALL_SLACK):
         raise PreconditionError(
@@ -224,26 +218,16 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     buffer = 2 * T
     lo = span_lo - buffer - 1
     hi = span_hi + 1 + buffer
-    orbit = {0: x0}
-    try:
-        for i in range(1, hi + 1):
-            orbit[i] = g.forward(orbit[i - 1])
-        for i in range(0, lo, -1):
-            orbit[i - 1] = g.inverse(orbit[i])
-    except TruncationError as exc:
-        raise TruncationError(
-            f"g-orbit escapes the window while certifying the segment: {exc}"
-        ) from exc
-    segment = {i: orbit[i] for i in range(lo, hi + 1)}
-    d_map = recompute_step_error(f, segment)
+    orbit = dict(zip(range(lo, hi + 1), g.orbit(x0, -lo, hi)))
+    d_map = recompute_step_error(f, orbit)
     d_der = max(_diff_norm(g.dforward(y), f.dforward(y), f.p)
-                for y in segment.values())
+                for y in orbit.values())
     d_measured = max(d_map, d_der)
     if d_measured > d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
             f"measured C1 distance {d_measured:.3g} along the segment "
             f"exceeds the declared d = {d:.3g}")
-    sres = shadow(f, Pseudotrajectory(segment, d_map), cert)
+    sres = shadow(f, Pseudotrajectory(orbit, d_map), cert)
     xs = {i: sres.point_at(i) for i in range(lo, hi + 1)}
     aseq = OperatorSeq(lo, [f.dforward(xs[i]) for i in range(lo, hi)])
     bseq = OperatorSeq(lo, [f.dforward(orbit[i]) for i in range(lo, hi)])
@@ -266,46 +250,28 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
 def _anchor_index(job, x):
     # queries may anchor to the certified span plus one step past the top,
     # so equation residuals can be formed at the last certified index
-    best, best_dist = None, np.inf
-    for q in range(job.query_lo, job.query_hi + 2):
-        ref = job.orbit[q]
-        dist = norm(x.with_coeffs(x.coeffs - ref.coeffs))
-        if dist < best_dist:
-            best, best_dist = q, dist
-    if best_dist > ANCHOR_TOL * (1.0 + norm(x)):
-        raise PreconditionError(
-            f"point is not on the certified orbit segment (nearest anchor "
-            f"is {best_dist:.3g} away)")
-    return best
+    qs = range(job.query_lo, job.query_hi + 2)
+    return qs[anchor_index(np.array([job.orbit[q].coeffs for q in qs]), x)]
 
 
 def _h1_frame(job, x):
     T = job.truncation
     B = 2 * T
     f, g = job.f, job.g
-    lo, hi = -B, B
-    pts = {0: x}
-    try:
-        for j in range(1, hi + 1):
-            pts[j] = f.forward(pts[j - 1])
-        for j in range(0, lo - 1, -1):
-            pts[j - 1] = f.inverse(pts[j])
-    except TruncationError as exc:
-        raise TruncationError(
-            f"f-orbit escapes the window around the query point: {exc}"
-        ) from exc
-    rows = np.array([pts[j].coeffs for j in range(lo - 1, hi + 1)])
+    # the orbit points x_{-B-1} .. x_B
+    pts = f.orbit(x, B + 1, B)
+    rows = np.array([y.coeffs for y in pts])
     # the declared distance must hold along this fresh orbit as well; the
     # derivative-side proximity is monitored by the observed contraction
-    d_here = row_norms(g.map_rows(rows[:-1]) - rows[1:], f.p).max()
+    d_here = g.step_gaps(rows).max()
     if d_here > job.d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
             f"measured distance {d_here:.3g} along the query orbit exceeds "
             f"the declared d = {job.d:.3g}")
     return {
-        "lo": lo, "hi": hi, "query": 0, "rows": rows,
-        "ops": [f.dforward(pts[j]) for j in range(lo - 1, hi)],
-        "pairs": [job.cert.proj_at(pts[j]) for j in range(lo, hi + 1)],
+        "lo": -B, "hi": B, "query": 0, "rows": rows,
+        "ops": [f.dforward(y) for y in pts[:-1]],
+        "pairs": [job.cert.proj_at(y) for y in pts[1:]],
         "other": g.map_rows, "tail_C": job.cert.C, "tail_lam": job.cert.lam,
         "ratio_bound": H1_RATIO, "kind": 1,
     }
@@ -456,25 +422,25 @@ def semiconjugacy_report(job, indices=None):
     return rows
 
 
-def continuity_probe(job, index=None, delta=1e-6):
-    """Finite-difference quotients of h1 and h2 at a certified anchor.
+def continuity_probe(job):
+    """Finite-difference quotients of h1 and h2 at the first certified anchor.
 
-    h1 is probed directly.  h2 is only defined on certified orbits, so the
-    displaced value comes from a fresh job built at the displaced point
-    (same constants); the quotient is reported, never asserted, since the
-    splitting data is certified only at sampled points.
+    The anchor's coordinate 0 moves by PROBE_STEP.  h1 is probed directly.
+    h2 is only defined on certified orbits, so the displaced value comes
+    from a fresh job built at the displaced point (same constants); the
+    quotient is reported, never asserted, since the splitting data is
+    certified only at sampled points.
     """
-    q = job.query_lo if index is None else int(index)
-    x = job.orbit[q]
+    x = job.orbit[job.query_lo]
     step = np.zeros(job.f.window.length)
-    step[job.f.window.offset(0)] = delta
+    step[job.f.window.offset(0)] = PROBE_STEP
     xd = x.with_coeffs(x.coeffs + step)
     h1a = h1_at(job, x)
     h1b = h1_at(job, xd)
-    q1 = norm(h1b.with_coeffs(h1b.coeffs - h1a.coeffs)) / delta
+    q1 = norm(h1b.with_coeffs(h1b.coeffs - h1a.coeffs)) / PROBE_STEP
     displaced = make_conjugacy_job(job.f, job.g, xd, d=job.d, span=(0, 0),
                                    lam1=job.lam1, truncation=job.truncation)
     h2a = h2_at(job, x)
     h2b = h2_at(displaced, displaced.orbit[0])
-    q2 = norm(h2b.with_coeffs(h2b.coeffs - h2a.coeffs)) / delta
-    return {"delta": delta, "h1_quotient": q1, "h2_quotient": q2}
+    q2 = norm(h2b.with_coeffs(h2b.coeffs - h2a.coeffs)) / PROBE_STEP
+    return {"delta": PROBE_STEP, "h1_quotient": q1, "h2_quotient": q2}

@@ -23,7 +23,8 @@ it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``.
 that ``op_apply`` wraps, for inner loops that account for the boundary
 themselves; ``apply_rows`` applies one operator per row of a coefficient
 block, and ``row_norms`` takes the norm of every row, each bit for bit the
-row-by-row result.
+row-by-row result.  ``anchor_index`` finds a point among the rows of an
+orbit segment.
 
 ``monitored_fixed_point`` runs the contraction-monitored fixed-point
 iterations of the splitting transfer and of the displacement maps.
@@ -36,8 +37,8 @@ import numpy as np
 
 __all__ = [
     "Window", "SeqVec", "LinOp", "OperatorSeq",
-    "norm", "coeff_norm", "row_norms", "op_apply", "apply_coeffs",
-    "apply_rows", "op_norm", "cocycle",
+    "norm", "coeff_norm", "row_norms", "anchor_index", "op_apply",
+    "apply_coeffs", "apply_rows", "op_norm", "cocycle",
     "compose", "add", "sub", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
@@ -51,6 +52,8 @@ FP_STOP_TOL = 1e-12
 FP_RESIDUAL_TOL = 1e-11
 #: dimensionless slack on the contraction-ratio gate
 FP_RATIO_SLACK = 1e-9
+#: relative distance within which a point matches a row of an orbit segment
+ANCHOR_TOL = 1e-8
 
 
 class PreconditionError(ValueError):
@@ -183,6 +186,22 @@ def row_norms(c, p):
     if p == 1.0:
         return np.sum(np.abs(c), axis=-1)
     return np.array([s ** (1.0 / p) for s in np.sum(np.abs(c) ** p, axis=-1)])
+
+
+def anchor_index(rows, v):
+    """Index of the first row of an (m, n) coefficient array nearest to v.
+
+    Raises :class:`PreconditionError` when that row is more than
+    ``ANCHOR_TOL * (1 + |v|)`` away, so v is not one of the rows up to
+    round-off.
+    """
+    dists = row_norms(rows - v.coeffs, v.p)
+    best = int(np.argmin(dists))
+    if dists[best] > ANCHOR_TOL * (1.0 + norm(v)):
+        raise PreconditionError(
+            f"point is not on the certified orbit (nearest anchor is "
+            f"{dists[best]:.3g} away)")
+    return best
 
 
 def _acting(n, s):
@@ -342,7 +361,7 @@ def apply_rows(ops, rows):
         kept, landed = _acting(rows.shape[1], s)
         scalars = np.array([A.scalars for A in ops])
         out = np.zeros(rows.shape)
-        out[:, landed] = scalars[:, kept] * rows[:, kept]
+        np.multiply(scalars[:, kept], rows[:, kept], out=out[:, landed])
         return out
     return np.array([apply_coeffs(A, x) for A, x in zip(ops, rows)])
 

@@ -5,7 +5,11 @@ first-order correction: the step defects, rescaled to unit size, feed the
 bounded-solution solver for the variational sequence B_k = Df(y_k), and
 y + d*v is again a pseudotrajectory with (at most) half the step error.
 Summing the displacement ledger geometrically gives the final distance
-bound 2*M*d, with M = 2L derived from the splitting certificate.
+bound 2*M*d, with M = 2L derived from the splitting certificate.  The step
+defects of a whole pseudotrajectory are one block of rows: the forcing
+comes from one ``DiffeoSystem.map_rows`` call and the realized step error
+from ``DiffeoSystem.step_gaps``, each row with the bits of a
+point-by-point computation.
 
 Honesty note: the inner linear solves run on the finite window section
 without edge guards (their truncation error lands in the next iterate's
@@ -40,12 +44,14 @@ __all__ = [
     "periodic_point_near",
 ]
 
-#: default target for the final exact-trajectory step error
-DEFAULT_TARGET = 1e-11
+#: target for the final exact-trajectory step error
+TARGET = 1e-11
 #: refinement iteration cap; 2^-64 underflows any practical target
 MAX_REFINEMENTS = 64
 #: margin of extra coordinates around the support that receive noise
 ACTIVE_MARGIN = 2
+#: largest step error the threshold search of ``shadowing_constants`` tries
+GRID_CAP = 1e12
 
 
 @dataclass
@@ -110,16 +116,17 @@ class ShadowingConstants:
 
 
 def recompute_step_error(sys, points, period=None):
-    """max_k |y_{k+1} - f(y_k)|, wrapping around for periodic data."""
+    """max_k |y_{k+1} - f(y_k)|, wrapping around for periodic data.
+
+    The points lo .. hi are one block of rows whose defects come from
+    ``sys.step_gaps``; for periodic data the row of time
+    lo + (hi + 1 - lo) mod period follows the last one.
+    """
     lo, hi = min(points), max(points)
-    worst = 0.0
-    last = hi if period is None else hi + 1
-    for k in range(lo, last):
-        fy = sys.forward(points[k])
-        nxt = points[lo + (k + 1 - lo) % period] if period is not None \
-            else points[k + 1]
-        worst = max(worst, norm(nxt.with_coeffs(nxt.coeffs - fy.coeffs)))
-    return worst
+    rows = np.array([points[k].coeffs for k in range(lo, hi + 1)])
+    if period is not None:
+        rows = rows[np.arange(hi - lo + 2) % period]
+    return float(sys.step_gaps(rows).max(initial=0.0))
 
 
 def _support_span(x):
@@ -179,7 +186,7 @@ def make_loop(sys, x, length, d, seed=0):
     return Pseudotrajectory(points, realized, meta={"seed": seed, "requested_d": d})
 
 
-def shadowing_constants(sys, cert, grid_cap=1e12):
+def shadowing_constants(sys, cert):
     """Constants (L, M, d0, d0_infinite) governing the refinement step.
 
     L bounds the linear solver, M = 2L the displacement per unit of step
@@ -206,7 +213,7 @@ def shadowing_constants(sys, cert, grid_cap=1e12):
     def halving_ok(dd):
         return M * r(M * dd) < 0.5
 
-    if r(1.0) == 0.0 and r(grid_cap) == 0.0:
+    if r(1.0) == 0.0 and r(GRID_CAP) == 0.0:
         return ShadowingConstants(L, M, math.inf, math.inf)
 
     def largest(pred):
@@ -215,7 +222,7 @@ def shadowing_constants(sys, cert, grid_cap=1e12):
             raise PreconditionError(
                 "continuity modulus does not vanish at 0; no admissible step error")
         lo, hi = tiny, 1.0
-        while pred(hi) and hi < grid_cap:
+        while pred(hi) and hi < GRID_CAP:
             lo, hi = hi, hi * 2.0
         if pred(hi):
             return hi
@@ -236,15 +243,14 @@ def _variational_problem(sys, pstraj, cert):
     lo = pstraj.lo
     m = pstraj.period
     steps = m if m is not None else pstraj.hi - lo
-    ops = [sys.dforward(pstraj.point_at(lo + j)) for j in range(steps)]
-    seq = OperatorSeq(lo, ops, period=m)
-    d = pstraj.d
-    w = {}
-    for j in range(steps):
-        k = lo + j
-        fy = sys.forward(pstraj.point_at(k))
-        nxt = pstraj.point_at(k + 1)
-        w[k + 1] = fy.with_coeffs((fy.coeffs - nxt.coeffs) / d)
+    pts = [pstraj.point_at(lo + j) for j in range(steps + 1)]
+    seq = OperatorSeq(lo, [sys.dforward(y) for y in pts[:-1]], period=m)
+    # the scaled defects (f(y_k) - y_{k+1}) / d of every step, as one block
+    rows = np.array([y.coeffs for y in pts])
+    defects = sys.map_rows(rows[:-1])
+    np.subtract(defects, rows[1:], out=defects)
+    defects /= pstraj.d
+    w = {lo + j + 1: pts[j].with_coeffs(c) for j, c in enumerate(defects)}
     opseq_cert = CLCertificate(cert.C, cert.lam, cert.R,
                                lambda k: cert.proj_at(pstraj.point_at(k)),
                                meta=dict(cert.meta))
@@ -266,13 +272,12 @@ def _diagnose(sys, cert, d):
     return "; ".join(msgs)
 
 
-def refine_once(sys, pstraj, cert, enforce_halving=True):
+def refine_once(sys, pstraj, cert):
     """One correction step: solve the variational equation, move the points.
 
     The defects (scaled by 1/d) force v_{k+1} = Df(y_k) v_k + w_{k+1}; the
     new points are y_k + d v_k.  The new step error is recomputed through
-    the guarded dynamics and must not exceed d/2 (up to 1e-6 relative)
-    unless ``enforce_halving`` is off.
+    the guarded dynamics and must not exceed d/2 (up to 1e-6 relative).
     """
     d = pstraj.d
     if d == 0.0:
@@ -292,7 +297,7 @@ def refine_once(sys, pstraj, cert, enforce_halving=True):
         y = pstraj.points[k]
         points[k] = y.with_coeffs(y.coeffs + d * sol.v_at(k).coeffs)
     new_d = recompute_step_error(sys, points, period=pstraj.period)
-    if enforce_halving and new_d > 0.5 * d * (1.0 + 1e-6) and new_d > 1e-15:
+    if new_d > 0.5 * d * (1.0 + 1e-6) and new_d > 1e-15:
         raise ConvergenceError(
             f"refinement did not halve the step error ({new_d:.3g} > "
             f"{0.5 * d:.3g}); {_diagnose(sys, cert, d)}")
@@ -300,7 +305,7 @@ def refine_once(sys, pstraj, cert, enforce_halving=True):
     return Pseudotrajectory(points, new_d, period=pstraj.period, meta=meta)
 
 
-def _shadow_loop(sys, pstraj, cert, target):
+def _shadow_loop(sys, pstraj, cert):
     constants = shadowing_constants(sys, cert)
     if not pstraj.d < constants.d0_infinite:
         raise PreconditionError(
@@ -310,14 +315,14 @@ def _shadow_loop(sys, pstraj, cert, target):
     step_errors = [cur.d]
     displacements = []
     for it in range(MAX_REFINEMENTS):
-        if cur.d <= target:
+        if cur.d <= TARGET:
             break
         cur = refine_once(sys, cur, cert)
         step_errors.append(cur.d)
         displacements.append(cur.meta["displacement"])
     else:
         raise ConvergenceError(
-            f"step error {cur.d:.3g} still above target {target:.3g} after "
+            f"step error {cur.d:.3g} still above target {TARGET:.3g} after "
             f"{MAX_REFINEMENTS} refinements")
     sup = max(
         norm(cur.point_at(k).with_coeffs(
@@ -330,14 +335,14 @@ def _shadow_loop(sys, pstraj, cert, target):
               "displacement_total": float(sum(displacements))})
 
 
-def shadow(sys, pstraj, cert, target=DEFAULT_TARGET):
+def shadow(sys, pstraj, cert):
     """Iterate refine_once to an exact trajectory within 2*M*d of the input."""
     if pstraj.period is not None:
         raise PreconditionError("use shadow_periodic for periodic pseudotrajectories")
-    return _shadow_loop(sys, pstraj, cert, target)
+    return _shadow_loop(sys, pstraj, cert)
 
 
-def shadow_periodic(sys, pstraj, cert, target=DEFAULT_TARGET):
+def shadow_periodic(sys, pstraj, cert):
     """Shadowing for periodic pseudotrajectories; iterates stay periodic.
 
     Every refinement goes through the periodic solver, so the returned
@@ -346,10 +351,10 @@ def shadow_periodic(sys, pstraj, cert, target=DEFAULT_TARGET):
     """
     if pstraj.period is None:
         raise PreconditionError("pseudotrajectory is not periodic")
-    return _shadow_loop(sys, pstraj, cert, target)
+    return _shadow_loop(sys, pstraj, cert)
 
 
-def periodic_point_near(sys, cert, x, loop, target=DEFAULT_TARGET):
+def periodic_point_near(sys, cert, x, loop):
     """Periodic orbit within M*d of a chain-recurrent candidate x.
 
     ``loop`` must be a closed pseudo-loop from x back to x; it is extended
@@ -367,7 +372,7 @@ def periodic_point_near(sys, cert, x, loop, target=DEFAULT_TARGET):
     per = Pseudotrajectory(period_points,
                            recompute_step_error(sys, period_points, period=m),
                            period=m)
-    res = shadow_periodic(sys, per, cert, target=target)
+    res = shadow_periodic(sys, per, cert)
     x0 = res.point_at(lo)
     dist = norm(x0.with_coeffs(x0.coeffs - x.coeffs))
     return res, dist

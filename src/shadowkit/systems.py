@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    Window, SeqVec, OperatorSeq, norm, op_apply, compose,
+    Window, SeqVec, OperatorSeq, norm, op_apply, compose, row_norms,
     diag, shift_diag, PreconditionError, TruncationError, LOST_TOL,
 )
 from .clstruct import ProjPair, CLCertificate
@@ -43,6 +43,8 @@ __all__ = [
 #: slack accepted at the closed ends of the slope intervals; the canonical
 #: examples attain their interval ends exactly.
 END_SLACK = 1e-12
+#: distance from the window edges kept by ``sample_interior_points``
+SUPPORT_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,13 @@ class DiffeoSystem:
     0 for coordinate-wise maps) -- the window bookkeeping needs it.
 
     ``forward_rows``, when given, is ``forward`` over the coefficient rows
-    of a (..., n) array, read through :meth:`map_rows`.  Its contract: every
-    row gets the same bits ``forward`` gives that row, and the truncation
-    guard is judged per row, so it raises :class:`TruncationError` exactly
-    when ``forward`` would raise on some row.  Without it, ``map_rows``
-    calls ``forward`` row by row.
+    of a (..., n) array, read through :meth:`map_rows`.  Its contract: it
+    returns a new array, every row gets the same bits ``forward`` gives
+    that row, and the truncation guard is judged per row, so it raises
+    :class:`TruncationError` exactly when ``forward`` would raise on some
+    row.  Without it, ``map_rows`` calls ``forward`` row by row.
+    :meth:`orbit` walks an orbit segment, and :meth:`step_gaps` measures
+    the step defects of a block of rows through ``map_rows``.
     """
 
     name: str
@@ -92,6 +96,33 @@ class DiffeoSystem:
         rows = [self.forward(SeqVec(self.window, x, self.p)).coeffs
                 for x in xs.reshape(-1, self.window.length)]
         return np.array(rows).reshape(xs.shape)
+
+    def orbit(self, x, back, fwd):
+        """The orbit points f^j(x) for j = -back .. fwd, as a list.
+
+        The walk takes the forward steps from x first, then the backward
+        ones; a negative ``back`` or ``fwd`` gives a segment that starts or
+        ends past x.  A step that trips the truncation guard raises
+        :class:`TruncationError` naming the system.
+        """
+        ahead, behind = [x], [x]
+        try:
+            for _ in range(fwd):
+                ahead.append(self.forward(ahead[-1]))
+            for _ in range(back):
+                behind.append(self.inverse(behind[-1]))
+        except TruncationError as exc:
+            raise TruncationError(
+                f"orbit of {self.name} escapes the window: {exc}") from exc
+        pts = behind[:0:-1] + ahead
+        return pts[max(-back, 0):len(pts) - max(-fwd, 0)]
+
+    def step_gaps(self, rows):
+        """The defects |x_{j+1} - f(x_j)| of consecutive rows of an (m, n)
+        coefficient array, each with the bits of the point-by-point norm."""
+        gaps = self.map_rows(rows[:-1])
+        np.subtract(rows[1:], gaps, out=gaps)
+        return row_norms(gaps, self.p)
 
 
 def s_remainder(sys, x, v):
@@ -221,7 +252,7 @@ def _validate_shift_family(family, lam, R, window):
 
 
 def make_weighted_shift(a_family, lam, R, window, p=2.0,
-                        name="weighted_shift", validate=True):
+                        name="weighted_shift"):
     """Build the shift system f({x_k}) = {y_{k+1} = a_k(x_k)}.
 
     The slope-range admissibility (expanding below index 0, contracting
@@ -231,8 +262,7 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
     constant-splitting certificate (C = 1, lam, R) with stable space
     "support on k >= 0".
     """
-    if validate:
-        _validate_shift_family(a_family, lam, R, window)
+    _validate_shift_family(a_family, lam, R, window)
     ks = np.arange(window.lo, window.hi + 1)
     n = window.length
 
@@ -515,14 +545,15 @@ def make_sin_wobble(window, p=2.0, amp=0.05):
                         dinverse, R1, lambda t: amp * t, support_shift=0)
 
 
-def sample_interior_points(sys, count, seed=0, radius=0.25, support_margin=4):
-    """Random points supported away from the window edges (so that short
-    orbits of shift systems stay inside the truncation guard)."""
+def sample_interior_points(sys, count, seed=0, radius=0.25):
+    """Random points supported at least SUPPORT_MARGIN coordinates away from
+    the window edges (so that short orbits of shift systems stay inside the
+    truncation guard)."""
     rng = np.random.default_rng(seed)
     w = sys.window
     pts = []
-    lo = w.lo + support_margin
-    hi = w.hi - support_margin
+    lo = w.lo + SUPPORT_MARGIN
+    hi = w.hi - SUPPORT_MARGIN
     for _ in range(count):
         c = np.zeros(w.length)
         span = rng.integers(lo, hi - 6)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, diag, dense, norm, shift_diag,
+    Window, SeqVec, OperatorSeq, diag, dense, norm, op_apply, shift_diag,
     PreconditionError,
 )
 from shadowkit.clstruct import CLCertificate, ProjPair, constant_cert
 from shadowkit.boundedsol import (
     InhomProblem, perron_constant, perron_solve, periodic_green_solve,
     neumann_perturbed_solve, banded_direct_solve, random_hyperbolic_instance,
-    perron_sums,
+    perron_sums, _solution,
 )
 
 W2 = Window(0, 1)
@@ -366,3 +366,43 @@ def test_linear_no_ed_sequence_bound():
             term = op_apply(cocycle(seq, k, i), op_apply(cert.proj_at(i).Q, prob.w_at(i)))
             acc -= term.coeffs
         assert np.max(np.abs(sol.v_at(k).coeffs - acc)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6),
+       st.sampled_from(["dense", "diag", "shift", "mixed"]), st.booleans(),
+       st.sampled_from([1.0, 2.0, math.inf]))
+def test_solution_recheck_matches_the_step_loop(seed, length, kind, periodic,
+                                                p):
+    rng = np.random.default_rng(seed)
+    win = Window(-3, 3)
+    n = win.length
+
+    def op(s):
+        if s is None:
+            return dense(rng.standard_normal((n, n)), win)
+        return shift_diag(win, rng.uniform(-2.0, 2.0, n), s)
+
+    shifts = {"dense": [None], "diag": [0], "shift": [1],
+              "mixed": [None, 0, -1, 2]}[kind]
+    ops = [op(shifts[int(rng.integers(len(shifts)))]) for _ in range(length)]
+    lo = int(rng.integers(-4, 4))
+    seq = OperatorSeq(lo, ops, period=length if periodic else None)
+    keys = range(lo + 1, lo + length + 1)
+    w = {k: SeqVec(win, rng.standard_normal(n), p) for k in keys}
+    prob = InhomProblem(seq, w)
+    rows = rng.standard_normal((length if periodic else length + 1, n))
+    sol = _solution(prob, rows, period=seq.period)
+    # reference: one op_apply and one norm per step, wrapping for a period
+    v = {lo + i: SeqVec(win, r, p) for i, r in enumerate(rows)}
+    res = 0.0
+    for k in range(lo, lo + length):
+        nxt = v[lo + (k + 1 - lo) % len(v)]
+        defect = nxt.coeffs - op_apply(seq.op_at(k), v[k],
+                                       check_loss=False).coeffs \
+            - prob.w_at(k + 1).coeffs
+        res = max(res, norm(v[k].with_coeffs(defect)))
+    assert sol.max_residual == res
+    assert sol.sup_norm == max(norm(x) for x in v.values())
+    assert sorted(sol.v) == sorted(v)
+    assert all(sol.v[k].coeffs.tobytes() == v[k].coeffs.tobytes() for k in v)

@@ -3,9 +3,11 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
     Window, SeqVec, norm, PreconditionError, ConvergenceError,
+    TruncationError,
 )
 from shadowkit.clstruct import constant_cert
 from shadowkit.seqcore import diag
@@ -266,3 +268,52 @@ def test_two_boundary_conventions_both_shadow():
         gap = max(gap, norm(cur.points[k].with_coeffs(
             cur.points[k].coeffs - res_a.trajectory[k].coeffs)))
     assert gap <= 2 * bound
+
+
+# ------------------------------------------------------- step defects
+
+def _pointwise_step_error(sys, points, period=None):
+    """Reference: one forward and one norm per step."""
+    lo, hi = min(points), max(points)
+    worst = 0.0
+    for k in range(lo, hi if period is None else hi + 1):
+        fy = sys.forward(points[k])
+        nxt = points[lo + (k + 1 - lo) % period] if period is not None \
+            else points[k + 1]
+        worst = max(worst, norm(nxt.with_coeffs(nxt.coeffs - fy.coeffs)))
+    return worst
+
+
+STEP_SYSTEMS = [make_system(name, Window(-12, 12)) for name in (
+    "weighted_shift_tanh", "ms_product", "conjugated:weighted_shift_linear")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 7),
+       st.sampled_from(range(len(STEP_SYSTEMS))), st.booleans())
+def test_step_defects_match_the_pointwise_loop(seed, m, which, periodic):
+    # the tanh shift has its own row map, ms_product and the conjugated
+    # shift map rows one by one; a heavy edge coordinate on some points
+    # trips the shift's guard
+    sys = STEP_SYSTEMS[which]
+    w = sys.window
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, (m, w.length)) * rng.choice(
+        [1e-3, 1.0], (m, 1))
+    coeffs[:, -1] *= rng.choice([0.0, 1.0], m, p=[0.8, 0.2])
+    points = {3 + i: SeqVec(w, c, sys.p) for i, c in enumerate(coeffs)}
+    period = m if periodic else None
+    try:
+        want = _pointwise_step_error(sys, points, period)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            recompute_step_error(sys, points, period)
+        return
+    got = recompute_step_error(sys, points, period)
+    assert type(got) is float and got == want
+    if period is None:
+        gaps = sys.step_gaps(coeffs)
+        ref = [norm(points[k + 1].with_coeffs(
+            points[k + 1].coeffs - sys.forward(points[k]).coeffs))
+            for k in range(3, 2 + m)]
+        assert gaps.tobytes() == np.array(ref, dtype=float).tobytes()

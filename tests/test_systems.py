@@ -379,3 +379,36 @@ def test_row_map_defaults_to_forward_row_by_row():
     # the certificate swap keeps the row map
     lin = shift_linear()
     assert lin.with_cert(None).forward_rows is lin.forward_rows
+
+
+# ------------------------------------------------------------- orbits
+
+@pytest.mark.parametrize("name", ["weighted_shift_linear", "ms_product",
+                                  "conjugated:weighted_shift_tanh"])
+def test_orbit_matches_the_hand_written_walk(name):
+    sys = make_system(name, W)
+    x = sample_interior_points(sys, 1, seed=21)[0]
+    pts = {0: x}
+    for j in range(1, 5):
+        pts[j] = sys.forward(pts[j - 1])
+    for j in range(0, -3, -1):
+        pts[j - 1] = sys.inverse(pts[j])
+    for back, fwd in ((3, 4), (0, 4), (3, 0), (0, 0), (-2, 4), (3, -1)):
+        got = sys.orbit(x, back, fwd)
+        want = [pts[j] for j in range(-back, fwd + 1)]
+        assert len(got) == len(want)
+        assert all(a.coeffs.tobytes() == b.coeffs.tobytes()
+                   for a, b in zip(got, want))
+
+
+def test_orbit_escape_names_the_system():
+    sys = shift_linear()
+    x = SeqVec(W, np.where(np.arange(W.length) == W.offset(12), 0.5, 0.0))
+    assert len(sys.orbit(x, 2, 4)) == 7
+    with pytest.raises(TruncationError, match="escapes") as err:
+        sys.orbit(x, 2, 5)
+    assert "weighted_shift_linear" in str(err.value)
+    # the backward walk escapes through the inverse's guard
+    y = SeqVec(W, np.where(np.arange(W.length) == W.offset(-12), 0.5, 0.0))
+    with pytest.raises(TruncationError, match="escapes"):
+        sys.orbit(y, 5, 0)
