@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, OperatorSeq, norm, apply_coeffs, apply_rows, op_apply, op_norm,
-    row_norms, dense, sub, PreconditionError, ConvergenceError,
+    SeqVec, OperatorSeq, RowOps, norm, apply_coeffs, apply_rows, op_apply,
+    op_norm, row_norms, dense, sub, PreconditionError, ConvergenceError,
 )
 from .clstruct import verify_cl_opseq
 
@@ -145,11 +145,11 @@ def _solution(prob, rows, period=None, meta=None):
 def perron_sums(ops, inv_ops, pairs, w, at):
     """The two-recursion sums of the bounded solution on one segment.
 
-    Time points are 0 .. len(w)-1: ``w[j]`` is the raw forcing there,
-    ``pairs[j]`` its projection pair, and ``ops[j]`` / ``inv_ops[j]`` map
-    time j to j+1 and back.  The stable sum runs forward,
-    u_0 = P_0 w_0 and u_j = P_j(A_{j-1} u_{j-1} + P_j w_j), and the
-    unstable sum backward, s_last = 0 and
+    Time points are 0 .. m-1 for an (m, n) block ``w`` of raw forcing rows:
+    ``w[j]`` is the forcing there, ``pairs[j]`` its projection pair, and
+    ``ops[j]`` / ``inv_ops[j]`` map time j to j+1 and back.  The stable sum
+    runs forward, u_0 = P_0 w_0 and u_j = P_j(A_{j-1} u_{j-1} + P_j w_j),
+    and the unstable sum backward, s_last = 0 and
     s_j = Q_j A_j^{-1}(s_{j+1} + Q_{j+1} w_{j+1}).  The exact sums already
     lie in the stable/unstable family, so the outer projections change
     nothing algebraically; numerically they stop round-off from seeding
@@ -157,18 +157,32 @@ def perron_sums(ops, inv_ops, pairs, w, at):
     amplify exponentially along the segment.  Returns the rows
     v_j = u_j - s_j for j in the range ``at``; only ``ops[:at[-1]]`` and
     ``inv_ops[at[0]:]`` are read.
+
+    A leading frame axis sums a stack of segments in lockstep: ``w`` is
+    (frames, m, n), ``ops[j]``, ``inv_ops[j]`` and the projections of
+    ``pairs[j]`` are :class:`seqcore.RowOps` over the frames, every step is
+    one array operation per operator, and the result is
+    (frames, len(at), n).  Each frame gets the bits of its own sums.
     """
-    last = len(w) - 1
-    us = [apply_coeffs(pairs[0].P, w[0])]
-    for j in range(1, at[-1] + 1):
-        P = pairs[j].P
-        us.append(apply_coeffs(P, apply_coeffs(ops[j - 1], us[-1])
-                               + apply_coeffs(P, w[j])))
-    ss = [np.zeros(len(w[0]))]                     # ss[i] is s_{last - i}
-    for j in range(last - 1, at[0] - 1, -1):
-        drive = ss[-1] + apply_coeffs(pairs[j + 1].Q, w[j + 1])
-        ss.append(apply_coeffs(pairs[j].Q, apply_coeffs(inv_ops[j], drive)))
-    return np.array([us[j] - ss[last - j] for j in at])
+    w = np.asarray(w)
+    apply = apply_coeffs if w.ndim == 2 else RowOps.apply
+    last, first = w.shape[-2] - 1, at[0]
+    out = np.empty(w.shape[:-2] + (len(at), w.shape[-1]))
+    u = apply(pairs[0].P, w[..., 0, :])
+    for j in range(at[-1] + 1):
+        if j:
+            P = pairs[j].P
+            u = apply(P, apply(ops[j - 1], u) + apply(P, w[..., j, :]))
+        if j >= first:
+            out[..., j - first, :] = u
+    s = np.zeros(u.shape)
+    for j in range(last, first - 1, -1):
+        if j < last:
+            drive = s + apply(pairs[j + 1].Q, w[..., j + 1, :])
+            s = apply(pairs[j].Q, apply(inv_ops[j], drive))
+        if j <= at[-1]:
+            out[..., j - first, :] -= s
+    return out
 
 
 def perron_solve(prob, cert, verify_cert=False):

@@ -719,7 +719,7 @@ def _run_semiconj(config):
     job = make_conjugacy_job(f, g, x0, d=d, span=(0, config.horizon),
                              lam1=config.lam1)
     rows = semiconjugacy_report(job)
-    probe = continuity_probe(job)
+    probe = continuity_probe(job, rows)
     tol = config.tolerances
 
     ball = 2.0 * job.L * d * (1.0 + BOUND_SLACK)

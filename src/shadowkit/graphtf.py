@@ -12,11 +12,12 @@ where N is the block length at which the original decay beats ``lam1``.
 
 The whole construction runs on :class:`seqcore.LinOp` operands, so on
 weighted shifts with diagonal projections every block, iterate and norm
-is a weighted shift, O(n) per product, and only the final tilts are
-materialized.  One dense operand (a dense perturbation, dense projections)
-makes the products it enters dense, by the same matrix products in the
-same order; that path is admitted only while its estimated memory,
-``_dense_bytes``, stays below ``MAX_DENSE_BYTES``.
+is a weighted shift, O(n) per product, and only the nonzero final tilts
+are materialized; a zero tilt stays structured.  One dense operand (a
+dense perturbation, dense projections) makes the products it enters
+dense, by the same matrix products in the same order; that path is
+admitted only while its estimated memory, ``_dense_bytes``, stays below
+``MAX_DENSE_BYTES``.
 
 ``perturbed_cl_for_diffeo`` lifts the construction to diffeomorphisms: an
 orbit of the perturbed map is shadowed by an exact trajectory of the base
@@ -184,6 +185,13 @@ def _diff_norm(b_op, a_op, p):
     if d.matrix is None:
         return float(np.max(np.abs(d.scalars)))
     return _norm(d, p)
+
+
+def _is_zero(op):
+    """Whether op is the zero operator (its dense view holds no nonzero)."""
+    if op.matrix is not None:
+        return not op.matrix.any()
+    return op_norm(op) == 0.0
 
 
 def _dense_bytes(n_ops, n):
@@ -354,20 +362,22 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
             raise ConvergenceError(
                 f"{label} tilt norm {attained:.3g} left its ball {ball:.3g}")
 
-    # the tilts are densified once, for GraphMaps and the tilted pairs
-    Hs = [H.to_dense_matrix() for H in Hs]
-    Hu = [H.to_dense_matrix() for H in Hu]
+    # a zero tilt stays the op it already is (structured on weighted
+    # shifts); a nonzero tilt is densified once, for GraphMaps and its pair
+    Hs = [H if _is_zero(H) else dense(H.to_dense_matrix(), W) for H in Hs]
+    Hu = [H if _is_zero(H) else dense(H.to_dense_matrix(), W) for H in Hu]
     eye = np.eye(W.length)
     pairs = []
     for j in range(n_times):
-        if not Hs[j].any() and not Hu[j].any():
+        if _is_zero(Hs[j]) and _is_zero(Hu[j]):
             # zero tilt on both sides: the splitting is unchanged, so keep
             # the original pair (bit-exact, and structured if it was)
             pairs.append(base_pairs[j])
             continue
-        tilt = np.linalg.inv(eye - Hu[j] @ Hs[j])
-        Pt = (eye + Hs[j]) @ tilt @ (P[j].to_dense_matrix()
-                                     - Hu[j] @ Q[j].to_dense_matrix())
+        hs, hu = Hs[j].to_dense_matrix(), Hu[j].to_dense_matrix()
+        tilt = np.linalg.inv(eye - hu @ hs)
+        Pt = (eye + hs) @ tilt @ (P[j].to_dense_matrix()
+                                  - hu @ Q[j].to_dense_matrix())
         pair = ProjPair(dense(Pt, W), dense(eye - Pt, W))
         try:
             pair.validate(p=p)
@@ -446,8 +456,8 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     result = CLCertificate(C1, lam1, R_res, proj_fn)
 
     graph = GraphMaps(
-        H={ks[j]: dense(Hs[j], W) for j in range(n_times)},
-        H_u={ks[j]: dense(Hu[j], W) for j in range(n_times)},
+        H=dict(zip(ks, Hs)),
+        H_u=dict(zip(ks, Hu)),
         eps2=float(max(eps2_fwd, eps2_rev)),
         iterations=it_s + it_u,
         attained=float(max(max(h_norms), max(hu_norms))),

@@ -11,41 +11,51 @@ Each is the fixed point of a contraction built from the orbit Perron
 operation: the bounded solution of  v(a(x)) - A(x) v(x) = w(a(x))  along
 the orbit of a base map a with derivative cocycle A, summed by
 ``boundedsol.perron_sums`` with the same projected recursions as the
-sequence solvers.  A sweep works on the whole orbit segment at once: the
-segment's iterates are one (m, n) block of coefficient rows, the forcing
-of every step comes from one call of the system's row map
-(``DiffeoSystem.map_rows``) and one ``seqcore.apply_rows``, and the tail,
-ball and stop tests read ``seqcore.row_norms``; every row carries the
-same bits as a point-by-point sweep.  The iteration runs under
-``seqcore``'s fixed-point monitor, which gates the observed contraction
-ratio; the per-sweep gate on the size of the iterate stays here.  Every
-orbit segment comes from ``DiffeoSystem.orbit``, the query orbit's
-distance check from ``DiffeoSystem.step_gaps``, and a query point finds
-its anchor on the certified segment through ``seqcore.anchor_index``.
+sequence solvers.  The displacement at one query is solved on a frame:
+the orbit segment around it, its differentials and its projection pairs.
+Frames are solved in lockstep stacks: the iterates of a stack are one
+(frames, m, n) block, every sweep forms the forcing of each frame from
+the system's row map (``DiffeoSystem.map_rows``) and sums all frames at
+once with one array operation per step, and each frame keeps its own
+``seqcore.FixedPointMonitor``, which gates the observed contraction ratio
+and stops the frame, which then leaves the stack; every frame carries the
+bits and the sweep count of a solo solve.  The per-sweep gate on the size
+of the iterate stays here.  Every orbit segment comes from
+``DiffeoSystem.orbit``, the query orbit's distance check from
+``DiffeoSystem.step_gaps``, and a query point finds its anchor on the
+certified segment through ``seqcore.anchor_index``.  The solver returns
+each frame's statistics with its value; no state is kept on the job.
 
 h1 rides the f-orbit of the query with cocycle Df and forcing
 g(x+h) - f(x) - Df(x)h; h2 rides the certified g-orbit with the same
 cocycle Df and forcing f(x+h) - g(x) - Df(x)h, taking its splitting from
 the derivative-sequence transfer of f's certificate onto Df read along
-the g-orbit (rate lam1, constant C1).  Values are computed on an orbit
-segment two truncation radii wide on each side of the query, which keeps
-boundary effects below the series tail tolerance at the reported index.
+the g-orbit (rate lam1, constant C1).  The job evaluates Df once per
+point of that orbit, and the distance check, the shadowing, the transfer
+and the h2 frames all read that one sequence; the h1 frames evaluate Df
+along their fresh orbits in one ``DiffeoSystem.diff_rows`` call per
+stack.  Values are computed on an orbit segment two truncation radii wide
+on each side of the query, which keeps boundary effects below the series
+tail tolerance at the reported index.  A stack holds at most
+STACK_BUDGET bytes of frames; more queries are solved in consecutive
+stacks, so memory stays flat in the span.
 
 The composition (Id + h1)(Id + h2) is probed and reported, never asserted
 to be the identity.  Splitting data along the g-orbit is certified only at
 the sampled segment points (recorded in the job metadata), and continuity
-of h1/h2 is probed by finite differences on request.
+of h1/h2 is probed by finite differences on request, reusing the report's
+solves at the probed anchor.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundedsol import perron_constant, perron_sums
-from .clstruct import CLCertificate
+from .clstruct import CLCertificate, ProjPair
 from .graphtf import _diff_norm, graph_transform_seq, upgraded_constant
-from .seqcore import (FP_STOP_TOL, ConvergenceError, OperatorSeq,
-                      PreconditionError, SeqVec, anchor_index, apply_rows,
-                      monitored_fixed_point, norm, row_norms)
+from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor,
+                      OperatorSeq, PreconditionError, RowOps, SeqVec,
+                      anchor_index, norm, row_norms)
 from .shadow import Pseudotrajectory, recompute_step_error, shadow
 from .systems import DiffeoSystem
 
@@ -58,6 +68,13 @@ H1_RATIO = 2.0 / 3.0
 H2_RATIO = 1.0 / 3.0
 #: coordinate step of the continuity probe's finite differences
 PROBE_STEP = 1e-6
+#: (frames, rows, n) blocks a lockstep solve holds at its peak: the orbit
+#: rows, the differentials and their inverses, the iterate, the forcing and
+#: the new iterate
+STACK_BLOCKS = 6
+#: bytes the frames of one lockstep stack may hold; more frames are solved
+#: in consecutive stacks, so memory stays flat in the number of queries
+STACK_BUDGET = 16 * 1024 ** 2
 
 __all__ = ["ConjugacyJob", "continuity_probe", "h1_at", "h2_at",
            "make_conjugacy_job", "orbit_perron_apply", "required_truncation",
@@ -84,8 +101,8 @@ def translate_system(sys, offset):
     """Rigid displacement x -> sys(x) + offset, the simplest C1-small change.
 
     The derivative cocycle is untouched, so the base certificate remains
-    valid for the translated map.  Its row map is the base row map plus
-    the offset.
+    valid for the translated map and the base differentials serve it.  Its
+    row map is the base row map plus the offset.
     """
     if offset.window != sys.window:
         raise PreconditionError("offset lives on a different window")
@@ -110,7 +127,7 @@ def translate_system(sys, offset):
                         inverse, sys.dforward, dinverse, sys.R, sys.modulus,
                         sys.support_shift, sys.cert,
                         {**sys.meta, "translation_norm": float(norm(offset))},
-                        forward_rows)
+                        forward_rows, sys.dforward_rows)
 
 
 def orbit_perron_apply(alpha, A, cert, w, x, T):
@@ -148,11 +165,12 @@ def orbit_perron_apply(alpha, A, cert, w, x, T):
 class ConjugacyJob:
     """Certified working set for the displacement maps between f and g.
 
-    orbit holds the g-orbit segment around the base point; queries to
-    h2_at must anchor to indices in [query_lo, query_hi] (one step past
-    the top is allowed so equation residuals can be formed).  cert is the
-    point-keyed splitting certificate of f; cert_g is the index-keyed
-    certificate for the derivative cocycle of f read along the g-orbit.
+    orbit holds the g-orbit segment around the base point, and rows the
+    same points as one (m, n) block; queries to h2_at must anchor to
+    indices in [query_lo, query_hi] (one step past the top is allowed so
+    equation residuals can be formed).  cert is the point-keyed splitting
+    certificate of f; cert_g is the index-keyed certificate for the
+    derivative cocycle dseq of f read along the g-orbit.
     """
     f: DiffeoSystem
     g: DiffeoSystem
@@ -166,6 +184,8 @@ class ConjugacyJob:
     orbit: dict
     query_lo: int
     query_hi: int
+    rows: np.ndarray
+    dseq: OperatorSeq
     meta: dict = field(default_factory=dict)
 
 
@@ -180,7 +200,9 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     every anchor keeps a full buffer.  The splitting for the (g-orbit, Df)
     cocycle is produced by shadowing the segment with a true f-orbit and
     transferring f's certificate onto the derivative sequence read along
-    the segment.
+    the segment.  Df is evaluated once per orbit point: the distance
+    check, the shadow's first refinement, the transfer and the h2 frames
+    all read that one sequence.
     """
     if f.window != g.window or f.p != g.p:
         raise PreconditionError("f and g must share window and norm")
@@ -218,19 +240,20 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     buffer = 2 * T
     lo = span_lo - buffer - 1
     hi = span_hi + 1 + buffer
-    orbit = dict(zip(range(lo, hi + 1), g.orbit(x0, -lo, hi)))
+    pts = g.orbit(x0, -lo, hi)
+    orbit = dict(zip(range(lo, hi + 1), pts))
     d_map = recompute_step_error(f, orbit)
-    d_der = max(_diff_norm(g.dforward(y), f.dforward(y), f.p)
-                for y in orbit.values())
+    f_ops = [f.dforward(y) for y in pts]
+    d_der = max(_diff_norm(g.dforward(y), A, f.p) for y, A in zip(pts, f_ops))
     d_measured = max(d_map, d_der)
     if d_measured > d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
             f"measured C1 distance {d_measured:.3g} along the segment "
             f"exceeds the declared d = {d:.3g}")
-    sres = shadow(f, Pseudotrajectory(orbit, d_map), cert)
+    bseq = OperatorSeq(lo, f_ops[:-1])
+    sres = shadow(f, Pseudotrajectory(orbit, d_map, ops=bseq.ops), cert)
     xs = {i: sres.point_at(i) for i in range(lo, hi + 1)}
     aseq = OperatorSeq(lo, [f.dforward(xs[i]) for i in range(lo, hi)])
-    bseq = OperatorSeq(lo, [f.dforward(orbit[i]) for i in range(lo, hi)])
     base = CLCertificate(cert.C, cert.lam, cert.R,
                          lambda k: cert.proj_at(xs[k]))
     pc = graph_transform_seq(aseq, base, bseq, lam1, p=f.p)
@@ -244,108 +267,212 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
         "continuity": "sampled points only",
     }
     return ConjugacyJob(f, g, cert, pc.result, d, L, T, lam1, C1, orbit,
-                        span_lo, span_hi, meta)
+                        span_lo, span_hi, np.array([y.coeffs for y in pts]),
+                        bseq, meta)
 
 
 def _anchor_index(job, x):
     # queries may anchor to the certified span plus one step past the top,
     # so equation residuals can be formed at the last certified index
-    qs = range(job.query_lo, job.query_hi + 2)
-    return qs[anchor_index(np.array([job.orbit[q].coeffs for q in qs]), x)]
+    lo = job.dseq.lo
+    return job.query_lo + anchor_index(
+        job.rows[job.query_lo - lo:job.query_hi + 2 - lo], x)
 
 
 def _h1_frame(job, x):
-    T = job.truncation
-    B = 2 * T
-    f, g = job.f, job.g
+    B = 2 * job.truncation
+    f = job.f
     # the orbit points x_{-B-1} .. x_B
     pts = f.orbit(x, B + 1, B)
     rows = np.array([y.coeffs for y in pts])
     # the declared distance must hold along this fresh orbit as well; the
     # derivative-side proximity is monitored by the observed contraction
-    d_here = g.step_gaps(rows).max()
+    d_here = job.g.step_gaps(rows).max()
     if d_here > job.d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
             f"measured distance {d_here:.3g} along the query orbit exceeds "
             f"the declared d = {job.d:.3g}")
-    return {
-        "lo": -B, "hi": B, "query": 0, "rows": rows,
-        "ops": [f.dforward(y) for y in pts[:-1]],
-        "pairs": [job.cert.proj_at(y) for y in pts[1:]],
-        "other": g.map_rows, "tail_C": job.cert.C, "tail_lam": job.cert.lam,
-        "ratio_bound": H1_RATIO, "kind": 1,
-    }
+    return rows, [job.cert.proj_at(y) for y in pts[1:]]
 
 
 def _h2_frame(job, q):
-    T = job.truncation
-    B = 2 * T
-    f = job.f
-    lo, hi = q - B, q + B
-    pts = [job.orbit[j] for j in range(lo - 1, hi + 1)]
-    return {
-        "lo": lo, "hi": hi, "query": q,
-        "rows": np.array([y.coeffs for y in pts]),
-        "ops": [f.dforward(y) for y in pts[:-1]],
-        "pairs": [job.cert_g.proj_at(j) for j in range(lo, hi + 1)],
-        "other": f.map_rows, "tail_C": job.C1, "tail_lam": job.lam1,
-        "ratio_bound": H2_RATIO, "kind": 2,
-    }
+    B = 2 * job.truncation
+    # the job's orbit rows and differentials x_{q-B-1} .. x_{q+B}
+    i = q - B - 1 - job.dseq.lo
+    return (job.rows[i:i + 2 * B + 2], job.dseq.ops[i:i + 2 * B + 1],
+            [job.cert_g.proj_at(j) for j in range(q - B, q + B + 1)])
 
 
-def _fixed_point(job, frame):
-    """Solve one frame's displacement by monitored Perron sweeps.
+class _Stack:
+    """The frames of one lockstep solve, stacked along a leading axis.
 
-    The frame holds the orbit rows x_{lo-1} .. x_hi, the differentials
-    A_j = Df(x_j) for j = lo-1 .. hi-1, the projection pairs at lo .. hi
-    and ``other``, the row map of the system the displacement carries the
-    orbit into.  One sweep takes the segment's (m, n) block of iterates
-    h_lo .. h_hi, forms every forcing row
-    c_j = other(x_j + h_j) - x_{j+1} - A_j h_j (h_{lo-1} = 0) in a few
-    whole-array operations, and sums them with :func:`perron_sums`.  The
-    tail, ball and stop tests read the row norms of the block.  Each row
-    carries the same bits as a point-by-point sweep.
+    A frame is the orbit rows x_{lo-1} .. x_hi of one query, the
+    differentials A_j = Df(x_j) for j = lo-1 .. hi-1 and the projection
+    pairs at lo .. hi, with the query at the middle time point.  rows is
+    (frames, m+1, n); ops and the projections are RowOps over
+    (frames, m), and inv the inverses of ops[:, 1:], the segment's own
+    steps.  The per-step views that :func:`perron_sums` reads are taken
+    once per stack.
     """
-    lo, hi = frame["lo"], frame["hi"]
-    rows, ops, other = frame["rows"], frame["ops"], frame["other"]
+
+    def __init__(self, rows, ops, P, Q, inv=None):
+        self.rows, self.ops, self.P, self.Q = rows, ops, P, Q
+        self.inv = ops[:, 1:].inverse() if inv is None else inv
+        m = rows.shape[1] - 1
+        self.seg_ops = [ops[:, j] for j in range(1, m)]
+        self.seg_inv = [self.inv[:, j] for j in range(m - 1)]
+        self.pairs = [ProjPair(P[:, j], Q[:, j]) for j in range(m)]
+
+    @classmethod
+    def of(cls, job, kind, frames):
+        """The stack of h1 (kind 1) or h2 (kind 2) frames.
+
+        h1 frames walk fresh f-orbits, and their differentials come from
+        one ``diff_rows`` call on the stacked rows; h2 frames read the
+        job's orbit block and its differential sequence.
+        """
+        if kind == 1:
+            rows, pairs = zip(*frames)
+            rows = np.array(rows)
+            ops = job.f.diff_rows(rows[:, :-1])
+        else:
+            rows, ops, pairs = zip(*frames)
+            rows, ops = np.array(rows), RowOps(ops)
+        return cls(rows, ops, RowOps([[pr.P for pr in prs] for prs in pairs]),
+                   RowOps([[pr.Q for pr in prs] for prs in pairs]))
+
+    def take(self, keep):
+        """The stack of the frames ``keep``."""
+        return _Stack(self.rows[keep], self.ops[keep], self.P[keep],
+                      self.Q[keep], self.inv[keep])
+
+
+def _frame_bytes(rows, pairs):
+    """Bytes one frame adds to a stack: STACK_BLOCKS blocks of its rows,
+    and its projections twice (the differentials and their inverses are
+    taken to weigh as much)."""
+    ops = {id(A): A for pr in pairs for A in (pr.P, pr.Q)}.values()
+    held = sum((A.scalars if A.matrix is None else A.matrix).nbytes
+               for A in ops)
+    return STACK_BLOCKS * rows.nbytes + 2 * held
+
+
+def _chunks(job, kind, where):
+    """The frames of ``where``, in consecutive chunks of at most
+    STACK_BUDGET bytes (and at least one frame) each."""
+    build = _h1_frame if kind == 1 else _h2_frame
+    chunk, used = [], 0
+    for q in where:
+        frame = build(job, q)
+        cost = _frame_bytes(frame[0], frame[-1])
+        if chunk and used + cost > STACK_BUDGET:
+            yield chunk
+            chunk, used = [], 0
+        chunk.append(frame)
+        used += cost
+    if chunk:
+        yield chunk
+
+
+def _fixed_point(job, kind, where):
+    """Solve displacement frames by lockstep monitored Perron sweeps.
+
+    ``where`` lists the queries: points x for h1 (kind 1), anchor indices
+    of the job's orbit for h2 (kind 2).  Their frames form one stack, or
+    consecutive stacks of at most STACK_BUDGET bytes each when there are
+    more; frames are independent, so the split changes no bit.  One
+    sweep takes the stack's (frames, m, n) block of iterates h_lo .. h_hi,
+    forms every forcing row c_j = other(x_j + h_j) - x_{j+1} - A_j h_j
+    (h_{lo-1} = 0), where ``other`` is the row map of the system the
+    displacement carries the orbit into, and sums all frames at once with
+    :func:`perron_sums`.  The forcing is formed frame by frame, in a few
+    whole-segment array operations each, so the row map's temporaries
+    stay one frame large.  Each frame has its own
+    :class:`seqcore.FixedPointMonitor`; the tail, ball and stop tests read
+    its row norms.  A frame leaves the stack after the residual sweep that
+    follows its stop, so its sweep count and its bits are those of a solo
+    solve.  Returns one ``(value, stats)`` per query: the displacement at
+    the query and its sweeps, fixed-point residual and observed ratio.
+    """
+    return [solved for frames in _chunks(job, kind, where)
+            for solved in _solve_stack(job, kind, _Stack.of(job, kind, frames))]
+
+
+def _solve_stack(job, kind, st):
+    """The ``(value, stats)`` of every frame of one stack (see
+    :func:`_fixed_point`)."""
+    if kind == 1:
+        other, tail_C, tail_lam = job.g.map_rows, job.cert.C, job.cert.lam
+        ratio_bound = H1_RATIO
+    else:
+        other, tail_C, tail_lam = job.f.map_rows, job.C1, job.lam1
+        ratio_bound = H2_RATIO
     T = job.truncation
     window, p = job.f.window, job.f.p
+    n = window.length
     ball = 2.0 * job.L * job.d
-    # segment time points 0 .. hi-lo are the orbit indices lo .. hi
-    seg_ops = ops[1:]
-    seg_inv = [A.inverse() for A in seg_ops]
-    base, images = rows[:-1], rows[1:]
+    count, m = st.rows.shape[0], st.rows.shape[1] - 1
 
-    def sweep(hs):
-        # forcing rows for the steps lo-1 .. hi-1: h shifted down by one
-        prev = np.zeros(hs.shape)
-        prev[1:] = hs[:-1]
-        cs = other(base + prev) - images - apply_rows(ops, prev)
-        w_sup = row_norms(cs, p).max()
-        tail = _tail(frame["tail_C"], frame["tail_lam"], T, w_sup)
+    def frame_max(block):
+        return row_norms(block.reshape(-1, n), p).reshape(-1, m).max(axis=1)
+
+    def sweep(st, hs):
+        cs = np.empty(hs.shape)
+        for i, h in enumerate(hs):
+            # forcing rows for the steps lo-1 .. hi-1: h shifted down by one
+            prev = np.zeros(h.shape)
+            prev[1:] = h[:-1]
+            lin = st.ops[i].apply(prev)
+            np.add(st.rows[i, :-1], prev, out=prev)
+            c = other(prev)
+            c -= st.rows[i, 1:]
+            c -= lin
+            cs[i] = c
+        tail = _tail(tail_C, tail_lam, T, frame_max(cs).max())
         if not tail < TAIL_TOL:
             raise PreconditionError(
                 f"series tail {tail:.3g} during the sweep is not below "
                 f"{TAIL_TOL:.0e}; increase the truncation")
-        new = perron_sums(seg_ops, seg_inv, frame["pairs"], cs,
-                          range(hi - lo + 1))
-        sup_h = row_norms(new, p).max()
+        new = perron_sums(st.seg_ops, st.seg_inv, st.pairs, cs, range(m))
+        del cs
+        sup_h = frame_max(new).max()
         if ball > 0.0 and sup_h > ball * (1.0 + BALL_SLACK):
             raise ConvergenceError(
                 f"iterate left the radius-{ball:.3g} ball (size {sup_h:.3g})")
         return new
 
-    hs, sweeps, fp_residual, ratio_seen = monitored_fixed_point(
-        sweep, np.zeros((hi - lo + 1, window.length)),
-        lambda new, old: float(row_norms(new - old, p).max()),
-        f"h{frame['kind']} sweep", ratio_bound=frame["ratio_bound"],
+    monitors = [FixedPointMonitor(
+        f"h{kind} sweep", ratio_bound=ratio_bound,
         ratio_floor=100.0 * FP_STOP_TOL, max_iter=MAX_SWEEPS)
-    job.meta["last_evaluation"] = {
-        "kind": frame["kind"], "anchor": frame["query"],
-        "iterations": sweeps, "fp_residual": fp_residual,
-        "contraction_observed": ratio_seen,
-    }
-    return SeqVec(window, hs[frame["query"] - lo], p)
+        for _ in range(count)]
+    values = [None] * count
+    live = list(range(count))
+    hs = np.zeros((count, m, n))
+    while live:
+        new = sweep(st, hs)
+        # a frame that stopped on the last sweep closes on this one's move
+        # and keeps its stopped iterate; the others take the new iterate
+        for i, k in enumerate(live):
+            if monitors[k].stopped:
+                values[k] = hs[i, 2 * T].copy()
+        np.subtract(new, hs, out=hs)
+        moves = frame_max(hs)
+        keep = []
+        for i, k in enumerate(live):
+            if monitors[k].stopped:
+                monitors[k].close(float(moves[i]))
+            else:
+                monitors[k].observe(float(moves[i]))
+                keep.append(i)
+        hs = new
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            if live:
+                hs, st = hs[keep], st.take(keep)
+    return [(SeqVec(window, value, p),
+             {"sweeps": mon.iterations, "fp_residual": mon.fp_residual,
+              "contraction_observed": mon.worst_ratio})
+            for value, mon in zip(values, monitors)]
 
 
 def h1_at(job, x):
@@ -354,7 +481,7 @@ def h1_at(job, x):
     Solved on a fresh f-orbit segment through x, so queries are not tied
     to the certified g-orbit.
     """
-    return _fixed_point(job, _h1_frame(job, x))
+    return _fixed_point(job, 1, [x])[0][0]
 
 
 def h2_at(job, x):
@@ -364,7 +491,7 @@ def h2_at(job, x):
     splitting along the segment comes from the job's transferred
     certificate.
     """
-    return _fixed_point(job, _h2_frame(job, _anchor_index(job, x)))
+    return _fixed_point(job, 2, [_anchor_index(job, x)])[0][0]
 
 
 def semiconjugacy_report(job, indices=None):
@@ -372,45 +499,44 @@ def semiconjugacy_report(job, indices=None):
 
     Each row records the displacement sizes, both equation residuals, and
     the round-trip probe |h2(x) + h1(x + h2(x))|, which is reported
-    without any assertion.  Each residual takes its values at x and at the
-    image point from distinct solves, so the defining equations are
-    genuinely rechecked, not replayed.  h2 is solved once per anchor of
-    the g-orbit: row q's h2(g(x)) is the frame of row q+1's h2(x), so the
-    two rows share that solve.
+    without any assertion; it also carries the solved vectors "h1" and
+    "h2" at its point, which :func:`continuity_probe` reuses.  Each
+    residual takes its values at x and at the image point from distinct
+    solves, so the defining equations are genuinely rechecked, not
+    replayed.  h2 is solved once per anchor of the g-orbit: row q's
+    h2(g(x)) is the frame of row q+1's h2(x), so the two rows share that
+    solve.  All h2 frames are solved as one lockstep stack, then all h1
+    frames (at x, f(x) and x + h2(x)) as a second one.
     """
     if indices is None:
         indices = range(job.query_lo, job.query_hi + 1)
-    h2_by_anchor = {}
-
-    def h2(y):
-        q = _anchor_index(job, y)
-        if q not in h2_by_anchor:
-            h2_by_anchor[q] = h2_at(job, y)
-        return h2_by_anchor[q]
-
-    rows = []
-    for q in indices:
-        q = int(q)
+    qs = [int(q) for q in indices]
+    for q in qs:
         if not job.query_lo <= q <= job.query_hi:
             raise PreconditionError(
                 f"index {q} is outside the certified span "
                 f"[{job.query_lo}, {job.query_hi}]")
-        x = job.orbit[q]
-        h1x = h1_at(job, x)
-        h2x = h2(x)
-        fx = job.f.forward(x)
-        h1fx = h1_at(job, fx)
-        h2gx = h2(job.orbit[q + 1])
+    f, g, window, p = job.f, job.g, job.f.window, job.f.p
+    xs = [job.orbit[q] for q in qs]
+    at_x = [_anchor_index(job, x) for x in xs]
+    at_gx = [_anchor_index(job, job.orbit[q + 1]) for q in qs]
+    anchors = sorted(set(at_x) | set(at_gx))
+    h2 = dict(zip(anchors, (v for v, _ in _fixed_point(job, 2, anchors))))
+    fxs = [f.forward(x) for x in xs]
+    xqs = [x.with_coeffs(x.coeffs + h2[a].coeffs) for x, a in zip(xs, at_x)]
+    h1 = [v for v, _ in _fixed_point(job, 1, xs + fxs + xqs)]
+    count = len(qs)
+    rows = []
+    for i, q in enumerate(qs):
+        x, fx, xp_h2 = xs[i], fxs[i], xqs[i]
+        h1x, h1fx, h1xq = h1[i], h1[count + i], h1[2 * count + i]
+        h2x, h2gx = h2[at_x[i]], h2[at_gx[i]]
         xp = x.with_coeffs(x.coeffs + h1x.coeffs)
-        r1 = norm(SeqVec(job.f.window,
-                         job.g.forward(xp).coeffs - fx.coeffs - h1fx.coeffs,
-                         job.f.p))
-        xq = x.with_coeffs(x.coeffs + h2x.coeffs)
-        r2 = norm(SeqVec(job.f.window,
-                         job.f.forward(xq).coeffs - job.orbit[q + 1].coeffs
-                         - h2gx.coeffs, job.f.p))
-        probe = norm(SeqVec(job.f.window,
-                            h2x.coeffs + h1_at(job, xq).coeffs, job.f.p))
+        r1 = norm(SeqVec(window, g.forward(xp).coeffs - fx.coeffs
+                         - h1fx.coeffs, p))
+        r2 = norm(SeqVec(window, f.forward(xp_h2).coeffs
+                         - job.orbit[q + 1].coeffs - h2gx.coeffs, p))
+        probe = norm(SeqVec(window, h2x.coeffs + h1xq.coeffs, p))
         rows.append({
             "point": q,
             "h1_norm": norm(h1x),
@@ -418,29 +544,37 @@ def semiconjugacy_report(job, indices=None):
             "residual1": r1,
             "residual2": r2,
             "composition_probe": probe,
+            "h1": h1x,
+            "h2": h2x,
         })
     return rows
 
 
-def continuity_probe(job):
+def continuity_probe(job, rows):
     """Finite-difference quotients of h1 and h2 at the first certified anchor.
 
-    The anchor's coordinate 0 moves by PROBE_STEP.  h1 is probed directly.
-    h2 is only defined on certified orbits, so the displaced value comes
-    from a fresh job built at the displaced point (same constants); the
-    quotient is reported, never asserted, since the splitting data is
-    certified only at sampled points.
+    The anchor's coordinate 0 moves by PROBE_STEP.  ``rows`` is a report
+    from :func:`semiconjugacy_report` that holds the anchor's row, whose
+    solves of h1 and h2 there are reused.  h1 is probed directly.  h2 is
+    only defined on certified orbits, so the displaced value comes from a
+    fresh job built at the displaced point (same constants); the quotient
+    is reported, never asserted, since the splitting data is certified
+    only at sampled points.
     """
+    row = next((r for r in rows if r["point"] == job.query_lo), None)
+    if row is None:
+        raise PreconditionError(
+            f"the report holds no row for the first certified anchor "
+            f"{job.query_lo}")
     x = job.orbit[job.query_lo]
     step = np.zeros(job.f.window.length)
     step[job.f.window.offset(0)] = PROBE_STEP
     xd = x.with_coeffs(x.coeffs + step)
-    h1a = h1_at(job, x)
+    h1a, h2a = row["h1"], row["h2"]
     h1b = h1_at(job, xd)
     q1 = norm(h1b.with_coeffs(h1b.coeffs - h1a.coeffs)) / PROBE_STEP
     displaced = make_conjugacy_job(job.f, job.g, xd, d=job.d, span=(0, 0),
                                    lam1=job.lam1, truncation=job.truncation)
-    h2a = h2_at(job, x)
     h2b = h2_at(displaced, displaced.orbit[0])
     q2 = norm(h2b.with_coeffs(h2b.coeffs - h2a.coeffs)) / PROBE_STEP
     return {"delta": PROBE_STEP, "h1_quotient": q1, "h2_quotient": q2}

@@ -22,14 +22,18 @@ it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``.
 ``apply_coeffs`` is the unguarded application to a raw coefficient array
 that ``op_apply`` wraps, for inner loops that account for the boundary
 themselves; ``apply_rows`` applies one operator per row of a coefficient
-block, and ``row_norms`` takes the norm of every row, each bit for bit the
-row-by-row result.  ``anchor_index`` finds a point among the rows of an
-orbit segment.
+block (``RowOps`` stacks those operators once, for blocks with any number
+of leading axes), and ``row_norms`` takes the norm of every row, each bit
+for bit the row-by-row result.  ``anchor_index`` finds a point among the
+rows of an orbit segment.
 
-``monitored_fixed_point`` runs the contraction-monitored fixed-point
-iterations of the splitting transfer and of the displacement maps.
+``FixedPointMonitor`` holds the contraction gate of one fixed-point
+iteration; ``monitored_fixed_point`` runs one such iteration to its end.
+The splitting transfer and the displacement maps both use it, and the
+displacement maps keep one monitor per frame of a lockstep stack.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,8 +42,8 @@ import numpy as np
 __all__ = [
     "Window", "SeqVec", "LinOp", "OperatorSeq",
     "norm", "coeff_norm", "row_norms", "anchor_index", "op_apply",
-    "apply_coeffs", "apply_rows", "op_norm", "cocycle",
-    "compose", "add", "sub", "monitored_fixed_point",
+    "apply_coeffs", "apply_rows", "RowOps", "op_norm", "cocycle",
+    "compose", "add", "sub", "FixedPointMonitor", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
 ]
@@ -204,12 +208,28 @@ def anchor_index(rows, v):
     return best
 
 
+@functools.lru_cache(maxsize=4096)
 def _acting(n, s):
     """Slices of the coordinates a shift by s keeps in a window of length n,
     and of the coordinates they land on."""
     m = max(n - abs(s), 0)
     start = max(-s, 0)
     return slice(start, start + m), slice(start + s, start + s + m)
+
+
+def _inverse_scalars(c, s):
+    """Scalars of the inverse of the weighted shifts by s with scalars c,
+    one shift per row of a (..., n) array (see ``LinOp.inverse``)."""
+    n = c.shape[-1]
+    kept, landed = _acting(n, s)
+    if np.any(c[..., kept] == 0.0):
+        raise PreconditionError("weighted shift with a zero scalar is singular")
+    # (A^{-1} w)_k = w_{k+s} / c_k: input coordinate j = k + s carries 1/c_k
+    inv = np.ones(c.shape)
+    inv[..., landed] = 1.0 / c[..., kept]
+    edge = slice(0, min(s, n)) if s > 0 else slice(max(n + s, 0), n)
+    np.divide(1.0, c[..., edge], out=inv[..., edge], where=c[..., edge] != 0.0)
+    return inv
 
 
 class LinOp:
@@ -221,17 +241,21 @@ class LinOp:
     coordinates that land outside the window are dropped.  A dense operator
     holds ``matrix`` of shape (codomain.length, domain.length) and has no
     scalars.  ``kind`` is the derived label "diag" (s = 0), "shift_diag"
-    (s != 0) or "dense".
+    (s != 0) or "dense".  ``check=False`` skips the shape checks, for
+    operands that an operation on valid operators produced.
     """
 
     __slots__ = ("domain", "codomain", "matrix", "scalars", "shift")
 
-    def __init__(self, domain, codomain, matrix=None, scalars=None, shift=0):
+    def __init__(self, domain, codomain, matrix=None, scalars=None, shift=0,
+                 check=True):
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
         self.scalars = scalars
         self.shift = shift
+        if not check:
+            return
         if matrix is not None:
             if matrix.shape != (codomain.length, domain.length):
                 raise PreconditionError("dense matrix shape does not match windows")
@@ -257,18 +281,8 @@ class LinOp:
         """
         if self.matrix is not None:
             return dense(np.linalg.inv(self.matrix), self.codomain, self.domain)
-        c, s = self.scalars, self.shift
-        n = len(c)
-        kept, landed = _acting(n, s)
-        if np.any(c[kept] == 0.0):
-            raise PreconditionError("weighted shift with a zero scalar is singular")
-        # (A^{-1} w)_k = w_{k+s} / c_k: input coordinate j = k + s carries 1/c_k
-        inv = np.ones(n)
-        inv[landed] = 1.0 / c[kept]
-        for j in range(min(s, n)) if s > 0 else range(max(n + s, 0), n):
-            if c[j]:
-                inv[j] = 1.0 / c[j]
-        return shift_diag(self.domain, inv, -s)
+        return _shifted(self.domain, _inverse_scalars(self.scalars, self.shift),
+                        -self.shift)
 
     def to_dense_matrix(self):
         if self.matrix is not None:
@@ -312,7 +326,7 @@ class LinOp:
     def __neg__(self):
         if self.matrix is not None:
             return dense(-self.matrix, self.domain, self.codomain)
-        return shift_diag(self.domain, -self.scalars, self.shift)
+        return _shifted(self.domain, -self.scalars, self.shift)
 
     def __repr__(self):
         return f"LinOp({self.kind}, [{self.domain.lo},{self.domain.hi}])"
@@ -333,6 +347,13 @@ def shift_diag(window, scalars, shift=1):
                  shift=int(shift))
 
 
+def _shifted(window, scalars, shift):
+    """``shift_diag`` for the float scalars of a window that an operation on
+    valid weighted shifts produced, without re-checking them."""
+    # positional arguments: this runs once per step of the transfer's algebra
+    return LinOp(window, window, None, scalars, shift, False)
+
+
 def identity_op(window):
     return diag(window, np.ones(window.length))
 
@@ -350,20 +371,81 @@ def apply_coeffs(A, x):
     return out
 
 
+class RowOps:
+    """One operator per row of a coefficient block, stacked once for reuse.
+
+    ``RowOps(ops)`` takes LinOps in an array-like of some leading shape, one
+    per row of a (*shape, n) block.  Weighted shifts by one common s keep
+    their scalars as one (*shape, n) array, or as the single row (n,) that
+    broadcasts over every row when all the operators are one object, and
+    act in one array operation; any other mix keeps the operators and acts
+    row by row.  Indexing the leading axes selects rows (basic indexing
+    shares the scalars, and a single shared row is every selection of
+    itself); ``inverse`` inverts every operator.  Each row carries the bits
+    of ``apply_coeffs``.
+    """
+
+    __slots__ = ("shift", "scalars", "ops")
+
+    def __init__(self, ops):
+        ops = np.array(ops, dtype=object)
+        flat = ops.ravel()
+        first = flat[0]
+        self.shift, self.scalars, self.ops = None, None, None
+        if all(A.matrix is None and A.shift == first.shift for A in flat):
+            self.shift = first.shift
+            if all(A is first for A in flat):
+                self.scalars = first.scalars
+            else:
+                self.scalars = np.array([A.scalars for A in flat]).reshape(
+                    ops.shape + first.scalars.shape)
+        else:
+            self.ops = ops
+
+    @classmethod
+    def weighted_shifts(cls, scalars, shift):
+        """The weighted shifts by ``shift`` with the scalar rows of a
+        (..., n) array, one per row."""
+        out = cls.__new__(cls)
+        out.shift, out.scalars, out.ops = int(shift), scalars, None
+        return out
+
+    def __getitem__(self, idx):
+        if self.ops is not None:
+            return RowOps(self.ops[idx])
+        if self.scalars.ndim == 1:
+            return self
+        return RowOps.weighted_shifts(self.scalars[idx], self.shift)
+
+    def inverse(self):
+        if self.ops is not None:
+            inv = np.empty(self.ops.shape, dtype=object)
+            inv.ravel()[:] = [A.inverse() for A in self.ops.ravel()]
+            return RowOps(inv)
+        return RowOps.weighted_shifts(
+            _inverse_scalars(self.scalars, self.shift), -self.shift)
+
+    def apply(self, rows):
+        """The operators applied to the rows of a (*shape, n) array."""
+        if self.ops is not None:
+            flat = rows.reshape(-1, rows.shape[-1])
+            return np.array([apply_coeffs(A, x) for A, x
+                             in zip(self.ops.ravel(), flat)]).reshape(rows.shape)
+        kept, landed = _acting(rows.shape[-1], self.shift)
+        out = np.zeros(rows.shape)
+        np.multiply(self.scalars[..., kept], rows[..., kept],
+                    out=out[..., landed])
+        return out
+
+
 def apply_rows(ops, rows):
     """Apply ``ops[i]`` to row i of an (m, n) coefficient array.
 
-    The same products as ``apply_coeffs`` row by row; weighted shifts by one
-    common s act as one array operation, any other mix row by row.
+    ``ops`` is a list of LinOps or a :class:`RowOps` stacked from them; the
+    same products as ``apply_coeffs`` row by row, with weighted shifts by one
+    common s as one array operation and any other mix row by row.
     """
-    s = ops[0].shift
-    if all(A.matrix is None and A.shift == s for A in ops):
-        kept, landed = _acting(rows.shape[1], s)
-        scalars = np.array([A.scalars for A in ops])
-        out = np.zeros(rows.shape)
-        np.multiply(scalars[:, kept], rows[:, kept], out=out[:, landed])
-        return out
-    return np.array([apply_coeffs(A, x) for A, x in zip(ops, rows)])
+    return (ops if isinstance(ops, RowOps) else RowOps(ops)).apply(rows)
 
 
 def op_apply(A, v, check_loss=True):
@@ -515,7 +597,7 @@ def compose(A, B):
         kept, landed = _acting(len(B.scalars), B.shift)
         c = np.zeros(len(B.scalars))
         c[kept] = A.scalars[landed] * B.scalars[kept]
-        return shift_diag(B.domain, c, A.shift + B.shift)
+        return _shifted(B.domain, c, A.shift + B.shift)
     return dense(A.to_dense_matrix() @ B.to_dense_matrix(), B.domain, A.codomain)
 
 
@@ -523,7 +605,7 @@ def _combine(A, B, ufunc):
     if A.domain != B.domain or A.codomain != B.codomain:
         raise PreconditionError("operators act between different windows")
     if A.matrix is None and B.matrix is None and A.shift == B.shift:
-        return shift_diag(A.domain, ufunc(A.scalars, B.scalars), A.shift)
+        return _shifted(A.domain, ufunc(A.scalars, B.scalars), A.shift)
     return dense(ufunc(A.to_dense_matrix(), B.to_dense_matrix()),
                  A.domain, A.codomain)
 
@@ -539,42 +621,77 @@ def sub(A, B):
     return _combine(A, B, np.subtract)
 
 
+class FixedPointMonitor:
+    """Contraction gate of one fixed-point iteration x <- step(x).
+
+    ``observe(move)`` takes the size of each move in turn.  Once the
+    previous move exceeds ``ratio_floor``, the ratio of successive moves
+    must stay within ``ratio_bound`` (up to FP_RATIO_SLACK); the iteration
+    stops at a move of at most FP_STOP_TOL and gives up after ``max_iter``
+    moves.  ``close(fp_residual)`` takes the move of one more step from the
+    stopped iterate, which must stay within FP_RESIDUAL_TOL.  Every failure
+    raises :class:`ConvergenceError` naming ``label``.  ``iterations``,
+    ``fp_residual`` and ``worst_ratio`` keep the record.
+    """
+
+    __slots__ = ("label", "ratio_bound", "ratio_floor", "max_iter",
+                 "iterations", "prev", "worst_ratio", "stopped", "fp_residual")
+
+    def __init__(self, label, *, ratio_bound, ratio_floor, max_iter):
+        self.label = label
+        self.ratio_bound = ratio_bound
+        self.ratio_floor = ratio_floor
+        self.max_iter = max_iter
+        self.iterations = 0
+        self.prev = None
+        self.worst_ratio = 0.0
+        self.stopped = False
+        self.fp_residual = None
+
+    def observe(self, move):
+        """Record one move; True once the iteration has stopped."""
+        self.iterations += 1
+        if self.prev is not None and self.prev > self.ratio_floor:
+            ratio = move / self.prev
+            self.worst_ratio = max(self.worst_ratio, ratio)
+            if ratio > self.ratio_bound * (1.0 + FP_RATIO_SLACK):
+                raise ConvergenceError(
+                    f"{self.label} iteration {self.iterations} contracted at "
+                    f"ratio {ratio:.6f}, above the certified "
+                    f"{self.ratio_bound:.6f}")
+        if move <= FP_STOP_TOL:
+            self.stopped = True
+        elif self.iterations >= self.max_iter:
+            raise ConvergenceError(
+                f"{self.label} iteration still moving by {move:.3g} after "
+                f"{self.max_iter} steps")
+        self.prev = move
+        return self.stopped
+
+    def close(self, fp_residual):
+        """Check the fixed-point residual of the stopped iterate."""
+        if fp_residual > FP_RESIDUAL_TOL:
+            raise ConvergenceError(
+                f"{self.label} fixed-point residual {fp_residual:.3g} exceeds "
+                f"{FP_RESIDUAL_TOL:.0e}")
+        self.fp_residual = fp_residual
+
+
 def monitored_fixed_point(step, x0, dist, label, *, ratio_bound, ratio_floor,
                           max_iter):
-    """Iterate x <- step(x) from x0, watching the contraction.
+    """Iterate x <- step(x) from x0 under a :class:`FixedPointMonitor`.
 
-    ``dist(new, old)`` measures each move.  Once the previous move exceeds
-    ``ratio_floor``, the ratio of successive moves must stay within
-    ``ratio_bound`` (up to FP_RATIO_SLACK); the iteration stops at a move of
-    at most FP_STOP_TOL and gives up after ``max_iter`` steps.  The last
-    iterate is stepped once more and must reproduce itself to
-    FP_RESIDUAL_TOL.  Every failure raises :class:`ConvergenceError` naming
-    ``label``.  Returns ``(x, iterations, fp_residual, worst_ratio)``.
+    ``dist(new, old)`` measures each move.  The last iterate is stepped once
+    more and must reproduce itself to FP_RESIDUAL_TOL.  Returns
+    ``(x, iterations, fp_residual, worst_ratio)``.
     """
+    mon = FixedPointMonitor(label, ratio_bound=ratio_bound,
+                            ratio_floor=ratio_floor, max_iter=max_iter)
     x = x0
-    prev = None
-    worst_ratio = 0.0
-    for iterations in range(1, max_iter + 1):
+    stopped = False
+    while not stopped:
         new = step(x)
-        diff = dist(new, x)
-        if prev is not None and prev > ratio_floor:
-            ratio = diff / prev
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > ratio_bound * (1.0 + FP_RATIO_SLACK):
-                raise ConvergenceError(
-                    f"{label} iteration {iterations} contracted at ratio "
-                    f"{ratio:.6f}, above the certified {ratio_bound:.6f}")
+        stopped = mon.observe(dist(new, x))
         x = new
-        if diff <= FP_STOP_TOL:
-            break
-        prev = diff
-    else:
-        raise ConvergenceError(
-            f"{label} iteration still moving by {diff:.3g} after "
-            f"{max_iter} steps")
-    fp_residual = dist(step(x), x)
-    if fp_residual > FP_RESIDUAL_TOL:
-        raise ConvergenceError(
-            f"{label} fixed-point residual {fp_residual:.3g} exceeds "
-            f"{FP_RESIDUAL_TOL:.0e}")
-    return x, iterations, fp_residual, worst_ratio
+    mon.close(dist(step(x), x))
+    return x, mon.iterations, mon.fp_residual, mon.worst_ratio

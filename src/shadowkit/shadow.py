@@ -61,13 +61,17 @@ class Pseudotrajectory:
     ``points`` maps time k to a SeqVec; for a periodic trajectory exactly
     one period is stored (keys lo .. lo+period-1) and ``point_at`` wraps.
     ``d`` is always the realized maximum step error, recomputed from the
-    points, never the requested noise level.
+    points, never the requested noise level.  ``ops`` optionally holds the
+    differentials Df(y_k) of every step, in time order, when the caller has
+    already evaluated them; the first refinement then reads them instead of
+    calling ``dforward`` again.
     """
 
     points: dict
     d: float
     period: int = None
     meta: dict = field(default_factory=dict)
+    ops: list = None
 
     @property
     def lo(self):
@@ -244,7 +248,10 @@ def _variational_problem(sys, pstraj, cert):
     m = pstraj.period
     steps = m if m is not None else pstraj.hi - lo
     pts = [pstraj.point_at(lo + j) for j in range(steps + 1)]
-    seq = OperatorSeq(lo, [sys.dforward(y) for y in pts[:-1]], period=m)
+    ops = pstraj.ops
+    if ops is None:
+        ops = [sys.dforward(y) for y in pts[:-1]]
+    seq = OperatorSeq(lo, ops, period=m)
     # the scaled defects (f(y_k) - y_{k+1}) / d of every step, as one block
     rows = np.array([y.coeffs for y in pts])
     defects = sys.map_rows(rows[:-1])

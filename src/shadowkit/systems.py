@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    Window, SeqVec, OperatorSeq, norm, op_apply, compose, row_norms,
+    Window, SeqVec, OperatorSeq, RowOps, norm, op_apply, compose, row_norms,
     diag, shift_diag, PreconditionError, TruncationError, LOST_TOL,
 )
 from .clstruct import ProjPair, CLCertificate
@@ -64,8 +64,12 @@ class DiffeoSystem:
     that row, and the truncation guard is judged per row, so it raises
     :class:`TruncationError` exactly when ``forward`` would raise on some
     row.  Without it, ``map_rows`` calls ``forward`` row by row.
-    :meth:`orbit` walks an orbit segment, and :meth:`step_gaps` measures
-    the step defects of a block of rows through ``map_rows``.
+    ``dforward_rows``, when given, is ``dforward`` at every row of a
+    (..., n) array as one :class:`seqcore.RowOps`, each operator with the
+    bits ``dforward`` gives that row; :meth:`diff_rows` reads it, and calls
+    ``dforward`` row by row without it.  :meth:`orbit` walks an orbit
+    segment, and :meth:`step_gaps` measures the step defects of a block of
+    rows through ``map_rows``.
     """
 
     name: str
@@ -81,12 +85,14 @@ class DiffeoSystem:
     cert: object = None
     meta: dict = field(default_factory=dict, compare=False)
     forward_rows: object = field(default=None, compare=False)
+    dforward_rows: object = field(default=None, compare=False)
 
     def with_cert(self, cert):
         return DiffeoSystem(self.name, self.window, self.p, self.forward,
                             self.inverse, self.dforward, self.dinverse,
                             self.R, self.modulus, self.support_shift,
-                            cert, self.meta, self.forward_rows)
+                            cert, self.meta, self.forward_rows,
+                            self.dforward_rows)
 
     def map_rows(self, xs):
         """``forward`` applied to every coefficient row of a (..., n) array."""
@@ -96,6 +102,16 @@ class DiffeoSystem:
         rows = [self.forward(SeqVec(self.window, x, self.p)).coeffs
                 for x in xs.reshape(-1, self.window.length)]
         return np.array(rows).reshape(xs.shape)
+
+    def diff_rows(self, xs):
+        """``dforward`` at every coefficient row of a (..., n) array, as one
+        :class:`seqcore.RowOps`."""
+        if self.dforward_rows is not None:
+            return self.dforward_rows(xs)
+        ops = np.empty(xs.shape[:-1], dtype=object)
+        ops.ravel()[:] = [self.dforward(SeqVec(self.window, x, self.p))
+                          for x in xs.reshape(-1, self.window.length)]
+        return RowOps(ops)
 
     def orbit(self, x, back, fwd):
         """The orbit points f^j(x) for j = -back .. fwd, as a list.
@@ -296,6 +312,9 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
     def dforward(x):
         return shift_diag(window, a_family.deriv(ks, x.coeffs), shift=1)
 
+    def dforward_rows(xs):
+        return RowOps.weighted_shifts(a_family.deriv(ks, xs), 1)
+
     def dinverse(y):
         return dforward(inverse(y)).inverse()
 
@@ -308,7 +327,8 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
                          meta={"splitting": "support k >= 0 stable"})
     return DiffeoSystem(name, window, p, forward, inverse, dforward,
                         dinverse, R, modulus, support_shift=1, cert=cert,
-                        meta={"d2_bound": m2}, forward_rows=forward_rows)
+                        meta={"d2_bound": m2}, forward_rows=forward_rows,
+                        dforward_rows=dforward_rows)
 
 
 # ---------------------------------------------------------------------------

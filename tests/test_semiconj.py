@@ -1,19 +1,24 @@
 """Tests for the pointwise semi-conjugacy engine."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowkit import boundedsol, semiconj, seqcore
 from shadowkit.boundedsol import (InhomProblem, perron_constant, perron_solve,
                                   perron_sums)
-from shadowkit.clstruct import CLCertificate
+from shadowkit.clstruct import CLCertificate, ProjPair
 from shadowkit.semiconj import (MAX_SWEEPS, H1_RATIO, H2_RATIO,
-                                continuity_probe, h1_at, h2_at,
+                                _fixed_point, continuity_probe, h1_at, h2_at,
                                 make_conjugacy_job, orbit_perron_apply,
                                 required_truncation, semiconjugacy_report,
                                 translate_system)
-from shadowkit.seqcore import (FP_STOP_TOL, OperatorSeq, PreconditionError,
-                               SeqVec, TruncationError, Window, apply_coeffs,
+from shadowkit.seqcore import (FP_STOP_TOL, LinOp, OperatorSeq,
+                               PreconditionError, RowOps, SeqVec,
+                               TruncationError, Window, apply_coeffs,
                                coeff_norm, monitored_fixed_point, norm,
                                op_apply)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
@@ -253,10 +258,13 @@ def test_affine_report_rows_and_probes():
         assert row["residual2"] <= 1e-10
         # (Id + h1) o (Id + h2) is exactly the identity for a translation
         assert row["composition_probe"] <= 1e-12
-    probe = continuity_probe(job)
+    probe = continuity_probe(job, rows)
     # both displacement fields are constant here, so the quotients vanish
     assert probe["h1_quotient"] <= 1e-9
     assert probe["h2_quotient"] <= 1e-9
+    # the probe reuses the report's solves at the first anchor
+    with pytest.raises(PreconditionError, match="first certified anchor"):
+        continuity_probe(job, rows[1:])
 
 
 def test_identity_perturbation_yields_zero_maps():
@@ -282,11 +290,13 @@ def test_smooth_perturbation_bounds_residuals_and_truncation():
     h2 = h2_at(job, x0)
     assert 0.0 < norm(h1) <= ball * (1.0 + 1e-9)
     assert 0.0 < norm(h2) <= ball * (1.0 + 1e-9)
-    # solver diagnostics from the last evaluation
-    ev = job.meta["last_evaluation"]
-    assert ev["iterations"] <= 10
+    # solver diagnostics returned with the h2 value
+    (value, ev), = _fixed_point(job, 2, [0])
+    assert value.coeffs.tobytes() == h2.coeffs.tobytes()
+    assert ev["sweeps"] <= 10
     assert ev["fp_residual"] <= 1e-11
     assert ev["contraction_observed"] <= 1.0 / 3.0 + 1e-9
+    assert "last_evaluation" not in job.meta
 
     rows = semiconjugacy_report(job, range(0, 4))
     for row in rows:
@@ -306,11 +316,12 @@ def test_smooth_perturbation_bounds_residuals_and_truncation():
     assert job.meta["continuity"] == "sampled points only"
 
 
-def _pointwise_displacement(job, kind, x, q=None):
+def _pointwise_displacement(job, kind, x, q=None, with_sweeps=False):
     """Reference sweep: one forward, one apply and one norm per orbit point.
 
     h1 rides the f-orbit through x and maps it by g; h2 rides the job's
-    g-orbit around anchor q and maps it by f.
+    g-orbit around anchor q and maps it by f.  ``with_sweeps`` also returns
+    the sweep count.
     """
     B = 2 * job.truncation
     f, p = job.f, job.f.p
@@ -342,12 +353,13 @@ def _pointwise_displacement(job, kind, x, q=None):
                       - apply_coeffs(ops[j], hj))
         return perron_sums(seg_ops, seg_inv, pairs, cs, range(hi - lo + 1))
 
-    hs, *_ = monitored_fixed_point(
+    hs, sweeps, *_ = monitored_fixed_point(
         sweep, np.zeros((hi - lo + 1, W.length)),
         lambda new, old: max(coeff_norm(a - b, p) for a, b in zip(new, old)),
         "reference", ratio_bound=ratio, ratio_floor=100.0 * FP_STOP_TOL,
         max_iter=MAX_SWEEPS)
-    return hs[(0 if kind == 1 else q) - lo]
+    value = hs[(0 if kind == 1 else q) - lo]
+    return (value, sweeps) if with_sweeps else value
 
 
 def test_row_batched_sweeps_match_the_pointwise_sweep_bit_for_bit():
@@ -370,6 +382,145 @@ def test_row_batched_sweeps_match_the_pointwise_sweep_bit_for_bit():
         r2 = (f.forward(x.with_coeffs(x.coeffs + h2_ref[q])).coeffs
               - job.orbit[q + 1].coeffs - h2_ref[q + 1])
         assert row["residual2"] == norm(SeqVec(W, r2, 2.0))
+
+
+def test_lockstep_stacks_match_the_pointwise_sweep_bit_for_bit():
+    # one h1 stack whose frames freeze at different sweeps: the zero orbit
+    # at once, the far point one sweep after the others
+    f, g, job = wobbly_setup()
+    x0 = job.orbit[0]
+    zero = x0.with_coeffs(np.zeros(W.length))
+    far = x0.with_coeffs(x0.coeffs + translation_vector(f, 0.3, k=3).coeffs)
+    near = x0.with_coeffs(x0.coeffs + translation_vector(f, 1e-3, k=2).coeffs)
+    points = [x0, zero, far, near, job.orbit[3]]
+    stacked = _fixed_point(job, 1, points)
+    swept = set()
+    for x, (value, stats) in zip(points, stacked):
+        want, sweeps = _pointwise_displacement(job, 1, x, with_sweeps=True)
+        assert value.coeffs.tobytes() == want.tobytes()
+        assert stats["sweeps"] == sweeps
+        assert stats["fp_residual"] <= 1e-11
+        swept.add(sweeps)
+    assert len(swept) == 3
+    # the h2 stack over anchors of the certified segment
+    anchors = [0, 1, 2, job.query_hi + 1]
+    for q, (value, stats) in zip(anchors, _fixed_point(job, 2, anchors)):
+        want, sweeps = _pointwise_displacement(job, 2, job.orbit[q], q,
+                                               with_sweeps=True)
+        assert value.coeffs.tobytes() == want.tobytes()
+        assert stats["sweeps"] == sweeps
+    # a stack of one is the solo solve the public queries make
+    assert h1_at(job, far).coeffs.tobytes() == stacked[2][0].coeffs.tobytes()
+
+
+def test_stacked_perron_sums_match_the_solo_sums_bit_for_bit():
+    f, g, job = wobbly_setup()
+    rng = np.random.default_rng(3)
+    frames, m = 4, 24
+    pts = [job.orbit[q] for q in range(frames)]
+    xs = [f.orbit(x, 0, m - 1) for x in pts]
+    ops = [[f.dforward(y) for y in orbit[:-1]] for orbit in xs]
+    pairs = [[job.cert.proj_at(y) for y in orbit] for orbit in xs]
+    w = rng.standard_normal((frames, m, W.length))
+    stacked_ops = RowOps(ops)
+    inv = stacked_ops.inverse()
+    P = RowOps([[pr.P for pr in prs] for prs in pairs])
+    Q = RowOps([[pr.Q for pr in prs] for prs in pairs])
+    for at in (range(m), range(5, 6), range(3, m - 2)):
+        got = perron_sums([stacked_ops[:, j] for j in range(m - 1)],
+                          [inv[:, j] for j in range(m - 1)],
+                          [ProjPair(P[:, j], Q[:, j]) for j in range(m)],
+                          w, at)
+        for i in range(frames):
+            want = perron_sums(ops[i], [A.inverse() for A in ops[i]],
+                               pairs[i], list(w[i]), at)
+            assert got[i].tobytes() == want.tobytes()
+
+
+def test_default_job_counters(monkeypatch):
+    # one default-size job (the semiconj CLI's window, span and distance)
+    # with its report and continuity probe
+    counts = {"apply_coeffs": 0, "dforward": 0, "densified": 0}
+    real_apply = seqcore.apply_coeffs
+
+    def counted_apply(A, x):
+        counts["apply_coeffs"] += 1
+        return real_apply(A, x)
+
+    monkeypatch.setattr(seqcore, "apply_coeffs", counted_apply)
+    monkeypatch.setattr(boundedsol, "apply_coeffs", counted_apply)
+
+    def counted(sys):
+        real = sys.dforward
+
+        def dforward(x):
+            counts["dforward"] += 1
+            return real(x)
+
+        return dataclasses.replace(sys, dforward=dforward)
+
+    real_dense = LinOp.to_dense_matrix
+    real_transfer = semiconj.graph_transform_seq
+
+    def counted_dense(op):
+        counts["densified"] += 1
+        return real_dense(op)
+
+    def transfer(*args, **kw):
+        monkeypatch.setattr(LinOp, "to_dense_matrix", counted_dense)
+        try:
+            return real_transfer(*args, **kw)
+        finally:
+            monkeypatch.setattr(LinOp, "to_dense_matrix", real_dense)
+
+    monkeypatch.setattr(semiconj, "graph_transform_seq", transfer)
+    f = counted(linear_shift())
+    g = counted(make_weighted_shift(
+        SinPerturbedFamily(LinearShiftFamily(), D), 0.5002, 2.001, W,
+        name="sin_perturbed_shift"))
+    job = make_conjugacy_job(f, g, seed_point(f, 0.03), d=D, span=(0, 6))
+    continuity_probe(job, semiconjugacy_report(job))
+    assert counts["apply_coeffs"] < 40_000
+    assert counts["dforward"] <= 10_000
+    assert counts["densified"] == 0
+
+
+def test_chunked_stacks_match_one_stack_with_flat_memory(monkeypatch):
+    # frames are independent: a budget of about two frames splits the
+    # stack, changes no bit and no sweep count, and holds the working set
+    # to one chunk however many frames are asked for
+    f, g, job = wobbly_setup()
+    points = [job.orbit[q] for q in range(6)]
+    whole = _fixed_point(job, 1, points)
+    anchors = list(range(6))
+    whole2 = _fixed_point(job, 2, anchors)
+    rows, pairs = semiconj._h1_frame(job, points[0])
+    monkeypatch.setattr(semiconj, "STACK_BUDGET",
+                        2 * semiconj._frame_bytes(rows, pairs))
+    calls = []
+    real_solve = semiconj._solve_stack
+
+    def solve(job, kind, st):
+        calls.append(st.rows.shape[0])
+        return real_solve(job, kind, st)
+
+    monkeypatch.setattr(semiconj, "_solve_stack", solve)
+    for got, want in ((_fixed_point(job, 1, points), whole),
+                      (_fixed_point(job, 2, anchors), whole2)):
+        for (value, stats), (v0, s0) in zip(got, want):
+            assert value.coeffs.tobytes() == v0.coeffs.tobytes()
+            assert stats == s0
+    assert calls == [2, 2, 2, 2, 2, 2]
+
+    def peak_of(where):
+        tracemalloc.start()
+        try:
+            _fixed_point(job, 1, where)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(points) < 1.25 * peak_of(points[:2])
 
 
 def test_job_precondition_gates():

@@ -9,6 +9,7 @@ from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
     apply_coeffs, apply_rows, coeff_norm, row_norms, anchor_index, LOST_TOL,
+    RowOps,
     ConvergenceError, PreconditionError, TruncationError,
 )
 
@@ -436,6 +437,45 @@ def test_row_operations_match_row_by_row_bits(seed, m, n, s):
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         want = np.array([coeff_norm(x, p) for x in rows])
         assert row_norms(rows, p).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(2, 5),
+       st.integers(1, 9), st.sampled_from([-2, 0, 1, None, "shared"]))
+def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
+    # one operator per row of a (frames, steps, n) block: stacked scalars,
+    # a single shared operator, or (s = None) the row-by-row fallback
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    if s == "shared":
+        one = _random_shift(rng, w, 1, zeros=False)
+        ops = [[one] * steps for _ in range(frames)]
+    else:
+        ops = [[_random_shift(rng, w, int(rng.integers(-2, 3)) if s is None
+                              else s, zeros=False) for _ in range(steps)]
+               for _ in range(frames)]
+        if s is None:
+            ops[-1][-1] = dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
+    rows = rng.standard_normal((frames, steps, n))
+    stacked = RowOps(ops)
+    inverse = stacked.inverse()
+
+    def check(got_ops, got_inv, picks):
+        got, got_back = got_ops.apply(rows[picks]), got_inv.apply(rows[picks])
+        for i, f in enumerate(picks):
+            for j in range(steps):
+                A = ops[f][j]
+                assert got[i, j].tobytes() == apply_coeffs(
+                    A, rows[f, j]).tobytes()
+                assert got_back[i, j].tobytes() == apply_coeffs(
+                    A.inverse(), rows[f, j]).tobytes()
+        # one step across the frames, as the lockstep sums read it
+        col = got_ops[:, steps - 1].apply(rows[picks, steps - 1])
+        assert col.tobytes() == got[:, steps - 1].tobytes()
+
+    check(stacked, inverse, list(range(frames)))
+    keep = [f for f in range(frames) if rng.random() < 0.6] or [frames - 1]
+    check(stacked[keep], inverse[keep], keep)
 
 
 @settings(max_examples=60)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from shadowkit.semiconj import translate_system
 from shadowkit.seqcore import (
-    Window, SeqVec, norm, op_apply, identity_op, PreconditionError,
-    TruncationError,
+    Window, SeqVec, norm, op_apply, identity_op, apply_coeffs,
+    PreconditionError, TruncationError,
 )
 from shadowkit.systems import (
     DiffeoSystem, MSMapParams, s_remainder, make_weighted_shift,
@@ -379,6 +379,30 @@ def test_row_map_defaults_to_forward_row_by_row():
     # the certificate swap keeps the row map
     lin = shift_linear()
     assert lin.with_cert(None).forward_rows is lin.forward_rows
+
+
+@pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS) + 1))
+def test_diff_rows_equals_stacked_dforward(which):
+    # the weighted shifts' own batched differential, and the row-by-row
+    # default on a conjugated system
+    sys = (ROW_MAP_SYSTEMS[which] if which < len(ROW_MAP_SYSTEMS)
+           else conjugate(shift_tanh(), make_sin_wobble(W)))
+    assert (sys.dforward_rows is None) == (which == len(ROW_MAP_SYSTEMS))
+    rng = np.random.default_rng(which)
+    xs = rng.uniform(-0.5, 0.5, (2, 3, W.length))
+    xs[..., :3] = 0.0
+    xs[..., -3:] = 0.0
+    ops = sys.diff_rows(xs)
+    vs = rng.standard_normal(xs.shape)
+    got = ops.apply(vs)
+    for i in range(2):
+        for j in range(3):
+            A = sys.dforward(SeqVec(W, xs[i, j], sys.p))
+            want = apply_coeffs(A, vs[i, j])
+            assert got[i, j].tobytes() == want.tobytes()
+            inv = ops[i, j:j + 1].inverse().apply(vs[i, j:j + 1])
+            assert inv[0].tobytes() == apply_coeffs(A.inverse(),
+                                                    vs[i, j]).tobytes()
 
 
 # ------------------------------------------------------------- orbits
