@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, norm, op_apply, op_norm, compose, row_norms,
+    SeqVec, norm, op_norm, compose, transport_rows,
     PreconditionError, TruncationError,
 )
 
@@ -128,57 +128,52 @@ def _merge_pass(report):
 
 
 def _directions(pair_side, window, p, n_dirs, rng):
-    """Unit directions spanning the image of a projection: every nonzero
-    projected coordinate vector plus n_dirs random projected vectors.
+    """Unit directions spanning the image of a projection, as the rows of
+    an (m, n) array: every projected coordinate vector of norm above 1e-14,
+    then those of n_dirs random projected vectors of norm above 1e-12.
 
-    A diagonal projection maps e_j to c_j e_j, so its coordinate directions
-    are read off its scalars c in one array operation, with the same bits
-    as applying it to every basis vector.
+    The coordinate vectors and the random ones, drawn as one
+    ``rng.standard_normal((n_dirs, n))`` (the stream of n_dirs draws of n),
+    are projected as one block by ``transport_rows``, each row with the
+    bits of ``op_apply``.  A projection whose edge guard trips on some row
+    raises :class:`TruncationError`, as ``op_apply`` would.
     """
-    if (pair_side.matrix is None and pair_side.shift == 0
-            and pair_side.domain == window):
-        js = np.flatnonzero(pair_side.scalars)
-        basis = np.zeros((len(js), window.length))
-        basis[np.arange(len(js)), js] = 1.0
-        images = pair_side.scalars * basis
-        dirs = [SeqVec(window, v / nv, p)
-                for v, nv in zip(images, row_norms(images, p)) if nv > 1e-14]
-    else:
-        dirs = []
-        for j in window.indices():
-            v = op_apply(pair_side, SeqVec.basis(window, j, p))
-            nv = norm(v)
-            if nv > 1e-14:
-                dirs.append(v.with_coeffs(v.coeffs / nv))
-    for _ in range(n_dirs):
-        v = op_apply(pair_side, SeqVec(window, rng.standard_normal(window.length), p))
-        nv = norm(v)
-        if nv > 1e-12:
-            dirs.append(v.with_coeffs(v.coeffs / nv))
-    return dirs
+    if pair_side.domain != window:
+        raise PreconditionError("vector window does not match operator domain")
+    n = window.length
+    rows = np.vstack([np.eye(n), rng.standard_normal((n_dirs, n))])
+    norms, tripped, images = transport_rows([pair_side], rows, p)
+    if tripped.any():
+        raise TruncationError(
+            "projection drops boundary mass from a direction; window too small")
+    nv = norms[:, 0]
+    keep = nv > np.where(np.arange(len(rows)) < n, 1e-14, 1e-12)
+    return images[keep] / nv[keep, None]
 
 
-def _decay_scan(dirs, ops, C, lam, witnesses, label):
+def _decay_scan(dirs, ops, C, lam, p, witnesses, label):
     """Worst ratio |transport_n v| / (C lam^n) over unit dirs and n <= len(ops).
 
+    ``dirs`` holds the unit directions as the rows of an (m, n) array;
     ``ops`` is the list of operators applied in order (already the right
     direction: forward differentials for stable, backward inverses for
-    unstable).  A direction whose transport reaches the window edge is
-    scanned up to that step only -- dropping boundary mass silently could
-    fake decay.
+    unstable), carried over all the directions at once by
+    ``transport_rows``.  A direction whose transport reaches the window
+    edge is scanned up to that step only -- dropping boundary mass silently
+    could fake decay.  The witness is the first maximal ratio in
+    (direction, step) order, the one a scan direction by direction keeps.
     """
-    worst = 0.0
-    for i, v in enumerate(dirs):
-        u = v
-        for n, A in enumerate(ops, start=1):
-            try:
-                u = op_apply(A, u)
-            except TruncationError:
-                break
-            ratio = norm(u) / (C * lam ** n)
-            if ratio > worst:
-                worst = ratio
-                witnesses[label] = {"direction": i, "n": n, "ratio": ratio}
+    if not len(ops) or not len(dirs):
+        return 0.0
+    norms, _, _ = transport_rows(ops, dirs, p)
+    ratios = norms / np.array([C * lam ** n for n in range(1, len(ops) + 1)])
+    ratios[np.isnan(ratios)] = -np.inf
+    at = int(np.argmax(ratios))
+    worst = float(ratios.flat[at])
+    if not worst > 0.0:
+        return 0.0
+    i, n = divmod(at, len(ops))
+    witnesses[label] = {"direction": i, "n": n + 1, "ratio": worst}
     return worst
 
 
@@ -238,9 +233,9 @@ def _verify(cert, key, samples, local, n_dirs, seed):
             rep.witnesses["inclusion"] = {key: label, "residual": res}
         sdirs = _directions(pair.P, window, p, n_dirs, rng)
         udirs = _directions(pair.Q, window, p, n_dirs, rng)
-        ws = _decay_scan(sdirs, fwd_ops, cert.C, cert.lam,
+        ws = _decay_scan(sdirs, fwd_ops, cert.C, cert.lam, p,
                          rep.witnesses, f"decay_stable@{label}")
-        wu = _decay_scan(udirs, bwd_ops, cert.C, cert.lam,
+        wu = _decay_scan(udirs, bwd_ops, cert.C, cert.lam, p,
                          rep.witnesses, f"decay_unstable@{label}")
         rep.worst_decay_ratio = max(rep.worst_decay_ratio, ws, wu)
         rep.samples += 1 + len(sdirs) + len(udirs)
@@ -288,6 +283,16 @@ def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16, seed=0, p=2.0,
     included, turning the invariance inclusions into equalities.
     """
     window = seq.ops[0].domain
+    # each operator is inverted once per call, however many samples'
+    # backward horizons reach it
+    inverses = {}
+
+    def inverse_at(k):
+        key = k if seq.period is None else (k - seq.lo) % seq.period
+        if key not in inverses:
+            inverses[key] = seq.op_at(k).inverse()
+        return inverses[key]
+
     if indices is None:
         if seq.period is not None:
             indices = range(seq.lo, seq.lo + seq.period)
@@ -308,7 +313,7 @@ def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16, seed=0, p=2.0,
             n_fwd = min(horizon, seq.hi - k)
             n_bwd = min(horizon, k - seq.lo)
         return (res, [seq.op_at(k + j) for j in range(n_fwd)],
-                [seq.op_at(k - 1 - j).inverse() for j in range(n_bwd)])
+                [inverse_at(k - 1 - j) for j in range(n_bwd)])
 
     samples = [(k, k, window, p) for k in indices]
     return _verify(cert, "index", samples, local, n_dirs, seed)

@@ -18,14 +18,18 @@ dense kind is only needed for perturbations.
 A shift by s pushes |s| coefficients over the window edge at every
 application.  Truncation is legitimate only while those coefficients are
 negligible, so ``op_apply`` raises :class:`TruncationError` when the mass
-it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``.
+it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``; that guard
+is ``edge_loss``, judged row by row on a block.
 ``apply_coeffs`` is the unguarded application to a raw coefficient array
 that ``op_apply`` wraps, for inner loops that account for the boundary
 themselves; ``apply_rows`` applies one operator per row of a coefficient
 block (``RowOps`` stacks those operators once, for blocks with any number
 of leading axes), and ``row_norms`` takes the norm of every row, each bit
-for bit the row-by-row result.  ``anchor_index`` finds a point among the
-rows of an orbit segment.
+for bit the row-by-row result.  ``transport_rows`` carries a block of
+rows through a list of operators under the guard, retiring each row at
+its first trip, and tables their norms: the decay scans of the verifiers
+and of the splitting transfer run on it.  ``anchor_index`` finds a point
+among the rows of an orbit segment.
 
 ``FixedPointMonitor`` holds the contraction gate of one fixed-point
 iteration; ``monitored_fixed_point`` runs one such iteration to its end.
@@ -42,7 +46,8 @@ import numpy as np
 __all__ = [
     "Window", "SeqVec", "LinOp", "OperatorSeq",
     "norm", "coeff_norm", "row_norms", "anchor_index", "op_apply",
-    "apply_coeffs", "apply_rows", "RowOps", "op_norm", "cocycle",
+    "edge_loss", "transport_rows", "apply_coeffs", "apply_rows", "RowOps",
+    "op_norm", "cocycle",
     "compose", "add", "sub", "FixedPointMonitor", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
@@ -381,17 +386,21 @@ class RowOps:
     act in one array operation; any other mix keeps the operators and acts
     row by row.  Indexing the leading axes selects rows (basic indexing
     shares the scalars, and a single shared row is every selection of
-    itself); ``inverse`` inverts every operator.  Each row carries the bits
-    of ``apply_coeffs``.
+    itself); ``inverse`` inverts every operator.  :meth:`shared` stacks one
+    operator for a block of any shape, for ``apply``: a dense one acts as
+    one stacked mat-vec, ``matmul(M, rows[..., None])``, which numpy runs as
+    one BLAS mat-vec per row, the kernel ``M @ x`` runs, where the matrix
+    product ``rows @ M.T`` would sum in another order.  Each row carries
+    the bits of ``apply_coeffs``.
     """
 
-    __slots__ = ("shift", "scalars", "ops")
+    __slots__ = ("shift", "scalars", "matrix", "ops")
 
     def __init__(self, ops):
         ops = np.array(ops, dtype=object)
         flat = ops.ravel()
         first = flat[0]
-        self.shift, self.scalars, self.ops = None, None, None
+        self.shift, self.scalars, self.matrix, self.ops = None, None, None, None
         if all(A.matrix is None and A.shift == first.shift for A in flat):
             self.shift = first.shift
             if all(A is first for A in flat):
@@ -403,12 +412,22 @@ class RowOps:
             self.ops = ops
 
     @classmethod
+    def _stacked(cls, shift=None, scalars=None, matrix=None):
+        out = cls.__new__(cls)
+        out.shift, out.scalars, out.matrix, out.ops = shift, scalars, matrix, None
+        return out
+
+    @classmethod
+    def shared(cls, A):
+        """The operator A acting on every row of a block.  A dense A is
+        stacked for :meth:`apply` only."""
+        return cls._stacked(A.shift, A.scalars, A.matrix)
+
+    @classmethod
     def weighted_shifts(cls, scalars, shift):
         """The weighted shifts by ``shift`` with the scalar rows of a
         (..., n) array, one per row."""
-        out = cls.__new__(cls)
-        out.shift, out.scalars, out.ops = int(shift), scalars, None
-        return out
+        return cls._stacked(int(shift), scalars)
 
     def __getitem__(self, idx):
         if self.ops is not None:
@@ -427,6 +446,8 @@ class RowOps:
 
     def apply(self, rows):
         """The operators applied to the rows of a (*shape, n) array."""
+        if self.matrix is not None:
+            return np.matmul(self.matrix, rows[..., None])[..., 0]
         if self.ops is not None:
             flat = rows.reshape(-1, rows.shape[-1])
             return np.array([apply_coeffs(A, x) for A, x
@@ -448,25 +469,68 @@ def apply_rows(ops, rows):
     return (ops if isinstance(ops, RowOps) else RowOps(ops)).apply(rows)
 
 
+def edge_loss(A, rows):
+    """The edge guard of A, judged on every row of a (..., n) block.
+
+    Returns ``(lost, trips)``: the largest magnitude A would drop over the
+    window edge from each row, and whether it exceeds
+    ``LOST_TOL * (1 + |row|_inf)``.  Only a weighted shift by s != 0 drops
+    coordinates; for any other operator it returns None.
+    """
+    if A.matrix is not None or A.shift == 0:
+        return None
+    kept, _ = _acting(rows.shape[-1], A.shift)
+    edge = slice(kept.stop, None) if A.shift > 0 else slice(0, kept.start)
+    lost = np.abs(A.scalars[edge] * rows[..., edge]).max(axis=-1)
+    return lost, lost > LOST_TOL * (1.0 + np.abs(rows).max(axis=-1))
+
+
 def op_apply(A, v, check_loss=True):
     """Apply A to v.  Weighted shifts never materialize a matrix.
 
     A shift by s drops the |s| coefficients it pushes over the window edge;
     if the largest dropped magnitude exceeds ``LOST_TOL * (1 + |v|_inf)`` a
     :class:`TruncationError` is raised (``check_loss=False`` disables the
-    guard, for callers that have already accounted for the boundary).
+    guard, for callers that have already accounted for the boundary).  The
+    guard is :func:`edge_loss` on the single row v.
     """
     if v.window != A.domain:
         raise PreconditionError("vector window does not match operator domain")
-    if check_loss and A.matrix is None and A.shift != 0:
-        kept, _ = _acting(len(v.coeffs), A.shift)
-        edge = slice(kept.stop, None) if A.shift > 0 else slice(0, kept.start)
-        lost = float(np.abs(A.scalars[edge] * v.coeffs[edge]).max())
-        if lost > LOST_TOL * (1.0 + float(np.abs(v.coeffs).max())):
-            raise TruncationError(
-                f"shift drops coefficient of magnitude {lost:.3e}; "
-                "window too small")
+    guard = edge_loss(A, v.coeffs) if check_loss else None
+    if guard is not None and guard[1]:
+        raise TruncationError(
+            f"shift drops coefficient of magnitude {guard[0]:.3e}; "
+            "window too small")
     return SeqVec(A.codomain, apply_coeffs(A, v.coeffs), v.p)
+
+
+def transport_rows(ops, rows, p):
+    """Carry every row of an (m, n) block through ``ops``, under the guard.
+
+    Step l applies ``ops[l]`` to all live rows at once (one
+    :meth:`RowOps.shared` application) and records their l^p norms.  A row
+    whose step would trip the edge guard of :func:`edge_loss` -- exactly
+    where :func:`op_apply` would raise -- is retired before that step, as
+    ``DiffeoSystem.map_rows`` judges its rows.  Returns ``(norms, tripped,
+    last)``: the (m, len(ops)) table whose entry (i, l) is the norm of row
+    i after l + 1 steps, NaN from the step at which the row tripped on;
+    the (m,) mask of the rows that tripped; and the rows that never
+    tripped, after the last step.  Every entry carries the bits of
+    ``op_apply`` and ``norm`` applied one row at a time.
+    """
+    rows = np.asarray(rows, dtype=float)
+    norms = np.full((len(rows), len(ops)), np.nan)
+    live = np.arange(len(rows))
+    for l, A in enumerate(ops):
+        guard = edge_loss(A, rows)
+        if guard is not None and guard[1].any():
+            keep = ~guard[1]
+            live, rows = live[keep], rows[keep]
+        rows = RowOps.shared(A).apply(rows)
+        norms[live, l] = row_norms(rows, p)
+    tripped = np.ones(len(norms), dtype=bool)
+    tripped[live] = False
+    return norms, tripped, rows
 
 
 def _dense_two_norm(m):

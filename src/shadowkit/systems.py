@@ -28,7 +28,8 @@ import numpy as np
 
 from .seqcore import (
     Window, SeqVec, OperatorSeq, RowOps, norm, op_apply, compose, row_norms,
-    diag, shift_diag, PreconditionError, TruncationError, LOST_TOL,
+    diag, shift_diag, ConvergenceError, PreconditionError, TruncationError,
+    LOST_TOL,
 )
 from .clstruct import ProjPair, CLCertificate
 
@@ -45,6 +46,11 @@ __all__ = [
 END_SLACK = 1e-12
 #: distance from the window edges kept by ``sample_interior_points``
 SUPPORT_MARGIN = 4
+#: Newton steps the Morse-Smale profile's inverse may take
+NEWTON_MAX_STEPS = 60
+#: multiple of the profile series' rounding scale (``_MSProfile.reach``)
+#: that its inverse accepts as residual when Newton misses the 1e-15 stop
+NEWTON_SLACK = 16.0
 
 
 @dataclass(frozen=True)
@@ -364,6 +370,10 @@ class _MSProfile:
     outside; the real exponent s > 2 is chosen so that a(1) = 1 exactly.
     Both a and a' evaluate through the binomial series of (1 - t^2)^s,
     a polynomial in x^2 with coefficients decaying like j^{-s-1}.
+    :meth:`value_deriv` evaluates the two series in one Horner pass, and
+    :meth:`inverse_deriv` returns the derivative that Newton's last pass
+    computed at the inverse; each carries the bits of :meth:`value`,
+    :meth:`deriv` and :meth:`inverse`.
     """
 
     def __init__(self, lam1):
@@ -387,12 +397,31 @@ class _MSProfile:
             j += 1
         self.cj = np.array(coeffs)                       # a' series
         self.dj = self.cj / (2 * np.arange(len(coeffs)) + 1.0)  # a series
+        # the rounding error the a series carries near |x| = 1, where its
+        # terms cancel most: Newton's residual cannot go far below it
+        self.reach = np.finfo(float).eps * self.K * np.abs(self.dj).sum()
+        # the a and a' series side by side, one (2, 1) column per power,
+        # for one Horner pass over the stacked rows [u, u]
+        self.dcj = list(np.stack([self.dj, self.cj], axis=-1)[:, :, None])
 
-    def _poly(self, coeffs, u):
-        acc = np.zeros_like(u)
+    @staticmethod
+    def _poly(coeffs, u):
+        acc = np.zeros(np.shape(u))
         for c in coeffs[::-1]:
-            acc = acc * u + c
+            acc *= u
+            acc += c
         return acc
+
+    def value_deriv(self, x):
+        """``(value(x), deriv(x))`` from one Horner pass over [u, u]."""
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        u = (np.minimum(ax, 1.0) ** 2).ravel()
+        both = self._poly(self.dcj, np.stack([u, u])).reshape((2,) + x.shape)
+        inner = self.lam1 * x + self.K * x * both[0]
+        outer = np.sign(x) * (1.0 + self.lam1 * (ax - 1.0))
+        return (np.where(ax <= 1.0, inner, outer),
+                np.where(ax <= 1.0, self.lam1 + self.K * both[1], self.lam1))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -417,20 +446,40 @@ class _MSProfile:
         inner = self.K * 2.0 * x * self._poly(dcoef, u)
         return np.where(ax <= 1.0, inner, 0.0)
 
-    def inverse(self, y):
+    def inverse_deriv(self, y):
+        """The inverse x = a^{-1}(y) and a'(x), by Newton's method.
+
+        On the inner branch a is concave-increasing for y > 0 and the start
+        y*lam1 sits below the root, so iterates increase monotonically
+        (mirrored for y < 0); about 6 steps reach the 1e-15 stop.  When
+        NEWTON_MAX_STEPS steps miss it, the last iterate is returned if its
+        residual is within ``NEWTON_SLACK * reach * (1 + |y|_inf)``, the
+        accuracy the series can reach (near |x| = 1 and for lam1 below
+        about 0.45 that is above the stop), and :class:`ConvergenceError`
+        is raised otherwise, a NaN residual included.
+        """
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
         outer = np.sign(y) * (1.0 + (ay - 1.0) / self.lam1)
         x = np.where(ay <= 1.0, y * self.lam1, outer)
-        # Newton on the inner branch: a is concave-increasing for y > 0 and
-        # the start y*lam1 sits below the root, so iterates increase
-        # monotonically (mirrored for y < 0); ~6 steps reach 1e-15.
-        for _ in range(60):
-            fx = self.value(x) - y
-            if np.max(np.abs(fx)) <= 1e-15 * (1.0 + np.max(ay, initial=0.0)):
+        stop = 1e-15 * (1.0 + np.max(ay, initial=0.0))
+        for step in range(NEWTON_MAX_STEPS + 1):
+            val, dx = self.value_deriv(x)
+            fx = val - y
+            if np.max(np.abs(fx)) <= stop:
+                return x, dx
+            if step == NEWTON_MAX_STEPS:
                 break
-            x = x - fx / self.deriv(x)
-        return x
+            x = x - fx / dx
+        if np.max(np.abs(fx)) <= NEWTON_SLACK * self.reach * (
+                1.0 + np.max(ay, initial=0.0)):
+            return x, dx
+        raise ConvergenceError(
+            f"Morse-Smale profile inverse still off by "
+            f"{np.max(np.abs(fx)):.3g} after {NEWTON_MAX_STEPS} Newton steps")
+
+    def inverse(self, y):
+        return self.inverse_deriv(y)[0]
 
 
 def _ms_measure_constant(profile, lam2, horizon=60):
@@ -444,9 +493,8 @@ def _ms_measure_constant(profile, lam2, horizon=60):
     prod = np.ones_like(xs)
     cur = xs.copy()
     for nstep in range(1, horizon + 1):
-        d = profile.deriv(cur)
+        cur, d = profile.value_deriv(cur)
         prod = prod * d
-        cur = profile.value(cur)
         worst = max(worst, float(np.max(prod / lam2 ** nstep)))
         if n0 == 0 and np.all(d <= lam2):
             n0 = nstep
@@ -455,8 +503,8 @@ def _ms_measure_constant(profile, lam2, horizon=60):
     prod = np.ones_like(xs)
     cur = xs.copy()
     for nstep in range(1, horizon + 1):
-        cur = profile.inverse(cur)
-        prod = prod / profile.deriv(cur)
+        cur, d = profile.inverse_deriv(cur)
+        prod = prod / d
         worst = max(worst, float(np.max(np.abs(prod) / lam2 ** nstep)))
     return worst, max(n0, 1)
 
@@ -487,7 +535,7 @@ def make_ms_product(params, window, p=2.0, name="ms_product"):
         return diag(window, profile.deriv(x.coeffs))
 
     def dinverse(y):
-        return diag(window, 1.0 / profile.deriv(profile.inverse(y.coeffs)))
+        return diag(window, 1.0 / profile.inverse_deriv(y.coeffs)[1])
 
     C_emp, n0 = _ms_measure_constant(profile, params.lam2)
     C_cert = math.ceil(C_emp * 1.02 * 1e6) / 1e6

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, diag, shift_diag, identity_op, norm,
-    op_apply, PreconditionError,
+    Window, SeqVec, OperatorSeq, LinOp, dense, diag, shift_diag, identity_op,
+    norm, op_apply, PreconditionError, TruncationError,
 )
 from shadowkit.clstruct import (
     ProjPair, CLCertificate, constant_cert,
     verify_cl_diffeo, verify_cl_opseq, verify_dichotomy, verify_cocycle_cl,
-    _directions,
+    _decay_scan, _directions,
 )
 from shadowkit.systems import (
     make_system, make_linear_example_seq, linear_example_cert,
@@ -224,6 +224,11 @@ def _directions_by_basis(pair_side, window, p, n_dirs, rng):
     return dirs
 
 
+def _assert_same_directions(got, want, w):
+    assert got.shape == (len(want), w.length)
+    assert [r.tobytes() for r in got] == [v.coeffs.tobytes() for v in want]
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_diagonal_directions_match_basis_vector_loop(p):
     rng = np.random.default_rng(5)
@@ -239,7 +244,107 @@ def test_diagonal_directions_match_basis_vector_loop(p):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _directions(diag(w, c), w, p, 3, rng_a)
             want = _directions_by_basis(diag(w, c), w, p, 3, rng_b)
-            assert [v.coeffs.tobytes() for v in got] == \
-                [v.coeffs.tobytes() for v in want]
-            assert all(v.p == p and v.window == w for v in got)
+            _assert_same_directions(got, want, w)
             assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_dense_and_shifted_directions_match_basis_vector_loop(p):
+    rng = np.random.default_rng(6)
+    for trial in range(30):
+        w = Window(-int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+        n = w.length
+        # a dense oblique projection, a general dense map, one whose images
+        # fall between the two norm floors, a shift whose edge scalars stay
+        # below the guard, and one whose edge trips it
+        V = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        keep = np.diag((rng.random(n) < 0.5).astype(float))
+        edge = rng.uniform(-1.0, 1.0, n)
+        sides = [dense(V @ keep @ np.linalg.inv(V), w),
+                 dense(rng.standard_normal((n, n)), w),
+                 dense(1e-13 * np.eye(n), w),
+                 shift_diag(w, np.where(rng.random(n) < 0.3, 0.0, edge), 1),
+                 shift_diag(w, edge, -int(rng.integers(1, 3)))]
+        sides[3].scalars[-1] = 1e-16
+        for side in sides:
+            seed = int(rng.integers(2 ** 31))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                want = _directions_by_basis(side, w, p, 4, rng_b)
+            except TruncationError:
+                with pytest.raises(TruncationError):
+                    _directions(side, w, p, 4, rng_a)
+                continue
+            _assert_same_directions(_directions(side, w, p, 4, rng_a), want, w)
+            assert rng_a.random() == rng_b.random()
+
+
+def _decay_scan_by_direction(dirs, ops, C, lam, p, witnesses, label):
+    # reference: one direction at a time through op_apply, stopping at the
+    # direction's first trip; a strictly larger ratio replaces the witness
+    worst = 0.0
+    for i, x in enumerate(dirs):
+        u = SeqVec(Window(0, len(x) - 1), x, p)
+        for n, A in enumerate(ops, start=1):
+            try:
+                u = op_apply(A, u)
+            except TruncationError:
+                break
+            ratio = norm(u) / (C * lam ** n)
+            if ratio > worst:
+                worst = ratio
+                witnesses[label] = {"direction": i, "n": n, "ratio": ratio}
+    return worst
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_decay_scan_matches_direction_by_direction_loop(p):
+    # shifts that trip mid-scan, dense operators, diagonals and mixed lists
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(1, 10))
+        w = Window(0, n - 1)
+        kinds = [("shift", "dense", "diag")[int(rng.integers(0, 3))]
+                 for _ in range(int(rng.integers(0, 9)))]
+        if trial % 4 == 0:
+            kinds = ["shift"] * len(kinds)
+        ops = []
+        for kind in kinds:
+            if kind == "dense":
+                ops.append(dense(rng.uniform(-1.2, 1.2, (n, n)), w))
+            else:
+                s = int(rng.integers(-2, 3)) if kind == "shift" else 0
+                ops.append(shift_diag(w, rng.uniform(-1.5, 1.5, n), s))
+        dirs = rng.standard_normal((int(rng.integers(0, 8)), n))
+        dirs[::2, :n // 2] = 0.0
+        dirs[dirs.any(axis=1)] /= np.linalg.norm(dirs[dirs.any(axis=1)],
+                                                 axis=1)[:, None]
+        C, lam = float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.3, 0.9))
+        got, want = {"before": 1}, {"before": 1}
+        worst = _decay_scan(dirs, ops, C, lam, p, got, "decay")
+        assert worst == _decay_scan_by_direction(dirs, ops, C, lam, p, want,
+                                                 "decay")
+        assert type(worst) is float
+        assert got == want and list(got) == list(want)
+        assert json.dumps(got) == json.dumps(want)
+
+
+def test_operator_sequence_inverts_each_operator_once(monkeypatch):
+    calls = []
+    real = LinOp.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LinOp, "inverse", counted)
+    w = Window(-6, 6)
+    seq = make_linear_example_seq(w, range(-5, 6))
+    rep = verify_cl_opseq(seq, linear_example_cert(w), horizon=4, n_dirs=2)
+    assert rep.passed
+    assert len(calls) == len(seq.ops)
+    assert len({id(A) for A in calls}) == len(seq.ops)
+    periodic = OperatorSeq(0, seq.ops[:3], period=3)
+    calls.clear()
+    verify_cl_opseq(periodic, linear_example_cert(w), horizon=7, n_dirs=2)
+    assert len(calls) == 3

@@ -19,7 +19,8 @@ from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes, _diff_norm,
                                rate_upgrade_steps, series_gain,
                                upgraded_constant)
 from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError, SeqVec,
-                               Window, dense, diag, op_norm, shift_diag, sub)
+                               TruncationError, Window, dense, diag, norm,
+                               op_apply, op_norm, shift_diag, sub)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                linear_example_cert, make_linear_example_seq,
                                make_weighted_shift)
@@ -535,3 +536,103 @@ def test_edge_scalars_of_a_shift_count_only_in_the_eps_gate():
     sol = neumann_perturbed_solve(InhomProblem(OperatorSeq(0, [B_gap] * n), w),
                                   OperatorSeq(0, [A] * n), f.cert, eps=eps)
     assert sol.max_residual <= 1e-10 * (1.0 + sol.sup_norm)
+
+
+def _directions_by_basis(side, W, p, n_dirs, rng):
+    # reference: the projection applied to every basis vector, then to
+    # n_dirs random vectors, one op_apply each
+    dirs = []
+    for j in W.indices():
+        v = op_apply(side, SeqVec.basis(W, j, p))
+        if norm(v) > 1e-14:
+            dirs.append(v.with_coeffs(v.coeffs / norm(v)))
+    for _ in range(n_dirs):
+        v = op_apply(side, SeqVec(W, rng.standard_normal(W.length), p))
+        if norm(v) > 1e-12:
+            dirs.append(v.with_coeffs(v.coeffs / norm(v)))
+    return dirs
+
+
+def _transfer_scan_by_direction(pc, pert, lam1, p, period):
+    # reference for the transfer's N-step decay scan: one direction at a
+    # time, skipped at its first trip of the edge guard
+    N = rate_upgrade_steps(pc.base.C, pc.base.lam, lam1)
+    n_ops = len(pert.ops)
+    n_times = n_ops if period else n_ops + 1
+    b_ops = [pert.op_at(pert.lo + j) for j in range(n_ops)]
+    b_inv = [op.inverse() for op in b_ops]
+    pairs = [pc.result.proj_at(pert.lo + j) for j in range(n_times)]
+    W = b_ops[0].domain
+    rng = np.random.default_rng(0)
+    out = {"C1_empirical": 0.0, "n_step_worst": 0.0, "decay_checked": 0,
+           "decay_skipped": 0}
+
+    def scan(side, ops):
+        for v in _directions_by_basis(side, W, p, 6, rng):
+            cur, ratios = v, []
+            try:
+                for A in ops:
+                    cur = op_apply(A, cur)
+                    ratios.append(norm(cur) / norm(v))
+            except TruncationError:
+                out["decay_skipped"] += 1
+                continue
+            for n, r in enumerate(ratios, start=1):
+                out["C1_empirical"] = max(out["C1_empirical"], r / lam1 ** n)
+            out["n_step_worst"] = max(out["n_step_worst"], ratios[-1])
+            out["decay_checked"] += 1
+
+    fwd_js = [j for j in range(n_times) if period or j + N <= n_ops]
+    bwd_js = [j for j in range(n_times) if period or j - N >= 0]
+    for j in fwd_js[::max(1, len(fwd_js) // 12)]:
+        scan(pairs[j].P, [b_ops[(j + l) % n_ops] for l in range(N)])
+    for j in bwd_js[::max(1, len(bwd_js) // 12)]:
+        scan(pairs[j].Q, [b_inv[(j - 1 - l) % n_ops] for l in range(N)])
+    return out
+
+
+def _assert_scan_matches_reference(pc, pert, lam1, p, period=None):
+    want = _transfer_scan_by_direction(pc, pert, lam1, p, period)
+    assert {key: pc.meta[key] for key in want} == want
+    return want
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_transfer_decay_scan_matches_direction_by_direction_loop(p):
+    # weighted shifts along an orbit: coordinate directions near the right
+    # edge trip the guard within the N-step scan, some at its last step
+    W = Window(-16, 32)
+    f = make_weighted_shift(LinearShiftFamily(), 0.5, 2.0, W, p)
+    g = make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), 1e-4),
+                            0.5002, 2.001, W, p, name="wobbly_shift")
+    coeffs = np.zeros(W.length)
+    coeffs[W.offset(-2):W.offset(3)] = [0.04, -0.03, 0.05, 0.02, -0.01]
+    orbit = g.orbit(SeqVec(W, coeffs, p), 0, 14)
+    zero = SeqVec(W, np.zeros(W.length), p)
+    pair = f.cert.proj_at(zero)
+    cert = CLCertificate(f.cert.C, f.cert.lam, f.cert.R, lambda _k: pair)
+    seq = OperatorSeq(0, [f.dforward(x) for x in orbit])
+    pseq = OperatorSeq(0, [g.dforward(x) for x in orbit])
+    for lam1 in (0.75, 0.55):
+        pc = graph_transform_seq(seq, cert, pseq, lam1, p=p)
+        want = _assert_scan_matches_reference(pc, pseq, lam1, p)
+        assert want["decay_skipped"] > 0 and want["decay_checked"] > 0
+
+    # a dense perturbation with a nonzero tilt, aperiodic and periodic
+    if p == 2.0:
+        eps = 1e-4
+        seq, cert, pseq = _dense_perturbation_route(Window(-10, 10), 12, eps)
+        pc = graph_transform_seq(seq, cert, pseq, 0.75, eps=eps)
+        assert pc.graph.attained > 0.0
+        _assert_scan_matches_reference(pc, pseq, 0.75, p)
+    W = Window(0, 3)
+    rng = np.random.default_rng(5)
+    ops = [diag(W, np.array([0.5, 0.4, 2.0, 2.5]) * (1.0 + 0.01 * k))
+           for k in range(3)]
+    pert = [dense(op.to_dense_matrix() + 2e-4 * rng.uniform(-1, 1, (4, 4)), W)
+            for op in ops]
+    pseq = OperatorSeq(0, pert, period=3)
+    pc = graph_transform_periodic(OperatorSeq(0, ops, period=3),
+                                  coordinate_cert(W, [1.0, 1.0, 0.0, 0.0]),
+                                  pseq, 0.75, p=p)
+    _assert_scan_matches_reference(pc, pseq, 0.75, p, period=3)

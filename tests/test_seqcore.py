@@ -9,7 +9,7 @@ from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
     apply_coeffs, apply_rows, coeff_norm, row_norms, anchor_index, LOST_TOL,
-    RowOps,
+    RowOps, edge_loss, transport_rows,
     ConvergenceError, PreconditionError, TruncationError,
 )
 
@@ -497,3 +497,94 @@ def test_anchor_index_finds_the_first_nearest_row(seed, m, n, p):
     off = v.with_coeffs(v.coeffs + 1e-3 * (1.0 + np.abs(rows).max()))
     with pytest.raises(PreconditionError, match="not on the certified orbit"):
         anchor_index(rows, off)
+
+
+def test_shared_dense_operator_acts_as_one_matrix_times_vector_per_row():
+    # one stacked mat-vec per block, each row with the bits of M @ x (the
+    # plain product rows @ M.T sums in another order)
+    rng = np.random.default_rng(9)
+    for n in range(1, 131):
+        w = Window(0, n - 1)
+        A = dense(rng.standard_normal((n, n)), w)
+        rows = rng.standard_normal((2, 3, n))
+        want = np.array([[A.matrix @ x for x in r] for r in rows])
+        shared = RowOps.shared(A)
+        assert shared.apply(rows).tobytes() == want.tobytes()
+        assert shared.apply(rows[1]).tobytes() == want[1].tobytes()
+        # a strided view of the rows takes the same mat-vec
+        assert shared.apply(rows[:, 1]).tobytes() == want[:, 1].tobytes()
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(-9, 9))
+def test_edge_loss_reads_the_dropped_mass_row_by_row(seed, n, s):
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    A = _random_shift(rng, w, s)
+    # rows around the guard: zero, sub-threshold and large edge mass, and
+    # whole rows near the absolute floor LOST_TOL
+    rows = rng.standard_normal((16, n)) * rng.choice(
+        [0.0, 1e-13, 3e-13, 1.0], (16, n))
+    rows[::3] = 1e-12 * rng.standard_normal((len(rows[::3]), n))
+    guard = edge_loss(A, rows)
+    if s == 0:
+        assert guard is None
+        return
+    lost, trips = guard
+    for x, got_lost, tripped in zip(rows, lost, trips):
+        # reference: the dense view's dropped coordinates, read explicitly
+        dropped = max(abs(A.scalars[j] * x[j]) for j in range(n)
+                      if j not in _kept(n, s))
+        assert got_lost == dropped
+        assert tripped == (dropped > LOST_TOL * (1.0 + np.max(np.abs(x))))
+        if tripped:
+            with pytest.raises(TruncationError):
+                op_apply(A, SeqVec(w, x))
+        else:
+            op_apply(A, SeqVec(w, x))
+    assert edge_loss(dense(A.to_dense_matrix(), w), rows) is None
+
+
+def _transport_row_by_row(ops, rows, p):
+    # reference: each row alone through op_apply, until its first trip
+    norms = np.full((len(rows), len(ops)), np.nan)
+    tripped, last = [], []
+    for i, x in enumerate(rows):
+        u = SeqVec(Window(0, len(x) - 1), x, p)
+        try:
+            for l, A in enumerate(ops):
+                u = op_apply(A, u)
+                norms[i, l] = norm(u)
+        except TruncationError:
+            tripped.append(True)
+            continue
+        tripped.append(False)
+        last.append(u.coeffs)
+    return norms, np.array(tripped, dtype=bool), last
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(0, 7),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
+def test_transport_rows_matches_row_by_row_op_apply(seed, n, steps, p):
+    # mixed lists of shifts (which trip mid-scan), diagonals and dense
+    # operators, over rows some of which stay clear of the window edge
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    ops = []
+    for _ in range(steps):
+        kind = rng.integers(0, 3)
+        if kind == 2:
+            ops.append(dense(rng.standard_normal((n, n)), w))
+        else:
+            ops.append(_random_shift(rng, w, int(rng.integers(-2, 3))
+                                     if kind else 0))
+    rows = rng.standard_normal((10, n))
+    rows[::2, :n // 2] = 0.0
+    rows[1::3, n // 2:] = 0.0
+    norms, tripped, last = transport_rows(ops, rows, p)
+    want_norms, want_tripped, want_last = _transport_row_by_row(ops, rows, p)
+    assert norms.tobytes() == want_norms.tobytes()
+    assert tripped.tolist() == want_tripped.tolist()
+    assert last.shape == (len(want_last), n)
+    assert last.tobytes() == np.array(want_last).reshape(-1, n).tobytes()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.semiconj import translate_system
+from shadowkit import systems
 from shadowkit.seqcore import (
     Window, SeqVec, norm, op_apply, identity_op, apply_coeffs,
-    PreconditionError, TruncationError,
+    ConvergenceError, PreconditionError, TruncationError,
 )
 from shadowkit.systems import (
     DiffeoSystem, MSMapParams, s_remainder, make_weighted_shift,
@@ -208,6 +209,68 @@ def test_ms_profile_inverse_accuracy():
     ys = np.linspace(-3, 3, 1001)
     xs = prof.inverse(ys)
     assert np.max(np.abs(prof.value(xs) - ys)) <= 1e-13
+
+
+def _newton_inverse_two_pass(prof, y):
+    # reference: Newton with the value and derivative series evaluated in
+    # two separate Horner passes, stopping at 1e-15
+    y = np.asarray(y, dtype=float)
+    ay = np.abs(y)
+    x = np.where(ay <= 1.0, y * prof.lam1,
+                 np.sign(y) * (1.0 + (ay - 1.0) / prof.lam1))
+    for _ in range(60):
+        fx = prof.value(x) - y
+        if np.max(np.abs(fx)) <= 1e-15 * (1.0 + np.max(ay, initial=0.0)):
+            break
+        x = x - fx / prof.deriv(x)
+    return x
+
+
+@pytest.mark.parametrize("lam1", [0.5, 0.7])
+def test_ms_profile_one_pass_series_match_separate_passes(lam1):
+    prof = _MSProfile(lam1)
+    rng = np.random.default_rng(3)
+    for xs in (np.linspace(-3.0, 3.0, 601), rng.uniform(-1.2, 1.2, (4, 33)),
+               np.array(0.37), np.array([-1.0, 0.0, 1.0])):
+        v, d = prof.value_deriv(xs)
+        assert v.shape == d.shape == xs.shape
+        assert v.tobytes() == prof.value(xs).tobytes()
+        assert d.tobytes() == prof.deriv(xs).tobytes()
+        x, dx = prof.inverse_deriv(xs)
+        want = _newton_inverse_two_pass(prof, xs)
+        assert x.tobytes() == prof.inverse(xs).tobytes() == want.tobytes()
+        assert dx.tobytes() == prof.deriv(want).tobytes()
+
+
+def test_ms_profile_inverse_raises_when_newton_misses_its_stop(monkeypatch):
+    prof = _MSProfile(0.5)
+    ys = np.linspace(-0.9, 0.9, 7)
+    with pytest.raises(ConvergenceError, match="after 60 Newton steps"):
+        prof.inverse(np.append(ys, np.nan))
+    monkeypatch.setattr(systems, "NEWTON_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 Newton steps"):
+        prof.inverse(ys)
+    with pytest.raises(ConvergenceError):
+        make_system("ms_product", W).dinverse(SeqVec(W, np.full(W.length, 0.6)))
+    # the outer branch is linear: its start is already the inverse
+    assert prof.inverse(np.array([2.0, -3.0])).tolist() == [3.0, -5.0]
+
+
+def test_ms_profile_inverse_accepts_what_the_series_can_reach(monkeypatch):
+    # for lam1 below about 0.45 the series cannot meet the 1e-15 stop near
+    # the fixed points +-1 (at lam1 = 0.4 it misses by 3e-15 at +-1.0);
+    # the inverse returns there, within its slack
+    prof = _MSProfile(0.4)
+    ys = np.array([1.0, -1.0])
+    x = prof.inverse(ys)
+    assert np.max(np.abs(prof.value(x) - ys)) <= systems.NEWTON_SLACK * prof.reach * 2.0
+    monkeypatch.setattr(systems, "NEWTON_SLACK", 0.0)
+    with pytest.raises(ConvergenceError, match="after 60 Newton steps"):
+        prof.inverse(ys)
+    monkeypatch.undo()
+    ms = make_system("ms_product", W, lam1=0.4, M=6.0)
+    for c in (1.0, -1.0):
+        ms.dinverse(SeqVec(W, np.full(W.length, c)))
 
 
 def test_ms_basin_iteration_converges_to_one():
