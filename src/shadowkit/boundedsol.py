@@ -115,8 +115,8 @@ class BoundedSolution:
         return self.v[k]
 
 
-def _vec_add(x, y, cx=1.0, cy=1.0):
-    return x.with_coeffs(cx * x.coeffs + cy * y.coeffs)
+def _vec_add(x, y, cy=1.0):
+    return x.with_coeffs(x.coeffs + cy * y.coeffs)
 
 
 def _solution(prob, rows, period=None, meta=None):
@@ -240,13 +240,13 @@ def periodic_green_solve(prob, cert):
     return _solution(prob, np.array(rows), period=m, meta={"tail_depth": T})
 
 
-def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps,
-                            max_iter=200, tol=1e-13):
+def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):
     """Bounded solution for B_k = A_k + Delta_k via the unperturbed solver.
 
     Iterates v <- S_A(w + Delta v), where S_A is the distinguished solver
-    for the base sequence; successive differences contract by L*eps, so
-    eps must stay below 1/(2L).  The difference norms are recorded in
+    for the base sequence, until a step moves v by at most 1e-13 (1 + |v|)
+    (200 steps at most); successive differences contract by L*eps, so eps
+    must stay below 1/(2L).  The difference norms are recorded in
     ``meta['diff_norms']`` and the final residual is taken against B.
     """
     L = perron_constant(base_cert.C, base_cert.lam)
@@ -268,7 +268,7 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps,
     base = perron_solve(InhomProblem(base_seq, prob_b.w, prob_b.w_bound), base_cert)
     v = base.v
     diff_norms = []
-    for _ in range(max_iter):
+    for _ in range(200):
         forced = dict(prob_b.w)
         for k in range(a + 1, b + 1):
             dv = op_apply(deltas[k - 1], v[k - 1], check_loss=False)
@@ -277,11 +277,11 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps,
         diff = max(norm(_vec_add(vn[k], v[k], cy=-1.0)) for k in vn)
         diff_norms.append(diff)
         v = vn
-        if diff <= tol * (1.0 + max(norm(x) for x in v.values())):
+        if diff <= 1e-13 * (1.0 + max(norm(x) for x in v.values())):
             break
     else:
         raise ConvergenceError(
-            f"perturbed solve did not converge in {max_iter} iterations "
+            f"perturbed solve did not converge in 200 iterations "
             f"(last difference {diff_norms[-1]:.3g}); the perturbation "
             f"likely violates its bound")
     return _solution(prob_b, np.array([v[k].coeffs for k in range(a, b + 1)]),
@@ -328,19 +328,19 @@ def banded_direct_solve(prob, cert, max_unknowns=20_000):
     return out
 
 
-def random_hyperbolic_instance(dim, length, rng, lam=0.5, lo=0, p=2.0):
+def random_hyperbolic_instance(dim, length, rng):
     """A random dense hyperbolic sequence with unit-C splitting, plus forcing.
 
-    Orthonormal frames U_k are drawn per time point and the operators are
-    A_k = U_{k+1} D_k U_k^T with |D| in [lam/2, lam] on the stable block
-    and [2, 3] on the unstable one, so the frame splitting is exactly
-    invariant and decays at rate lam with C = 1.  Returns the problem and
-    its certificate.
+    Orthonormal frames U_k are drawn per time point 0 .. length on the
+    window [0, dim - 1], and A_k = U_{k+1} D_k U_k^T with |D| in [1/4, 1/2]
+    on the stable block and [2, 3] on the unstable one, so the frame
+    splitting is exactly invariant and decays at rate 1/2 with C = 1.
+    Returns the problem (in l^2) and its certificate.
     """
     from .clstruct import ProjPair, CLCertificate
     from .seqcore import Window
 
-    win = Window(lo, lo + dim - 1)
+    win = Window(0, dim - 1)
     s_dim = int(rng.integers(1, dim))
     frames = []
     for _ in range(length + 1):
@@ -348,7 +348,7 @@ def random_hyperbolic_instance(dim, length, rng, lam=0.5, lo=0, p=2.0):
         frames.append(q * np.sign(np.diag(r)))
     ops = []
     for k in range(length):
-        mags = np.concatenate([rng.uniform(0.5 * lam, lam, s_dim),
+        mags = np.concatenate([rng.uniform(0.25, 0.5, s_dim),
                                rng.uniform(2.0, 3.0, dim - s_dim)])
         d = mags * rng.choice([-1.0, 1.0], dim)
         ops.append(dense(frames[k + 1] @ np.diag(d) @ frames[k].T, win))
@@ -356,11 +356,11 @@ def random_hyperbolic_instance(dim, length, rng, lam=0.5, lo=0, p=2.0):
     for k, U in enumerate(frames):
         Us = U[:, :s_dim]
         Ps = dense(Us @ Us.T, win)
-        pairs[lo + k] = ProjPair(Ps, dense(np.eye(dim) - Us @ Us.T, win))
-    cert = CLCertificate(1.0, lam, 3.5, lambda k: pairs[k],
+        pairs[k] = ProjPair(Ps, dense(np.eye(dim) - Us @ Us.T, win))
+    cert = CLCertificate(1.0, 0.5, 3.5, lambda k: pairs[k],
                          meta={"stable_dim": s_dim})
     w = {}
-    for k in range(lo + 1, lo + length + 1):
+    for k in range(1, length + 1):
         raw = rng.standard_normal(dim)
-        w[k] = SeqVec(win, rng.uniform(0.2, 1.0) * raw / np.linalg.norm(raw), p)
-    return InhomProblem(OperatorSeq(lo, ops), w), cert
+        w[k] = SeqVec(win, rng.uniform(0.2, 1.0) * raw / np.linalg.norm(raw))
+    return InhomProblem(OperatorSeq(0, ops), w), cert

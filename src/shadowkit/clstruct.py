@@ -36,6 +36,8 @@ __all__ = [
 
 ALGEBRAIC_TOL = 1e-9
 DECAY_TOL = 1e-6
+#: random directions scanned per projection image, beyond the coordinate ones
+N_DIRS = 16
 
 
 @dataclass(frozen=True)
@@ -45,15 +47,15 @@ class ProjPair:
     P: object
     Q: object
 
-    def validate(self, p=2.0, tol=1e-10):
-        """Check complementarity (to 1e-12) and idempotence (to tol)."""
+    def validate(self, p=2.0):
+        """Check complementarity (to 1e-12) and idempotence (to 1e-10)."""
         mp = self.P.to_dense_matrix()
         mq = self.Q.to_dense_matrix()
         eye = np.eye(mp.shape[0])
         if np.max(np.abs(mp + mq - eye)) > 1e-12:
             raise PreconditionError("P + Q differs from the identity")
         for m, label in ((mp, "P"), (mq, "Q")):
-            if np.max(np.abs(m @ m - m)) > tol:
+            if np.max(np.abs(m @ m - m)) > 1e-10:
                 raise PreconditionError(f"{label} is not idempotent")
         return True
 
@@ -206,7 +208,7 @@ def _proj_lipschitz(pairs_pts, p):
     return worst
 
 
-def _verify(cert, key, samples, local, n_dirs, seed):
+def _verify(cert, key, samples, local, n_dirs):
     """The loop shared by the splitting verifiers.
 
     ``samples`` lists ``(label, item, window, p)``: the witness label, the
@@ -216,9 +218,9 @@ def _verify(cert, key, samples, local, n_dirs, seed):
     and its forward/backward operator lists.  Per sample the pair is
     validated, its norms and inclusion residual recorded, and unit
     directions of the stable (then unstable) image are scanned for decay
-    against C lam^n.
+    against C lam^n, n_dirs random ones from one stream seeded with 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam)
     for label, item, window, p in samples:
         pair = cert.proj_at(item)
@@ -242,36 +244,38 @@ def _verify(cert, key, samples, local, n_dirs, seed):
     return _merge_pass(rep)
 
 
-def verify_cl_diffeo(sys, cert, points, horizon=12, n_dirs=16, seed=0):
+def verify_cl_diffeo(sys, cert, points, horizon=12):
     """Check the splitting structure of a diffeomorphism at sampled points.
 
     Per point x: projection norms <= C; one-step leakage residuals
     |Q_{f(x)} Df(x) P_x| and |P_{f^{-1}(x)} Df^{-1}(x) Q_x| <= ALGEBRAIC_TOL;
     decay of stable directions under forward differentials and of unstable
     directions under backward differentials for n <= horizon, against
-    C lam^n, over all window coordinate directions plus n_dirs random ones.
+    C lam^n, over all window coordinate directions plus N_DIRS random ones.
+    f, Df, f^{-1} and Df^{-1} are evaluated once at x: the residuals read
+    them, and both orbit walks start one step out with them.
     """
     sampled_pairs = []
 
     def local(x, pair):
         sampled_pairs.append((x, pair.P))
-        pair_f = cert.proj_at(sys.forward(x))
-        pair_b = cert.proj_at(sys.inverse(x))
-        res_s = op_norm(compose(pair_f.Q, compose(sys.dforward(x), pair.P)), x.p)
-        res_u = op_norm(compose(pair_b.P, compose(sys.dinverse(x), pair.Q)), x.p)
+        fx, bx = sys.forward(x), sys.inverse(x)
+        dfx, dbx = sys.dforward(x), sys.dinverse(x)
+        res_s = op_norm(compose(cert.proj_at(fx).Q, compose(dfx, pair.P)), x.p)
+        res_u = op_norm(compose(cert.proj_at(bx).P, compose(dbx, pair.Q)), x.p)
         # forward orbit differentials / backward orbit inverse
         # differentials, shortened when the orbit reaches the window guard
-        return (max(res_s, res_u),
-                _orbit_ops(sys.dforward, sys.forward, x, horizon),
-                _orbit_ops(sys.dinverse, sys.inverse, x, horizon))
+        fwd = [dfx] + _orbit_ops(sys.dforward, sys.forward, fx, horizon - 1)
+        bwd = [dbx] + _orbit_ops(sys.dinverse, sys.inverse, bx, horizon - 1)
+        return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
 
     samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    rep = _verify(cert, "point", samples, local, n_dirs, seed)
+    rep = _verify(cert, "point", samples, local, N_DIRS)
     rep.proj_lipschitz = _proj_lipschitz(sampled_pairs, points[0].p if points else 2.0)
     return rep
 
 
-def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16, seed=0, p=2.0,
+def verify_cl_opseq(seq, cert, horizon=12, n_dirs=N_DIRS, p=2.0,
                     indices=None, dichotomy=False):
     """Check the splitting structure of an operator sequence.
 
@@ -316,11 +320,10 @@ def verify_cl_opseq(seq, cert, horizon=12, n_dirs=16, seed=0, p=2.0,
                 [inverse_at(k - 1 - j) for j in range(n_bwd)])
 
     samples = [(k, k, window, p) for k in indices]
-    return _verify(cert, "index", samples, local, n_dirs, seed)
+    return _verify(cert, "index", samples, local, n_dirs)
 
 
-def verify_dichotomy(seq, cert, side="Z", horizon=12, n_dirs=16, seed=0,
-                     p=2.0):
+def verify_dichotomy(seq, cert, side="Z", horizon=12, p=2.0):
     """Exponential dichotomy check on Z+, Z- or Z (within the interval).
 
     Same checks as verify_cl_opseq plus the reverse leakage residual, so a
@@ -340,13 +343,13 @@ def verify_dichotomy(seq, cert, side="Z", horizon=12, n_dirs=16, seed=0,
         if lo > hi:
             raise PreconditionError(f"interval does not meet {side}")
         indices = range(lo, hi + 1)
-    rep = verify_cl_opseq(seq, cert, horizon=horizon, n_dirs=n_dirs,
-                          seed=seed, p=p, indices=indices, dichotomy=True)
+    rep = verify_cl_opseq(seq, cert, horizon=horizon, p=p, indices=indices,
+                          dichotomy=True)
     rep.notes = f"dichotomy check on {side}"
     return rep
 
 
-def verify_cocycle_cl(sys, A, cert, points, horizon=12, n_dirs=16, seed=0):
+def verify_cocycle_cl(sys, A, cert, points, horizon=12):
     """Check the cocycle splitting property of a pair (alpha, A).
 
     ``sys`` supplies the base map alpha (forward/inverse); ``A`` maps a
@@ -371,4 +374,4 @@ def verify_cocycle_cl(sys, A, cert, points, horizon=12, n_dirs=16, seed=0):
         return max(res_s, res_u), fwd_ops, bwd_ops
 
     samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    return _verify(cert, "point", samples, local, n_dirs, seed)
+    return _verify(cert, "point", samples, local, N_DIRS)

@@ -22,7 +22,8 @@ admitted only while its estimated memory, ``_dense_bytes``, stays below
 ``perturbed_cl_for_diffeo`` lifts the construction to diffeomorphisms: an
 orbit of the perturbed map is shadowed by an exact trajectory of the base
 map, the base splitting is read off along the shadow, and the transfer
-runs on the differentials along both orbits.
+runs on the differentials along both orbits.  The shadowing and the read
+are ``shadowed_splitting``, which ``semiconj.make_conjugacy_job`` shares.
 """
 import math
 from dataclasses import dataclass, field
@@ -46,6 +47,7 @@ __all__ = [
     "upgraded_constant",
     "graph_transform_seq",
     "graph_transform_periodic",
+    "shadowed_splitting",
     "perturbed_cl_for_diffeo",
 ]
 
@@ -456,8 +458,8 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     if period is None:
         proj_fn = pair_by_time.__getitem__
     else:
-        def proj_fn(k, _m=period, _lo=lo):
-            return pair_by_time[_lo + (k - _lo) % _m]
+        def proj_fn(k):
+            return pair_by_time[lo + (k - lo) % period]
     result = CLCertificate(C1, lam1, R_res, proj_fn)
 
     graph = GraphMaps(
@@ -538,15 +540,32 @@ def graph_transform_periodic(seq, cert, pert, lam1, *, eps=None, p=2.0):
     return _transfer(seq, cert, pert, lam1, eps, p, m)
 
 
-def perturbed_cl_for_diffeo(f, g, orbit, lam1, *, eps=None):
+def shadowed_splitting(f, ptraj):
+    """f's splitting along the exact f-trajectory shadowing ``ptraj``
+    (periodically when ``ptraj`` is periodic): ``(aseq, cert, sres)``, the
+    differentials of f along the shadow for every step of ``ptraj`` (one
+    period when periodic), f's certificate read there, keyed by time, and
+    the :class:`shadow.ShadowResult`."""
+    base, lo, period = f.cert, ptraj.lo, ptraj.period
+    sres = (shadow if period is None else shadow_periodic)(f, ptraj, base)
+    times = range(lo, lo + (period or ptraj.hi - lo) + 1)
+    xs = {k: sres.point_at(k) for k in times}
+    aseq = OperatorSeq(lo, [f.dforward(xs[k]) for k in times[:-1]],
+                       period=period)
+    return aseq, CLCertificate(base.C, base.lam, base.R,
+                               lambda k: base.proj_at(xs[k])), sres
+
+
+def perturbed_cl_for_diffeo(f, g, orbit, lam1):
     """Splitting certificate for g along one of its orbits, built from f's.
 
     ``orbit`` must be a genuine g-orbit (consecutive points with
-    ``y_{i+1} = g(y_i)``).  It is a pseudotrajectory of f, so it is
-    shadowed by an exact f-trajectory; f's certified splitting read off
-    along the shadow is then transferred to the differentials of g along
-    the orbit.  A closed orbit (last point equal to the first) routes
-    through the periodic solver and yields exactly periodic projections.
+    ``y_{i+1} = g(y_i)``).  It is a pseudotrajectory of f, so
+    :func:`shadowed_splitting` reads f's splitting along the exact
+    f-trajectory that shadows it, which is then transferred to the
+    differentials of g along the orbit.  A closed orbit (last point equal
+    to the first) routes through the periodic solvers and yields exactly
+    periodic projections.
 
     The returned certificate's ``proj_at`` is point-keyed: it accepts any
     point of the orbit (located by nearest match, to absorb round-off in
@@ -570,30 +589,15 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1, *, eps=None):
     closed = vec_norm(pts[0].with_coeffs(
         pts[0].coeffs - pts[-1].coeffs)) <= 1e-12 * scale
     n_ops = len(pts) - 1
-    if closed:
-        period = n_ops
-        points = {i: pts[i] for i in range(period)}
-        ptraj = Pseudotrajectory(
-            points, recompute_step_error(f, points, period=period),
-            period=period)
-        sres = shadow_periodic(f, ptraj, f.cert)
-    else:
-        period = None
-        points = {i: pts[i] for i in range(len(pts))}
-        ptraj = Pseudotrajectory(points, recompute_step_error(f, points))
-        sres = shadow(f, ptraj, f.cert)
-
-    xs = {k: sres.point_at(k) for k in range(n_ops + 1)}
-    y_at = (lambda k: pts[k % period]) if closed else (lambda k: pts[k])
-    aseq = OperatorSeq(0, [f.dforward(xs[k]) for k in range(n_ops)],
+    period = n_ops if closed else None
+    points = dict(enumerate(pts[:n_ops] if closed else pts))
+    ptraj = Pseudotrajectory(
+        points, recompute_step_error(f, points, period=period), period=period)
+    aseq, base_idx, sres = shadowed_splitting(f, ptraj)
+    bseq = OperatorSeq(0, [g.dforward(pts[k]) for k in range(n_ops)],
                        period=period)
-    bseq = OperatorSeq(0, [g.dforward(y_at(k)) for k in range(n_ops)],
-                       period=period)
-    base_idx = CLCertificate(f.cert.C, f.cert.lam, f.cert.R,
-                             lambda k: f.cert.proj_at(xs[k]),
-                             meta=dict(f.cert.meta))
     route = graph_transform_periodic if closed else graph_transform_seq
-    pc = route(aseq, base_idx, bseq, lam1, eps=eps, p=p)
+    pc = route(aseq, base_idx, bseq, lam1, p=p)
 
     anchors = np.array([y.coeffs for y in (pts[:period] if closed else pts)])
 

@@ -52,11 +52,12 @@ import numpy as np
 
 from .boundedsol import perron_constant, perron_sums
 from .clstruct import CLCertificate, ProjPair
-from .graphtf import _diff_norm, graph_transform_seq, upgraded_constant
+from .graphtf import (_diff_norm, graph_transform_seq, shadowed_splitting,
+                      upgraded_constant)
 from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor,
                       OperatorSeq, PreconditionError, RowOps, SeqVec,
                       anchor_index, norm, row_norms)
-from .shadow import Pseudotrajectory, recompute_step_error, shadow
+from .shadow import Pseudotrajectory, recompute_step_error
 from .systems import DiffeoSystem
 
 TAIL_TOL = 1e-12
@@ -85,14 +86,14 @@ def _tail(C, lam, T, w_sup):
     return C * lam ** T * w_sup / (1.0 - lam)
 
 
-def required_truncation(C, lam, w_sup=1.0, tol=TAIL_TOL):
-    """Smallest horizon T whose geometric series tail drops below tol."""
+def required_truncation(C, lam, w_sup=1.0):
+    """Smallest horizon T whose geometric series tail drops below TAIL_TOL."""
     if not 0.0 < lam < 1.0:
         raise PreconditionError(f"decay rate {lam} is not inside (0, 1)")
-    if C <= 0.0 or w_sup < 0.0 or tol <= 0.0:
-        raise PreconditionError("need C > 0, w_sup >= 0 and tol > 0")
+    if C <= 0.0 or w_sup < 0.0:
+        raise PreconditionError("need C > 0 and w_sup >= 0")
     T = 1
-    while _tail(C, lam, T, w_sup) >= tol:
+    while _tail(C, lam, T, w_sup) >= TAIL_TOL:
         T += 1
     return T
 
@@ -251,11 +252,8 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
             f"measured C1 distance {d_measured:.3g} along the segment "
             f"exceeds the declared d = {d:.3g}")
     bseq = OperatorSeq(lo, f_ops[:-1])
-    sres = shadow(f, Pseudotrajectory(orbit, d_map, ops=bseq.ops), cert)
-    xs = {i: sres.point_at(i) for i in range(lo, hi + 1)}
-    aseq = OperatorSeq(lo, [f.dforward(xs[i]) for i in range(lo, hi)])
-    base = CLCertificate(cert.C, cert.lam, cert.R,
-                         lambda k: cert.proj_at(xs[k]))
+    aseq, base, sres = shadowed_splitting(
+        f, Pseudotrajectory(orbit, d_map, ops=bseq.ops))
     pc = graph_transform_seq(aseq, base, bseq, lam1, p=f.p)
     meta = {
         "d_measured": d_measured,

@@ -18,13 +18,13 @@ dense kind is only needed for perturbations.
 A shift by s pushes |s| coefficients over the window edge at every
 application.  Truncation is legitimate only while those coefficients are
 negligible, so ``op_apply`` raises :class:`TruncationError` when the mass
-it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``; that guard
-is ``edge_loss``, judged row by row on a block.
-``apply_coeffs`` is the unguarded application to a raw coefficient array
-that ``op_apply`` wraps, for inner loops that account for the boundary
-themselves; ``apply_rows`` applies one operator per row of a coefficient
-block (``RowOps`` stacks those operators once, for blocks with any number
-of leading axes), and ``row_norms`` takes the norm of every row, each bit
+it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``; that test
+is ``edge_trips``, which ``edge_loss`` and the shift systems' maps read.
+``apply_coeffs`` is the unguarded application to every row of a raw
+coefficient block that ``op_apply`` wraps, for inner loops that account
+for the boundary themselves; ``apply_rows`` applies one operator per row
+(``RowOps`` stacks those operators once, for blocks with any number of
+leading axes), and ``row_norms`` takes the norm of every row, each bit
 for bit the row-by-row result.  ``transport_rows`` carries a block of
 rows through a list of operators under the guard, retiring each row at
 its first trip, and tables their norms: the decay scans of the verifiers
@@ -46,8 +46,8 @@ import numpy as np
 __all__ = [
     "Window", "SeqVec", "LinOp", "OperatorSeq",
     "norm", "coeff_norm", "row_norms", "anchor_index", "op_apply",
-    "edge_loss", "transport_rows", "apply_coeffs", "apply_rows", "RowOps",
-    "op_norm", "cocycle",
+    "edge_trips", "edge_loss", "transport_rows", "apply_coeffs",
+    "apply_rows", "RowOps", "op_norm", "cocycle",
     "compose", "add", "sub", "FixedPointMonitor", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
@@ -363,17 +363,26 @@ def identity_op(window):
     return diag(window, np.ones(window.length))
 
 
-def apply_coeffs(A, x):
-    """Apply A to a raw coefficient array; a shift drops the coefficients it
-    pushes over the window edge."""
-    if A.matrix is not None:
-        return A.matrix @ x
-    if A.shift == 0:
-        return A.scalars * x
-    kept, landed = _acting(len(x), A.shift)
-    out = np.zeros(len(x))
-    out[landed] = A.scalars[kept] * x[kept]
+def _shift_rows(scalars, shift, rows):
+    """Weighted shifts by ``shift`` with ``scalars`` (one row for all rows,
+    or one per row) applied to the rows of a (..., n) array."""
+    if shift == 0:
+        return scalars * rows
+    kept, landed = _acting(rows.shape[-1], shift)
+    out = np.zeros(rows.shape)
+    np.multiply(scalars[..., kept], rows[..., kept], out=out[..., landed])
     return out
+
+
+def apply_coeffs(A, x):
+    """Apply A to every row of a raw (..., n) coefficient array; a shift
+    drops the coefficients it pushes over the window edge.  A dense A acts
+    as ``matmul(M, x[..., None])``, one BLAS mat-vec per row with the bits
+    of ``M @ row`` (the product ``x @ M.T`` would sum in another order).
+    """
+    if A.matrix is not None:
+        return np.matmul(A.matrix, x[..., None])[..., 0]
+    return _shift_rows(A.scalars, A.shift, x)
 
 
 class RowOps:
@@ -383,24 +392,20 @@ class RowOps:
     per row of a (*shape, n) block.  Weighted shifts by one common s keep
     their scalars as one (*shape, n) array, or as the single row (n,) that
     broadcasts over every row when all the operators are one object, and
-    act in one array operation; any other mix keeps the operators and acts
-    row by row.  Indexing the leading axes selects rows (basic indexing
-    shares the scalars, and a single shared row is every selection of
-    itself); ``inverse`` inverts every operator.  :meth:`shared` stacks one
-    operator for a block of any shape, for ``apply``: a dense one acts as
-    one stacked mat-vec, ``matmul(M, rows[..., None])``, which numpy runs as
-    one BLAS mat-vec per row, the kernel ``M @ x`` runs, where the matrix
-    product ``rows @ M.T`` would sum in another order.  Each row carries
-    the bits of ``apply_coeffs``.
+    act in one array operation, the kernel of ``apply_coeffs``; any other
+    mix keeps the operators and acts row by row.  Indexing the leading axes
+    selects rows (basic indexing shares the scalars, and a single shared
+    row is every selection of itself); ``inverse`` inverts every operator.
+    Each row carries the bits of ``apply_coeffs``.
     """
 
-    __slots__ = ("shift", "scalars", "matrix", "ops")
+    __slots__ = ("shift", "scalars", "ops")
 
     def __init__(self, ops):
         ops = np.array(ops, dtype=object)
         flat = ops.ravel()
         first = flat[0]
-        self.shift, self.scalars, self.matrix, self.ops = None, None, None, None
+        self.shift, self.scalars, self.ops = None, None, None
         if all(A.matrix is None and A.shift == first.shift for A in flat):
             self.shift = first.shift
             if all(A is first for A in flat):
@@ -412,22 +417,12 @@ class RowOps:
             self.ops = ops
 
     @classmethod
-    def _stacked(cls, shift=None, scalars=None, matrix=None):
-        out = cls.__new__(cls)
-        out.shift, out.scalars, out.matrix, out.ops = shift, scalars, matrix, None
-        return out
-
-    @classmethod
-    def shared(cls, A):
-        """The operator A acting on every row of a block.  A dense A is
-        stacked for :meth:`apply` only."""
-        return cls._stacked(A.shift, A.scalars, A.matrix)
-
-    @classmethod
     def weighted_shifts(cls, scalars, shift):
         """The weighted shifts by ``shift`` with the scalar rows of a
         (..., n) array, one per row."""
-        return cls._stacked(int(shift), scalars)
+        out = cls.__new__(cls)
+        out.shift, out.scalars, out.ops = int(shift), scalars, None
+        return out
 
     def __getitem__(self, idx):
         if self.ops is not None:
@@ -446,17 +441,11 @@ class RowOps:
 
     def apply(self, rows):
         """The operators applied to the rows of a (*shape, n) array."""
-        if self.matrix is not None:
-            return np.matmul(self.matrix, rows[..., None])[..., 0]
         if self.ops is not None:
             flat = rows.reshape(-1, rows.shape[-1])
             return np.array([apply_coeffs(A, x) for A, x
                              in zip(self.ops.ravel(), flat)]).reshape(rows.shape)
-        kept, landed = _acting(rows.shape[-1], self.shift)
-        out = np.zeros(rows.shape)
-        np.multiply(self.scalars[..., kept], rows[..., kept],
-                    out=out[..., landed])
-        return out
+        return _shift_rows(self.scalars, self.shift, rows)
 
 
 def apply_rows(ops, rows):
@@ -469,20 +458,25 @@ def apply_rows(ops, rows):
     return (ops if isinstance(ops, RowOps) else RowOps(ops)).apply(rows)
 
 
-def edge_loss(A, rows):
-    """The edge guard of A, judged on every row of a (..., n) block.
+def edge_trips(dropped, rows):
+    """The edge guard of every row of a (..., n) block, given the (..., k)
+    values a map drops from it over the window edge: ``(lost, trips)``, the
+    largest dropped magnitude and whether it exceeds LOST_TOL (1 + |row|_inf).
+    """
+    lost = np.abs(dropped).max(axis=-1)
+    return lost, lost > LOST_TOL * (1.0 + np.abs(rows).max(axis=-1, initial=0.0))
 
-    Returns ``(lost, trips)``: the largest magnitude A would drop over the
-    window edge from each row, and whether it exceeds
-    ``LOST_TOL * (1 + |row|_inf)``.  Only a weighted shift by s != 0 drops
+
+def edge_loss(A, rows):
+    """The edge guard of A on every row of a (..., n) block: :func:`edge_trips`
+    of the values A drops.  Only a weighted shift by s != 0 drops
     coordinates; for any other operator it returns None.
     """
     if A.matrix is not None or A.shift == 0:
         return None
     kept, _ = _acting(rows.shape[-1], A.shift)
     edge = slice(kept.stop, None) if A.shift > 0 else slice(0, kept.start)
-    lost = np.abs(A.scalars[edge] * rows[..., edge]).max(axis=-1)
-    return lost, lost > LOST_TOL * (1.0 + np.abs(rows).max(axis=-1))
+    return edge_trips(A.scalars[edge] * rows[..., edge], rows)
 
 
 def op_apply(A, v, check_loss=True):
@@ -508,7 +502,7 @@ def transport_rows(ops, rows, p):
     """Carry every row of an (m, n) block through ``ops``, under the guard.
 
     Step l applies ``ops[l]`` to all live rows at once (one
-    :meth:`RowOps.shared` application) and records their l^p norms.  A row
+    :func:`apply_coeffs` call) and records their l^p norms.  A row
     whose step would trip the edge guard of :func:`edge_loss` -- exactly
     where :func:`op_apply` would raise -- is retired before that step, as
     ``DiffeoSystem.map_rows`` judges its rows.  Returns ``(norms, tripped,
@@ -526,7 +520,7 @@ def transport_rows(ops, rows, p):
         if guard is not None and guard[1].any():
             keep = ~guard[1]
             live, rows = live[keep], rows[keep]
-        rows = RowOps.shared(A).apply(rows)
+        rows = apply_coeffs(A, rows)
         norms[live, l] = row_norms(rows, p)
     tripped = np.ones(len(norms), dtype=bool)
     tripped[live] = False

@@ -22,14 +22,14 @@ change h, with constants (lam, R1^2 C) where R1 bounds Dh and Dh^{-1}.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .seqcore import (
     Window, SeqVec, OperatorSeq, RowOps, norm, op_apply, compose, row_norms,
-    diag, shift_diag, ConvergenceError, PreconditionError, TruncationError,
-    LOST_TOL,
+    diag, shift_diag, edge_trips, ConvergenceError, PreconditionError,
+    TruncationError,
 )
 from .clstruct import ProjPair, CLCertificate
 
@@ -51,6 +51,10 @@ NEWTON_MAX_STEPS = 60
 #: multiple of the profile series' rounding scale (``_MSProfile.reach``)
 #: that its inverse accepts as residual when Newton misses the 1e-15 stop
 NEWTON_SLACK = 16.0
+#: upper end of the bisection for the Morse-Smale profile's exponent s
+MS_EXPONENT_MAX = 80.0
+#: how far the Morse-Smale profile's series may miss a(1) = 1
+MS_PIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,11 +98,7 @@ class DiffeoSystem:
     dforward_rows: object = field(default=None, compare=False)
 
     def with_cert(self, cert):
-        return DiffeoSystem(self.name, self.window, self.p, self.forward,
-                            self.inverse, self.dforward, self.dinverse,
-                            self.R, self.modulus, self.support_shift,
-                            cert, self.meta, self.forward_rows,
-                            self.dforward_rows)
+        return replace(self, cert=cert)
 
     def map_rows(self, xs):
         """``forward`` applied to every coefficient row of a (..., n) array."""
@@ -161,6 +161,19 @@ def s_remainder(sys, x, v):
 # weighted shift families
 
 
+def _newton(fn, dfn, ys, xs, steps, stop):
+    """Solve fn(x) = ys coordinate-wise by Newton's method from xs, in at
+    most ``steps`` steps, stopping once |fn(x) - ys|_inf is at most
+    ``stop * (1 + |ys|_inf)``; every coordinate map's inverse runs it."""
+    bound = stop * (1.0 + np.max(np.abs(ys), initial=0.0))
+    for _ in range(steps):
+        fx = fn(xs) - ys
+        if np.max(np.abs(fx)) <= bound:
+            break
+        xs = xs - fx / dfn(xs)
+    return xs
+
+
 class LinearShiftFamily:
     """a_k(x) = neg_slope * x for k < 0, pos_slope * x for k >= 0."""
 
@@ -189,10 +202,11 @@ class TanhShiftFamily:
     lam = 1/2, R = 5/2 with room to spare; |a''| <= 0.08 on both branches.
     """
 
-    def __init__(self, neg=(2.0, 0.1), pos=(0.45, 0.04)):
-        self.neg = neg
-        self.pos = pos
-        m = max(self._d2max(*neg), self._d2max(*pos))
+    neg = (2.0, 0.1)
+    pos = (0.45, 0.04)
+
+    def __init__(self):
+        m = max(self._d2max(*self.neg), self._d2max(*self.pos))
         self.d2_bound = float(np.ceil(m * 1e3) / 1e3)
 
     @staticmethod
@@ -216,13 +230,9 @@ class TanhShiftFamily:
 
     def apply_inv(self, ks, ys):
         c1, c2 = self._coef(ks)
-        xs = ys / c1
-        for _ in range(60):
-            fx = c1 * xs + c2 * np.tanh(xs) - ys
-            if np.max(np.abs(fx)) <= 1e-15 * (1.0 + np.max(np.abs(ys))):
-                break
-            xs = xs - fx / (c1 + c2 / np.cosh(xs) ** 2)
-        return xs
+        return _newton(lambda xs: c1 * xs + c2 * np.tanh(xs),
+                       lambda xs: c1 + c2 / np.cosh(xs) ** 2,
+                       ys, ys / c1, 60, 1e-15)
 
 
 class SinPerturbedFamily:
@@ -240,13 +250,9 @@ class SinPerturbedFamily:
         return self.base.deriv(ks, xs) + self.amp * np.cos(xs)
 
     def apply_inv(self, ks, ys):
-        xs = self.base.apply_inv(ks, ys)
-        for _ in range(60):
-            fx = self.apply(ks, xs) - ys
-            if np.max(np.abs(fx)) <= 1e-15 * (1.0 + np.max(np.abs(ys))):
-                break
-            xs = xs - fx / self.deriv(ks, xs)
-        return xs
+        return _newton(lambda xs: self.apply(ks, xs),
+                       lambda xs: self.deriv(ks, xs),
+                       ys, self.base.apply_inv(ks, ys), 60, 1e-15)
 
 
 def _validate_shift_family(family, lam, R, window):
@@ -290,16 +296,14 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
 
     def forward_rows(xs):
         vals = a_family.apply(ks, xs)
-        lost = np.abs(vals[..., -1])
         # only a nonzero edge value can trip the guard, so a zero edge
         # column skips the per-row tolerances (the single-point fast path)
-        if lost.any():
-            tol = LOST_TOL * (1.0 + np.max(np.abs(xs), axis=-1, initial=0.0))
-            dropped = lost[lost > tol]
-            if dropped.size:
+        if vals[..., -1].any():
+            lost, trips = edge_trips(vals[..., -1:], xs)
+            if trips.any():
                 raise TruncationError(
-                    f"forward shift would drop mass {dropped.max():.3e} at "
-                    "the window edge")
+                    f"forward shift would drop mass {lost[trips].max():.3e} "
+                    "at the window edge")
         out = np.zeros(vals.shape)
         out[..., 1:] = vals[..., :-1]
         return out
@@ -308,9 +312,10 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
         return SeqVec(window, forward_rows(x.coeffs), x.p)
 
     def inverse(y):
-        if abs(y.coeffs[0]) > LOST_TOL * (1.0 + float(np.max(np.abs(y.coeffs), initial=0.0))):
+        lost, trips = edge_trips(y.coeffs[:1], y.coeffs)
+        if trips:
             raise TruncationError(
-                f"inverse shift sees mass {abs(y.coeffs[0]):.3e} entering from outside")
+                f"inverse shift sees mass {lost:.3e} entering from outside")
         out = np.zeros(n)
         out[:-1] = a_family.apply_inv(ks[:-1], y.coeffs[1:])
         return SeqVec(window, out, y.p)
@@ -369,7 +374,10 @@ class _MSProfile:
     a'(x) = lam1 + (1/lam1 - lam1)(1 - x^2)^s on |x| <= 1 and a' = lam1
     outside; the real exponent s > 2 is chosen so that a(1) = 1 exactly.
     Both a and a' evaluate through the binomial series of (1 - t^2)^s,
-    a polynomial in x^2 with coefficients decaying like j^{-s-1}.
+    a polynomial in x^2 with coefficients decaying like j^{-s-1}.  A low
+    lam1 is refused with :class:`PreconditionError`: when s would exceed
+    MS_EXPONENT_MAX, or when the series, which cancels at x = 1, misses
+    a(1) = 1 by more than MS_PIN_TOL (lam1 up to about 0.15).
     :meth:`value_deriv` evaluates the two series in one Horner pass, and
     :meth:`inverse_deriv` returns the derivative that Newton's last pass
     computed at the inverse; each carries the bits of :meth:`value`,
@@ -380,7 +388,11 @@ class _MSProfile:
         self.lam1 = lam1
         self.K = 1.0 / lam1 - lam1
         target = lam1 / (1.0 + lam1)
-        lo, hi = 1.0, 80.0
+        lo, hi = 1.0, MS_EXPONENT_MAX
+        if _half_integral(hi) > target:
+            raise PreconditionError(
+                f"lam1 = {lam1} needs a profile exponent above "
+                f"{MS_EXPONENT_MAX:g}")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if _half_integral(mid) > target:
@@ -403,6 +415,11 @@ class _MSProfile:
         # the a and a' series side by side, one (2, 1) column per power,
         # for one Horner pass over the stacked rows [u, u]
         self.dcj = list(np.stack([self.dj, self.cj], axis=-1)[:, :, None])
+        miss = float(self.value(1.0)) - 1.0
+        if not abs(miss) <= MS_PIN_TOL:
+            raise PreconditionError(
+                f"lam1 = {lam1} is too low for the profile series: a(1) "
+                f"misses 1 by {miss:.3g}")
 
     @staticmethod
     def _poly(coeffs, u):
@@ -482,10 +499,11 @@ class _MSProfile:
         return self.inverse_deriv(y)[0]
 
 
-def _ms_measure_constant(profile, lam2, horizon=60):
+def _ms_measure_constant(profile, lam2):
     """Worst transient decay ratio of the coordinate map, measured on a
     1-D grid of orbit starts; also returns the first step n0 at which
     every sampled forward orbit's one-step slope has dropped to lam2."""
+    horizon = 60
     # stable side: |x| > 1/2, forward orbits
     xs = np.concatenate([np.linspace(0.5 + 1e-9, 1.5, 300),
                          np.linspace(1.5, 4.0, 80)])
@@ -594,12 +612,9 @@ def make_sin_wobble(window, p=2.0, amp=0.05):
         return SeqVec(window, x.coeffs + amp * np.sin(x.coeffs), x.p)
 
     def inverse(y):
-        x = y.coeffs.copy()
-        for _ in range(80):
-            fx = x + amp * np.sin(x) - y.coeffs
-            if np.max(np.abs(fx)) <= 1e-16 * (1.0 + np.max(np.abs(y.coeffs), initial=0.0)):
-                break
-            x = x - fx / (1.0 + amp * np.cos(x))
+        x = _newton(lambda x: x + amp * np.sin(x),
+                    lambda x: 1.0 + amp * np.cos(x),
+                    y.coeffs, y.coeffs.copy(), 80, 1e-16)
         return SeqVec(window, x, y.p)
 
     def dforward(x):
@@ -632,11 +647,11 @@ def sample_interior_points(sys, count, seed=0, radius=0.25):
     return pts
 
 
-def _fit_modulus(sys, seed=0, samples=40):
-    """Empirical linear modulus r(t) = c t fitted from sampled remainders
+def _fit_modulus(sys):
+    """Empirical linear modulus r(t) = c t fitted from 40 sampled remainders
     (doubled for safety).  Used for systems without a closed-form bound."""
-    rng = np.random.default_rng(seed)
-    pts = sample_interior_points(sys, samples, seed=seed + 1, radius=0.2)
+    rng = np.random.default_rng(0)
+    pts = sample_interior_points(sys, 40, seed=1, radius=0.2)
     c_fit = 0.0
     for x in pts:
         scale = rng.choice([1e-3, 1e-2, 1e-1, 0.3, 1.0])

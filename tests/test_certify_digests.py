@@ -1,11 +1,11 @@
-"""The benchmark's certify invocations keep their recorded CSV bytes.
+"""The benchmark's invocations keep their recorded CSV bytes.
 
-Each invocation of the ``certify`` workload in ``bench/workloads.py`` runs
-at seed 11 in a fresh interpreter with OpenBLAS pinned to one thread, as
-the benchmark runs it, and its CSV must hash to the digest recorded in
-``bench/refs.json``.  A change that moves a verifier's bits fails here,
-before the benchmark's correctness gate sees it.  The test only reads
-``bench/``.
+Each invocation of the ``certify``, ``conjugacy`` and ``sweep`` workloads
+in ``bench/workloads.py`` runs at seed 11 in a fresh interpreter with
+OpenBLAS pinned to one thread, as the benchmark runs it, and its CSV must
+hash to the digest recorded in ``bench/refs.json``.  A change that moves
+the bits of a verifier, a solver or a transfer fails here, before the
+benchmark's correctness gate sees it.  The tests only read ``bench/``.
 """
 import hashlib
 import json
@@ -31,12 +31,14 @@ def _bench_workloads():
     return module.WORKLOADS
 
 
-CERTIFY = _bench_workloads()["certify"].invocations
+WORKLOADS = _bench_workloads()
+CERTIFY = WORKLOADS["certify"].invocations
+OTHERS = [(name, inv) for name in ("conjugacy", "sweep")
+          for inv in WORKLOADS[name].invocations]
 REFS = json.loads((ROOT / "bench" / "refs.json").read_text())
 
 
-@pytest.mark.parametrize("inv", CERTIFY, ids=[inv.label for inv in CERTIFY])
-def test_certify_csv_matches_recorded_digest(inv, tmp_path):
+def _csv_digest(inv, tmp_path):
     out = tmp_path / "run"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -47,5 +49,15 @@ def test_certify_csv_matches_recorded_digest(inv, tmp_path):
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     csv = out / (inv.experiment.replace("-", "_") + ".csv")
-    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
-    assert digest == REFS["certify"][str(SEED)][inv.label]
+    return hashlib.sha256(csv.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("inv", CERTIFY, ids=[inv.label for inv in CERTIFY])
+def test_certify_csv_matches_recorded_digest(inv, tmp_path):
+    assert _csv_digest(inv, tmp_path) == REFS["certify"][str(SEED)][inv.label]
+
+
+@pytest.mark.parametrize("name, inv", OTHERS,
+                         ids=[f"{name}:{inv.label}" for name, inv in OTHERS])
+def test_conjugacy_and_sweep_csv_match_recorded_digest(name, inv, tmp_path):
+    assert _csv_digest(inv, tmp_path) == REFS[name][str(SEED)][inv.label]

@@ -256,6 +256,17 @@ def test_precondition_failures_exit_3_with_error_json(tmp_path, capsys):
     assert "experiment" in json.loads(err)["error"]["message"]
 
 
+def test_ms_product_with_a_low_lam1_exits_3(tmp_path, capsys):
+    # the profile series cannot pin a(1) = 1 for lam1 up to about 0.15
+    out = tmp_path / "low"
+    code, _, err = run_cli(
+        ["verify-cl", "--out", str(out), "--override",
+         'system={"name": "ms_product", "lam1": 0.1}'], capsys)
+    assert code == 3
+    assert "lam1 = 0.1 " in json.loads(err)["error"]["message"]
+    assert (out / "error.json").exists()
+
+
 def test_failed_check_exits_2_but_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     code, lines, _ = run_cli(

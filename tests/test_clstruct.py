@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -206,6 +207,33 @@ def test_ms_product_certificate_passes():
     assert rep.passed
     assert rep.max_inclusion_residual == 0.0
     assert rep.max_proj_norm == 1.0
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 6])
+def test_diffeo_verifier_evaluates_each_map_once_per_orbit_step(horizon):
+    # f(x), Df(x), f^-1(x) and Df^-1(x) are evaluated once per sample: the
+    # residuals read them and both orbit walks start one step out
+    base = make_system("ms_product", W)
+    calls = {m: 0 for m in ("forward", "inverse", "dforward", "dinverse")}
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    sys = dataclasses.replace(base, **{m: counted(m) for m in calls})
+    pts = interior_points(2, seed=4)
+    rep = verify_cl_diffeo(sys, sys.cert, pts, horizon=horizon)
+    assert calls == dict.fromkeys(calls, 2 * max(horizon, 1))
+    assert rep.to_json() == verify_cl_diffeo(base, base.cert, pts,
+                                             horizon=horizon).to_json()
+    if horizon == 0:
+        # empty walks: nothing is scanned for decay
+        assert rep.worst_decay_ratio == 0.0
+        assert not any(k.startswith("decay") for k in rep.witnesses)
 
 
 def _directions_by_basis(pair_side, window, p, n_dirs, rng):

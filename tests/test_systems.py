@@ -273,6 +273,81 @@ def test_ms_profile_inverse_accepts_what_the_series_can_reach(monkeypatch):
         ms.dinverse(SeqVec(W, np.full(W.length, c)))
 
 
+@pytest.mark.parametrize("lam1", [0.05, 0.1, 0.15])
+def test_ms_profile_refuses_a_lam1_its_series_cannot_pin(lam1):
+    # at 0.05 and 0.1 the exponent s would pass the bisection's end 80; at
+    # 0.15 the series, which cancels at x = 1, misses a(1) = 1 by 1.1e-4
+    with pytest.raises(PreconditionError, match=f"lam1 = {lam1} "):
+        _MSProfile(lam1)
+    with pytest.raises(PreconditionError, match=f"lam1 = {lam1} "):
+        make_system("ms_product", W, lam1=lam1)
+
+
+@pytest.mark.parametrize("lam1", [0.2, 0.3, 0.5])
+def test_ms_profile_serves_a_lam1_its_series_pins(lam1):
+    prof = _MSProfile(lam1)
+    assert prof.s < systems.MS_EXPONENT_MAX
+    assert abs(float(prof.value(1.0)) - 1.0) <= systems.MS_PIN_TOL
+    assert prof.value(np.array([-1.0, 0.0])).tolist()[1] == 0.0
+
+
+def _tanh_inverse_loop(fam, ks, ys):
+    # reference: the Newton loop of TanhShiftFamily.apply_inv, written out
+    c1, c2 = fam._coef(ks)
+    xs = ys / c1
+    for _ in range(60):
+        fx = c1 * xs + c2 * np.tanh(xs) - ys
+        if np.max(np.abs(fx)) <= 1e-15 * (1.0 + np.max(np.abs(ys))):
+            break
+        xs = xs - fx / (c1 + c2 / np.cosh(xs) ** 2)
+    return xs
+
+
+def _sin_perturbed_inverse_loop(fam, ks, ys):
+    # reference: the Newton loop of SinPerturbedFamily.apply_inv, written out
+    xs = fam.base.apply_inv(ks, ys)
+    for _ in range(60):
+        fx = fam.apply(ks, xs) - ys
+        if np.max(np.abs(fx)) <= 1e-15 * (1.0 + np.max(np.abs(ys))):
+            break
+        xs = xs - fx / fam.deriv(ks, xs)
+    return xs
+
+
+def _wobble_inverse_loop(amp, ys):
+    # reference: the Newton loop of make_sin_wobble's inverse, written out
+    x = ys.copy()
+    for _ in range(80):
+        fx = x + amp * np.sin(x) - ys
+        if np.max(np.abs(fx)) <= 1e-16 * (1.0 + np.max(np.abs(ys), initial=0.0)):
+            break
+        x = x - fx / (1.0 + amp * np.cos(x))
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12),
+       st.sampled_from([1e-6, 1e-2, 0.3, 3.0, 40.0]),
+       st.floats(0.0, 0.9), st.booleans())
+def test_shared_newton_loop_matches_the_loops_it_replaced(seed, n, scale, amp,
+                                                          tanh_base):
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(-6, 6, n)
+    ys = scale * rng.standard_normal(n)
+    tanh = TanhShiftFamily()
+    assert tanh.apply_inv(ks, ys).tobytes() == \
+        _tanh_inverse_loop(tanh, ks, ys).tobytes()
+    base = tanh if tanh_base else LinearShiftFamily()
+    fam = SinPerturbedFamily(base, 0.1 * amp)
+    assert fam.apply_inv(ks, ys).tobytes() == \
+        _sin_perturbed_inverse_loop(fam, ks, ys).tobytes()
+    w = Window(0, n - 1)
+    wobble = make_sin_wobble(w, amp=amp)
+    got = wobble.inverse(SeqVec(w, ys))
+    assert got.coeffs.tobytes() == _wobble_inverse_loop(amp, ys).tobytes()
+    assert got.coeffs is not ys
+
+
 def test_ms_basin_iteration_converges_to_one():
     sys = make_system("ms_product", W)
     x = SeqVec(W, np.full(W.length, 0.9), 2.0)
