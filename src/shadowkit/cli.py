@@ -24,8 +24,12 @@ Config keys (all optional, defaults depend on the experiment): ``system``
 ``seed``, ``runs`` (number of consecutive seeds), ``horizon`` (orbit or
 verification length), ``periods`` (shadow-periodic), ``side`` (verify-ed),
 ``points`` (verify-cl sample count), ``lam1`` (relaxed decay rate for
-transfers), ``tolerances`` (per-check bounds), ``out``.  Sweep cells
-(d x seed and the like) run one after another, in cell order.
+transfers), ``tolerances`` (per-check bounds), ``out``.  Every number must
+be finite, except ``p``, where ``Infinity`` selects the l^inf norm.  Sweep
+cells (d x seed and the like) run one after another, in cell order.
+
+Each experiment is one entry of ``_EXPERIMENTS``: its runner and the config
+keys it sets on top of ``_BASE``, default tolerances included.
 """
 
 from __future__ import annotations
@@ -60,9 +64,6 @@ from .systems import (LinearShiftFamily, SinPerturbedFamily,
                       sample_interior_points)
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "load_config", "run", "main"]
-
-EXPERIMENTS = ("verify-cl", "verify-ed", "shadow", "shadow-periodic",
-               "chain-demo", "robustness", "semiconj", "solver-oracle")
 
 #: dimensionless slack on bounds that the theory states as exact
 BOUND_SLACK = 1e-9
@@ -106,28 +107,6 @@ _BASE = {
     "out": "shadowkit-out",
 }
 
-_DEFAULTS = {
-    "shadow": {"N": 64, "d": 1e-4, "horizon": 40},
-    "shadow-periodic": {"d": 1e-3},
-    "chain-demo": {"d_sweep": (1e-2, 1e-3, 1e-4), "horizon": 8},
-    "verify-cl": {},
-    "verify-ed": {"system": {"name": "linear_no_ed"}, "N": 24, "horizon": 20},
-    "robustness": {"N": 24, "d": 1e-4, "horizon": 16},
-    "semiconj": {"N": 48, "d": 1e-4, "horizon": 6},
-    "solver-oracle": {"runs": 50, "seed": 0},
-}
-
-_TOLERANCES = {
-    "shadow": {"ratio_max": 12.0, "step_tol": 1e-11},
-    "shadow-periodic": {"step_tol": 1e-11},
-    "chain-demo": {"step_tol": 1e-11},
-    "verify-cl": {},
-    "verify-ed": {},
-    "robustness": {"inclusion_max": 1e-9},
-    "semiconj": {"residual_max": 1e-9, "probe_max": 1e-6},
-    "solver-oracle": {"max_discrepancy": 1e-8},
-}
-
 
 # ---------------------------------------------------------------------------
 # config loading
@@ -159,7 +138,9 @@ def _set_path(raw, dotted, value):
 
 def _as_int(raw, key, minimum):
     v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
+    # NaN and +-inf are floats that are not integral
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or isinstance(v, float) and not v.is_integer():
         raise PreconditionError(f"{key} must be an integer, got {v!r}")
     v = int(v)
     if v < minimum:
@@ -174,6 +155,10 @@ def _as_float(raw, key, minimum=None, optional=False):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise PreconditionError(f"{key} must be a number, got {v!r}")
     v = float(v)
+    # p = inf selects the l^inf norm; no other key has a meaning at infinity,
+    # and NaN would pass every bound below
+    if math.isnan(v) or (math.isinf(v) and key != "p"):
+        raise PreconditionError(f"{key} must be a finite number, got {v!r}")
     if minimum is not None and v < minimum:
         raise PreconditionError(f"{key} must be at least {minimum}, got {v}")
     return v
@@ -190,10 +175,8 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
     if experiment not in EXPERIMENTS:
         raise PreconditionError(
             f"unknown experiment {experiment!r}; choose one of {EXPERIMENTS}")
-    raw = copy.deepcopy(_BASE)
-    for key, value in _DEFAULTS[experiment].items():
-        raw[key] = copy.deepcopy(value)
-    tolerances = dict(_TOLERANCES[experiment])
+    defaults = {**_BASE, **_EXPERIMENTS[experiment][1]}
+    raw = copy.deepcopy(defaults)
 
     explicit = set()
     if path is not None:
@@ -276,8 +259,11 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
         cfg["lam1"] = lam1
     if not isinstance(raw["tolerances"], dict):
         raise PreconditionError("tolerances must be an object")
+    # a whole tolerances object given on top keeps the defaults it omits
+    tolerances = dict(defaults["tolerances"])
     for key, value in raw["tolerances"].items():
-        tolerances[key] = _as_float({key: value}, key)
+        tolerances[key] = _as_float({f"tolerances.{key}": value},
+                                    f"tolerances.{key}")
     cfg["tolerances"] = tolerances
     if not isinstance(raw["out"], str) or not raw["out"]:
         raise PreconditionError("out must be a non-empty path")
@@ -412,6 +398,52 @@ def _sweep_sizes(config):
     raise PreconditionError(f"{config.experiment} needs d or d_sweep")
 
 
+def _seeds(config):
+    """The consecutive seeds a sweep runs: ``runs`` of them from ``seed``."""
+    return range(config.seed, config.seed + config.runs)
+
+
+def _perturbed_shift(f, eps, p):
+    """The linear weighted shift plus eps sin, on the window of ``f``, with
+    the certificate constants of ``f`` relaxed to lam + 2 eps, R + 10 eps."""
+    return make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), eps),
+                               f.cert.lam + 2.0 * eps, f.cert.R + 10.0 * eps,
+                               f.window, p, name="sin_perturbed_shift")
+
+
+def _shadowing_row(system, ps):
+    """Shadow ``ps`` (periodically when it has a period) and measure the
+    trajectory found: its distance, the ratio to d, its step error."""
+    engine = shadow if ps.period is None else shadow_periodic
+    res = engine(system, ps, system.cert)
+    step = recompute_step_error(system, res.trajectory, period=ps.period)
+    ratio = res.sup_distance / ps.d if ps.d > 0.0 else 0.0
+    return {"realized_d": ps.d, "sup_distance": res.sup_distance,
+            "ratio": ratio, "iterations": res.iterations, "step_error": step}
+
+
+def _shadowing_result(config, system, cs, rows, ratio, extras):
+    """A shadowing experiment's result: its own check on the rows' worst
+    ``ratio``, given as (name, quantity, bound, slack), the step-exactness
+    check, the shadowing constants plus ``extras``, and the header."""
+    name, quantity, bound, slack = ratio
+    worst_ratio = max(row["ratio"] for row in rows)
+    worst_step = max(row["step_error"] for row in rows)
+    step_tol = config.tolerances["step_tol"]
+    wrap = " (wrap included)" if "period" in rows[0] else ""
+    checks = [
+        (name, worst_ratio <= bound * (1.0 + slack),
+         f"max {quantity} {worst_ratio:.6g} within {bound:.6g}"),
+        ("step-exactness", worst_step <= step_tol,
+         f"max per-step error {worst_step:.3g} within {step_tol:.3g}{wrap}"),
+    ]
+    cert = system.cert
+    constants = {"C": cert.C, "lam": cert.lam, "R": cert.R, "L": cs.L,
+                 "M": cs.M, **extras}
+    return {"header": list(rows[0]), "rows": rows, "checks": checks,
+            "constants": constants}
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -419,47 +451,26 @@ def _sweep_sizes(config):
 def _run_shadow(config):
     system = _build_diffeo(config)
     cs = shadowing_constants(system, system.cert)
-    tol = config.tolerances
-    cells = [(d, s) for d in _sweep_sizes(config)
-             for s in range(config.seed, config.seed + config.runs)]
+    cells = [(d, s) for d in _sweep_sizes(config) for s in _seeds(config)]
 
     def one(cell):
         d, s = cell
         ps = make_pseudotrajectory(system, _seeded_start(system, s),
                                    config.horizon, d, seed=s)
-        res = shadow(system, ps, system.cert)
-        step = recompute_step_error(system, res.trajectory)
-        ratio = res.sup_distance / ps.d if ps.d > 0.0 else 0.0
-        return {"d": d, "seed": s, "realized_d": ps.d,
-                "sup_distance": res.sup_distance, "ratio": ratio,
-                "iterations": res.iterations, "step_error": step}
+        return {"d": d, "seed": s, **_shadowing_row(system, ps)}
 
-    rows = _map_cells(one, cells)
-    worst_ratio = max(row["ratio"] for row in rows)
-    worst_step = max(row["step_error"] for row in rows)
-    checks = [
-        ("ratio-bound", worst_ratio <= tol["ratio_max"],
-         f"max sup_distance/d {worst_ratio:.6g} within {tol['ratio_max']:.6g}"),
-        ("step-exactness", worst_step <= tol["step_tol"],
-         f"max per-step error {worst_step:.3g} within {tol['step_tol']:.3g}"),
-    ]
-    constants = {"C": system.cert.C, "lam": system.cert.lam,
-                 "R": system.cert.R, "L": cs.L, "M": cs.M,
-                 "d0": cs.d0, "d0_infinite": cs.d0_infinite}
-    header = ["d", "seed", "realized_d", "sup_distance", "ratio",
-              "iterations", "step_error"]
-    return {"header": header, "rows": rows, "checks": checks,
-            "constants": constants}
+    return _shadowing_result(
+        config, system, cs, _map_cells(one, cells),
+        ("ratio-bound", "sup_distance/d", config.tolerances["ratio_max"], 0.0),
+        {"d0": cs.d0, "d0_infinite": cs.d0_infinite})
 
 
 def _run_shadow_periodic(config):
     system = _build_diffeo(config)
     cs = shadowing_constants(system, system.cert)
     d = _require_d(config)
-    tol = config.tolerances
-    ratio_max = tol.get("ratio_max", 2.0 * cs.M)
-    cells = [(m, s) for m in config.periods
-             for s in range(config.seed, config.seed + config.runs)]
+    ratio_max = config.tolerances.get("ratio_max", 2.0 * cs.M)
+    cells = [(m, s) for m in config.periods for s in _seeds(config)]
 
     def one(cell):
         m, s = cell
@@ -474,39 +485,19 @@ def _run_shadow_periodic(config):
             pts[k] = SeqVec(w, c, system.p)
         ps = Pseudotrajectory(pts, recompute_step_error(system, pts, period=m),
                               period=m)
-        res = shadow_periodic(system, ps, system.cert)
-        step = recompute_step_error(system, res.trajectory, period=m)
-        ratio = res.sup_distance / ps.d if ps.d > 0.0 else 0.0
-        return {"period": m, "seed": s, "realized_d": ps.d,
-                "sup_distance": res.sup_distance, "ratio": ratio,
-                "iterations": res.iterations, "step_error": step}
+        return {"period": m, "seed": s, **_shadowing_row(system, ps)}
 
-    rows = _map_cells(one, cells)
-    worst_ratio = max(row["ratio"] for row in rows)
-    worst_step = max(row["step_error"] for row in rows)
-    checks = [
-        ("period-ratio-bound", worst_ratio <= ratio_max,
-         f"max sup_distance/d {worst_ratio:.6g} within {ratio_max:.6g}"),
-        ("step-exactness", worst_step <= tol["step_tol"],
-         f"max per-step error {worst_step:.3g} within {tol['step_tol']:.3g} "
-         f"(wrap included)"),
-    ]
-    constants = {"C": system.cert.C, "lam": system.cert.lam,
-                 "R": system.cert.R, "L": cs.L, "M": cs.M,
-                 "ratio_bound": ratio_max}
-    header = ["period", "seed", "realized_d", "sup_distance", "ratio",
-              "iterations", "step_error"]
-    return {"header": header, "rows": rows, "checks": checks,
-            "constants": constants}
+    return _shadowing_result(
+        config, system, cs, _map_cells(one, cells),
+        ("period-ratio-bound", "sup_distance/d", ratio_max, 0.0),
+        {"ratio_bound": ratio_max})
 
 
 def _run_chain_demo(config):
     system = _build_diffeo(config)
     cs = shadowing_constants(system, system.cert)
-    tol = config.tolerances
-    ratio_max = tol.get("ratio_max", cs.M)
-    cells = [(d, s) for d in _sweep_sizes(config)
-             for s in range(config.seed, config.seed + config.runs)]
+    ratio_max = config.tolerances.get("ratio_max", cs.M)
+    cells = [(d, s) for d in _sweep_sizes(config) for s in _seeds(config)]
 
     def one(cell):
         d, s = cell
@@ -519,21 +510,9 @@ def _run_chain_demo(config):
                 "ratio": dist / loop.d if loop.d > 0.0 else 0.0,
                 "step_error": step}
 
-    rows = _map_cells(one, cells)
-    worst_ratio = max(row["ratio"] for row in rows)
-    worst_step = max(row["step_error"] for row in rows)
-    checks = [
-        ("chain-distance", worst_ratio <= ratio_max * (1.0 + BOUND_SLACK),
-         f"max distance/loop_d {worst_ratio:.6g} within {ratio_max:.6g}"),
-        ("step-exactness", worst_step <= tol["step_tol"],
-         f"max per-step error {worst_step:.3g} within {tol['step_tol']:.3g}"),
-    ]
-    constants = {"C": system.cert.C, "lam": system.cert.lam,
-                 "R": system.cert.R, "L": cs.L, "M": cs.M}
-    header = ["d", "seed", "loop_d", "distance", "bound", "ratio",
-              "step_error"]
-    return {"header": header, "rows": rows, "checks": checks,
-            "constants": constants}
+    return _shadowing_result(
+        config, system, cs, _map_cells(one, cells),
+        ("chain-distance", "distance/loop_d", ratio_max, BOUND_SLACK), {})
 
 
 def _run_verify_cl(config):
@@ -624,13 +603,11 @@ def _run_robustness(config):
             f"perturbation size {eps:.3g} exceeds the contraction budget "
             f"{budget:.3g}")
     w = f.window
-    g = make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), eps),
-                            lam + 2.0 * eps, R + 10.0 * eps, w, config.p,
-                            name="sin_perturbed_shift")
+    g = _perturbed_shift(f, eps, config.p)
     aseq = make_linear_example_seq(w, range(0, config.horizon))
     acert = linear_example_cert(w)
     tol = config.tolerances
-    seeds = range(config.seed, config.seed + config.runs)
+    seeds = _seeds(config)
 
     def one(seed):
         rng = np.random.default_rng(seed)
@@ -710,11 +687,7 @@ def _run_semiconj(config):
             "the semiconj experiment drives weighted_shift_linear against "
             "its smooth perturbation; other systems are library-level calls")
     d = _require_d(config)
-    w = f.window
-    g = make_weighted_shift(
-        SinPerturbedFamily(LinearShiftFamily(), d),
-        f.cert.lam + 2.0 * d, f.cert.R + 10.0 * d, w, config.p,
-        name="sin_perturbed_shift")
+    g = _perturbed_shift(f, d, config.p)
     x0 = _seeded_start(f, config.seed, scale=0.03, offsets=range(-3, 3))
     job = make_conjugacy_job(f, g, x0, d=d, span=(0, config.horizon),
                              lam1=config.lam1)
@@ -749,7 +722,6 @@ def _run_semiconj(config):
 def _run_solver_oracle(config):
     tol = config.tolerances
     L = perron_constant(1.0, 0.5)
-    seeds = range(config.seed, config.seed + config.runs)
 
     def one(seed):
         rng = np.random.default_rng(seed)
@@ -766,7 +738,7 @@ def _run_solver_oracle(config):
                 "sup_perron": sol_p.sup_norm, "sup_direct": sol_d.sup_norm,
                 "w_bound": prob.w_bound, "discrepancy": disc}
 
-    rows = _map_cells(one, seeds)
+    rows = _map_cells(one, _seeds(config))
     worst = max(row["discrepancy"] for row in rows)
     bound_ok = all(
         row["sup_perron"] <= L * row["w_bound"] * (1.0 + BOUND_SLACK)
@@ -785,16 +757,32 @@ def _run_solver_oracle(config):
             "constants": constants}
 
 
-_RUNNERS = {
-    "shadow": _run_shadow,
-    "shadow-periodic": _run_shadow_periodic,
-    "chain-demo": _run_chain_demo,
-    "verify-cl": _run_verify_cl,
-    "verify-ed": _run_verify_ed,
-    "robustness": _run_robustness,
-    "semiconj": _run_semiconj,
-    "solver-oracle": _run_solver_oracle,
+#: every experiment: its runner, and the config keys it sets on top of
+#: ``_BASE``, the default ``tolerances`` of its checks among them
+_EXPERIMENTS = {
+    "verify-cl": (_run_verify_cl, {}),
+    "verify-ed": (_run_verify_ed, {"system": {"name": "linear_no_ed"},
+                                   "N": 24, "horizon": 20}),
+    "shadow": (_run_shadow, {"N": 64, "d": 1e-4, "horizon": 40,
+                             "tolerances": {"ratio_max": 12.0,
+                                            "step_tol": 1e-11}}),
+    "shadow-periodic": (_run_shadow_periodic,
+                        {"d": 1e-3, "tolerances": {"step_tol": 1e-11}}),
+    "chain-demo": (_run_chain_demo,
+                   {"d_sweep": (1e-2, 1e-3, 1e-4), "horizon": 8,
+                    "tolerances": {"step_tol": 1e-11}}),
+    "robustness": (_run_robustness,
+                   {"N": 24, "d": 1e-4, "horizon": 16,
+                    "tolerances": {"inclusion_max": 1e-9}}),
+    "semiconj": (_run_semiconj,
+                 {"N": 48, "d": 1e-4, "horizon": 6,
+                  "tolerances": {"residual_max": 1e-9, "probe_max": 1e-6}}),
+    "solver-oracle": (_run_solver_oracle,
+                      {"runs": 50, "seed": 0,
+                       "tolerances": {"max_discrepancy": 1e-8}}),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run(config):
@@ -804,7 +792,7 @@ def run(config):
     an engine aborts mid-run, 3 on a precondition failure.
     """
     try:
-        result = _RUNNERS[config.experiment](config)
+        result = _EXPERIMENTS[config.experiment][0](config)
     except PreconditionError as exc:
         return _emit_error(config.experiment, exc, 3, config.out)
     except ConvergenceError as exc:
@@ -846,10 +834,7 @@ def main(argv=None):
         config = load_config(args.experiment, path=args.config,
                              overrides=args.override, seed=args.seed,
                              out=args.out)
-    except PreconditionError as exc:
-        return _emit_error(args.experiment, exc, 3,
-                           args.out or _BASE["out"])
-    except (OSError, json.JSONDecodeError) as exc:
+    except (PreconditionError, OSError, json.JSONDecodeError) as exc:
         return _emit_error(args.experiment, exc, 3,
                            args.out or _BASE["out"])
     return run(config)

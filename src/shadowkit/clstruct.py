@@ -355,23 +355,24 @@ def verify_cocycle_cl(sys, A, cert, points, horizon=12):
     ``sys`` supplies the base map alpha (forward/inverse); ``A`` maps a
     point to the LinOp above it.  The inverse cocycle factor at x is
     (A(alpha^{-1} x))^{-1}, so unstable decay multiplies those along the
-    backward orbit.  Horizon counts orbit steps.
+    backward orbit.  Horizon counts orbit steps.  alpha(x), alpha^{-1}(x),
+    A(x) and A(alpha^{-1} x)^{-1} are evaluated once at x: the residuals
+    read them, and both orbit walks start one step out with them.
     """
     def local(x, pair):
-        ax = sys.forward(x)
-        bx = sys.inverse(x)
-        res_s = op_norm(compose(cert.proj_at(ax).Q, compose(A(x), pair.P)), x.p)
-        res_u = op_norm(compose(cert.proj_at(bx).P,
-                                compose(A(bx).inverse(), pair.Q)), x.p)
-        fwd_ops = _orbit_ops(A, sys.forward, x, horizon)
-        bwd_ops, y = [], x
-        for _ in range(horizon):
+        ax, bx = sys.forward(x), sys.inverse(x)
+        a_x, b_x = A(x), A(bx).inverse()
+        res_s = op_norm(compose(cert.proj_at(ax).Q, compose(a_x, pair.P)), x.p)
+        res_u = op_norm(compose(cert.proj_at(bx).P, compose(b_x, pair.Q)), x.p)
+        fwd = [a_x] + _orbit_ops(A, sys.forward, ax, horizon - 1)
+        bwd, y = [b_x], bx
+        for _ in range(horizon - 1):
             try:
                 y = sys.inverse(y)
             except TruncationError:
                 break
-            bwd_ops.append(A(y).inverse())
-        return max(res_s, res_u), fwd_ops, bwd_ops
+            bwd.append(A(y).inverse())
+        return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
 
     samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
     return _verify(cert, "point", samples, local, N_DIRS)

@@ -613,9 +613,6 @@ class OperatorSeq:
             raise PreconditionError(f"no operator at index {k}")
         return self.ops[k - self.lo]
 
-    def interval(self):
-        return (self.lo, self.hi)
-
 
 def cocycle(seq, k, l):
     """Two-sided cocycle Phi(k, l) of an operator sequence, as a LinOp.

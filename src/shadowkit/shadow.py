@@ -81,10 +81,6 @@ class Pseudotrajectory:
     def hi(self):
         return max(self.points)
 
-    @property
-    def interval(self):
-        return range(self.lo, self.hi + 1)
-
     def point_at(self, k):
         if self.period is not None:
             return self.points[self.lo + (k - self.lo) % self.period]

@@ -675,8 +675,10 @@ def conjugate(sys, h, name=None):
 
     Differentials compose by the chain rule; when ``sys`` carries a
     certificate, its projections transport as Dh(y) P_y Dh(y)^{-1} at
-    y = h^{-1}(x), with constants (lam, R1^2 C) for R1 = h.R.  The modulus
-    of g is fitted empirically from sampled remainders.
+    y = h^{-1}(x), with constants (lam, R1^2 C) for R1 = h.R.  Each
+    evaluation at x solves y = h^{-1}(x) once and takes Dh^{-1}(x) as
+    Dh(y)^{-1}.  The modulus of g is fitted empirically from sampled
+    remainders.
     """
     if h.window != sys.window:
         raise PreconditionError("coordinate change lives on a different window")
@@ -691,12 +693,12 @@ def conjugate(sys, h, name=None):
     def dforward(x):
         y = h.inverse(x)
         return compose(h.dforward(sys.forward(y)),
-                       compose(sys.dforward(y), h.dinverse(x)))
+                       compose(sys.dforward(y), h.dforward(y).inverse()))
 
     def dinverse(x):
         y = h.inverse(x)
         return compose(h.dforward(sys.inverse(y)),
-                       compose(sys.dinverse(y), h.dinverse(x)))
+                       compose(sys.dinverse(y), h.dforward(y).inverse()))
 
     cert = None
     if sys.cert is not None:
@@ -706,7 +708,7 @@ def conjugate(sys, h, name=None):
             y = h.inverse(x)
             pair = base.proj_at(y)
             dh = h.dforward(y)
-            dhinv = h.dinverse(x)
+            dhinv = dh.inverse()
             return ProjPair(compose(dh, compose(pair.P, dhinv)),
                             compose(dh, compose(pair.Q, dhinv)))
 

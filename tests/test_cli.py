@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from shadowkit import cli
+from shadowkit.seqcore import ConvergenceError
 
 
 def run_cli(argv, capsys):
@@ -254,6 +255,89 @@ def test_precondition_failures_exit_3_with_error_json(tmp_path, capsys):
         capsys)
     assert code == 3
     assert "experiment" in json.loads(err)["error"]["message"]
+
+
+# every numeric config key, with the override that sets it to a value
+# (NaN, +-inf, or 1e400, which JSON reads as inf); p may be inf, not NaN
+_NUMERIC_KEYS = {"N": "N={}", "seed": "seed={}", "runs": "runs={}",
+                 "horizon": "horizon={}", "points": "points={}",
+                 "periods": "periods=[1, {}]", "p": "p={}", "d": "d={}",
+                 "d_sweep": "d_sweep=[1e-3, {}]", "lam1": "lam1={}",
+                 "tolerances.step_tol": "tolerances.step_tol={}"}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in _NUMERIC_KEYS
+    for value in ("NaN", "Infinity", "-Infinity", "1e400")
+    if key != "p" or value == "NaN"])
+def test_non_finite_config_numbers_exit_3_naming_the_key(key, value,
+                                                         tmp_path, capsys):
+    out = tmp_path / "run"
+    code, lines, err = run_cli(
+        ["shadow", "--out", str(out),
+         "--override", _NUMERIC_KEYS[key].format(value)], capsys)
+    assert code == 3
+    assert not lines
+    payload = read_json(out / "error.json")
+    assert payload == json.loads(err)
+    assert payload["error"]["type"] == "PreconditionError"
+    assert payload["error"]["message"].startswith(key)
+
+
+def test_p_infinity_selects_the_sup_norm(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, lines, _ = run_cli(
+        ["verify-cl", "--out", str(out), "--override", "p=Infinity"], capsys)
+    assert code == 0
+    assert lines[0].startswith("PASS structure-verifies")
+    assert read_json(out / "manifest.json")["config"]["p"] == "inf"
+
+
+def test_verify_cl_on_an_operator_sequence_system(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, lines, _ = run_cli(
+        ["verify-cl", "--out", str(out),
+         "--override", 'system={"name":"linear_no_ed"}'], capsys)
+    assert code == 0
+    assert len(lines) == 1 and lines[0].startswith("PASS structure-verifies")
+    rows = read_csv(out / "verify_cl.csv")
+    assert len(rows) == 1 and rows[0]["passed"] == "True"
+
+
+def test_convergence_error_mid_run_exits_2_with_error_json(tmp_path, capsys,
+                                                           monkeypatch):
+    def diverging(*args):
+        raise ConvergenceError("refinement stalled")
+
+    monkeypatch.setattr(cli, "shadow", diverging)
+    out = tmp_path / "run"
+    code, lines, err = run_cli(["shadow", "--out", str(out)], capsys)
+    assert code == 2
+    assert not lines
+    payload = read_json(out / "error.json")
+    assert payload == json.loads(err)
+    assert payload["error"]["type"] == "ConvergenceError"
+    assert payload["error"]["exit_code"] == 2
+    assert not (out / "shadow.csv").exists()
+
+
+def test_lam1_override_reaches_the_robustness_transfer(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, _, _ = run_cli(
+        ["robustness", "--out", str(out), "--override", "lam1=0.9"], capsys)
+    assert code == 0
+    manifest = read_json(out / "manifest.json")
+    assert manifest["config"]["lam1"] == 0.9
+    assert manifest["constants"]["lam1"] == 0.9
+
+    for bad in ("0", "1", "1.5", "-0.5"):
+        out_bad = tmp_path / f"bad{bad}"
+        code, _, err = run_cli(
+            ["robustness", "--out", str(out_bad),
+             "--override", f"lam1={bad}"], capsys)
+        assert code == 3
+        assert "lam1" in json.loads(err)["error"]["message"]
+        assert (out_bad / "error.json").exists()
 
 
 def test_ms_product_with_a_low_lam1_exits_3(tmp_path, capsys):

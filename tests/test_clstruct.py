@@ -209,12 +209,36 @@ def test_ms_product_certificate_passes():
     assert rep.max_proj_norm == 1.0
 
 
-@pytest.mark.parametrize("horizon", [0, 1, 6])
-def test_diffeo_verifier_evaluates_each_map_once_per_orbit_step(horizon):
-    # f(x), Df(x), f^-1(x) and Df^-1(x) are evaluated once per sample: the
-    # residuals read them and both orbit walks start one step out
+def _verify_diffeo(sys, pts, horizon):
+    return verify_cl_diffeo(sys, sys.cert, pts, horizon=horizon)
+
+
+def _verify_cocycle(sys, pts, horizon):
+    # the cocycle of the map's own differential, A = Df
+    return verify_cocycle_cl(sys, sys.dforward, sys.cert, pts, horizon=horizon)
+
+
+# calls per sample and orbit step: the splitting verifier evaluates each map
+# once; the cocycle verifier evaluates A = Df once on each of its two walks
+_PER_STEP = {
+    _verify_diffeo: dict.fromkeys(
+        ("forward", "inverse", "dforward", "dinverse"), 1),
+    _verify_cocycle: {"forward": 1, "inverse": 1, "dforward": 2,
+                      "dinverse": 0},
+}
+
+
+@pytest.mark.parametrize("verify, horizon", [
+    *(pytest.param(_verify_diffeo, h, id=str(h)) for h in (0, 1, 6)),
+    *(pytest.param(_verify_cocycle, h, id=f"cocycle-{h}") for h in (0, 1, 6)),
+])
+def test_diffeo_verifier_evaluates_each_map_once_per_orbit_step(verify,
+                                                                 horizon):
+    # f(x), Df(x), f^-1(x) and Df^-1(x) (for the cocycle: alpha(x),
+    # alpha^-1(x), A(x) and A(alpha^-1 x)^-1) are evaluated once per
+    # sample: the residuals read them and both orbit walks start one step out
     base = make_system("ms_product", W)
-    calls = {m: 0 for m in ("forward", "inverse", "dforward", "dinverse")}
+    calls = dict.fromkeys(_PER_STEP[verify], 0)
 
     def counted(name):
         fn = getattr(base, name)
@@ -226,10 +250,10 @@ def test_diffeo_verifier_evaluates_each_map_once_per_orbit_step(horizon):
 
     sys = dataclasses.replace(base, **{m: counted(m) for m in calls})
     pts = interior_points(2, seed=4)
-    rep = verify_cl_diffeo(sys, sys.cert, pts, horizon=horizon)
-    assert calls == dict.fromkeys(calls, 2 * max(horizon, 1))
-    assert rep.to_json() == verify_cl_diffeo(base, base.cert, pts,
-                                             horizon=horizon).to_json()
+    rep = verify(sys, pts, horizon)
+    assert calls == {m: n * 2 * max(horizon, 1)
+                     for m, n in _PER_STEP[verify].items()}
+    assert rep.to_json() == verify(base, pts, horizon).to_json()
     if horizon == 0:
         # empty walks: nothing is scanned for decay
         assert rep.worst_decay_ratio == 0.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from shadowkit.semiconj import translate_system
 from shadowkit import systems
 from shadowkit.seqcore import (
-    Window, SeqVec, norm, op_apply, identity_op, apply_coeffs,
+    Window, SeqVec, norm, op_apply, identity_op, apply_coeffs, compose,
     ConvergenceError, PreconditionError, TruncationError,
 )
 from shadowkit.systems import (
@@ -443,6 +444,53 @@ def test_conjugate_transports_certificate_constants():
     assert g.cert.lam == base.cert.lam
     pair = g.cert.proj_at(sample_interior_points(base, 1, seed=15)[0])
     pair.validate()
+
+
+def test_conjugation_takes_dh_inverse_from_dh_bit_for_bit():
+    # Dh^-1(x) = Dh(y)^-1 at y = h^-1(x); the formulation that asked h for
+    # Dh^-1(x), and so solved y again, gives the same bits
+    base = shift_tanh()
+    h = make_sin_wobble(W)
+    g = conjugate(base, h)
+    for x in sample_interior_points(base, 5, seed=17):
+        y = h.inverse(x)
+        dhinv = h.dinverse(x)
+        dh = h.dforward(y)
+        ref = {
+            "dforward": compose(h.dforward(base.forward(y)),
+                                compose(base.dforward(y), dhinv)),
+            "dinverse": compose(h.dforward(base.inverse(y)),
+                                compose(base.dinverse(y), dhinv)),
+            "P": compose(dh, compose(base.cert.proj_at(y).P, dhinv)),
+            "Q": compose(dh, compose(base.cert.proj_at(y).Q, dhinv)),
+        }
+        pair = g.cert.proj_at(x)
+        got = {"dforward": g.dforward(x), "dinverse": g.dinverse(x),
+               "P": pair.P, "Q": pair.Q}
+        for key in ref:
+            assert got[key].to_json() == ref[key].to_json(), key
+
+
+def test_conjugation_solves_h_inverse_once_per_evaluation():
+    base = shift_tanh()
+    h = make_sin_wobble(W)
+    solves = [0]
+
+    def inverse(x):
+        solves[0] += 1
+        return h.inverse(x)
+
+    # the wobble's own Dh^-1, but solving through the counted inverse
+    def dinverse(x):
+        return h.dforward(inverse(x)).inverse()
+
+    g = conjugate(base, dataclasses.replace(h, inverse=inverse,
+                                            dinverse=dinverse))
+    x = sample_interior_points(base, 1, seed=18)[0]
+    for evaluate in (g.dforward, g.dinverse, g.cert.proj_at):
+        solves[0] = 0
+        evaluate(x)
+        assert solves[0] == 1
 
 
 def test_sin_wobble_inverse():
