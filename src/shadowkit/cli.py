@@ -361,16 +361,21 @@ def _build_system(config):
                        config.p, **params)
 
 
+def _certified(config, system):
+    """The built map, refused unless it carries a splitting certificate."""
+    if system.cert is None:
+        raise PreconditionError(
+            f"system {config.system['name']!r} carries no splitting certificate")
+    return system
+
+
 def _build_diffeo(config):
     built = _build_system(config)
     if isinstance(built, tuple):
         raise PreconditionError(
             f"{config.experiment} needs a map with a certificate, but "
             f"{config.system['name']!r} names an operator sequence")
-    if built.cert is None:
-        raise PreconditionError(
-            f"system {config.system['name']!r} carries no splitting certificate")
-    return built
+    return _certified(config, built)
 
 
 def _seeded_start(system, seed, scale=0.25, offsets=range(0, 7)):
@@ -521,11 +526,7 @@ def _run_verify_cl(config):
         seq, cert = built
         report = verify_cl_opseq(seq, cert, horizon=config.horizon, p=config.p)
     else:
-        if built.cert is None:
-            raise PreconditionError(
-                f"system {config.system['name']!r} carries no splitting "
-                f"certificate")
-        cert = built.cert
+        cert = _certified(config, built).cert
         points = sample_interior_points(built, config.points, seed=config.seed)
         report = verify_cl_diffeo(built, cert, points, horizon=config.horizon)
     row = {"max_proj_norm": report.max_proj_norm,

@@ -10,13 +10,19 @@ time-reversed inverse sequence.  The rebuilt splitting is certified at a
 relaxed decay rate ``lam1 > lam`` with constant ``((R + 1) / lam1) ** N``,
 where N is the block length at which the original decay beats ``lam1``.
 
-The whole construction runs on :class:`seqcore.LinOp` operands, so on
-weighted shifts with diagonal projections every block, iterate and norm
-is a weighted shift, O(n) per product, and only the nonzero final tilts
-are materialized; a zero tilt stays structured.  One dense operand (a
-dense perturbation, dense projections) makes the products it enters
-dense, by the same matrix products in the same order; that path is
-admitted only while its estimated memory, ``_dense_bytes``, stays below
+The whole construction runs on operator stacks (:class:`seqcore.RowOps`),
+one stack per block kind, iterate and product over all steps.  On
+weighted shifts by one common s with diagonal projections a stack is one
+(steps, n) scalar array, so each block, update, difference, inclusion
+product and norm is one array operation across all steps; only the
+backward sweep of the correction series stays sequential in the step,
+on single scalar rows.  Every step keeps the association order and the
+bits of the per-step :class:`seqcore.LinOp` algebra, and only the
+nonzero final tilts are materialized; a zero tilt stays structured.  One
+dense operand (a dense perturbation, dense projections) makes the
+transfer run step by step, with the same matrix products in the same
+order and the same per-step temporaries; that path is admitted only
+while its estimated memory, ``_dense_bytes``, stays below
 ``MAX_DENSE_BYTES``.
 
 ``perturbed_cl_for_diffeo`` lifts the construction to diffeomorphisms: an
@@ -31,9 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      anchor_index, compose, dense, diag,
-                      monitored_fixed_point, norm as vec_norm, op_norm,
-                      row_norms, sub, transport_rows)
+                      RowOps, anchor_index, dense, monitored_fixed_point,
+                      norm as vec_norm, op_norm, row_norms, transport_rows)
 from .clstruct import CLCertificate, ProjPair, _directions
 from .shadow import (Pseudotrajectory, recompute_step_error, shadow,
                      shadow_periodic)
@@ -176,17 +181,32 @@ def _norm(op, p):
     return float(np.linalg.norm(op.matrix, _NORM_ORDS[p]))
 
 
-def _diff_norm(b_op, a_op, p):
-    """|B - A|, with the difference taken by :func:`seqcore.sub`.
+def _norms(stack, p):
+    """:func:`_norm` of every row of a :class:`seqcore.RowOps` stack."""
+    if stack.ops is None:
+        return stack.norms(p)
+    return np.array([_norm(op, p) for op in stack.ops.ravel()]).reshape(
+        stack.ops.shape)
+
+
+def _diff_norms(B, A, p):
+    """|B_j - A_j| for every pair of rows of two stacks.
 
     For two weighted shifts by the same s the difference is one too, and
     its norm is the largest scalar gap -- including the gaps at the
     coordinates the dense zero-extended view drops at the window edge.
     """
-    d = sub(b_op, a_op)
-    if d.matrix is None:
-        return float(np.max(np.abs(d.scalars)))
-    return _norm(d, p)
+    d = B - A
+    if d.ops is None:
+        return np.abs(d.scalars).max(axis=-1)
+    return np.array([_norm(op, p) if op.matrix is not None
+                     else float(np.max(np.abs(op.scalars)))
+                     for op in d.ops.ravel()]).reshape(d.ops.shape)
+
+
+def _diff_norm(b_op, a_op, p):
+    """:func:`_diff_norms` of two operators."""
+    return float(_diff_norms(RowOps(b_op), RowOps(a_op), p))
 
 
 def _is_zero(op):
@@ -206,22 +226,48 @@ def _dense_bytes(n_ops, n):
     return 28 * n_ops * n * n * 8
 
 
-def _blocks(A, Ai, B, P, Q):
-    """Split each step into stable/unstable components against (P, Q)."""
-    n_times = len(P)
-    out = {name: [] for name in ("Z", "Ass", "Aus", "Bsu", "Dss", "Dus", "Duu")}
-    for j in range(len(A)):
-        nj = (j + 1) % n_times
-        Pj, Qj, Pn, Qn = P[j], Q[j], P[nj], Q[nj]
+def _steps(m, at, *stacks):
+    """``at(j)``, the transfer's algebra at the steps j of m steps.
+
+    When every stack is a weighted-shift stack, ``at`` runs once on the
+    slice of all steps, and each product or sum is one array operation
+    over all of them.  Otherwise ``at`` runs step by step on single rows,
+    so dense operands and mixed shifts keep their per-step products and
+    per-step temporaries, and the results are stacked: operators into
+    :class:`seqcore.RowOps`, norms into arrays.
+    """
+    if all(s.ops is None for s in stacks):
+        return at(slice(0, m))
+    per_step = [at(j) for j in range(m)]
+    if isinstance(per_step[0], tuple):
+        return tuple(_stack(col) for col in zip(*per_step))
+    return _stack(per_step)
+
+
+def _stack(rows):
+    """Per-step results as one stack: single-row operators into a
+    :class:`seqcore.RowOps`, norms into an array."""
+    if isinstance(rows[0], RowOps):
+        return RowOps([r.op() for r in rows])
+    return np.array(rows)
+
+
+_BLOCK_NAMES = ("Z", "Ass", "Aus", "Bsu", "Dss", "Dus", "Duu")
+
+
+def _blocks(A, Ai, B, P, Q, nxt):
+    """Split each step into stable/unstable components against (P, Q).
+
+    Step j maps time j to time ``nxt[j]``; the blocks are stacks over the
+    steps.
+    """
+    def at(j):
+        Pj, Qj, Pn, Qn = P[j], Q[j], P[nxt[j]], Q[nxt[j]]
         D = B[j] - A[j]
-        out["Z"].append(Ai[j] @ Qn)
-        out["Ass"].append(Pn @ A[j] @ Pj)
-        out["Aus"].append(Pn @ A[j] @ Qj)
-        out["Bsu"].append(Qn @ B[j] @ Pj)
-        out["Dss"].append(Pn @ D @ Pj)
-        out["Dus"].append(Pn @ D @ Qj)
-        out["Duu"].append(Qn @ D @ Qj)
-    return out
+        return (Ai[j] @ Qn, Pn @ A[j] @ Pj, Pn @ A[j] @ Qj, Qn @ B[j] @ Pj,
+                Pn @ D @ Pj, Pn @ D @ Qj, Qn @ D @ Qj)
+
+    return dict(zip(_BLOCK_NAMES, _steps(len(nxt), at, A, Ai, B, P, Q)))
 
 
 def _series_terms(C, lam, s_norm):
@@ -239,55 +285,58 @@ def _series_terms(C, lam, s_norm):
     return T
 
 
-def _fixed_point(blk, C, lam, p, period, label):
+def _fixed_point(blk, nxt, C, lam, p, period, label, zero):
     """Iterate H -> series(Q-update(H)) from H = 0 until it stabilizes.
 
+    H is a stack over the times, step j maps time j to time ``nxt[j]``.
     The update is certified 1/2-contracting, which the monitor enforces;
     returns ``(H, iterations, fp_residual, worst_ratio)``.
     """
-    n_ops = len(blk["Z"])
+    n_ops = len(nxt)
     n_times = n_ops if period else n_ops + 1
-    W = blk["Z"][0].domain
-    zero = diag(W, np.zeros(W.length))
+    Z, Ass, Aus, Bsu = blk["Z"], blk["Ass"], blk["Aus"], blk["Bsu"]
+    Dss, Dus, Duu = blk["Dss"], blk["Dus"], blk["Duu"]
 
     def q_step(H):
-        S = []
-        for j in range(n_ops):
-            Hn = H[(j + 1) % n_times]
-            rhs = (-blk["Bsu"][j] - blk["Duu"][j] @ H[j]
-                   + Hn @ (blk["Aus"][j] @ H[j])
-                   + Hn @ blk["Dss"][j]
-                   + Hn @ (blk["Dus"][j] @ H[j]))
-            S.append(blk["Z"][j] @ rhs)
-        return S
+        def at(j):
+            Hj, Hn = H[j], H[nxt[j]]
+            return Z[j] @ (-Bsu[j] - Duu[j] @ Hj + Hn @ (Aus[j] @ Hj)
+                           + Hn @ Dss[j] + Hn @ (Dus[j] @ Hj))
+        return _steps(n_ops, at, H, *blk.values())
 
     def apply_series(S):
-        new = [None] * n_times
         if period is None:
-            # the finite backward sweep sums the whole series exactly;
-            # at the last time there are no later terms to pick up
-            new[n_ops] = zero
+            # the finite backward sweep sums the whole series exactly; at
+            # the last time there are no later terms to pick up
+            new = [zero] * n_times
             for j in range(n_ops - 1, -1, -1):
-                new[j] = S[j] + blk["Z"][j] @ new[j + 1] @ blk["Ass"][j]
-            return new
-        T = _series_terms(C, lam, max(_norm(s, p) for s in S))
-        for j in range(n_times):
-            acc = S[j]
-            left = None
-            right = None
+                new[j] = S[j] + (Z[j] @ new[j + 1]) @ Ass[j]
+            return _stack(new)
+        T = _series_terms(C, lam, float(np.max(_norms(S, p))))
+
+        def at(j):
+            idx = np.arange(n_times)[j]
+            acc, left, right = S[j], None, None
             for l in range(1, T):
-                zi = (j + l - 1) % n_ops
-                left = blk["Z"][zi] if left is None else left @ blk["Z"][zi]
-                right = blk["Ass"][zi] if right is None else blk["Ass"][zi] @ right
-                acc = acc + left @ S[(j + l) % n_ops] @ right
-            new[j] = acc
-        return new
+                zi = (idx + l - 1) % n_ops
+                left = Z[zi] if left is None else left @ Z[zi]
+                right = Ass[zi] if right is None else Ass[zi] @ right
+                acc = acc + left @ S[(idx + l) % n_ops] @ right
+            return acc
+        return _steps(n_times, at, S, Z, Ass)
+
+    def dist(new, H):
+        return float(np.max(_steps(n_times, lambda j: _norms(new[j] - H[j], p),
+                                   new, H)))
 
     return monitored_fixed_point(
-        lambda H: apply_series(q_step(H)), [zero] * n_times,
-        lambda new, H: max(_norm(new[j] - H[j], p) for j in range(n_times)),
-        f"{label} graph", ratio_bound=0.5, ratio_floor=1e-13,
-        max_iter=MAX_FP_ITERATIONS)
+        lambda H: apply_series(q_step(H)), zero, dist, f"{label} graph",
+        ratio_bound=0.5, ratio_floor=1e-13, max_iter=MAX_FP_ITERATIONS)
+
+
+def _has_dense(stack):
+    return stack.ops is not None and any(
+        op.matrix is not None for op in stack.ops.ravel())
 
 
 def _transfer(seq, cert, pert, lam1, eps, p, period):
@@ -306,25 +355,31 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     n_times = n_ops if period else n_ops + 1
     ks = [lo + j for j in range(n_times)]
     W = seq.op_at(lo).domain
+    # step j maps time j to time nxt[j]; reversed time j sits at time rev[j]
+    nxt = (np.arange(n_ops) + 1) % n_times
+    rev = (n_ops - np.arange(n_times)) % n_times
 
-    a_ops = [seq.op_at(lo + j) for j in range(n_ops)]
-    b_ops = [pert.op_at(lo + j) for j in range(n_ops)]
+    A = RowOps([seq.op_at(lo + j) for j in range(n_ops)])
+    B = RowOps([pert.op_at(lo + j) for j in range(n_ops)])
     base_pairs = [cert.proj_at(k) for k in ks]
-    P = [pr.P for pr in base_pairs]
-    Q = [pr.Q for pr in base_pairs]
+    P = RowOps([pr.P for pr in base_pairs])
+    Q = RowOps([pr.Q for pr in base_pairs])
     # weighted shifts stay structured; one dense operand makes the blocks
     # and iterates dense, so admit that path only within its memory cap
-    if any(op.matrix is not None for op in (*a_ops, *b_ops, *P, *Q)):
+    if any(_has_dense(s) for s in (A, B, P, Q)):
         need = _dense_bytes(n_ops, W.length)
         if need > MAX_DENSE_BYTES:
             raise PreconditionError(
                 f"dense splitting transfer over {n_ops} steps on a window of "
                 f"{W.length} needs about {need} bytes, above the cap "
                 f"{MAX_DENSE_BYTES}")
-    a_inv = [op.inverse() for op in a_ops]
-    b_inv = [op.inverse() for op in b_ops]
+    Ai, Bi = A.inverse(), B.inverse()
 
-    eps_meas = max(_diff_norm(b_ops[j], a_ops[j], p) for j in range(n_ops))
+    def sup_diff(X, Y):
+        return float(np.max(_steps(n_ops, lambda j: _diff_norms(X[j], Y[j], p),
+                                   X, Y)))
+
+    eps_meas = sup_diff(B, A)
     if eps is None:
         eps_use = eps_meas
     else:
@@ -338,72 +393,79 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         raise PreconditionError(
             f"perturbation {eps_use:.3g} exceeds the admissible budget "
             f"{budget:.3g} for (C={C}, lam={lam}, R={R})")
-    eps_rev = max(_diff_norm(b_inv[j], a_inv[j], p) for j in range(n_ops))
+    eps_rev = sup_diff(Bi, Ai)
 
     # stable side, then the unstable side on the time-reversed inverse
-    # sequence: reversed time j sits at time (n_ops - j) mod n_times, and its
-    # step applies the inverse of the original step into that time point
-    def reverse(xs):
-        return [xs[(n_ops - j) % n_times] for j in range(n_times)]
-
-    fwd = _blocks(a_ops, a_inv, b_ops, P, Q)
-    rev = _blocks(a_inv[::-1], a_ops[::-1], b_inv[::-1], reverse(Q),
-                  reverse(P))
-    Hs, it_s, fpres_s, ratio_s = _fixed_point(fwd, C, lam, p, period, "stable")
-    Hr, it_u, fpres_u, ratio_u = _fixed_point(rev, C, lam, p, period, "unstable")
-    Hu = reverse(Hr)
+    # sequence: reversed step j applies the inverse of original step
+    # n_ops - 1 - j, from time rev[j] into time rev[j + 1]
+    zero = RowOps.weighted_shifts(np.zeros(W.length), 0, W)
+    fwd = _blocks(A, Ai, B, P, Q, nxt)
+    rev_blk = _blocks(Ai[::-1], A[::-1], Bi[::-1], Q[rev], P[rev], nxt)
+    Hs, it_s, fpres_s, ratio_s = _fixed_point(fwd, nxt, C, lam, p, period,
+                                              "stable", zero)
+    Hr, it_u, fpres_u, ratio_u = _fixed_point(rev_blk, nxt, C, lam, p, period,
+                                              "unstable", zero)
+    Hu = Hr[rev]
 
     Lp = series_gain(C, lam)
     eps2_fwd = 2.0 * Lp * C * eps_use
     eps2_rev = 2.0 * Lp * C * eps_rev
-    h_norms = [_norm(Hs[j], p) for j in range(n_times)]
-    hu_norms = [_norm(Hu[j], p) for j in range(n_times)]
-    for attained, ball, label in ((max(h_norms), eps2_fwd, "stable"),
-                                  (max(hu_norms), eps2_rev, "unstable")):
+    h_norms = np.broadcast_to(_norms(Hs, p), (n_times,))
+    hu_norms = np.broadcast_to(_norms(Hu, p), (n_times,))
+    for attained, ball, label in ((float(np.max(h_norms)), eps2_fwd, "stable"),
+                                  (float(np.max(hu_norms)), eps2_rev,
+                                   "unstable")):
         if attained > ball * (1.0 + CONTRACTION_SLACK):
             raise ConvergenceError(
                 f"{label} tilt norm {attained:.3g} left its ball {ball:.3g}")
 
     # a zero tilt stays the op it already is (structured on weighted
     # shifts); a nonzero tilt is densified once, for GraphMaps and its pair
-    Hs = [H if _is_zero(H) else dense(H.to_dense_matrix(), W) for H in Hs]
-    Hu = [H if _is_zero(H) else dense(H.to_dense_matrix(), W) for H in Hu]
+    def tilts(H, norms):
+        ops = [H.op(j) for j in range(n_times)]
+        zero_at = (norms == 0.0 if H.ops is None
+                   else np.array([_is_zero(op) for op in ops]))
+        return [op if z else dense(op.to_dense_matrix(), W)
+                for op, z in zip(ops, zero_at)], zero_at
+
+    Hs, zero_s = tilts(Hs, h_norms)
+    Hu, zero_u = tilts(Hu, hu_norms)
     eye = np.eye(W.length)
-    pairs = []
-    for j in range(n_times):
-        if _is_zero(Hs[j]) and _is_zero(Hu[j]):
-            # zero tilt on both sides: the splitting is unchanged, so keep
-            # the original pair (bit-exact, and structured if it was)
-            pairs.append(base_pairs[j])
-            continue
+    pairs = list(base_pairs)
+    for j in np.flatnonzero(~(zero_s & zero_u)):
+        # a zero tilt on both sides keeps the original pair (bit-exact, and
+        # structured if it was); any other is tilted densely
         hs, hu = Hs[j].to_dense_matrix(), Hu[j].to_dense_matrix()
         tilt = np.linalg.inv(eye - hu @ hs)
-        Pt = (eye + hs) @ tilt @ (P[j].to_dense_matrix()
-                                  - hu @ Q[j].to_dense_matrix())
+        Pt = (eye + hs) @ tilt @ (base_pairs[j].P.to_dense_matrix()
+                                  - hu @ base_pairs[j].Q.to_dense_matrix())
         pair = ProjPair(dense(Pt, W), dense(eye - Pt, W))
         try:
             pair.validate(p=p)
         except PreconditionError as exc:
             raise ConvergenceError(
                 f"tilted pair at k={ks[j]} is not a projection: {exc}") from exc
-        pairs.append(pair)
-    proj_sup = max(max(op_norm(pr.P, p), op_norm(pr.Q, p)) for pr in pairs)
+        pairs[j] = pair
+    P1, Q1 = RowOps([pr.P for pr in pairs]), RowOps([pr.Q for pr in pairs])
+    proj_sup = float(max(np.max(P1.norms(p)), np.max(Q1.norms(p))))
     if proj_sup > 2.0 * C * (1.0 + CONTRACTION_SLACK):
         raise ConvergenceError(
             f"tilted projection norm {proj_sup:.3g} exceeds 2C = {2 * C}")
 
-    incl = {}
-    incl_rev_max = 0.0
-    for j in range(n_ops):
-        nj = (j + 1) % n_times
-        r_f = float(op_norm(compose(pairs[nj].Q, compose(b_ops[j], pairs[j].P)), p))
-        r_b = float(op_norm(compose(pairs[j].P, compose(b_inv[j], pairs[nj].Q)), p))
-        incl[lo + j] = r_f
-        incl_rev_max = max(incl_rev_max, r_b)
-        if max(r_f, r_b) > INCLUSION_TOL:
-            raise ConvergenceError(
-                f"rebuilt splitting leaks at k={lo + j}: forward {r_f:.3g}, "
-                f"backward {r_b:.3g}")
+    def leaks(j):
+        Pj, Qn = P1[j], Q1[nxt[j]]
+        return (Qn @ (B[j] @ Pj)).norms(p), (Pj @ (Bi[j] @ Qn)).norms(p)
+
+    r_f, r_b = (np.broadcast_to(r, (n_ops,))
+                for r in _steps(n_ops, leaks, B, Bi, P1, Q1))
+    incl = {lo + j: float(r) for j, r in enumerate(r_f)}
+    leaking = np.flatnonzero((r_f > INCLUSION_TOL) | (r_b > INCLUSION_TOL))
+    if len(leaking):
+        j = leaking[0]
+        raise ConvergenceError(
+            f"rebuilt splitting leaks at k={lo + j}: forward {r_f[j]:.3g}, "
+            f"backward {r_b[j]:.3g}")
+    incl_rev_max = float(np.max(r_b))
 
     N = rate_upgrade_steps(C, lam, lam1)
     C1 = ((R + 1.0) / lam1) ** N
@@ -443,17 +505,16 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         fwd_js = bwd_js = list(range(n_times))
     stride = max(1, len(fwd_js) // 12)
     for j in fwd_js[::stride]:
-        scan(pairs[j].P, [b_ops[(j + l) % n_ops] for l in range(N)])
+        scan(pairs[j].P, [B.op((j + l) % n_ops) for l in range(N)])
     stride = max(1, len(bwd_js) // 12)
     for j in bwd_js[::stride]:
-        scan(pairs[j].Q, [b_inv[(j - 1 - l) % n_ops] for l in range(N)])
+        scan(pairs[j].Q, [Bi.op((j - 1 - l) % n_ops) for l in range(N)])
     if worst_n_step > bound:
         raise ConvergenceError(
             f"{N}-step decay {worst_n_step:.6f} exceeds lam1^{N} = "
             f"{lam1 ** N:.6f}")
 
-    R_res = max(max(op_norm(op, p) for op in b_ops),
-                max(op_norm(op, p) for op in b_inv))
+    R_res = float(max(np.max(B.norms(p)), np.max(Bi.norms(p))))
     pair_by_time = dict(zip(ks, pairs))
     if period is None:
         proj_fn = pair_by_time.__getitem__
@@ -467,7 +528,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         H_u=dict(zip(ks, Hu)),
         eps2=float(max(eps2_fwd, eps2_rev)),
         iterations=it_s + it_u,
-        attained=float(max(max(h_norms), max(hu_norms))),
+        attained=float(max(np.max(h_norms), np.max(hu_norms))),
         fp_residual=float(max(fpres_s, fpres_u)),
         meta={"iterations_stable": it_s, "iterations_unstable": it_u},
     )

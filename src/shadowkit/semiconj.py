@@ -52,7 +52,7 @@ import numpy as np
 
 from .boundedsol import perron_constant, perron_sums
 from .clstruct import CLCertificate, ProjPair
-from .graphtf import (_diff_norm, graph_transform_seq, shadowed_splitting,
+from .graphtf import (_diff_norms, graph_transform_seq, shadowed_splitting,
                       upgraded_constant)
 from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor,
                       OperatorSeq, PreconditionError, RowOps, SeqVec,
@@ -201,9 +201,10 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     every anchor keeps a full buffer.  The splitting for the (g-orbit, Df)
     cocycle is produced by shadowing the segment with a true f-orbit and
     transferring f's certificate onto the derivative sequence read along
-    the segment.  Df is evaluated once per orbit point: the distance
-    check, the shadow's first refinement, the transfer and the h2 frames
-    all read that one sequence.
+    the segment.  Df is evaluated once, as one row block over the
+    segment: the distance check (against Dg, read the same way), the
+    shadow's first refinement, the transfer and the h2 frames all read
+    that one sequence.
     """
     if f.window != g.window or f.p != g.p:
         raise PreconditionError("f and g must share window and norm")
@@ -244,8 +245,10 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     pts = g.orbit(x0, -lo, hi)
     orbit = dict(zip(range(lo, hi + 1), pts))
     d_map = recompute_step_error(f, orbit)
-    f_ops = [f.dforward(y) for y in pts]
-    d_der = max(_diff_norm(g.dforward(y), A, f.p) for y, A in zip(pts, f_ops))
+    rows = np.array([y.coeffs for y in pts])
+    df = f.diff_rows(rows)
+    d_der = float(np.max(_diff_norms(g.diff_rows(rows), df, f.p)))
+    f_ops = [df.op(i) for i in range(len(pts))]
     d_measured = max(d_map, d_der)
     if d_measured > d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
@@ -265,8 +268,7 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
         "continuity": "sampled points only",
     }
     return ConjugacyJob(f, g, cert, pc.result, d, L, T, lam1, C1, orbit,
-                        span_lo, span_hi, np.array([y.coeffs for y in pts]),
-                        bseq, meta)
+                        span_lo, span_hi, rows, bseq, meta)
 
 
 def _anchor_index(job, x):

@@ -24,8 +24,10 @@ is ``edge_trips``, which ``edge_loss`` and the shift systems' maps read.
 coefficient block that ``op_apply`` wraps, for inner loops that account
 for the boundary themselves; ``apply_rows`` applies one operator per row
 (``RowOps`` stacks those operators once, for blocks with any number of
-leading axes), and ``row_norms`` takes the norm of every row, each bit
-for bit the row-by-row result.  ``transport_rows`` carries a block of
+leading axes, and composes, adds, inverts and measures whole stacks with
+the kernels of ``compose``, ``add``, ``inverse`` and ``op_norm``), and
+``row_norms`` takes the norm of every row, each bit for bit the
+row-by-row result.  ``transport_rows`` carries a block of
 rows through a list of operators under the guard, retiring each row at
 its first trip, and tables their norms: the decay scans of the verifiers
 and of the splitting transfer run on it.  ``anchor_index`` finds a point
@@ -391,21 +393,31 @@ class RowOps:
     ``RowOps(ops)`` takes LinOps in an array-like of some leading shape, one
     per row of a (*shape, n) block.  Weighted shifts by one common s keep
     their scalars as one (*shape, n) array, or as the single row (n,) that
-    broadcasts over every row when all the operators are one object, and
-    act in one array operation, the kernel of ``apply_coeffs``; any other
-    mix keeps the operators and acts row by row.  Indexing the leading axes
-    selects rows (basic indexing shares the scalars, and a single shared
-    row is every selection of itself); ``inverse`` inverts every operator.
-    Each row carries the bits of ``apply_coeffs``.
+    broadcasts over every row when all the operators are one object; any
+    other mix keeps the operators in an object array.  Indexing the leading
+    axes selects rows (basic indexing shares the scalars, an integer index
+    of a shift stack gives a single row, and a single row is every selection
+    of itself), and ``op`` reads one row back as a LinOp.
+
+    A stack is closed under the operator algebra, row by row: ``@`` (the
+    rows of the left stack after those of the right), ``+``, ``-``, unary
+    ``-`` and ``inverse``, with ``norms`` the operator norm of every row.
+    Two shift stacks (by one s each, and by a common s in a sum) combine in
+    one array operation over all rows, the same kernels that ``compose``,
+    ``add``, ``sub`` and ``op_norm`` run on a single operator, so every row
+    carries their bits.  Any other mix runs ``compose``, ``add`` or ``sub``
+    row by row.  ``apply`` applies the rows to a block, with the bits of
+    ``apply_coeffs``.
     """
 
-    __slots__ = ("shift", "scalars", "ops")
+    __slots__ = ("shift", "scalars", "ops", "window")
 
     def __init__(self, ops):
         ops = np.array(ops, dtype=object)
         flat = ops.ravel()
         first = flat[0]
         self.shift, self.scalars, self.ops = None, None, None
+        self.window = first.domain
         if all(A.matrix is None and A.shift == first.shift for A in flat):
             self.shift = first.shift
             if all(A is first for A in flat):
@@ -417,27 +429,100 @@ class RowOps:
             self.ops = ops
 
     @classmethod
-    def weighted_shifts(cls, scalars, shift):
+    def weighted_shifts(cls, scalars, shift, window=None):
         """The weighted shifts by ``shift`` with the scalar rows of a
-        (..., n) array, one per row."""
+        (..., n) array, one per row, on ``window`` (needed only to read a
+        row back as a LinOp)."""
         out = cls.__new__(cls)
-        out.shift, out.scalars, out.ops = int(shift), scalars, None
+        out.shift, out.scalars, out.ops, out.window = (
+            int(shift), scalars, None, window)
         return out
 
     def __getitem__(self, idx):
         if self.ops is not None:
-            return RowOps(self.ops[idx])
+            return RowOps(self.ops[idx]) if self.ops.ndim else self
         if self.scalars.ndim == 1:
             return self
-        return RowOps.weighted_shifts(self.scalars[idx], self.shift)
+        return RowOps.weighted_shifts(self.scalars[idx], self.shift,
+                                      self.window)
+
+    def op(self, idx=()):
+        """Row ``idx`` as a LinOp (any index of a single row)."""
+        if self.ops is not None:
+            return self.ops[idx] if self.ops.ndim else self.ops[()]
+        c = self.scalars if self.scalars.ndim == 1 else self.scalars[idx]
+        return _shifted(self.window, c, self.shift)
+
+    def _lead(self):
+        return self.ops.shape if self.ops is not None else self.scalars.shape[:-1]
+
+    def _op_array(self, shape):
+        """The rows as an object array of LinOps, broadcast to ``shape``."""
+        if self.ops is not None:
+            return np.broadcast_to(self.ops, shape)
+        ops = np.empty(self._lead(), dtype=object)
+        for i in np.ndindex(ops.shape):
+            ops[i] = self.op(i)
+        return np.broadcast_to(ops, shape)
+
+    def _rowwise(self, other, fn):
+        """``fn`` on every pair of rows, as LinOps; a single row broadcasts."""
+        shape = np.broadcast_shapes(self._lead(), other._lead())
+        a, b = self._op_array(shape), other._op_array(shape)
+        out = np.empty(shape, dtype=object)
+        for i in np.ndindex(shape):
+            out[i] = fn(a[i], b[i])
+        return RowOps(out)
+
+    def _chain(self, other):
+        if (self.window is not None and other.window is not None
+                and self.window != other.window):
+            raise PreconditionError("operators act between different windows")
+        return self.window if self.window is not None else other.window
+
+    def __matmul__(self, other):
+        if self.ops is None and other.ops is None:
+            window = self._chain(other)
+            return RowOps.weighted_shifts(*_shift_product(
+                self.scalars, self.shift, other.scalars, other.shift), window)
+        return self._rowwise(other, compose)
+
+    def _combine(self, other, ufunc, fallback):
+        if self.ops is None and other.ops is None and self.shift == other.shift:
+            window = self._chain(other)
+            return RowOps.weighted_shifts(ufunc(self.scalars, other.scalars),
+                                          self.shift, window)
+        return self._rowwise(other, fallback)
+
+    def __add__(self, other):
+        return self._combine(other, np.add, add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract, sub)
+
+    def _each(self, fn):
+        out = np.empty(self.ops.shape, dtype=object)
+        out.ravel()[:] = [fn(A) for A in self.ops.ravel()]
+        return RowOps(out)
+
+    def __neg__(self):
+        if self.ops is not None:
+            return self._each(LinOp.__neg__)
+        return RowOps.weighted_shifts(-self.scalars, self.shift, self.window)
 
     def inverse(self):
         if self.ops is not None:
-            inv = np.empty(self.ops.shape, dtype=object)
-            inv.ravel()[:] = [A.inverse() for A in self.ops.ravel()]
-            return RowOps(inv)
+            return self._each(LinOp.inverse)
         return RowOps.weighted_shifts(
-            _inverse_scalars(self.scalars, self.shift), -self.shift)
+            _inverse_scalars(self.scalars, self.shift), -self.shift,
+            self.window)
+
+    def norms(self, p=2.0):
+        """``op_norm`` of every row, as an array of the leading shape."""
+        if self.ops is None:
+            return _shift_norms(self.scalars, self.shift)
+        return np.array([op_norm(A, p) for A in self.ops.ravel()]).reshape(
+            self.ops.shape)
 
     def apply(self, rows):
         """The operators applied to the rows of a (*shape, n) array."""
@@ -549,17 +634,27 @@ def _dense_two_norm(m):
         prev = 0.0
         for _ in range(500):
             y = gram @ x
-            lam = float(np.linalg.norm(y))
+            # the ddot and correctly rounded sqrt of np.linalg.norm
+            lam = math.sqrt(y.dot(y))
             if lam == 0.0:
                 break
             x = y / lam
-            if abs(lam - prev) <= 1e-12 * max(lam, 1.0):
+            if abs(lam - prev) <= 1e-12 * (lam if lam > 1.0 else 1.0):
                 break
             prev = lam
-        best = max(best, math.sqrt(lam) if lam > 0 else 0.0)
+        root = math.sqrt(lam) if lam > 0 else 0.0
+        if root > best:
+            best = root
     cap = math.sqrt(float(np.max(np.sum(np.abs(m), axis=0)))
                     * float(np.max(np.sum(np.abs(m), axis=1))))
     return min(best * (1.0 + 1e-9), cap) if best > 0 else 0.0
+
+
+def _shift_norms(c, s):
+    """Operator norms of the weighted shifts by s with the scalar rows of a
+    (..., n) array: the largest |scalar| a row keeps in the window."""
+    kept, _ = _acting(c.shape[-1], s)
+    return np.abs(c[..., kept]).max(axis=-1, initial=0.0)
 
 
 def op_norm(A, p=2.0):
@@ -571,8 +666,7 @@ def op_norm(A, p=2.0):
     p = 2; other exponents are not supported for dense operators.
     """
     if A.matrix is None:
-        kept, _ = _acting(len(A.scalars), A.shift)
-        return float(np.abs(A.scalars[kept]).max(initial=0.0))
+        return float(_shift_norms(A.scalars, A.shift))
     if p == 1.0:
         return float(np.max(np.sum(np.abs(A.matrix), axis=0)))
     if p == math.inf:
@@ -637,6 +731,18 @@ def cocycle(seq, k, l):
     return out
 
 
+def _shift_product(a, sa, b, sb):
+    """Scalars and shift of the products of the weighted shifts by sa and sb
+    with the scalar rows of (..., n) arrays a and b (b applied first), row
+    by row: ``(c, sa + sb)`` with c_k = a_{k+sb} b_k where b keeps
+    coordinate k, and 0 where b pushes it over the window edge."""
+    kept, landed = _acting(b.shape[-1], sb)
+    c = np.zeros(a.shape if a.shape == b.shape
+                 else np.broadcast_shapes(a.shape, b.shape))
+    np.multiply(a[..., landed], b[..., kept], out=c[..., kept])
+    return c, sa + sb
+
+
 def compose(A, B):
     """The composition A . B (B applied first).
 
@@ -649,10 +755,8 @@ def compose(A, B):
     if B.codomain != A.domain:
         raise PreconditionError("operators do not chain")
     if A.matrix is None and B.matrix is None:
-        kept, landed = _acting(len(B.scalars), B.shift)
-        c = np.zeros(len(B.scalars))
-        c[kept] = A.scalars[landed] * B.scalars[kept]
-        return _shifted(B.domain, c, A.shift + B.shift)
+        return _shifted(B.domain, *_shift_product(A.scalars, A.shift,
+                                                  B.scalars, B.shift))
     return dense(A.to_dense_matrix() @ B.to_dense_matrix(), B.domain, A.codomain)
 
 

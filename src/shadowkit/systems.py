@@ -324,7 +324,7 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
         return shift_diag(window, a_family.deriv(ks, x.coeffs), shift=1)
 
     def dforward_rows(xs):
-        return RowOps.weighted_shifts(a_family.deriv(ks, xs), 1)
+        return RowOps.weighted_shifts(a_family.deriv(ks, xs), 1, window)
 
     def dinverse(y):
         return dforward(inverse(y)).inverse()

@@ -321,6 +321,26 @@ def test_convergence_error_mid_run_exits_2_with_error_json(tmp_path, capsys,
     assert not (out / "shadow.csv").exists()
 
 
+def test_a_map_without_a_certificate_is_refused_alike(tmp_path, capsys,
+                                                     monkeypatch):
+    # every registry map carries a certificate, so strip it after building
+    make_system = cli.make_system
+    monkeypatch.setattr(cli, "make_system",
+                        lambda *a, **k: make_system(*a, **k).with_cert(None))
+    messages = []
+    for experiment in ("verify-cl", "shadow"):
+        out = tmp_path / experiment
+        code, lines, err = run_cli([experiment, "--out", str(out)], capsys)
+        assert code == 3 and not lines
+        payload = read_json(out / "error.json")
+        assert payload == json.loads(err)
+        assert payload["error"]["type"] == "PreconditionError"
+        messages.append(payload["error"]["message"])
+    assert messages[0] == messages[1]
+    assert messages[0] == ("system 'weighted_shift_linear' carries no "
+                           "splitting certificate")
+
+
 def test_lam1_override_reaches_the_robustness_transfer(tmp_path, capsys):
     out = tmp_path / "run"
     code, _, _ = run_cli(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowkit import semiconj
+from shadowkit import graphtf, semiconj, seqcore
 from shadowkit.boundedsol import (InhomProblem, neumann_perturbed_solve,
                                   random_hyperbolic_instance)
 from shadowkit.clstruct import (CLCertificate, ProjPair, constant_cert,
@@ -18,9 +18,9 @@ from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes, _diff_norm,
                                perturbation_budget, perturbed_cl_for_diffeo,
                                rate_upgrade_steps, series_gain,
                                upgraded_constant)
-from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError, SeqVec,
-                               TruncationError, Window, dense, diag, norm,
-                               op_apply, op_norm, shift_diag, sub)
+from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError, RowOps,
+                               SeqVec, TruncationError, Window, dense, diag,
+                               norm, op_apply, op_norm, shift_diag, sub)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                linear_example_cert, make_linear_example_seq,
                                make_weighted_shift)
@@ -636,3 +636,110 @@ def test_transfer_decay_scan_matches_direction_by_direction_loop(p):
                                   coordinate_cert(W, [1.0, 1.0, 0.0, 0.0]),
                                   pseq, 0.75, p=p)
     _assert_scan_matches_reference(pc, pseq, 0.75, p, period=3)
+
+
+def _wobbly_shift_sequences(W, n_ops, period=None):
+    """The weighted shift's Df and the sine-perturbed shift's Dg read along
+    n_ops fixed small points: every operator a shift by 1."""
+    f = make_weighted_shift(LinearShiftFamily(), 0.5, 2.0, W)
+    g = make_weighted_shift(SinPerturbedFamily(LinearShiftFamily(), 1e-4),
+                            0.5002, 2.001, W, name="wobbly_shift")
+    ks = np.arange(W.lo, W.hi + 1)
+    xs = [SeqVec(W, 0.1 * (i + 1) * (-1.0) ** ks) for i in range(n_ops)]
+    return (f, OperatorSeq(0, [f.dforward(x) for x in xs], period=period),
+            OperatorSeq(0, [g.dforward(x) for x in xs], period=period))
+
+
+def test_structured_transfer_work_does_not_grow_with_the_steps(monkeypatch):
+    # the transfer's algebra on shift stacks runs as whole-array operations:
+    # no per-step compose/add/sub, whatever the number of steps
+    calls = []
+    for name in ("compose", "add", "sub"):
+        real = getattr(seqcore, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        for mod in (seqcore, graphtf):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, counted)
+    counts = []
+    for n_ops in (16, 340):
+        f, seq, pseq = _wobbly_shift_sequences(Window(-8, 8), n_ops)
+        calls.clear()
+        pc = graph_transform_seq(seq, f.cert, pseq, 0.75)
+        counts.append(len(calls))
+        assert len(pc.inclusion_residuals) == n_ops
+    assert counts[0] == counts[1] < 16
+
+
+def test_periodic_shift_transfer_record_is_unchanged():
+    # the stacked periodic branch against the record of the per-step one
+    f, seq, pseq = _wobbly_shift_sequences(Window(-2, 3), 3, period=3)
+    got = graph_transform_periodic(seq, f.cert, pseq, 0.75).to_json()
+    zeros = {str(k): [[0.0] * 6 for _ in range(6)] for k in range(3)}
+    expected = {
+        "base": {"C": 1.0, "lam": 0.5, "R": 2.0},
+        "result": {"C": 16.0, "lam": 0.75, "R": 2.000099500416528},
+        "eps2": 0.0010611266112174889,
+        "iterations": 2,
+        "attained": 0.0,
+        "fp_residual": 0.0,
+        "H": zeros,
+        "H_u": zeros,
+        "inclusion_residuals": {"0": 0.0, "1": 0.0, "2": 0.0},
+        "meta": {
+            "p": 2.0,
+            "eps": 9.950041652784236e-05,
+            "eps_measured": 9.950041652784236e-05,
+            "eps_reverse": 0.0003979224792065583,
+            "budget": 0.008006410237762052,
+            "reverse_within_budget": True,
+            "eps2_forward": 0.0002653344440742463,
+            "eps2_reverse": 0.0010611266112174889,
+            "rate_steps": 2,
+            "C1_formula": 16.0,
+            "C1_empirical": 0.6667993338887038,
+            "n_step_worst": 0.25009876328885927,
+            "n_step_bound": 0.5625005624999999,
+            "decay_checked": 6,
+            "decay_skipped": 48,
+            "contraction_ratio": 0.0,
+            "proj_norm_sup": 1.0,
+            "reverse_inclusion_max": 0.0,
+            "period": 3,
+        },
+    }
+    assert json.dumps(got, sort_keys=True) == json.dumps(expected,
+                                                         sort_keys=True)
+
+
+@pytest.mark.parametrize("period", [None, 4])
+def test_stacked_fixed_point_matches_the_per_step_one(monkeypatch, period):
+    # random shift blocks with a nonzero tilt, so the series runs many
+    # terms: one array operation per block over all steps, against the
+    # same algebra evaluated step by step on single rows, bit for bit
+    rng = np.random.default_rng(7)
+    W = Window(-3, 3)
+    m = 4
+
+    def stack(s, scale):
+        return RowOps.weighted_shifts(
+            scale * rng.uniform(-1.0, 1.0, (m, W.length)), s, W)
+
+    blk = {"Z": stack(-1, 0.5), "Ass": stack(1, 0.5), "Aus": stack(1, 0.1),
+           "Bsu": stack(1, 1e-3), "Dss": stack(1, 1e-3),
+           "Dus": stack(1, 1e-3), "Duu": stack(1, 1e-3)}
+    nxt = (np.arange(m) + 1) % (m if period else m + 1)
+    zero = RowOps.weighted_shifts(np.zeros(W.length), 0, W)
+    args = (blk, nxt, 1.0, 0.5, 2.0, period, "test", zero)
+    stacked = graphtf._fixed_point(*args)
+    # the step-by-step branch that dense operands take
+    monkeypatch.setattr(graphtf, "_steps", lambda m, at, *stacks:
+                        graphtf._stack([at(j) for j in range(m)]))
+    stepped = graphtf._fixed_point(*args)
+    assert stacked[0].scalars.any()
+    assert stacked[0].scalars.tobytes() == stepped[0].scalars.tobytes()
+    assert stacked[1:] == stepped[1:]
+    assert stacked[1] > 2

@@ -587,3 +587,67 @@ def test_transport_rows_matches_row_by_row_op_apply(seed, n, steps, p):
     assert tripped.tolist() == want_tripped.tolist()
     assert last.shape == (len(want_last), n)
     assert last.tobytes() == np.array(want_last).reshape(-1, n).tobytes()
+
+
+def _random_stack(rng, w, m, mode, s):
+    """m operators on w: weighted shifts by s ("fixed"), by shifts drawn
+    from -2..2 ("mixed"), those with one dense row ("dense"), or one
+    shared shift by s ("shared"); about a fifth of the scalars are zero."""
+    if mode == "shared":
+        return [_random_shift(rng, w, s)] * m
+    ops = [_random_shift(rng, w, s if mode == "fixed"
+                         else int(rng.integers(-2, 3))) for _ in range(m)]
+    if mode == "dense":
+        i = int(rng.integers(m))
+        ops[i] = dense(rng.standard_normal((w.length, w.length))
+                       + 3 * np.eye(w.length), w)
+    return ops
+
+
+def _same_op(got, want):
+    assert got.kind == want.kind and got.domain == want.domain
+    if want.matrix is not None:
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+    else:
+        assert got.shift == want.shift
+        assert got.scalars.tobytes() == want.scalars.tobytes()
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 7),
+       st.sampled_from(["fixed", "mixed", "dense", "shared"]),
+       st.sampled_from(["fixed", "mixed", "dense", "shared"]),
+       st.integers(-2, 2), st.integers(-2, 2))
+def test_stacked_algebra_matches_the_operator_algebra_row_by_row(
+        seed, m, n, mode_a, mode_b, s_a, s_b):
+    # a stack's @, +, -, unary -, inverse and norms against compose, add,
+    # sub, LinOp negation and inverse, and op_norm on each row, bit for bit:
+    # shift stacks by -2..2 (window-edge drops and zero scalars included),
+    # mixed shifts and dense rows (the row-by-row fallback), shared rows
+    rng = np.random.default_rng(seed)
+    w = Window(-(n // 2), n - 1 - n // 2)
+    a_ops = _random_stack(rng, w, m, mode_a, s_a)
+    b_ops = _random_stack(rng, w, m, mode_b, s_b)
+    A, B = RowOps(a_ops), RowOps(b_ops)
+    assert (A.ops is None) == (all(op.matrix is None for op in a_ops)
+                               and len({op.shift for op in a_ops}) == 1)
+    for got, want in ((A @ B, compose), (A + B, add), (A - B, sub)):
+        for i in range(m):
+            _same_op(got.op(i), want(a_ops[i], b_ops[i]))
+    for i in range(m):
+        _same_op((-A).op(i), -a_ops[i])
+        # single rows, as the sequential sweeps read them
+        _same_op((A[i] @ B[i]).op(), compose(a_ops[i], b_ops[i]))
+    for p in (1.0, 2.0, math.inf):
+        want = np.array([op_norm(op, p) for op in a_ops])
+        assert np.broadcast_to(A.norms(p), (m,)).tobytes() == want.tobytes()
+    singular = any(op.matrix is None and
+                   not np.all(op.scalars[_kept(n, op.shift)] != 0.0)
+                   for op in a_ops)
+    if singular:
+        with pytest.raises(PreconditionError):
+            A.inverse()
+    else:
+        inv = A.inverse()
+        for i in range(m):
+            _same_op(inv.op(i), a_ops[i].inverse())
