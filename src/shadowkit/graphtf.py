@@ -204,11 +204,6 @@ def _diff_norms(B, A, p):
                      for op in d.ops.ravel()]).reshape(d.ops.shape)
 
 
-def _diff_norm(b_op, a_op, p):
-    """:func:`_diff_norms` of two operators."""
-    return float(_diff_norms(RowOps(b_op), RowOps(a_op), p))
-
-
 def _is_zero(op):
     """Whether op is the zero operator (its dense view holds no nonzero)."""
     if op.matrix is not None:
@@ -248,7 +243,7 @@ def _stack(rows):
     """Per-step results as one stack: single-row operators into a
     :class:`seqcore.RowOps`, norms into an array."""
     if isinstance(rows[0], RowOps):
-        return RowOps([r.op() for r in rows])
+        return RowOps([r.op(()) for r in rows])
     return np.array(rows)
 
 

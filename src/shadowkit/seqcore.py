@@ -429,10 +429,9 @@ class RowOps:
             self.ops = ops
 
     @classmethod
-    def weighted_shifts(cls, scalars, shift, window=None):
-        """The weighted shifts by ``shift`` with the scalar rows of a
-        (..., n) array, one per row, on ``window`` (needed only to read a
-        row back as a LinOp)."""
+    def weighted_shifts(cls, scalars, shift, window):
+        """The weighted shifts by ``shift`` on ``window`` with the scalar
+        rows of a (..., n) array, one per row."""
         out = cls.__new__(cls)
         out.shift, out.scalars, out.ops, out.window = (
             int(shift), scalars, None, window)
@@ -446,8 +445,8 @@ class RowOps:
         return RowOps.weighted_shifts(self.scalars[idx], self.shift,
                                       self.window)
 
-    def op(self, idx=()):
-        """Row ``idx`` as a LinOp (any index of a single row)."""
+    def op(self, idx):
+        """Row ``idx`` as a LinOp (any index, ``()`` too, of a single row)."""
         if self.ops is not None:
             return self.ops[idx] if self.ops.ndim else self.ops[()]
         c = self.scalars if self.scalars.ndim == 1 else self.scalars[idx]
@@ -475,10 +474,9 @@ class RowOps:
         return RowOps(out)
 
     def _chain(self, other):
-        if (self.window is not None and other.window is not None
-                and self.window != other.window):
+        if self.window != other.window:
             raise PreconditionError("operators act between different windows")
-        return self.window if self.window is not None else other.window
+        return self.window
 
     def __matmul__(self, other):
         if self.ops is None and other.ops is None:
@@ -517,7 +515,7 @@ class RowOps:
             _inverse_scalars(self.scalars, self.shift), -self.shift,
             self.window)
 
-    def norms(self, p=2.0):
+    def norms(self, p):
         """``op_norm`` of every row, as an array of the leading shape."""
         if self.ops is None:
             return _shift_norms(self.scalars, self.shift)
@@ -737,8 +735,7 @@ def _shift_product(a, sa, b, sb):
     by row: ``(c, sa + sb)`` with c_k = a_{k+sb} b_k where b keeps
     coordinate k, and 0 where b pushes it over the window edge."""
     kept, landed = _acting(b.shape[-1], sb)
-    c = np.zeros(a.shape if a.shape == b.shape
-                 else np.broadcast_shapes(a.shape, b.shape))
+    c = np.zeros(np.broadcast_shapes(a.shape, b.shape))
     np.multiply(a[..., landed], b[..., kept], out=c[..., kept])
     return c, sa + sb
 

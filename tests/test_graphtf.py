@@ -13,7 +13,7 @@ from shadowkit.boundedsol import (InhomProblem, neumann_perturbed_solve,
                                   random_hyperbolic_instance)
 from shadowkit.clstruct import (CLCertificate, ProjPair, constant_cert,
                                 verify_cl_diffeo, verify_cl_opseq)
-from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes, _diff_norm,
+from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes, _diff_norms,
                                graph_transform_periodic, graph_transform_seq,
                                perturbation_budget, perturbed_cl_for_diffeo,
                                rate_upgrade_steps, series_gain,
@@ -494,7 +494,7 @@ def test_dense_transfer_admission_estimate():
 
 def test_edge_scalars_of_a_shift_count_only_in_the_eps_gate():
     # A weighted shift by s drops its |s| edge coordinates.  The transfer's
-    # eps gate (_diff_norm) still counts the scalar gap there; the certified
+    # eps gate (_diff_norms) still counts the scalar gap there; the certified
     # R and the Neumann solver's |Delta| gate take the operator norm of the
     # dense view, which does not.
     W = Window(-16, 32)
@@ -526,7 +526,8 @@ def test_edge_scalars_of_a_shift_count_only_in_the_eps_gate():
     B_gap = with_edge(B, B.scalars[edge] + 1e-3)
     acting_gap = op_norm(sub(B, A))
     assert op_norm(sub(B_gap, A)) == acting_gap
-    assert _diff_norm(B_gap, A, 2.0) == pytest.approx(1e-3 + acting_gap)
+    assert float(_diff_norms(RowOps(B_gap), RowOps(A), 2.0)) == pytest.approx(
+        1e-3 + acting_gap)
     eps = 2.0 * acting_gap
     with pytest.raises(PreconditionError, match="below the measured"):
         graph_transform_periodic(periodic(A), f.cert, periodic(B_gap), 0.75,

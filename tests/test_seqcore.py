@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shadowkit.graphtf import _diff_norm
+from shadowkit.graphtf import _diff_norms
 from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
@@ -410,11 +410,13 @@ def test_diff_norm_against_dense_difference(seed, n, sa, sb, p):
         # at the coordinates the dense view drops count too
         edge = [abs(B.scalars[j] - A.scalars[j]) for j in range(n)
                 if j not in _kept(n, sa)]
-        assert _diff_norm(B, A, p) == max([np.max(np.abs(gap)), *edge])
+        assert float(_diff_norms(RowOps(B), RowOps(A), p)) == max(
+            [np.max(np.abs(gap)), *edge])
     else:
-        assert _diff_norm(B, A, p) == float(np.linalg.norm(gap, ords[p]))
+        assert float(_diff_norms(RowOps(B), RowOps(A), p)) == float(
+            np.linalg.norm(gap, ords[p]))
     M = dense(rng.standard_normal((n, n)), w)
-    assert _diff_norm(M, A, p) == float(
+    assert float(_diff_norms(RowOps(M), RowOps(A), p)) == float(
         np.linalg.norm(M.matrix - A.to_dense_matrix(), ords[p]))
 
 
@@ -637,7 +639,7 @@ def test_stacked_algebra_matches_the_operator_algebra_row_by_row(
     for i in range(m):
         _same_op((-A).op(i), -a_ops[i])
         # single rows, as the sequential sweeps read them
-        _same_op((A[i] @ B[i]).op(), compose(a_ops[i], b_ops[i]))
+        _same_op((A[i] @ B[i]).op(()), compose(a_ops[i], b_ops[i]))
     for p in (1.0, 2.0, math.inf):
         want = np.array([op_norm(op, p) for op in a_ops])
         assert np.broadcast_to(A.norms(p), (m,)).tobytes() == want.tobytes()
