@@ -735,7 +735,10 @@ def _shift_product(a, sa, b, sb):
     by row: ``(c, sa + sb)`` with c_k = a_{k+sb} b_k where b keeps
     coordinate k, and 0 where b pushes it over the window edge."""
     kept, landed = _acting(b.shape[-1], sb)
-    c = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    # equal shapes (every single-operator compose) skip np.broadcast_shapes,
+    # which would take longer than the product itself on one row
+    c = np.zeros(a.shape if a.shape == b.shape
+                 else np.broadcast_shapes(a.shape, b.shape))
     np.multiply(a[..., landed], b[..., kept], out=c[..., kept])
     return c, sa + sb
 
