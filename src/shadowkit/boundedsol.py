@@ -14,9 +14,10 @@ routes built on it are
 
 * ``perron_solve``            -- the sums on a finite interval, with the
   convention that w vanishes outside it;
-* ``periodic_green_solve``    -- the same sums for periodic data, each point
-  of one period read off the middle of its own segment, truncated once
-  the certificate's tail bound drops below 1e-12;
+* ``periodic_green_solve``    -- the same sums for periodic data, truncated
+  once the certificate's tail bound drops below 1e-12: the period is
+  unrolled once over T steps beyond each end, and the segments centred
+  on its m points are the frames of one lockstep call;
 * ``neumann_perturbed_solve`` -- the bounded solution for a perturbed
   sequence B_k = A_k + Delta_k, by fixed-point iteration against
   ``perron_solve`` for the unperturbed one (geometric rate L*eps < 1/2);
@@ -36,12 +37,13 @@ bits of a step-by-step recheck.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import (
     SeqVec, OperatorSeq, RowOps, norm, apply_coeffs, apply_rows, op_apply,
     op_norm, row_norms, dense, sub, PreconditionError, ConvergenceError,
 )
-from .clstruct import verify_cl_opseq
+from .clstruct import ProjPair, verify_cl_opseq
 
 __all__ = [
     "InhomProblem", "BoundedSolution", "perron_constant", "perron_sums",
@@ -191,8 +193,10 @@ def perron_solve(prob, cert, verify_cert=False):
     The causal sum over stable projections and the anticausal sum over
     unstable projections are evaluated by :func:`perron_sums`, with the
     convention that w vanishes outside the interval; the solution is their
-    difference.  Pass ``verify_cert=True`` to run the splitting verifier
-    first (callers in an inner loop check their certificate once, outside).
+    difference.  The steps are inverted as one :class:`seqcore.RowOps`
+    stack, with the bits of ``LinOp.inverse`` step by step.  Pass
+    ``verify_cert=True`` to run the splitting verifier first (callers in an
+    inner loop check their certificate once, outside).
     """
     if verify_cert:
         rep = verify_cl_opseq(prob.seq, cert)
@@ -201,8 +205,9 @@ def perron_solve(prob, cert, verify_cert=False):
                 f"splitting certificate fails on the sequence: {rep.to_json()}")
     a, b = prob.seq.lo, prob.seq.hi
     ops = prob.seq.ops
+    inv = RowOps(ops).inverse()
     return _solution(prob, perron_sums(
-        ops, [A.inverse() for A in ops],
+        ops, [inv.op(j) for j in range(len(ops))],
         [cert.proj_at(k) for k in range(a, b + 1)],
         [prob.w_at(k).coeffs for k in range(a, b + 1)], range(b - a + 1)))
 
@@ -213,9 +218,16 @@ def periodic_green_solve(prob, cert):
     Both sums are cut T steps out, where T is the first depth at which the
     certificate bound C^2 lam^T/(1-lam) * sup|w| falls below 1e-12; the
     result is exactly periodic because one period is computed and reused.
-    Each point of the period is the middle of its own 2T-step segment of
-    :func:`perron_sums`.  The certificate's m projection pairs of one
-    period are built once and, like the operators, read modulo m.
+    The point lo + i of the period is the middle of the 2T-step segment
+    lo + i - T .. lo + i + T, and the m segments are the frames of one
+    lockstep :func:`perron_sums` call.  The period is unrolled once over
+    the times lo - T .. lo + m + T - 1: the operators and their inverses
+    (inverted once per period), the certificate's m projection pairs (each
+    built once) and the forcing ``w_at`` of every time.  Frame i is rows
+    i .. i + 2T of the unroll, so step j of every frame is the slice
+    [j, j + m) of each unrolled stack, and the frames' forcing is a
+    sliding-window view of the unrolled rows, never a copy per frame.
+    Each point gets the bits of a sum over its own segment.
     """
     if prob.seq.period is None:
         raise PreconditionError("periodic_green_solve needs a periodic sequence")
@@ -225,19 +237,21 @@ def periodic_green_solve(prob, cert):
     while perron_constant(cert.C, cert.lam) * cert.lam ** T * W >= 1e-12:
         T += 1
     lo = prob.seq.lo
-    ops = prob.seq.ops
-    inv_ops = [A.inverse() for A in ops]
+    unroll = np.arange(-T, m + T) % m
+    ops = RowOps(prob.seq.ops)
+    inv = ops.inverse()[unroll]
+    ops = ops[unroll]
     pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
-    rows = []
-    for k in range(lo, lo + m):
-        times = range(k - T, k + T + 1)
-        steps = [(i - lo) % m for i in times]
-        rows.append(perron_sums([ops[i] for i in steps[:-1]],
-                                [inv_ops[i] for i in steps[:-1]],
-                                [pairs[i] for i in steps],
-                                [prob.w_at(i).coeffs for i in times],
-                                range(T, T + 1))[0])
-    return _solution(prob, np.array(rows), period=m, meta={"tail_depth": T})
+    P = RowOps([pr.P for pr in pairs])[unroll]
+    Q = RowOps([pr.Q for pr in pairs])[unroll]
+    w = np.array([prob.w_at(k).coeffs for k in range(lo - T, lo + m + T)])
+    frames = sliding_window_view(w, 2 * T + 1, axis=0).swapaxes(1, 2)
+    steps = [slice(j, j + m) for j in range(2 * T + 1)]
+    rows = perron_sums([ops[j] for j in steps[:-1]],
+                       [inv[j] for j in steps[:-1]],
+                       [ProjPair(P[j], Q[j]) for j in steps],
+                       frames, range(T, T + 1))
+    return _solution(prob, rows[:, 0], period=m, meta={"tail_depth": T})
 
 
 def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):

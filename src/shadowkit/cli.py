@@ -67,6 +67,8 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "load_config", "run", "main"]
 
 #: dimensionless slack on bounds that the theory states as exact
 BOUND_SLACK = 1e-9
+#: the largest integer config key; numpy sizes its arrays in int64
+INT_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,9 @@ def _as_int(raw, key, minimum):
     v = int(v)
     if v < minimum:
         raise PreconditionError(f"{key} must be at least {minimum}, got {v}")
+    if v > INT_MAX:
+        raise PreconditionError(
+            f"{key} must fit a 64-bit integer (at most {INT_MAX}), got {v}")
     return v
 
 

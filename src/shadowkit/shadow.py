@@ -22,6 +22,9 @@ window coordinates: the initial support span widened by a small margin and
 advanced by the system's per-step support shift.  Perturbing all window
 coordinates would feed mass to strongly expanding directions far from the
 data and destroy the d-pseudotrajectory property before shadowing begins.
+The active span does not depend on the orbit, so the noise of all steps is
+one block of rows, drawn before the orbit is walked with the draws in the
+order of the steps; the realized d is the largest row norm of that block.
 """
 
 import math
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    OperatorSeq, norm, PreconditionError, ConvergenceError,
+    OperatorSeq, norm, row_norms, PreconditionError, ConvergenceError,
 )
 from .clstruct import CLCertificate
 from .boundedsol import (
@@ -52,6 +55,8 @@ MAX_REFINEMENTS = 64
 ACTIVE_MARGIN = 2
 #: largest step error the threshold search of ``shadowing_constants`` tries
 GRID_CAP = 1e12
+#: the two signs of the l^p ball sampler, indexed by a uniform draw
+SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass
@@ -64,7 +69,7 @@ class Pseudotrajectory:
     points, never the requested noise level.  ``ops`` optionally holds the
     differentials Df(y_k) of every step, in time order, when the caller has
     already evaluated them; the first refinement then reads them instead of
-    calling ``dforward`` again.
+    evaluating the differentials again.
     """
 
     points: dict
@@ -141,7 +146,8 @@ def _ball_sample(rng, m, p, radius):
     """Uniform sample from the l^p ball of the given radius in R^m."""
     if p == math.inf:
         return rng.uniform(-radius, radius, m)
-    g = rng.gamma(1.0 / p, 1.0, m) ** (1.0 / p) * rng.choice([-1.0, 1.0], m)
+    # SIGNS[integers(0, 2, m)] is what rng.choice([-1.0, 1.0], m) draws
+    g = rng.gamma(1.0 / p, 1.0, m) ** (1.0 / p) * SIGNS[rng.integers(0, 2, m)]
     y = rng.standard_exponential()
     return radius * g / (np.sum(np.abs(g) ** p) + y) ** (1.0 / p)
 
@@ -151,24 +157,31 @@ def make_pseudotrajectory(sys, x0, length, d, seed=0):
 
     Noise lives on the active coordinates only (support span of x0 plus a
     margin of ACTIVE_MARGIN, advanced by the system's support shift each
-    step).  The recorded d is the realized maximum defect.
+    step), so it does not depend on the orbit: the noise of every step is
+    drawn first, step by step in the order of the walk, into rows 1 ..
+    length of one (length + 1, n) block.  A step whose active span has
+    moved past the window edge gets no noise and draws nothing.  The
+    recorded d is the realized maximum defect, the largest ``row_norms``
+    of the noise rows.  The orbit is then walked on the same block, one
+    ``sys.map_rows`` call per step adding f(y_k) to the noise of row k + 1.
     """
     rng = np.random.default_rng(seed)
     n = x0.window.length
     s_lo, s_hi = _support_span(x0)
-    points = {0: x0}
-    realized = 0.0
-    cur = x0
+    # row k + 1 holds the noise of step k until the walk adds f(y_k) to it
+    rows = np.zeros((length + 1, n))
+    if d > 0.0:
+        for k in range(length):
+            a = max(0, s_lo - ACTIVE_MARGIN + (k + 1) * sys.support_shift)
+            b = min(n - 1, s_hi + ACTIVE_MARGIN + (k + 1) * sys.support_shift)
+            if a <= b:
+                rows[k + 1, a:b + 1] = _ball_sample(rng, b - a + 1, x0.p, d)
+    realized = float(row_norms(rows[1:], x0.p).max(initial=0.0))
+    rows[0] = x0.coeffs
     for k in range(length):
-        fy = sys.forward(cur)
-        a = max(0, s_lo - ACTIVE_MARGIN + (k + 1) * sys.support_shift)
-        b = min(n - 1, s_hi + ACTIVE_MARGIN + (k + 1) * sys.support_shift)
-        xi = np.zeros(n)
-        if d > 0.0:
-            xi[a:b + 1] = _ball_sample(rng, b - a + 1, x0.p, d)
-        cur = fy.with_coeffs(fy.coeffs + xi)
-        realized = max(realized, norm(x0.with_coeffs(xi)))
-        points[k + 1] = cur
+        rows[k + 1] += sys.map_rows(rows[k])
+    points = {0: x0}
+    points.update((k, x0.with_coeffs(rows[k])) for k in range(1, length + 1))
     return Pseudotrajectory(points, realized, meta={"seed": seed, "requested_d": d})
 
 
@@ -244,12 +257,13 @@ def _variational_problem(sys, pstraj, cert):
     m = pstraj.period
     steps = m if m is not None else pstraj.hi - lo
     pts = [pstraj.point_at(lo + j) for j in range(steps + 1)]
+    rows = np.array([y.coeffs for y in pts])
     ops = pstraj.ops
     if ops is None:
-        ops = [sys.dforward(y) for y in pts[:-1]]
+        stack = sys.diff_rows(rows[:-1])
+        ops = [stack.op(j) for j in range(steps)]
     seq = OperatorSeq(lo, ops, period=m)
     # the scaled defects (f(y_k) - y_{k+1}) / d of every step, as one block
-    rows = np.array([y.coeffs for y in pts])
     defects = sys.map_rows(rows[:-1])
     np.subtract(defects, rows[1:], out=defects)
     defects /= pstraj.d
@@ -327,10 +341,11 @@ def _shadow_loop(sys, pstraj, cert):
         raise ConvergenceError(
             f"step error {cur.d:.3g} still above target {TARGET:.3g} after "
             f"{MAX_REFINEMENTS} refinements")
-    sup = max(
-        norm(cur.point_at(k).with_coeffs(
-            cur.point_at(k).coeffs - pstraj.point_at(k).coeffs))
-        for k in pstraj.points)
+    keys = list(pstraj.points)
+    gaps = np.array([cur.point_at(k).coeffs for k in keys])
+    for gap, k in zip(gaps, keys):
+        gap -= pstraj.points[k].coeffs
+    sup = float(row_norms(gaps, pstraj.points[keys[0]].p).max())
     return ShadowResult(
         cur.points, sup, len(displacements), cur.d, tuple(constants),
         period=pstraj.period,

@@ -406,3 +406,70 @@ def test_solution_recheck_matches_the_step_loop(seed, length, kind, periodic,
     assert sol.sup_norm == max(norm(x) for x in v.values())
     assert sorted(sol.v) == sorted(v)
     assert all(sol.v[k].coeffs.tobytes() == v[k].coeffs.tobytes() for k in v)
+
+
+def _per_point_periodic_rows(prob, cert, T):
+    # the per-point loop the lockstep solve replaced: each point of the
+    # period summed on its own 2T-step segment, one perron_sums call each
+    lo, m = prob.seq.lo, prob.seq.period
+    ops = prob.seq.ops
+    inv_ops = [A.inverse() for A in ops]
+    pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
+    rows = []
+    for k in range(lo, lo + m):
+        times = range(k - T, k + T + 1)
+        steps = [(i - lo) % m for i in times]
+        rows.append(perron_sums([ops[i] for i in steps[:-1]],
+                                [inv_ops[i] for i in steps[:-1]],
+                                [pairs[i] for i in steps],
+                                [prob.w_at(i).coeffs for i in times],
+                                range(T, T + 1))[0])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kind", ["shift", "shift-2", "dense", "mixed"])
+@pytest.mark.parametrize("m, lam", [(1, 0.5), (2, 0.05), (5, 0.5), (25, 0.05)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lockstep_periodic_solve_matches_the_per_point_loop(kind, m, lam,
+                                                           seed):
+    rng = np.random.default_rng(seed + 100 * m)
+    win = Window(-3, 3)
+    n = win.length
+
+    def op(s):
+        if s is None:
+            return dense(rng.standard_normal((n, n)) + 3.0 * np.eye(n), win)
+        return shift_diag(win, rng.uniform(0.3, 2.0, n)
+                          * rng.choice([-1.0, 1.0], n), s)
+
+    def pair():
+        mask = rng.choice([0.0, 1.0], n)
+        if kind in ("shift", "shift-2"):
+            return ProjPair(diag(win, mask), diag(win, 1.0 - mask))
+        U = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        P = U @ np.diag(mask) @ np.linalg.inv(U)
+        return ProjPair(dense(P, win), dense(np.eye(n) - P, win))
+
+    shifts = {"shift": [1], "shift-2": [-2], "dense": [None],
+              "mixed": [None, 0, -1, 2]}[kind]
+    ops = [op(shifts[j % len(shifts)]) for j in range(m)]
+    lo = int(rng.integers(-4, 4))
+    pairs = [pair() for _ in range(m)]
+    cert = CLCertificate(1.0, lam, 3.0, lambda k: pairs[(k - lo) % m])
+    # forcing on only some keys, one of them past the period, so that
+    # w_at zero-fills the others and wraps the far one
+    keys = [k for k in range(lo + 1, lo + m + 1) if rng.random() < 0.6]
+    if m > 1:
+        keys.append(lo + m + 1)
+    w = {k: SeqVec(win, rng.standard_normal(n) / n) for k in keys}
+    prob = InhomProblem(OperatorSeq(lo, ops, period=m), w)
+    sol = periodic_green_solve(prob, cert)
+    T = sol.meta["tail_depth"]
+    if m == 25:
+        assert m > 2 * T
+    elif m > 1:
+        assert m < 2 * T
+    got = np.array([sol.v_at(k).coeffs for k in range(lo, lo + m)])
+    want = _per_point_periodic_rows(prob, cert, T)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()

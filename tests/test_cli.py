@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from shadowkit import cli
-from shadowkit.seqcore import ConvergenceError
+from shadowkit.seqcore import ConvergenceError, PreconditionError
 
 
 def run_cli(argv, capsys):
@@ -282,6 +282,37 @@ def test_non_finite_config_numbers_exit_3_naming_the_key(key, value,
     assert payload == json.loads(err)
     assert payload["error"]["type"] == "PreconditionError"
     assert payload["error"]["message"].startswith(key)
+
+
+# integers past int64, as JSON integers and as an integral float; every
+# run is refused by load_config, before any array is built
+@pytest.mark.parametrize("experiment, override, key", [
+    ("verify-cl", "N=1000000000000000000000000000000", "N"),
+    ("verify-cl", f"N={2 ** 63}", "N"),
+    ("verify-cl", "N=1e30", "N"),
+    ("shadow", f"runs={2 ** 63}", "runs"),
+    ("shadow", f"seed={2 ** 64}", "seed"),
+    ("shadow-periodic", f"periods=[1, {2 ** 63}]", "periods[i]"),
+])
+def test_integers_past_int64_exit_3_naming_the_key(experiment, override, key,
+                                                   tmp_path, capsys):
+    out = tmp_path / "run"
+    code, lines, err = run_cli(
+        [experiment, "--out", str(out), "--override", override], capsys)
+    assert code == 3
+    assert not lines
+    payload = read_json(out / "error.json")
+    assert payload == json.loads(err)
+    assert payload["error"]["type"] == "PreconditionError"
+    assert payload["error"]["message"].startswith(key)
+    assert "64-bit" in payload["error"]["message"]
+
+
+def test_the_largest_int64_passes_the_integer_check():
+    top = 2 ** 63 - 1
+    assert cli._as_int({"N": top}, "N", 4) == top
+    with pytest.raises(PreconditionError):
+        cli._as_int({"N": top + 1}, "N", 4)
 
 
 def test_p_infinity_selects_the_sup_norm(tmp_path, capsys):

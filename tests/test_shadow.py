@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -317,3 +318,141 @@ def test_step_defects_match_the_pointwise_loop(seed, m, which, periodic):
             points[k + 1].coeffs - sys.forward(points[k]).coeffs))
             for k in range(3, 2 + m)]
         assert gaps.tobytes() == np.array(ref, dtype=float).tobytes()
+
+
+def _pointwise_pseudotrajectory(sys, x0, length, d, seed):
+    # the point-by-point walk make_pseudotrajectory replaced: noise drawn
+    # between forward steps, with rng.choice for the signs
+    rng = np.random.default_rng(seed)
+    n = x0.window.length
+    idx = np.flatnonzero(np.abs(x0.coeffs) > 0.0)
+    s_lo, s_hi = int(idx[0]), int(idx[-1])
+    points, realized, cur = {0: x0}, 0.0, x0
+    for k in range(length):
+        fy = sys.forward(cur)
+        a = max(0, s_lo - 2 + (k + 1) * sys.support_shift)
+        b = min(n - 1, s_hi + 2 + (k + 1) * sys.support_shift)
+        xi = np.zeros(n)
+        if d > 0.0:
+            m, p = b - a + 1, x0.p
+            if p == math.inf:
+                xi[a:b + 1] = rng.uniform(-d, d, m)
+            else:
+                g = rng.gamma(1.0 / p, 1.0, m) ** (1.0 / p) \
+                    * rng.choice([-1.0, 1.0], m)
+                y = rng.standard_exponential()
+                xi[a:b + 1] = d * g / (np.sum(np.abs(g) ** p) + y) ** (1.0 / p)
+        cur = fy.with_coeffs(fy.coeffs + xi)
+        realized = max(realized, norm(x0.with_coeffs(xi)))
+        points[k + 1] = cur
+    return points, realized
+
+
+PSEUDO_SYSTEMS = {p: [make_system(name, Window(-12, 12), p) for name in (
+    "weighted_shift_tanh", "ms_product", "conjugated:weighted_shift_linear")]
+    for p in (1.0, 2.0, math.inf)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.sampled_from([1.0, 2.0, math.inf]),
+       st.sampled_from(range(3)), st.sampled_from([0.0, 1e-6, 1e-3, 0.05]),
+       st.integers(0, 9))
+def test_pseudotrajectory_matches_the_point_by_point_loop(seed, p, which, d,
+                                                          length):
+    # the shifts move the noise support by one coordinate per step, and
+    # ms_product keeps it; the conjugated shift maps rows one by one
+    sys = PSEUDO_SYSTEMS[p][which]
+    w = sys.window
+    rng = np.random.default_rng(seed)
+    c = np.zeros(w.length)
+    start = int(rng.integers(0, w.length - 4))
+    c[start:start + 3] = rng.uniform(-0.2, 0.2, 3)
+    x0 = SeqVec(w, c, p)
+    try:
+        want, realized = _pointwise_pseudotrajectory(sys, x0, length, d, seed)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            make_pseudotrajectory(sys, x0, length, d, seed=seed)
+        return
+    ps = make_pseudotrajectory(sys, x0, length, d, seed=seed)
+    assert type(ps.d) is float and ps.d == realized
+    assert sorted(ps.points) == sorted(want)
+    assert all(ps.points[k].p == p for k in want)
+    assert all(ps.points[k].coeffs.tobytes() == want[k].coeffs.tobytes()
+               for k in want)
+
+
+def test_pseudotrajectory_truncates_at_the_same_step():
+    # a start near the right edge of a small window: the shift's orbit
+    # leaves it after a few steps, and both walks stop at the same step,
+    # after feeding the same rows to the map, with the same message
+    sys = make_system("weighted_shift_tanh", Window(-12, 12))
+    c = np.zeros(sys.window.length)
+    c[15:18] = [0.1, -0.2, 0.15]
+    x0 = SeqVec(sys.window, c, sys.p)
+
+    def walk(build):
+        seen = []
+
+        def record(fn):
+            def wrapped(x):
+                seen.append(np.array(getattr(x, "coeffs", x), copy=True))
+                return fn(x)
+            return wrapped
+
+        traced = dataclasses.replace(sys, forward=record(sys.forward),
+                                     forward_rows=record(sys.forward_rows))
+        with pytest.raises(TruncationError) as err:
+            build(traced)
+        return seen, str(err.value)
+
+    seen_ref, msg_ref = walk(
+        lambda s: _pointwise_pseudotrajectory(s, x0, 20, 1e-3, 5))
+    seen, msg = walk(lambda s: make_pseudotrajectory(s, x0, 20, 1e-3, seed=5))
+    assert 2 <= len(seen) == len(seen_ref) < 20
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, seen_ref))
+    assert msg == msg_ref
+
+
+def test_pseudotrajectory_noise_stops_where_the_active_span_leaves():
+    # mass far below the edge guard's tolerance leaves the window silently;
+    # the point-by-point walk then failed drawing noise on an empty span
+    # (negative size), and the noise block gives those steps no noise
+    sys = make_system("weighted_shift_linear", Window(-12, 12))
+    c = np.zeros(sys.window.length)
+    c[20:23] = [1e-14, -2e-14, 1e-14]
+    x0 = SeqVec(sys.window, c, sys.p)
+    with pytest.raises(ValueError):
+        _pointwise_pseudotrajectory(sys, x0, 12, 1e-13, 3)
+    ps = make_pseudotrajectory(sys, x0, 12, 1e-13, seed=3)
+    last = max(k for k in range(12)
+               if 20 - 2 + k + 1 <= sys.window.length - 1)
+    want, realized = _pointwise_pseudotrajectory(sys, x0, last + 1, 1e-13, 3)
+    assert ps.d == realized > 0.0
+    assert all(ps.points[k].coeffs.tobytes() == want[k].coeffs.tobytes()
+               for k in want)
+    for k in range(last + 1, 12):
+        assert ps.points[k + 1].coeffs.tobytes() == \
+            (sys.forward(ps.points[k]).coeffs + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("which", range(len(STEP_SYSTEMS)))
+@pytest.mark.parametrize("periodic", [False, True])
+def test_variational_operators_are_the_pointwise_differentials(which,
+                                                                periodic):
+    from shadowkit.shadow import _variational_problem
+    sys = STEP_SYSTEMS[which]
+    rng = np.random.default_rng(which)
+    m = 5
+    coeffs = rng.uniform(-0.1, 0.1, (m, sys.window.length))
+    coeffs[:, -3:] = 0.0    # clear of the shift's edge guard
+    points = {2 + i: SeqVec(sys.window, c, sys.p)
+              for i, c in enumerate(coeffs)}
+    ps = Pseudotrajectory(points, 1e-3, period=m if periodic else None)
+    prob, _ = _variational_problem(sys, ps, sys.cert)
+    steps = m if periodic else m - 1
+    want = [sys.dforward(ps.point_at(2 + j)) for j in range(steps)]
+    assert len(prob.seq.ops) == steps
+    for A, B in zip(prob.seq.ops, want):
+        assert A.kind == B.kind and A.shift == B.shift
+        assert A.to_dense_matrix().tobytes() == B.to_dense_matrix().tobytes()
