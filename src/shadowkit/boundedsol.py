@@ -19,8 +19,8 @@ routes built on it are
   unrolled once over T steps beyond each end, and the segments centred
   on its m points are the frames of one lockstep call;
 * ``neumann_perturbed_solve`` -- the bounded solution for a perturbed
-  sequence B_k = A_k + Delta_k, by fixed-point iteration against
-  ``perron_solve`` for the unperturbed one (geometric rate L*eps < 1/2);
+  sequence B_k = A_k + Delta_k, by fixed-point iteration of the sums for
+  the unperturbed one (geometric rate L*eps < 1/2);
 * ``semiconj.orbit_perron_apply`` and the displacement sweeps of
   :mod:`semiconj` -- the sums along orbit segments of a map.
 
@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import (
-    SeqVec, OperatorSeq, RowOps, norm, apply_coeffs, apply_rows, op_apply,
+    SeqVec, OperatorSeq, RowOps, norm, apply_coeffs, apply_rows,
     op_norm, row_norms, dense, sub, PreconditionError, ConvergenceError,
 )
 from .clstruct import ProjPair, verify_cl_opseq
@@ -117,10 +117,6 @@ class BoundedSolution:
         return self.v[k]
 
 
-def _vec_add(x, y, cy=1.0):
-    return x.with_coeffs(x.coeffs + cy * y.coeffs)
-
-
 def _solution(prob, rows, period=None, meta=None):
     """Package a solution block, recomputing its residual from scratch.
 
@@ -193,23 +189,32 @@ def perron_solve(prob, cert, verify_cert=False):
     The causal sum over stable projections and the anticausal sum over
     unstable projections are evaluated by :func:`perron_sums`, with the
     convention that w vanishes outside the interval; the solution is their
-    difference.  The steps are inverted as one :class:`seqcore.RowOps`
-    stack, with the bits of ``LinOp.inverse`` step by step.  Pass
-    ``verify_cert=True`` to run the splitting verifier first (callers in an
-    inner loop check their certificate once, outside).
+    difference.  The steps are inverted as one stack
+    (:meth:`seqcore.RowOps.inverses`), with the bits of ``LinOp.inverse``
+    step by step.  Pass ``verify_cert=True`` to run the splitting verifier
+    first (callers in an inner loop check their certificate once,
+    outside).
     """
     if verify_cert:
         rep = verify_cl_opseq(prob.seq, cert)
         if not rep.passed:
             raise PreconditionError(
                 f"splitting certificate fails on the sequence: {rep.to_json()}")
-    a, b = prob.seq.lo, prob.seq.hi
-    ops = prob.seq.ops
-    inv = RowOps(ops).inverse()
-    return _solution(prob, perron_sums(
-        ops, [inv.op(j) for j in range(len(ops))],
-        [cert.proj_at(k) for k in range(a, b + 1)],
-        [prob.w_at(k).coeffs for k in range(a, b + 1)], range(b - a + 1)))
+    solve = _interval_sums(prob.seq, cert)
+    return _solution(prob, solve([prob.w_at(k).coeffs for k
+                                  in range(prob.seq.lo, prob.seq.hi + 1)]))
+
+
+def _interval_sums(seq, cert):
+    """:func:`perron_sums` over every time point of an interval, as a
+    function of the forcing rows there; the steps are inverted as one
+    stack (:meth:`seqcore.RowOps.inverses`) and the pairs read, once."""
+    a, b = seq.lo, seq.hi
+    ops = seq.ops
+    inv = RowOps.inverses(ops)
+    inv_ops = [inv.op(j) for j in range(len(ops))]
+    pairs = [cert.proj_at(k) for k in range(a, b + 1)]
+    return lambda w: perron_sums(ops, inv_ops, pairs, w, range(b - a + 1))
 
 
 def periodic_green_solve(prob, cert):
@@ -238,9 +243,8 @@ def periodic_green_solve(prob, cert):
         T += 1
     lo = prob.seq.lo
     unroll = np.arange(-T, m + T) % m
-    ops = RowOps(prob.seq.ops)
-    inv = ops.inverse()[unroll]
-    ops = ops[unroll]
+    ops = RowOps(prob.seq.ops)[unroll]
+    inv = RowOps.inverses(prob.seq.ops)[unroll]
     pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
     P = RowOps([pr.P for pr in pairs])[unroll]
     Q = RowOps([pr.Q for pr in pairs])[unroll]
@@ -260,8 +264,11 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):
     Iterates v <- S_A(w + Delta v), where S_A is the distinguished solver
     for the base sequence, until a step moves v by at most 1e-13 (1 + |v|)
     (200 steps at most); successive differences contract by L*eps, so eps
-    must stay below 1/(2L).  The difference norms are recorded in
-    ``meta['diff_norms']`` and the final residual is taken against B.
+    must stay below 1/(2L).  S_A is :func:`perron_sums` on the base steps,
+    their inverses and the certificate's pairs, each built once, with the
+    bits of a :func:`perron_solve` per iteration.  The difference
+    norms are recorded in ``meta['diff_norms']`` and the final residual is
+    taken against B.
     """
     L = perron_constant(base_cert.C, base_cert.lam)
     if not eps < 0.5 / L:
@@ -270,37 +277,38 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):
     if (base_seq.lo, base_seq.hi) != (prob_b.seq.lo, prob_b.seq.hi):
         raise PreconditionError("base and perturbed sequences cover different intervals")
     a, b = base_seq.lo, base_seq.hi
-    deltas = {}
+    deltas = []
     for k in range(a, b):
         d = sub(prob_b.seq.op_at(k), base_seq.op_at(k))
         dn = op_norm(d, prob_b.p)
         if dn > eps * (1.0 + 1e-9) + 1e-15:
             raise PreconditionError(
                 f"|Delta_{k}| = {dn:.3g} exceeds the declared bound {eps:.3g}")
-        deltas[k] = d
+        deltas.append(d)
+    deltas = RowOps(deltas)
 
-    base = perron_solve(InhomProblem(base_seq, prob_b.w, prob_b.w_bound), base_cert)
-    v = base.v
+    # the base problem checks the forcing's windows against the base steps
+    base = InhomProblem(base_seq, prob_b.w, prob_b.w_bound)
+    w = np.array([base.w_at(k).coeffs for k in range(a, b + 1)])
+    solve = _interval_sums(base_seq, base_cert)
+    v = solve(w)
     diff_norms = []
     for _ in range(200):
-        forced = dict(prob_b.w)
-        for k in range(a + 1, b + 1):
-            dv = op_apply(deltas[k - 1], v[k - 1], check_loss=False)
-            forced[k] = _vec_add(prob_b.w_at(k), dv)
-        vn = perron_solve(InhomProblem(base_seq, forced), base_cert).v
-        diff = max(norm(_vec_add(vn[k], v[k], cy=-1.0)) for k in vn)
+        forced = w.copy()
+        forced[1:] += deltas.apply(v[:-1])
+        vn = solve(forced)
+        diff = float(row_norms(vn - v, prob_b.p).max())
         diff_norms.append(diff)
         v = vn
-        if diff <= 1e-13 * (1.0 + max(norm(x) for x in v.values())):
+        if diff <= 1e-13 * (1.0 + float(row_norms(v, prob_b.p).max())):
             break
     else:
         raise ConvergenceError(
             f"perturbed solve did not converge in 200 iterations "
             f"(last difference {diff_norms[-1]:.3g}); the perturbation "
             f"likely violates its bound")
-    return _solution(prob_b, np.array([v[k].coeffs for k in range(a, b + 1)]),
-                     meta={"iterations": len(diff_norms),
-                           "diff_norms": diff_norms})
+    return _solution(prob_b, v, meta={"iterations": len(diff_norms),
+                                      "diff_norms": diff_norms})
 
 
 def banded_direct_solve(prob, cert, max_unknowns=20_000):

@@ -11,19 +11,18 @@ relaxed decay rate ``lam1 > lam`` with constant ``((R + 1) / lam1) ** N``,
 where N is the block length at which the original decay beats ``lam1``.
 
 The whole construction runs on operator stacks (:class:`seqcore.RowOps`),
-one stack per block kind, iterate and product over all steps.  On
+one stack per block kind, iterate and product over all steps, so each
+block, update, difference, inclusion product and norm is one array
+operation across all steps, for every input; only the backward sweep of
+the correction series stays sequential in the step, on single rows.  On
 weighted shifts by one common s with diagonal projections a stack is one
-(steps, n) scalar array, so each block, update, difference, inclusion
-product and norm is one array operation across all steps; only the
-backward sweep of the correction series stays sequential in the step,
-on single scalar rows.  Every step keeps the association order and the
-bits of the per-step :class:`seqcore.LinOp` algebra, and only the
-nonzero final tilts are materialized; a zero tilt stays structured.  One
-dense operand (a dense perturbation, dense projections) makes the
-transfer run step by step, with the same matrix products in the same
-order and the same per-step temporaries; that path is admitted only
-while its estimated memory, ``_dense_bytes``, stays below
-``MAX_DENSE_BYTES``.
+(steps, n) scalar array.  A dense operand (a dense perturbation, dense
+projections) makes the stacks it meets (steps, n, n) matrix arrays, run
+by batched ``matmul``, ``inv`` and ``norm``; that is admitted only while
+its estimated memory, ``_dense_bytes``, stays below ``MAX_DENSE_BYTES``.
+Every step keeps the association order and the bits of the per-step
+:class:`seqcore.LinOp` algebra, and only the nonzero final tilts are
+materialized; a zero tilt stays structured.
 
 ``perturbed_cl_for_diffeo`` lifts the construction to diffeomorphisms: an
 orbit of the perturbed map is shadowed by an exact trajectory of the base
@@ -173,20 +172,13 @@ class PerturbedCert:
         }
 
 
-def _norm(op, p):
-    """Exact l^p operator norm: seqcore's for a weighted shift, numpy's
-    (the SVD for p = 2) for a dense matrix."""
-    if op.matrix is None:
-        return op_norm(op, p)
-    return float(np.linalg.norm(op.matrix, _NORM_ORDS[p]))
-
-
 def _norms(stack, p):
-    """:func:`_norm` of every row of a :class:`seqcore.RowOps` stack."""
-    if stack.ops is None:
+    """Exact l^p operator norm of every row of a :class:`seqcore.RowOps`
+    stack: seqcore's for weighted shifts, numpy's (the SVD for p = 2) for
+    dense matrices, in one batched call."""
+    if stack.shift is not None:
         return stack.norms(p)
-    return np.array([_norm(op, p) for op in stack.ops.ravel()]).reshape(
-        stack.ops.shape)
+    return np.linalg.norm(stack.data, _NORM_ORDS[p], axis=(-2, -1))
 
 
 def _diff_norms(B, A, p):
@@ -197,72 +189,35 @@ def _diff_norms(B, A, p):
     coordinates the dense zero-extended view drops at the window edge.
     """
     d = B - A
-    if d.ops is None:
-        return np.abs(d.scalars).max(axis=-1)
-    return np.array([_norm(op, p) if op.matrix is not None
-                     else float(np.max(np.abs(op.scalars)))
-                     for op in d.ops.ravel()]).reshape(d.ops.shape)
-
-
-def _is_zero(op):
-    """Whether op is the zero operator (its dense view holds no nonzero)."""
-    if op.matrix is not None:
-        return not op.matrix.any()
-    return op_norm(op) == 0.0
+    if d.shift is not None:
+        return np.abs(d.data).max(axis=-1)
+    return _norms(d, p)
 
 
 def _dense_bytes(n_ops, n):
     """Bytes the dense transfer holds for ``n_ops`` steps on a window of
-    length n: 28 n x n float64 arrays per step.  The all-dense transfer
-    allocates 22.5 to 25.6 per step (inverses, projections, both sides'
-    blocks and iterates; the tracemalloc peak of robustness's route with
-    6 to 24 steps on windows of 21 to 161), and the caller holds the two
-    input operators."""
-    return 28 * n_ops * n * n * 8
-
-
-def _steps(m, at, *stacks):
-    """``at(j)``, the transfer's algebra at the steps j of m steps.
-
-    When every stack is a weighted-shift stack, ``at`` runs once on the
-    slice of all steps, and each product or sum is one array operation
-    over all of them.  Otherwise ``at`` runs step by step on single rows,
-    so dense operands and mixed shifts keep their per-step products and
-    per-step temporaries, and the results are stacked: operators into
-    :class:`seqcore.RowOps`, norms into arrays.
-    """
-    if all(s.ops is None for s in stacks):
-        return at(slice(0, m))
-    per_step = [at(j) for j in range(m)]
-    if isinstance(per_step[0], tuple):
-        return tuple(_stack(col) for col in zip(*per_step))
-    return _stack(per_step)
-
-
-def _stack(rows):
-    """Per-step results as one stack: single-row operators into a
-    :class:`seqcore.RowOps`, norms into an array."""
-    if isinstance(rows[0], RowOps):
-        return RowOps([r.op(()) for r in rows])
-    return np.array(rows)
+    length n: 25 n x n float64 arrays per step.  The all-dense transfer
+    allocates 20.3 to 22.2 per step (inverses, projections, one side's
+    blocks, iterates and whole-stack temporaries; the tracemalloc peak of
+    robustness's route, densified, with 6 to 24 steps on windows of 21 to
+    161), and the caller holds the two input operators."""
+    return 25 * n_ops * n * n * 8
 
 
 _BLOCK_NAMES = ("Z", "Ass", "Aus", "Bsu", "Dss", "Dus", "Duu")
 
 
-def _blocks(A, Ai, B, P, Q, nxt):
+def _blocks(A, Ai, B, P, Q, n_ops, nxt):
     """Split each step into stable/unstable components against (P, Q).
 
-    Step j maps time j to time ``nxt[j]``; the blocks are stacks over the
-    steps.
+    Step j of ``n_ops`` maps time j to time ``nxt[j]``; the blocks are
+    stacks over the steps.
     """
-    def at(j):
-        Pj, Qj, Pn, Qn = P[j], Q[j], P[nxt[j]], Q[nxt[j]]
-        D = B[j] - A[j]
-        return (Ai[j] @ Qn, Pn @ A[j] @ Pj, Pn @ A[j] @ Qj, Qn @ B[j] @ Pj,
-                Pn @ D @ Pj, Pn @ D @ Qj, Qn @ D @ Qj)
-
-    return dict(zip(_BLOCK_NAMES, _steps(len(nxt), at, A, Ai, B, P, Q)))
+    Pj, Qj, Pn, Qn = P[:n_ops], Q[:n_ops], P[nxt], Q[nxt]
+    D = B - A
+    return dict(zip(_BLOCK_NAMES, (
+        Ai @ Qn, Pn @ A @ Pj, Pn @ A @ Qj, Qn @ B @ Pj,
+        Pn @ D @ Pj, Pn @ D @ Qj, Qn @ D @ Qj)))
 
 
 def _series_terms(C, lam, s_norm):
@@ -280,24 +235,22 @@ def _series_terms(C, lam, s_norm):
     return T
 
 
-def _fixed_point(blk, nxt, C, lam, p, period, label, zero):
+def _fixed_point(blk, n_ops, nxt, C, lam, p, period, label, zero):
     """Iterate H -> series(Q-update(H)) from H = 0 until it stabilizes.
 
-    H is a stack over the times, step j maps time j to time ``nxt[j]``.
-    The update is certified 1/2-contracting, which the monitor enforces;
-    returns ``(H, iterations, fp_residual, worst_ratio)``.
+    H is a stack over the times, step j of ``n_ops`` maps time j to time
+    ``nxt[j]``.  The update is certified 1/2-contracting, which the
+    monitor enforces; returns ``(H, iterations, fp_residual,
+    worst_ratio)``.
     """
-    n_ops = len(nxt)
     n_times = n_ops if period else n_ops + 1
     Z, Ass, Aus, Bsu = blk["Z"], blk["Ass"], blk["Aus"], blk["Bsu"]
     Dss, Dus, Duu = blk["Dss"], blk["Dus"], blk["Duu"]
 
     def q_step(H):
-        def at(j):
-            Hj, Hn = H[j], H[nxt[j]]
-            return Z[j] @ (-Bsu[j] - Duu[j] @ Hj + Hn @ (Aus[j] @ Hj)
-                           + Hn @ Dss[j] + Hn @ (Dus[j] @ Hj))
-        return _steps(n_ops, at, H, *blk.values())
+        Hj, Hn = H[:n_ops], H[nxt]
+        return Z @ (-Bsu - Duu @ Hj + Hn @ (Aus @ Hj) + Hn @ Dss
+                    + Hn @ (Dus @ Hj))
 
     def apply_series(S):
         if period is None:
@@ -306,32 +259,23 @@ def _fixed_point(blk, nxt, C, lam, p, period, label, zero):
             new = [zero] * n_times
             for j in range(n_ops - 1, -1, -1):
                 new[j] = S[j] + (Z[j] @ new[j + 1]) @ Ass[j]
-            return _stack(new)
+            return RowOps([r.op(()) for r in new])
         T = _series_terms(C, lam, float(np.max(_norms(S, p))))
-
-        def at(j):
-            idx = np.arange(n_times)[j]
-            acc, left, right = S[j], None, None
-            for l in range(1, T):
-                zi = (idx + l - 1) % n_ops
-                left = Z[zi] if left is None else left @ Z[zi]
-                right = Ass[zi] if right is None else Ass[zi] @ right
-                acc = acc + left @ S[(idx + l) % n_ops] @ right
-            return acc
-        return _steps(n_times, at, S, Z, Ass)
+        idx = np.arange(n_times)
+        acc, left, right = S, None, None
+        for l in range(1, T):
+            zi = (idx + l - 1) % n_ops
+            left = Z[zi] if left is None else left @ Z[zi]
+            right = Ass[zi] if right is None else Ass[zi] @ right
+            acc = acc + left @ S[(idx + l) % n_ops] @ right
+        return acc
 
     def dist(new, H):
-        return float(np.max(_steps(n_times, lambda j: _norms(new[j] - H[j], p),
-                                   new, H)))
+        return float(np.max(_norms(new - H, p)))
 
     return monitored_fixed_point(
         lambda H: apply_series(q_step(H)), zero, dist, f"{label} graph",
         ratio_bound=0.5, ratio_floor=1e-13, max_iter=MAX_FP_ITERATIONS)
-
-
-def _has_dense(stack):
-    return stack.ops is not None and any(
-        op.matrix is not None for op in stack.ops.ravel())
 
 
 def _transfer(seq, cert, pert, lam1, eps, p, period):
@@ -350,29 +294,35 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     n_times = n_ops if period else n_ops + 1
     ks = [lo + j for j in range(n_times)]
     W = seq.op_at(lo).domain
-    # step j maps time j to time nxt[j]; reversed time j sits at time rev[j]
-    nxt = (np.arange(n_ops) + 1) % n_times
-    rev = (n_ops - np.arange(n_times)) % n_times
+    # step j maps time j to time nxt[j]; reversed time j sits at time
+    # rev[j].  On an interval both are basic slices, so the stacks they
+    # select are views; around a period they wrap
+    if period is None:
+        nxt, rev = slice(1, None), slice(None, None, -1)
+    else:
+        nxt, rev = (np.arange(n_ops) + 1) % n_ops, -np.arange(n_ops) % n_ops
 
-    A = RowOps([seq.op_at(lo + j) for j in range(n_ops)])
-    B = RowOps([pert.op_at(lo + j) for j in range(n_ops)])
+    a_ops = [seq.op_at(lo + j) for j in range(n_ops)]
+    b_ops = [pert.op_at(lo + j) for j in range(n_ops)]
     base_pairs = [cert.proj_at(k) for k in ks]
-    P = RowOps([pr.P for pr in base_pairs])
-    Q = RowOps([pr.Q for pr in base_pairs])
     # weighted shifts stay structured; one dense operand makes the blocks
-    # and iterates dense, so admit that path only within its memory cap
-    if any(_has_dense(s) for s in (A, B, P, Q)):
+    # and iterates dense, so admit that only within its memory cap, before
+    # any stack is built
+    pair_ops = [op for pr in base_pairs for op in (pr.P, pr.Q)]
+    if any(op.matrix is not None for op in a_ops + b_ops + pair_ops):
         need = _dense_bytes(n_ops, W.length)
         if need > MAX_DENSE_BYTES:
             raise PreconditionError(
                 f"dense splitting transfer over {n_ops} steps on a window of "
                 f"{W.length} needs about {need} bytes, above the cap "
                 f"{MAX_DENSE_BYTES}")
-    Ai, Bi = A.inverse(), B.inverse()
+    A, B = RowOps(a_ops), RowOps(b_ops)
+    P = RowOps([pr.P for pr in base_pairs])
+    Q = RowOps([pr.Q for pr in base_pairs])
+    Ai, Bi = RowOps.inverses(a_ops), RowOps.inverses(b_ops)
 
     def sup_diff(X, Y):
-        return float(np.max(_steps(n_ops, lambda j: _diff_norms(X[j], Y[j], p),
-                                   X, Y)))
+        return float(np.max(_diff_norms(X, Y, p)))
 
     eps_meas = sup_diff(B, A)
     if eps is None:
@@ -394,12 +344,12 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     # sequence: reversed step j applies the inverse of original step
     # n_ops - 1 - j, from time rev[j] into time rev[j + 1]
     zero = RowOps.weighted_shifts(np.zeros(W.length), 0, W)
-    fwd = _blocks(A, Ai, B, P, Q, nxt)
-    rev_blk = _blocks(Ai[::-1], A[::-1], Bi[::-1], Q[rev], P[rev], nxt)
-    Hs, it_s, fpres_s, ratio_s = _fixed_point(fwd, nxt, C, lam, p, period,
-                                              "stable", zero)
-    Hr, it_u, fpres_u, ratio_u = _fixed_point(rev_blk, nxt, C, lam, p, period,
-                                              "unstable", zero)
+    Hs, it_s, fpres_s, ratio_s = _fixed_point(
+        _blocks(A, Ai, B, P, Q, n_ops, nxt), n_ops, nxt, C, lam, p, period,
+        "stable", zero)
+    Hr, it_u, fpres_u, ratio_u = _fixed_point(
+        _blocks(Ai[::-1], A[::-1], Bi[::-1], Q[rev], P[rev], n_ops, nxt),
+        n_ops, nxt, C, lam, p, period, "unstable", zero)
     Hu = Hr[rev]
 
     Lp = series_gain(C, lam)
@@ -418,8 +368,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     # shifts); a nonzero tilt is densified once, for GraphMaps and its pair
     def tilts(H, norms):
         ops = [H.op(j) for j in range(n_times)]
-        zero_at = (norms == 0.0 if H.ops is None
-                   else np.array([_is_zero(op) for op in ops]))
+        zero_at = norms == 0.0
         return [op if z else dense(op.to_dense_matrix(), W)
                 for op, z in zip(ops, zero_at)], zero_at
 
@@ -447,12 +396,9 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         raise ConvergenceError(
             f"tilted projection norm {proj_sup:.3g} exceeds 2C = {2 * C}")
 
-    def leaks(j):
-        Pj, Qn = P1[j], Q1[nxt[j]]
-        return (Qn @ (B[j] @ Pj)).norms(p), (Pj @ (Bi[j] @ Qn)).norms(p)
-
-    r_f, r_b = (np.broadcast_to(r, (n_ops,))
-                for r in _steps(n_ops, leaks, B, Bi, P1, Q1))
+    Pj, Qn = P1[:n_ops], Q1[nxt]
+    r_f = np.broadcast_to((Qn @ (B @ Pj)).norms(p), (n_ops,))
+    r_b = np.broadcast_to((Pj @ (Bi @ Qn)).norms(p), (n_ops,))
     incl = {lo + j: float(r) for j, r in enumerate(r_f)}
     leaking = np.flatnonzero((r_f > INCLUSION_TOL) | (r_b > INCLUSION_TOL))
     if len(leaking):

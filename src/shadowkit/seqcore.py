@@ -24,10 +24,12 @@ is ``edge_trips``, which ``edge_loss`` and the shift systems' maps read.
 coefficient block that ``op_apply`` wraps, for inner loops that account
 for the boundary themselves; ``apply_rows`` applies one operator per row
 (``RowOps`` stacks those operators once, for blocks with any number of
-leading axes, and composes, adds, inverts and measures whole stacks with
-the kernels of ``compose``, ``add``, ``inverse`` and ``op_norm``), and
-``row_norms`` takes the norm of every row, each bit for bit the
-row-by-row result.  ``transport_rows`` carries a block of
+leading axes, as one array: the scalars of weighted shifts by one common
+s, or else the densified matrices; it composes, adds, inverts and
+measures whole stacks in one array operation each, with the kernels of
+``compose``, ``add``, ``inverse`` and ``op_norm`` or their batched dense
+calls), and ``row_norms`` takes the norm of every row, each bit for bit
+the row-by-row result.  ``transport_rows`` carries a block of
 rows through a list of operators under the guard, retiring each row at
 its first trip, and tables their norms: the decay scans of the verifiers
 and of the splitting transfer run on it.  ``anchor_index`` finds a point
@@ -294,12 +296,7 @@ class LinOp:
     def to_dense_matrix(self):
         if self.matrix is not None:
             return self.matrix
-        n = self.domain.length
-        kept, _ = _acting(n, self.shift)
-        cols = np.arange(n)[kept]
-        m = np.zeros((n, n))
-        m[cols + self.shift, cols] = self.scalars[kept]
-        return m
+        return _shift_matrices(self.scalars, self.shift)
 
     def to_json(self):
         if self.matrix is not None:
@@ -376,6 +373,18 @@ def _shift_rows(scalars, shift, rows):
     return out
 
 
+def _shift_matrices(c, s):
+    """Matrices of the weighted shifts by s with the scalar rows of a
+    (..., n) array: scalar k at entry (k + s, k) for every coordinate k the
+    shift keeps, zero elsewhere."""
+    n = c.shape[-1]
+    kept, _ = _acting(n, s)
+    cols = np.arange(n)[kept]
+    m = np.zeros(c.shape[:-1] + (n, n))
+    m[..., cols + s, cols] = c[..., kept]
+    return m
+
+
 def apply_coeffs(A, x):
     """Apply A to every row of a raw (..., n) coefficient array; a shift
     drops the coefficients it pushes over the window edge.  A dense A acts
@@ -390,88 +399,96 @@ def apply_coeffs(A, x):
 class RowOps:
     """One operator per row of a coefficient block, stacked once for reuse.
 
-    ``RowOps(ops)`` takes LinOps in an array-like of some leading shape, one
-    per row of a (*shape, n) block.  Weighted shifts by one common s keep
-    their scalars as one (*shape, n) array, or as the single row (n,) that
-    broadcasts over every row when all the operators are one object; any
-    other mix keeps the operators in an object array.  Indexing the leading
-    axes selects rows (basic indexing shares the scalars, an integer index
-    of a shift stack gives a single row, and a single row is every selection
-    of itself), and ``op`` reads one row back as a LinOp.
+    ``RowOps(ops)`` takes LinOps on one window in an array-like of some
+    leading shape, one per row of a (*shape, n) block, and keeps them as one
+    array ``data`` in one of two forms.  Weighted shifts by one common s
+    (``shift`` = s) keep their scalars, a (*shape, n) array.  Any other mix,
+    a dense operator or shifts by different s, is densified (``shift`` is
+    None) into a (*shape, n, n) array of matrices, as a mixed-shift ``add``
+    already densifies.  When all the operators are one object the stack
+    keeps that single row, (n,) or (n, n), which broadcasts over every row.
+    Indexing the leading axes selects rows (basic indexing shares the
+    array, an integer index gives a single row, and a single row is every
+    selection of itself), and ``op`` reads one row back as a LinOp.  Once
+    built, a stack is never written into.
 
-    A stack is closed under the operator algebra, row by row: ``@`` (the
-    rows of the left stack after those of the right), ``+``, ``-``, unary
-    ``-`` and ``inverse``, with ``norms`` the operator norm of every row.
-    Two shift stacks (by one s each, and by a common s in a sum) combine in
-    one array operation over all rows, the same kernels that ``compose``,
-    ``add``, ``sub`` and ``op_norm`` run on a single operator, so every row
-    carries their bits.  Any other mix runs ``compose``, ``add`` or ``sub``
-    row by row.  ``apply`` applies the rows to a block, with the bits of
+    A stack is closed under the operator algebra, row by row, each in one
+    array operation over all rows: ``@`` (the rows of the left stack after
+    those of the right), ``+``, ``-``, unary ``-`` and ``inverse``, with
+    ``norms`` the ``op_norm`` of every row.  Two shift stacks (by one s
+    each, and by a common s in a sum) run the kernels that ``compose``,
+    ``add``, ``sub`` and ``inverse`` run on one weighted shift.  Any other
+    pair densifies its shift side and runs a batched ``matmul``, ufunc or
+    ``np.linalg.inv``, the calls those functions make on one dense
+    operator.  Every row carries the bits of the single-operator result,
+    and ``apply`` applies the rows to a block with the bits of
     ``apply_coeffs``.
     """
 
-    __slots__ = ("shift", "scalars", "ops", "window")
+    __slots__ = ("shift", "data", "window")
 
     def __init__(self, ops):
         ops = np.array(ops, dtype=object)
         flat = ops.ravel()
         first = flat[0]
-        self.shift, self.scalars, self.ops = None, None, None
         self.window = first.domain
         if all(A.matrix is None and A.shift == first.shift for A in flat):
-            self.shift = first.shift
-            if all(A is first for A in flat):
-                self.scalars = first.scalars
-            else:
-                self.scalars = np.array([A.scalars for A in flat]).reshape(
-                    ops.shape + first.scalars.shape)
+            self.shift, rows = first.shift, [A.scalars for A in flat]
+        elif all(A.domain == self.window == A.codomain for A in flat):
+            self.shift, rows = None, [A.to_dense_matrix() for A in flat]
         else:
-            self.ops = ops
+            raise PreconditionError("stacked operators act between different windows")
+        self.data = (rows[0] if all(A is first for A in flat)
+                     else np.array(rows).reshape(ops.shape + rows[0].shape))
+
+    @classmethod
+    def _of(cls, shift, data, window):
+        out = cls.__new__(cls)
+        out.shift, out.data, out.window = shift, data, window
+        return out
 
     @classmethod
     def weighted_shifts(cls, scalars, shift, window):
         """The weighted shifts by ``shift`` on ``window`` with the scalar
         rows of a (..., n) array, one per row."""
-        out = cls.__new__(cls)
-        out.shift, out.scalars, out.ops, out.window = (
-            int(shift), scalars, None, window)
-        return out
+        return cls._of(int(shift), scalars, window)
+
+    @classmethod
+    def inverses(cls, ops):
+        """``RowOps(ops)`` of the ``LinOp.inverse`` of every operator.
+
+        The stack of ``ops`` inverts in one array operation, unless it
+        densified weighted shifts (a mix of kinds): the dense view of a
+        shift by s != 0 is singular, so a mix is inverted operator by
+        operator and then stacked.
+        """
+        ops = np.array(ops, dtype=object)
+        stack = cls(ops)
+        if stack.shift is None and any(A.matrix is None for A in ops.flat):
+            return cls(np.frompyfunc(LinOp.inverse, 1, 1)(ops))
+        return stack.inverse()
+
+    def _single(self):
+        return self.data.ndim == (2 if self.shift is None else 1)
 
     def __getitem__(self, idx):
-        if self.ops is not None:
-            return RowOps(self.ops[idx]) if self.ops.ndim else self
-        if self.scalars.ndim == 1:
+        if self._single():
             return self
-        return RowOps.weighted_shifts(self.scalars[idx], self.shift,
-                                      self.window)
+        return RowOps._of(self.shift, self.data[idx], self.window)
 
     def op(self, idx):
         """Row ``idx`` as a LinOp (any index, ``()`` too, of a single row)."""
-        if self.ops is not None:
-            return self.ops[idx] if self.ops.ndim else self.ops[()]
-        c = self.scalars if self.scalars.ndim == 1 else self.scalars[idx]
-        return _shifted(self.window, c, self.shift)
+        row = self.data if self._single() else self.data[idx]
+        if self.shift is None:
+            return LinOp(self.window, self.window, row, None, 0, False)
+        return _shifted(self.window, row, self.shift)
 
-    def _lead(self):
-        return self.ops.shape if self.ops is not None else self.scalars.shape[:-1]
-
-    def _op_array(self, shape):
-        """The rows as an object array of LinOps, broadcast to ``shape``."""
-        if self.ops is not None:
-            return np.broadcast_to(self.ops, shape)
-        ops = np.empty(self._lead(), dtype=object)
-        for i in np.ndindex(ops.shape):
-            ops[i] = self.op(i)
-        return np.broadcast_to(ops, shape)
-
-    def _rowwise(self, other, fn):
-        """``fn`` on every pair of rows, as LinOps; a single row broadcasts."""
-        shape = np.broadcast_shapes(self._lead(), other._lead())
-        a, b = self._op_array(shape), other._op_array(shape)
-        out = np.empty(shape, dtype=object)
-        for i in np.ndindex(shape):
-            out[i] = fn(a[i], b[i])
-        return RowOps(out)
+    def _dense(self):
+        """The rows as matrices: the data of a dense stack, or a shift
+        stack densified as ``to_dense_matrix`` densifies one shift."""
+        if self.shift is None:
+            return self.data
+        return _shift_matrices(self.data, self.shift)
 
     def _chain(self, other):
         if self.window != other.window:
@@ -479,64 +496,55 @@ class RowOps:
         return self.window
 
     def __matmul__(self, other):
-        if self.ops is None and other.ops is None:
-            window = self._chain(other)
-            return RowOps.weighted_shifts(*_shift_product(
-                self.scalars, self.shift, other.scalars, other.shift), window)
-        return self._rowwise(other, compose)
+        window = self._chain(other)
+        if self.shift is None or other.shift is None:
+            return RowOps._of(None, np.matmul(self._dense(), other._dense()),
+                              window)
+        return RowOps.weighted_shifts(*_shift_product(
+            self.data, self.shift, other.data, other.shift), window)
 
-    def _combine(self, other, ufunc, fallback):
-        if self.ops is None and other.ops is None and self.shift == other.shift:
-            window = self._chain(other)
-            return RowOps.weighted_shifts(ufunc(self.scalars, other.scalars),
-                                          self.shift, window)
-        return self._rowwise(other, fallback)
+    def _combine(self, other, ufunc):
+        window = self._chain(other)
+        if self.shift == other.shift:
+            return RowOps._of(self.shift, ufunc(self.data, other.data), window)
+        return RowOps._of(None, ufunc(self._dense(), other._dense()), window)
 
     def __add__(self, other):
-        return self._combine(other, np.add, add)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        return self._combine(other, np.subtract, sub)
-
-    def _each(self, fn):
-        out = np.empty(self.ops.shape, dtype=object)
-        out.ravel()[:] = [fn(A) for A in self.ops.ravel()]
-        return RowOps(out)
+        return self._combine(other, np.subtract)
 
     def __neg__(self):
-        if self.ops is not None:
-            return self._each(LinOp.__neg__)
-        return RowOps.weighted_shifts(-self.scalars, self.shift, self.window)
+        return RowOps._of(self.shift, -self.data, self.window)
 
     def inverse(self):
-        if self.ops is not None:
-            return self._each(LinOp.inverse)
+        if self.shift is None:
+            return RowOps._of(None, np.linalg.inv(self.data), self.window)
         return RowOps.weighted_shifts(
-            _inverse_scalars(self.scalars, self.shift), -self.shift,
-            self.window)
+            _inverse_scalars(self.data, self.shift), -self.shift, self.window)
 
     def norms(self, p):
         """``op_norm`` of every row, as an array of the leading shape."""
-        if self.ops is None:
-            return _shift_norms(self.scalars, self.shift)
-        return np.array([op_norm(A, p) for A in self.ops.ravel()]).reshape(
-            self.ops.shape)
+        if self.shift is not None:
+            return _shift_norms(self.data, self.shift)
+        m = self.data
+        flat = m.reshape((-1,) + m.shape[-2:])
+        return np.array([_dense_norm(x, p) for x in flat]).reshape(m.shape[:-2])
 
     def apply(self, rows):
         """The operators applied to the rows of a (*shape, n) array."""
-        if self.ops is not None:
-            flat = rows.reshape(-1, rows.shape[-1])
-            return np.array([apply_coeffs(A, x) for A, x
-                             in zip(self.ops.ravel(), flat)]).reshape(rows.shape)
-        return _shift_rows(self.scalars, self.shift, rows)
+        if self.shift is None:
+            return np.matmul(self.data, rows[..., None])[..., 0]
+        return _shift_rows(self.data, self.shift, rows)
 
 
 def apply_rows(ops, rows):
     """Apply ``ops[i]`` to row i of an (m, n) coefficient array.
 
     ``ops`` is a list of LinOps or a :class:`RowOps` stacked from them; the
-    same products as ``apply_coeffs`` row by row, with weighted shifts by one
-    common s as one array operation and any other mix row by row.
+    same products as ``apply_coeffs`` row by row (of the densified operators
+    when the list mixes shifts), in one array operation.
     """
     return (ops if isinstance(ops, RowOps) else RowOps(ops)).apply(rows)
 
@@ -665,12 +673,17 @@ def op_norm(A, p=2.0):
     """
     if A.matrix is None:
         return float(_shift_norms(A.scalars, A.shift))
+    return _dense_norm(A.matrix, p)
+
+
+def _dense_norm(m, p):
+    """``op_norm`` of the dense operator with matrix m."""
     if p == 1.0:
-        return float(np.max(np.sum(np.abs(A.matrix), axis=0)))
+        return float(np.max(np.sum(np.abs(m), axis=0)))
     if p == math.inf:
-        return float(np.max(np.sum(np.abs(A.matrix), axis=1)))
+        return float(np.max(np.sum(np.abs(m), axis=1)))
     if p == 2.0:
-        return _dense_two_norm(A.matrix)
+        return _dense_two_norm(m)
     raise PreconditionError(f"op_norm of a dense operator for p={p} is not supported")
 
 

@@ -114,10 +114,13 @@ class DiffeoSystem:
         :class:`seqcore.RowOps`."""
         if self.dforward_rows is not None:
             return self.dforward_rows(xs)
-        ops = np.empty(xs.shape[:-1], dtype=object)
-        ops.ravel()[:] = [self.dforward(SeqVec(self.window, x, self.p))
-                          for x in xs.reshape(-1, self.window.length)]
-        return RowOps(ops)
+
+        def nested(x):
+            if x.ndim == 1:
+                return self.dforward(SeqVec(self.window, x, self.p))
+            return [nested(row) for row in x]
+
+        return RowOps(nested(np.asarray(xs, dtype=float)))
 
     def orbit(self, x, back, fwd):
         """The orbit points f^j(x) for j = -back .. fwd, as a list.

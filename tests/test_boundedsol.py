@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, diag, dense, norm, op_apply, shift_diag,
-    PreconditionError,
+    Window, SeqVec, OperatorSeq, RowOps, diag, dense, norm, op_apply,
+    shift_diag, sub, PreconditionError,
 )
 from shadowkit.clstruct import CLCertificate, ProjPair, constant_cert
 from shadowkit.boundedsol import (
@@ -280,12 +280,10 @@ def test_neumann_zero_perturbation_is_identity():
     assert pert.meta["iterations"] == 1
 
 
-def test_neumann_geometric_contraction_rate():
-    # eps = 1/(4L) forces successive iterate differences to shrink by at
-    # least L*eps = 1/4 while above the floating noise floor
+def _neumann_rate_case():
+    # A2 perturbed densely by eps = 1/(4L) at each of 10 steps
     rng = np.random.default_rng(5)
-    L = perron_constant(1.0, 0.5)
-    eps = 0.25 / L
+    eps = 0.25 / perron_constant(1.0, 0.5)
     length = 10
     base = OperatorSeq(0, [A2 for _ in range(length)])
     ops = []
@@ -294,7 +292,14 @@ def test_neumann_geometric_contraction_rate():
         d *= eps / np.linalg.norm(d, 2)
         ops.append(dense(A2.to_dense_matrix() + d, W2))
     w = {k: SeqVec(W2, rng.uniform(-1, 1, 2)) for k in range(1, length + 1)}
-    prob_b = InhomProblem(OperatorSeq(0, ops), w)
+    return InhomProblem(OperatorSeq(0, ops), w), base, eps
+
+
+def test_neumann_geometric_contraction_rate():
+    # eps = 1/(4L) forces successive iterate differences to shrink by at
+    # least L*eps = 1/4 while above the floating noise floor
+    L = perron_constant(1.0, 0.5)
+    prob_b, base, eps = _neumann_rate_case()
     sol = neumann_perturbed_solve(prob_b, base, CERT2, eps=eps * (1 + 1e-12))
     diffs = sol.meta["diff_norms"]
     for d0, d1 in zip(diffs, diffs[1:]):
@@ -306,6 +311,54 @@ def test_neumann_geometric_contraction_rate():
     sb = banded_direct_solve(prob_b, CERT2)
     for k in sol.v:
         assert np.max(np.abs(sol.v_at(k).coeffs - sb.v_at(k).coeffs)) <= 1e-8
+
+
+def _neumann_by_repeated_perron_solve(prob_b, base_seq, cert):
+    # the loop the solver ran before: one perron_solve per iteration, each
+    # inverting every step and reading every projection pair again
+    a, b = base_seq.lo, base_seq.hi
+    deltas = {k: sub(prob_b.seq.op_at(k), base_seq.op_at(k))
+              for k in range(a, b)}
+    v = perron_solve(InhomProblem(base_seq, prob_b.w, prob_b.w_bound), cert).v
+    for _ in range(200):
+        forced = dict(prob_b.w)
+        for k in range(a + 1, b + 1):
+            dv = op_apply(deltas[k - 1], v[k - 1], check_loss=False)
+            forced[k] = prob_b.w_at(k).with_coeffs(prob_b.w_at(k).coeffs
+                                                   + dv.coeffs)
+        vn = perron_solve(InhomProblem(base_seq, forced), cert).v
+        diff = max(norm(vn[k].with_coeffs(vn[k].coeffs - v[k].coeffs))
+                   for k in vn)
+        v = vn
+        if diff <= 1e-13 * (1.0 + max(norm(x) for x in v.values())):
+            return np.array([v[k].coeffs for k in range(a, b + 1)])
+    raise AssertionError("reference loop did not converge")
+
+
+def test_neumann_inverts_once_and_matches_repeated_perron_solves(monkeypatch):
+    # the base steps are inverted once and the pairs read once (11 time
+    # points), where a perron_solve per iteration did it 12 times over
+    prob_b, base, eps = _neumann_rate_case()
+    want = _neumann_by_repeated_perron_solve(prob_b, base, CERT2)
+    inversions, reads = [], []
+    real_inverse = RowOps.inverse
+
+    def counted_inverse(stack):
+        inversions.append(stack)
+        return real_inverse(stack)
+
+    def counted_proj_at(k):
+        reads.append(k)
+        return CERT2.proj_at(k)
+
+    monkeypatch.setattr(RowOps, "inverse", counted_inverse)
+    cert = CLCertificate(CERT2.C, CERT2.lam, CERT2.R, counted_proj_at)
+    sol = neumann_perturbed_solve(prob_b, base, cert, eps=eps * (1 + 1e-12))
+    assert len(inversions) == 1
+    assert reads == list(range(11))
+    got = np.array([sol.v[k].coeffs for k in range(11)])
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_neumann_rejects_oversized_eps():

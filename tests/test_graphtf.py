@@ -1,4 +1,5 @@
 """Tests for the splitting-transfer engine."""
+import hashlib
 import json
 import math
 import tracemalloc
@@ -652,8 +653,9 @@ def _wobbly_shift_sequences(W, n_ops, period=None):
 
 
 def test_structured_transfer_work_does_not_grow_with_the_steps(monkeypatch):
-    # the transfer's algebra on shift stacks runs as whole-array operations:
-    # no per-step compose/add/sub, whatever the number of steps
+    # the transfer's algebra runs as whole-array operations on shift stacks
+    # and on the dense perturbation route's dense stacks alike: no per-step
+    # compose/add/sub, whatever the number of steps
     calls = []
     for name in ("compose", "add", "sub"):
         real = getattr(seqcore, name)
@@ -673,6 +675,15 @@ def test_structured_transfer_work_does_not_grow_with_the_steps(monkeypatch):
         counts.append(len(calls))
         assert len(pc.inclusion_residuals) == n_ops
     assert counts[0] == counts[1] < 16
+    counts = []
+    for n_ops in (12, 48):
+        seq, cert, pseq = _dense_perturbation_route(Window(-10, 10), n_ops,
+                                                    1e-4)
+        calls.clear()
+        pc = graph_transform_seq(seq, cert, pseq, 0.75, eps=1e-4)
+        counts.append(len(calls))
+        assert pc.graph.attained > 0.0
+    assert counts[0] == counts[1]
 
 
 def test_periodic_shift_transfer_record_is_unchanged():
@@ -716,11 +727,25 @@ def test_periodic_shift_transfer_record_is_unchanged():
                                                          sort_keys=True)
 
 
+#: sha256 of the fixed point's H bytes and the repr of its stats tuple,
+#: recorded from the step-by-step evaluation of the same algebra on single
+#: rows, which the dense path used to take
+_STEPPED_FIXED_POINT = {
+    None: "2a36a959401e9eff78cb0a215cb616a8cac7e088577f556f48965bc75c0aab96",
+    4: "3d1d44a987cddd87382587050119cfbf1126d22956c0d74696a054cd60ad5dbf",
+}
+#: sha256 of the sorted-key JSON of the dense perturbation route's transfer
+#: (Window(-10, 10), 12 steps, eps 1e-4, lam1 0.75), recorded from the
+#: step-by-step evaluation
+_STEPPED_DENSE_ROUTE = (
+    "54cd26bde475ff9ab2696bf408c94fb9cb02d179868f3193d0fc0c6ba35c548e")
+
+
 @pytest.mark.parametrize("period", [None, 4])
-def test_stacked_fixed_point_matches_the_per_step_one(monkeypatch, period):
+def test_stacked_fixed_point_matches_the_per_step_one(period):
     # random shift blocks with a nonzero tilt, so the series runs many
     # terms: one array operation per block over all steps, against the
-    # same algebra evaluated step by step on single rows, bit for bit
+    # digest of the same algebra evaluated step by step on single rows
     rng = np.random.default_rng(7)
     W = Window(-3, 3)
     m = 4
@@ -734,13 +759,16 @@ def test_stacked_fixed_point_matches_the_per_step_one(monkeypatch, period):
            "Dus": stack(1, 1e-3), "Duu": stack(1, 1e-3)}
     nxt = (np.arange(m) + 1) % (m if period else m + 1)
     zero = RowOps.weighted_shifts(np.zeros(W.length), 0, W)
-    args = (blk, nxt, 1.0, 0.5, 2.0, period, "test", zero)
-    stacked = graphtf._fixed_point(*args)
-    # the step-by-step branch that dense operands take
-    monkeypatch.setattr(graphtf, "_steps", lambda m, at, *stacks:
-                        graphtf._stack([at(j) for j in range(m)]))
-    stepped = graphtf._fixed_point(*args)
-    assert stacked[0].scalars.any()
-    assert stacked[0].scalars.tobytes() == stepped[0].scalars.tobytes()
-    assert stacked[1:] == stepped[1:]
-    assert stacked[1] > 2
+    H, *stats = graphtf._fixed_point(blk, m, nxt, 1.0, 0.5, 2.0, period,
+                                     "test", zero)
+    assert H.shift == 0 and H.data.any()
+    assert stats[0] > 2
+    digest = hashlib.sha256(H.data.tobytes() + repr(tuple(stats)).encode())
+    assert digest.hexdigest() == _STEPPED_FIXED_POINT[period]
+
+    # the dense route, step by step before
+    eps = 1e-4
+    seq, cert, pseq = _dense_perturbation_route(Window(-10, 10), 12, eps)
+    blob = graph_transform_seq(seq, cert, pseq, 0.75, eps=eps).to_json()
+    digest = hashlib.sha256(json.dumps(blob, sort_keys=True).encode())
+    assert digest.hexdigest() == _STEPPED_DENSE_ROUTE

@@ -424,7 +424,8 @@ def test_diff_norm_against_dense_difference(seed, n, sa, sb, p):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 7), st.integers(1, 12),
        st.sampled_from([-2, 0, 1, None]))
 def test_row_operations_match_row_by_row_bits(seed, m, n, s):
-    # s = None mixes shifts and a dense operator, the row-by-row fallback
+    # s = None mixes shifts and a dense operator, which stack densified: the
+    # rows then carry the bits of the densified operators
     rng = np.random.default_rng(seed)
     w = Window(0, n - 1)
     rows = rng.standard_normal((m, n)) * rng.choice([1e-9, 1.0, 1e7], (m, 1))
@@ -432,9 +433,10 @@ def test_row_operations_match_row_by_row_bits(seed, m, n, s):
     if s is None:
         ops = [_random_shift(rng, w, int(rng.integers(-2, 3))) for _ in range(m)]
         ops[-1] = dense(rng.standard_normal((n, n)), w)
+        stacked_as = [_densified(A) for A in ops]
     else:
-        ops = [_random_shift(rng, w, s) for _ in range(m)]
-    want = np.array([apply_coeffs(A, x) for A, x in zip(ops, rows)])
+        ops = stacked_as = [_random_shift(rng, w, s) for _ in range(m)]
+    want = np.array([apply_coeffs(A, x) for A, x in zip(stacked_as, rows)])
     assert apply_rows(ops, rows).tobytes() == want.tobytes()
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         want = np.array([coeff_norm(x, p) for x in rows])
@@ -446,7 +448,8 @@ def test_row_operations_match_row_by_row_bits(seed, m, n, s):
        st.integers(1, 9), st.sampled_from([-2, 0, 1, None, "shared"]))
 def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
     # one operator per row of a (frames, steps, n) block: stacked scalars,
-    # a single shared operator, or (s = None) the row-by-row fallback
+    # a single shared operator, or (s = None) shifts by -2..2 and a dense
+    # operator, which stack densified and invert operator by operator
     rng = np.random.default_rng(seed)
     w = Window(0, n - 1)
     if s == "shared":
@@ -460,7 +463,8 @@ def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
             ops[-1][-1] = dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
     rows = rng.standard_normal((frames, steps, n))
     stacked = RowOps(ops)
-    inverse = stacked.inverse()
+    inverse = RowOps.inverses(ops)
+    as_stacked = _densified if s is None else (lambda A: A)
 
     def check(got_ops, got_inv, picks):
         got, got_back = got_ops.apply(rows[picks]), got_inv.apply(rows[picks])
@@ -468,9 +472,9 @@ def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
             for j in range(steps):
                 A = ops[f][j]
                 assert got[i, j].tobytes() == apply_coeffs(
-                    A, rows[f, j]).tobytes()
+                    as_stacked(A), rows[f, j]).tobytes()
                 assert got_back[i, j].tobytes() == apply_coeffs(
-                    A.inverse(), rows[f, j]).tobytes()
+                    as_stacked(A.inverse()), rows[f, j]).tobytes()
         # one step across the frames, as the lockstep sums read it
         col = got_ops[:, steps - 1].apply(rows[picks, steps - 1])
         assert col.tobytes() == got[:, steps - 1].tobytes()
@@ -499,6 +503,18 @@ def test_anchor_index_finds_the_first_nearest_row(seed, m, n, p):
     off = v.with_coeffs(v.coeffs + 1e-3 * (1.0 + np.abs(rows).max()))
     with pytest.raises(PreconditionError, match="not on the certified orbit"):
         anchor_index(rows, off)
+
+
+def test_a_densified_stack_refuses_operators_on_other_windows():
+    # a dense stack holds square matrices on one window; shifts by one s
+    # never densify, so only a mix is checked
+    w = Window(0, 2)
+    A = dense(np.eye(3), w)
+    RowOps([A, shift_diag(w, np.ones(3), 1)])
+    for other in (shift_diag(Window(1, 3), np.ones(3), 1),
+                  dense(np.eye(3), w, Window(1, 3))):
+        with pytest.raises(PreconditionError, match="different windows"):
+            RowOps([A, other])
 
 
 def test_shared_dense_operator_acts_as_one_matrix_times_vector_per_row():
@@ -591,18 +607,26 @@ def test_transport_rows_matches_row_by_row_op_apply(seed, n, steps, p):
     assert last.tobytes() == np.array(want_last).reshape(-1, n).tobytes()
 
 
+def _densified(op):
+    return dense(op.to_dense_matrix(), op.domain, op.codomain)
+
+
 def _random_stack(rng, w, m, mode, s):
     """m operators on w: weighted shifts by s ("fixed"), by shifts drawn
-    from -2..2 ("mixed"), those with one dense row ("dense"), or one
-    shared shift by s ("shared"); about a fifth of the scalars are zero."""
+    from -2..2 ("mixed"), those with one dense row ("dense"), dense
+    operators only ("all-dense"), or one shared shift by s ("shared");
+    about a fifth of the scalars are zero."""
+    n = w.length
     if mode == "shared":
         return [_random_shift(rng, w, s)] * m
+    if mode == "all-dense":
+        return [dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
+                for _ in range(m)]
     ops = [_random_shift(rng, w, s if mode == "fixed"
                          else int(rng.integers(-2, 3))) for _ in range(m)]
     if mode == "dense":
         i = int(rng.integers(m))
-        ops[i] = dense(rng.standard_normal((w.length, w.length))
-                       + 3 * np.eye(w.length), w)
+        ops[i] = dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
     return ops
 
 
@@ -615,41 +639,64 @@ def _same_op(got, want):
         assert got.scalars.tobytes() == want.scalars.tobytes()
 
 
+STACK_MODES = ["fixed", "mixed", "dense", "all-dense", "shared"]
+
+
 @settings(max_examples=80)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 7),
-       st.sampled_from(["fixed", "mixed", "dense", "shared"]),
-       st.sampled_from(["fixed", "mixed", "dense", "shared"]),
+       st.sampled_from(STACK_MODES), st.sampled_from(STACK_MODES),
        st.integers(-2, 2), st.integers(-2, 2))
 def test_stacked_algebra_matches_the_operator_algebra_row_by_row(
         seed, m, n, mode_a, mode_b, s_a, s_b):
-    # a stack's @, +, -, unary -, inverse and norms against compose, add,
-    # sub, LinOp negation and inverse, and op_norm on each row, bit for bit:
-    # shift stacks by -2..2 (window-edge drops and zero scalars included),
-    # mixed shifts and dense rows (the row-by-row fallback), shared rows
+    # a stack's @, +, -, unary -, inverse, norms and apply against compose,
+    # add, sub, LinOp negation and inverse, op_norm and apply_coeffs on
+    # each row, bit for bit: shift stacks by -2..2 (window-edge drops and
+    # zero scalars included), shared rows and dense stacks.  A stack that
+    # mixes shifts or holds a dense row is densified, so its rows are
+    # checked against the densified operators.  Every stack is also read
+    # through a reversed view and a fancy index with repeats.
     rng = np.random.default_rng(seed)
     w = Window(-(n // 2), n - 1 - n // 2)
     a_ops = _random_stack(rng, w, m, mode_a, s_a)
     b_ops = _random_stack(rng, w, m, mode_b, s_b)
     A, B = RowOps(a_ops), RowOps(b_ops)
-    assert (A.ops is None) == (all(op.matrix is None for op in a_ops)
-                               and len({op.shift for op in a_ops}) == 1)
-    for got, want in ((A @ B, compose), (A + B, add), (A - B, sub)):
-        for i in range(m):
-            _same_op(got.op(i), want(a_ops[i], b_ops[i]))
-    for i in range(m):
-        _same_op((-A).op(i), -a_ops[i])
-        # single rows, as the sequential sweeps read them
-        _same_op((A[i] @ B[i]).op(()), compose(a_ops[i], b_ops[i]))
-    for p in (1.0, 2.0, math.inf):
-        want = np.array([op_norm(op, p) for op in a_ops])
-        assert np.broadcast_to(A.norms(p), (m,)).tobytes() == want.tobytes()
-    singular = any(op.matrix is None and
-                   not np.all(op.scalars[_kept(n, op.shift)] != 0.0)
-                   for op in a_ops)
-    if singular:
-        with pytest.raises(PreconditionError):
-            A.inverse()
-    else:
-        inv = A.inverse()
-        for i in range(m):
-            _same_op(inv.op(i), a_ops[i].inverse())
+    refs = []
+    for X, ops in ((A, a_ops), (B, b_ops)):
+        structured = (all(op.matrix is None for op in ops)
+                      and len({op.shift for op in ops}) == 1)
+        assert (X.shift is not None) == structured
+        refs.append(ops if structured else [_densified(op) for op in ops])
+    for pick in (slice(None), slice(None, None, -1),
+                 rng.integers(0, m, m + 2)):
+        at = np.arange(m)[pick]
+        As, Bs = A[pick], B[pick]
+        a_rows, b_rows = ([ref[i] for i in at] for ref in refs)
+        k = len(at)
+        for got, want in ((As @ Bs, compose), (As + Bs, add),
+                          (As - Bs, sub)):
+            for i in range(k):
+                _same_op(got.op(i), want(a_rows[i], b_rows[i]))
+        for i in range(k):
+            _same_op((-As).op(i), -a_rows[i])
+            # single rows, as the sequential sweeps read them
+            _same_op((As[i] @ Bs[i]).op(()), compose(a_rows[i], b_rows[i]))
+        for p in (1.0, 2.0, math.inf):
+            want = np.array([op_norm(op, p) for op in a_rows])
+            assert np.broadcast_to(As.norms(p), (k,)).tobytes() == want.tobytes()
+        x = rng.standard_normal((k, n))
+        want = np.array([apply_coeffs(op, r) for op, r in zip(a_rows, x)])
+        assert As.apply(x).tobytes() == want.tobytes()
+        inverses = []
+        for op in a_rows:
+            try:
+                inverses.append(op.inverse())
+            except (PreconditionError, np.linalg.LinAlgError) as exc:
+                inverses.append(type(exc))
+        failed = tuple({inv for inv in inverses if isinstance(inv, type)})
+        if failed:
+            with pytest.raises(failed):
+                As.inverse()
+        else:
+            inv = As.inverse()
+            for i in range(k):
+                _same_op(inv.op(i), inverses[i])
