@@ -40,7 +40,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import (
-    SeqVec, OperatorSeq, RowOps, norm, apply_coeffs, apply_rows,
+    Segment, OperatorSeq, RowOps, apply_coeffs, apply_rows,
     op_norm, row_norms, dense, sub, PreconditionError, ConvergenceError,
 )
 from .clstruct import ProjPair, verify_cl_opseq
@@ -60,24 +60,22 @@ def perron_constant(C, lam):
 class InhomProblem:
     """The data (A_k, w_k) of the difference equation on an interval.
 
-    ``seq`` supplies operators for k in [lo, hi-1]; ``w`` maps time points
-    (normally lo+1 .. hi) to forcing vectors, with absent keys meaning
-    zero.  For a periodic ``seq`` the forcing keys cover one period and
-    are looked up modulo it.
+    ``seq`` supplies operators for k in [lo, hi-1].  The forcing ``w`` is
+    one :class:`seqcore.Segment` of the times lo .. hi (for a periodic
+    ``seq``, of one period lo .. lo+m-1, so ``w[k]`` wraps), given as such
+    or packed once at construction from a dict of SeqVecs by time, absent
+    times meaning zero; for a periodic ``seq`` a key stands for every time
+    congruent to it modulo m, the lowest key of a class winning.
     """
 
     seq: OperatorSeq
-    w: dict
+    w: Segment
     w_bound: float = None
 
     def __post_init__(self):
-        win = self.window
-        for k, wk in self.w.items():
-            if wk.window != win:
-                raise PreconditionError(
-                    f"forcing at {k} lives on {wk.window}, operators on {win}")
+        self.w = _forcing(self.seq, self.w)
         if self.w_bound is None:
-            self.w_bound = max((norm(wk) for wk in self.w.values()), default=0.0)
+            self.w_bound = float(row_norms(self.w.rows, self.w.p).max())
 
     @property
     def window(self):
@@ -85,36 +83,43 @@ class InhomProblem:
 
     @property
     def p(self):
-        for wk in self.w.values():
-            return wk.p
-        return 2.0
+        return self.w.p
 
-    def w_at(self, k):
-        if self.seq.period is not None and k not in self.w:
-            base = self.seq.lo + (k - self.seq.lo) % self.seq.period
-            for cand in (base, base + self.seq.period):
-                if cand in self.w:
-                    return self.w[cand]
-        if k in self.w:
-            return self.w[k]
-        return SeqVec.zero(self.window, self.p)
+
+def _forcing(seq, w):
+    """The forcing block of an :class:`InhomProblem` on ``seq``."""
+    lo, m, win = seq.lo, seq.period, seq.ops[0].domain
+    size = len(seq.ops) + (m is None)
+    if isinstance(w, Segment):
+        if (w.lo, len(w), w.period, w.window) != (lo, size, m, win):
+            raise PreconditionError("the forcing block misses the sequence")
+        return w
+    p = next(iter(w.values())).p if w else 2.0
+    rows = np.zeros((size, win.length))
+    # descending: the lowest key of a periodic class is written last
+    for k in sorted(w, reverse=True):
+        outside = m is None and not lo <= k <= seq.hi
+        if outside or (w[k].window, w[k].p) != (win, p):
+            raise PreconditionError(
+                f"forcing at {k} (window {w[k].window}, p={w[k].p}) misses "
+                f"the operators' window {win}, p={p} or times")
+        rows[(k - lo) % size] = w[k].coeffs
+    return Segment(lo, rows, win, p, m)
 
 
 @dataclass
 class BoundedSolution:
-    """A solution map k -> v_k with its sup-norm and recomputed residual."""
+    """A solution block ``v`` (a :class:`seqcore.Segment`, periodic for a
+    periodic solve) with its sup-norm and recomputed residual."""
 
-    v: dict
+    v: Segment
     sup_norm: float
     max_residual: float
-    period: int = None
     meta: dict = field(default_factory=dict)
 
-    def v_at(self, k):
-        if self.period is not None and k not in self.v:
-            lo = min(self.v)
-            return self.v[lo + (k - lo) % self.period]
-        return self.v[k]
+    @property
+    def period(self):
+        return self.v.period
 
 
 def _solution(prob, rows, period=None, meta=None):
@@ -127,17 +132,15 @@ def _solution(prob, rows, period=None, meta=None):
     of the step-by-step computation.
     """
     a, p = prob.seq.lo, prob.p
-    n_steps = len(rows) - 1 if period is None else len(rows)
-    succ = rows if period is None else rows[np.arange(n_steps + 1) % n_steps]
-    steps = range(a, a + n_steps)
-    defects = apply_rows([prob.seq.op_at(k) for k in steps], succ[:-1])
-    np.subtract(succ[1:], defects, out=defects)
-    defects -= np.array([prob.w_at(k + 1).coeffs for k in steps])
-    return BoundedSolution(
-        {a + i: SeqVec(prob.window, row, p) for i, row in enumerate(rows)},
-        float(row_norms(rows, p).max()),
-        float(row_norms(defects, p).max(initial=0.0)),
-        period=period, meta=meta or {})
+    v = Segment(a, rows, prob.window, p, period)
+    path = v.path
+    steps = range(a, a + len(path) - 1)
+    defects = apply_rows([prob.seq.op_at(k) for k in steps], path[:-1])
+    np.subtract(path[1:], defects, out=defects)
+    defects -= prob.w.path[1:]
+    return BoundedSolution(v, float(row_norms(v.rows, p).max()),
+                           float(row_norms(defects, p).max(initial=0.0)),
+                           meta=meta or {})
 
 
 def perron_sums(ops, inv_ops, pairs, w, at):
@@ -200,9 +203,7 @@ def perron_solve(prob, cert, verify_cert=False):
         if not rep.passed:
             raise PreconditionError(
                 f"splitting certificate fails on the sequence: {rep.to_json()}")
-    solve = _interval_sums(prob.seq, cert)
-    return _solution(prob, solve([prob.w_at(k).coeffs for k
-                                  in range(prob.seq.lo, prob.seq.hi + 1)]))
+    return _solution(prob, _interval_sums(prob.seq, cert)(prob.w.path))
 
 
 def _interval_sums(seq, cert):
@@ -211,7 +212,7 @@ def _interval_sums(seq, cert):
     stack (:meth:`seqcore.RowOps.inverses`) and the pairs read, once."""
     a, b = seq.lo, seq.hi
     ops = seq.ops
-    inv = RowOps.inverses(ops)
+    inv = RowOps.inverses(ops, RowOps(ops))
     inv_ops = [inv.op(j) for j in range(len(ops))]
     pairs = [cert.proj_at(k) for k in range(a, b + 1)]
     return lambda w: perron_sums(ops, inv_ops, pairs, w, range(b - a + 1))
@@ -228,7 +229,7 @@ def periodic_green_solve(prob, cert):
     lockstep :func:`perron_sums` call.  The period is unrolled once over
     the times lo - T .. lo + m + T - 1: the operators and their inverses
     (inverted once per period), the certificate's m projection pairs (each
-    built once) and the forcing ``w_at`` of every time.  Frame i is rows
+    built once) and the forcing block's rows.  Frame i is rows
     i .. i + 2T of the unroll, so step j of every frame is the slice
     [j, j + m) of each unrolled stack, and the frames' forcing is a
     sliding-window view of the unrolled rows, never a copy per frame.
@@ -243,12 +244,12 @@ def periodic_green_solve(prob, cert):
         T += 1
     lo = prob.seq.lo
     unroll = np.arange(-T, m + T) % m
-    ops = RowOps(prob.seq.ops)[unroll]
-    inv = RowOps.inverses(prob.seq.ops)[unroll]
+    stack = RowOps(prob.seq.ops)
+    ops, inv = stack[unroll], RowOps.inverses(prob.seq.ops, stack)[unroll]
     pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
     P = RowOps([pr.P for pr in pairs])[unroll]
     Q = RowOps([pr.Q for pr in pairs])[unroll]
-    w = np.array([prob.w_at(k).coeffs for k in range(lo - T, lo + m + T)])
+    w = prob.w.rows[unroll]
     frames = sliding_window_view(w, 2 * T + 1, axis=0).swapaxes(1, 2)
     steps = [slice(j, j + m) for j in range(2 * T + 1)]
     rows = perron_sums([ops[j] for j in steps[:-1]],
@@ -287,9 +288,7 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):
         deltas.append(d)
     deltas = RowOps(deltas)
 
-    # the base problem checks the forcing's windows against the base steps
-    base = InhomProblem(base_seq, prob_b.w, prob_b.w_bound)
-    w = np.array([base.w_at(k).coeffs for k in range(a, b + 1)])
+    w = prob_b.w.rows
     solve = _interval_sums(base_seq, base_cert)
     v = solve(w)
     diff_norms = []
@@ -333,12 +332,12 @@ def banded_direct_solve(prob, cert, max_unknowns=20_000):
     rows = n * steps + 2 * n
     M = np.zeros((rows, N))
     rhs = np.zeros(rows)
+    w = prob.w.path
     for k in range(a, b):
         r = n * (k - a)
-        c = n * (k - a)
-        M[r:r + n, c:c + n] = -prob.seq.op_at(k).to_dense_matrix()
-        M[r:r + n, c + n:c + 2 * n] = np.eye(n)
-        rhs[r:r + n] = prob.w_at(k + 1).coeffs
+        M[r:r + n, r:r + n] = -prob.seq.op_at(k).to_dense_matrix()
+        M[r:r + n, r + n:r + 2 * n] = np.eye(n)
+        rhs[r:r + n] = w[k + 1 - a]
     M[n * steps:n * steps + n, :n] = cert.proj_at(a).P.to_dense_matrix()
     M[n * steps + n:, N - n:] = cert.proj_at(b).Q.to_dense_matrix()
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
@@ -381,8 +380,9 @@ def random_hyperbolic_instance(dim, length, rng):
         pairs[k] = ProjPair(Ps, dense(np.eye(dim) - Us @ Us.T, win))
     cert = CLCertificate(1.0, 0.5, 3.5, lambda k: pairs[k],
                          meta={"stable_dim": s_dim})
-    w = {}
+    w = np.zeros((length + 1, dim))
     for k in range(1, length + 1):
         raw = rng.standard_normal(dim)
-        w[k] = SeqVec(win, rng.uniform(0.2, 1.0) * raw / np.linalg.norm(raw))
+        w[k] = rng.uniform(0.2, 1.0) * raw / np.linalg.norm(raw)
+    w = Segment(0, w, win, 2.0, None)
     return InhomProblem(OperatorSeq(0, ops), w), cert

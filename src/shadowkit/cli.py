@@ -53,8 +53,9 @@ from .clstruct import verify_cl_diffeo, verify_cl_opseq, verify_dichotomy
 from .graphtf import (graph_transform_seq, perturbation_budget,
                       perturbed_cl_for_diffeo, series_gain, upgraded_constant)
 from .semiconj import continuity_probe, make_conjugacy_job, semiconjugacy_report
-from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError, SeqVec,
-                      Window, dense, norm, op_apply, op_norm)
+from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
+                      Segment, SeqVec, Window, dense, norm, op_apply, op_norm,
+                      row_norms)
 from .shadow import (make_loop, make_pseudotrajectory, periodic_point_near,
                      recompute_step_error, shadow, shadow_periodic,
                      shadowing_constants, Pseudotrajectory)
@@ -486,15 +487,13 @@ def _run_shadow_periodic(config):
         m, s = cell
         rng = np.random.default_rng(s + 7919 * m)
         w = system.window
-        pts = {}
-        for k in range(m):
-            c = np.zeros(w.length)
+        rows = np.zeros((m, w.length))
+        for c in rows:
             for j in range(0, 7):
                 c[w.offset(j)] = rng.uniform(-1.0, 1.0)
             c *= d / (3.0 * max(1.0, float(np.linalg.norm(c))))
-            pts[k] = SeqVec(w, c, system.p)
-        ps = Pseudotrajectory(pts, recompute_step_error(system, pts, period=m),
-                              period=m)
+        pts = Segment(0, rows, w, system.p, m)
+        ps = Pseudotrajectory(pts, recompute_step_error(system, pts), period=m)
         return {"period": m, "seed": s, **_shadowing_row(system, ps)}
 
     return _shadowing_result(
@@ -736,10 +735,7 @@ def _run_solver_oracle(config):
         prob, cert = random_hyperbolic_instance(dim, length, rng)
         sol_p = perron_solve(prob, cert)
         sol_d = banded_direct_solve(prob, cert)
-        disc = max(
-            norm(sol_p.v_at(k).with_coeffs(
-                sol_p.v_at(k).coeffs - sol_d.v_at(k).coeffs))
-            for k in sol_p.v)
+        disc = float(row_norms(sol_p.v.rows - sol_d.v.rows, sol_p.v.p).max())
         return {"seed": seed, "dim": dim, "length": length,
                 "sup_perron": sol_p.sup_norm, "sup_direct": sol_d.sup_norm,
                 "w_bound": prob.w_bound, "discrepancy": disc}

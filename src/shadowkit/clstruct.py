@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, norm, op_norm, compose, transport_rows,
+    coeff_norm, op_norm, compose, transport_rows,
     PreconditionError, TruncationError,
 )
 
@@ -200,7 +200,7 @@ def _proj_lipschitz(pairs_pts, p):
     """
     worst = 0.0
     for (x1, P1), (x2, P2) in zip(pairs_pts, pairs_pts[1:]):
-        dx = norm(SeqVec(x1.window, x1.coeffs - x2.coeffs, p))
+        dx = coeff_norm(x1.coeffs - x2.coeffs, p)
         if dx < 1e-12:
             continue
         dP = np.max(np.abs(P1.to_dense_matrix() - P2.to_dense_matrix()))

@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      RowOps, anchor_index, dense, monitored_fixed_point,
-                      norm as vec_norm, op_norm, row_norms, transport_rows)
+                      RowOps, Segment, anchor_index, coeff_norm, dense,
+                      monitored_fixed_point, op_norm, row_norms,
+                      transport_rows, TruncationError)
 from .clstruct import CLCertificate, ProjPair, _directions
 from .shadow import (Pseudotrajectory, recompute_step_error, shadow,
                      shadow_periodic)
@@ -319,7 +320,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     A, B = RowOps(a_ops), RowOps(b_ops)
     P = RowOps([pr.P for pr in base_pairs])
     Q = RowOps([pr.Q for pr in base_pairs])
-    Ai, Bi = RowOps.inverses(a_ops), RowOps.inverses(b_ops)
+    Ai, Bi = RowOps.inverses(a_ops, A), RowOps.inverses(b_ops, B)
 
     def sup_diff(X, Y):
         return float(np.max(_diff_norms(X, Y, p)))
@@ -548,21 +549,25 @@ def shadowed_splitting(f, ptraj):
     differentials of f along the shadow for every step of ``ptraj`` (one
     period when periodic), f's certificate read there, keyed by time, and
     the :class:`shadow.ShadowResult`."""
-    base, lo, period = f.cert, ptraj.lo, ptraj.period
-    sres = (shadow if period is None else shadow_periodic)(f, ptraj, base)
-    times = range(lo, lo + (period or ptraj.hi - lo) + 1)
-    xs = {k: sres.point_at(k) for k in times}
-    aseq = OperatorSeq(lo, [f.dforward(xs[k]) for k in times[:-1]],
-                       period=period)
+    base = f.cert
+    engine = shadow if ptraj.period is None else shadow_periodic
+    sres = engine(f, ptraj, base)
+    traj = sres.trajectory
+    steps = traj.path[:-1]
+    stack = f.diff_rows(steps)
+    aseq = OperatorSeq(traj.lo, [stack.op(j) for j in range(len(steps))],
+                       period=traj.period)
     return aseq, CLCertificate(base.C, base.lam, base.R,
-                               lambda k: base.proj_at(xs[k])), sres
+                               lambda k: base.proj_at(traj[k])), sres
 
 
 def perturbed_cl_for_diffeo(f, g, orbit, lam1):
     """Splitting certificate for g along one of its orbits, built from f's.
 
     ``orbit`` must be a genuine g-orbit (consecutive points with
-    ``y_{i+1} = g(y_i)``).  It is a pseudotrajectory of f, so
+    ``y_{i+1} = g(y_i)``), checked as one block by ``g.step_gaps``: the
+    error names the first break, or is a TruncationError when g carries
+    a point over the window edge.  It is a pseudotrajectory of f, so
     :func:`shadowed_splitting` reads f's splitting along the exact
     f-trajectory that shadows it, which is then transferred to the
     differentials of g along the orbit.  A closed orbit (last point equal
@@ -578,33 +583,33 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1):
     pts = list(orbit)
     if len(pts) < 2:
         raise PreconditionError("orbit must contain at least two points")
-    p = pts[0].p
-    scale = 1.0 + max(vec_norm(pt) for pt in pts)
-    for i in range(len(pts) - 1):
-        fy = g.forward(pts[i])
-        gap = vec_norm(pts[i + 1].with_coeffs(pts[i + 1].coeffs - fy.coeffs))
-        if gap > 1e-11 * scale:
-            raise PreconditionError(
-                f"orbit breaks between entries {i} and {i + 1}: "
-                f"|y_{{i+1}} - g(y_i)| = {gap:.3g}")
+    whole = Segment.pack(dict(enumerate(pts)), None)
+    rows, p = whole.rows, whole.p
+    scale = 1.0 + float(row_norms(rows, p).max())
+    try:
+        gaps = g.step_gaps(rows)
+    except TruncationError as exc:
+        raise TruncationError(f"orbit breaks: {exc}") from exc
+    i = int(np.argmax(gaps > 1e-11 * scale))
+    if gaps[i] > 1e-11 * scale:
+        raise PreconditionError(
+            f"orbit breaks between entries {i} and {i + 1}: "
+            f"|y_{{i+1}} - g(y_i)| = {gaps[i]:.3g}")
 
-    closed = vec_norm(pts[0].with_coeffs(
-        pts[0].coeffs - pts[-1].coeffs)) <= 1e-12 * scale
+    closed = coeff_norm(rows[0] - rows[-1], p) <= 1e-12 * scale
     n_ops = len(pts) - 1
     period = n_ops if closed else None
-    points = dict(enumerate(pts[:n_ops] if closed else pts))
-    ptraj = Pseudotrajectory(
-        points, recompute_step_error(f, points, period=period), period=period)
+    points = Segment(0, rows[:period], whole.window, p, period)
+    ptraj = Pseudotrajectory(points, recompute_step_error(f, points),
+                             period=period)
     aseq, base_idx, sres = shadowed_splitting(f, ptraj)
     bseq = OperatorSeq(0, [g.dforward(pts[k]) for k in range(n_ops)],
                        period=period)
     route = graph_transform_periodic if closed else graph_transform_seq
     pc = route(aseq, base_idx, bseq, lam1, p=p)
 
-    anchors = np.array([y.coeffs for y in (pts[:period] if closed else pts)])
-
     def proj_at_point(y):
-        return pc.result.proj_at(anchor_index(anchors, y))
+        return pc.result.proj_at(anchor_index(points.rows, y))
 
     result = CLCertificate(pc.result.C, pc.result.lam, pc.result.R,
                            proj_at_point)

@@ -55,8 +55,8 @@ from .clstruct import CLCertificate, ProjPair
 from .graphtf import (_diff_norms, graph_transform_seq, shadowed_splitting,
                       upgraded_constant)
 from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor,
-                      OperatorSeq, PreconditionError, RowOps, SeqVec,
-                      anchor_index, norm, row_norms)
+                      OperatorSeq, PreconditionError, RowOps, Segment, SeqVec,
+                      anchor_index, coeff_norm, norm, row_norms)
 from .shadow import Pseudotrajectory, recompute_step_error
 from .systems import DiffeoSystem
 
@@ -166,12 +166,12 @@ def orbit_perron_apply(alpha, A, cert, w, x, T):
 class ConjugacyJob:
     """Certified working set for the displacement maps between f and g.
 
-    orbit holds the g-orbit segment around the base point, and rows the
-    same points as one (m, n) block; queries to h2_at must anchor to
-    indices in [query_lo, query_hi] (one step past the top is allowed so
-    equation residuals can be formed).  cert is the point-keyed splitting
-    certificate of f; cert_g is the index-keyed certificate for the
-    derivative cocycle dseq of f read along the g-orbit.
+    orbit holds the g-orbit segment around the base point, once, as one
+    :class:`seqcore.Segment` keyed by orbit index; queries to h2_at must
+    anchor to indices in [query_lo, query_hi] (one step past the top is
+    allowed so equation residuals can be formed).  cert is the point-keyed
+    splitting certificate of f; cert_g is the index-keyed certificate for
+    the derivative cocycle dseq of f read along the g-orbit.
     """
     f: DiffeoSystem
     g: DiffeoSystem
@@ -182,10 +182,9 @@ class ConjugacyJob:
     truncation: int
     lam1: float
     C1: float
-    orbit: dict
+    orbit: Segment
     query_lo: int
     query_hi: int
-    rows: np.ndarray
     dseq: OperatorSeq
     meta: dict = field(default_factory=dict)
 
@@ -242,13 +241,12 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     buffer = 2 * T
     lo = span_lo - buffer - 1
     hi = span_hi + 1 + buffer
-    pts = g.orbit(x0, -lo, hi)
-    orbit = dict(zip(range(lo, hi + 1), pts))
+    orbit = Segment.pack(dict(zip(range(lo, hi + 1), g.orbit(x0, -lo, hi))),
+                         None)
     d_map = recompute_step_error(f, orbit)
-    rows = np.array([y.coeffs for y in pts])
-    df = f.diff_rows(rows)
-    d_der = float(np.max(_diff_norms(g.diff_rows(rows), df, f.p)))
-    f_ops = [df.op(i) for i in range(len(pts))]
+    df = f.diff_rows(orbit.rows)
+    d_der = float(np.max(_diff_norms(g.diff_rows(orbit.rows), df, f.p)))
+    f_ops = [df.op(i) for i in range(len(orbit))]
     d_measured = max(d_map, d_der)
     if d_measured > d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
@@ -268,15 +266,15 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
         "continuity": "sampled points only",
     }
     return ConjugacyJob(f, g, cert, pc.result, d, L, T, lam1, C1, orbit,
-                        span_lo, span_hi, rows, bseq, meta)
+                        span_lo, span_hi, bseq, meta)
 
 
 def _anchor_index(job, x):
     # queries may anchor to the certified span plus one step past the top,
     # so equation residuals can be formed at the last certified index
-    lo = job.dseq.lo
+    lo = job.orbit.lo
     return job.query_lo + anchor_index(
-        job.rows[job.query_lo - lo:job.query_hi + 2 - lo], x)
+        job.orbit.rows[job.query_lo - lo:job.query_hi + 2 - lo], x)
 
 
 def _h1_frame(job, x):
@@ -298,8 +296,8 @@ def _h1_frame(job, x):
 def _h2_frame(job, q):
     B = 2 * job.truncation
     # the job's orbit rows and differentials x_{q-B-1} .. x_{q+B}
-    i = q - B - 1 - job.dseq.lo
-    return (job.rows[i:i + 2 * B + 2], job.dseq.ops[i:i + 2 * B + 1],
+    i = q - B - 1 - job.orbit.lo
+    return (job.orbit.rows[i:i + 2 * B + 2], job.dseq.ops[i:i + 2 * B + 1],
             [job.cert_g.proj_at(j) for j in range(q - B, q + B + 1)])
 
 
@@ -516,10 +514,11 @@ def semiconjugacy_report(job, indices=None):
             raise PreconditionError(
                 f"index {q} is outside the certified span "
                 f"[{job.query_lo}, {job.query_hi}]")
-    f, g, window, p = job.f, job.g, job.f.window, job.f.p
+    f, g, p = job.f, job.g, job.f.p
     xs = [job.orbit[q] for q in qs]
+    gxs = [job.orbit[q + 1] for q in qs]
     at_x = [_anchor_index(job, x) for x in xs]
-    at_gx = [_anchor_index(job, job.orbit[q + 1]) for q in qs]
+    at_gx = [_anchor_index(job, gx) for gx in gxs]
     anchors = sorted(set(at_x) | set(at_gx))
     h2 = dict(zip(anchors, (v for v, _ in _fixed_point(job, 2, anchors))))
     fxs = [f.forward(x) for x in xs]
@@ -532,11 +531,10 @@ def semiconjugacy_report(job, indices=None):
         h1x, h1fx, h1xq = h1[i], h1[count + i], h1[2 * count + i]
         h2x, h2gx = h2[at_x[i]], h2[at_gx[i]]
         xp = x.with_coeffs(x.coeffs + h1x.coeffs)
-        r1 = norm(SeqVec(window, g.forward(xp).coeffs - fx.coeffs
-                         - h1fx.coeffs, p))
-        r2 = norm(SeqVec(window, f.forward(xp_h2).coeffs
-                         - job.orbit[q + 1].coeffs - h2gx.coeffs, p))
-        probe = norm(SeqVec(window, h2x.coeffs + h1xq.coeffs, p))
+        r1 = coeff_norm(g.forward(xp).coeffs - fx.coeffs - h1fx.coeffs, p)
+        r2 = coeff_norm(f.forward(xp_h2).coeffs - gxs[i].coeffs
+                        - h2gx.coeffs, p)
+        probe = coeff_norm(h2x.coeffs + h1xq.coeffs, p)
         rows.append({
             "point": q,
             "h1_norm": norm(h1x),
@@ -572,9 +570,9 @@ def continuity_probe(job, rows):
     xd = x.with_coeffs(x.coeffs + step)
     h1a, h2a = row["h1"], row["h2"]
     h1b = h1_at(job, xd)
-    q1 = norm(h1b.with_coeffs(h1b.coeffs - h1a.coeffs)) / PROBE_STEP
+    q1 = coeff_norm(h1b.coeffs - h1a.coeffs, h1b.p) / PROBE_STEP
     displaced = make_conjugacy_job(job.f, job.g, xd, d=job.d, span=(0, 0),
                                    lam1=job.lam1, truncation=job.truncation)
     h2b = h2_at(displaced, displaced.orbit[0])
-    q2 = norm(h2b.with_coeffs(h2b.coeffs - h2a.coeffs)) / PROBE_STEP
+    q2 = coeff_norm(h2b.coeffs - h2a.coeffs, h2b.p) / PROBE_STEP
     return {"delta": PROBE_STEP, "h1_quotient": q1, "h2_quotient": q2}

@@ -35,6 +35,10 @@ its first trip, and tables their norms: the decay scans of the verifiers
 and of the splitting transfer run on it.  ``anchor_index`` finds a point
 among the rows of an orbit segment.
 
+``Segment`` holds points at consecutive times (a pseudotrajectory, a
+shadow, a solution or a forcing) as one read-only block of rows, read
+point by point as a Mapping from time to SeqVec; a periodic block wraps.
+
 ``FixedPointMonitor`` holds the contraction gate of one fixed-point
 iteration; ``monitored_fixed_point`` runs one such iteration to its end.
 The splitting transfer and the displacement maps both use it, and the
@@ -43,12 +47,13 @@ displacement maps keep one monitor per frame of a lockstep stack.
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Window", "SeqVec", "LinOp", "OperatorSeq",
+    "Window", "SeqVec", "Segment", "LinOp", "OperatorSeq",
     "norm", "coeff_norm", "row_norms", "anchor_index", "op_apply",
     "edge_trips", "edge_loss", "transport_rows", "apply_coeffs",
     "apply_rows", "RowOps", "op_norm", "cocycle",
@@ -167,6 +172,84 @@ class SeqVec:
     def __repr__(self):
         return (f"SeqVec([{self.window.lo},{self.window.hi}], "
                 f"p={self.p}, |v|={norm(self):.3g})")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Segment(Mapping):
+    """Points of one window at consecutive times, as one block of rows.
+
+    Row i of the read-only (m, n) array ``rows`` is the point at time
+    ``lo + i``, in l^p.  A periodic block (``period`` = m, else None)
+    stores one period, and ``seg[k]`` wraps modulo it: the package's one
+    wrap-around lookup.  The block is a Mapping from time to a
+    :class:`SeqVec` view of a row, whose ``len``, iteration and ``in``
+    cover the stored times only, as the dict of points it replaces did.
+    """
+
+    lo: int
+    rows: np.ndarray
+    window: Window
+    p: float
+    period: int
+
+    # identity: Mapping's __eq__ would compare fresh views, never equal
+    __eq__ = object.__eq__
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=float).view()
+        if rows.shape[1:] != (self.window.length,) or not len(rows) \
+                or self.period not in (None, len(rows)):
+            raise PreconditionError(
+                f"rows of shape {rows.shape} do not fill a block of window "
+                f"length {self.window.length} and period {self.period}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def pack(cls, points, period):
+        """The block of a dict of SeqVecs at consecutive times on one window
+        and one ``p``; a Segment stays as it is (``period`` None or its own).
+        """
+        if isinstance(points, Segment) and period in (None, points.period):
+            return points
+        times = sorted(points) if isinstance(points, dict) else []
+        kinds = {(points[k].window, points[k].p) for k in times}
+        if len(kinds) != 1 or times[-1] - times[0] + 1 != len(times):
+            raise PreconditionError(
+                f"cannot pack {points!r:.60} with period {period}: a block "
+                f"needs consecutive times, one window and one p")
+        (window, p), = kinds
+        return cls(times[0], [points[k].coeffs for k in times], window, p,
+                   period)
+
+    @property
+    def path(self):
+        """The rows of every stored time and, if periodic, of lo + period
+        (row 0 again): step j runs from row j to row j + 1."""
+        if self.period is None:
+            return self.rows
+        return np.concatenate((self.rows, self.rows[:1]))
+
+    def with_rows(self, rows):
+        return Segment(self.lo, rows, self.window, self.p, self.period)
+
+    def __getitem__(self, k):
+        i = k - self.lo
+        if self.period is not None:
+            i %= self.period
+        elif not 0 <= i < len(self.rows):
+            raise KeyError(k)
+        return SeqVec(self.window, self.rows[i], self.p)
+
+    def __contains__(self, k):
+        return (isinstance(k, (int, np.integer))
+                and 0 <= k - self.lo < len(self.rows))
+
+    def __iter__(self):
+        return iter(range(self.lo, self.lo + len(self)))
+
+    def __len__(self):
+        return len(self.rows)
 
 
 def norm(v):
@@ -454,16 +537,16 @@ class RowOps:
         return cls._of(int(shift), scalars, window)
 
     @classmethod
-    def inverses(cls, ops):
-        """``RowOps(ops)`` of the ``LinOp.inverse`` of every operator.
+    def inverses(cls, ops, stack):
+        """``RowOps(ops)`` of the ``LinOp.inverse`` of every operator, given
+        ``stack``, the ``RowOps(ops)`` already built.
 
-        The stack of ``ops`` inverts in one array operation, unless it
-        densified weighted shifts (a mix of kinds): the dense view of a
-        shift by s != 0 is singular, so a mix is inverted operator by
-        operator and then stacked.
+        The stack inverts in one array operation, unless it densified
+        weighted shifts (a mix of kinds): the dense view of a shift by
+        s != 0 is singular, so a mix is inverted operator by operator and
+        then stacked.
         """
         ops = np.array(ops, dtype=object)
-        stack = cls(ops)
         if stack.shift is None and any(A.matrix is None for A in ops.flat):
             return cls(np.frompyfunc(LinOp.inverse, 1, 1)(ops))
         return stack.inverse()

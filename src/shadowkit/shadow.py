@@ -5,11 +5,13 @@ first-order correction: the step defects, rescaled to unit size, feed the
 bounded-solution solver for the variational sequence B_k = Df(y_k), and
 y + d*v is again a pseudotrajectory with (at most) half the step error.
 Summing the displacement ledger geometrically gives the final distance
-bound 2*M*d, with M = 2L derived from the splitting certificate.  The step
-defects of a whole pseudotrajectory are one block of rows: the forcing
-comes from one ``DiffeoSystem.map_rows`` call and the realized step error
-from ``DiffeoSystem.step_gaps``, each row with the bits of a
-point-by-point computation.
+bound 2*M*d, with M = 2L derived from the splitting certificate.  A
+pseudotrajectory, its shadow and each correction are one
+:class:`seqcore.Segment` of rows: the forcing comes from one
+``DiffeoSystem.map_rows`` call, the realized step error from
+``DiffeoSystem.step_gaps``, and a refinement moves the points in one
+array update y + d*v, each row with the bits of a point-by-point
+computation.  Only the point-keyed certificate reads one point at a time.
 
 Honesty note: the inner linear solves run on the finite window section
 without edge guards (their truncation error lands in the next iterate's
@@ -33,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    OperatorSeq, norm, row_norms, PreconditionError, ConvergenceError,
+    OperatorSeq, Segment, norm, coeff_norm, row_norms, PreconditionError,
+    ConvergenceError,
 )
 from .clstruct import CLCertificate
 from .boundedsol import (
@@ -63,50 +66,42 @@ SIGNS = np.array([-1.0, 1.0])
 class Pseudotrajectory:
     """An approximate orbit: points y_k with step errors at most d.
 
-    ``points`` maps time k to a SeqVec; for a periodic trajectory exactly
-    one period is stored (keys lo .. lo+period-1) and ``point_at`` wraps.
-    ``d`` is always the realized maximum step error, recomputed from the
-    points, never the requested noise level.  ``ops`` optionally holds the
-    differentials Df(y_k) of every step, in time order, when the caller has
-    already evaluated them; the first refinement then reads them instead of
-    evaluating the differentials again.
+    ``points`` is a :class:`seqcore.Segment`, one row per time; a dict of
+    SeqVecs at consecutive times is packed into one at construction.  For
+    a periodic trajectory exactly one period is stored and ``points[k]``
+    wraps.  ``d`` is always the realized maximum step error, recomputed
+    from the points, never the requested noise level.  ``ops`` optionally
+    holds the differentials Df(y_k) of every step, in time order, when the
+    caller has already evaluated them; the first refinement then reads
+    them instead of evaluating the differentials again.
     """
 
-    points: dict
+    points: Segment
     d: float
     period: int = None
     meta: dict = field(default_factory=dict)
     ops: list = None
 
-    @property
-    def lo(self):
-        return min(self.points)
-
-    @property
-    def hi(self):
-        return max(self.points)
-
-    def point_at(self, k):
-        if self.period is not None:
-            return self.points[self.lo + (k - self.lo) % self.period]
-        return self.points[k]
+    def __post_init__(self):
+        self.points = Segment.pack(self.points, self.period)
+        self.period = self.points.period
 
 
 @dataclass
 class ShadowResult:
-    trajectory: dict
+    """The exact trajectory found (a :class:`seqcore.Segment`, periodic
+    for a periodic shadow), its distance to the input and its record."""
+
+    trajectory: Segment
     sup_distance: float
     iterations: int
     final_step_error: float
     constants: tuple
-    period: int = None
     meta: dict = field(default_factory=dict)
 
-    def point_at(self, k):
-        if self.period is not None:
-            lo = min(self.trajectory)
-            return self.trajectory[lo + (k - lo) % self.period]
-        return self.trajectory[k]
+    @property
+    def period(self):
+        return self.trajectory.period
 
 
 @dataclass(frozen=True)
@@ -123,15 +118,12 @@ class ShadowingConstants:
 def recompute_step_error(sys, points, period=None):
     """max_k |y_{k+1} - f(y_k)|, wrapping around for periodic data.
 
-    The points lo .. hi are one block of rows whose defects come from
-    ``sys.step_gaps``; for periodic data the row of time
-    lo + (hi + 1 - lo) mod period follows the last one.
+    ``points`` is a :class:`seqcore.Segment`, or a dict that
+    ``Segment.pack`` packs with ``period``; the defects of its ``path``
+    come from ``sys.step_gaps``.
     """
-    lo, hi = min(points), max(points)
-    rows = np.array([points[k].coeffs for k in range(lo, hi + 1)])
-    if period is not None:
-        rows = rows[np.arange(hi - lo + 2) % period]
-    return float(sys.step_gaps(rows).max(initial=0.0))
+    path = Segment.pack(points, period).path
+    return float(sys.step_gaps(path).max(initial=0.0))
 
 
 def _support_span(x):
@@ -180,9 +172,8 @@ def make_pseudotrajectory(sys, x0, length, d, seed=0):
     rows[0] = x0.coeffs
     for k in range(length):
         rows[k + 1] += sys.map_rows(rows[k])
-    points = {0: x0}
-    points.update((k, x0.with_coeffs(rows[k])) for k in range(1, length + 1))
-    return Pseudotrajectory(points, realized, meta={"seed": seed, "requested_d": d})
+    return Pseudotrajectory(Segment(0, rows, x0.window, x0.p, None), realized,
+                            meta={"seed": seed, "requested_d": d})
 
 
 def make_loop(sys, x, length, d, seed=0):
@@ -193,10 +184,9 @@ def make_loop(sys, x, length, d, seed=0):
     d-pseudotrajectory at the requested level.
     """
     ps = make_pseudotrajectory(sys, x, length - 1, d, seed=seed)
-    points = dict(ps.points)
-    points[length] = x
-    realized = recompute_step_error(sys, points)
-    return Pseudotrajectory(points, realized, meta={"seed": seed, "requested_d": d})
+    points = ps.points.with_rows(np.concatenate((ps.points.rows, [x.coeffs])))
+    return Pseudotrajectory(points, recompute_step_error(sys, points),
+                            meta={"seed": seed, "requested_d": d})
 
 
 def shadowing_constants(sys, cert):
@@ -253,25 +243,24 @@ def shadowing_constants(sys, cert):
 
 
 def _variational_problem(sys, pstraj, cert):
-    lo = pstraj.lo
-    m = pstraj.period
-    steps = m if m is not None else pstraj.hi - lo
-    pts = [pstraj.point_at(lo + j) for j in range(steps + 1)]
-    rows = np.array([y.coeffs for y in pts])
+    points = pstraj.points
+    path = points.path
     ops = pstraj.ops
     if ops is None:
-        stack = sys.diff_rows(rows[:-1])
-        ops = [stack.op(j) for j in range(steps)]
-    seq = OperatorSeq(lo, ops, period=m)
-    # the scaled defects (f(y_k) - y_{k+1}) / d of every step, as one block
-    defects = sys.map_rows(rows[:-1])
-    np.subtract(defects, rows[1:], out=defects)
+        stack = sys.diff_rows(path[:-1])
+        ops = [stack.op(j) for j in range(len(path) - 1)]
+    seq = OperatorSeq(points.lo, ops, period=points.period)
+    # the scaled defects (f(y_k) - y_{k+1}) / d of every step, the forcing
+    # of time k + 1; time lo has none, or for a period the last step's
+    defects = sys.map_rows(path[:-1])
+    np.subtract(defects, path[1:], out=defects)
     defects /= pstraj.d
-    w = {lo + j + 1: pts[j].with_coeffs(c) for j, c in enumerate(defects)}
+    w = (np.roll(defects, 1, axis=0) if points.period
+         else np.concatenate((np.zeros((1, defects.shape[1])), defects)))
     opseq_cert = CLCertificate(cert.C, cert.lam, cert.R,
-                               lambda k: cert.proj_at(pstraj.point_at(k)),
+                               lambda k: cert.proj_at(points[k]),
                                meta=dict(cert.meta))
-    return InhomProblem(seq, w, w_bound=1.0), opseq_cert
+    return InhomProblem(seq, points.with_rows(w), w_bound=1.0), opseq_cert
 
 
 def _diagnose(sys, cert, d):
@@ -309,11 +298,8 @@ def refine_once(sys, pstraj, cert):
         raise ConvergenceError(
             f"correction size {d * sol.sup_norm:.3g} exceeds the displacement "
             f"bound {M * d:.3g}; {_diagnose(sys, cert, d)}")
-    points = {}
-    for k in pstraj.points:
-        y = pstraj.points[k]
-        points[k] = y.with_coeffs(y.coeffs + d * sol.v_at(k).coeffs)
-    new_d = recompute_step_error(sys, points, period=pstraj.period)
+    points = pstraj.points.with_rows(pstraj.points.rows + d * sol.v.rows)
+    new_d = recompute_step_error(sys, points)
     if new_d > 0.5 * d * (1.0 + 1e-6) and new_d > 1e-15:
         raise ConvergenceError(
             f"refinement did not halve the step error ({new_d:.3g} > "
@@ -341,14 +327,10 @@ def _shadow_loop(sys, pstraj, cert):
         raise ConvergenceError(
             f"step error {cur.d:.3g} still above target {TARGET:.3g} after "
             f"{MAX_REFINEMENTS} refinements")
-    keys = list(pstraj.points)
-    gaps = np.array([cur.point_at(k).coeffs for k in keys])
-    for gap, k in zip(gaps, keys):
-        gap -= pstraj.points[k].coeffs
-    sup = float(row_norms(gaps, pstraj.points[keys[0]].p).max())
+    sup = float(row_norms(cur.points.rows - pstraj.points.rows,
+                          pstraj.points.p).max())
     return ShadowResult(
         cur.points, sup, len(displacements), cur.d, tuple(constants),
-        period=pstraj.period,
         meta={"step_errors": step_errors, "displacements": displacements,
               "displacement_total": float(sum(displacements))})
 
@@ -379,18 +361,11 @@ def periodic_point_near(sys, cert, x, loop):
     periodically and shadowed, and the distance |x - x_0| to the resulting
     genuine periodic point is returned with the orbit.
     """
-    lo, hi = loop.lo, loop.hi
-    y0, yN = loop.points[lo], loop.points[hi]
-    gap = norm(y0.with_coeffs(y0.coeffs - x.coeffs))
-    gap_end = norm(yN.with_coeffs(yN.coeffs - x.coeffs))
-    if max(gap, gap_end) > 1e-12 * (1.0 + norm(x)):
+    rows, p = loop.points.rows, loop.points.p
+    if row_norms(rows[[0, -1]] - x.coeffs, p).max() > 1e-12 * (1.0 + norm(x)):
         raise PreconditionError("loop does not start and end at the given point")
-    m = hi - lo
-    period_points = {k: loop.points[k] for k in range(lo, hi)}
-    per = Pseudotrajectory(period_points,
-                           recompute_step_error(sys, period_points, period=m),
-                           period=m)
+    m = len(rows) - 1
+    one = Segment(loop.points.lo, rows[:-1], loop.points.window, p, m)
+    per = Pseudotrajectory(one, recompute_step_error(sys, one), period=m)
     res = shadow_periodic(sys, per, cert)
-    x0 = res.point_at(lo)
-    dist = norm(x0.with_coeffs(x0.coeffs - x.coeffs))
-    return res, dist
+    return res, coeff_norm(res.trajectory.rows[0] - x.coeffs, p)

@@ -94,8 +94,7 @@ def test_02_solver_oracle_agreement():
         sp = perron_solve(prob, cert)
         sd = banded_direct_solve(prob, cert)
         worst = max(worst, max(
-            norm(sp.v_at(k).with_coeffs(sp.v_at(k).coeffs
-                                        - sd.v_at(k).coeffs))
+            norm(sp.v[k].with_coeffs(sp.v[k].coeffs - sd.v[k].coeffs))
             for k in sp.v))
     _report("solver oracle agreement", 10.0, t0, [
         (worst <= 1e-8,

@@ -44,10 +44,10 @@ def test_hand_geometric_series():
     prob = const_problem(6, lambda k: SeqVec.basis(W2, 0))
     for sol, tol in ((perron_solve(prob, CERT2), 0.0),
                      (banded_direct_solve(prob, CERT2), 1e-12)):
-        assert abs(sol.v_at(0)[0]) <= tol
+        assert abs(sol.v[0][0]) <= tol
         for k in range(1, 7):
-            assert abs(sol.v_at(k)[0] - (2.0 - 2.0 ** (1 - k))) <= tol
-            assert abs(sol.v_at(k)[1]) <= tol
+            assert abs(sol.v[k][0] - (2.0 - 2.0 ** (1 - k))) <= tol
+            assert abs(sol.v[k][1]) <= tol
 
 
 def test_unstable_forcing_solved_backward():
@@ -56,7 +56,7 @@ def test_unstable_forcing_solved_backward():
     prob = const_problem(8, lambda k: SeqVec.basis(W2, 1))
     sol = perron_solve(prob, CERT2)
     assert sol.sup_norm <= 1.0 + 1e-12
-    assert abs(sol.v_at(0)[1] + (1.0 - 2.0 ** -8)) <= 1e-14
+    assert abs(sol.v[0][1] + (1.0 - 2.0 ** -8)) <= 1e-14
 
 
 def test_sup_norm_bound_random_forcing():
@@ -82,7 +82,7 @@ def test_perron_solve_is_linear(seed):
     p12 = const_problem(5, lambda k: SeqVec(W2, w1[k - 1] + w2[k - 1]))
     s1, s2, s12 = (perron_solve(p, CERT2) for p in (p1, p2, p12))
     for k in range(6):
-        gap = s12.v_at(k).coeffs - s1.v_at(k).coeffs - s2.v_at(k).coeffs
+        gap = s12.v[k].coeffs - s1.v[k].coeffs - s2.v[k].coeffs
         assert np.max(np.abs(gap)) <= 1e-10
 
 
@@ -102,7 +102,7 @@ def test_oracle_agreement_small_random_instances():
         sp = perron_solve(prob, cert)
         sb = banded_direct_solve(prob, cert)
         for k in sp.v:
-            gap = np.max(np.abs(sp.v_at(k).coeffs - sb.v_at(k).coeffs))
+            gap = np.max(np.abs(sp.v[k].coeffs - sb.v[k].coeffs))
             assert gap <= 1e-9
         assert sp.sup_norm <= perron_constant(cert.C, cert.lam) * prob.w_bound + 1e-9
 
@@ -120,7 +120,7 @@ def test_oracle_agreement_long_windows_stay_tight():
         sp = perron_solve(prob, cert)
         sb = banded_direct_solve(prob, cert)
         for k in sp.v:
-            gap = np.max(np.abs(sp.v_at(k).coeffs - sb.v_at(k).coeffs))
+            gap = np.max(np.abs(sp.v[k].coeffs - sb.v[k].coeffs))
             assert gap <= 1e-12
 
 
@@ -160,8 +160,8 @@ def test_oracle_on_weighted_shift_sequences(seed, length):
     assert sp.sup_norm <= perron_constant(cert.C, cert.lam) * prob.w_bound * (1 + 1e-12)
     # the Perron solution meets the oracle's boundary rows exactly, so the
     # two solutions differ by a homogeneous solution of the same problem
-    assert not np.any(P @ sp.v_at(a).coeffs) and not np.any(Q @ sp.v_at(b).coeffs)
-    gap = {k: sp.v_at(k).coeffs - sb.v_at(k).coeffs for k in sp.v}
+    assert not np.any(P @ sp.v[a].coeffs) and not np.any(Q @ sp.v[b].coeffs)
+    gap = {k: sp.v[k].coeffs - sb.v[k].coeffs for k in sp.v}
     for k in range(a, b):
         assert np.max(np.abs(gap[k + 1] - As[k - a] @ gap[k])) <= 1e-10 * scale
     assert np.max(np.abs(P @ gap[a])) <= 1e-10 * scale
@@ -170,11 +170,11 @@ def test_oracle_on_weighted_shift_sequences(seed, length):
     # stable side), so that problem keeps homogeneous solutions and the
     # oracle returns its least-norm one; the Perron solution is singled out
     # by an unstable part that never leaks into the stable side
-    stacked = [np.concatenate([sol.v_at(k).coeffs for k in range(a, b + 1)])
+    stacked = [np.concatenate([sol.v[k].coeffs for k in range(a, b + 1)])
                for sol in (sp, sb)]
     assert np.linalg.norm(stacked[1]) <= np.linalg.norm(stacked[0]) * (1 + 1e-9)
     for k in range(a, b):
-        assert not np.any(P @ As[k - a] @ Q @ sp.v_at(k).coeffs)
+        assert not np.any(P @ As[k - a] @ Q @ sp.v[k].coeffs)
 
 
 def test_nested_interval_restriction_keeps_bound():
@@ -184,7 +184,7 @@ def test_nested_interval_restriction_keeps_bound():
     raw /= np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), 1.0)
     big = const_problem(16, lambda k: SeqVec(W2, raw[k - 1]))
     sol = perron_solve(big, CERT2)
-    inner = [norm(sol.v_at(k)) for k in range(4, 13)]
+    inner = [norm(sol.v[k]) for k in range(4, 13)]
     assert max(inner) <= L * big.w_bound + 1e-12
 
 
@@ -195,8 +195,8 @@ def test_periodic_green_m1_fixed_point():
     sol = periodic_green_solve(InhomProblem(seq, {1: w0}), CERT2)
     assert sol.period == 1
     expect = np.array([2.0 * 0.3, -1.0 * -0.7])
-    assert np.max(np.abs(sol.v_at(0).coeffs - expect)) <= 1e-11
-    assert np.max(np.abs(sol.v_at(5).coeffs - expect)) <= 1e-11
+    assert np.max(np.abs(sol.v[0].coeffs - expect)) <= 1e-11
+    assert np.max(np.abs(sol.v[5].coeffs - expect)) <= 1e-11
     assert sol.max_residual <= 1e-10 * (1.0 + sol.sup_norm)
 
 
@@ -224,7 +224,7 @@ def test_periodic_green_matches_long_interval_middle():
     sol_l = perron_solve(InhomProblem(seq_l, w_l), CERT2)
     mid = m * (reps // 2)
     for j in range(m):
-        gap = sol_p.v_at(mid + j).coeffs - sol_l.v_at(mid + j).coeffs
+        gap = sol_p.v[mid + j].coeffs - sol_l.v[mid + j].coeffs
         assert np.max(np.abs(gap)) <= 1e-10
     assert sol_p.sup_norm <= perron_constant(1.0, 0.5) * sol_p.meta.get(
         "tail_depth", 0) * 0 + 3.0 * max(norm(w) for w in ws) + 1e-10
@@ -261,8 +261,8 @@ def test_periodic_green_builds_each_pair_once():
         steps = [(i - lo) % m for i in times[:-1]]
         row = perron_sums([seq.ops[i] for i in steps], [inv[i] for i in steps],
                           [proj_at(i) for i in times],
-                          [prob.w_at(i).coeffs for i in times], range(T, T + 1))
-        assert sol.v_at(k).coeffs.tobytes() == row[0].tobytes()
+                          [prob.w[i].coeffs for i in times], range(T, T + 1))
+        assert sol.v[k].coeffs.tobytes() == row[0].tobytes()
 
 
 def test_periodic_green_rejects_aperiodic():
@@ -276,7 +276,7 @@ def test_neumann_zero_perturbation_is_identity():
     direct = perron_solve(prob, CERT2)
     pert = neumann_perturbed_solve(prob, prob.seq, CERT2, eps=1e-3)
     for k in direct.v:
-        assert np.array_equal(direct.v_at(k).coeffs, pert.v_at(k).coeffs)
+        assert np.array_equal(direct.v[k].coeffs, pert.v[k].coeffs)
     assert pert.meta["iterations"] == 1
 
 
@@ -310,7 +310,7 @@ def test_neumann_geometric_contraction_rate():
 
     sb = banded_direct_solve(prob_b, CERT2)
     for k in sol.v:
-        assert np.max(np.abs(sol.v_at(k).coeffs - sb.v_at(k).coeffs)) <= 1e-8
+        assert np.max(np.abs(sol.v[k].coeffs - sb.v[k].coeffs)) <= 1e-8
 
 
 def _neumann_by_repeated_perron_solve(prob_b, base_seq, cert):
@@ -324,8 +324,8 @@ def _neumann_by_repeated_perron_solve(prob_b, base_seq, cert):
         forced = dict(prob_b.w)
         for k in range(a + 1, b + 1):
             dv = op_apply(deltas[k - 1], v[k - 1], check_loss=False)
-            forced[k] = prob_b.w_at(k).with_coeffs(prob_b.w_at(k).coeffs
-                                                   + dv.coeffs)
+            forced[k] = prob_b.w[k].with_coeffs(prob_b.w[k].coeffs
+                                                + dv.coeffs)
         vn = perron_solve(InhomProblem(base_seq, forced), cert).v
         diff = max(norm(vn[k].with_coeffs(vn[k].coeffs - v[k].coeffs))
                    for k in vn)
@@ -385,6 +385,28 @@ def test_banded_size_cap():
         banded_direct_solve(prob, CERT2, max_unknowns=4)
 
 
+def test_forcing_is_packed_once_with_zero_fill_and_wrap():
+    a, b, c = (SeqVec(W2, [x, -x]) for x in (1.0, 2.0, 3.0))
+    prob = InhomProblem(OperatorSeq(0, [A2] * 4), {1: a, 3: b})
+    assert (prob.w.lo, len(prob.w), prob.w.period) == (0, 5, None)
+    want = [[0, 0], a.coeffs, [0, 0], b.coeffs, [0, 0]]
+    assert np.array_equal(prob.w.rows, want)
+    assert prob.w_bound == norm(b)
+    for k in (-1, 5):
+        with pytest.raises(PreconditionError):
+            InhomProblem(OperatorSeq(0, [A2] * 4), {k: a})
+    # a periodic forcing holds one period; keys wrap, the lowest key of a
+    # class wins over its copies, and absent classes are zero
+    seq = OperatorSeq(0, [A2] * 3, period=3)
+    prob = InhomProblem(seq, {1: a, 4: b, 5: c})
+    assert (prob.w.lo, len(prob.w), prob.w.period) == (0, 3, 3)
+    assert np.array_equal(prob.w.rows, [[0, 0], a.coeffs, c.coeffs])
+    assert prob.w[7].coeffs.tobytes() == a.coeffs.tobytes()
+    assert prob.w_bound == norm(c)
+    with pytest.raises(PreconditionError):
+        InhomProblem(seq, {1: a, 2: SeqVec(W2, [0.0, 1.0], math.inf)})
+
+
 def test_window_mismatch_rejected():
     other = Window(0, 2)
     seq = OperatorSeq(0, [A2, A2])
@@ -413,12 +435,12 @@ def test_linear_no_ed_sequence_bound():
     for k in range(-8, 9):
         acc = np.zeros(win.length)
         for i in range(-8, k + 1):
-            term = op_apply(cocycle(seq, k, i), op_apply(cert.proj_at(i).P, prob.w_at(i)))
+            term = op_apply(cocycle(seq, k, i), op_apply(cert.proj_at(i).P, prob.w[i]))
             acc += term.coeffs
         for i in range(k + 1, 9):
-            term = op_apply(cocycle(seq, k, i), op_apply(cert.proj_at(i).Q, prob.w_at(i)))
+            term = op_apply(cocycle(seq, k, i), op_apply(cert.proj_at(i).Q, prob.w[i]))
             acc -= term.coeffs
-        assert np.max(np.abs(sol.v_at(k).coeffs - acc)) <= 1e-12
+        assert np.max(np.abs(sol.v[k].coeffs - acc)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,7 +475,7 @@ def test_solution_recheck_matches_the_step_loop(seed, length, kind, periodic,
         nxt = v[lo + (k + 1 - lo) % len(v)]
         defect = nxt.coeffs - op_apply(seq.op_at(k), v[k],
                                        check_loss=False).coeffs \
-            - prob.w_at(k + 1).coeffs
+            - prob.w[k + 1].coeffs
         res = max(res, norm(v[k].with_coeffs(defect)))
     assert sol.max_residual == res
     assert sol.sup_norm == max(norm(x) for x in v.values())
@@ -475,7 +497,7 @@ def _per_point_periodic_rows(prob, cert, T):
         rows.append(perron_sums([ops[i] for i in steps[:-1]],
                                 [inv_ops[i] for i in steps[:-1]],
                                 [pairs[i] for i in steps],
-                                [prob.w_at(i).coeffs for i in times],
+                                [prob.w[i].coeffs for i in times],
                                 range(T, T + 1))[0])
     return np.array(rows)
 
@@ -510,7 +532,7 @@ def test_lockstep_periodic_solve_matches_the_per_point_loop(kind, m, lam,
     pairs = [pair() for _ in range(m)]
     cert = CLCertificate(1.0, lam, 3.0, lambda k: pairs[(k - lo) % m])
     # forcing on only some keys, one of them past the period, so that
-    # w_at zero-fills the others and wraps the far one
+    # the packed forcing zero-fills the others and wraps the far one
     keys = [k for k in range(lo + 1, lo + m + 1) if rng.random() < 0.6]
     if m > 1:
         keys.append(lo + m + 1)
@@ -522,7 +544,7 @@ def test_lockstep_periodic_solve_matches_the_per_point_loop(kind, m, lam,
         assert m > 2 * T
     elif m > 1:
         assert m < 2 * T
-    got = np.array([sol.v_at(k).coeffs for k in range(lo, lo + m)])
+    got = np.array([sol.v[k].coeffs for k in range(lo, lo + m)])
     want = _per_point_periodic_rows(prob, cert, T)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()

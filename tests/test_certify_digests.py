@@ -3,9 +3,12 @@
 Each invocation of the ``certify``, ``conjugacy`` and ``sweep`` workloads
 in ``bench/workloads.py`` runs at seed 11 in a fresh interpreter with
 OpenBLAS pinned to one thread, as the benchmark runs it, and its CSV must
-hash to the digest recorded in ``bench/refs.json``.  A change that moves
-the bits of a verifier, a solver or a transfer fails here, before the
-benchmark's correctness gate sees it.  The tests only read ``bench/``.
+hash to the digest recorded in ``bench/refs.json``.  The ``report.json``
+the same run writes must hash to the digest recorded below, in
+``REPORTS`` (the bytes of ``report.json`` are kept identical from change
+to change, like the CSVs).  A change that moves the bits of a verifier,
+a solver or a transfer fails here, before the benchmark's correctness
+gate sees it.  The tests only read ``bench/``.
 """
 import hashlib
 import json
@@ -36,9 +39,39 @@ CERTIFY = WORKLOADS["certify"].invocations
 OTHERS = [(name, inv) for name in ("conjugacy", "sweep")
           for inv in WORKLOADS[name].invocations]
 REFS = json.loads((ROOT / "bench" / "refs.json").read_text())
+#: sha256 of each invocation's report.json at seed 11, by workload and label
+REPORTS = {
+    "certify": {
+        "robustness":
+            "1d06300db81814819049912d68e4e0da84c65ded83ae2026a29afaaf77161702",
+        "verify-cl:conjugated":
+            "f3263f7f9ffcd1efff0ab8cbb8049fd99c890c26c6444c51ca3eaef542aa959a",
+        "verify-cl:ms_product":
+            "7eb5763c966b91c0cba758b147bc4d8bc3717c5f970a83fea98fb3f4a18cee9f",
+        "verify-cl:weighted_shift_linear":
+            "b0d9075ccaf51050e0d219f2402b5e8e2d0948b3cb00b85ac85a89ce34df72a8",
+        "verify-ed":
+            "b758a95641f6cacd2ba762bd7eb3241f39a76260925d004a433ed63cd371c686",
+    },
+    "conjugacy": {
+        "semiconj":
+            "f57221b8ef98acd1ccee34caea301c42fb587aba262dfc6ab932acfd9275f751",
+    },
+    "sweep": {
+        "chain-demo":
+            "e58ccce7b88c62c4bd1d4bcdad3e985d7366623b5ee7597435969a9428e370ed",
+        "shadow":
+            "69e956001379a206b3036774b4a4864b5bf43dca827a61b7a7c686b1216abe8e",
+        "shadow-periodic":
+            "96ad8cf9da640442f54edb595130fd073767e4e44fc988a1a1ba6887b1ab27a4",
+        "solver-oracle":
+            "5b34bee0476e2cbbc5026f801d2110565bf8898756686e3a0a1ad55da8abdac5",
+    },
+}
 
 
-def _csv_digest(inv, tmp_path):
+def _digests(inv, tmp_path):
+    """sha256 of the CSV and of report.json of one subprocess run."""
     out = tmp_path / "run"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -49,15 +82,18 @@ def _csv_digest(inv, tmp_path):
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     csv = out / (inv.experiment.replace("-", "_") + ".csv")
-    return hashlib.sha256(csv.read_bytes()).hexdigest()
+    return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in (csv, out / "report.json"))
 
 
 @pytest.mark.parametrize("inv", CERTIFY, ids=[inv.label for inv in CERTIFY])
 def test_certify_csv_matches_recorded_digest(inv, tmp_path):
-    assert _csv_digest(inv, tmp_path) == REFS["certify"][str(SEED)][inv.label]
+    assert _digests(inv, tmp_path) == (REFS["certify"][str(SEED)][inv.label],
+                                       REPORTS["certify"][inv.label])
 
 
 @pytest.mark.parametrize("name, inv", OTHERS,
                          ids=[f"{name}:{inv.label}" for name, inv in OTHERS])
 def test_conjugacy_and_sweep_csv_match_recorded_digest(name, inv, tmp_path):
-    assert _csv_digest(inv, tmp_path) == REFS[name][str(SEED)][inv.label]
+    assert _digests(inv, tmp_path) == (REFS[name][str(SEED)][inv.label],
+                                       REPORTS[name][inv.label])

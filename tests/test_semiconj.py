@@ -197,7 +197,7 @@ def test_perron_apply_matches_perron_solve_on_its_segment(seed):
     cert = CLCertificate(f.cert.C, f.cert.lam, f.cert.R,
                          lambda k: f.cert.proj_at(pts[k]))
     prob = InhomProblem(seq, {i: smooth_forcing(pts[i]) for i in range(-T, T + 1)})
-    ref = perron_solve(prob, cert).v_at(0)
+    ref = perron_solve(prob, cert).v[0]
     assert np.max(np.abs(v.coeffs - ref.coeffs)) <= 1e-12
 
 

@@ -9,7 +9,7 @@ from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
     apply_coeffs, apply_rows, coeff_norm, row_norms, anchor_index, LOST_TOL,
-    RowOps, edge_loss, transport_rows,
+    RowOps, Segment, edge_loss, transport_rows,
     ConvergenceError, PreconditionError, TruncationError,
 )
 
@@ -463,7 +463,7 @@ def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
             ops[-1][-1] = dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
     rows = rng.standard_normal((frames, steps, n))
     stacked = RowOps(ops)
-    inverse = RowOps.inverses(ops)
+    inverse = RowOps.inverses(ops, stacked)
     as_stacked = _densified if s is None else (lambda A: A)
 
     def check(got_ops, got_inv, picks):
@@ -700,3 +700,57 @@ def test_stacked_algebra_matches_the_operator_algebra_row_by_row(
             inv = As.inverse()
             for i in range(k):
                 _same_op(inv.op(i), inverses[i])
+
+
+@pytest.mark.parametrize("period", [None, 5])
+def test_segment_reads_as_the_dict_of_points_it_replaces(period):
+    rng = np.random.default_rng(3)
+    w = Window(-2, 3)
+    points = {7 + i: SeqVec(w, rng.standard_normal(w.length), 1.0)
+              for i in range(5)}
+    seg = Segment.pack(points, period)
+    assert (seg.lo, seg.period, seg.window, seg.p) == (7, period, w, 1.0)
+    assert len(seg) == len(points)
+    assert list(seg) == list(points) == sorted(seg)
+    for k in range(-20, 40):
+        assert (k in seg) == (k in points)
+    for k in points:
+        assert seg[k].coeffs.tobytes() == points[k].coeffs.tobytes()
+        assert (seg[k].window, seg[k].p) == (w, 1.0)
+    assert np.array_equal(seg.path[:len(seg)], seg.rows)
+    if period is None:
+        assert len(seg.path) == len(seg)
+        for k in (6, 12, -1):
+            with pytest.raises(KeyError):
+                seg[k]
+    else:
+        # a periodic block answers every time with the bits of its period
+        assert seg.path[-1].tobytes() == seg.rows[0].tobytes()
+        for k in range(-17, 30):
+            assert seg[k + period].coeffs.tobytes() == seg[k].coeffs.tobytes()
+            assert np.shares_memory(seg[k + period].coeffs, seg[k].coeffs)
+    # read-only, and packing a block keeps it
+    with pytest.raises(ValueError):
+        seg.rows[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        seg.lo = 0
+    assert Segment.pack(seg, period) is seg and seg == seg
+
+
+def test_packing_refuses_gaps_and_mixed_points():
+    w = Window(0, 2)
+    pts = {k: SeqVec(w, np.full(3, float(k))) for k in (0, 1, 2)}
+    Segment.pack(pts, 3)
+    gap = dict(pts)
+    del gap[1]
+    bad = [gap, {}, {**pts, 1: SeqVec(Window(0, 3), np.zeros(4))},
+           {**pts, 2: SeqVec(w, np.zeros(3), math.inf)}]
+    for points in bad:
+        with pytest.raises(PreconditionError):
+            Segment.pack(points, None)
+    with pytest.raises(PreconditionError):
+        Segment.pack(pts, 2)
+    with pytest.raises(PreconditionError):
+        Segment.pack(Segment.pack(pts, None), 3)
+    with pytest.raises(PreconditionError):
+        Segment(0, np.zeros((2, 4)), w, 2.0, None)

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
-    Window, SeqVec, norm, PreconditionError, ConvergenceError,
+    Window, SeqVec, OperatorSeq, norm, PreconditionError, ConvergenceError,
     TruncationError,
+)
+from shadowkit.boundedsol import (
+    InhomProblem, perron_solve, periodic_green_solve,
+    random_hyperbolic_instance,
 )
 from shadowkit.clstruct import constant_cert
 from shadowkit.seqcore import diag
@@ -179,10 +183,11 @@ def test_shadow_periodic_converges_to_zero_orbit(m):
     # the zero orbit is the only periodic orbit near 0 (support travels
     # right under the shift, so a periodic point must have empty support)
     for k in range(m):
-        assert norm(res.point_at(k)) <= 1e-9
+        assert norm(res.trajectory[k]) <= 1e-9
     assert res.sup_distance <= 12.0 * ps.d
     # periodicity holds by representation
-    assert res.point_at(3 + m) is res.point_at(3)
+    assert np.shares_memory(res.trajectory[3 + m].coeffs,
+                            res.trajectory[3].coeffs)
 
 
 def test_shadow_periodic_rejects_aperiodic_input():
@@ -253,7 +258,7 @@ def test_two_boundary_conventions_both_shadow():
         prob, ocert = _variational_problem(sys, cur, sys.cert)
         sol = banded_direct_solve(prob, ocert)
         pts = {k: cur.points[k].with_coeffs(
-            cur.points[k].coeffs + cur.d * sol.v_at(k).coeffs)
+            cur.points[k].coeffs + cur.d * sol.v[k].coeffs)
             for k in cur.points}
         cur = Pseudotrajectory(pts, recompute_step_error(sys, pts))
     assert cur.d <= 1e-11
@@ -451,8 +456,65 @@ def test_variational_operators_are_the_pointwise_differentials(which,
     ps = Pseudotrajectory(points, 1e-3, period=m if periodic else None)
     prob, _ = _variational_problem(sys, ps, sys.cert)
     steps = m if periodic else m - 1
-    want = [sys.dforward(ps.point_at(2 + j)) for j in range(steps)]
+    want = [sys.dforward(ps.points[2 + j]) for j in range(steps)]
     assert len(prob.seq.ops) == steps
     for A, B in zip(prob.seq.ops, want):
         assert A.kind == B.kind and A.shift == B.shift
         assert A.to_dense_matrix().tobytes() == B.to_dense_matrix().tobytes()
+
+
+def test_a_gap_in_the_times_is_refused_up_front():
+    sys = shift_system()
+    x = small_start()
+    points = {0: x, 1: sys.forward(x), 3: x}
+    with pytest.raises(PreconditionError, match="consecutive"):
+        recompute_step_error(sys, points)
+    with pytest.raises(PreconditionError, match="consecutive"):
+        Pseudotrajectory(points, 0.0)
+
+
+def test_seqvec_constructions_do_not_grow_with_the_length(monkeypatch):
+    # SeqVec.__init__ counted as the benchmark counts it: the engines work
+    # on row blocks, and only refine_once's point-keyed certificate reads
+    # build one SeqVec per time
+    count = [0]
+    init = SeqVec.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SeqVec, "__init__", counting)
+
+    def made(fn, *args):
+        count[0] = 0
+        fn(*args)
+        return count[0]
+
+    sys = shift_system()
+    x0 = small_start(seed=4)
+    w4 = Window(0, 3)
+    cert4 = constant_cert(1.0, 0.5, 3.0, diag(w4, np.array([1.0, 1, 0, 0])),
+                          diag(w4, np.array([0.0, 0, 1, 1])))
+    counts = {}
+    for length in (16, 48):
+        ps = make_pseudotrajectory(sys, x0, length, 1e-4, seed=1)
+        prob, cert = random_hyperbolic_instance(
+            4, length, np.random.default_rng(length))
+        scalars = np.random.default_rng(length).uniform(0.3, 3.0, (length, 4))
+        periodic = InhomProblem(
+            OperatorSeq(0, [diag(w4, c) for c in scalars], period=length),
+            {k: SeqVec(w4, np.ones(4)) for k in range(1, length + 1)})
+        counts[length] = {
+            "make_pseudotrajectory": made(make_pseudotrajectory, sys, x0,
+                                          length, 1e-4, 1),
+            "perron_solve": made(perron_solve, prob, cert),
+            "periodic_green_solve": made(periodic_green_solve, periodic,
+                                         cert4),
+            "refine_once": made(refine_once, sys, ps, sys.cert),
+        }
+    short, long_ = counts[16], counts[48]
+    for name in ("make_pseudotrajectory", "perron_solve",
+                 "periodic_green_solve"):
+        assert long_[name] == short[name], name
+    assert long_["refine_once"] - short["refine_once"] <= 48 - 16
