@@ -632,7 +632,8 @@ def _run_robustness(config):
         # map route: a smooth perturbation of the map itself, certified
         # along one of its own orbits
         start = _seeded_start(f, seed, scale=0.05, offsets=range(0, 4))
-        orbit = g.orbit(start, 0, config.horizon)
+        orbit = Segment(0, g.orbit_rows(start.coeffs[None], 0,
+                                        config.horizon)[0], w, start.p, None)
         idx = [len(orbit) // 3, (2 * len(orbit)) // 3]
         pc_map = perturbed_cl_for_diffeo(f, g, orbit, lam1)
         rep_map = verify_cl_diffeo(

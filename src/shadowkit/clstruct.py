@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    coeff_norm, op_norm, compose, transport_rows,
+    SeqVec, coeff_norm, op_norm, compose, transport_rows,
     PreconditionError, TruncationError,
 )
 
@@ -66,7 +66,10 @@ class CLCertificate:
 
     ``proj_at`` maps a point (SeqVec) or an index (int) -- depending on
     whether the certificate accompanies a diffeomorphism or an operator
-    sequence -- to a ProjPair.
+    sequence -- to a ProjPair.  ``pair`` is the one pair of a constant
+    certificate (see :func:`constant_cert`), else None.  A point-keyed
+    certificate is read on a block of rows by :meth:`pairs_on`, and along
+    a :class:`seqcore.Segment` by :meth:`along`.
     """
 
     C: float
@@ -74,6 +77,7 @@ class CLCertificate:
     R: float
     proj_at: object
     meta: dict = field(default_factory=dict, compare=False)
+    pair: object = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.C < 1.0:
@@ -81,11 +85,35 @@ class CLCertificate:
         if not 0.0 < self.lam < 1.0:
             raise PreconditionError(f"certificate needs lam in (0,1), got {self.lam}")
 
+    def pairs_on(self, rows, window, p):
+        """The pair at the point of every row of a (..., n) coefficient
+        block, as nested lists of the block's leading shape.
+
+        A constant certificate answers with its one pair and builds no
+        SeqVec; any other calls ``proj_at`` on each row's point, row by row.
+        """
+        if rows.ndim > 2:
+            return [self.pairs_on(block, window, p) for block in rows]
+        if self.pair is not None:
+            return [self.pair] * len(rows)
+        return [self.proj_at(SeqVec(window, row, p)) for row in rows]
+
+    def along(self, seg):
+        """This certificate read along the points of a Segment: the
+        index-keyed certificate whose ``proj_at(k)`` is the pair at
+        ``seg[k]`` (wrapping with a periodic block), every pair read once,
+        by one :meth:`pairs_on` call."""
+        pairs = self.pairs_on(seg.rows, seg.window, seg.p)
+        return CLCertificate(self.C, self.lam, self.R,
+                             lambda k: pairs[seg.row_index(k)],
+                             meta=dict(self.meta))
+
 
 def constant_cert(C, lam, R, P, Q, **meta):
     """Certificate whose projections do not depend on the point/index."""
     pair = ProjPair(P, Q)
-    return CLCertificate(C, lam, R, lambda _x: pair, meta=dict(meta))
+    return CLCertificate(C, lam, R, lambda _x: pair, meta=dict(meta),
+                         pair=pair)
 
 
 @dataclass

@@ -557,15 +557,15 @@ def shadowed_splitting(f, ptraj):
     stack = f.diff_rows(steps)
     aseq = OperatorSeq(traj.lo, [stack.op(j) for j in range(len(steps))],
                        period=traj.period)
-    return aseq, CLCertificate(base.C, base.lam, base.R,
-                               lambda k: base.proj_at(traj[k])), sres
+    return aseq, base.along(traj), sres
 
 
 def perturbed_cl_for_diffeo(f, g, orbit, lam1):
     """Splitting certificate for g along one of its orbits, built from f's.
 
     ``orbit`` must be a genuine g-orbit (consecutive points with
-    ``y_{i+1} = g(y_i)``), checked as one block by ``g.step_gaps``: the
+    ``y_{i+1} = g(y_i)``), a :class:`seqcore.Segment` or a sequence of
+    points, checked as one block by ``g.step_gaps``: the
     error names the first break, or is a TruncationError when g carries
     a point over the window edge.  It is a pseudotrajectory of f, so
     :func:`shadowed_splitting` reads f's splitting along the exact
@@ -580,10 +580,10 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1):
     """
     if f.cert is None:
         raise PreconditionError("base system carries no splitting certificate")
-    pts = list(orbit)
-    if len(pts) < 2:
+    if len(orbit) < 2:
         raise PreconditionError("orbit must contain at least two points")
-    whole = Segment.pack(dict(enumerate(pts)), None)
+    whole = Segment.pack(orbit if isinstance(orbit, Segment)
+                         else dict(enumerate(orbit)), None)
     rows, p = whole.rows, whole.p
     scale = 1.0 + float(row_norms(rows, p).max())
     try:
@@ -597,14 +597,14 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1):
             f"|y_{{i+1}} - g(y_i)| = {gaps[i]:.3g}")
 
     closed = coeff_norm(rows[0] - rows[-1], p) <= 1e-12 * scale
-    n_ops = len(pts) - 1
+    n_ops = len(rows) - 1
     period = n_ops if closed else None
     points = Segment(0, rows[:period], whole.window, p, period)
     ptraj = Pseudotrajectory(points, recompute_step_error(f, points),
                              period=period)
     aseq, base_idx, sres = shadowed_splitting(f, ptraj)
-    bseq = OperatorSeq(0, [g.dforward(pts[k]) for k in range(n_ops)],
-                       period=period)
+    stack = g.diff_rows(rows[:-1])
+    bseq = OperatorSeq(0, [stack.op(k) for k in range(n_ops)], period=period)
     route = graph_transform_periodic if closed else graph_transform_seq
     pc = route(aseq, base_idx, bseq, lam1, p=p)
 

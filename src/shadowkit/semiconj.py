@@ -20,11 +20,12 @@ once with one array operation per step, and each frame keeps its own
 ``seqcore.FixedPointMonitor``, which gates the observed contraction ratio
 and stops the frame, which then leaves the stack; every frame carries the
 bits and the sweep count of a solo solve.  The per-sweep gate on the size
-of the iterate stays here.  Every orbit segment comes from
-``DiffeoSystem.orbit``, the query orbit's distance check from
-``DiffeoSystem.step_gaps``, and a query point finds its anchor on the
-certified segment through ``seqcore.anchor_index``.  The solver returns
-each frame's statistics with its value; no state is kept on the job.
+of the iterate stays here.  Every orbit segment is a row block walked by
+``DiffeoSystem.orbit_rows``, one row-map call per step (the job's
+g-orbit is one row, a group of h1 frames one row per query), and a query
+point finds its anchor on the certified segment through
+``seqcore.anchor_index``.  The solver returns each frame's statistics
+with its value; no state is kept on the job.
 
 h1 rides the f-orbit of the query with cocycle Df and forcing
 g(x+h) - f(x) - Df(x)h; h2 rides the certified g-orbit with the same
@@ -32,13 +33,19 @@ cocycle Df and forcing f(x+h) - g(x) - Df(x)h, taking its splitting from
 the derivative-sequence transfer of f's certificate onto Df read along
 the g-orbit (rate lam1, constant C1).  The job evaluates Df once per
 point of that orbit, and the distance check, the shadowing, the transfer
-and the h2 frames all read that one sequence; the h1 frames evaluate Df
-along their fresh orbits in one ``DiffeoSystem.diff_rows`` call per
-stack.  Values are computed on an orbit segment two truncation radii wide
-on each side of the query, which keeps boundary effects below the series
-tail tolerance at the reported index.  A stack holds at most
-STACK_BUDGET bytes of frames; more queries are solved in consecutive
-stacks, so memory stays flat in the span.
+and the h2 frames all read that one sequence.  The h1 frames are built in
+groups of queries, each in three block operations: one lockstep walk of
+their f-orbits, one distance check against g over each frame's own
+consecutive rows (``DiffeoSystem.step_gaps``) and one read of f's
+certificate (``CLCertificate.pairs_on``, which answers a constant
+certificate with its one pair); they evaluate Df along their orbits in
+one ``DiffeoSystem.diff_rows`` call per stack.  Every frame keeps the
+bits of a walk of its own.  Values are computed on an orbit segment two
+truncation radii wide on each side of the query, which keeps boundary
+effects below the series tail tolerance at the reported index.  A stack
+holds at most STACK_BUDGET bytes of frames; more queries are solved in
+consecutive stacks, and only one group of h1 frames is walked at a time,
+so memory stays flat in the span.
 
 The composition (Id + h1)(Id + h2) is probed and reported, never asserted
 to be the identity.  Splitting data along the g-orbit is certified only at
@@ -103,12 +110,14 @@ def translate_system(sys, offset):
 
     The derivative cocycle is untouched, so the base certificate remains
     valid for the translated map and the base differentials serve it.  Its
-    row map is the base row map plus the offset.
+    row map is the base row map plus the offset, and its inverse row map
+    the base one of the rows minus the offset.
     """
     if offset.window != sys.window:
         raise PreconditionError("offset lives on a different window")
     base_forward, base_inverse = sys.forward, sys.inverse
     base_dinverse, base_rows = sys.dinverse, sys.map_rows
+    base_inverse_rows = sys.inverse_map_rows
     off = np.asarray(offset.coeffs, dtype=float)
 
     def forward(x):
@@ -121,6 +130,9 @@ def translate_system(sys, offset):
     def inverse(y):
         return base_inverse(y.with_coeffs(y.coeffs - off))
 
+    def inverse_rows(ys):
+        return base_inverse_rows(ys - off)
+
     def dinverse(y):
         return base_dinverse(y.with_coeffs(y.coeffs - off))
 
@@ -128,7 +140,7 @@ def translate_system(sys, offset):
                         inverse, sys.dforward, dinverse, sys.R, sys.modulus,
                         sys.support_shift, sys.cert,
                         {**sys.meta, "translation_norm": float(norm(offset))},
-                        forward_rows, sys.dforward_rows)
+                        forward_rows, sys.dforward_rows, inverse_rows)
 
 
 def orbit_perron_apply(alpha, A, cert, w, x, T):
@@ -203,7 +215,8 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     the segment.  Df is evaluated once, as one row block over the
     segment: the distance check (against Dg, read the same way), the
     shadow's first refinement, the transfer and the h2 frames all read
-    that one sequence.
+    that one sequence.  The segment is one row walked by
+    ``g.orbit_rows``.
     """
     if f.window != g.window or f.p != g.p:
         raise PreconditionError("f and g must share window and norm")
@@ -241,8 +254,8 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     buffer = 2 * T
     lo = span_lo - buffer - 1
     hi = span_hi + 1 + buffer
-    orbit = Segment.pack(dict(zip(range(lo, hi + 1), g.orbit(x0, -lo, hi))),
-                         None)
+    orbit = Segment(lo, g.orbit_rows(x0.coeffs[None], -lo, hi)[0],
+                    g.window, x0.p, None)
     d_map = recompute_step_error(f, orbit)
     df = f.diff_rows(orbit.rows)
     d_der = float(np.max(_diff_norms(g.diff_rows(orbit.rows), df, f.p)))
@@ -277,20 +290,34 @@ def _anchor_index(job, x):
         job.orbit.rows[job.query_lo - lo:job.query_hi + 2 - lo], x)
 
 
-def _h1_frame(job, x):
+def _h1_groups(job, xs):
+    """The h1 frames ``(rows, pairs)`` of the points xs, one list per
+    group of queries.
+
+    A group holds as many queries as STACK_BUDGET holds by their rows
+    alone (:func:`_chunks` then cuts it by the whole frame cost), and it
+    is built in three block operations: one lockstep walk of the f-orbits
+    x_{-B-1} .. x_B, one distance check against g over each frame's own
+    consecutive rows, and one certificate read of the rows x_{-B} .. x_B.
+    Only one group is walked at a time.
+    """
     B = 2 * job.truncation
     f = job.f
-    # the orbit points x_{-B-1} .. x_B
-    pts = f.orbit(x, B + 1, B)
-    rows = np.array([y.coeffs for y in pts])
-    # the declared distance must hold along this fresh orbit as well; the
-    # derivative-side proximity is monitored by the observed contraction
-    d_here = job.g.step_gaps(rows).max()
-    if d_here > job.d * (1.0 + CONTRACTION_SLACK):
-        raise PreconditionError(
-            f"measured distance {d_here:.3g} along the query orbit exceeds "
-            f"the declared d = {job.d:.3g}")
-    return rows, [job.cert.proj_at(y) for y in pts[1:]]
+    rows_only = _frame_bytes(np.empty((2 * B + 2, f.window.length)), ())
+    group = max(1, STACK_BUDGET // rows_only)
+    for at in range(0, len(xs), group):
+        starts = np.array([x.coeffs for x in xs[at:at + group]])
+        rows = f.orbit_rows(starts, B + 1, B)
+        # the declared distance must hold along these fresh orbits as well;
+        # the derivative-side proximity is monitored by the observed
+        # contraction
+        d_here = job.g.step_gaps(rows).max(axis=1)
+        far = d_here > job.d * (1.0 + CONTRACTION_SLACK)
+        if far.any():
+            raise PreconditionError(
+                f"measured distance {d_here[far][0]:.3g} along the query "
+                f"orbit exceeds the declared d = {job.d:.3g}")
+        yield list(zip(rows, job.cert.pairs_on(rows[:, 1:], f.window, f.p)))
 
 
 def _h2_frame(job, q):
@@ -357,19 +384,22 @@ def _frame_bytes(rows, pairs):
 
 def _chunks(job, kind, where):
     """The frames of ``where``, in consecutive chunks of at most
-    STACK_BUDGET bytes (and at least one frame) each."""
-    build = _h1_frame if kind == 1 else _h2_frame
-    chunk, used = [], 0
-    for q in where:
-        frame = build(job, q)
-        cost = _frame_bytes(frame[0], frame[-1])
-        if chunk and used + cost > STACK_BUDGET:
+    STACK_BUDGET bytes (and at least one frame) each; a chunk of h1
+    frames never spans two of their groups, so one group is walked only
+    after the chunks of the last one have been solved."""
+    groups = (_h1_groups(job, where) if kind == 1
+              else [(_h2_frame(job, q) for q in where)])
+    for frames in groups:
+        chunk, used = [], 0
+        for frame in frames:
+            cost = _frame_bytes(frame[0], frame[-1])
+            if chunk and used + cost > STACK_BUDGET:
+                yield chunk
+                chunk, used = [], 0
+            chunk.append(frame)
+            used += cost
+        if chunk:
             yield chunk
-            chunk, used = [], 0
-        chunk.append(frame)
-        used += cost
-    if chunk:
-        yield chunk
 
 
 def _fixed_point(job, kind, where):

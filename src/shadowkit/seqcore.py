@@ -180,10 +180,11 @@ class Segment(Mapping):
 
     Row i of the read-only (m, n) array ``rows`` is the point at time
     ``lo + i``, in l^p.  A periodic block (``period`` = m, else None)
-    stores one period, and ``seg[k]`` wraps modulo it: the package's one
-    wrap-around lookup.  The block is a Mapping from time to a
-    :class:`SeqVec` view of a row, whose ``len``, iteration and ``in``
-    cover the stored times only, as the dict of points it replaces did.
+    stores one period, and ``seg[k]`` wraps modulo it through
+    ``row_index``, the package's one wrap-around lookup.  The block is a
+    Mapping from time to a :class:`SeqVec` view of a row, whose ``len``,
+    iteration and ``in`` cover the stored times only, as the dict of
+    points it replaces did.
     """
 
     lo: int
@@ -233,13 +234,18 @@ class Segment(Mapping):
     def with_rows(self, rows):
         return Segment(self.lo, rows, self.window, self.p, self.period)
 
-    def __getitem__(self, k):
+    def row_index(self, k):
+        """The row of time k, wrapped modulo the period; a time outside an
+        aperiodic block raises KeyError."""
         i = k - self.lo
         if self.period is not None:
             i %= self.period
         elif not 0 <= i < len(self.rows):
             raise KeyError(k)
-        return SeqVec(self.window, self.rows[i], self.p)
+        return i
+
+    def __getitem__(self, k):
+        return SeqVec(self.window, self.rows[self.row_index(k)], self.p)
 
     def __contains__(self, k):
         return (isinstance(k, (int, np.integer))

@@ -11,7 +11,9 @@ pseudotrajectory, its shadow and each correction are one
 ``DiffeoSystem.map_rows`` call, the realized step error from
 ``DiffeoSystem.step_gaps``, and a refinement moves the points in one
 array update y + d*v, each row with the bits of a point-by-point
-computation.  Only the point-keyed certificate reads one point at a time.
+computation.  The certificate is read along the points once per
+refinement, as one block (``CLCertificate.along``): a constant
+certificate answers with its one pair, any other one point at a time.
 
 Honesty note: the inner linear solves run on the finite window section
 without edge guards (their truncation error lands in the next iterate's
@@ -38,7 +40,6 @@ from .seqcore import (
     OperatorSeq, Segment, norm, coeff_norm, row_norms, PreconditionError,
     ConvergenceError,
 )
-from .clstruct import CLCertificate
 from .boundedsol import (
     InhomProblem, perron_constant, perron_solve, periodic_green_solve,
 )
@@ -257,10 +258,8 @@ def _variational_problem(sys, pstraj, cert):
     defects /= pstraj.d
     w = (np.roll(defects, 1, axis=0) if points.period
          else np.concatenate((np.zeros((1, defects.shape[1])), defects)))
-    opseq_cert = CLCertificate(cert.C, cert.lam, cert.R,
-                               lambda k: cert.proj_at(points[k]),
-                               meta=dict(cert.meta))
-    return InhomProblem(seq, points.with_rows(w), w_bound=1.0), opseq_cert
+    return InhomProblem(seq, points.with_rows(w), w_bound=1.0), \
+        cert.along(points)
 
 
 def _diagnose(sys, cert, d):

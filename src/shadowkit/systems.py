@@ -31,7 +31,7 @@ from .seqcore import (
     diag, shift_diag, edge_trips, ConvergenceError, PreconditionError,
     TruncationError,
 )
-from .clstruct import ProjPair, CLCertificate
+from .clstruct import ProjPair, CLCertificate, constant_cert
 
 __all__ = [
     "DiffeoSystem", "MSMapParams", "s_remainder",
@@ -68,18 +68,20 @@ class DiffeoSystem:
     far the coordinate support travels per forward step (1 for shifts,
     0 for coordinate-wise maps) -- the window bookkeeping needs it.
 
-    ``forward_rows``, when given, is ``forward`` over the coefficient rows
-    of a (..., n) array, read through :meth:`map_rows`.  Its contract: it
-    returns a new array, every row gets the same bits ``forward`` gives
-    that row, and the truncation guard is judged per row, so it raises
-    :class:`TruncationError` exactly when ``forward`` would raise on some
-    row.  Without it, ``map_rows`` calls ``forward`` row by row.
-    ``dforward_rows``, when given, is ``dforward`` at every row of a
-    (..., n) array as one :class:`seqcore.RowOps`, each operator with the
-    bits ``dforward`` gives that row; :meth:`diff_rows` reads it, and calls
-    ``dforward`` row by row without it.  :meth:`orbit` walks an orbit
-    segment, and :meth:`step_gaps` measures the step defects of a block of
-    rows through ``map_rows``.
+    ``forward_rows`` and ``inverse_rows``, when given, are ``forward`` and
+    ``inverse`` over the coefficient rows of a (..., n) array, read
+    through :meth:`map_rows` and :meth:`inverse_map_rows`.  Their
+    contract: each returns a new array, every row gets the same bits the
+    point map gives that row, and the truncation guard is judged per row,
+    so it raises :class:`TruncationError` exactly when the point map would
+    raise on some row.  Without them, the readers call the point map row
+    by row.  ``dforward_rows``, when given, is ``dforward`` at every row
+    of a (..., n) array as one :class:`seqcore.RowOps`, each operator with
+    the bits ``dforward`` gives that row; :meth:`diff_rows` reads it, and
+    calls ``dforward`` row by row without it.  :meth:`orbit_rows` walks the
+    orbit segments of a block of starts in lockstep, one row-map call per
+    step, and :meth:`orbit` is the walk of one point; :meth:`step_gaps`
+    measures the step defects of a block of rows through ``map_rows``.
     """
 
     name: str
@@ -96,18 +98,28 @@ class DiffeoSystem:
     meta: dict = field(default_factory=dict, compare=False)
     forward_rows: object = field(default=None, compare=False)
     dforward_rows: object = field(default=None, compare=False)
+    inverse_rows: object = field(default=None, compare=False)
 
     def with_cert(self, cert):
         return replace(self, cert=cert)
+
+    def _rows_by_point(self, point_map, xs):
+        xs = np.asarray(xs, dtype=float)
+        rows = [point_map(SeqVec(self.window, x, self.p)).coeffs
+                for x in xs.reshape(-1, self.window.length)]
+        return np.array(rows).reshape(xs.shape)
 
     def map_rows(self, xs):
         """``forward`` applied to every coefficient row of a (..., n) array."""
         if self.forward_rows is not None:
             return self.forward_rows(xs)
-        xs = np.asarray(xs, dtype=float)
-        rows = [self.forward(SeqVec(self.window, x, self.p)).coeffs
-                for x in xs.reshape(-1, self.window.length)]
-        return np.array(rows).reshape(xs.shape)
+        return self._rows_by_point(self.forward, xs)
+
+    def inverse_map_rows(self, ys):
+        """``inverse`` applied to every coefficient row of a (..., n) array."""
+        if self.inverse_rows is not None:
+            return self.inverse_rows(ys)
+        return self._rows_by_point(self.inverse, ys)
 
     def diff_rows(self, xs):
         """``dforward`` at every coefficient row of a (..., n) array, as one
@@ -122,32 +134,51 @@ class DiffeoSystem:
 
         return RowOps(nested(np.asarray(xs, dtype=float)))
 
-    def orbit(self, x, back, fwd):
-        """The orbit points f^j(x) for j = -back .. fwd, as a list.
+    def orbit_rows(self, xs, back, fwd):
+        """The orbit points f^j(x) for j = -back .. fwd of every start row x
+        of a (k, n) array, as a (k, back + fwd + 1, n) array.
 
-        The walk takes the forward steps from x first, then the backward
-        ones; a negative ``back`` or ``fwd`` gives a segment that starts or
-        ends past x.  A step that trips the truncation guard raises
-        :class:`TruncationError` naming the system.
+        All starts are walked in lockstep, one :meth:`map_rows` or
+        :meth:`inverse_map_rows` call per step: the forward steps first,
+        then the backward ones.  A negative ``back`` or ``fwd`` gives a
+        segment that starts or ends past x.  A step that trips the
+        truncation guard on some row raises :class:`TruncationError`
+        naming the system.
         """
-        ahead, behind = [x], [x]
+        xs = np.asarray(xs, dtype=float)
+        ahead, behind = max(fwd, 0), max(back, 0)
+        walk = np.empty((len(xs), behind + ahead + 1, xs.shape[-1]))
+        walk[:, behind] = xs
         try:
-            for _ in range(fwd):
-                ahead.append(self.forward(ahead[-1]))
-            for _ in range(back):
-                behind.append(self.inverse(behind[-1]))
+            cur = xs
+            for j in range(behind + 1, behind + ahead + 1):
+                cur = self.map_rows(cur)
+                walk[:, j] = cur
+            cur = xs
+            for j in range(behind - 1, -1, -1):
+                cur = self.inverse_map_rows(cur)
+                walk[:, j] = cur
         except TruncationError as exc:
             raise TruncationError(
                 f"orbit of {self.name} escapes the window: {exc}") from exc
-        pts = behind[:0:-1] + ahead
-        return pts[max(-back, 0):len(pts) - max(-fwd, 0)]
+        return walk[:, behind - back:behind + fwd + 1]
+
+    def orbit(self, x, back, fwd):
+        """The orbit points f^j(x) for j = -back .. fwd, as a list of
+        :class:`SeqVec` views of the rows of a one-row :meth:`orbit_rows`
+        walk."""
+        rows = self.orbit_rows(x.coeffs[None], back, fwd)[0]
+        return [SeqVec(self.window, row, x.p) for row in rows]
 
     def step_gaps(self, rows):
         """The defects |x_{j+1} - f(x_j)| of consecutive rows of an (m, n)
-        coefficient array, each with the bits of the point-by-point norm."""
-        gaps = self.map_rows(rows[:-1])
-        np.subtract(rows[1:], gaps, out=gaps)
-        return row_norms(gaps, self.p)
+        coefficient array, each with the bits of the point-by-point norm;
+        a (..., m, n) array gives the (..., m - 1) defects of each of its
+        (m, n) blocks."""
+        gaps = self.map_rows(rows[..., :-1, :])
+        np.subtract(rows[..., 1:, :], gaps, out=gaps)
+        return row_norms(gaps.reshape(-1, gaps.shape[-1]),
+                         self.p).reshape(gaps.shape[:-1])
 
 
 def s_remainder(sys, x, v):
@@ -166,14 +197,20 @@ def s_remainder(sys, x, v):
 
 def _newton(fn, dfn, ys, xs, steps, stop):
     """Solve fn(x) = ys coordinate-wise by Newton's method from xs, in at
-    most ``steps`` steps, stopping once |fn(x) - ys|_inf is at most
-    ``stop * (1 + |ys|_inf)``; every coordinate map's inverse runs it."""
-    bound = stop * (1.0 + np.max(np.abs(ys), initial=0.0))
+    most ``steps`` steps; every coordinate map's inverse runs it.
+
+    ys is one row or a (..., n) block of rows, and each row stops at its
+    own bound: once its |fn(x) - y|_inf is at most ``stop * (1 +
+    |y|_inf)``, it keeps its iterate while the other rows go on.  So every
+    row gets the bits and the step count of its solve alone.
+    """
+    bound = stop * (1.0 + np.max(np.abs(ys), axis=-1, initial=0.0))
     for _ in range(steps):
         fx = fn(xs) - ys
-        if np.max(np.abs(fx)) <= bound:
+        live = np.max(np.abs(fx), axis=-1) > bound
+        if not live.any():
             break
-        xs = xs - fx / dfn(xs)
+        xs = np.where(live[..., None], xs - fx / dfn(xs), xs)
     return xs
 
 
@@ -295,7 +332,6 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
     """
     _validate_shift_family(a_family, lam, R, window)
     ks = np.arange(window.lo, window.hi + 1)
-    n = window.length
 
     def forward_rows(xs):
         vals = a_family.apply(ks, xs)
@@ -314,14 +350,21 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
     def forward(x):
         return SeqVec(window, forward_rows(x.coeffs), x.p)
 
+    def inverse_rows(ys):
+        # mass at the first coordinate enters from outside the window; as
+        # forward, a zero first column skips the per-row tolerances
+        if ys[..., 0].any():
+            lost, trips = edge_trips(ys[..., :1], ys)
+            if trips.any():
+                raise TruncationError(
+                    f"inverse shift sees mass {lost[trips].max():.3e} "
+                    "entering from outside")
+        out = np.zeros(ys.shape)
+        out[..., :-1] = a_family.apply_inv(ks[:-1], ys[..., 1:])
+        return out
+
     def inverse(y):
-        lost, trips = edge_trips(y.coeffs[:1], y.coeffs)
-        if trips:
-            raise TruncationError(
-                f"inverse shift sees mass {lost:.3e} entering from outside")
-        out = np.zeros(n)
-        out[:-1] = a_family.apply_inv(ks[:-1], y.coeffs[1:])
-        return SeqVec(window, out, y.p)
+        return SeqVec(window, inverse_rows(y.coeffs), y.p)
 
     def dforward(x):
         return shift_diag(window, a_family.deriv(ks, x.coeffs), shift=1)
@@ -336,13 +379,13 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
     modulus = lambda t: m2 * t
 
     mask = (ks >= 0).astype(float)
-    pair = ProjPair(diag(window, mask), diag(window, 1.0 - mask))
-    cert = CLCertificate(1.0, lam, R, lambda _x: pair,
-                         meta={"splitting": "support k >= 0 stable"})
+    cert = constant_cert(1.0, lam, R, diag(window, mask),
+                         diag(window, 1.0 - mask),
+                         splitting="support k >= 0 stable")
     return DiffeoSystem(name, window, p, forward, inverse, dforward,
                         dinverse, R, modulus, support_shift=1, cert=cert,
                         meta={"d2_bound": m2}, forward_rows=forward_rows,
-                        dforward_rows=dforward_rows)
+                        dforward_rows=dforward_rows, inverse_rows=inverse_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ OpenBLAS pinned to one thread, as the benchmark runs it, and its CSV must
 hash to the digest recorded in ``bench/refs.json``.  The ``report.json``
 the same run writes must hash to the digest recorded below, in
 ``REPORTS`` (the bytes of ``report.json`` are kept identical from change
-to change, like the CSVs).  A change that moves the bits of a verifier,
-a solver or a transfer fails here, before the benchmark's correctness
-gate sees it.  The tests only read ``bench/``.
+to change, like the CSVs).  The ``conjugacy`` invocations also run at the
+held-out seed 12345, against the same two kinds of digest.  A change that
+moves the bits of a verifier, a solver or a transfer fails here, before
+the benchmark's correctness gate sees it.  The tests only read ``bench/``.
 """
 import hashlib
 import json
@@ -22,6 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 11
+HELD_OUT = 12345
 
 
 def _bench_workloads():
@@ -38,6 +40,7 @@ WORKLOADS = _bench_workloads()
 CERTIFY = WORKLOADS["certify"].invocations
 OTHERS = [(name, inv) for name in ("conjugacy", "sweep")
           for inv in WORKLOADS[name].invocations]
+CONJUGACY = WORKLOADS["conjugacy"].invocations
 REFS = json.loads((ROOT / "bench" / "refs.json").read_text())
 #: sha256 of each invocation's report.json at seed 11, by workload and label
 REPORTS = {
@@ -68,17 +71,23 @@ REPORTS = {
             "5b34bee0476e2cbbc5026f801d2110565bf8898756686e3a0a1ad55da8abdac5",
     },
 }
+#: sha256 of each conjugacy invocation's report.json at the held-out seed
+REPORTS_HELD_OUT = {
+    "semiconj":
+        "013300a75e76ae1337ffe05163854ab0e85c6a0ba344e10cbcbe415bec3d7daa",
+}
 
 
-def _digests(inv, tmp_path):
-    """sha256 of the CSV and of report.json of one subprocess run."""
+def _digests(inv, seed, tmp_path):
+    """sha256 of the CSV and of report.json of one subprocess run at
+    ``seed``."""
     out = tmp_path / "run"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    [str(ROOT / "src")] + os.environ.get(
                        "PYTHONPATH", "").split(os.pathsep)))
     proc = subprocess.run(
-        [sys.executable, "-m", "shadowkit.cli", *inv.argv(SEED, str(out))],
+        [sys.executable, "-m", "shadowkit.cli", *inv.argv(seed, str(out))],
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     csv = out / (inv.experiment.replace("-", "_") + ".csv")
@@ -88,12 +97,20 @@ def _digests(inv, tmp_path):
 
 @pytest.mark.parametrize("inv", CERTIFY, ids=[inv.label for inv in CERTIFY])
 def test_certify_csv_matches_recorded_digest(inv, tmp_path):
-    assert _digests(inv, tmp_path) == (REFS["certify"][str(SEED)][inv.label],
-                                       REPORTS["certify"][inv.label])
+    assert _digests(inv, SEED, tmp_path) == (
+        REFS["certify"][str(SEED)][inv.label], REPORTS["certify"][inv.label])
 
 
 @pytest.mark.parametrize("name, inv", OTHERS,
                          ids=[f"{name}:{inv.label}" for name, inv in OTHERS])
 def test_conjugacy_and_sweep_csv_match_recorded_digest(name, inv, tmp_path):
-    assert _digests(inv, tmp_path) == (REFS[name][str(SEED)][inv.label],
-                                       REPORTS[name][inv.label])
+    assert _digests(inv, SEED, tmp_path) == (
+        REFS[name][str(SEED)][inv.label], REPORTS[name][inv.label])
+
+
+@pytest.mark.parametrize("inv", CONJUGACY,
+                         ids=[inv.label for inv in CONJUGACY])
+def test_conjugacy_keeps_its_digests_at_the_held_out_seed(inv, tmp_path):
+    assert _digests(inv, HELD_OUT, tmp_path) == (
+        REFS["conjugacy"][str(HELD_OUT)][inv.label],
+        REPORTS_HELD_OUT[inv.label])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowkit import boundedsol, semiconj, seqcore
+from shadowkit import boundedsol, cli, semiconj, seqcore
 from shadowkit.boundedsol import (InhomProblem, perron_constant, perron_solve,
                                   perron_sums)
 from shadowkit.clstruct import CLCertificate, ProjPair
@@ -485,6 +485,39 @@ def test_default_job_counters(monkeypatch):
     assert counts["densified"] == 0
 
 
+def test_default_semiconj_walks_h1_frames_on_rows(monkeypatch, tmp_path):
+    # a default semiconj run at seed 11, with the per-point maps of f (the
+    # system the CLI builds) and every SeqVec construction counted: the h1
+    # frames are walked on row blocks and read from the constant
+    # certificate without a SeqVec per point
+    counts = {"forward": 0, "inverse": 0, "seqvec": 0}
+    real_make, real_init = cli.make_system, SeqVec.__init__
+
+    def counted(name, fn):
+        def point_map(x):
+            counts[name] += 1
+            return fn(x)
+        return point_map
+
+    def make_system(*args, **kw):
+        built = real_make(*args, **kw)
+        for name in ("forward", "inverse"):
+            object.__setattr__(built, name, counted(name, getattr(built, name)))
+        return built
+
+    def init(self, *args, **kw):
+        counts["seqvec"] += 1
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(cli, "make_system", make_system)
+    monkeypatch.setattr(SeqVec, "__init__", init)
+    assert cli.main(["semiconj", "--seed", "11", "--out",
+                     str(tmp_path / "run")]) == 0
+    assert counts["inverse"] == 0
+    assert counts["forward"] <= 100
+    assert counts["seqvec"] < 2500
+
+
 def test_chunked_stacks_match_one_stack_with_flat_memory(monkeypatch):
     # frames are independent: a budget of about two frames splits the
     # stack, changes no bit and no sweep count, and holds the working set
@@ -494,7 +527,7 @@ def test_chunked_stacks_match_one_stack_with_flat_memory(monkeypatch):
     whole = _fixed_point(job, 1, points)
     anchors = list(range(6))
     whole2 = _fixed_point(job, 2, anchors)
-    rows, pairs = semiconj._h1_frame(job, points[0])
+    (rows, pairs), = next(semiconj._h1_groups(job, points[:1]))
     monkeypatch.setattr(semiconj, "STACK_BUDGET",
                         2 * semiconj._frame_bytes(rows, pairs))
     calls = []

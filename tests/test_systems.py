@@ -591,6 +591,60 @@ def test_diff_rows_equals_stacked_dforward(which):
                                                     vs[i, j]).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 9),
+       st.sampled_from(range(len(ROW_MAP_SYSTEMS))))
+def test_inverse_row_map_equals_stacked_inverse(seed, m, which):
+    # the mirror of the forward case: mass at the first coordinate enters
+    # from outside the window, and the borderline value trips the guard
+    # only on rows whose largest coefficient is small
+    sys = ROW_MAP_SYSTEMS[which]
+    assert sys.inverse_rows is not None
+    rng = np.random.default_rng(seed)
+    ys = rng.uniform(-1.0, 1.0, (m, W.length)) * rng.choice([1e-3, 1.0], (m, 1))
+    ys[:, 0] = rng.choice([0.0, 1e-14, 3e-13, 3e-12, 0.5], m)
+    expected, trips = [], False
+    for y in ys:
+        try:
+            expected.append(sys.inverse(SeqVec(W, y, sys.p)).coeffs)
+        except TruncationError:
+            trips = True
+    for shape in ((m, W.length), (1, m, W.length)):
+        if trips:
+            with pytest.raises(TruncationError):
+                sys.inverse_map_rows(ys.reshape(shape))
+        else:
+            got = sys.inverse_map_rows(ys.reshape(shape)).reshape(m, W.length)
+            assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_newton_stops_each_row_at_its_own_bound():
+    # row 0 meets its stop at once, row 1 needs many steps: row 0 keeps its
+    # start, as alone, and is not judged by row 1's looser bound
+    fn = lambda x: x ** 3 + x
+    dfn = lambda x: 3.0 * x ** 2 + 1.0
+    ys = np.array([[1e-3, -2e-3], [50.0, -7.0]])
+    got = systems._newton(fn, dfn, ys, ys.copy(), 60, 1e-6)
+    for y, row in zip(ys, got):
+        alone = systems._newton(fn, dfn, y, y.copy(), 60, 1e-6)
+        assert row.tobytes() == alone.tobytes()
+    assert got[0].tobytes() == ys[0].tobytes()
+
+
+@pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS)))
+def test_inverse_rows_mixing_newton_step_counts_keep_their_bits(which):
+    # a zero row stops before its first Newton step, a large one takes
+    # several, and a small one stops in between
+    sys = ROW_MAP_SYSTEMS[which]
+    rng = np.random.default_rng(which)
+    ys = np.zeros((3, W.length))
+    ys[1, 1:] = rng.uniform(-6.0, 6.0, W.length - 1)
+    ys[2, 1:] = rng.uniform(-1e-6, 1e-6, W.length - 1)
+    got = sys.inverse_map_rows(ys)
+    for y, row in zip(ys, got):
+        assert row.tobytes() == sys.inverse(SeqVec(W, y, sys.p)).coeffs.tobytes()
+
+
 # ------------------------------------------------------------- orbits
 
 @pytest.mark.parametrize("name", ["weighted_shift_linear", "ms_product",
@@ -609,6 +663,51 @@ def test_orbit_matches_the_hand_written_walk(name):
         assert len(got) == len(want)
         assert all(a.coeffs.tobytes() == b.coeffs.tobytes()
                    for a, b in zip(got, want))
+
+
+def _hand_walk(sys, x, back, fwd):
+    # one point map call per step
+    pts = {0: x}
+    for j in range(1, fwd + 1):
+        pts[j] = sys.forward(pts[j - 1])
+    for j in range(0, -back, -1):
+        pts[j - 1] = sys.inverse(pts[j])
+    return np.array([pts[j].coeffs for j in range(-back, fwd + 1)])
+
+
+@pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS)))
+def test_block_walk_equals_the_point_walks(which):
+    sys = ROW_MAP_SYSTEMS[which]
+    xs = np.array([x.coeffs for x in sample_interior_points(sys, 3, seed=7)]
+                  + [np.zeros(W.length)])
+    for back, fwd in ((3, 4), (0, 4), (3, 0), (0, 0), (-2, 4), (3, -1),
+                      (-3, 1)):
+        block = sys.orbit_rows(xs, back, fwd)
+        assert block.shape == (len(xs), max(back + fwd + 1, 0), W.length)
+        for x, rows in zip(xs, block):
+            want = _hand_walk(sys, SeqVec(W, x, sys.p), back, fwd)
+            assert rows.tobytes() == want.tobytes()
+            got = sys.orbit(SeqVec(W, x, sys.p), back, fwd)
+            assert np.array([y.coeffs for y in got]).tobytes() == \
+                want.tobytes()
+
+
+@pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS)))
+def test_block_walk_raises_where_a_point_walk_would(which):
+    # one start of the block escapes forward, or backward; the others stay
+    sys = ROW_MAP_SYSTEMS[which]
+    xs = np.zeros((3, W.length))
+    xs[0, W.offset(0)] = 0.1
+    xs[1, W.offset(12)] = 0.5
+    xs[2, W.offset(-12)] = 0.5
+    for back, fwd, bad in ((0, 5, 1), (5, 0, 2)):
+        with pytest.raises(TruncationError):
+            sys.orbit(SeqVec(W, xs[bad], sys.p), back, fwd)
+        with pytest.raises(TruncationError, match="escapes") as err:
+            sys.orbit_rows(xs, back, fwd)
+        assert sys.name in str(err.value)
+        keep = [i for i in range(3) if i != bad]
+        assert sys.orbit_rows(xs[keep], back, fwd).shape[0] == 2
 
 
 def test_orbit_escape_names_the_system():
