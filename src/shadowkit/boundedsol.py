@@ -40,8 +40,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import (
-    Segment, OperatorSeq, RowOps, apply_coeffs, apply_rows,
-    op_norm, row_norms, dense, sub, PreconditionError, ConvergenceError,
+    Segment, OperatorSeq, apply_coeffs, apply_rows, inverse_stack,
+    op_norm, row_norms, dense, stack_ops, sub, PreconditionError,
+    ConvergenceError,
 )
 from .clstruct import ProjPair, verify_cl_opseq
 
@@ -79,7 +80,7 @@ class InhomProblem:
 
     @property
     def window(self):
-        return self.seq.ops[0].domain
+        return self.seq.ops[0].window
 
     @property
     def p(self):
@@ -88,7 +89,7 @@ class InhomProblem:
 
 def _forcing(seq, w):
     """The forcing block of an :class:`InhomProblem` on ``seq``."""
-    lo, m, win = seq.lo, seq.period, seq.ops[0].domain
+    lo, m, win = seq.lo, seq.period, seq.ops[0].window
     size = len(seq.ops) + (m is None)
     if isinstance(w, Segment):
         if (w.lo, len(w), w.period, w.window) != (lo, size, m, win):
@@ -161,26 +162,26 @@ def perron_sums(ops, inv_ops, pairs, w, at):
 
     A leading frame axis sums a stack of segments in lockstep: ``w`` is
     (frames, m, n), ``ops[j]``, ``inv_ops[j]`` and the projections of
-    ``pairs[j]`` are :class:`seqcore.RowOps` over the frames, every step is
-    one array operation per operator, and the result is
-    (frames, len(at), n).  Each frame gets the bits of its own sums.
+    ``pairs[j]`` are operator stacks over the frames, every step is one
+    array operation per operator, and the result is (frames, len(at), n).
+    Each frame gets the bits of its own sums.
     """
     w = np.asarray(w)
-    apply = apply_coeffs if w.ndim == 2 else RowOps.apply
     last, first = w.shape[-2] - 1, at[0]
     out = np.empty(w.shape[:-2] + (len(at), w.shape[-1]))
-    u = apply(pairs[0].P, w[..., 0, :])
+    u = apply_coeffs(pairs[0].P, w[..., 0, :])
     for j in range(at[-1] + 1):
         if j:
             P = pairs[j].P
-            u = apply(P, apply(ops[j - 1], u) + apply(P, w[..., j, :]))
+            u = apply_coeffs(P, apply_coeffs(ops[j - 1], u)
+                             + apply_coeffs(P, w[..., j, :]))
         if j >= first:
             out[..., j - first, :] = u
     s = np.zeros(u.shape)
     for j in range(last, first - 1, -1):
         if j < last:
-            drive = s + apply(pairs[j + 1].Q, w[..., j + 1, :])
-            s = apply(pairs[j].Q, apply(inv_ops[j], drive))
+            drive = s + apply_coeffs(pairs[j + 1].Q, w[..., j + 1, :])
+            s = apply_coeffs(pairs[j].Q, apply_coeffs(inv_ops[j], drive))
         if j <= at[-1]:
             out[..., j - first, :] -= s
     return out
@@ -193,7 +194,7 @@ def perron_solve(prob, cert, verify_cert=False):
     unstable projections are evaluated by :func:`perron_sums`, with the
     convention that w vanishes outside the interval; the solution is their
     difference.  The steps are inverted as one stack
-    (:meth:`seqcore.RowOps.inverses`), with the bits of ``LinOp.inverse``
+    (:func:`seqcore.inverse_stack`), with the bits of ``LinOp.inverse``
     step by step.  Pass ``verify_cert=True`` to run the splitting verifier
     first (callers in an inner loop check their certificate once,
     outside).
@@ -209,11 +210,9 @@ def perron_solve(prob, cert, verify_cert=False):
 def _interval_sums(seq, cert):
     """:func:`perron_sums` over every time point of an interval, as a
     function of the forcing rows there; the steps are inverted as one
-    stack (:meth:`seqcore.RowOps.inverses`) and the pairs read, once."""
+    stack (:func:`seqcore.inverse_stack`) and the pairs read, once."""
     a, b = seq.lo, seq.hi
-    ops = seq.ops
-    inv = RowOps.inverses(ops, RowOps(ops))
-    inv_ops = [inv.op(j) for j in range(len(ops))]
+    ops, inv_ops = seq.ops, inverse_stack(seq.ops)
     pairs = [cert.proj_at(k) for k in range(a, b + 1)]
     return lambda w: perron_sums(ops, inv_ops, pairs, w, range(b - a + 1))
 
@@ -244,11 +243,11 @@ def periodic_green_solve(prob, cert):
         T += 1
     lo = prob.seq.lo
     unroll = np.arange(-T, m + T) % m
-    stack = RowOps(prob.seq.ops)
-    ops, inv = stack[unroll], RowOps.inverses(prob.seq.ops, stack)[unroll]
+    ops = stack_ops(prob.seq.ops)[unroll]
+    inv = inverse_stack(prob.seq.ops)[unroll]
     pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
-    P = RowOps([pr.P for pr in pairs])[unroll]
-    Q = RowOps([pr.Q for pr in pairs])[unroll]
+    P = stack_ops([pr.P for pr in pairs])[unroll]
+    Q = stack_ops([pr.Q for pr in pairs])[unroll]
     w = prob.w.rows[unroll]
     frames = sliding_window_view(w, 2 * T + 1, axis=0).swapaxes(1, 2)
     steps = [slice(j, j + m) for j in range(2 * T + 1)]
@@ -286,7 +285,7 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):
             raise PreconditionError(
                 f"|Delta_{k}| = {dn:.3g} exceeds the declared bound {eps:.3g}")
         deltas.append(d)
-    deltas = RowOps(deltas)
+    deltas = stack_ops(deltas)
 
     w = prob_b.w.rows
     solve = _interval_sums(base_seq, base_cert)
@@ -294,7 +293,7 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):
     diff_norms = []
     for _ in range(200):
         forced = w.copy()
-        forced[1:] += deltas.apply(v[:-1])
+        forced[1:] += apply_coeffs(deltas, v[:-1])
         vn = solve(forced)
         diff = float(row_norms(vn - v, prob_b.p).max())
         diff_norms.append(diff)

@@ -574,7 +574,7 @@ def _run_verify_ed(config):
         # time m up to 0; the diagonal construction makes it an exact power
         exact_all = True
         for m in range(max(seq.lo, -20), 0):
-            v = SeqVec.basis(seq.ops[0].domain, 0, config.p)
+            v = SeqVec.basis(seq.ops[0].window, 0, config.p)
             for k in range(m, 0):
                 v = op_apply(seq.op_at(k), v)
             observed = norm(v)

@@ -168,7 +168,7 @@ def _directions(pair_side, window, p, n_dirs, rng):
     bits of ``op_apply``.  A projection whose edge guard trips on some row
     raises :class:`TruncationError`, as ``op_apply`` would.
     """
-    if pair_side.domain != window:
+    if pair_side.window != window:
         raise PreconditionError("vector window does not match operator domain")
     n = window.length
     rows = np.vstack([np.eye(n), rng.standard_normal((n_dirs, n))])
@@ -314,7 +314,7 @@ def verify_cl_opseq(seq, cert, horizon=12, n_dirs=N_DIRS, p=2.0,
     ``dichotomy=True`` the reverse leakage residual |P_{k+1} A_k Q_k| is
     included, turning the invariance inclusions into equalities.
     """
-    window = seq.ops[0].domain
+    window = seq.ops[0].window
     # each operator is inverted once per call, however many samples'
     # backward horizons reach it
     inverses = {}

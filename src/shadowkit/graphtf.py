@@ -10,7 +10,7 @@ time-reversed inverse sequence.  The rebuilt splitting is certified at a
 relaxed decay rate ``lam1 > lam`` with constant ``((R + 1) / lam1) ** N``,
 where N is the block length at which the original decay beats ``lam1``.
 
-The whole construction runs on operator stacks (:class:`seqcore.RowOps`),
+The whole construction runs on operator stacks (:class:`seqcore.LinOp`),
 one stack per block kind, iterate and product over all steps, so each
 block, update, difference, inclusion product and norm is one array
 operation across all steps, for every input; only the backward sweep of
@@ -20,9 +20,9 @@ weighted shifts by one common s with diagonal projections a stack is one
 projections) makes the stacks it meets (steps, n, n) matrix arrays, run
 by batched ``matmul``, ``inv`` and ``norm``; that is admitted only while
 its estimated memory, ``_dense_bytes``, stays below ``MAX_DENSE_BYTES``.
-Every step keeps the association order and the bits of the per-step
-:class:`seqcore.LinOp` algebra, and only the nonzero final tilts are
-materialized; a zero tilt stays structured.
+Every step keeps the association order and the bits of the algebra on
+one operator, and only the nonzero final tilts are materialized; a zero
+tilt stays structured.
 
 ``perturbed_cl_for_diffeo`` lifts the construction to diffeomorphisms: an
 orbit of the perturbed map is shadowed by an exact trajectory of the base
@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      RowOps, Segment, anchor_index, coeff_norm, dense,
-                      monitored_fixed_point, op_norm, row_norms,
-                      transport_rows, TruncationError)
+                      Segment, _sum_into, anchor_index, coeff_norm, dense,
+                      diag, inverse_stack, monitored_fixed_point, op_norm,
+                      row_norms, stack_ops, transport_rows, TruncationError)
 from .clstruct import CLCertificate, ProjPair, _directions
 from .shadow import (Pseudotrajectory, recompute_step_error, shadow,
                      shadow_periodic)
@@ -174,11 +174,11 @@ class PerturbedCert:
 
 
 def _norms(stack, p):
-    """Exact l^p operator norm of every row of a :class:`seqcore.RowOps`
-    stack: seqcore's for weighted shifts, numpy's (the SVD for p = 2) for
-    dense matrices, in one batched call."""
+    """Exact l^p operator norm of every row of an operator stack:
+    seqcore's for weighted shifts, numpy's (the SVD for p = 2) for dense
+    matrices, in one batched call."""
     if stack.shift is not None:
-        return stack.norms(p)
+        return op_norm(stack, p)
     return np.linalg.norm(stack.data, _NORM_ORDS[p], axis=(-2, -1))
 
 
@@ -249,9 +249,13 @@ def _fixed_point(blk, n_ops, nxt, C, lam, p, period, label, zero):
     Dss, Dus, Duu = blk["Dss"], blk["Dus"], blk["Duu"]
 
     def q_step(H):
+        # -Bsu - Duu Hj + Hn Aus Hj + Hn Dss + Hn Dus Hj, left to right,
+        # each term summed into the one array that -Bsu made
         Hj, Hn = H[:n_ops], H[nxt]
-        return Z @ (-Bsu - Duu @ Hj + Hn @ (Aus @ Hj) + Hn @ Dss
-                    + Hn @ (Dus @ Hj))
+        acc = _sum_into(-Bsu, Duu @ Hj, np.subtract)
+        acc = _sum_into(acc, Hn @ (Aus @ Hj), np.add)
+        acc = _sum_into(acc, Hn @ Dss, np.add)
+        return Z @ _sum_into(acc, Hn @ (Dus @ Hj), np.add)
 
     def apply_series(S):
         if period is None:
@@ -260,7 +264,7 @@ def _fixed_point(blk, n_ops, nxt, C, lam, p, period, label, zero):
             new = [zero] * n_times
             for j in range(n_ops - 1, -1, -1):
                 new[j] = S[j] + (Z[j] @ new[j + 1]) @ Ass[j]
-            return RowOps([r.op(()) for r in new])
+            return stack_ops(new)
         T = _series_terms(C, lam, float(np.max(_norms(S, p))))
         idx = np.arange(n_times)
         acc, left, right = S, None, None
@@ -294,7 +298,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     C, lam, R = cert.C, cert.lam, cert.R
     n_times = n_ops if period else n_ops + 1
     ks = [lo + j for j in range(n_times)]
-    W = seq.op_at(lo).domain
+    W = seq.op_at(lo).window
     # step j maps time j to time nxt[j]; reversed time j sits at time
     # rev[j].  On an interval both are basic slices, so the stacks they
     # select are views; around a period they wrap
@@ -307,20 +311,21 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     b_ops = [pert.op_at(lo + j) for j in range(n_ops)]
     base_pairs = [cert.proj_at(k) for k in ks]
     # weighted shifts stay structured; one dense operand makes the blocks
-    # and iterates dense, so admit that only within its memory cap, before
-    # any stack is built
+    # and iterates dense.  The transfer holds about 25 operators per step
+    # of the largest operand's size (``_dense_bytes`` when n x n), so admit
+    # it only within its memory cap, before any stack is built
     pair_ops = [op for pr in base_pairs for op in (pr.P, pr.Q)]
-    if any(op.matrix is not None for op in a_ops + b_ops + pair_ops):
-        need = _dense_bytes(n_ops, W.length)
-        if need > MAX_DENSE_BYTES:
-            raise PreconditionError(
-                f"dense splitting transfer over {n_ops} steps on a window of "
-                f"{W.length} needs about {need} bytes, above the cap "
-                f"{MAX_DENSE_BYTES}")
-    A, B = RowOps(a_ops), RowOps(b_ops)
-    P = RowOps([pr.P for pr in base_pairs])
-    Q = RowOps([pr.Q for pr in base_pairs])
-    Ai, Bi = RowOps.inverses(a_ops, A), RowOps.inverses(b_ops, B)
+    size = max(op.data.size for op in a_ops + b_ops + pair_ops)
+    need = _dense_bytes(n_ops, W.length) // W.length ** 2 * size
+    if need > MAX_DENSE_BYTES:
+        raise PreconditionError(
+            f"splitting transfer over {n_ops} steps on a window of "
+            f"{W.length} needs about {need} bytes, above the cap "
+            f"{MAX_DENSE_BYTES}")
+    A, B = stack_ops(a_ops), stack_ops(b_ops)
+    P = stack_ops([pr.P for pr in base_pairs])
+    Q = stack_ops([pr.Q for pr in base_pairs])
+    Ai, Bi = inverse_stack(a_ops), inverse_stack(b_ops)
 
     def sup_diff(X, Y):
         return float(np.max(_diff_norms(X, Y, p)))
@@ -344,7 +349,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     # stable side, then the unstable side on the time-reversed inverse
     # sequence: reversed step j applies the inverse of original step
     # n_ops - 1 - j, from time rev[j] into time rev[j + 1]
-    zero = RowOps.weighted_shifts(np.zeros(W.length), 0, W)
+    zero = diag(W, np.zeros(W.length))
     Hs, it_s, fpres_s, ratio_s = _fixed_point(
         _blocks(A, Ai, B, P, Q, n_ops, nxt), n_ops, nxt, C, lam, p, period,
         "stable", zero)
@@ -368,10 +373,9 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     # a zero tilt stays the op it already is (structured on weighted
     # shifts); a nonzero tilt is densified once, for GraphMaps and its pair
     def tilts(H, norms):
-        ops = [H.op(j) for j in range(n_times)]
         zero_at = norms == 0.0
-        return [op if z else dense(op.to_dense_matrix(), W)
-                for op, z in zip(ops, zero_at)], zero_at
+        return [H[j] if z else dense(H[j].to_dense_matrix(), W)
+                for j, z in enumerate(zero_at)], zero_at
 
     Hs, zero_s = tilts(Hs, h_norms)
     Hu, zero_u = tilts(Hu, hu_norms)
@@ -391,15 +395,16 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
             raise ConvergenceError(
                 f"tilted pair at k={ks[j]} is not a projection: {exc}") from exc
         pairs[j] = pair
-    P1, Q1 = RowOps([pr.P for pr in pairs]), RowOps([pr.Q for pr in pairs])
-    proj_sup = float(max(np.max(P1.norms(p)), np.max(Q1.norms(p))))
+    P1 = stack_ops([pr.P for pr in pairs])
+    Q1 = stack_ops([pr.Q for pr in pairs])
+    proj_sup = float(max(np.max(op_norm(P1, p)), np.max(op_norm(Q1, p))))
     if proj_sup > 2.0 * C * (1.0 + CONTRACTION_SLACK):
         raise ConvergenceError(
             f"tilted projection norm {proj_sup:.3g} exceeds 2C = {2 * C}")
 
     Pj, Qn = P1[:n_ops], Q1[nxt]
-    r_f = np.broadcast_to((Qn @ (B @ Pj)).norms(p), (n_ops,))
-    r_b = np.broadcast_to((Pj @ (Bi @ Qn)).norms(p), (n_ops,))
+    r_f = np.broadcast_to(op_norm(Qn @ (B @ Pj), p), (n_ops,))
+    r_b = np.broadcast_to(op_norm(Pj @ (Bi @ Qn), p), (n_ops,))
     incl = {lo + j: float(r) for j, r in enumerate(r_f)}
     leaking = np.flatnonzero((r_f > INCLUSION_TOL) | (r_b > INCLUSION_TOL))
     if len(leaking):
@@ -447,16 +452,16 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         fwd_js = bwd_js = list(range(n_times))
     stride = max(1, len(fwd_js) // 12)
     for j in fwd_js[::stride]:
-        scan(pairs[j].P, [B.op((j + l) % n_ops) for l in range(N)])
+        scan(pairs[j].P, [B[(j + l) % n_ops] for l in range(N)])
     stride = max(1, len(bwd_js) // 12)
     for j in bwd_js[::stride]:
-        scan(pairs[j].Q, [Bi.op((j - 1 - l) % n_ops) for l in range(N)])
+        scan(pairs[j].Q, [Bi[(j - 1 - l) % n_ops] for l in range(N)])
     if worst_n_step > bound:
         raise ConvergenceError(
             f"{N}-step decay {worst_n_step:.6f} exceeds lam1^{N} = "
             f"{lam1 ** N:.6f}")
 
-    R_res = float(max(np.max(B.norms(p)), np.max(Bi.norms(p))))
+    R_res = float(max(np.max(op_norm(B, p)), np.max(op_norm(Bi, p))))
     pair_by_time = dict(zip(ks, pairs))
     if period is None:
         proj_fn = pair_by_time.__getitem__
@@ -555,7 +560,7 @@ def shadowed_splitting(f, ptraj):
     traj = sres.trajectory
     steps = traj.path[:-1]
     stack = f.diff_rows(steps)
-    aseq = OperatorSeq(traj.lo, [stack.op(j) for j in range(len(steps))],
+    aseq = OperatorSeq(traj.lo, [stack[j] for j in range(len(steps))],
                        period=traj.period)
     return aseq, base.along(traj), sres
 
@@ -604,7 +609,7 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1):
                              period=period)
     aseq, base_idx, sres = shadowed_splitting(f, ptraj)
     stack = g.diff_rows(rows[:-1])
-    bseq = OperatorSeq(0, [stack.op(k) for k in range(n_ops)], period=period)
+    bseq = OperatorSeq(0, [stack[k] for k in range(n_ops)], period=period)
     route = graph_transform_periodic if closed else graph_transform_seq
     pc = route(aseq, base_idx, bseq, lam1, p=p)
 

@@ -62,8 +62,9 @@ from .clstruct import CLCertificate, ProjPair
 from .graphtf import (_diff_norms, graph_transform_seq, shadowed_splitting,
                       upgraded_constant)
 from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor,
-                      OperatorSeq, PreconditionError, RowOps, Segment, SeqVec,
-                      anchor_index, coeff_norm, norm, row_norms)
+                      OperatorSeq, PreconditionError, Segment, SeqVec,
+                      anchor_index, apply_coeffs, coeff_norm, norm, row_norms,
+                      stack_ops)
 from .shadow import Pseudotrajectory, recompute_step_error
 from .systems import DiffeoSystem
 
@@ -259,7 +260,7 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     d_map = recompute_step_error(f, orbit)
     df = f.diff_rows(orbit.rows)
     d_der = float(np.max(_diff_norms(g.diff_rows(orbit.rows), df, f.p)))
-    f_ops = [df.op(i) for i in range(len(orbit))]
+    f_ops = [df[i] for i in range(len(orbit))]
     d_measured = max(d_map, d_der)
     if d_measured > d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
@@ -334,7 +335,7 @@ class _Stack:
     A frame is the orbit rows x_{lo-1} .. x_hi of one query, the
     differentials A_j = Df(x_j) for j = lo-1 .. hi-1 and the projection
     pairs at lo .. hi, with the query at the middle time point.  rows is
-    (frames, m+1, n); ops and the projections are RowOps over
+    (frames, m+1, n); ops and the projections are operator stacks over
     (frames, m), and inv the inverses of ops[:, 1:], the segment's own
     steps.  The per-step views that :func:`perron_sums` reads are taken
     once per stack.
@@ -362,9 +363,10 @@ class _Stack:
             ops = job.f.diff_rows(rows[:, :-1])
         else:
             rows, ops, pairs = zip(*frames)
-            rows, ops = np.array(rows), RowOps(ops)
-        return cls(rows, ops, RowOps([[pr.P for pr in prs] for prs in pairs]),
-                   RowOps([[pr.Q for pr in prs] for prs in pairs]))
+            rows, ops = np.array(rows), stack_ops(ops)
+        return cls(rows, ops,
+                   stack_ops([[pr.P for pr in prs] for prs in pairs]),
+                   stack_ops([[pr.Q for pr in prs] for prs in pairs]))
 
     def take(self, keep):
         """The stack of the frames ``keep``."""
@@ -377,8 +379,7 @@ def _frame_bytes(rows, pairs):
     and its projections twice (the differentials and their inverses are
     taken to weigh as much)."""
     ops = {id(A): A for pr in pairs for A in (pr.P, pr.Q)}.values()
-    held = sum((A.scalars if A.matrix is None else A.matrix).nbytes
-               for A in ops)
+    held = sum(A.data.nbytes for A in ops)
     return STACK_BLOCKS * rows.nbytes + 2 * held
 
 
@@ -450,7 +451,7 @@ def _solve_stack(job, kind, st):
             # forcing rows for the steps lo-1 .. hi-1: h shifted down by one
             prev = np.zeros(h.shape)
             prev[1:] = h[:-1]
-            lin = st.ops[i].apply(prev)
+            lin = apply_coeffs(st.ops[i], prev)
             np.add(st.rows[i, :-1], prev, out=prev)
             c = other(prev)
             c -= st.rows[i, 1:]

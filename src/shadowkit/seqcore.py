@@ -1,48 +1,22 @@
 """Windowed sequence-space vectors and structured linear operators.
 
 Points of l^p(Z) are represented by their coefficients on a finite index
-window [lo, hi]; everything outside the window is implicitly zero.  A
-linear map (``LinOp``) is one of two things:
-
-* a weighted shift by an integer s, (Av)_{k+s} = c_k v_k, with s = 0 the
-  diagonal (``kind`` "diag") and s != 0 a shift (``kind`` "shift_diag");
-* a dense matrix acting window -> window (``kind`` "dense").
-
-Weighted shifts are closed under ``compose`` (shifts add), ``inverse``
-(the shift changes sign), ``cocycle`` (a fold of ``compose``) and the
-same-shift ``add`` / ``sub``; their ``op_norm`` is exact.  Mixed shifts in
-a sum, and any dense operand, are materialized dense.  The example
-families of dynamics in this package linearize to weighted shifts, so the
-dense kind is only needed for perturbations.
+window [lo, hi]; everything outside the window is implicitly zero.  One
+operator type, ``LinOp``, holds ``(shift, data, window)``: a weighted
+shift by an integer s with scalars ``data``, or (``shift`` None) a dense
+matrix, and leading axes of ``data`` make a stack of such operators, one
+per row of a coefficient block.  ``compose``, ``add``, ``sub``,
+``inverse``, ``op_norm``, ``cocycle`` and ``apply_coeffs`` act alike on
+one operator and on a stack; weighted shifts stay structured, and any
+dense operand or mix of shifts is materialized dense.
 
 A shift by s pushes |s| coefficients over the window edge at every
-application.  Truncation is legitimate only while those coefficients are
-negligible, so ``op_apply`` raises :class:`TruncationError` when the mass
-it would silently drop exceeds ``LOST_TOL * (1 + |v|_inf)``; that test
-is ``edge_trips``, which ``edge_loss`` and the shift systems' maps read.
-``apply_coeffs`` is the unguarded application to every row of a raw
-coefficient block that ``op_apply`` wraps, for inner loops that account
-for the boundary themselves; ``apply_rows`` applies one operator per row
-(``RowOps`` stacks those operators once, for blocks with any number of
-leading axes, as one array: the scalars of weighted shifts by one common
-s, or else the densified matrices; it composes, adds, inverts and
-measures whole stacks in one array operation each, with the kernels of
-``compose``, ``add``, ``inverse`` and ``op_norm`` or their batched dense
-calls), and ``row_norms`` takes the norm of every row, each bit for bit
-the row-by-row result.  ``transport_rows`` carries a block of
-rows through a list of operators under the guard, retiring each row at
-its first trip, and tables their norms: the decay scans of the verifiers
-and of the splitting transfer run on it.  ``anchor_index`` finds a point
-among the rows of an orbit segment.
-
-``Segment`` holds points at consecutive times (a pseudotrajectory, a
-shadow, a solution or a forcing) as one read-only block of rows, read
-point by point as a Mapping from time to SeqVec; a periodic block wraps.
-
-``FixedPointMonitor`` holds the contraction gate of one fixed-point
-iteration; ``monitored_fixed_point`` runs one such iteration to its end.
-The splitting transfer and the displacement maps both use it, and the
-displacement maps keep one monitor per frame of a lockstep stack.
+application; ``op_apply`` raises :class:`TruncationError` when that mass
+exceeds ``LOST_TOL * (1 + |v|_inf)`` (the test is ``edge_trips``), and
+``transport_rows`` carries a block of rows through a list of operators
+under the same guard.  ``Segment`` holds points at consecutive times as
+one read-only block of rows.  ``monitored_fixed_point`` runs one
+fixed-point iteration under a ``FixedPointMonitor``'s contraction gate.
 """
 
 import functools
@@ -56,7 +30,7 @@ __all__ = [
     "Window", "SeqVec", "Segment", "LinOp", "OperatorSeq",
     "norm", "coeff_norm", "row_norms", "anchor_index", "op_apply",
     "edge_trips", "edge_loss", "transport_rows", "apply_coeffs",
-    "apply_rows", "RowOps", "op_norm", "cocycle",
+    "apply_rows", "stack_ops", "inverse_stack", "op_norm", "cocycle",
     "compose", "add", "sub", "FixedPointMonitor", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
@@ -315,58 +289,56 @@ def _acting(n, s):
     return slice(start, start + m), slice(start + s, start + s + m)
 
 
-def _inverse_scalars(c, s):
-    """Scalars of the inverse of the weighted shifts by s with scalars c,
-    one shift per row of a (..., n) array (see ``LinOp.inverse``)."""
-    n = c.shape[-1]
-    kept, landed = _acting(n, s)
-    if np.any(c[..., kept] == 0.0):
-        raise PreconditionError("weighted shift with a zero scalar is singular")
-    # (A^{-1} w)_k = w_{k+s} / c_k: input coordinate j = k + s carries 1/c_k
-    inv = np.ones(c.shape)
-    inv[..., landed] = 1.0 / c[..., kept]
-    edge = slice(0, min(s, n)) if s > 0 else slice(max(n + s, 0), n)
-    np.divide(1.0, c[..., edge], out=inv[..., edge], where=c[..., edge] != 0.0)
-    return inv
-
-
 class LinOp:
-    """Linear operator between two windows: a weighted shift or dense.
+    """A linear operator on one window, or a stack of them.
 
     A weighted shift by ``shift`` = s (any integer; s = 0 is the diagonal)
-    acts on one shared window: coordinate k of the input is scaled by
-    ``scalars[k - domain.lo]`` and lands on coordinate k + s, and the |s|
-    coordinates that land outside the window are dropped.  A dense operator
-    holds ``matrix`` of shape (codomain.length, domain.length) and has no
-    scalars.  ``kind`` is the derived label "diag" (s = 0), "shift_diag"
-    (s != 0) or "dense".  ``check=False`` skips the shape checks, for
-    operands that an operation on valid operators produced.
+    scales coordinate k by ``data[k - window.lo]`` and moves it to k + s,
+    dropping the |s| coordinates that land outside the window.  A dense
+    operator (``shift`` None) holds its matrix as ``data``.  Leading axes
+    of ``data``, (..., n) or (..., n, n), make a stack: one operator per
+    row of a coefficient block of that leading shape.  Indexing selects
+    rows (basic indexing shares the data, an integer gives one operator),
+    and a single operator broadcasts as every row of itself.  Once shared,
+    ``data`` is never written into (only ``_sum_into`` writes, into a sum
+    its caller has just made).  ``kind``, ``matrix``, ``scalars``,
+    ``domain`` and ``codomain`` are derived views for readers outside the
+    engines.
     """
 
-    __slots__ = ("domain", "codomain", "matrix", "scalars", "shift")
+    __slots__ = ("shift", "data", "window")
 
-    def __init__(self, domain, codomain, matrix=None, scalars=None, shift=0,
-                 check=True):
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = matrix
-        self.scalars = scalars
-        self.shift = shift
-        if not check:
-            return
-        if matrix is not None:
-            if matrix.shape != (codomain.length, domain.length):
-                raise PreconditionError("dense matrix shape does not match windows")
-        elif len(scalars) != domain.length or domain != codomain:
-            raise PreconditionError("weighted-shift scalars must fill the (shared) window")
+    def __init__(self, shift, data, window):
+        self.shift, self.data, self.window = shift, data, window
 
     @property
     def kind(self):
-        if self.matrix is not None:
+        if self.shift is None:
             return "dense"
         return "diag" if self.shift == 0 else "shift_diag"
 
-    # -- constructors -------------------------------------------------
+    @property
+    def matrix(self):
+        return self.data if self.shift is None else None
+
+    @property
+    def scalars(self):
+        return None if self.shift is None else self.data
+
+    @property
+    def domain(self):
+        return self.window
+
+    codomain = domain
+
+    # not iterable: a single operator is every row of itself, so iterating
+    # by index would never stop
+    __iter__ = None
+
+    def __getitem__(self, idx):
+        if self.data.ndim == (2 if self.shift is None else 1):
+            return self
+        return LinOp(self.shift, self.data[idx], self.window)
 
     def inverse(self):
         """Exact inverse of a weighted shift; numerical inverse for dense.
@@ -377,24 +349,42 @@ class LinOp:
         where c is zero), so the edge guard of ``op_apply`` still sees a
         scale there.
         """
-        if self.matrix is not None:
-            return dense(np.linalg.inv(self.matrix), self.codomain, self.domain)
-        return _shifted(self.domain, _inverse_scalars(self.scalars, self.shift),
-                        -self.shift)
+        if self.shift is None:
+            return LinOp(None, np.linalg.inv(self.data), self.window)
+        c, s = self.data, self.shift
+        n = c.shape[-1]
+        kept, landed = _acting(n, s)
+        if np.any(c[..., kept] == 0.0):
+            raise PreconditionError(
+                "weighted shift with a zero scalar is singular")
+        # (A^{-1} w)_k = w_{k+s} / c_k: input coordinate k + s carries 1/c_k
+        inv = np.ones(c.shape)
+        inv[..., landed] = 1.0 / c[..., kept]
+        edge = slice(0, min(s, n)) if s > 0 else slice(max(n + s, 0), n)
+        np.divide(1.0, c[..., edge], out=inv[..., edge],
+                  where=c[..., edge] != 0.0)
+        return LinOp(-s, inv, self.window)
 
     def to_dense_matrix(self):
-        if self.matrix is not None:
-            return self.matrix
-        return _shift_matrices(self.scalars, self.shift)
+        """The matrices; a shift by s has scalar k at entry (k + s, k) for
+        every coordinate k it keeps, and zeros elsewhere."""
+        if self.shift is None:
+            return self.data
+        c, s = self.data, self.shift
+        n = c.shape[-1]
+        cols = np.arange(n)[_acting(n, s)[0]]
+        m = np.zeros(c.shape[:-1] + (n, n))
+        m[..., cols + s, cols] = c[..., cols]
+        return m
 
     def to_json(self):
-        if self.matrix is not None:
-            params = {"matrix": [list(r) for r in self.matrix],
-                      "domain": [self.domain.lo, self.domain.hi],
-                      "codomain": [self.codomain.lo, self.codomain.hi]}
+        w = [self.window.lo, self.window.hi]
+        if self.shift is None:
+            params = {"matrix": [list(r) for r in self.data], "domain": w,
+                      "codomain": w}
         else:
-            params = {"scalars": list(self.scalars), "shift": self.shift,
-                      "domain": [self.domain.lo, self.domain.hi]}
+            params = {"scalars": list(self.data), "shift": self.shift,
+                      "domain": w}
         return {"kind": self.kind, "params": params}
 
     @classmethod
@@ -402,32 +392,25 @@ class LinOp:
         params = obj["params"]
         dom = Window(*params["domain"])
         if obj["kind"] == "dense":
-            return dense(np.asarray(params["matrix"], dtype=float),
-                         dom, Window(*params["codomain"]))
-        return shift_diag(dom, np.asarray(params["scalars"], dtype=float),
-                          params.get("shift", 0))
-
-    def __matmul__(self, other):
-        return compose(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
+            return dense(params["matrix"], dom, Window(*params["codomain"]))
+        return shift_diag(dom, params["scalars"], params.get("shift", 0))
 
     def __neg__(self):
-        if self.matrix is not None:
-            return dense(-self.matrix, self.domain, self.codomain)
-        return _shifted(self.domain, -self.scalars, self.shift)
+        return LinOp(self.shift, -self.data, self.window)
 
     def __repr__(self):
-        return f"LinOp({self.kind}, [{self.domain.lo},{self.domain.hi}])"
+        return f"LinOp({self.kind}, [{self.window.lo},{self.window.hi}])"
 
 
 def dense(matrix, domain, codomain=None):
-    codomain = domain if codomain is None else codomain
-    return LinOp(domain, codomain, matrix=np.asarray(matrix, dtype=float))
+    """The dense operator (or stack) with the matrices of an (..., n, n)
+    array on ``domain``; a ``codomain`` given must be the same window."""
+    matrix = np.asarray(matrix, dtype=float)
+    if codomain not in (None, domain):
+        raise PreconditionError("operators act between different windows")
+    if matrix.shape[-2:] != (domain.length, domain.length):
+        raise PreconditionError("dense matrix shape does not match the window")
+    return LinOp(None, matrix, domain)
 
 
 def diag(window, scalars):
@@ -435,207 +418,89 @@ def diag(window, scalars):
 
 
 def shift_diag(window, scalars, shift=1):
-    """Weighted shift by ``shift``: (Av)_{k+shift} = scalars[k - lo] v_k."""
-    return LinOp(window, window, scalars=np.asarray(scalars, dtype=float),
-                 shift=int(shift))
-
-
-def _shifted(window, scalars, shift):
-    """``shift_diag`` for the float scalars of a window that an operation on
-    valid weighted shifts produced, without re-checking them."""
-    # positional arguments: this runs once per step of the transfer's algebra
-    return LinOp(window, window, None, scalars, shift, False)
+    """Weighted shift by ``shift``: (Av)_{k+shift} = scalars[k - lo] v_k; a
+    (..., n) array of scalars makes a stack."""
+    scalars = np.asarray(scalars, dtype=float)
+    if scalars.shape[-1:] != (window.length,):
+        raise PreconditionError("weighted-shift scalars must fill the window")
+    return LinOp(int(shift), scalars, window)
 
 
 def identity_op(window):
     return diag(window, np.ones(window.length))
 
 
-def _shift_rows(scalars, shift, rows):
-    """Weighted shifts by ``shift`` with ``scalars`` (one row for all rows,
-    or one per row) applied to the rows of a (..., n) array."""
-    if shift == 0:
-        return scalars * rows
-    kept, landed = _acting(rows.shape[-1], shift)
-    out = np.zeros(rows.shape)
-    np.multiply(scalars[..., kept], rows[..., kept], out=out[..., landed])
-    return out
+def _flat(ops):
+    """The leading shape of a nested list of operators, and its operators
+    in order (an operator itself has shape ())."""
+    shape, flat = (), [ops]
+    while not isinstance(flat[0], LinOp):
+        shape += (len(flat[0]),)
+        flat = [A for row in flat for A in row]
+    return shape, flat
 
 
-def _shift_matrices(c, s):
-    """Matrices of the weighted shifts by s with the scalar rows of a
-    (..., n) array: scalar k at entry (k + s, k) for every coordinate k the
-    shift keeps, zero elsewhere."""
-    n = c.shape[-1]
-    kept, _ = _acting(n, s)
-    cols = np.arange(n)[kept]
-    m = np.zeros(c.shape[:-1] + (n, n))
-    m[..., cols + s, cols] = c[..., kept]
-    return m
+def stack_ops(ops):
+    """The operators of a nested list of some leading shape as one stack.
+
+    Weighted shifts by one common s stack their scalars, and any other mix
+    (a dense operator, shifts by different s) is densified, as a mixed
+    ``add`` densifies.  When all the operators are one object, that
+    operator is the stack.  Every operator must act on one window.
+    """
+    shape, flat = _flat(ops)
+    first = flat[0]
+    if all(A is first for A in flat):
+        return first
+    if any(A.window != first.window for A in flat
+           if A.window is not first.window):
+        raise PreconditionError("stacked operators act between different windows")
+    same = all(A.shift == first.shift for A in flat)
+    rows = [A.data if same else A.to_dense_matrix() for A in flat]
+    return LinOp(first.shift if same else None,
+                 np.array(rows).reshape(shape + rows[0].shape), first.window)
+
+
+def inverse_stack(ops):
+    """``stack_ops`` of the inverses of ``ops``.
+
+    Weighted shifts by one common s invert as one stack.  Any other list
+    is inverted operator by operator into one densified stack: a mix keeps
+    the inverse of each shift, whose dense view (s != 0) is singular, and
+    a dense list is never stacked twice to be inverted.
+    """
+    shape, flat = _flat(ops)
+    first = flat[0]
+    if first.shift is not None and all(A.shift == first.shift for A in flat):
+        return stack_ops(ops).inverse()
+    n = first.window.length
+    out = np.empty((len(flat), n, n))
+    for row, A in zip(out, flat):
+        row[...] = A.inverse().to_dense_matrix()
+    return dense(out.reshape(shape + (n, n)), first.window)
 
 
 def apply_coeffs(A, x):
-    """Apply A to every row of a raw (..., n) coefficient array; a shift
-    drops the coefficients it pushes over the window edge.  A dense A acts
-    as ``matmul(M, x[..., None])``, one BLAS mat-vec per row with the bits
-    of ``M @ row`` (the product ``x @ M.T`` would sum in another order).
+    """Apply A (one operator, or a stack row by row) to every row of a raw
+    (..., n) coefficient array; a shift drops the coefficients it pushes
+    over the window edge.  A dense A acts as ``matmul(M, x[..., None])``,
+    one BLAS mat-vec per row with the bits of ``M @ row`` (the product
+    ``x @ M.T`` would sum in another order).
     """
-    if A.matrix is not None:
-        return np.matmul(A.matrix, x[..., None])[..., 0]
-    return _shift_rows(A.scalars, A.shift, x)
-
-
-class RowOps:
-    """One operator per row of a coefficient block, stacked once for reuse.
-
-    ``RowOps(ops)`` takes LinOps on one window in an array-like of some
-    leading shape, one per row of a (*shape, n) block, and keeps them as one
-    array ``data`` in one of two forms.  Weighted shifts by one common s
-    (``shift`` = s) keep their scalars, a (*shape, n) array.  Any other mix,
-    a dense operator or shifts by different s, is densified (``shift`` is
-    None) into a (*shape, n, n) array of matrices, as a mixed-shift ``add``
-    already densifies.  When all the operators are one object the stack
-    keeps that single row, (n,) or (n, n), which broadcasts over every row.
-    Indexing the leading axes selects rows (basic indexing shares the
-    array, an integer index gives a single row, and a single row is every
-    selection of itself), and ``op`` reads one row back as a LinOp.  Once
-    built, a stack is never written into.
-
-    A stack is closed under the operator algebra, row by row, each in one
-    array operation over all rows: ``@`` (the rows of the left stack after
-    those of the right), ``+``, ``-``, unary ``-`` and ``inverse``, with
-    ``norms`` the ``op_norm`` of every row.  Two shift stacks (by one s
-    each, and by a common s in a sum) run the kernels that ``compose``,
-    ``add``, ``sub`` and ``inverse`` run on one weighted shift.  Any other
-    pair densifies its shift side and runs a batched ``matmul``, ufunc or
-    ``np.linalg.inv``, the calls those functions make on one dense
-    operator.  Every row carries the bits of the single-operator result,
-    and ``apply`` applies the rows to a block with the bits of
-    ``apply_coeffs``.
-    """
-
-    __slots__ = ("shift", "data", "window")
-
-    def __init__(self, ops):
-        ops = np.array(ops, dtype=object)
-        flat = ops.ravel()
-        first = flat[0]
-        self.window = first.domain
-        if all(A.matrix is None and A.shift == first.shift for A in flat):
-            self.shift, rows = first.shift, [A.scalars for A in flat]
-        elif all(A.domain == self.window == A.codomain for A in flat):
-            self.shift, rows = None, [A.to_dense_matrix() for A in flat]
-        else:
-            raise PreconditionError("stacked operators act between different windows")
-        self.data = (rows[0] if all(A is first for A in flat)
-                     else np.array(rows).reshape(ops.shape + rows[0].shape))
-
-    @classmethod
-    def _of(cls, shift, data, window):
-        out = cls.__new__(cls)
-        out.shift, out.data, out.window = shift, data, window
-        return out
-
-    @classmethod
-    def weighted_shifts(cls, scalars, shift, window):
-        """The weighted shifts by ``shift`` on ``window`` with the scalar
-        rows of a (..., n) array, one per row."""
-        return cls._of(int(shift), scalars, window)
-
-    @classmethod
-    def inverses(cls, ops, stack):
-        """``RowOps(ops)`` of the ``LinOp.inverse`` of every operator, given
-        ``stack``, the ``RowOps(ops)`` already built.
-
-        The stack inverts in one array operation, unless it densified
-        weighted shifts (a mix of kinds): the dense view of a shift by
-        s != 0 is singular, so a mix is inverted operator by operator and
-        then stacked.
-        """
-        ops = np.array(ops, dtype=object)
-        if stack.shift is None and any(A.matrix is None for A in ops.flat):
-            return cls(np.frompyfunc(LinOp.inverse, 1, 1)(ops))
-        return stack.inverse()
-
-    def _single(self):
-        return self.data.ndim == (2 if self.shift is None else 1)
-
-    def __getitem__(self, idx):
-        if self._single():
-            return self
-        return RowOps._of(self.shift, self.data[idx], self.window)
-
-    def op(self, idx):
-        """Row ``idx`` as a LinOp (any index, ``()`` too, of a single row)."""
-        row = self.data if self._single() else self.data[idx]
-        if self.shift is None:
-            return LinOp(self.window, self.window, row, None, 0, False)
-        return _shifted(self.window, row, self.shift)
-
-    def _dense(self):
-        """The rows as matrices: the data of a dense stack, or a shift
-        stack densified as ``to_dense_matrix`` densifies one shift."""
-        if self.shift is None:
-            return self.data
-        return _shift_matrices(self.data, self.shift)
-
-    def _chain(self, other):
-        if self.window != other.window:
-            raise PreconditionError("operators act between different windows")
-        return self.window
-
-    def __matmul__(self, other):
-        window = self._chain(other)
-        if self.shift is None or other.shift is None:
-            return RowOps._of(None, np.matmul(self._dense(), other._dense()),
-                              window)
-        return RowOps.weighted_shifts(*_shift_product(
-            self.data, self.shift, other.data, other.shift), window)
-
-    def _combine(self, other, ufunc):
-        window = self._chain(other)
-        if self.shift == other.shift:
-            return RowOps._of(self.shift, ufunc(self.data, other.data), window)
-        return RowOps._of(None, ufunc(self._dense(), other._dense()), window)
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
-    def __neg__(self):
-        return RowOps._of(self.shift, -self.data, self.window)
-
-    def inverse(self):
-        if self.shift is None:
-            return RowOps._of(None, np.linalg.inv(self.data), self.window)
-        return RowOps.weighted_shifts(
-            _inverse_scalars(self.data, self.shift), -self.shift, self.window)
-
-    def norms(self, p):
-        """``op_norm`` of every row, as an array of the leading shape."""
-        if self.shift is not None:
-            return _shift_norms(self.data, self.shift)
-        m = self.data
-        flat = m.reshape((-1,) + m.shape[-2:])
-        return np.array([_dense_norm(x, p) for x in flat]).reshape(m.shape[:-2])
-
-    def apply(self, rows):
-        """The operators applied to the rows of a (*shape, n) array."""
-        if self.shift is None:
-            return np.matmul(self.data, rows[..., None])[..., 0]
-        return _shift_rows(self.data, self.shift, rows)
+    if A.shift is None:
+        return np.matmul(A.data, x[..., None])[..., 0]
+    if A.shift == 0:
+        return A.data * x
+    kept, landed = _acting(x.shape[-1], A.shift)
+    out = np.zeros(x.shape)
+    np.multiply(A.data[..., kept], x[..., kept], out=out[..., landed])
+    return out
 
 
 def apply_rows(ops, rows):
-    """Apply ``ops[i]`` to row i of an (m, n) coefficient array.
-
-    ``ops`` is a list of LinOps or a :class:`RowOps` stacked from them; the
-    same products as ``apply_coeffs`` row by row (of the densified operators
-    when the list mixes shifts), in one array operation.
-    """
-    return (ops if isinstance(ops, RowOps) else RowOps(ops)).apply(rows)
+    """Apply ``ops[i]`` to row i of an (m, n) coefficient array: ``ops`` is
+    a list of operators or their stack (see :func:`stack_ops`)."""
+    return apply_coeffs(stack_ops(ops), rows)
 
 
 def edge_trips(dropped, rows):
@@ -652,11 +517,11 @@ def edge_loss(A, rows):
     of the values A drops.  Only a weighted shift by s != 0 drops
     coordinates; for any other operator it returns None.
     """
-    if A.matrix is not None or A.shift == 0:
+    if not A.shift:
         return None
     kept, _ = _acting(rows.shape[-1], A.shift)
     edge = slice(kept.stop, None) if A.shift > 0 else slice(0, kept.start)
-    return edge_trips(A.scalars[edge] * rows[..., edge], rows)
+    return edge_trips(A.data[..., edge] * rows[..., edge], rows)
 
 
 def op_apply(A, v, check_loss=True):
@@ -668,14 +533,14 @@ def op_apply(A, v, check_loss=True):
     guard, for callers that have already accounted for the boundary).  The
     guard is :func:`edge_loss` on the single row v.
     """
-    if v.window != A.domain:
-        raise PreconditionError("vector window does not match operator domain")
+    if v.window != A.window:
+        raise PreconditionError("vector window does not match operator window")
     guard = edge_loss(A, v.coeffs) if check_loss else None
     if guard is not None and guard[1]:
         raise TruncationError(
             f"shift drops coefficient of magnitude {guard[0]:.3e}; "
             "window too small")
-    return SeqVec(A.codomain, apply_coeffs(A, v.coeffs), v.p)
+    return SeqVec(A.window, apply_coeffs(A, v.coeffs), v.p)
 
 
 def transport_rows(ops, rows, p):
@@ -745,24 +610,24 @@ def _dense_two_norm(m):
     return min(best * (1.0 + 1e-9), cap) if best > 0 else 0.0
 
 
-def _shift_norms(c, s):
-    """Operator norms of the weighted shifts by s with the scalar rows of a
-    (..., n) array: the largest |scalar| a row keeps in the window."""
-    kept, _ = _acting(c.shape[-1], s)
-    return np.abs(c[..., kept]).max(axis=-1, initial=0.0)
-
-
 def op_norm(A, p=2.0):
-    """Operator norm of A as a map of l^p.
+    """Operator norm of A as a map of l^p; of a stack, the array of the
+    norms of its rows.
 
     Weighted shift: exactly the largest |scalar| over the coordinates that
     stay in the window, for every p (the shift is an isometry).  dense:
     exact column/row sums for p = 1 / inf, power iteration within 5% for
-    p = 2; other exponents are not supported for dense operators.
+    p = 2, matrix by matrix; other exponents are not supported for dense
+    operators.
     """
-    if A.matrix is None:
-        return float(_shift_norms(A.scalars, A.shift))
-    return _dense_norm(A.matrix, p)
+    if A.shift is not None:
+        kept, _ = _acting(A.data.shape[-1], A.shift)
+        norms = np.abs(A.data[..., kept]).max(axis=-1, initial=0.0)
+    else:
+        m = A.data
+        norms = np.array([_dense_norm(x, p) for x in
+                          m.reshape((-1,) + m.shape[-2:])]).reshape(m.shape[:-2])
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _dense_norm(m, p):
@@ -792,8 +657,8 @@ class OperatorSeq:
         if period is not None and period != len(self.ops):
             raise PreconditionError("periodic OperatorSeq must hold exactly one period of ops")
         for a, b in zip(self.ops, self.ops[1:]):
-            if a.codomain != b.domain:
-                raise PreconditionError("consecutive operators do not chain")
+            if a.window != b.window:
+                raise PreconditionError("consecutive operators act on different windows")
 
     @property
     def hi(self):
@@ -818,35 +683,23 @@ def cocycle(seq, k, l):
     dense.
     """
     if k == l:
-        if seq.period is None and k == seq.hi:
-            return identity_op(seq.ops[-1].codomain)
-        return identity_op(seq.op_at(k).domain)
+        at_end = seq.period is None and k == seq.hi
+        return identity_op((seq.ops[-1] if at_end else seq.op_at(k)).window)
     if l < k:
         factors = [seq.op_at(j) for j in range(l, k)]          # apply A_l first
     else:
         factors = [seq.op_at(j).inverse() for j in range(l - 1, k - 1, -1)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = compose(f, out)
-    return out
+    return functools.reduce(lambda out, f: compose(f, out), factors)
 
 
-def _shift_product(a, sa, b, sb):
-    """Scalars and shift of the products of the weighted shifts by sa and sb
-    with the scalar rows of (..., n) arrays a and b (b applied first), row
-    by row: ``(c, sa + sb)`` with c_k = a_{k+sb} b_k where b keeps
-    coordinate k, and 0 where b pushes it over the window edge."""
-    kept, landed = _acting(b.shape[-1], sb)
-    # equal shapes (every single-operator compose) skip np.broadcast_shapes,
-    # which would take longer than the product itself on one row
-    c = np.zeros(a.shape if a.shape == b.shape
-                 else np.broadcast_shapes(a.shape, b.shape))
-    np.multiply(a[..., landed], b[..., kept], out=c[..., kept])
-    return c, sa + sb
+def _window(A, B):
+    if A.window != B.window:
+        raise PreconditionError("operators act between different windows")
+    return A.window
 
 
 def compose(A, B):
-    """The composition A . B (B applied first).
+    """The composition A . B (B applied first), row by row on stacks.
 
     Two weighted shifts compose to the shift by the sum of their shifts,
     with scalar a_{k+s_B} b_k at coordinate k; a coordinate that B pushes
@@ -854,21 +707,38 @@ def compose(A, B):
     (which keeps the scalars consistent with the dense view and with
     op_norm).  A product with a dense factor is materialized dense.
     """
-    if B.codomain != A.domain:
-        raise PreconditionError("operators do not chain")
-    if A.matrix is None and B.matrix is None:
-        return _shifted(B.domain, *_shift_product(A.scalars, A.shift,
-                                                  B.scalars, B.shift))
-    return dense(A.to_dense_matrix() @ B.to_dense_matrix(), B.domain, A.codomain)
+    window = _window(A, B)
+    if A.shift is None or B.shift is None:
+        return LinOp(None, np.matmul(A.to_dense_matrix(), B.to_dense_matrix()),
+                     window)
+    a, b = A.data, B.data
+    kept, landed = _acting(b.shape[-1], B.shift)
+    # equal shapes (every single-operator compose) skip np.broadcast_shapes,
+    # which would take longer than the product itself on one row
+    c = np.zeros(a.shape if a.shape == b.shape
+                 else np.broadcast_shapes(a.shape, b.shape))
+    np.multiply(a[..., landed], b[..., kept], out=c[..., kept])
+    return LinOp(A.shift + B.shift, c, window)
 
 
 def _combine(A, B, ufunc):
-    if A.domain != B.domain or A.codomain != B.codomain:
-        raise PreconditionError("operators act between different windows")
-    if A.matrix is None and B.matrix is None and A.shift == B.shift:
-        return _shifted(A.domain, ufunc(A.scalars, B.scalars), A.shift)
-    return dense(ufunc(A.to_dense_matrix(), B.to_dense_matrix()),
-                 A.domain, A.codomain)
+    window = _window(A, B)
+    if A.shift == B.shift:
+        return LinOp(A.shift, ufunc(A.data, B.data), window)
+    return LinOp(None, ufunc(A.to_dense_matrix(), B.to_dense_matrix()), window)
+
+
+def _sum_into(acc, B, ufunc):
+    """``ufunc(acc, B)`` for a sum ``acc`` whose data its caller owns and
+    has not shared yet: written into that data (``out=``, the same bits)
+    when it holds the result, that is when B has acc's shift and B's data
+    broadcasts to acc's; else a new operator, as :func:`add` makes."""
+    _window(acc, B)
+    if acc.shift == B.shift and acc.data.shape == np.broadcast_shapes(
+            acc.data.shape, B.data.shape):
+        ufunc(acc.data, B.data, out=acc.data)
+        return acc
+    return _combine(acc, B, ufunc)
 
 
 def add(A, B):
@@ -880,6 +750,10 @@ def add(A, B):
 def sub(A, B):
     """A - B, structured exactly when :func:`add` is."""
     return _combine(A, B, np.subtract)
+
+
+# the operators' own algebra, bound to the functions themselves
+LinOp.__matmul__, LinOp.__add__, LinOp.__sub__ = compose, add, sub
 
 
 class FixedPointMonitor:

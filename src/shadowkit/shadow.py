@@ -249,7 +249,7 @@ def _variational_problem(sys, pstraj, cert):
     ops = pstraj.ops
     if ops is None:
         stack = sys.diff_rows(path[:-1])
-        ops = [stack.op(j) for j in range(len(path) - 1)]
+        ops = [stack[j] for j in range(len(path) - 1)]
     seq = OperatorSeq(points.lo, ops, period=points.period)
     # the scaled defects (f(y_k) - y_{k+1}) / d of every step, the forcing
     # of time k + 1; time lo has none, or for a period the last step's

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .seqcore import (
-    Window, SeqVec, OperatorSeq, RowOps, norm, op_apply, compose, row_norms,
+    Window, SeqVec, OperatorSeq, norm, op_apply, compose, row_norms, stack_ops,
     diag, shift_diag, edge_trips, ConvergenceError, PreconditionError,
     TruncationError,
 )
@@ -76,7 +76,7 @@ class DiffeoSystem:
     so it raises :class:`TruncationError` exactly when the point map would
     raise on some row.  Without them, the readers call the point map row
     by row.  ``dforward_rows``, when given, is ``dforward`` at every row
-    of a (..., n) array as one :class:`seqcore.RowOps`, each operator with
+    of a (..., n) array as one operator stack, each operator with
     the bits ``dforward`` gives that row; :meth:`diff_rows` reads it, and
     calls ``dforward`` row by row without it.  :meth:`orbit_rows` walks the
     orbit segments of a block of starts in lockstep, one row-map call per
@@ -123,7 +123,7 @@ class DiffeoSystem:
 
     def diff_rows(self, xs):
         """``dforward`` at every coefficient row of a (..., n) array, as one
-        :class:`seqcore.RowOps`."""
+        operator stack."""
         if self.dforward_rows is not None:
             return self.dforward_rows(xs)
 
@@ -132,7 +132,7 @@ class DiffeoSystem:
                 return self.dforward(SeqVec(self.window, x, self.p))
             return [nested(row) for row in x]
 
-        return RowOps(nested(np.asarray(xs, dtype=float)))
+        return stack_ops(nested(np.asarray(xs, dtype=float)))
 
     def orbit_rows(self, xs, back, fwd):
         """The orbit points f^j(x) for j = -back .. fwd of every start row x
@@ -370,7 +370,7 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
         return shift_diag(window, a_family.deriv(ks, x.coeffs), shift=1)
 
     def dforward_rows(xs):
-        return RowOps.weighted_shifts(a_family.deriv(ks, xs), 1, window)
+        return shift_diag(window, a_family.deriv(ks, xs), 1)
 
     def dinverse(y):
         return dforward(inverse(y)).inverse()

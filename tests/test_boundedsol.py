@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, RowOps, diag, dense, norm, op_apply,
+    Window, SeqVec, OperatorSeq, LinOp, diag, dense, norm, op_apply,
     shift_diag, sub, PreconditionError,
 )
 from shadowkit.clstruct import CLCertificate, ProjPair, constant_cert
@@ -341,7 +341,7 @@ def test_neumann_inverts_once_and_matches_repeated_perron_solves(monkeypatch):
     prob_b, base, eps = _neumann_rate_case()
     want = _neumann_by_repeated_perron_solve(prob_b, base, CERT2)
     inversions, reads = [], []
-    real_inverse = RowOps.inverse
+    real_inverse = LinOp.inverse
 
     def counted_inverse(stack):
         inversions.append(stack)
@@ -351,7 +351,7 @@ def test_neumann_inverts_once_and_matches_repeated_perron_solves(monkeypatch):
         reads.append(k)
         return CERT2.proj_at(k)
 
-    monkeypatch.setattr(RowOps, "inverse", counted_inverse)
+    monkeypatch.setattr(LinOp, "inverse", counted_inverse)
     cert = CLCertificate(CERT2.C, CERT2.lam, CERT2.R, counted_proj_at)
     sol = neumann_perturbed_solve(prob_b, base, cert, eps=eps * (1 + 1e-12))
     assert len(inversions) == 1

@@ -19,7 +19,7 @@ from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes, _diff_norms,
                                perturbation_budget, perturbed_cl_for_diffeo,
                                rate_upgrade_steps, series_gain,
                                upgraded_constant)
-from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError, RowOps,
+from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError,
                                SeqVec, TruncationError, Window, dense, diag,
                                norm, op_apply, op_norm, shift_diag, sub)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
@@ -527,7 +527,7 @@ def test_edge_scalars_of_a_shift_count_only_in_the_eps_gate():
     B_gap = with_edge(B, B.scalars[edge] + 1e-3)
     acting_gap = op_norm(sub(B, A))
     assert op_norm(sub(B_gap, A)) == acting_gap
-    assert float(_diff_norms(RowOps(B_gap), RowOps(A), 2.0)) == pytest.approx(
+    assert float(_diff_norms(B_gap, A, 2.0)) == pytest.approx(
         1e-3 + acting_gap)
     eps = 2.0 * acting_gap
     with pytest.raises(PreconditionError, match="below the measured"):
@@ -751,14 +751,14 @@ def test_stacked_fixed_point_matches_the_per_step_one(period):
     m = 4
 
     def stack(s, scale):
-        return RowOps.weighted_shifts(
-            scale * rng.uniform(-1.0, 1.0, (m, W.length)), s, W)
+        return shift_diag(
+            W, scale * rng.uniform(-1.0, 1.0, (m, W.length)), s)
 
     blk = {"Z": stack(-1, 0.5), "Ass": stack(1, 0.5), "Aus": stack(1, 0.1),
            "Bsu": stack(1, 1e-3), "Dss": stack(1, 1e-3),
            "Dus": stack(1, 1e-3), "Duu": stack(1, 1e-3)}
     nxt = (np.arange(m) + 1) % (m if period else m + 1)
-    zero = RowOps.weighted_shifts(np.zeros(W.length), 0, W)
+    zero = shift_diag(W, np.zeros(W.length), 0)
     H, *stats = graphtf._fixed_point(blk, m, nxt, 1.0, 0.5, 2.0, period,
                                      "test", zero)
     assert H.shift == 0 and H.data.any()

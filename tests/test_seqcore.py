@@ -1,15 +1,18 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shadowkit import seqcore
 from shadowkit.graphtf import _diff_norms
 from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
     apply_coeffs, apply_rows, coeff_norm, row_norms, anchor_index, LOST_TOL,
-    RowOps, Segment, edge_loss, transport_rows,
+    LinOp, Segment, edge_loss, inverse_stack, stack_ops, transport_rows,
     ConvergenceError, PreconditionError, TruncationError,
 )
 
@@ -410,13 +413,13 @@ def test_diff_norm_against_dense_difference(seed, n, sa, sb, p):
         # at the coordinates the dense view drops count too
         edge = [abs(B.scalars[j] - A.scalars[j]) for j in range(n)
                 if j not in _kept(n, sa)]
-        assert float(_diff_norms(RowOps(B), RowOps(A), p)) == max(
+        assert float(_diff_norms(B, A, p)) == max(
             [np.max(np.abs(gap)), *edge])
     else:
-        assert float(_diff_norms(RowOps(B), RowOps(A), p)) == float(
+        assert float(_diff_norms(B, A, p)) == float(
             np.linalg.norm(gap, ords[p]))
     M = dense(rng.standard_normal((n, n)), w)
-    assert float(_diff_norms(RowOps(M), RowOps(A), p)) == float(
+    assert float(_diff_norms(M, A, p)) == float(
         np.linalg.norm(M.matrix - A.to_dense_matrix(), ords[p]))
 
 
@@ -449,7 +452,9 @@ def test_row_operations_match_row_by_row_bits(seed, m, n, s):
 def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
     # one operator per row of a (frames, steps, n) block: stacked scalars,
     # a single shared operator, or (s = None) shifts by -2..2 and a dense
-    # operator, which stack densified and invert operator by operator
+    # operator, which stack densified and invert operator by operator;
+    # every row against the matrices of its operator and of its inverse,
+    # written out by hand
     rng = np.random.default_rng(seed)
     w = Window(0, n - 1)
     if s == "shared":
@@ -462,21 +467,19 @@ def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
         if s is None:
             ops[-1][-1] = dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
     rows = rng.standard_normal((frames, steps, n))
-    stacked = RowOps(ops)
-    inverse = RowOps.inverses(ops, stacked)
-    as_stacked = _densified if s is None else (lambda A: A)
+    stacked, inverse = stack_ops(ops), inverse_stack(ops)
 
     def check(got_ops, got_inv, picks):
-        got, got_back = got_ops.apply(rows[picks]), got_inv.apply(rows[picks])
+        got = apply_coeffs(got_ops, rows[picks])
+        got_back = apply_coeffs(got_inv, rows[picks])
         for i, f in enumerate(picks):
             for j in range(steps):
                 A = ops[f][j]
-                assert got[i, j].tobytes() == apply_coeffs(
-                    as_stacked(A), rows[f, j]).tobytes()
-                assert got_back[i, j].tobytes() == apply_coeffs(
-                    as_stacked(A.inverse()), rows[f, j]).tobytes()
+                assert np.array_equal(got[i, j], _by_hand(A) @ rows[f, j])
+                assert np.array_equal(got_back[i, j],
+                                      _inverse_by_hand(A) @ rows[f, j])
         # one step across the frames, as the lockstep sums read it
-        col = got_ops[:, steps - 1].apply(rows[picks, steps - 1])
+        col = apply_coeffs(got_ops[:, steps - 1], rows[picks, steps - 1])
         assert col.tobytes() == got[:, steps - 1].tobytes()
 
     check(stacked, inverse, list(range(frames)))
@@ -506,15 +509,55 @@ def test_anchor_index_finds_the_first_nearest_row(seed, m, n, p):
 
 
 def test_a_densified_stack_refuses_operators_on_other_windows():
-    # a dense stack holds square matrices on one window; shifts by one s
-    # never densify, so only a mix is checked
+    # an operator acts on one window, and a stack on the window of all its
+    # operators: a dense operator between two windows is refused when it
+    # is built, and a stack of operators on different windows when stacked
     w = Window(0, 2)
     A = dense(np.eye(3), w)
-    RowOps([A, shift_diag(w, np.ones(3), 1)])
-    for other in (shift_diag(Window(1, 3), np.ones(3), 1),
-                  dense(np.eye(3), w, Window(1, 3))):
-        with pytest.raises(PreconditionError, match="different windows"):
-            RowOps([A, other])
+    stack_ops([A, shift_diag(w, np.ones(3), 1)])
+    with pytest.raises(PreconditionError, match="different windows"):
+        stack_ops([A, shift_diag(Window(1, 3), np.ones(3), 1)])
+    with pytest.raises(PreconditionError, match="different windows"):
+        dense(np.eye(3), w, Window(1, 3))
+
+
+def test_an_operator_has_one_window():
+    # domain and codomain are the one window; JSON keeps both keys, and a
+    # dense blob between two windows is refused like its constructor; a
+    # sequence chains operators on one window
+    w, other = Window(0, 2), Window(1, 3)
+    for A in (diag(w, np.ones(3)), shift_diag(w, np.ones(3), -1),
+              dense(np.eye(3), w, w)):
+        assert A.domain == A.codomain == A.window == w
+        assert LinOp.from_json(A.to_json()).to_json() == A.to_json()
+    blob = dense(np.eye(3), w).to_json()
+    assert blob["params"]["domain"] == blob["params"]["codomain"] == [0, 2]
+    blob["params"]["codomain"] = [1, 3]
+    with pytest.raises(PreconditionError, match="different windows"):
+        LinOp.from_json(blob)
+    with pytest.raises(PreconditionError, match="different windows"):
+        OperatorSeq(0, [diag(w, np.ones(3)), diag(other, np.ones(3))])
+
+
+def test_one_operator_type_whose_derived_views_stay_in_seqcore():
+    # weighted shifts, dense operators and their stacks are one type; the
+    # engines read its shift, data and window, and leave kind, matrix,
+    # scalars and codomain to readers outside the package
+    w = Window(0, 2)
+    ops = [diag(w, np.ones(3)), dense(np.eye(3), w),
+           shift_diag(w, np.ones(3), 1)]
+    stacks = [stack_ops(ops), stack_ops([ops[0], diag(w, np.ones(3))]),
+              stack_ops([[ops[2]] * 2] * 3), inverse_stack(ops)]
+    assert {type(A) for A in ops + stacks} == {LinOp}
+    readers = []
+    for path in sorted(pathlib.Path(seqcore.__file__).parent.glob("*.py")):
+        if path.name == "seqcore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "matrix", "scalars", "kind", "codomain"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []
 
 
 def test_shared_dense_operator_acts_as_one_matrix_times_vector_per_row():
@@ -630,13 +673,40 @@ def _random_stack(rng, w, m, mode, s):
     return ops
 
 
-def _same_op(got, want):
-    assert got.kind == want.kind and got.domain == want.domain
-    if want.matrix is not None:
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-    else:
-        assert got.shift == want.shift
-        assert got.scalars.tobytes() == want.scalars.tobytes()
+def _by_hand(op):
+    """The matrix of one operator, written out entry by entry."""
+    if op.shift is None:
+        return op.data.copy()
+    n, s = op.window.length, op.shift
+    m = np.zeros((n, n))
+    for k in _kept(n, s):
+        m[k + s, k] = op.data[k]
+    return m
+
+
+def _inverse_by_hand(op):
+    """The matrix of the inverse of one operator: numpy's inverse of a
+    dense matrix, and for a shift by s each kept scalar's reciprocal,
+    carried from coordinate k + s back to k; None when singular."""
+    if op.shift is None:
+        try:
+            return np.linalg.inv(op.data)
+        except np.linalg.LinAlgError:
+            return None
+    n, s = op.window.length, op.shift
+    m = np.zeros((n, n))
+    for k in _kept(n, s):
+        if op.data[k] == 0.0:
+            return None
+        m[k, k + s] = 1.0 / op.data[k]
+    return m
+
+
+def _same_matrices(got, want):
+    """A stack (or one operator broadcast over it) against the matrices
+    of a (k, n, n) array, exactly."""
+    assert np.array_equal(
+        np.broadcast_to(got.to_dense_matrix(), want.shape), want)
 
 
 STACK_MODES = ["fixed", "mixed", "dense", "all-dense", "shared"]
@@ -648,58 +718,66 @@ STACK_MODES = ["fixed", "mixed", "dense", "all-dense", "shared"]
        st.integers(-2, 2), st.integers(-2, 2))
 def test_stacked_algebra_matches_the_operator_algebra_row_by_row(
         seed, m, n, mode_a, mode_b, s_a, s_b):
-    # a stack's @, +, -, unary -, inverse, norms and apply against compose,
-    # add, sub, LinOp negation and inverse, op_norm and apply_coeffs on
-    # each row, bit for bit: shift stacks by -2..2 (window-edge drops and
-    # zero scalars included), shared rows and dense stacks.  A stack that
-    # mixes shifts or holds a dense row is densified, so its rows are
-    # checked against the densified operators.  Every stack is also read
-    # through a reversed view and a fancy index with repeats.
+    # a stack's @, +, -, unary -, inverse, op_norm and apply against numpy
+    # on the matrices of its operators, written out by hand, row by row:
+    # shift stacks by -2..2 (window-edge drops and zero scalars included),
+    # shared rows and dense stacks.  A stack that mixes shifts or holds a
+    # dense row is densified, so its inverse is numpy's inverse of those
+    # matrices.  Every stack is also read through a reversed view and a
+    # fancy index with repeats.
     rng = np.random.default_rng(seed)
     w = Window(-(n // 2), n - 1 - n // 2)
     a_ops = _random_stack(rng, w, m, mode_a, s_a)
     b_ops = _random_stack(rng, w, m, mode_b, s_b)
-    A, B = RowOps(a_ops), RowOps(b_ops)
-    refs = []
+    A, B = stack_ops(a_ops), stack_ops(b_ops)
+    Ma = np.array([_by_hand(op) for op in a_ops])
+    Mb = np.array([_by_hand(op) for op in b_ops])
     for X, ops in ((A, a_ops), (B, b_ops)):
-        structured = (all(op.matrix is None for op in ops)
+        structured = (all(op.shift is not None for op in ops)
                       and len({op.shift for op in ops}) == 1)
         assert (X.shift is not None) == structured
-        refs.append(ops if structured else [_densified(op) for op in ops])
+        assert X.shift == (ops[0].shift if structured else None)
     for pick in (slice(None), slice(None, None, -1),
                  rng.integers(0, m, m + 2)):
         at = np.arange(m)[pick]
-        As, Bs = A[pick], B[pick]
-        a_rows, b_rows = ([ref[i] for i in at] for ref in refs)
+        As, Bs, ma, mb = A[pick], B[pick], Ma[at], Mb[at]
         k = len(at)
-        for got, want in ((As @ Bs, compose), (As + Bs, add),
-                          (As - Bs, sub)):
-            for i in range(k):
-                _same_op(got.op(i), want(a_rows[i], b_rows[i]))
+        both = A.shift is not None and B.shift is not None
+        assert (As @ Bs).shift == (A.shift + B.shift if both else None)
+        for got in (As + Bs, As - Bs):
+            assert got.shift == (A.shift if A.shift == B.shift else None)
+        for got, want in ((As @ Bs, ma @ mb), (As + Bs, ma + mb),
+                          (As - Bs, ma - mb), (-As, -ma)):
+            _same_matrices(got, want)
         for i in range(k):
-            _same_op((-As).op(i), -a_rows[i])
             # single rows, as the sequential sweeps read them
-            _same_op((As[i] @ Bs[i]).op(()), compose(a_rows[i], b_rows[i]))
+            _same_matrices(As[i] @ Bs[i], (ma[i] @ mb[i])[None])
         for p in (1.0, 2.0, math.inf):
-            want = np.array([op_norm(op, p) for op in a_rows])
-            assert np.broadcast_to(As.norms(p), (k,)).tobytes() == want.tobytes()
+            got = np.broadcast_to(op_norm(As, p), (k,))
+            if A.shift is not None:
+                want = np.abs(ma).max(axis=(1, 2), initial=0.0)
+            elif p == 2.0:
+                want = np.linalg.norm(ma, 2, axis=(1, 2))
+                assert np.all(want * (1 - 1e-6) <= got)
+                assert np.all(got <= want * 1.05)
+                continue
+            else:
+                want = np.abs(ma).sum(axis=1 if p == 1.0 else 2).max(axis=1)
+            assert np.array_equal(got, want)
         x = rng.standard_normal((k, n))
-        want = np.array([apply_coeffs(op, r) for op, r in zip(a_rows, x)])
-        assert As.apply(x).tobytes() == want.tobytes()
-        inverses = []
-        for op in a_rows:
-            try:
-                inverses.append(op.inverse())
-            except (PreconditionError, np.linalg.LinAlgError) as exc:
-                inverses.append(type(exc))
-        failed = tuple({inv for inv in inverses if isinstance(inv, type)})
-        if failed:
-            with pytest.raises(failed):
+        want = np.array([mi @ xi for mi, xi in zip(ma, x)])
+        assert np.array_equal(apply_coeffs(As, x), want)
+        if A.shift is not None:
+            inverses = [_inverse_by_hand(a_ops[i]) for i in at]
+        else:
+            inverses = [_inverse_by_hand(dense(mi, w)) for mi in ma]
+        if any(inv is None for inv in inverses):
+            with pytest.raises((PreconditionError, np.linalg.LinAlgError)):
                 As.inverse()
         else:
             inv = As.inverse()
-            for i in range(k):
-                _same_op(inv.op(i), inverses[i])
+            assert inv.shift == (None if A.shift is None else -A.shift)
+            _same_matrices(inv, np.array(inverses))
 
 
 @pytest.mark.parametrize("period", [None, 5])

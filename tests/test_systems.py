@@ -580,13 +580,13 @@ def test_diff_rows_equals_stacked_dforward(which):
     xs[..., -3:] = 0.0
     ops = sys.diff_rows(xs)
     vs = rng.standard_normal(xs.shape)
-    got = ops.apply(vs)
+    got = apply_coeffs(ops, vs)
     for i in range(2):
         for j in range(3):
             A = sys.dforward(SeqVec(W, xs[i, j], sys.p))
             want = apply_coeffs(A, vs[i, j])
             assert got[i, j].tobytes() == want.tobytes()
-            inv = ops[i, j:j + 1].inverse().apply(vs[i, j:j + 1])
+            inv = apply_coeffs(ops[i, j:j + 1].inverse(), vs[i, j:j + 1])
             assert inv[0].tobytes() == apply_coeffs(A.inverse(),
                                                     vs[i, j]).tobytes()
 
