@@ -212,9 +212,9 @@ def _interval_sums(seq, cert):
     function of the forcing rows there; the steps are inverted as one
     stack (:func:`seqcore.inverse_stack`) and the pairs read, once."""
     a, b = seq.lo, seq.hi
-    ops, inv_ops = seq.ops, inverse_stack(seq.ops)
+    inv_ops = inverse_stack(seq.ops, stack_ops(seq.ops))
     pairs = [cert.proj_at(k) for k in range(a, b + 1)]
-    return lambda w: perron_sums(ops, inv_ops, pairs, w, range(b - a + 1))
+    return lambda w: perron_sums(seq.ops, inv_ops, pairs, w, range(b - a + 1))
 
 
 def periodic_green_solve(prob, cert):
@@ -243,8 +243,8 @@ def periodic_green_solve(prob, cert):
         T += 1
     lo = prob.seq.lo
     unroll = np.arange(-T, m + T) % m
-    ops = stack_ops(prob.seq.ops)[unroll]
-    inv = inverse_stack(prob.seq.ops)[unroll]
+    stack = stack_ops(prob.seq.ops)
+    ops, inv = stack[unroll], inverse_stack(prob.seq.ops, stack)[unroll]
     pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
     P = stack_ops([pr.P for pr in pairs])[unroll]
     Q = stack_ops([pr.Q for pr in pairs])[unroll]

@@ -207,17 +207,41 @@ def _decay_scan(dirs, ops, C, lam, p, witnesses, label):
     return worst
 
 
-def _orbit_ops(op_at, step, x, horizon):
-    """Differentials along an orbit, stopping early at the window guard."""
-    ops, y = [], x
-    for _ in range(horizon):
+def _trips(step, rows):
+    """Whether ``step`` trips the truncation guard on a block of rows."""
+    try:
+        step(rows)
+    except TruncationError:
+        return True
+    return False
+
+
+def _lockstep(step, xs, horizon):
+    """The orbit walks of all the rows of a (k, n) block xs, in lockstep.
+
+    ``step`` maps a block of rows to ``(next rows, operator stack)``, one
+    row-map call for all live rows.  Returns the rows and the stack of the
+    first step, which a trip of the guard there aborts, and per start the
+    list of the operators of its first ``horizon`` steps.  A start retires
+    before the step that would trip the guard on it, as ``transport_rows``
+    retires rows, and its list ends there: by the row maps' contract a
+    block trips exactly when some row alone does, so on a trip the rows
+    are tried one by one and the others step on, each with its own bits.
+    """
+    first, first_ops = step(xs)
+    walks = [[first_ops[i]] for i in range(len(xs))]
+    live, ys = np.arange(len(xs)), first
+    for _ in range(horizon - 1):
         try:
-            A = op_at(y)
-            y = step(y)
+            ys, ops = step(ys)
         except TruncationError:
-            break
-        ops.append(A)
-    return ops
+            kept = [i for i in range(len(ys)) if not _trips(step, ys[i:i + 1])]
+            if not kept:
+                break
+            live, (ys, ops) = live[kept], step(ys[kept])
+        for j, i in enumerate(live):
+            walks[i].append(ops[j])
+    return first, first_ops, [w[:horizon] for w in walks]
 
 
 def _proj_lipschitz(pairs_pts, p):
@@ -242,7 +266,7 @@ def _verify(cert, key, samples, local, n_dirs):
     ``samples`` lists ``(label, item, window, p)``: the witness label, the
     point or index whose projection pair ``cert.proj_at(item)`` is checked,
     and the space it acts on; ``key`` names the label in the witnesses.
-    ``local(item, pair)`` returns the sample's one-step inclusion residual
+    ``local(label, pair)`` returns the sample's one-step inclusion residual
     and its forward/backward operator lists.  Per sample the pair is
     validated, its norms and inclusion residual recorded, and unit
     directions of the stable (then unstable) image are scanned for decay
@@ -257,7 +281,7 @@ def _verify(cert, key, samples, local, n_dirs):
         if pn > rep.max_proj_norm:
             rep.max_proj_norm = pn
             rep.witnesses["proj_norm"] = {key: label, "norm": pn}
-        res, fwd_ops, bwd_ops = local(item, pair)
+        res, fwd_ops, bwd_ops = local(label, pair)
         if res > rep.max_inclusion_residual:
             rep.max_inclusion_residual = res
             rep.witnesses["inclusion"] = {key: label, "residual": res}
@@ -272,6 +296,31 @@ def _verify(cert, key, samples, local, n_dirs):
     return _merge_pass(rep)
 
 
+def _verify_orbits(sys, cert, points, horizon, forward, backward, sampled):
+    """The loop shared by the point-keyed verifiers: the orbits of all the
+    points walked in lockstep by :func:`_lockstep`, ``forward`` and
+    ``backward`` being its steps, and each point's residuals
+    |Q_{x+} A P_x| and |P_{x-} B Q_x| read from the first step of each
+    walk, (x+, A) and (x-, B).  Every point and its stable projection is
+    appended to ``sampled``."""
+    xs = np.reshape([x.coeffs for x in points],
+                    (len(points), sys.window.length))
+    fxs, dfs, fwd = _lockstep(forward, xs, horizon)
+    bxs, dbs, bwd = _lockstep(backward, xs, horizon)
+    fpairs = cert.pairs_on(fxs, sys.window, sys.p)
+    bpairs = cert.pairs_on(bxs, sys.window, sys.p)
+
+    def local(i, pair):
+        x = points[i]
+        sampled.append((x, pair.P))
+        res_s = op_norm(compose(fpairs[i].Q, compose(dfs[i], pair.P)), x.p)
+        res_u = op_norm(compose(bpairs[i].P, compose(dbs[i], pair.Q)), x.p)
+        return max(res_s, res_u), fwd[i], bwd[i]
+
+    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
+    return _verify(cert, "point", samples, local, N_DIRS)
+
+
 def verify_cl_diffeo(sys, cert, points, horizon=12):
     """Check the splitting structure of a diffeomorphism at sampled points.
 
@@ -280,26 +329,19 @@ def verify_cl_diffeo(sys, cert, points, horizon=12):
     decay of stable directions under forward differentials and of unstable
     directions under backward differentials for n <= horizon, against
     C lam^n, over all window coordinate directions plus N_DIRS random ones.
-    f, Df, f^{-1} and Df^{-1} are evaluated once at x: the residuals read
-    them, and both orbit walks start one step out with them.
+    The forward and backward orbits of all the points are walked in
+    lockstep, one ``forward_rows`` and one ``dforward_rows`` call per
+    forward step and one ``inverse_diff_rows`` call per backward step; the
+    residuals read f, Df, f^{-1} and Df^{-1} at x from the first step of
+    each walk.
     """
-    sampled_pairs = []
-
-    def local(x, pair):
-        sampled_pairs.append((x, pair.P))
-        fx, bx = sys.forward(x), sys.inverse(x)
-        dfx, dbx = sys.dforward(x), sys.dinverse(x)
-        res_s = op_norm(compose(cert.proj_at(fx).Q, compose(dfx, pair.P)), x.p)
-        res_u = op_norm(compose(cert.proj_at(bx).P, compose(dbx, pair.Q)), x.p)
-        # forward orbit differentials / backward orbit inverse
-        # differentials, shortened when the orbit reaches the window guard
-        fwd = [dfx] + _orbit_ops(sys.dforward, sys.forward, fx, horizon - 1)
-        bwd = [dbx] + _orbit_ops(sys.dinverse, sys.inverse, bx, horizon - 1)
-        return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
-
-    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    rep = _verify(cert, "point", samples, local, N_DIRS)
-    rep.proj_lipschitz = _proj_lipschitz(sampled_pairs, points[0].p if points else 2.0)
+    sampled = []
+    rep = _verify_orbits(
+        sys, cert, points, horizon,
+        lambda ys: (sys.forward_rows(ys), sys.dforward_rows(ys)),
+        sys.inverse_diff_rows, sampled)
+    rep.proj_lipschitz = _proj_lipschitz(sampled,
+                                         points[0].p if points else 2.0)
     return rep
 
 
@@ -380,27 +422,20 @@ def verify_dichotomy(seq, cert, side="Z", horizon=12, p=2.0):
 def verify_cocycle_cl(sys, A, cert, points, horizon=12):
     """Check the cocycle splitting property of a pair (alpha, A).
 
-    ``sys`` supplies the base map alpha (forward/inverse); ``A`` maps a
-    point to the LinOp above it.  The inverse cocycle factor at x is
-    (A(alpha^{-1} x))^{-1}, so unstable decay multiplies those along the
-    backward orbit.  Horizon counts orbit steps.  alpha(x), alpha^{-1}(x),
-    A(x) and A(alpha^{-1} x)^{-1} are evaluated once at x: the residuals
-    read them, and both orbit walks start one step out with them.
+    ``sys`` supplies the base map alpha (``forward_rows``/``inverse_rows``);
+    ``A`` maps a (k, n) block of points to the stack of the operators above
+    them (one operator stands for every row).  The inverse cocycle factor
+    at x is (A(alpha^{-1} x))^{-1}, so unstable decay multiplies those
+    along the backward orbit.  Horizon counts orbit steps.  Both orbits of
+    all the points are walked in lockstep, one alpha (or alpha^{-1}) and
+    one A call per step, as :func:`verify_cl_diffeo` walks them; the
+    residuals read alpha(x), alpha^{-1}(x), A(x) and A(alpha^{-1} x)^{-1}
+    from the first step of each walk.
     """
-    def local(x, pair):
-        ax, bx = sys.forward(x), sys.inverse(x)
-        a_x, b_x = A(x), A(bx).inverse()
-        res_s = op_norm(compose(cert.proj_at(ax).Q, compose(a_x, pair.P)), x.p)
-        res_u = op_norm(compose(cert.proj_at(bx).P, compose(b_x, pair.Q)), x.p)
-        fwd = [a_x] + _orbit_ops(A, sys.forward, ax, horizon - 1)
-        bwd, y = [b_x], bx
-        for _ in range(horizon - 1):
-            try:
-                y = sys.inverse(y)
-            except TruncationError:
-                break
-            bwd.append(A(y).inverse())
-        return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
+    def backward(ys):
+        zs = sys.inverse_rows(ys)
+        return zs, A(zs).inverse()
 
-    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    return _verify(cert, "point", samples, local, N_DIRS)
+    return _verify_orbits(sys, cert, points, horizon,
+                          lambda ys: (sys.forward_rows(ys), A(ys)), backward,
+                          [])

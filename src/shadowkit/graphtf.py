@@ -325,7 +325,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     A, B = stack_ops(a_ops), stack_ops(b_ops)
     P = stack_ops([pr.P for pr in base_pairs])
     Q = stack_ops([pr.Q for pr in base_pairs])
-    Ai, Bi = inverse_stack(a_ops), inverse_stack(b_ops)
+    Ai, Bi = inverse_stack(a_ops, A), inverse_stack(b_ops, B)
 
     def sup_diff(X, Y):
         return float(np.max(_diff_norms(X, Y, p)))
@@ -559,7 +559,7 @@ def shadowed_splitting(f, ptraj):
     sres = engine(f, ptraj, base)
     traj = sres.trajectory
     steps = traj.path[:-1]
-    stack = f.diff_rows(steps)
+    stack = f.dforward_rows(steps)
     aseq = OperatorSeq(traj.lo, [stack[j] for j in range(len(steps))],
                        period=traj.period)
     return aseq, base.along(traj), sres
@@ -608,7 +608,7 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1):
     ptraj = Pseudotrajectory(points, recompute_step_error(f, points),
                              period=period)
     aseq, base_idx, sres = shadowed_splitting(f, ptraj)
-    stack = g.diff_rows(rows[:-1])
+    stack = g.dforward_rows(rows[:-1])
     bseq = OperatorSeq(0, [stack[k] for k in range(n_ops)], period=period)
     route = graph_transform_periodic if closed else graph_transform_seq
     pc = route(aseq, base_idx, bseq, lam1, p=p)

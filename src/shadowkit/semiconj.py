@@ -15,7 +15,7 @@ sequence solvers.  The displacement at one query is solved on a frame:
 the orbit segment around it, its differentials and its projection pairs.
 Frames are solved in lockstep stacks: the iterates of a stack are one
 (frames, m, n) block, every sweep forms the forcing of each frame from
-the system's row map (``DiffeoSystem.map_rows``) and sums all frames at
+the system's row map (``DiffeoSystem.forward_rows``) and sums all frames at
 once with one array operation per step, and each frame keeps its own
 ``seqcore.FixedPointMonitor``, which gates the observed contraction ratio
 and stops the frame, which then leaves the stack; every frame carries the
@@ -39,7 +39,7 @@ their f-orbits, one distance check against g over each frame's own
 consecutive rows (``DiffeoSystem.step_gaps``) and one read of f's
 certificate (``CLCertificate.pairs_on``, which answers a constant
 certificate with its one pair); they evaluate Df along their orbits in
-one ``DiffeoSystem.diff_rows`` call per stack.  Every frame keeps the
+one ``DiffeoSystem.dforward_rows`` call per stack.  Every frame keeps the
 bits of a walk of its own.  Values are computed on an orbit segment two
 truncation radii wide on each side of the query, which keeps boundary
 effects below the series tail tolerance at the reported index.  A stack
@@ -111,37 +111,19 @@ def translate_system(sys, offset):
 
     The derivative cocycle is untouched, so the base certificate remains
     valid for the translated map and the base differentials serve it.  Its
-    row map is the base row map plus the offset, and its inverse row map
-    the base one of the rows minus the offset.
+    row map is the base row map plus the offset, and its inverse maps
+    those of the base on the rows minus the offset.
     """
     if offset.window != sys.window:
         raise PreconditionError("offset lives on a different window")
-    base_forward, base_inverse = sys.forward, sys.inverse
-    base_dinverse, base_rows = sys.dinverse, sys.map_rows
-    base_inverse_rows = sys.inverse_map_rows
     off = np.asarray(offset.coeffs, dtype=float)
-
-    def forward(x):
-        y = base_forward(x)
-        return y.with_coeffs(y.coeffs + off)
-
-    def forward_rows(xs):
-        return base_rows(xs) + off
-
-    def inverse(y):
-        return base_inverse(y.with_coeffs(y.coeffs - off))
-
-    def inverse_rows(ys):
-        return base_inverse_rows(ys - off)
-
-    def dinverse(y):
-        return base_dinverse(y.with_coeffs(y.coeffs - off))
-
-    return DiffeoSystem(sys.name + "+shift", sys.window, sys.p, forward,
-                        inverse, sys.dforward, dinverse, sys.R, sys.modulus,
-                        sys.support_shift, sys.cert,
-                        {**sys.meta, "translation_norm": float(norm(offset))},
-                        forward_rows, sys.dforward_rows, inverse_rows)
+    return DiffeoSystem(sys.name + "+shift", sys.window, sys.p,
+                        lambda xs: sys.forward_rows(xs) + off,
+                        lambda ys: sys.inverse_rows(ys - off),
+                        sys.dforward_rows,
+                        lambda ys: sys.inverse_diff_rows(ys - off),
+                        sys.R, sys.modulus, sys.support_shift, sys.cert,
+                        {**sys.meta, "translation_norm": float(norm(offset))})
 
 
 def orbit_perron_apply(alpha, A, cert, w, x, T):
@@ -258,8 +240,8 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     orbit = Segment(lo, g.orbit_rows(x0.coeffs[None], -lo, hi)[0],
                     g.window, x0.p, None)
     d_map = recompute_step_error(f, orbit)
-    df = f.diff_rows(orbit.rows)
-    d_der = float(np.max(_diff_norms(g.diff_rows(orbit.rows), df, f.p)))
+    df = f.dforward_rows(orbit.rows)
+    d_der = float(np.max(_diff_norms(g.dforward_rows(orbit.rows), df, f.p)))
     f_ops = [df[i] for i in range(len(orbit))]
     d_measured = max(d_map, d_der)
     if d_measured > d * (1.0 + CONTRACTION_SLACK):
@@ -354,13 +336,13 @@ class _Stack:
         """The stack of h1 (kind 1) or h2 (kind 2) frames.
 
         h1 frames walk fresh f-orbits, and their differentials come from
-        one ``diff_rows`` call on the stacked rows; h2 frames read the
+        one ``dforward_rows`` call on the stacked rows; h2 frames read the
         job's orbit block and its differential sequence.
         """
         if kind == 1:
             rows, pairs = zip(*frames)
             rows = np.array(rows)
-            ops = job.f.diff_rows(rows[:, :-1])
+            ops = job.f.dforward_rows(rows[:, :-1])
         else:
             rows, ops, pairs = zip(*frames)
             rows, ops = np.array(rows), stack_ops(ops)
@@ -431,10 +413,10 @@ def _solve_stack(job, kind, st):
     """The ``(value, stats)`` of every frame of one stack (see
     :func:`_fixed_point`)."""
     if kind == 1:
-        other, tail_C, tail_lam = job.g.map_rows, job.cert.C, job.cert.lam
+        other, tail_C, tail_lam = job.g.forward_rows, job.cert.C, job.cert.lam
         ratio_bound = H1_RATIO
     else:
-        other, tail_C, tail_lam = job.f.map_rows, job.C1, job.lam1
+        other, tail_C, tail_lam = job.f.forward_rows, job.C1, job.lam1
         ratio_bound = H2_RATIO
     T = job.truncation
     window, p = job.f.window, job.f.p

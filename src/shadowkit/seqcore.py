@@ -461,23 +461,24 @@ def stack_ops(ops):
                  np.array(rows).reshape(shape + rows[0].shape), first.window)
 
 
-def inverse_stack(ops):
-    """``stack_ops`` of the inverses of ``ops``.
+def inverse_stack(ops, stack):
+    """The inverses of the nested list ``ops`` as one stack, ``stack``
+    being ``stack_ops(ops)``.
 
-    Weighted shifts by one common s invert as one stack.  Any other list
-    is inverted operator by operator into one densified stack: a mix keeps
-    the inverse of each shift, whose dense view (s != 0) is singular, and
-    a dense list is never stacked twice to be inverted.
+    A stack of weighted shifts (by one s) is inverted as it is, in one
+    array operation.  Any other list is inverted operator by operator
+    into one densified stack: a mix keeps the inverse of each shift, whose
+    dense view (s != 0) is singular, and a dense list is never stacked
+    again to be inverted.
     """
+    if stack.shift is not None:
+        return stack.inverse()
     shape, flat = _flat(ops)
-    first = flat[0]
-    if first.shift is not None and all(A.shift == first.shift for A in flat):
-        return stack_ops(ops).inverse()
-    n = first.window.length
+    n = flat[0].window.length
     out = np.empty((len(flat), n, n))
     for row, A in zip(out, flat):
         row[...] = A.inverse().to_dense_matrix()
-    return dense(out.reshape(shape + (n, n)), first.window)
+    return dense(out.reshape(shape + (n, n)), flat[0].window)
 
 
 def apply_coeffs(A, x):
@@ -550,7 +551,7 @@ def transport_rows(ops, rows, p):
     :func:`apply_coeffs` call) and records their l^p norms.  A row
     whose step would trip the edge guard of :func:`edge_loss` -- exactly
     where :func:`op_apply` would raise -- is retired before that step, as
-    ``DiffeoSystem.map_rows`` judges its rows.  Returns ``(norms, tripped,
+    ``DiffeoSystem.forward_rows`` judges its rows.  Returns ``(norms, tripped,
     last)``: the (m, len(ops)) table whose entry (i, l) is the norm of row
     i after l + 1 steps, NaN from the step at which the row tripped on;
     the (m,) mask of the rows that tripped; and the rows that never

@@ -8,7 +8,7 @@ Summing the displacement ledger geometrically gives the final distance
 bound 2*M*d, with M = 2L derived from the splitting certificate.  A
 pseudotrajectory, its shadow and each correction are one
 :class:`seqcore.Segment` of rows: the forcing comes from one
-``DiffeoSystem.map_rows`` call, the realized step error from
+``DiffeoSystem.forward_rows`` call, the realized step error from
 ``DiffeoSystem.step_gaps``, and a refinement moves the points in one
 array update y + d*v, each row with the bits of a point-by-point
 computation.  The certificate is read along the points once per
@@ -156,7 +156,7 @@ def make_pseudotrajectory(sys, x0, length, d, seed=0):
     moved past the window edge gets no noise and draws nothing.  The
     recorded d is the realized maximum defect, the largest ``row_norms``
     of the noise rows.  The orbit is then walked on the same block, one
-    ``sys.map_rows`` call per step adding f(y_k) to the noise of row k + 1.
+    ``sys.forward_rows`` call per step adding f(y_k) to the noise of row k + 1.
     """
     rng = np.random.default_rng(seed)
     n = x0.window.length
@@ -172,7 +172,7 @@ def make_pseudotrajectory(sys, x0, length, d, seed=0):
     realized = float(row_norms(rows[1:], x0.p).max(initial=0.0))
     rows[0] = x0.coeffs
     for k in range(length):
-        rows[k + 1] += sys.map_rows(rows[k])
+        rows[k + 1] += sys.forward_rows(rows[k])
     return Pseudotrajectory(Segment(0, rows, x0.window, x0.p, None), realized,
                             meta={"seed": seed, "requested_d": d})
 
@@ -248,12 +248,12 @@ def _variational_problem(sys, pstraj, cert):
     path = points.path
     ops = pstraj.ops
     if ops is None:
-        stack = sys.diff_rows(path[:-1])
+        stack = sys.dforward_rows(path[:-1])
         ops = [stack[j] for j in range(len(path) - 1)]
     seq = OperatorSeq(points.lo, ops, period=points.period)
     # the scaled defects (f(y_k) - y_{k+1}) / d of every step, the forcing
     # of time k + 1; time lo has none, or for a period the last step's
-    defects = sys.map_rows(path[:-1])
+    defects = sys.forward_rows(path[:-1])
     np.subtract(defects, path[1:], out=defects)
     defects /= pstraj.d
     w = (np.roll(defects, 1, axis=0) if points.period

@@ -19,6 +19,12 @@ Three families are built in:
 
 ``conjugate`` transports a system and its certificate through a coordinate
 change h, with constants (lam, R1^2 C) where R1 bounds Dh and Dh^{-1}.
+
+Every system is given by four row maps, all required: f, f^{-1} and Df
+on every coefficient row of a block, and f^{-1} with Df^{-1} from one
+solve (see :class:`DiffeoSystem`).  The shifts, the Morse-Smale product
+and the sine wobble evaluate their coordinate maps on whole blocks, and a
+conjugated system composes the row maps of h^{-1}, the base system and h.
 """
 
 import math
@@ -27,8 +33,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .seqcore import (
-    Window, SeqVec, OperatorSeq, norm, op_apply, compose, row_norms, stack_ops,
-    diag, shift_diag, edge_trips, ConvergenceError, PreconditionError,
+    Window, SeqVec, OperatorSeq, norm, op_apply, compose, row_norms, diag,
+    shift_diag, edge_trips, ConvergenceError, PreconditionError,
     TruncationError,
 )
 from .clstruct import ProjPair, CLCertificate, constant_cert
@@ -61,85 +67,59 @@ MS_PIN_TOL = 1e-9
 class DiffeoSystem:
     """A diffeomorphism of the windowed sequence space with C^1 data.
 
-    ``forward``/``inverse`` map SeqVec -> SeqVec; ``dforward``/``dinverse``
-    map a SeqVec to the LinOp differential at that point; ``R`` bounds both
-    differentials; ``modulus`` is the nondecreasing r(t) with
-    |f(x+v) - f(x) - Df(x)v| <= |v| r(|v|).  ``support_shift`` records how
-    far the coordinate support travels per forward step (1 for shifts,
-    0 for coordinate-wise maps) -- the window bookkeeping needs it.
-
-    ``forward_rows`` and ``inverse_rows``, when given, are ``forward`` and
-    ``inverse`` over the coefficient rows of a (..., n) array, read
-    through :meth:`map_rows` and :meth:`inverse_map_rows`.  Their
-    contract: each returns a new array, every row gets the same bits the
-    point map gives that row, and the truncation guard is judged per row,
-    so it raises :class:`TruncationError` exactly when the point map would
-    raise on some row.  Without them, the readers call the point map row
-    by row.  ``dforward_rows``, when given, is ``dforward`` at every row
-    of a (..., n) array as one operator stack, each operator with
-    the bits ``dforward`` gives that row; :meth:`diff_rows` reads it, and
-    calls ``dforward`` row by row without it.  :meth:`orbit_rows` walks the
-    orbit segments of a block of starts in lockstep, one row-map call per
-    step, and :meth:`orbit` is the walk of one point; :meth:`step_gaps`
-    measures the step defects of a block of rows through ``map_rows``.
+    Its four maps act on the coefficient rows of a (..., n) array:
+    ``forward_rows`` is f on every row, ``inverse_rows`` is f^{-1},
+    ``dforward_rows`` is Df at every row as one operator stack, and
+    ``inverse_diff_rows`` returns ``(f^{-1}(ys), Df^{-1}(ys))``, the
+    inverse rows and the stack of inverse differentials from one solve.
+    Their contract: each returns new arrays, every row gets the bits of a
+    one-row call, and the truncation guard is judged per row, so a block
+    raises :class:`TruncationError` exactly when some row alone would.
+    ``forward``, ``inverse``, ``dforward`` and ``dinverse`` read the maps
+    on the one row of a SeqVec.  ``R`` bounds both differentials;
+    ``modulus`` is the nondecreasing r(t) with |f(x+v) - f(x) - Df(x)v| <=
+    |v| r(|v|).  ``support_shift`` records how far the coordinate support
+    travels per forward step (1 for shifts, 0 for coordinate-wise maps) --
+    the window bookkeeping needs it.  :meth:`orbit_rows` walks the orbit
+    segments of a block of starts in lockstep, one row-map call per step,
+    and :meth:`orbit` is the walk of one point; :meth:`step_gaps` measures
+    the step defects of a block of rows through ``forward_rows``.
     """
 
     name: str
     window: Window
     p: float
-    forward: object
-    inverse: object
-    dforward: object
-    dinverse: object
+    forward_rows: object
+    inverse_rows: object
+    dforward_rows: object
+    inverse_diff_rows: object
     R: float
     modulus: object
     support_shift: int = 0
     cert: object = None
     meta: dict = field(default_factory=dict, compare=False)
-    forward_rows: object = field(default=None, compare=False)
-    dforward_rows: object = field(default=None, compare=False)
-    inverse_rows: object = field(default=None, compare=False)
 
     def with_cert(self, cert):
         return replace(self, cert=cert)
 
-    def _rows_by_point(self, point_map, xs):
-        xs = np.asarray(xs, dtype=float)
-        rows = [point_map(SeqVec(self.window, x, self.p)).coeffs
-                for x in xs.reshape(-1, self.window.length)]
-        return np.array(rows).reshape(xs.shape)
+    def forward(self, x):
+        return SeqVec(self.window, self.forward_rows(x.coeffs), x.p)
 
-    def map_rows(self, xs):
-        """``forward`` applied to every coefficient row of a (..., n) array."""
-        if self.forward_rows is not None:
-            return self.forward_rows(xs)
-        return self._rows_by_point(self.forward, xs)
+    def inverse(self, y):
+        return SeqVec(self.window, self.inverse_rows(y.coeffs), y.p)
 
-    def inverse_map_rows(self, ys):
-        """``inverse`` applied to every coefficient row of a (..., n) array."""
-        if self.inverse_rows is not None:
-            return self.inverse_rows(ys)
-        return self._rows_by_point(self.inverse, ys)
+    def dforward(self, x):
+        return self.dforward_rows(x.coeffs)
 
-    def diff_rows(self, xs):
-        """``dforward`` at every coefficient row of a (..., n) array, as one
-        operator stack."""
-        if self.dforward_rows is not None:
-            return self.dforward_rows(xs)
-
-        def nested(x):
-            if x.ndim == 1:
-                return self.dforward(SeqVec(self.window, x, self.p))
-            return [nested(row) for row in x]
-
-        return stack_ops(nested(np.asarray(xs, dtype=float)))
+    def dinverse(self, y):
+        return self.inverse_diff_rows(y.coeffs)[1]
 
     def orbit_rows(self, xs, back, fwd):
         """The orbit points f^j(x) for j = -back .. fwd of every start row x
         of a (k, n) array, as a (k, back + fwd + 1, n) array.
 
-        All starts are walked in lockstep, one :meth:`map_rows` or
-        :meth:`inverse_map_rows` call per step: the forward steps first,
+        All starts are walked in lockstep, one ``forward_rows`` or
+        ``inverse_rows`` call per step: the forward steps first,
         then the backward ones.  A negative ``back`` or ``fwd`` gives a
         segment that starts or ends past x.  A step that trips the
         truncation guard on some row raises :class:`TruncationError`
@@ -152,11 +132,11 @@ class DiffeoSystem:
         try:
             cur = xs
             for j in range(behind + 1, behind + ahead + 1):
-                cur = self.map_rows(cur)
+                cur = self.forward_rows(cur)
                 walk[:, j] = cur
             cur = xs
             for j in range(behind - 1, -1, -1):
-                cur = self.inverse_map_rows(cur)
+                cur = self.inverse_rows(cur)
                 walk[:, j] = cur
         except TruncationError as exc:
             raise TruncationError(
@@ -175,7 +155,7 @@ class DiffeoSystem:
         coefficient array, each with the bits of the point-by-point norm;
         a (..., m, n) array gives the (..., m - 1) defects of each of its
         (m, n) blocks."""
-        gaps = self.map_rows(rows[..., :-1, :])
+        gaps = self.forward_rows(rows[..., :-1, :])
         np.subtract(rows[..., 1:, :], gaps, out=gaps)
         return row_norms(gaps.reshape(-1, gaps.shape[-1]),
                          self.p).reshape(gaps.shape[:-1])
@@ -347,9 +327,6 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
         out[..., 1:] = vals[..., :-1]
         return out
 
-    def forward(x):
-        return SeqVec(window, forward_rows(x.coeffs), x.p)
-
     def inverse_rows(ys):
         # mass at the first coordinate enters from outside the window; as
         # forward, a zero first column skips the per-row tolerances
@@ -363,17 +340,12 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
         out[..., :-1] = a_family.apply_inv(ks[:-1], ys[..., 1:])
         return out
 
-    def inverse(y):
-        return SeqVec(window, inverse_rows(y.coeffs), y.p)
-
-    def dforward(x):
-        return shift_diag(window, a_family.deriv(ks, x.coeffs), shift=1)
-
     def dforward_rows(xs):
         return shift_diag(window, a_family.deriv(ks, xs), 1)
 
-    def dinverse(y):
-        return dforward(inverse(y)).inverse()
+    def inverse_diff_rows(ys):
+        xs = inverse_rows(ys)
+        return xs, dforward_rows(xs).inverse()
 
     m2 = a_family.d2_bound
     modulus = lambda t: m2 * t
@@ -382,10 +354,9 @@ def make_weighted_shift(a_family, lam, R, window, p=2.0,
     cert = constant_cert(1.0, lam, R, diag(window, mask),
                          diag(window, 1.0 - mask),
                          splitting="support k >= 0 stable")
-    return DiffeoSystem(name, window, p, forward, inverse, dforward,
-                        dinverse, R, modulus, support_shift=1, cert=cert,
-                        meta={"d2_bound": m2}, forward_rows=forward_rows,
-                        dforward_rows=dforward_rows, inverse_rows=inverse_rows)
+    return DiffeoSystem(name, window, p, forward_rows, inverse_rows,
+                        dforward_rows, inverse_diff_rows, R, modulus,
+                        support_shift=1, cert=cert, meta={"d2_bound": m2})
 
 
 # ---------------------------------------------------------------------------
@@ -514,28 +485,34 @@ class _MSProfile:
 
         On the inner branch a is concave-increasing for y > 0 and the start
         y*lam1 sits below the root, so iterates increase monotonically
-        (mirrored for y < 0); about 6 steps reach the 1e-15 stop.  When
-        NEWTON_MAX_STEPS steps miss it, the last iterate is returned if its
-        residual is within ``NEWTON_SLACK * reach * (1 + |y|_inf)``, the
-        accuracy the series can reach (near |x| = 1 and for lam1 below
-        about 0.45 that is above the stop), and :class:`ConvergenceError`
-        is raised otherwise, a NaN residual included.
+        (mirrored for y < 0); about 6 steps reach the 1e-15 stop.  y is one
+        row or a (..., n) block of rows, and each row stops at its own
+        bound ``1e-15 * (1 + |y_row|_inf)`` and keeps its iterate while the
+        other rows go on, as :func:`_newton` does, so every row gets the
+        bits of its solve alone.  A row that misses its stop in
+        NEWTON_MAX_STEPS steps keeps its last iterate if its residual is
+        within ``NEWTON_SLACK * reach * (1 + |y_row|_inf)``, the accuracy
+        the series can reach (near |x| = 1 and for lam1 below about 0.45
+        that is above the stop); otherwise, a NaN residual included,
+        :class:`ConvergenceError` is raised.
         """
         y = np.asarray(y, dtype=float)
         ay = np.abs(y)
+        axis = -1 if y.ndim else None
+        scale = 1.0 + np.max(ay, axis=axis, keepdims=True, initial=0.0)
         outer = np.sign(y) * (1.0 + (ay - 1.0) / self.lam1)
         x = np.where(ay <= 1.0, y * self.lam1, outer)
-        stop = 1e-15 * (1.0 + np.max(ay, initial=0.0))
         for step in range(NEWTON_MAX_STEPS + 1):
             val, dx = self.value_deriv(x)
             fx = val - y
-            if np.max(np.abs(fx)) <= stop:
+            res = np.max(np.abs(fx), axis=axis, keepdims=True)
+            live = ~(res <= 1e-15 * scale)
+            if not live.any():
                 return x, dx
             if step == NEWTON_MAX_STEPS:
                 break
-            x = x - fx / dx
-        if np.max(np.abs(fx)) <= NEWTON_SLACK * self.reach * (
-                1.0 + np.max(ay, initial=0.0)):
+            x = np.where(live, x - fx / dx, x)
+        if not (live & ~(res <= NEWTON_SLACK * self.reach * scale)).any():
             return x, dx
         raise ConvergenceError(
             f"Morse-Smale profile inverse still off by "
@@ -589,17 +566,12 @@ def make_ms_product(params, window, p=2.0, name="ms_product"):
         raise PreconditionError(
             f"realized |a''| = {d2max:.3g} exceeds declared M = {params.M}")
 
-    def forward(x):
-        return SeqVec(window, profile.value(x.coeffs), x.p)
+    def dforward_rows(xs):
+        return diag(window, profile.deriv(xs))
 
-    def inverse(y):
-        return SeqVec(window, profile.inverse(y.coeffs), y.p)
-
-    def dforward(x):
-        return diag(window, profile.deriv(x.coeffs))
-
-    def dinverse(y):
-        return diag(window, 1.0 / profile.inverse_deriv(y.coeffs)[1])
+    def inverse_diff_rows(ys):
+        xs, d = profile.inverse_deriv(ys)
+        return xs, diag(window, 1.0 / d)
 
     C_emp, n0 = _ms_measure_constant(profile, params.lam2)
     C_cert = math.ceil(C_emp * 1.02 * 1e6) / 1e6
@@ -614,8 +586,9 @@ def make_ms_product(params, window, p=2.0, name="ms_product"):
                                "C_formula_n0": (1.0 / params.lam1) ** n0,
                                "s": profile.s})
     modulus = lambda t: params.M * t
-    return DiffeoSystem(name, window, p, forward, inverse, dforward,
-                        dinverse, R, modulus, support_shift=0, cert=cert,
+    return DiffeoSystem(name, window, p, profile.value, profile.inverse,
+                        dforward_rows, inverse_diff_rows, R, modulus,
+                        support_shift=0, cert=cert,
                         meta={"params": params, "d2_realized": d2max})
 
 
@@ -654,24 +627,23 @@ def make_sin_wobble(window, p=2.0, amp=0.05):
     if not 0.0 <= amp < 1.0:
         raise PreconditionError("amp must lie in [0, 1)")
 
-    def forward(x):
-        return SeqVec(window, x.coeffs + amp * np.sin(x.coeffs), x.p)
+    def inverse_rows(ys):
+        return _newton(lambda x: x + amp * np.sin(x),
+                       lambda x: 1.0 + amp * np.cos(x), ys, ys.copy(), 80,
+                       1e-16)
 
-    def inverse(y):
-        x = _newton(lambda x: x + amp * np.sin(x),
-                    lambda x: 1.0 + amp * np.cos(x),
-                    y.coeffs, y.coeffs.copy(), 80, 1e-16)
-        return SeqVec(window, x, y.p)
+    def dforward_rows(xs):
+        return diag(window, 1.0 + amp * np.cos(xs))
 
-    def dforward(x):
-        return diag(window, 1.0 + amp * np.cos(x.coeffs))
-
-    def dinverse(y):
-        return diag(window, 1.0 / (1.0 + amp * np.cos(inverse(y).coeffs)))
+    def inverse_diff_rows(ys):
+        xs = inverse_rows(ys)
+        return xs, dforward_rows(xs).inverse()
 
     R1 = 1.0 / (1.0 - amp)
-    return DiffeoSystem("sin_wobble", window, p, forward, inverse, dforward,
-                        dinverse, R1, lambda t: amp * t, support_shift=0)
+    return DiffeoSystem("sin_wobble", window, p,
+                        lambda xs: xs + amp * np.sin(xs), inverse_rows,
+                        dforward_rows, inverse_diff_rows, R1,
+                        lambda t: amp * t, support_shift=0)
 
 
 def sample_interior_points(sys, count, seed=0, radius=0.25):
@@ -719,32 +691,35 @@ def _fit_modulus(sys):
 def conjugate(sys, h, name=None):
     """The conjugated system g = h . f . h^{-1}.
 
-    Differentials compose by the chain rule; when ``sys`` carries a
-    certificate, its projections transport as Dh(y) P_y Dh(y)^{-1} at
-    y = h^{-1}(x), with constants (lam, R1^2 C) for R1 = h.R.  Each
-    evaluation at x solves y = h^{-1}(x) once and takes Dh^{-1}(x) as
-    Dh(y)^{-1}.  The modulus of g is fitted empirically from sampled
-    remainders.
+    Its row maps compose the row maps of h^{-1}, the base system and h,
+    and its differentials compose their operator stacks by the chain
+    rule; when ``sys`` carries a certificate, its projections transport as
+    Dh(y) P_y Dh(y)^{-1} at y = h^{-1}(x), with constants (lam, R1^2 C)
+    for R1 = h.R.  Each evaluation at a block of rows x solves
+    y = h^{-1}(x) once and takes Dh^{-1}(x) as Dh(y)^{-1}.  The modulus
+    of g is fitted empirically from sampled remainders.
     """
     if h.window != sys.window:
         raise PreconditionError("coordinate change lives on a different window")
     R1 = h.R
 
-    def forward(x):
-        return h.forward(sys.forward(h.inverse(x)))
+    def forward_rows(xs):
+        return h.forward_rows(sys.forward_rows(h.inverse_rows(xs)))
 
-    def inverse(x):
-        return h.forward(sys.inverse(h.inverse(x)))
+    def inverse_rows(xs):
+        return h.forward_rows(sys.inverse_rows(h.inverse_rows(xs)))
 
-    def dforward(x):
-        y = h.inverse(x)
-        return compose(h.dforward(sys.forward(y)),
-                       compose(sys.dforward(y), h.dforward(y).inverse()))
+    def dforward_rows(xs):
+        ys = h.inverse_rows(xs)
+        return compose(h.dforward_rows(sys.forward_rows(ys)),
+                       compose(sys.dforward_rows(ys),
+                               h.dforward_rows(ys).inverse()))
 
-    def dinverse(x):
-        y = h.inverse(x)
-        return compose(h.dforward(sys.inverse(y)),
-                       compose(sys.dinverse(y), h.dforward(y).inverse()))
+    def inverse_diff_rows(xs):
+        ys = h.inverse_rows(xs)
+        bs, dbs = sys.inverse_diff_rows(ys)
+        return h.forward_rows(bs), compose(
+            h.dforward_rows(bs), compose(dbs, h.dforward_rows(ys).inverse()))
 
     cert = None
     if sys.cert is not None:
@@ -762,9 +737,10 @@ def conjugate(sys, h, name=None):
                              proj_at, meta={"transported_from": sys.name})
 
     g = DiffeoSystem(name or f"conjugated:{sys.name}", sys.window, sys.p,
-                     forward, inverse, dforward, dinverse,
-                     R1 ** 2 * sys.R, None, support_shift=sys.support_shift,
-                     cert=cert, meta={"base": sys.name, "R1": R1})
+                     forward_rows, inverse_rows, dforward_rows,
+                     inverse_diff_rows, R1 ** 2 * sys.R, None,
+                     support_shift=sys.support_shift, cert=cert,
+                     meta={"base": sys.name, "R1": R1})
     c_fit = _fit_modulus(g)
     object.__setattr__(g, "modulus", lambda t: c_fit * t)
     return g

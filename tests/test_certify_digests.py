@@ -7,7 +7,12 @@ hash to the digest recorded in ``bench/refs.json``.  The ``report.json``
 the same run writes must hash to the digest recorded below, in
 ``REPORTS`` (the bytes of ``report.json`` are kept identical from change
 to change, like the CSVs).  The ``conjugacy`` invocations also run at the
-held-out seed 12345, against the same two kinds of digest.  A change that
+held-out seed 12345, against the same two kinds of digest, and so do the
+runs on the systems whose maps are composed from row maps: the
+``verify-cl`` invocations on the Morse-Smale product and on the
+conjugated system, and the conjugated ``shadow`` probe of the ``sweep``
+workload, whose CSV digest ``bench/refs.json`` does not hold and is
+recorded below.  A change that
 moves the bits of a verifier, a solver or a transfer fails here, before
 the benchmark's correctness gate sees it.  The tests only read ``bench/``.
 """
@@ -76,6 +81,21 @@ REPORTS_HELD_OUT = {
     "semiconj":
         "013300a75e76ae1337ffe05163854ab0e85c6a0ba344e10cbcbe415bec3d7daa",
 }
+#: sha256 of the CSV and report.json at the held-out seed of the runs on
+#: the Morse-Smale product and the conjugated system, by label
+MAPS_HELD_OUT = {
+    "verify-cl:ms_product": (
+        REFS["certify"][str(HELD_OUT)]["verify-cl:ms_product"],
+        "b0b4c2f31a5562374ca60c7dfcc4aa4380e5a068ace888a5019a371135c3b8f1"),
+    "verify-cl:conjugated": (
+        REFS["certify"][str(HELD_OUT)]["verify-cl:conjugated"],
+        "4c078866e51c334f8eb18ec8440108947b1b5e233168aecc736a6b781b478a42"),
+    "probe:shadow-conjugated": (
+        "d76847f40083e1416029d248a70d38e397db013fa72b4cbdf62780bd70e72a02",
+        "dace5e355ae967a473a874b557ff03b07cd8d65f2d3e428f4f5f8488052d089c"),
+}
+MAP_RUNS = [inv for inv in CERTIFY + WORKLOADS["sweep"].probes
+            if inv.label in MAPS_HELD_OUT]
 
 
 def _digests(inv, seed, tmp_path):
@@ -114,3 +134,9 @@ def test_conjugacy_keeps_its_digests_at_the_held_out_seed(inv, tmp_path):
     assert _digests(inv, HELD_OUT, tmp_path) == (
         REFS["conjugacy"][str(HELD_OUT)][inv.label],
         REPORTS_HELD_OUT[inv.label])
+
+
+@pytest.mark.parametrize("inv", MAP_RUNS, ids=[inv.label for inv in MAP_RUNS])
+def test_row_mapped_systems_keep_their_digests_at_the_held_out_seed(
+        inv, tmp_path):
+    assert _digests(inv, HELD_OUT, tmp_path) == MAPS_HELD_OUT[inv.label]

@@ -7,8 +7,9 @@ import pytest
 
 from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, LinOp, dense, diag, shift_diag, identity_op,
-    norm, op_apply, PreconditionError, TruncationError,
+    norm, op_apply, op_norm, compose, PreconditionError, TruncationError,
 )
+from shadowkit import clstruct
 from shadowkit.clstruct import (
     ProjPair, CLCertificate, constant_cert,
     verify_cl_diffeo, verify_cl_opseq, verify_dichotomy, verify_cocycle_cl,
@@ -16,7 +17,7 @@ from shadowkit.clstruct import (
 )
 from shadowkit.systems import (
     make_system, make_linear_example_seq, linear_example_cert,
-    make_sin_wobble,
+    make_sin_wobble, conjugate,
 )
 
 W = Window(-32, 32)
@@ -168,7 +169,7 @@ def test_periodic_certificate_wraps():
 
 def test_cocycle_verifier_weighted_shift():
     sys = make_system("weighted_shift_linear", W)
-    rep = verify_cocycle_cl(sys, sys.dforward, sys.cert,
+    rep = verify_cocycle_cl(sys, sys.dforward_rows, sys.cert,
                             interior_points(2, seed=3), horizon=8)
     assert rep.passed
     assert abs(rep.worst_decay_ratio - 1.0) <= 1e-12
@@ -215,16 +216,19 @@ def _verify_diffeo(sys, pts, horizon):
 
 def _verify_cocycle(sys, pts, horizon):
     # the cocycle of the map's own differential, A = Df
-    return verify_cocycle_cl(sys, sys.dforward, sys.cert, pts, horizon=horizon)
+    return verify_cocycle_cl(sys, sys.dforward_rows, sys.cert, pts,
+                             horizon=horizon)
 
 
-# calls per sample and orbit step: the splitting verifier evaluates each map
-# once; the cocycle verifier evaluates A = Df once on each of its two walks
+# row-map calls per lockstep step: the splitting verifier walks forward
+# with f and Df and backward with the inverse and its differential from
+# one solve; the cocycle verifier walks with f and f^-1 and evaluates
+# A = Df once on each of its two walks
 _PER_STEP = {
-    _verify_diffeo: dict.fromkeys(
-        ("forward", "inverse", "dforward", "dinverse"), 1),
-    _verify_cocycle: {"forward": 1, "inverse": 1, "dforward": 2,
-                      "dinverse": 0},
+    _verify_diffeo: {"forward_rows": 1, "inverse_rows": 0,
+                     "dforward_rows": 1, "inverse_diff_rows": 1},
+    _verify_cocycle: {"forward_rows": 1, "inverse_rows": 1,
+                      "dforward_rows": 2, "inverse_diff_rows": 0},
 }
 
 
@@ -234,30 +238,133 @@ _PER_STEP = {
 ])
 def test_diffeo_verifier_evaluates_each_map_once_per_orbit_step(verify,
                                                                  horizon):
-    # f(x), Df(x), f^-1(x) and Df^-1(x) (for the cocycle: alpha(x),
-    # alpha^-1(x), A(x) and A(alpha^-1 x)^-1) are evaluated once per
-    # sample: the residuals read them and both orbit walks start one step out
+    # all samples step in lockstep: each map is called at most once per
+    # step, on every live sample at once, and each (sample, step) row is
+    # evaluated once -- the residuals read the first step of each walk
     base = make_system("ms_product", W)
     calls = dict.fromkeys(_PER_STEP[verify], 0)
+    rows = dict.fromkeys(_PER_STEP[verify], 0)
 
     def counted(name):
         fn = getattr(base, name)
 
-        def wrapper(x):
+        def wrapper(xs):
             calls[name] += 1
-            return fn(x)
+            rows[name] += len(xs)
+            return fn(xs)
         return wrapper
 
     sys = dataclasses.replace(base, **{m: counted(m) for m in calls})
     pts = interior_points(2, seed=4)
     rep = verify(sys, pts, horizon)
-    assert calls == {m: n * 2 * max(horizon, 1)
-                     for m, n in _PER_STEP[verify].items()}
+    steps = max(horizon, 1)
+    assert calls == {m: n * steps for m, n in _PER_STEP[verify].items()}
+    assert rows == {m: n * steps * len(pts)
+                    for m, n in _PER_STEP[verify].items()}
     assert rep.to_json() == verify(base, pts, horizon).to_json()
     if horizon == 0:
         # empty walks: nothing is scanned for decay
         assert rep.worst_decay_ratio == 0.0
         assert not any(k.startswith("decay") for k in rep.witnesses)
+
+
+def _point_walk(op_at, step, x, steps):
+    # reference: one orbit walked point by point, stopping before the step
+    # whose evaluation trips the window guard
+    ops, y = [], x
+    for _ in range(steps):
+        try:
+            A = op_at(y)
+            y = step(y)
+        except TruncationError:
+            break
+        ops.append(A)
+    return ops
+
+
+def _verify_point_by_point(sys, cert, points, horizon, lengths):
+    # reference: the splitting verifier with each sample's orbits walked
+    # alone, point by point; ``lengths`` collects the walks' lengths
+    sampled = []
+
+    def local(i, pair):
+        x = points[i]
+        sampled.append((x, pair.P))
+        fx, bx = sys.forward(x), sys.inverse(x)
+        dfx, dbx = sys.dforward(x), sys.dinverse(x)
+        res_s = op_norm(compose(cert.proj_at(fx).Q, compose(dfx, pair.P)), x.p)
+        res_u = op_norm(compose(cert.proj_at(bx).P, compose(dbx, pair.Q)), x.p)
+        fwd = [dfx] + _point_walk(sys.dforward, sys.forward, fx, horizon - 1)
+        bwd = [dbx] + _point_walk(sys.dinverse, sys.inverse, bx, horizon - 1)
+        lengths.append((len(fwd), len(bwd)))
+        return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
+
+    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
+    rep = clstruct._verify(cert, "point", samples, local, clstruct.N_DIRS)
+    rep.proj_lipschitz = clstruct._proj_lipschitz(sampled, points[0].p)
+    return rep
+
+
+def _cocycle_point_by_point(sys, A, cert, points, horizon, lengths):
+    # reference: the cocycle verifier with each sample's orbits walked
+    # alone, point by point, and A read on one row at a time
+    def A_at(x):
+        return A(x.coeffs)
+
+    def local(i, pair):
+        x = points[i]
+        ax, bx = sys.forward(x), sys.inverse(x)
+        a_x, b_x = A_at(x), A_at(bx).inverse()
+        res_s = op_norm(compose(cert.proj_at(ax).Q, compose(a_x, pair.P)), x.p)
+        res_u = op_norm(compose(cert.proj_at(bx).P, compose(b_x, pair.Q)), x.p)
+        fwd = [a_x] + _point_walk(A_at, sys.forward, ax, horizon - 1)
+        bwd = [b_x] + [A.inverse() for A in _point_walk(
+            lambda y: A_at(sys.inverse(y)), sys.inverse, bx, horizon - 1)]
+        lengths.append((len(fwd), len(bwd)))
+        return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
+
+    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
+    return clstruct._verify(cert, "point", samples, local, clstruct.N_DIRS)
+
+
+def _edge_points():
+    # supports a few coordinates in from either edge of the window, so that
+    # the samples' walks retire at different forward and backward steps,
+    # and interior ones that never retire
+    pts = []
+    for where in ([W.hi - 6, W.hi - 5], [W.hi - 3], [W.lo + 2, W.lo + 3],
+                  [W.lo + 5], [W.lo + 2, W.hi - 4], [-2, 0, 3]):
+        c = np.zeros(W.length)
+        c[[W.offset(k) for k in where]] = 0.3
+        pts.append(SeqVec(W, c, 2.0))
+    return pts
+
+
+@pytest.mark.parametrize("conjugated", [False, True],
+                         ids=["weighted_shift_tanh", "conjugated"])
+def test_lockstep_verifiers_match_the_point_by_point_walks(conjugated):
+    # a rate below the map's contraction makes the decay ratios grow with
+    # n, so each sample's witnesses record the length of its own walks
+    base = make_system("weighted_shift_tanh", W)
+    pair = base.cert.pair
+    sys = base.with_cert(constant_cert(1.0, 0.3, base.cert.R, pair.P, pair.Q))
+    if conjugated:
+        sys = conjugate(sys, make_sin_wobble(W))
+    pts = _edge_points()
+    lengths = []
+    want = _verify_point_by_point(sys, sys.cert, pts, 12, lengths)
+    got = verify_cl_diffeo(sys, sys.cert, pts, horizon=12)
+    assert got.to_json() == want.to_json()
+    # the walks retire at several different steps, each way
+    assert len({f for f, _ in lengths}) >= 3
+    assert len({b for _, b in lengths}) >= 3
+    lengths = []
+    want = _cocycle_point_by_point(sys, sys.dforward_rows, sys.cert, pts, 12,
+                                   lengths)
+    got = verify_cocycle_cl(sys, sys.dforward_rows, sys.cert, pts, horizon=12)
+    assert got.to_json() == want.to_json()
+    assert len({f for f, _ in lengths}) >= 3
+    assert len({b for _, b in lengths}) >= 3
 
 
 def _directions_by_basis(pair_side, window, p, n_dirs, rng):

@@ -468,13 +468,14 @@ def test_default_job_counters(monkeypatch):
         boundedsol.apply_rows, lambda *args: True))
 
     def counted(sys):
-        real = sys.dforward
+        # the points at which Df is evaluated, one per row of each block
+        real = sys.dforward_rows
 
-        def dforward(x):
-            counts["dforward"] += 1
-            return real(x)
+        def dforward_rows(xs):
+            counts["dforward"] += int(np.prod(np.shape(xs)[:-1]))
+            return real(xs)
 
-        return dataclasses.replace(sys, dforward=dforward)
+        return dataclasses.replace(sys, dforward_rows=dforward_rows)
 
     real_dense = LinOp.to_dense_matrix
     real_transfer = semiconj.graph_transform_seq

@@ -467,7 +467,8 @@ def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
         if s is None:
             ops[-1][-1] = dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
     rows = rng.standard_normal((frames, steps, n))
-    stacked, inverse = stack_ops(ops), inverse_stack(ops)
+    stacked = stack_ops(ops)
+    inverse = inverse_stack(ops, stacked)
 
     def check(got_ops, got_inv, picks):
         got = apply_coeffs(got_ops, rows[picks])
@@ -547,7 +548,8 @@ def test_one_operator_type_whose_derived_views_stay_in_seqcore():
     ops = [diag(w, np.ones(3)), dense(np.eye(3), w),
            shift_diag(w, np.ones(3), 1)]
     stacks = [stack_ops(ops), stack_ops([ops[0], diag(w, np.ones(3))]),
-              stack_ops([[ops[2]] * 2] * 3), inverse_stack(ops)]
+              stack_ops([[ops[2]] * 2] * 3),
+              inverse_stack(ops, stack_ops(ops))]
     assert {type(A) for A in ops + stacks} == {LinOp}
     readers = []
     for path in sorted(pathlib.Path(seqcore.__file__).parent.glob("*.py")):

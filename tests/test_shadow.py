@@ -400,13 +400,13 @@ def test_pseudotrajectory_truncates_at_the_same_step():
         seen = []
 
         def record(fn):
-            def wrapped(x):
-                seen.append(np.array(getattr(x, "coeffs", x), copy=True))
-                return fn(x)
+            def wrapped(xs):
+                seen.append(np.array(xs, copy=True))
+                return fn(xs)
             return wrapped
 
-        traced = dataclasses.replace(sys, forward=record(sys.forward),
-                                     forward_rows=record(sys.forward_rows))
+        traced = dataclasses.replace(
+            sys, forward_rows=record(sys.forward_rows))
         with pytest.raises(TruncationError) as err:
             build(traced)
         return seen, str(err.value)

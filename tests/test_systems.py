@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from shadowkit.semiconj import translate_system
 from shadowkit import systems
 from shadowkit.seqcore import (
-    Window, SeqVec, norm, op_apply, identity_op, apply_coeffs, compose,
+    Window, SeqVec, norm, op_apply, diag, apply_coeffs, compose,
     ConvergenceError, PreconditionError, TruncationError,
 )
 from shadowkit.systems import (
@@ -238,7 +238,9 @@ def test_ms_profile_one_pass_series_match_separate_passes(lam1):
         assert v.tobytes() == prof.value(xs).tobytes()
         assert d.tobytes() == prof.deriv(xs).tobytes()
         x, dx = prof.inverse_deriv(xs)
-        want = _newton_inverse_two_pass(prof, xs)
+        # each row of a block stops at its own bound, as a solve alone
+        want = (_newton_inverse_two_pass(prof, xs) if xs.ndim < 2 else
+                np.array([_newton_inverse_two_pass(prof, y) for y in xs]))
         assert x.tobytes() == prof.inverse(xs).tobytes() == want.tobytes()
         assert dx.tobytes() == prof.deriv(want).tobytes()
 
@@ -415,10 +417,9 @@ def test_linear_example_cert_projections():
 def test_conjugate_by_identity_is_f():
     base = shift_linear()
     ident = DiffeoSystem(
-        "id", W, 2.0,
-        lambda x: x, lambda x: x,
-        lambda x: identity_op(W), lambda x: identity_op(W),
-        1.0, lambda t: 0.0)
+        "id", W, 2.0, np.copy, np.copy, lambda xs: diag(W, np.ones(xs.shape)),
+        lambda xs: (xs.copy(), diag(W, np.ones(xs.shape))), 1.0,
+        lambda t: 0.0)
     g = conjugate(base, ident)
     for x in sample_interior_points(base, 5, seed=13):
         assert np.max(np.abs(g.forward(x).coeffs - base.forward(x).coeffs)) == 0.0
@@ -476,16 +477,17 @@ def test_conjugation_solves_h_inverse_once_per_evaluation():
     h = make_sin_wobble(W)
     solves = [0]
 
-    def inverse(x):
+    def inverse_rows(xs):
         solves[0] += 1
-        return h.inverse(x)
+        return h.inverse_rows(xs)
 
     # the wobble's own Dh^-1, but solving through the counted inverse
-    def dinverse(x):
-        return h.dforward(inverse(x)).inverse()
+    def inverse_diff_rows(xs):
+        ys = inverse_rows(xs)
+        return ys, h.dforward_rows(ys).inverse()
 
-    g = conjugate(base, dataclasses.replace(h, inverse=inverse,
-                                            dinverse=dinverse))
+    g = conjugate(base, dataclasses.replace(
+        h, inverse_rows=inverse_rows, inverse_diff_rows=inverse_diff_rows))
     x = sample_interior_points(base, 1, seed=18)[0]
     for evaluate in (g.dforward, g.dinverse, g.cert.proj_at):
         solves[0] = 0
@@ -520,10 +522,14 @@ def _row_map_systems():
                                  0.5002, 2.001, W, name="wobbly")
     off = np.zeros(W.length)
     off[W.offset(0)] = 1e-4
-    return [lin, tanh, wobbly, translate_system(wobbly, SeqVec(W, off))]
+    return [lin, tanh, wobbly, translate_system(wobbly, SeqVec(W, off)),
+            make_system("conjugated:weighted_shift_tanh", W),
+            make_system("ms_product", W), make_sin_wobble(W)]
 
 
 ROW_MAP_SYSTEMS = _row_map_systems()
+#: the systems that move the support, whose walks can escape the window
+SHIFTING = [i for i, sys in enumerate(ROW_MAP_SYSTEMS) if sys.support_shift]
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,38 +553,101 @@ def test_row_map_equals_stacked_forward(seed, m, which):
     for shape in ((m, W.length), (1, m, W.length)):
         if trips:
             with pytest.raises(TruncationError):
-                sys.map_rows(xs.reshape(shape))
+                sys.forward_rows(xs.reshape(shape))
         else:
-            got = sys.map_rows(xs.reshape(shape)).reshape(m, W.length)
+            got = sys.forward_rows(xs.reshape(shape)).reshape(m, W.length)
             assert got.tobytes() == np.array(expected).tobytes()
 
 
-def test_row_map_defaults_to_forward_row_by_row():
-    g = conjugate(shift_tanh(), make_sin_wobble(W))
-    assert g.forward_rows is None
+def test_conjugate_row_maps_compose_h_inverse_the_base_and_h():
+    base, h = shift_tanh(), make_sin_wobble(W)
+    g = conjugate(base, h)
     xs = np.array([x.coeffs for x in sample_interior_points(g, 4, seed=3)])
-    want = np.array([g.forward(SeqVec(W, x, g.p)).coeffs for x in xs])
-    assert g.map_rows(xs).tobytes() == want.tobytes()
+    ys = h.inverse_rows(xs)
+    dh_inv = h.dforward_rows(ys).inverse()
+    bs, dbs = base.inverse_diff_rows(ys)
+    want = {
+        "forward_rows": h.forward_rows(base.forward_rows(ys)),
+        "inverse_rows": h.forward_rows(base.inverse_rows(ys)),
+        "dforward_rows": compose(h.dforward_rows(base.forward_rows(ys)),
+                                 compose(base.dforward_rows(ys), dh_inv)),
+        "inverse_diff_rows": (h.forward_rows(bs),
+                              compose(h.dforward_rows(bs),
+                                      compose(dbs, dh_inv))),
+    }
+    for name, ref in want.items():
+        got = getattr(g, name)(xs)
+        assert _row_map_bits(got) == _row_map_bits(ref), name
+    # an escaping row trips the guard of the whole block
     xs[1, -1] = 0.5
     with pytest.raises(TruncationError):
-        g.map_rows(xs)
-    # the certificate swap keeps the row map
-    lin = shift_linear()
-    assert lin.with_cert(None).forward_rows is lin.forward_rows
+        g.forward_rows(xs)
+    # the certificate swap keeps the row maps
+    assert g.with_cert(None).forward_rows is g.forward_rows
 
 
-@pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS) + 1))
+def _row_map_bits(out):
+    # the arrays a row map returns, with each operator stack's shift
+    if isinstance(out, tuple):
+        return [bits for part in out for bits in _row_map_bits(part)]
+    if isinstance(out, np.ndarray):
+        return [out.shape, out.tobytes()]
+    return [out.shift, out.data.shape, out.data.tobytes()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6),
+       st.sampled_from(range(len(ROW_MAP_SYSTEMS))),
+       st.sampled_from(["dforward_rows", "inverse_diff_rows"]))
+def test_differential_row_maps_give_every_row_its_one_row_bits(seed, m, which,
+                                                              name):
+    # the forward and inverse row maps' tests for the two maps that return
+    # operator stacks: rows whose edge coordinates are zero, negligible,
+    # borderline or heavy at either end, and a block gives every row the
+    # bits of its one-row call and trips the guard exactly when some row
+    # alone would
+    sys = ROW_MAP_SYSTEMS[which]
+    fn = getattr(sys, name)
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-1.0, 1.0, (m, W.length)) \
+        * rng.choice([1e-3, 1.0], (m, 1))
+    for edge in (0, -1):
+        xs[:, edge] = rng.choice([0.0, 1e-14, 3e-13, 3e-12, 0.5], m)
+    alone, trips = [], False
+    for x in xs:
+        try:
+            alone.append(_row_map_bits(fn(x)))
+        except TruncationError:
+            trips = True
+    for shape in ((m, W.length), (1, m, W.length)):
+        if trips:
+            with pytest.raises(TruncationError):
+                fn(xs.reshape(shape))
+            continue
+        got = fn(xs.reshape(shape))
+        parts = got if isinstance(got, tuple) else (got,)
+        for i, want in enumerate(alone):
+            rows = [part if isinstance(part, np.ndarray) else part.data
+                    for part in parts]
+            row_bits = []
+            for part, data in zip(parts, rows):
+                row = data.reshape((m,) + data.shape[len(shape) - 1:])[i]
+                if isinstance(part, np.ndarray):
+                    row_bits += [row.shape, row.tobytes()]
+                else:
+                    row_bits += [part.shift, row.shape, row.tobytes()]
+            assert row_bits == want
+
+
+@pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS)))
 def test_diff_rows_equals_stacked_dforward(which):
-    # the weighted shifts' own batched differential, and the row-by-row
-    # default on a conjugated system
-    sys = (ROW_MAP_SYSTEMS[which] if which < len(ROW_MAP_SYSTEMS)
-           else conjugate(shift_tanh(), make_sin_wobble(W)))
-    assert (sys.dforward_rows is None) == (which == len(ROW_MAP_SYSTEMS))
+    # every system's batched differential against its one-row reads
+    sys = ROW_MAP_SYSTEMS[which]
     rng = np.random.default_rng(which)
     xs = rng.uniform(-0.5, 0.5, (2, 3, W.length))
     xs[..., :3] = 0.0
     xs[..., -3:] = 0.0
-    ops = sys.diff_rows(xs)
+    ops = sys.dforward_rows(xs)
     vs = rng.standard_normal(xs.shape)
     got = apply_coeffs(ops, vs)
     for i in range(2):
@@ -599,7 +668,6 @@ def test_inverse_row_map_equals_stacked_inverse(seed, m, which):
     # from outside the window, and the borderline value trips the guard
     # only on rows whose largest coefficient is small
     sys = ROW_MAP_SYSTEMS[which]
-    assert sys.inverse_rows is not None
     rng = np.random.default_rng(seed)
     ys = rng.uniform(-1.0, 1.0, (m, W.length)) * rng.choice([1e-3, 1.0], (m, 1))
     ys[:, 0] = rng.choice([0.0, 1e-14, 3e-13, 3e-12, 0.5], m)
@@ -612,9 +680,9 @@ def test_inverse_row_map_equals_stacked_inverse(seed, m, which):
     for shape in ((m, W.length), (1, m, W.length)):
         if trips:
             with pytest.raises(TruncationError):
-                sys.inverse_map_rows(ys.reshape(shape))
+                sys.inverse_rows(ys.reshape(shape))
         else:
-            got = sys.inverse_map_rows(ys.reshape(shape)).reshape(m, W.length)
+            got = sys.inverse_rows(ys.reshape(shape)).reshape(m, W.length)
             assert got.tobytes() == np.array(expected).tobytes()
 
 
@@ -631,6 +699,55 @@ def test_newton_stops_each_row_at_its_own_bound():
     assert got[0].tobytes() == ys[0].tobytes()
 
 
+def test_ms_inverse_stops_each_row_at_its_own_bound(monkeypatch):
+    # at lam1 = 0.4 the rows +-1.0 miss the 1e-15 stop and return within
+    # NEWTON_SLACK; the outer branch and zero rows stop before their first
+    # step, small rows after a few and the rows near +-1 after many: every
+    # row gets the iterate and the derivative of its solve alone
+    prof = _MSProfile(0.4)
+    ys = np.array([[2.0, -3.0, 1.5], [0.0, 0.0, 0.0], [1e-3, -2e-3, 5e-4],
+                   [0.9, -0.97, 0.999], [1.0, -1.0, 0.5], [0.0, 0.25, -1.0]])
+    x, dx = prof.inverse_deriv(ys)
+    passes, value_deriv = [], prof.value_deriv
+
+    def counted(xs):
+        passes[-1] += 1
+        return value_deriv(xs)
+
+    monkeypatch.setattr(prof, "value_deriv", counted)
+    for y, row, drow in zip(ys, x, dx):
+        passes.append(0)
+        alone, dalone = prof.inverse_deriv(y)
+        assert row.tobytes() == alone.tobytes()
+        assert drow.tobytes() == dalone.tobytes()
+    # one series pass per Newton step, plus the pass that stops
+    assert passes == [1, 1, 2, 6, 61, 61]
+    # the outer branch is linear: its start is already the inverse
+    assert x[0].tolist() == [3.5, -6.0, 2.25]
+    # without the slack, exactly the rows holding +-1.0 fail alone, and a
+    # block holding one of them fails
+    monkeypatch.setattr(systems, "NEWTON_SLACK", 0.0)
+    fails = []
+    for i, y in enumerate(ys):
+        try:
+            prof.inverse_deriv(y)
+        except ConvergenceError:
+            fails.append(i)
+    assert fails == [4, 5]
+    assert prof.inverse_deriv(ys[:4])[0].tobytes() == x[:4].tobytes()
+    with pytest.raises(ConvergenceError):
+        prof.inverse_deriv(ys[2:])
+    monkeypatch.undo()
+    # a 1-D array, the grid the constant measurement inverts, is one row
+    # with one stop over the whole grid
+    grid = np.linspace(-0.5, 0.5, 301)
+    x, dx = prof.inverse_deriv(grid)
+    xb, dxb = prof.inverse_deriv(grid[None])
+    assert x.tobytes() == xb[0].tobytes() == \
+        _newton_inverse_two_pass(prof, grid).tobytes()
+    assert dx.tobytes() == dxb[0].tobytes()
+
+
 @pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS)))
 def test_inverse_rows_mixing_newton_step_counts_keep_their_bits(which):
     # a zero row stops before its first Newton step, a large one takes
@@ -640,7 +757,7 @@ def test_inverse_rows_mixing_newton_step_counts_keep_their_bits(which):
     ys = np.zeros((3, W.length))
     ys[1, 1:] = rng.uniform(-6.0, 6.0, W.length - 1)
     ys[2, 1:] = rng.uniform(-1e-6, 1e-6, W.length - 1)
-    got = sys.inverse_map_rows(ys)
+    got = sys.inverse_rows(ys)
     for y, row in zip(ys, got):
         assert row.tobytes() == sys.inverse(SeqVec(W, y, sys.p)).coeffs.tobytes()
 
@@ -692,7 +809,7 @@ def test_block_walk_equals_the_point_walks(which):
                 want.tobytes()
 
 
-@pytest.mark.parametrize("which", range(len(ROW_MAP_SYSTEMS)))
+@pytest.mark.parametrize("which", SHIFTING)
 def test_block_walk_raises_where_a_point_walk_would(which):
     # one start of the block escapes forward, or backward; the others stay
     sys = ROW_MAP_SYSTEMS[which]
