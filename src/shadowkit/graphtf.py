@@ -68,6 +68,8 @@ CONTRACTION_SLACK = 1e-9
 MAX_FP_ITERATIONS = 80
 #: memory the dense transfer path may claim (see ``_dense_bytes``)
 MAX_DENSE_BYTES = 2 * 1024 ** 3
+#: c of the outward factor (1 + c n eps) on a dense n x n norm (``_upper_norms``)
+NORM_ROUND_C = 4.0
 
 _NORM_ORDS = {1.0: 1, 2.0: 2, math.inf: np.inf}
 
@@ -147,10 +149,15 @@ class PerturbedCert:
     meta: dict = field(default_factory=dict)
 
     def residual_rows(self):
-        """``(k, |H_k|, inclusion residual)`` rows, ascending in k."""
+        """``(k, |H_k|, inclusion residual)`` rows, ascending in k; the
+        norms are one ``op_norm`` of the stacked tilts (a zero tilt reads
+        0.0 structured or densified)."""
         p = self.meta.get("p", 2.0)
-        return [(k, op_norm(self.graph.H[k], p), self.inclusion_residuals[k])
-                for k in sorted(self.inclusion_residuals)]
+        ks = sorted(self.inclusion_residuals)
+        norms = np.broadcast_to(
+            op_norm(stack_ops([self.graph.H[k] for k in ks]), p), (len(ks),))
+        return [(k, float(h), self.inclusion_residuals[k])
+                for k, h in zip(ks, norms)]
 
     def to_json(self):
         def blob(c):
@@ -180,6 +187,24 @@ def _norms(stack, p):
     if stack.shift is not None:
         return op_norm(stack, p)
     return np.linalg.norm(stack.data, _NORM_ORDS[p], axis=(-2, -1))
+
+
+def _upper_norms(stack, p):
+    """l^p operator norms of the rows of a stack, never below the exact ones.
+
+    Weighted shifts: :func:`_norms`, exact.  Dense n x n matrices:
+    :func:`_norms` rounded outward by (1 + c n eps), c = NORM_ROUND_C.
+    LAPACK bounds the error of a computed singular value by p(n) eps
+    sigma_1, p a modestly growing function of n (LAPACK Users' Guide,
+    section 4.9; Higham, Accuracy and Stability of Numerical Algorithms,
+    2002), and a column or row sum of n terms carries at most (n - 1) eps
+    of relative error; c n covers both with room to spare.
+    """
+    norms = _norms(stack, p)
+    if stack.shift is not None:
+        return norms
+    n = stack.data.shape[-1]
+    return norms * (1.0 + NORM_ROUND_C * n * np.finfo(float).eps)
 
 
 def _diff_norms(B, A, p):
@@ -461,7 +486,7 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
             f"{N}-step decay {worst_n_step:.6f} exceeds lam1^{N} = "
             f"{lam1 ** N:.6f}")
 
-    R_res = float(max(np.max(op_norm(B, p)), np.max(op_norm(Bi, p))))
+    R_res = float(max(np.max(_upper_norms(B, p)), np.max(_upper_norms(Bi, p))))
     pair_by_time = dict(zip(ks, pairs))
     if period is None:
         proj_fn = pair_by_time.__getitem__

@@ -573,42 +573,70 @@ def transport_rows(ops, rows, p):
     return norms, tripped, rows
 
 
-def _dense_two_norm(m):
-    """Spectral norm by power iteration on m^T m, certified within 5%.
+#: cap on the rounds of the power iteration behind a dense 2-norm
+POWER_STEPS = 500
 
-    Runs the iteration from a deterministic start plus two fixed pseudo
-    random restarts, and caps the result with the interpolation bound
-    sqrt(|m|_1 |m|_inf) >= |m|_2.
-    """
-    n = m.shape[1]
-    if n == 0:
-        return 0.0
-    gram = m.T @ m
-    best = 0.0
+
+@functools.lru_cache(maxsize=64)
+def _power_starts(n):
+    """The unit starts of the power iteration on n coordinates, as a
+    read-only (starts, n) array: the all-ones vector, then two fixed
+    pseudo-random ones (a start of norm zero is dropped)."""
     rng = np.random.default_rng(12345)
     starts = [np.ones(n)] + [rng.standard_normal(n) for _ in range(2)]
-    for x in starts:
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        x = x / nx
-        prev = 0.0
-        for _ in range(500):
-            y = gram @ x
-            # the ddot and correctly rounded sqrt of np.linalg.norm
-            lam = math.sqrt(y.dot(y))
-            if lam == 0.0:
+    rows = np.array([x / np.linalg.norm(x) for x in starts
+                     if np.linalg.norm(x) != 0.0])
+    rows.flags.writeable = False
+    return rows
+
+
+def _two_norms(m):
+    """Spectral norms of a (k, n, n) stack of matrices, certified within 5%.
+
+    One power iteration on the Gram matrices m^T m runs from every start
+    of :func:`_power_starts` on every matrix at once, one lane per (matrix,
+    start): each round is one batched ``matmul`` of the Gram stack with
+    the lanes' iterates and one batched ``matmul`` of the images with
+    themselves (BLAS ``gemv`` and ``ddot``, the kernels of ``gram @ x`` and
+    ``y.dot(y)`` on one lane).  A lane stops once its estimate moves by at
+    most 1e-12 max(lam, 1), at a zero image, or after POWER_STEPS rounds,
+    and keeps its last estimate; a matrix whose lanes have all stopped
+    leaves the batch.  Each norm is the largest root over its lanes times
+    (1 + 1e-9), capped by the interpolation bound sqrt(|m|_1 |m|_inf) >=
+    |m|_2; so every entry has the bits of the iteration run on its matrix
+    and start alone.
+    """
+    k, n = len(m), m.shape[-1]
+    if k == 0 or n == 0:
+        return np.zeros(k)
+    starts = _power_starts(n)
+    gram = np.matmul(m.mT, m)
+    x = np.broadcast_to(starts, (k,) + starts.shape).copy()
+    lam, prev = np.zeros(x.shape[:2]), np.zeros(x.shape[:2])
+    live = np.ones(x.shape[:2], dtype=bool)
+    out = np.zeros(x.shape[:2])
+    at = np.arange(k)
+    for _ in range(POWER_STEPS):
+        y = np.matmul(gram[:, None], x[..., None])[..., 0]
+        est = np.sqrt(np.matmul(y[..., None, :], y[..., None])[..., 0, 0])
+        np.copyto(lam, est, where=live)
+        moving = live & (est != 0.0)
+        np.divide(y, est[..., None], out=x, where=moving[..., None])
+        live = moving & ~(np.abs(est - prev) <= 1e-12 * np.maximum(est, 1.0))
+        prev = est
+        done = ~live.any(axis=1)
+        if done.any():
+            out[at[done]] = lam[done]
+            keep = ~done
+            at, gram, x, lam, prev, live = (at[keep], gram[keep], x[keep],
+                                            lam[keep], prev[keep], live[keep])
+            if not len(at):
                 break
-            x = y / lam
-            if abs(lam - prev) <= 1e-12 * (lam if lam > 1.0 else 1.0):
-                break
-            prev = lam
-        root = math.sqrt(lam) if lam > 0 else 0.0
-        if root > best:
-            best = root
-    cap = math.sqrt(float(np.max(np.sum(np.abs(m), axis=0)))
-                    * float(np.max(np.sum(np.abs(m), axis=1))))
-    return min(best * (1.0 + 1e-9), cap) if best > 0 else 0.0
+    out[at] = lam
+    best = np.max(np.where(out > 0, np.sqrt(out), 0.0), axis=1)
+    cap = np.sqrt(np.max(np.sum(np.abs(m), axis=-2), axis=-1)
+                  * np.max(np.sum(np.abs(m), axis=-1), axis=-1))
+    return np.where(best > 0, np.minimum(best * (1.0 + 1e-9), cap), 0.0)
 
 
 def op_norm(A, p=2.0):
@@ -617,29 +645,24 @@ def op_norm(A, p=2.0):
 
     Weighted shift: exactly the largest |scalar| over the coordinates that
     stay in the window, for every p (the shift is an isometry).  dense:
-    exact column/row sums for p = 1 / inf, power iteration within 5% for
-    p = 2, matrix by matrix; other exponents are not supported for dense
-    operators.
+    exact column/row sums for p = 1 / inf, and for p = 2 the power
+    iteration of :func:`_two_norms` within 5%, run on the whole stack in
+    lockstep; other exponents are not supported for dense operators.
     """
     if A.shift is not None:
         kept, _ = _acting(A.data.shape[-1], A.shift)
         norms = np.abs(A.data[..., kept]).max(axis=-1, initial=0.0)
-    else:
+    elif p == 1.0:
+        norms = np.max(np.sum(np.abs(A.data), axis=-2), axis=-1)
+    elif p == math.inf:
+        norms = np.max(np.sum(np.abs(A.data), axis=-1), axis=-1)
+    elif p == 2.0:
         m = A.data
-        norms = np.array([_dense_norm(x, p) for x in
-                          m.reshape((-1,) + m.shape[-2:])]).reshape(m.shape[:-2])
+        norms = _two_norms(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape[:-2])
+    else:
+        raise PreconditionError(
+            f"op_norm of a dense operator for p={p} is not supported")
     return float(norms) if norms.ndim == 0 else norms
-
-
-def _dense_norm(m, p):
-    """``op_norm`` of the dense operator with matrix m."""
-    if p == 1.0:
-        return float(np.max(np.sum(np.abs(m), axis=0)))
-    if p == math.inf:
-        return float(np.max(np.sum(np.abs(m), axis=1)))
-    if p == 2.0:
-        return _dense_two_norm(m)
-    raise PreconditionError(f"op_norm of a dense operator for p={p} is not supported")
 
 
 class OperatorSeq:
@@ -706,12 +729,15 @@ def compose(A, B):
     with scalar a_{k+s_B} b_k at coordinate k; a coordinate that B pushes
     over the window edge meets A extended by zero, so its scalar is zero
     (which keeps the scalars consistent with the dense view and with
-    op_norm).  A product with a dense factor is materialized dense.
+    op_norm).  A product with a dense factor is materialized dense: two
+    dense factors by ``matmul``, and a weighted shift with a dense factor
+    by :func:`_scaled_product`.
     """
     window = _window(A, B)
+    if A.shift is None and B.shift is None:
+        return LinOp(None, np.matmul(A.data, B.data), window)
     if A.shift is None or B.shift is None:
-        return LinOp(None, np.matmul(A.to_dense_matrix(), B.to_dense_matrix()),
-                     window)
+        return LinOp(None, _scaled_product(A, B), window)
     a, b = A.data, B.data
     kept, landed = _acting(b.shape[-1], B.shift)
     # equal shapes (every single-operator compose) skip np.broadcast_shapes,
@@ -720,6 +746,30 @@ def compose(A, B):
                  else np.broadcast_shapes(a.shape, b.shape))
     np.multiply(a[..., landed], b[..., kept], out=c[..., kept])
     return LinOp(A.shift + B.shift, c, window)
+
+
+def _scaled_product(A, B):
+    """The matrices of A . B for one weighted shift and one dense factor.
+
+    A shift by s on the left moves row k of the matrix to row k + s and
+    scales it by the scalar of k; on the right it scales column k + s by
+    the scalar of k and moves it to column k.  Every entry of the matrix
+    product of the dense view holds one such product plus exact zeros, so
+    the scaled entries carry its bits once 0.0 is added: BLAS sums from
+    +0.0, so a product of -0.0 reads +0.0 there too.
+    """
+    shifted, M = (A, B.data) if A.shift is not None else (B, A.data)
+    c, n = shifted.data, M.shape[-1]
+    kept, landed = _acting(n, shifted.shift)
+    out = np.zeros(np.broadcast_shapes(c.shape[:-1], M.shape[:-2]) + (n, n))
+    if shifted is A:
+        np.multiply(c[..., kept, None], M[..., kept, :],
+                    out=out[..., landed, :])
+    else:
+        np.multiply(M[..., :, landed], c[..., None, kept],
+                    out=out[..., :, kept])
+    out += 0.0
+    return out
 
 
 def _combine(A, B, ufunc):

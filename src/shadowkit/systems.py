@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .seqcore import (
-    Window, SeqVec, OperatorSeq, norm, op_apply, compose, row_norms, diag,
-    shift_diag, edge_trips, ConvergenceError, PreconditionError,
-    TruncationError,
+    Window, SeqVec, OperatorSeq, coeff_norm, op_apply, apply_coeffs,
+    compose, row_norms, diag, shift_diag, edge_loss, edge_trips,
+    ConvergenceError, PreconditionError, TruncationError,
 )
 from .clstruct import ProjPair, CLCertificate, constant_cert
 
@@ -481,7 +481,22 @@ class _MSProfile:
         return np.where(ax <= 1.0, inner, 0.0)
 
     def inverse_deriv(self, y):
-        """The inverse x = a^{-1}(y) and a'(x), by Newton's method.
+        """The inverse x = a^{-1}(y) and a'(x), by Newton's method: the
+        steps of :meth:`_newton_steps`, each iterate evaluated by
+        :meth:`value_deriv`."""
+        steps = self._newton_steps(y)
+        x = next(steps)
+        while True:
+            try:
+                x = steps.send(self.value_deriv(x))
+            except StopIteration as done:
+                return done.value
+
+    def _newton_steps(self, y):
+        """Newton's method for a(x) = y, as a generator that leaves each
+        evaluation to its driver: it yields every iterate x, takes
+        ``value_deriv(x)`` back by ``send``, and returns ``(x, a'(x))`` at
+        the inverse.
 
         On the inner branch a is concave-increasing for y > 0 and the start
         y*lam1 sits below the root, so iterates increase monotonically
@@ -503,7 +518,7 @@ class _MSProfile:
         outer = np.sign(y) * (1.0 + (ay - 1.0) / self.lam1)
         x = np.where(ay <= 1.0, y * self.lam1, outer)
         for step in range(NEWTON_MAX_STEPS + 1):
-            val, dx = self.value_deriv(x)
+            val, dx = yield x
             fx = val - y
             res = np.max(np.abs(fx), axis=axis, keepdims=True)
             live = ~(res <= 1e-15 * scale)
@@ -525,28 +540,48 @@ class _MSProfile:
 def _ms_measure_constant(profile, lam2):
     """Worst transient decay ratio of the coordinate map, measured on a
     1-D grid of orbit starts; also returns the first step n0 at which
-    every sampled forward orbit's one-step slope has dropped to lam2."""
+    every sampled forward orbit's one-step slope has dropped to lam2.
+
+    The stable side walks forward orbits of |x| > 1/2, the unstable side
+    backward orbits of |x| <= 1/2 through the Newton steps of the inverse;
+    each round evaluates the next stable step and the next Newton iterate
+    in one :meth:`_MSProfile.value_deriv` call, which is elementwise, so
+    every value has the bits of the two walks run one after the other.
+    """
     horizon = 60
-    # stable side: |x| > 1/2, forward orbits
-    xs = np.concatenate([np.linspace(0.5 + 1e-9, 1.5, 300),
-                         np.linspace(1.5, 4.0, 80)])
+    stable = np.concatenate([np.linspace(0.5 + 1e-9, 1.5, 300),
+                             np.linspace(1.5, 4.0, 80)])
+    m = len(stable)
+    s_prod, s_step = np.ones_like(stable), 0
     worst, n0 = 1.0, 0
-    prod = np.ones_like(xs)
-    cur = xs.copy()
-    for nstep in range(1, horizon + 1):
-        cur, d = profile.value_deriv(cur)
-        prod = prod * d
-        worst = max(worst, float(np.max(prod / lam2 ** nstep)))
-        if n0 == 0 and np.all(d <= lam2):
-            n0 = nstep
-    # unstable side: |x| <= 1/2, backward orbits of the inverse factors
-    xs = np.linspace(-0.5, 0.5, 301)
-    prod = np.ones_like(xs)
-    cur = xs.copy()
-    for nstep in range(1, horizon + 1):
-        cur, d = profile.inverse_deriv(cur)
-        prod = prod / d
-        worst = max(worst, float(np.max(np.abs(prod) / lam2 ** nstep)))
+    u_cur = np.linspace(-0.5, 0.5, 301)
+    u_prod, u_step = np.ones_like(u_cur), 1
+    newton = profile._newton_steps(u_cur)
+    u_x = next(newton)
+    while s_step < horizon or newton is not None:
+        walks = [stable] if s_step < horizon else []
+        val, d = profile.value_deriv(np.concatenate(
+            walks + ([u_x] if newton is not None else [])))
+        if walks:
+            s_step += 1
+            stable, sd, val, d = val[:m], d[:m], val[m:], d[m:]
+            s_prod = s_prod * sd
+            worst = max(worst, float(np.max(s_prod / lam2 ** s_step)))
+            if n0 == 0 and np.all(sd <= lam2):
+                n0 = s_step
+        if newton is None:
+            continue
+        try:
+            u_x = newton.send((val, d))
+        except StopIteration as done:
+            u_cur, ud = done.value
+            u_prod = u_prod / ud
+            worst = max(worst, float(np.max(np.abs(u_prod) / lam2 ** u_step)))
+            newton = None
+            if u_step < horizon:
+                u_step += 1
+                newton = profile._newton_steps(u_cur)
+                u_x = next(newton)
     return worst, max(n0, 1)
 
 
@@ -649,42 +684,70 @@ def make_sin_wobble(window, p=2.0, amp=0.05):
 def sample_interior_points(sys, count, seed=0, radius=0.25):
     """Random points supported at least SUPPORT_MARGIN coordinates away from
     the window edges (so that short orbits of shift systems stay inside the
-    truncation guard)."""
+    truncation guard): the rows of :func:`_interior_rows` as SeqVecs."""
+    return [SeqVec(sys.window, c, sys.p)
+            for c in _interior_rows(sys.window, count, seed, radius)]
+
+
+def _interior_rows(w, count, seed, radius):
+    """The coefficients of ``sample_interior_points`` as a (count, n) block."""
     rng = np.random.default_rng(seed)
-    w = sys.window
-    pts = []
+    rows = np.zeros((count, w.length))
     lo = w.lo + SUPPORT_MARGIN
     hi = w.hi - SUPPORT_MARGIN
-    for _ in range(count):
-        c = np.zeros(w.length)
+    for c in rows:
         span = rng.integers(lo, hi - 6)
         width = int(rng.integers(3, 7))
         sl = slice(span - w.lo, span - w.lo + width)
         c[sl] = rng.uniform(-radius, radius, width)
-        pts.append(SeqVec(w, c, sys.p))
-    return pts
+    return rows
 
 
 def _fit_modulus(sys):
     """Empirical linear modulus r(t) = c t fitted from 40 sampled remainders
-    (doubled for safety).  Used for systems without a closed-form bound."""
+    (doubled for safety).  Used for systems without a closed-form bound.
+
+    The remainders f(x+v) - f(x) - Df(x)v are evaluated as one block
+    through the row maps, each row with the bits of :func:`s_remainder`
+    at its point; when the edge guard trips on some row, the rows are
+    evaluated one at a time and those that trip are skipped.
+    """
     rng = np.random.default_rng(0)
-    pts = sample_interior_points(sys, 40, seed=1, radius=0.2)
-    c_fit = 0.0
-    for x in pts:
+    xs = _interior_rows(sys.window, 40, seed=1, radius=0.2)
+    n = xs.shape[-1]
+    vs = np.zeros(xs.shape)
+    for x, v in zip(xs, vs):
         scale = rng.choice([1e-3, 1e-2, 1e-1, 0.3, 1.0])
-        raw = np.zeros(x.window.length)
-        support = np.flatnonzero(x.coeffs)
-        sl = slice(max(0, support[0] - 2), min(x.window.length, support[-1] + 3))
+        raw = np.zeros(n)
+        support = np.flatnonzero(x)
+        sl = slice(max(0, support[0] - 2), min(n, support[-1] + 3))
         raw[sl] = rng.standard_normal(sl.stop - sl.start)
-        v = SeqVec(x.window, raw / max(norm(SeqVec(x.window, raw, x.p)), 1e-12) * scale, x.p)
-        try:
-            rem = s_remainder(sys, x, v)
-        except TruncationError:
-            continue
-        nv = norm(v)
-        if nv > 0:
-            c_fit = max(c_fit, norm(rem) / nv ** 2)
+        v[...] = raw / max(coeff_norm(raw, sys.p), 1e-12) * scale
+
+    def remainders(x, v):
+        lin = sys.dforward_rows(x)
+        guard = edge_loss(lin, v)
+        if guard is not None and guard[1].any():
+            raise TruncationError("the remainder's differential drops mass")
+        return sys.forward_rows(x + v) - sys.forward_rows(x) - apply_coeffs(lin, v)
+
+    try:
+        rems, kept = remainders(xs, vs), range(len(xs))
+    except TruncationError:
+        rems, kept = [], []
+        for i in range(len(xs)):
+            try:
+                rems.append(remainders(xs[i:i + 1], vs[i:i + 1])[0])
+                kept.append(i)
+            except TruncationError:
+                continue
+    c_fit = 0.0
+    if len(kept):
+        nr = row_norms(np.asarray(rems), sys.p)
+        nv = row_norms(vs[list(kept)], sys.p)
+        for r, v in zip(nr, nv):
+            if v > 0:
+                c_fit = max(c_fit, float(r) / float(v) ** 2)
     return 2.0 * c_fit
 
 

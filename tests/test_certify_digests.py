@@ -12,7 +12,8 @@ runs on the systems whose maps are composed from row maps: the
 ``verify-cl`` invocations on the Morse-Smale product and on the
 conjugated system, and the conjugated ``shadow`` probe of the ``sweep``
 workload, whose CSV digest ``bench/refs.json`` does not hold and is
-recorded below.  A change that
+recorded below.  ``robustness``, the dense transfers, runs at the
+held-out seed too.  A change that
 moves the bits of a verifier, a solver or a transfer fails here, before
 the benchmark's correctness gate sees it.  The tests only read ``bench/``.
 """
@@ -96,6 +97,12 @@ MAPS_HELD_OUT = {
 }
 MAP_RUNS = [inv for inv in CERTIFY + WORKLOADS["sweep"].probes
             if inv.label in MAPS_HELD_OUT]
+#: sha256 of the CSV and report.json of ``robustness`` at the held-out seed:
+#: the dense transfers, their stack norms and shift-by-dense products
+ROBUSTNESS_HELD_OUT = (
+    REFS["certify"][str(HELD_OUT)]["robustness"],
+    "fffd4756c91bbce2abb806937ef665dbf6e33cda988001b090284a44090de910")
+ROBUSTNESS = next(inv for inv in CERTIFY if inv.label == "robustness")
 
 
 def _digests(inv, seed, tmp_path):
@@ -140,3 +147,7 @@ def test_conjugacy_keeps_its_digests_at_the_held_out_seed(inv, tmp_path):
 def test_row_mapped_systems_keep_their_digests_at_the_held_out_seed(
         inv, tmp_path):
     assert _digests(inv, HELD_OUT, tmp_path) == MAPS_HELD_OUT[inv.label]
+
+
+def test_robustness_keeps_its_digests_at_the_held_out_seed(tmp_path):
+    assert _digests(ROBUSTNESS, HELD_OUT, tmp_path) == ROBUSTNESS_HELD_OUT

@@ -736,9 +736,30 @@ _STEPPED_FIXED_POINT = {
 }
 #: sha256 of the sorted-key JSON of the dense perturbation route's transfer
 #: (Window(-10, 10), 12 steps, eps 1e-4, lam1 0.75), recorded from the
-#: step-by-step evaluation
+#: step-by-step evaluation, with ``result.R`` the outward-rounded SVD bound
+#: 2.0002550465079234 (the power iteration read 2.0000826339710107, below
+#: the SVD norm 2.000255046507886); every other entry kept its bytes
 _STEPPED_DENSE_ROUTE = (
-    "54cd26bde475ff9ab2696bf408c94fb9cb02d179868f3193d0fc0c6ba35c548e")
+    "844bb1a27103648a8cff93ac02dee7f25c8f3281e225c65443758f8824cc2858")
+
+
+#: result.R of the dense perturbation route while it was read by power
+#: iteration (capped at 500 rounds), below the SVD norm 2.000255046507886
+_POWER_ITERATION_R = 2.0000826339710107
+
+
+def test_dense_transfer_R_is_an_outward_rounded_svd_bound():
+    eps = 1e-4
+    W = Window(-10, 10)
+    seq, cert, pseq = _dense_perturbation_route(W, 12, eps)
+    R = graph_transform_seq(seq, cert, pseq, 0.75, eps=eps).result.R
+    svd = [np.linalg.norm(M, 2) for k in range(pseq.lo, pseq.hi)
+           for M in (pseq.op_at(k).matrix, np.linalg.inv(pseq.op_at(k).matrix))]
+    assert all(R >= s for s in svd)
+    assert R > _POWER_ITERATION_R
+    slack = graphtf.NORM_ROUND_C * W.length * np.finfo(float).eps
+    assert R <= max(svd) * (1.0 + slack)
+    assert R == max(svd) * (1.0 + slack)
 
 
 @pytest.mark.parametrize("period", [None, 4])

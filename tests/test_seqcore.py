@@ -834,3 +834,90 @@ def test_packing_refuses_gaps_and_mixed_points():
         Segment.pack(Segment.pack(pts, None), 3)
     with pytest.raises(PreconditionError):
         Segment(0, np.zeros((2, 4)), w, 2.0, None)
+
+
+def _power_norm_one_matrix(m):
+    """The dense 2-norm by power iteration on one matrix at a time, from
+    three starts run one after another, as op_norm computed it before its
+    lockstep form; returns the norm and the largest round count of its
+    starts."""
+    n = m.shape[1]
+    gram = m.T @ m
+    best, rounds = 0.0, 0
+    rng = np.random.default_rng(12345)
+    for x in [np.ones(n)] + [rng.standard_normal(n) for _ in range(2)]:
+        x = x / np.linalg.norm(x)
+        prev = 0.0
+        for step in range(1, 501):
+            y = gram @ x
+            lam = math.sqrt(y.dot(y))
+            if lam == 0.0:
+                break
+            x = y / lam
+            if abs(lam - prev) <= 1e-12 * (lam if lam > 1.0 else 1.0):
+                break
+            prev = lam
+        rounds = max(rounds, step)
+        root = math.sqrt(lam) if lam > 0 else 0.0
+        best = max(best, root)
+    cap = math.sqrt(float(np.max(np.sum(np.abs(m), axis=0)))
+                    * float(np.max(np.sum(np.abs(m), axis=1))))
+    return (min(best * (1.0 + 1e-9), cap) if best > 0 else 0.0), rounds
+
+
+def test_lockstep_two_norm_matches_the_power_iteration_matrix_by_matrix():
+    # one matrix, n = 1, zero matrices, random stacks and clustered spectra
+    # whose iteration runs into the 500-round cap, each stack's norms
+    # against the iteration run on each matrix alone, bit for bit
+    rng = np.random.default_rng(20)
+    q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    clustered = np.array([q @ np.diag(1.0 - 0.003 * np.arange(9)
+                                      + 1e-4 * rng.standard_normal(9))
+                          @ q.T for _ in range(3)])
+    mixed = rng.standard_normal((4, 6, 6))
+    mixed[1] = 0.0
+    stacks = [rng.standard_normal((1, 5, 5)), rng.standard_normal((4, 1, 1)),
+              np.zeros((2, 3, 3)), np.zeros((1, 1, 1)), mixed, clustered,
+              rng.standard_normal((5, 21, 21))]
+    capped = 0
+    for m in stacks:
+        w = Window(0, m.shape[-1] - 1)
+        want = [_power_norm_one_matrix(x) for x in m]
+        capped += sum(rounds == 500 for _, rounds in want)
+        got = op_norm(dense(m, w), 2.0)
+        assert got.tobytes() == np.array([v for v, _ in want]).tobytes()
+        single = op_norm(dense(m[0], w), 2.0)
+        assert isinstance(single, float) and single == want[0][0]
+    assert capped >= 3
+
+
+def _dense_view_products(seed, n, s, lead_a, lead_b):
+    """A weighted shift by s and a dense operator with signed zeros, of
+    leading shapes lead_a and lead_b."""
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    c = rng.uniform(-2.0, 2.0, lead_a + (n,))
+    c[rng.uniform(0.0, 1.0, c.shape) < 0.2] = 0.0
+    c[rng.uniform(0.0, 1.0, c.shape) < 0.2] = -0.0
+    m = rng.standard_normal(lead_b + (n, n))
+    m[rng.uniform(0.0, 1.0, m.shape) < 0.2] = 0.0
+    m[rng.uniform(0.0, 1.0, m.shape) < 0.2] = -0.0
+    return shift_diag(w, c, s), dense(m, w)
+
+
+@pytest.mark.parametrize("s", range(-3, 4))
+def test_shift_dense_products_match_the_densified_matmul(s):
+    # shift times dense and dense times shift, scaled rows and columns,
+    # against numpy's matmul of the dense views, bytes (so the sign of
+    # every zero) included, for single operators and stacks
+    shapes = [((), ()), ((3,), ()), ((), (3,)), ((4,), (4,)), ((2, 1), (3,))]
+    for seed in range(12):
+        for n in (1, 2, 5, 11):
+            lead_a, lead_b = shapes[seed % len(shapes)]
+            S, D = _dense_view_products(seed, n, s, lead_a, lead_b)
+            for A, B in ((S, D), (D, S)):
+                got = compose(A, B)
+                want = np.matmul(A.to_dense_matrix(), B.to_dense_matrix())
+                assert got.shift is None
+                assert got.data.shape == want.shape
+                assert got.data.tobytes() == want.tobytes()

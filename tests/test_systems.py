@@ -392,6 +392,123 @@ def test_ms_constant_measurement_recorded():
     assert sys.cert.C <= 2 * info["C_formula_n0"]
 
 
+def _ms_constant_walk_by_walk(profile, lam2):
+    """The Morse-Smale constant with its two walks one after the other:
+    the stable forward orbits, then the unstable backward orbits, one
+    ``inverse_deriv`` per step (how make_ms_product measured it before
+    the walks ran in lockstep)."""
+    horizon = 60
+    xs = np.concatenate([np.linspace(0.5 + 1e-9, 1.5, 300),
+                         np.linspace(1.5, 4.0, 80)])
+    worst, n0 = 1.0, 0
+    prod, cur = np.ones_like(xs), xs.copy()
+    for nstep in range(1, horizon + 1):
+        cur, d = profile.value_deriv(cur)
+        prod = prod * d
+        worst = max(worst, float(np.max(prod / lam2 ** nstep)))
+        if n0 == 0 and np.all(d <= lam2):
+            n0 = nstep
+    xs = np.linspace(-0.5, 0.5, 301)
+    prod, cur = np.ones_like(xs), xs.copy()
+    for nstep in range(1, horizon + 1):
+        cur, d = profile.inverse_deriv(cur)
+        prod = prod / d
+        worst = max(worst, float(np.max(np.abs(prod) / lam2 ** nstep)))
+    return worst, max(n0, 1)
+
+
+def _horner_passes(prof, fn):
+    """``fn()``'s result and the number of value_deriv calls it made on
+    ``prof``."""
+    passes, value_deriv = [0], prof.value_deriv
+
+    def counted(xs):
+        passes[0] += 1
+        return value_deriv(xs)
+
+    prof.value_deriv = counted
+    try:
+        return fn(), passes[0]
+    finally:
+        del prof.value_deriv
+
+
+@pytest.mark.parametrize("lam1, passes", [(0.5, (146, 86)),
+                                          (0.45, (143, 83))])
+def test_ms_constant_lockstep_matches_the_walks_one_after_the_other(
+        lam1, passes):
+    # one value_deriv call per round for the stable step and the Newton
+    # iterate of the unstable step: the same bits, fewer Horner passes
+    prof = _MSProfile(lam1)
+    want, seq_passes = _horner_passes(
+        prof, lambda: _ms_constant_walk_by_walk(prof, 0.65))
+    got, lock_passes = _horner_passes(
+        prof, lambda: systems._ms_measure_constant(prof, 0.65))
+    assert repr(got) == repr(want)
+    assert (seq_passes, lock_passes) == passes
+    if lam1 == 0.5:
+        assert got == (1.1444570225905988, 2)
+
+
+def test_ms_constant_lockstep_raises_what_the_walks_raise(monkeypatch):
+    # at lam1 = 0.35 with 3 Newton steps allowed the unstable walk misses
+    # its stop: the lockstep walk raises the error the inverse raises
+    monkeypatch.setattr(systems, "NEWTON_MAX_STEPS", 3)
+    prof = _MSProfile(0.35)
+    with pytest.raises(ConvergenceError) as want:
+        _ms_constant_walk_by_walk(prof, 0.65)
+    with pytest.raises(ConvergenceError) as got:
+        systems._ms_measure_constant(prof, 0.65)
+    assert str(got.value) == str(want.value)
+    assert "after 3 Newton steps" in str(got.value)
+
+
+def _fit_modulus_point_by_point(sys):
+    """The fitted modulus constant from one ``s_remainder`` per sampled
+    point, skipping a point whose remainder trips the edge guard."""
+    rng = np.random.default_rng(0)
+    c_fit = 0.0
+    for x in sample_interior_points(sys, 40, seed=1, radius=0.2):
+        scale = rng.choice([1e-3, 1e-2, 1e-1, 0.3, 1.0])
+        raw = np.zeros(x.window.length)
+        support = np.flatnonzero(x.coeffs)
+        sl = slice(max(0, support[0] - 2),
+                   min(x.window.length, support[-1] + 3))
+        raw[sl] = rng.standard_normal(sl.stop - sl.start)
+        v = SeqVec(x.window, raw / max(norm(SeqVec(x.window, raw, x.p)),
+                                       1e-12) * scale, x.p)
+        try:
+            rem = s_remainder(sys, x, v)
+        except TruncationError:
+            continue
+        if norm(v) > 0:
+            c_fit = max(c_fit, norm(rem) / norm(v) ** 2)
+    return 2.0 * c_fit
+
+
+@pytest.mark.parametrize("name, p", [("weighted_shift_tanh", 2.0),
+                                     ("ms_product", 1.0),
+                                     ("weighted_shift_linear", math.inf)])
+def test_fit_modulus_block_matches_point_by_point(name, p):
+    g = make_system("conjugated:" + name, Window(-12, 12), p)
+    assert g.modulus(1.0) == _fit_modulus_point_by_point(g) > 0.0
+
+    # a forward map whose edge guard trips on some rows: those are skipped
+    base = make_system("weighted_shift_tanh", Window(-12, 12), p)
+    tripped = []
+
+    def forward_rows(xs):
+        trips = np.abs(xs[..., 12]) > 0.05
+        if trips.any():
+            tripped.append(int(trips.sum()))
+            raise TruncationError("trips")
+        return base.forward_rows(xs)
+
+    fussy = dataclasses.replace(base, forward_rows=forward_rows)
+    assert systems._fit_modulus(fussy) == _fit_modulus_point_by_point(fussy)
+    assert tripped
+
+
 # ----------------------------------------------- linear no-dichotomy sequence
 
 def test_linear_example_ops():
