@@ -52,6 +52,11 @@ __all__ = [
     "banded_direct_solve", "random_hyperbolic_instance",
 ]
 
+#: the two signs, indexed by a uniform draw: SIGNS[rng.integers(0, 2, m)]
+#: draws what rng.choice([-1.0, 1.0], m) draws, at a fraction of its cost
+SIGNS = np.array([-1.0, 1.0])
+
+
 def perron_constant(C, lam):
     """The bounded-solution constant L = C^2 (1+lam)/(1-lam)."""
     return C * C * (1.0 + lam) / (1.0 - lam)
@@ -356,27 +361,32 @@ def random_hyperbolic_instance(dim, length, rng):
     on the stable block and [2, 3] on the unstable one, so the frame
     splitting is exactly invariant and decays at rate 1/2 with C = 1.
     Returns the problem (in l^2) and its certificate.
+
+    The frames are one (length + 1, dim, dim) normal block, factored by
+    one batched ``qr``, and the steps and projections are built as stacks
+    whose row views the sequence and the certificate hold.  The draws of
+    each step's D_k (its magnitudes, then its signs through ``SIGNS``) and
+    of each step's forcing stay per step: they interleave in the rng
+    stream, so a block draw would reorder it, and every seed keeps the
+    bits of a per-step builder.
     """
     from .clstruct import ProjPair, CLCertificate
     from .seqcore import Window
 
     win = Window(0, dim - 1)
     s_dim = int(rng.integers(1, dim))
-    frames = []
-    for _ in range(length + 1):
-        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-        frames.append(q * np.sign(np.diag(r)))
-    ops = []
+    q, r = np.linalg.qr(rng.standard_normal((length + 1, dim, dim)))
+    frames = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    d = np.empty((length, dim))
     for k in range(length):
-        mags = np.concatenate([rng.uniform(0.25, 0.5, s_dim),
-                               rng.uniform(2.0, 3.0, dim - s_dim)])
-        d = mags * rng.choice([-1.0, 1.0], dim)
-        ops.append(dense(frames[k + 1] @ np.diag(d) @ frames[k].T, win))
-    pairs = {}
-    for k, U in enumerate(frames):
-        Us = U[:, :s_dim]
-        Ps = dense(Us @ Us.T, win)
-        pairs[k] = ProjPair(Ps, dense(np.eye(dim) - Us @ Us.T, win))
+        d[k, :s_dim] = rng.uniform(0.25, 0.5, s_dim)
+        d[k, s_dim:] = rng.uniform(2.0, 3.0, dim - s_dim)
+        d[k] *= SIGNS[rng.integers(0, 2, dim)]
+    ops = dense((frames[1:] * d[:, None, :]) @ frames[:-1].mT, win)
+    Us = frames[..., :s_dim]
+    Ps = Us @ Us.mT
+    P, Q = dense(Ps, win), dense(np.eye(dim) - Ps, win)
+    pairs = {k: ProjPair(P[k], Q[k]) for k in range(length + 1)}
     cert = CLCertificate(1.0, 0.5, 3.5, lambda k: pairs[k],
                          meta={"stable_dim": s_dim})
     w = np.zeros((length + 1, dim))
@@ -384,4 +394,5 @@ def random_hyperbolic_instance(dim, length, rng):
         raw = rng.standard_normal(dim)
         w[k] = rng.uniform(0.2, 1.0) * raw / np.linalg.norm(raw)
     w = Segment(0, w, win, 2.0, None)
-    return InhomProblem(OperatorSeq(0, ops), w), cert
+    seq = OperatorSeq(0, [ops[k] for k in range(length)])
+    return InhomProblem(seq, w), cert

@@ -289,6 +289,16 @@ def _acting(n, s):
     return slice(start, start + m), slice(start + s, start + s + m)
 
 
+def _first_singular(m):
+    """The index of the first matrix of an (..., n, n) stack that
+    ``np.linalg.inv`` finds singular (() for a single matrix)."""
+    for i in np.ndindex(m.shape[:-2]):
+        try:
+            np.linalg.inv(m[i])
+        except np.linalg.LinAlgError:
+            return i
+
+
 class LinOp:
     """A linear operator on one window, or a stack of them.
 
@@ -347,10 +357,18 @@ class LinOp:
         the coordinates the shift keeps must be nonzero; the |s| inverse
         scalars that never act are set to 1/c at their own coordinate (1
         where c is zero), so the edge guard of ``op_apply`` still sees a
-        scale there.
+        scale there.  A singular dense matrix raises PreconditionError,
+        which names the first singular matrix of a stack.
         """
         if self.shift is None:
-            return LinOp(None, np.linalg.inv(self.data), self.window)
+            try:
+                return LinOp(None, np.linalg.inv(self.data), self.window)
+            except np.linalg.LinAlgError:
+                at = _first_singular(self.data)
+                where = f" at stack index {', '.join(map(str, at))}" \
+                    if at else ""
+                raise PreconditionError(
+                    f"dense matrix{where} is singular") from None
         c, s = self.data, self.shift
         n = c.shape[-1]
         kept, landed = _acting(n, s)
@@ -466,14 +484,14 @@ def inverse_stack(ops, stack):
     being ``stack_ops(ops)``.
 
     A stack of weighted shifts (by one s) is inverted as it is, in one
-    array operation.  Any other list is inverted operator by operator
-    into one densified stack: a mix keeps the inverse of each shift, whose
-    dense view (s != 0) is singular, and a dense list is never stacked
-    again to be inverted.
+    array operation, and so is an all-dense list, in one batched
+    ``np.linalg.inv`` (the LAPACK solve of each matrix alone).  A mix is
+    inverted operator by operator into one densified stack: it keeps the
+    inverse of each shift, whose dense view (s != 0) is singular.
     """
-    if stack.shift is not None:
-        return stack.inverse()
     shape, flat = _flat(ops)
+    if stack.shift is not None or all(A.shift is None for A in flat):
+        return stack.inverse()
     n = flat[0].window.length
     out = np.empty((len(flat), n, n))
     for row, A in zip(out, flat):

@@ -41,7 +41,7 @@ from .seqcore import (
     ConvergenceError,
 )
 from .boundedsol import (
-    InhomProblem, perron_constant, perron_solve, periodic_green_solve,
+    SIGNS, InhomProblem, perron_constant, perron_solve, periodic_green_solve,
 )
 
 __all__ = [
@@ -59,8 +59,6 @@ MAX_REFINEMENTS = 64
 ACTIVE_MARGIN = 2
 #: largest step error the threshold search of ``shadowing_constants`` tries
 GRID_CAP = 1e12
-#: the two signs of the l^p ball sampler, indexed by a uniform draw
-SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass
@@ -135,14 +133,44 @@ def _support_span(x):
     return int(idx[0]), int(idx[-1])
 
 
-def _ball_sample(rng, m, p, radius):
-    """Uniform sample from the l^p ball of the given radius in R^m."""
-    if p == math.inf:
-        return rng.uniform(-radius, radius, m)
-    # SIGNS[integers(0, 2, m)] is what rng.choice([-1.0, 1.0], m) draws
-    g = rng.gamma(1.0 / p, 1.0, m) ** (1.0 / p) * SIGNS[rng.integers(0, 2, m)]
-    y = rng.standard_exponential()
-    return radius * g / (np.sum(np.abs(g) ** p) + y) ** (1.0 / p)
+def _noise(rng, x0, length, shift, d):
+    """The noise rows of a walk from x0, as :func:`make_pseudotrajectory`
+    draws them.
+
+    Row k + 1 of the (length + 1, n) block is step k's uniform sample from
+    the l^p ball of radius d (p = ``x0.p``) on its active span: the support
+    span of x0 widened by ACTIVE_MARGIN and moved by (k + 1) * ``shift``,
+    clipped to the window.  A span past the window edge, or d = 0, gets no
+    noise and draws nothing.  After the per-step draws, the scaling onto
+    the ball is one block operation per group of steps of one span width.
+    The root of each row's scale is a scalar ``**``, because numpy's array
+    power rounds some powers 1/p differently.
+    """
+    n = x0.window.length
+    s_lo, s_hi = _support_span(x0)
+    p = x0.p
+    rows = np.zeros((length + 1, n))
+    if not d > 0.0:
+        return rows
+    groups = {}
+    for k in range(1, length + 1):
+        a = max(0, s_lo - ACTIVE_MARGIN + k * shift)
+        m = min(n - 1, s_hi + ACTIVE_MARGIN + k * shift) - a + 1
+        if m <= 0:
+            continue
+        if p == math.inf:
+            rows[k, a:a + m] = rng.uniform(-d, d, m)
+        else:
+            groups.setdefault(m, []).append(
+                (k, a, rng.gamma(1.0 / p, 1.0, m), rng.integers(0, 2, m),
+                 rng.standard_exponential()))
+    for m, group in groups.items():
+        ks, starts, g, signs, y = map(np.array, zip(*group))
+        g = g ** (1.0 / p) * SIGNS[signs]
+        roots = [t ** (1.0 / p) for t in np.sum(np.abs(g) ** p, axis=1) + y]
+        rows[ks[:, None], starts[:, None] + np.arange(m)] = \
+            d * g / np.array(roots)[:, None]
+    return rows
 
 
 def make_pseudotrajectory(sys, x0, length, d, seed=0):
@@ -151,24 +179,18 @@ def make_pseudotrajectory(sys, x0, length, d, seed=0):
     Noise lives on the active coordinates only (support span of x0 plus a
     margin of ACTIVE_MARGIN, advanced by the system's support shift each
     step), so it does not depend on the orbit: the noise of every step is
-    drawn first, step by step in the order of the walk, into rows 1 ..
-    length of one (length + 1, n) block.  A step whose active span has
-    moved past the window edge gets no noise and draws nothing.  The
-    recorded d is the realized maximum defect, the largest ``row_norms``
-    of the noise rows.  The orbit is then walked on the same block, one
-    ``sys.forward_rows`` call per step adding f(y_k) to the noise of row k + 1.
+    drawn first (:func:`_noise`), into rows 1 .. length of one
+    (length + 1, n) block.  The draws stay per step, in the order of the
+    walk -- the uniform entries for p = inf, else the gamma magnitudes,
+    the signs and one exponential -- because they interleave in the rng
+    stream, so only per-step draws keep every seed's noise; the scaling
+    onto the ball is done on the block.  The recorded d is the realized
+    maximum defect, the largest ``row_norms`` of the noise rows.  The
+    orbit is then walked on the same block, one ``sys.forward_rows`` call
+    per step adding f(y_k) to the noise of row k + 1.
     """
-    rng = np.random.default_rng(seed)
-    n = x0.window.length
-    s_lo, s_hi = _support_span(x0)
-    # row k + 1 holds the noise of step k until the walk adds f(y_k) to it
-    rows = np.zeros((length + 1, n))
-    if d > 0.0:
-        for k in range(length):
-            a = max(0, s_lo - ACTIVE_MARGIN + (k + 1) * sys.support_shift)
-            b = min(n - 1, s_hi + ACTIVE_MARGIN + (k + 1) * sys.support_shift)
-            if a <= b:
-                rows[k + 1, a:b + 1] = _ball_sample(rng, b - a + 1, x0.p, d)
+    rows = _noise(np.random.default_rng(seed), x0, length,
+                  sys.support_shift, d)
     realized = float(row_norms(rows[1:], x0.p).max(initial=0.0))
     rows[0] = x0.coeffs
     for k in range(length):

@@ -124,6 +124,68 @@ def test_oracle_agreement_long_windows_stay_tight():
             assert gap <= 1e-12
 
 
+def _per_step_instance(dim, length, rng):
+    # the per-step builder random_hyperbolic_instance replaced: one qr per
+    # frame, rng.choice for the signs, np.diag in each step's product
+    s_dim = int(rng.integers(1, dim))
+    frames = []
+    for _ in range(length + 1):
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+        frames.append(q * np.sign(np.diag(r)))
+    ops = []
+    for k in range(length):
+        mags = np.concatenate([rng.uniform(0.25, 0.5, s_dim),
+                               rng.uniform(2.0, 3.0, dim - s_dim)])
+        d = mags * rng.choice([-1.0, 1.0], dim)
+        ops.append(frames[k + 1] @ np.diag(d) @ frames[k].T)
+    pairs = []
+    for U in frames:
+        Us = U[:, :s_dim]
+        pairs.append((Us @ Us.T, np.eye(dim) - Us @ Us.T))
+    w = np.zeros((length + 1, dim))
+    for k in range(1, length + 1):
+        raw = rng.standard_normal(dim)
+        w[k] = rng.uniform(0.2, 1.0) * raw / np.linalg.norm(raw)
+    return s_dim, ops, pairs, w
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_instance_builder_matches_the_per_step_builder(dim):
+    # every length the solver-oracle config can draw, over several seeds:
+    # the steps, projections and forcing keep their bits, and the rng
+    # stream ends where the per-step builder left it
+    for length in range(6, 21):
+        for seed in (0, 1, 11, 12345):
+            rng, ref_rng = (np.random.default_rng([seed, dim, length])
+                            for _ in range(2))
+            prob, cert = random_hyperbolic_instance(dim, length, rng)
+            s_dim, ops, pairs, w = _per_step_instance(dim, length, ref_rng)
+            assert cert.meta["stable_dim"] == s_dim
+            assert len(prob.seq.ops) == length
+            for A, want in zip(prob.seq.ops, ops):
+                assert A.to_dense_matrix().tobytes() == want.tobytes()
+            for k, (P, Q) in enumerate(pairs):
+                pair = cert.proj_at(k)
+                assert pair.P.to_dense_matrix().tobytes() == P.tobytes()
+                assert pair.Q.to_dense_matrix().tobytes() == Q.tobytes()
+            assert prob.w.rows.tobytes() == w.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_a_singular_dense_step_is_a_precondition_error():
+    # the dense view of a weighted shift by 1 is singular on a window: the
+    # solver refuses it and names its step, as the stack inverse does
+    win = Window(0, 2)
+    good = dense(np.diag([2.0, 0.5, 0.25]), win)
+    bad = dense(shift_diag(win, np.ones(3), 1).to_dense_matrix(), win)
+    prob = InhomProblem(OperatorSeq(0, [good, good, bad, good]),
+                        {1: SeqVec(win, np.ones(3))})
+    cert = constant_cert(1.0, 0.5, 4.0, diag(win, np.array([0.0, 1.0, 1.0])),
+                         diag(win, np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(PreconditionError, match="index 2 is singular"):
+        perron_solve(prob, cert)
+
+
 def weighted_shift_instance(seed, length, half=10):
     """Weighted shifts expanding below index 0 and contracting from 0 on,
     with the constant splitting "support on k >= 0" and forcing on

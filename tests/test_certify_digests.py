@@ -13,8 +13,9 @@ runs on the systems whose maps are composed from row maps: the
 conjugated system, and the conjugated ``shadow`` probe of the ``sweep``
 workload, whose CSV digest ``bench/refs.json`` does not hold and is
 recorded below.  ``robustness``, the dense transfers, runs at the
-held-out seed too.  A change that
-moves the bits of a verifier, a solver or a transfer fails here, before
+held-out seed too, and so do the ``sweep`` runs of the noise block and of
+the oracle's instance stacks, ``shadow`` and ``solver-oracle``.  A change
+that moves the bits of a verifier, a solver or a transfer fails here, before
 the benchmark's correctness gate sees it.  The tests only read ``bench/``.
 """
 import hashlib
@@ -103,6 +104,17 @@ ROBUSTNESS_HELD_OUT = (
     REFS["certify"][str(HELD_OUT)]["robustness"],
     "fffd4756c91bbce2abb806937ef665dbf6e33cda988001b090284a44090de910")
 ROBUSTNESS = next(inv for inv in CERTIFY if inv.label == "robustness")
+#: sha256 of the report.json at the held-out seed of the ``sweep`` runs on
+#: the noise block and the oracle's instance stacks, by label; their CSV
+#: digests are in ``bench/refs.json``
+SWEEP_HELD_OUT = {
+    "shadow":
+        "82894f26c19735956954f1cef597ead96e44c65bf6b64f4dff305d3b7304b0fd",
+    "solver-oracle":
+        "c0f15d75226f2868e2497d035669b6a44126f091557abea8b792b8a722dee722",
+}
+SWEEP_RUNS = [inv for inv in WORKLOADS["sweep"].invocations
+              if inv.label in SWEEP_HELD_OUT]
 
 
 def _digests(inv, seed, tmp_path):
@@ -151,3 +163,11 @@ def test_row_mapped_systems_keep_their_digests_at_the_held_out_seed(
 
 def test_robustness_keeps_its_digests_at_the_held_out_seed(tmp_path):
     assert _digests(ROBUSTNESS, HELD_OUT, tmp_path) == ROBUSTNESS_HELD_OUT
+
+
+@pytest.mark.parametrize("inv", SWEEP_RUNS,
+                         ids=[inv.label for inv in SWEEP_RUNS])
+def test_shadow_and_oracle_keep_their_digests_at_the_held_out_seed(
+        inv, tmp_path):
+    assert _digests(inv, HELD_OUT, tmp_path) == (
+        REFS["sweep"][str(HELD_OUT)][inv.label], SWEEP_HELD_OUT[inv.label])

@@ -341,6 +341,21 @@ def test_inverse_of_shift_matches_dense_view(seed, n, s):
             shift_diag(w, c, shift=s).inverse()
 
 
+def test_a_singular_dense_matrix_is_a_precondition_error():
+    # the dense view of a weighted shift by 1 is singular on a window: one
+    # operator refuses it, and a stack names its first singular matrix
+    w = Window(0, 3)
+    bad = dense(shift_diag(w, np.ones(4), 1).to_dense_matrix(), w)
+    good = dense(2.0 * np.eye(4), w)
+    with pytest.raises(PreconditionError, match="^dense matrix is singular$"):
+        bad.inverse()
+    for ops, at in (([good, bad, good, bad], "1"),
+                    ([[good, good], [good, bad]], "1, 1")):
+        with pytest.raises(PreconditionError,
+                           match=f"at stack index {at} is singular"):
+            inverse_stack(ops, stack_ops(ops))
+
+
 @settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
        st.integers(-3, 3), st.integers(-3, 3))
@@ -448,18 +463,23 @@ def test_row_operations_match_row_by_row_bits(seed, m, n, s):
 
 @settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(2, 5),
-       st.integers(1, 9), st.sampled_from([-2, 0, 1, None, "shared"]))
+       st.integers(1, 9),
+       st.sampled_from([-2, 0, 1, None, "shared", "dense"]))
 def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
     # one operator per row of a (frames, steps, n) block: stacked scalars,
-    # a single shared operator, or (s = None) shifts by -2..2 and a dense
-    # operator, which stack densified and invert operator by operator;
-    # every row against the matrices of its operator and of its inverse,
-    # written out by hand
+    # a single shared operator, dense operators only, which invert as one
+    # batched stack, or (s = None) shifts by -2..2 and a dense operator,
+    # which stack densified and invert operator by operator; every row
+    # against the matrices of its operator and of its inverse, written out
+    # by hand
     rng = np.random.default_rng(seed)
     w = Window(0, n - 1)
     if s == "shared":
         one = _random_shift(rng, w, 1, zeros=False)
         ops = [[one] * steps for _ in range(frames)]
+    elif s == "dense":
+        ops = [[dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
+                for _ in range(steps)] for _ in range(frames)]
     else:
         ops = [[_random_shift(rng, w, int(rng.integers(-2, 3)) if s is None
                               else s, zeros=False) for _ in range(steps)]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, norm, PreconditionError, ConvergenceError,
-    TruncationError,
+    Window, SeqVec, OperatorSeq, norm, row_norms, PreconditionError,
+    ConvergenceError, TruncationError,
 )
 from shadowkit.boundedsol import (
     InhomProblem, perron_solve, periodic_green_solve,
@@ -20,7 +20,7 @@ from shadowkit.systems import make_system
 from shadowkit.shadow import (
     Pseudotrajectory, make_pseudotrajectory, make_loop, recompute_step_error,
     shadowing_constants, refine_once, shadow, shadow_periodic,
-    periodic_point_near,
+    periodic_point_near, _noise,
 )
 
 WBIG = Window(-64, 64)
@@ -351,6 +351,67 @@ def _pointwise_pseudotrajectory(sys, x0, length, d, seed):
         realized = max(realized, norm(x0.with_coeffs(xi)))
         points[k + 1] = cur
     return points, realized
+
+
+def _ball_sample(rng, m, p, radius):
+    # the per-step l^p ball sampler that the noise block replaced
+    if p == math.inf:
+        return rng.uniform(-radius, radius, m)
+    g = rng.gamma(1.0 / p, 1.0, m) ** (1.0 / p) \
+        * np.array([-1.0, 1.0])[rng.integers(0, 2, m)]
+    y = rng.standard_exponential()
+    return radius * g / (np.sum(np.abs(g) ** p) + y) ** (1.0 / p)
+
+
+def _per_step_noise(rng, x0, length, shift, d):
+    # the per-step loop that filled the noise rows with _ball_sample
+    n = x0.window.length
+    idx = np.flatnonzero(np.abs(x0.coeffs) > 0.0)
+    s_lo, s_hi = int(idx[0]), int(idx[-1])
+    rows = np.zeros((length + 1, n))
+    if d > 0.0:
+        for k in range(length):
+            a = max(0, s_lo - 2 + (k + 1) * shift)
+            b = min(n - 1, s_hi + 2 + (k + 1) * shift)
+            if a <= b:
+                rows[k + 1, a:b + 1] = _ball_sample(rng, b - a + 1, x0.p, d)
+    return rows
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_noise_matches_the_per_step_sampler(p):
+    # starts across a window of 25 coordinates, the last ones at its right
+    # edge, where the spans of a shift by +1 clip (so widths differ within
+    # one walk) and the later steps draw nothing; the rows, the realized d
+    # and the rng stream after the draws keep the per-step sampler's bits
+    w = Window(-12, 12)
+    for seed in range(12):
+        for start in (0, 9, 18, 21, 22):
+            c = np.zeros(w.length)
+            c[start:start + 3] = np.random.default_rng(seed).uniform(
+                -0.2, 0.2, 3)
+            x0 = SeqVec(w, c, p)
+            for shift in (-1, 0, 1):
+                for d in (0.0, 1e-3, 0.05):
+                    rng, ref_rng = (np.random.default_rng(seed)
+                                    for _ in range(2))
+                    got = _noise(rng, x0, 12, shift, d)
+                    want = _per_step_noise(ref_rng, x0, 12, shift, d)
+                    assert got.tobytes() == want.tobytes()
+                    assert rng.bit_generator.state == \
+                        ref_rng.bit_generator.state
+                    # the walk on a map that never truncates
+                    halve = types.SimpleNamespace(
+                        support_shift=shift, forward_rows=lambda r: 0.5 * r)
+                    ps = make_pseudotrajectory(halve, x0, 12, d, seed=seed)
+                    realized = float(row_norms(want[1:], p).max(initial=0.0))
+                    assert type(ps.d) is float and ps.d == realized
+                    want[0] = x0.coeffs
+                    for k in range(12):
+                        want[k + 1] += 0.5 * want[k]
+                    assert ps.points.rows.tobytes() == want.tobytes()
+                    if start == 22 and shift == 1 and d:
+                        assert got[1].any() and not got[-1].any()
 
 
 PSEUDO_SYSTEMS = {p: [make_system(name, Window(-12, 12), p) for name in (
