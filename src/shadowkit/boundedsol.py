@@ -9,15 +9,20 @@ backward, and ``sup_k |v_k| <= L sup_k |w_k|`` with
 
 The sums are written once, in ``perron_sums``: the forward recursion of
 the stable sum and the backward recursion of the unstable sum on one
-segment of raw coefficient arrays, evaluated at chosen time points.  The
-routes built on it are
+segment of raw coefficient arrays, evaluated at chosen time points.  It
+reads the steps, their inverses and the projections as time-indexed
+stacks (:class:`seqcore.OperatorSeq`; a certificate's pairs come from
+``CLCertificate.read``), and projects the forcing of every step in one
+batched apply per side before the recursions run.  The routes built on
+it are
 
 * ``perron_solve``            -- the sums on a finite interval, with the
   convention that w vanishes outside it;
 * ``periodic_green_solve``    -- the same sums for periodic data, truncated
   once the certificate's tail bound drops below 1e-12: the period is
   unrolled once over T steps beyond each end, and the segments centred
-  on its m points are the frames of one lockstep call;
+  on its m points are the frames of one lockstep call, whose steps are
+  sliding-window views of the unrolled stacks;
 * ``neumann_perturbed_solve`` -- the bounded solution for a perturbed
   sequence B_k = A_k + Delta_k, by fixed-point iteration of the sums for
   the unperturbed one (geometric rate L*eps < 1/2);
@@ -30,8 +35,8 @@ least-squares system and never touches the sums.
 
 Every solver recomputes its residual max_k |v_{k+1} - A_k v_k - w_{k+1}|
 and stores it in the result.  The recheck runs on the solution's block of
-rows, one ``seqcore.apply_rows`` and one ``seqcore.row_norms``, with the
-bits of a step-by-step recheck.
+rows, one ``seqcore.apply_coeffs`` of the sequence's stack and one
+``seqcore.row_norms``, with the bits of a step-by-step recheck.
 """
 
 from dataclasses import dataclass, field
@@ -40,11 +45,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import (
-    Segment, OperatorSeq, apply_coeffs, apply_rows, inverse_stack,
-    op_norm, row_norms, dense, stack_ops, sub, PreconditionError,
-    ConvergenceError,
+    LinOp, Segment, OperatorSeq, apply_coeffs, op_norm, row_norms, dense,
+    sub, PreconditionError, ConvergenceError,
 )
-from .clstruct import ProjPair, verify_cl_opseq
+from .clstruct import index_cert, verify_cl_opseq
 
 __all__ = [
     "InhomProblem", "BoundedSolution", "perron_constant", "perron_sums",
@@ -85,7 +89,7 @@ class InhomProblem:
 
     @property
     def window(self):
-        return self.seq.ops[0].window
+        return self.seq.stack.window
 
     @property
     def p(self):
@@ -94,8 +98,8 @@ class InhomProblem:
 
 def _forcing(seq, w):
     """The forcing block of an :class:`InhomProblem` on ``seq``."""
-    lo, m, win = seq.lo, seq.period, seq.ops[0].window
-    size = len(seq.ops) + (m is None)
+    lo, m, win = seq.lo, seq.period, seq.stack.window
+    size = seq.count + (m is None)
     if isinstance(w, Segment):
         if (w.lo, len(w), w.period, w.window) != (lo, size, m, win):
             raise PreconditionError("the forcing block misses the sequence")
@@ -133,15 +137,14 @@ def _solution(prob, rows, period=None, meta=None):
 
     Row i of ``rows`` is v_{lo+i}, from the first time point lo of the
     sequence on.  The defects v_{k+1} - A_k v_k - w_{k+1} of every step
-    (for periodic data the last step wraps to v_lo) come from
-    ``apply_rows`` and their norms from ``row_norms``, each with the bits
-    of the step-by-step computation.
+    (for periodic data the last step wraps to v_lo) come from one
+    ``apply_coeffs`` of the sequence's stack and their norms from
+    ``row_norms``, each with the bits of the step-by-step computation.
     """
-    a, p = prob.seq.lo, prob.p
-    v = Segment(a, rows, prob.window, p, period)
+    p = prob.p
+    v = Segment(prob.seq.lo, rows, prob.window, p, period)
     path = v.path
-    steps = range(a, a + len(path) - 1)
-    defects = apply_rows([prob.seq.op_at(k) for k in steps], path[:-1])
+    defects = apply_coeffs(prob.seq.stack, path[:-1])
     np.subtract(path[1:], defects, out=defects)
     defects -= prob.w.path[1:]
     return BoundedSolution(v, float(row_norms(v.rows, p).max()),
@@ -149,45 +152,53 @@ def _solution(prob, rows, period=None, meta=None):
                            meta=meta or {})
 
 
-def perron_sums(ops, inv_ops, pairs, w, at):
+def perron_sums(ops, inv_ops, P, Q, w, at):
     """The two-recursion sums of the bounded solution on one segment.
 
-    Time points are 0 .. m-1 for an (m, n) block ``w`` of raw forcing rows:
-    ``w[j]`` is the forcing there, ``pairs[j]`` its projection pair, and
-    ``ops[j]`` / ``inv_ops[j]`` map time j to j+1 and back.  The stable sum
-    runs forward, u_0 = P_0 w_0 and u_j = P_j(A_{j-1} u_{j-1} + P_j w_j),
-    and the unstable sum backward, s_last = 0 and
-    s_j = Q_j A_j^{-1}(s_{j+1} + Q_{j+1} w_{j+1}).  The exact sums already
-    lie in the stable/unstable family, so the outer projections change
-    nothing algebraically; numerically they stop round-off from seeding
-    content in the opposite space, which the recursion would otherwise
-    amplify exponentially along the segment.  Returns the rows
-    v_j = u_j - s_j for j in the range ``at``; only ``ops[:at[-1]]`` and
-    ``inv_ops[at[0]:]`` are read.
+    Time points are 0 .. m-1 for an (m, n) block ``w`` of raw forcing
+    rows.  ``ops``, ``inv_ops``, ``P`` and ``Q`` are time-indexed
+    :class:`seqcore.OperatorSeq` from 0: ``ops.op_at(j)`` and
+    ``inv_ops.op_at(j)`` map time j to j+1 and back, and ``P`` and ``Q``
+    hold the projections at every time point.  The recursions read their
+    per-step views, built once per sequence.  The stable sum runs
+    forward, u_0 = P_0 w_0 and u_j = P_j(A_{j-1} u_{j-1} + P_j w_j), and
+    the unstable sum backward, s_last = 0 and
+    s_j = Q_j A_j^{-1}(s_{j+1} + Q_{j+1} w_{j+1}).  The forcing's
+    projections P_j w_j and Q_j w_j that each recursion reads are one
+    batched apply of each stack, before it runs, with the bits of each
+    step's own apply.  The exact sums already lie in the stable/unstable
+    family, so the outer projections change nothing algebraically;
+    numerically they stop round-off from seeding content in the opposite
+    space, which the recursion would otherwise amplify exponentially
+    along the segment.  Returns the rows v_j = u_j - s_j for j in the
+    range ``at``; only the steps before at[-1] of ``ops`` and from at[0]
+    on of ``inv_ops`` are read.
 
     A leading frame axis sums a stack of segments in lockstep: ``w`` is
-    (frames, m, n), ``ops[j]``, ``inv_ops[j]`` and the projections of
-    ``pairs[j]`` are operator stacks over the frames, every step is one
-    array operation per operator, and the result is (frames, len(at), n).
-    Each frame gets the bits of its own sums.
+    (frames, m, n), the operators of every step of the four sequences are
+    stacks over the frames, every step is one array operation per
+    operator, and the result is (frames, len(at), n).  Each frame gets
+    the bits of its own sums.
     """
-    w = np.asarray(w)
-    last, first = w.shape[-2] - 1, at[0]
-    out = np.empty(w.shape[:-2] + (len(at), w.shape[-1]))
-    u = apply_coeffs(pairs[0].P, w[..., 0, :])
-    for j in range(at[-1] + 1):
+    w = np.moveaxis(np.asarray(w), -2, 0)
+    last, first, top = len(w) - 1, at[0], at[-1]
+    steps, inverses, Ps, Qs = ops.ops, inv_ops.ops, P.ops, Q.ops
+    out = np.empty(w.shape[1:-1] + (len(at), w.shape[-1]))
+    Pw = apply_coeffs(P.stack[:top + 1], w[:top + 1])
+    u = Pw[0]
+    for j in range(top + 1):
         if j:
-            P = pairs[j].P
-            u = apply_coeffs(P, apply_coeffs(ops[j - 1], u)
-                             + apply_coeffs(P, w[..., j, :]))
+            u = apply_coeffs(Ps[j], apply_coeffs(steps[j - 1], u) + Pw[j])
         if j >= first:
             out[..., j - first, :] = u
+    del Pw
+    # Qw[i] is the projected forcing at time first + 1 + i
+    Qw = apply_coeffs(Q.stack[first + 1:], w[first + 1:])
     s = np.zeros(u.shape)
     for j in range(last, first - 1, -1):
         if j < last:
-            drive = s + apply_coeffs(pairs[j + 1].Q, w[..., j + 1, :])
-            s = apply_coeffs(pairs[j].Q, apply_coeffs(inv_ops[j], drive))
-        if j <= at[-1]:
+            s = apply_coeffs(Qs[j], apply_coeffs(inverses[j], s + Qw[j - first]))
+        if j <= top:
             out[..., j - first, :] -= s
     return out
 
@@ -198,9 +209,9 @@ def perron_solve(prob, cert, verify_cert=False):
     The causal sum over stable projections and the anticausal sum over
     unstable projections are evaluated by :func:`perron_sums`, with the
     convention that w vanishes outside the interval; the solution is their
-    difference.  The steps are inverted as one stack
-    (:func:`seqcore.inverse_stack`), with the bits of ``LinOp.inverse``
-    step by step.  Pass ``verify_cert=True`` to run the splitting verifier
+    difference.  The steps are inverted once per sequence
+    (``OperatorSeq.inverse``), with the bits of ``LinOp.inverse`` step by
+    step.  Pass ``verify_cert=True`` to run the splitting verifier
     first (callers in an inner loop check their certificate once,
     outside).
     """
@@ -214,12 +225,11 @@ def perron_solve(prob, cert, verify_cert=False):
 
 def _interval_sums(seq, cert):
     """:func:`perron_sums` over every time point of an interval, as a
-    function of the forcing rows there; the steps are inverted as one
-    stack (:func:`seqcore.inverse_stack`) and the pairs read, once."""
-    a, b = seq.lo, seq.hi
-    inv_ops = inverse_stack(seq.ops, stack_ops(seq.ops))
-    pairs = [cert.proj_at(k) for k in range(a, b + 1)]
-    return lambda w: perron_sums(seq.ops, inv_ops, pairs, w, range(b - a + 1))
+    function of the forcing rows there; the certificate's pairs are read
+    once (``CLCertificate.read``)."""
+    count = seq.hi - seq.lo + 1
+    P, Q = cert.read(seq.lo, count)
+    return lambda w: perron_sums(seq, seq.inverse, P, Q, w, range(count))
 
 
 def periodic_green_solve(prob, cert):
@@ -231,13 +241,14 @@ def periodic_green_solve(prob, cert):
     The point lo + i of the period is the middle of the 2T-step segment
     lo + i - T .. lo + i + T, and the m segments are the frames of one
     lockstep :func:`perron_sums` call.  The period is unrolled once over
-    the times lo - T .. lo + m + T - 1: the operators and their inverses
-    (inverted once per period), the certificate's m projection pairs (each
-    built once) and the forcing block's rows.  Frame i is rows
-    i .. i + 2T of the unroll, so step j of every frame is the slice
-    [j, j + m) of each unrolled stack, and the frames' forcing is a
-    sliding-window view of the unrolled rows, never a copy per frame.
-    Each point gets the bits of a sum over its own segment.
+    the times lo - T .. lo + m + T - 1: the stacks of the steps, of their
+    inverses (inverted once per sequence) and of the certificate's m
+    projection pairs (read once), and the forcing block's rows.  Frame i
+    is rows i .. i + 2T of the unroll, so step j of every frame is the
+    slice [j, j + m) of each unrolled stack: the steps of each stack are
+    one sliding-window view of it, and the frames' forcing one of the
+    unrolled rows, never a copy per frame.  Each point gets the bits of a
+    sum over its own segment.
     """
     if prob.seq.period is None:
         raise PreconditionError("periodic_green_solve needs a periodic sequence")
@@ -246,20 +257,19 @@ def periodic_green_solve(prob, cert):
     T = 1
     while perron_constant(cert.C, cert.lam) * cert.lam ** T * W >= 1e-12:
         T += 1
-    lo = prob.seq.lo
     unroll = np.arange(-T, m + T) % m
-    stack = stack_ops(prob.seq.ops)
-    ops, inv = stack[unroll], inverse_stack(prob.seq.ops, stack)[unroll]
-    pairs = [cert.proj_at(k) for k in range(lo, lo + m)]
-    P = stack_ops([pr.P for pr in pairs])[unroll]
-    Q = stack_ops([pr.Q for pr in pairs])[unroll]
-    w = prob.w.rows[unroll]
-    frames = sliding_window_view(w, 2 * T + 1, axis=0).swapaxes(1, 2)
-    steps = [slice(j, j + m) for j in range(2 * T + 1)]
-    rows = perron_sums([ops[j] for j in steps[:-1]],
-                       [inv[j] for j in steps[:-1]],
-                       [ProjPair(P[j], Q[j]) for j in steps],
-                       frames, range(T, T + 1))
+
+    def frames(seq):
+        U = seq.stack[unroll]
+        return OperatorSeq.of(0, LinOp(U.shift, np.moveaxis(
+            sliding_window_view(U.data, m, axis=0), -1, 1), U.window)
+            if U.lead else U, 2 * T + 1)
+
+    P, Q = cert.read(prob.seq.lo, m)
+    w = sliding_window_view(prob.w.rows[unroll], 2 * T + 1,
+                            axis=0).swapaxes(1, 2)
+    rows = perron_sums(frames(prob.seq), frames(prob.seq.inverse),
+                       frames(P), frames(Q), w, range(T, T + 1))
     return _solution(prob, rows[:, 0], period=m, meta={"tail_depth": T})
 
 
@@ -281,16 +291,13 @@ def neumann_perturbed_solve(prob_b, base_seq, base_cert, eps):
             f"perturbation bound {eps:.3g} is not below 1/(2L) = {0.5 / L:.3g}")
     if (base_seq.lo, base_seq.hi) != (prob_b.seq.lo, prob_b.seq.hi):
         raise PreconditionError("base and perturbed sequences cover different intervals")
-    a, b = base_seq.lo, base_seq.hi
-    deltas = []
-    for k in range(a, b):
-        d = sub(prob_b.seq.op_at(k), base_seq.op_at(k))
-        dn = op_norm(d, prob_b.p)
-        if dn > eps * (1.0 + 1e-9) + 1e-15:
-            raise PreconditionError(
-                f"|Delta_{k}| = {dn:.3g} exceeds the declared bound {eps:.3g}")
-        deltas.append(d)
-    deltas = stack_ops(deltas)
+    deltas = sub(prob_b.seq.stack, base_seq.stack)
+    dn = np.broadcast_to(op_norm(deltas, prob_b.p), (base_seq.count,))
+    over = np.flatnonzero(dn > eps * (1.0 + 1e-9) + 1e-15)
+    if len(over):
+        raise PreconditionError(
+            f"|Delta_{base_seq.lo + over[0]}| = {dn[over[0]]:.3g} exceeds "
+            f"the declared bound {eps:.3g}")
 
     w = prob_b.w.rows
     solve = _interval_sums(base_seq, base_cert)
@@ -325,6 +332,8 @@ def banded_direct_solve(prob, cert, max_unknowns=20_000):
     solution.  Under an inclusion-only splitting, such as the weighted
     shifts' (A_k carries coordinate -1 into the stable side), the system
     keeps homogeneous solutions and lstsq returns the least-norm one.
+    The step blocks are written from the sequence's stack at once: one
+    dense view of all the steps and one identity.
     """
     a, b = prob.seq.lo, prob.seq.hi
     n = prob.window.length
@@ -336,14 +345,13 @@ def banded_direct_solve(prob, cert, max_unknowns=20_000):
     rows = n * steps + 2 * n
     M = np.zeros((rows, N))
     rhs = np.zeros(rows)
-    w = prob.w.path
-    for k in range(a, b):
-        r = n * (k - a)
-        M[r:r + n, r:r + n] = -prob.seq.op_at(k).to_dense_matrix()
-        M[r:r + n, r + n:r + 2 * n] = np.eye(n)
-        rhs[r:r + n] = w[k + 1 - a]
-    M[n * steps:n * steps + n, :n] = cert.proj_at(a).P.to_dense_matrix()
-    M[n * steps + n:, N - n:] = cert.proj_at(b).Q.to_dense_matrix()
+    # row block k - a of the steps, by the column block of each time
+    blocks, at = M[:n * steps].reshape(steps, n, steps + 1, n), np.arange(steps)
+    blocks[at, :, at, :] = -prob.seq.stack.to_dense_matrix()
+    blocks[at, :, at + 1, :] = np.eye(n)
+    rhs[:n * steps] = prob.w.path[1:].ravel()
+    M[n * steps:n * steps + n, :n] = cert.read(a, 1)[0].stack.to_dense_matrix()
+    M[n * steps + n:, N - n:] = cert.read(b, 1)[1].stack.to_dense_matrix()
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     out = _solution(prob, sol.reshape(steps + 1, n))
     if out.max_residual > 1e-8 * (1.0 + out.sup_norm):
@@ -363,14 +371,13 @@ def random_hyperbolic_instance(dim, length, rng):
     Returns the problem (in l^2) and its certificate.
 
     The frames are one (length + 1, dim, dim) normal block, factored by
-    one batched ``qr``, and the steps and projections are built as stacks
-    whose row views the sequence and the certificate hold.  The draws of
+    one batched ``qr``, and the steps and projections are built as the
+    stacks the sequence and the certificate hold.  The draws of
     each step's D_k (its magnitudes, then its signs through ``SIGNS``) and
     of each step's forcing stay per step: they interleave in the rng
     stream, so a block draw would reorder it, and every seed keeps the
     bits of a per-step builder.
     """
-    from .clstruct import ProjPair, CLCertificate
     from .seqcore import Window
 
     win = Window(0, dim - 1)
@@ -385,14 +392,12 @@ def random_hyperbolic_instance(dim, length, rng):
     ops = dense((frames[1:] * d[:, None, :]) @ frames[:-1].mT, win)
     Us = frames[..., :s_dim]
     Ps = Us @ Us.mT
-    P, Q = dense(Ps, win), dense(np.eye(dim) - Ps, win)
-    pairs = {k: ProjPair(P[k], Q[k]) for k in range(length + 1)}
-    cert = CLCertificate(1.0, 0.5, 3.5, lambda k: pairs[k],
-                         meta={"stable_dim": s_dim})
+    cert = index_cert(1.0, 0.5, 3.5, OperatorSeq(0, dense(Ps, win)),
+                      OperatorSeq(0, dense(np.eye(dim) - Ps, win)),
+                      stable_dim=s_dim)
     w = np.zeros((length + 1, dim))
     for k in range(1, length + 1):
         raw = rng.standard_normal(dim)
         w[k] = rng.uniform(0.2, 1.0) * raw / np.linalg.norm(raw)
     w = Segment(0, w, win, 2.0, None)
-    seq = OperatorSeq(0, [ops[k] for k in range(length)])
-    return InhomProblem(seq, w), cert
+    return InhomProblem(OperatorSeq(0, ops), w), cert

@@ -55,7 +55,7 @@ from .graphtf import (graph_transform_seq, perturbation_budget,
 from .semiconj import continuity_probe, make_conjugacy_job, semiconjugacy_report
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
                       Segment, SeqVec, Window, dense, norm, op_apply, op_norm,
-                      row_norms, stack_ops)
+                      row_norms)
 from .shadow import (make_loop, make_pseudotrajectory, periodic_point_near,
                      recompute_step_error, shadow, shadow_periodic,
                      shadowing_constants, Pseudotrajectory)
@@ -574,7 +574,7 @@ def _run_verify_ed(config):
         # time m up to 0; the diagonal construction makes it an exact power
         exact_all = True
         for m in range(max(seq.lo, -20), 0):
-            v = SeqVec.basis(seq.ops[0].window, 0, config.p)
+            v = SeqVec.basis(seq.stack.window, 0, config.p)
             for k in range(m, 0):
                 v = op_apply(seq.op_at(k), v)
             observed = norm(v)
@@ -640,10 +640,10 @@ def _run_robustness(config):
         # sequence route: a dense perturbation of the time-dependent
         # diagonal splitting example, transferred at the relaxed rate; the
         # draws of all steps as one block, scaled by one stack norm
-        raw = rng.standard_normal((len(aseq.ops), w.length, w.length))
+        raw = rng.standard_normal((aseq.count, w.length, w.length))
         raw *= (0.9 * eps / op_norm(dense(raw, w), config.p))[:, None, None]
-        bstack = dense(stack_ops(aseq.ops).to_dense_matrix() + raw, w)
-        bseq = OperatorSeq(aseq.lo, [bstack[j] for j in range(len(raw))])
+        bseq = OperatorSeq(aseq.lo, dense(aseq.stack.to_dense_matrix() + raw,
+                                          w))
         pc_seq = graph_transform_seq(aseq, acert, bseq, lam1, eps=eps,
                                      p=config.p)
         rep_seq = verify_cl_opseq(bseq, pc_seq.result,

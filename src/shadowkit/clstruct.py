@@ -17,6 +17,7 @@ Membership of a subspace image is always tested by composing projections
 computing bases; this keeps structured operators structured.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,14 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (
-    SeqVec, coeff_norm, op_norm, compose, transport_rows,
-    PreconditionError, TruncationError,
+    LinOp, OperatorSeq, SeqVec, coeff_norm, op_norm, stack_ops,
+    transport_rows, PreconditionError, TruncationError,
 )
 
 __all__ = [
     "ProjPair", "CLCertificate", "VerificationReport",
     "verify_cl_diffeo", "verify_cl_opseq", "verify_dichotomy",
-    "verify_cocycle_cl", "constant_cert",
+    "verify_cocycle_cl", "constant_cert", "index_cert",
 ]
 
 ALGEBRAIC_TOL = 1e-9
@@ -69,7 +70,10 @@ class CLCertificate:
     sequence -- to a ProjPair.  ``pair`` is the one pair of a constant
     certificate (see :func:`constant_cert`), else None.  A point-keyed
     certificate is read on a block of rows by :meth:`pairs_on`, and along
-    a :class:`seqcore.Segment` by :meth:`along`.
+    a :class:`seqcore.Segment` by :meth:`along`; an index-keyed one is
+    read over an interval of times by :meth:`read`.  ``stacks`` holds the
+    two time-indexed :class:`seqcore.OperatorSeq` (P, Q) whose views an
+    index-keyed certificate serves as its pairs, else None.
     """
 
     C: float
@@ -78,6 +82,7 @@ class CLCertificate:
     proj_at: object
     meta: dict = field(default_factory=dict, compare=False)
     pair: object = field(default=None, compare=False)
+    stacks: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.C < 1.0:
@@ -86,27 +91,58 @@ class CLCertificate:
             raise PreconditionError(f"certificate needs lam in (0,1), got {self.lam}")
 
     def pairs_on(self, rows, window, p):
-        """The pair at the point of every row of a (..., n) coefficient
-        block, as nested lists of the block's leading shape.
+        """The projections at the point of every row of a (..., n) block,
+        as two operator stacks (P, Q) of the block's leading shape.
 
-        A constant certificate answers with its one pair and builds no
-        SeqVec; any other calls ``proj_at`` on each row's point, row by row.
+        A constant certificate answers with its one pair, which stands for
+        every row, and builds no SeqVec; any other calls ``proj_at`` on
+        each row's point, row by row, and stacks the pairs by
+        :func:`seqcore.stack_ops`.
         """
-        if rows.ndim > 2:
-            return [self.pairs_on(block, window, p) for block in rows]
         if self.pair is not None:
-            return [self.pair] * len(rows)
-        return [self.proj_at(SeqVec(window, row, p)) for row in rows]
+            return self.pair.P, self.pair.Q
+        lead = rows.shape[:-1]
+        pairs = [self.proj_at(SeqVec(window, row, p))
+                 for row in rows.reshape(-1, rows.shape[-1])]
+        stacks = (stack_ops([getattr(pr, side) for pr in pairs])
+                  for side in "PQ")
+        # the flat stacks, given the block's leading shape
+        return tuple(LinOp(A.shift, A.data.reshape(lead + A.data.shape[1:]),
+                           A.window) if A.lead else A for A in stacks)
 
     def along(self, seg):
         """This certificate read along the points of a Segment: the
         index-keyed certificate whose ``proj_at(k)`` is the pair at
         ``seg[k]`` (wrapping with a periodic block), every pair read once,
-        by one :meth:`pairs_on` call."""
-        pairs = self.pairs_on(seg.rows, seg.window, seg.p)
-        return CLCertificate(self.C, self.lam, self.R,
-                             lambda k: pairs[seg.row_index(k)],
-                             meta=dict(self.meta))
+        by one :meth:`pairs_on` call; a constant certificate stays
+        constant."""
+        if self.pair is not None:
+            return self
+        P, Q = (OperatorSeq.of(seg.lo, X, len(seg), seg.period)
+                for X in self.pairs_on(seg.rows, seg.window, seg.p))
+        return index_cert(self.C, self.lam, self.R, P, Q, **self.meta)
+
+    def read(self, lo, count, period=None):
+        """The pairs at the times lo .. lo + count - 1 of an index-keyed
+        certificate, as two time-indexed :class:`seqcore.OperatorSeq`
+        (P, Q) from lo with the ``period`` given: parts of ``stacks`` when
+        the certificate holds them, the one pair of a constant certificate
+        at every time, or else one ``proj_at`` per time, stacked once."""
+        if self.stacks is not None:
+            return tuple(X.part(lo, count, period) for X in self.stacks)
+        pairs = ([self.pair] * count if self.pair is not None
+                 else [self.proj_at(k) for k in range(lo, lo + count)])
+        return tuple(OperatorSeq(lo, [getattr(pr, side) for pr in pairs],
+                                 period) for side in "PQ")
+
+
+def index_cert(C, lam, R, P, Q, **meta):
+    """Index-keyed certificate whose pair at time k is the views
+    ``(P.op_at(k), Q.op_at(k))`` of two time-indexed OperatorSeqs, one
+    pair object per row (so a periodic pair repeats as the same object)."""
+    pair = functools.cache(lambda i: ProjPair(P.ops[i], Q.ops[i]))
+    return CLCertificate(C, lam, R, lambda k: pair(P.row_index(k)),
+                         meta=dict(meta), stacks=(P, Q))
 
 
 def constant_cert(C, lam, R, P, Q, **meta):
@@ -260,31 +296,37 @@ def _proj_lipschitz(pairs_pts, p):
     return worst
 
 
-def _verify(cert, key, samples, local, n_dirs):
+def _verify(cert, key, labels, P, Q, residuals, walks, window, p, n_dirs):
     """The loop shared by the splitting verifiers.
 
-    ``samples`` lists ``(label, item, window, p)``: the witness label, the
-    point or index whose projection pair ``cert.proj_at(item)`` is checked,
-    and the space it acts on; ``key`` names the label in the witnesses.
-    ``local(label, pair)`` returns the sample's one-step inclusion residual
-    and its forward/backward operator lists.  Per sample the pair is
-    validated, its norms and inclusion residual recorded, and unit
+    Sample i is labelled ``labels[i]`` (``key`` names the label in the
+    witnesses) and acts on ``window`` in l^p; its projection pair is
+    ``(P[i], Q[i])``, rows of two stacks over the samples (one operator
+    stands for every sample), ``residuals[i]`` its one-step inclusion
+    residual and ``walks(i)`` its forward/backward operator lists.  The
+    pair norms of all the samples are one lockstep ``op_norm`` per side,
+    each entry with the bits of its own.  Per sample the pair is
+    validated, its norm and inclusion residual recorded, and unit
     directions of the stable (then unstable) image are scanned for decay
     against C lam^n, n_dirs random ones from one stream seeded with 0.
     """
     rng = np.random.default_rng(0)
     rep = VerificationReport(0.0, 0.0, 0.0, 0, False, C=cert.C, lam=cert.lam)
-    for label, item, window, p in samples:
-        pair = cert.proj_at(item)
+    norms = np.broadcast_to(np.maximum(op_norm(P, p), op_norm(Q, p)),
+                            (len(labels),))
+    residuals = np.broadcast_to(residuals, (len(labels),))
+    for i, label in enumerate(labels):
+        pair = ProjPair(P[i], Q[i])
         pair.validate(p=p)
-        pn = max(op_norm(pair.P, p), op_norm(pair.Q, p))
+        pn = float(norms[i])
         if pn > rep.max_proj_norm:
             rep.max_proj_norm = pn
             rep.witnesses["proj_norm"] = {key: label, "norm": pn}
-        res, fwd_ops, bwd_ops = local(label, pair)
+        res = float(residuals[i])
         if res > rep.max_inclusion_residual:
             rep.max_inclusion_residual = res
             rep.witnesses["inclusion"] = {key: label, "residual": res}
+        fwd_ops, bwd_ops = walks(i)
         sdirs = _directions(pair.P, window, p, n_dirs, rng)
         udirs = _directions(pair.Q, window, p, n_dirs, rng)
         ws = _decay_scan(sdirs, fwd_ops, cert.C, cert.lam, p,
@@ -296,29 +338,26 @@ def _verify(cert, key, samples, local, n_dirs):
     return _merge_pass(rep)
 
 
-def _verify_orbits(sys, cert, points, horizon, forward, backward, sampled):
+def _verify_orbits(sys, cert, points, horizon, forward, backward):
     """The loop shared by the point-keyed verifiers: the orbits of all the
     points walked in lockstep by :func:`_lockstep`, ``forward`` and
-    ``backward`` being its steps, and each point's residuals
-    |Q_{x+} A P_x| and |P_{x-} B Q_x| read from the first step of each
-    walk, (x+, A) and (x-, B).  Every point and its stable projection is
-    appended to ``sampled``."""
+    ``backward`` being its steps, and the residuals |Q_{x+} A P_x| and
+    |P_{x-} B Q_x| of all the points, read from the first step of each
+    walk, (x+, A) and (x-, B), as one lockstep ``op_norm`` each.  Returns
+    the report and the stable projections at the points."""
+    p = points[0].p
     xs = np.reshape([x.coeffs for x in points],
                     (len(points), sys.window.length))
     fxs, dfs, fwd = _lockstep(forward, xs, horizon)
     bxs, dbs, bwd = _lockstep(backward, xs, horizon)
-    fpairs = cert.pairs_on(fxs, sys.window, sys.p)
-    bpairs = cert.pairs_on(bxs, sys.window, sys.p)
-
-    def local(i, pair):
-        x = points[i]
-        sampled.append((x, pair.P))
-        res_s = op_norm(compose(fpairs[i].Q, compose(dfs[i], pair.P)), x.p)
-        res_u = op_norm(compose(bpairs[i].P, compose(dbs[i], pair.Q)), x.p)
-        return max(res_s, res_u), fwd[i], bwd[i]
-
-    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    return _verify(cert, "point", samples, local, N_DIRS)
+    P, Q = cert.pairs_on(xs, sys.window, p)
+    fQ = cert.pairs_on(fxs, sys.window, sys.p)[1]
+    bP = cert.pairs_on(bxs, sys.window, sys.p)[0]
+    residuals = np.maximum(op_norm(fQ @ (dfs @ P), p),
+                           op_norm(bP @ (dbs @ Q), p))
+    rep = _verify(cert, "point", range(len(points)), P, Q, residuals,
+                  lambda i: (fwd[i], bwd[i]), sys.window, p, N_DIRS)
+    return rep, P
 
 
 def verify_cl_diffeo(sys, cert, points, horizon=12):
@@ -335,13 +374,12 @@ def verify_cl_diffeo(sys, cert, points, horizon=12):
     residuals read f, Df, f^{-1} and Df^{-1} at x from the first step of
     each walk.
     """
-    sampled = []
-    rep = _verify_orbits(
+    rep, P = _verify_orbits(
         sys, cert, points, horizon,
         lambda ys: (sys.forward_rows(ys), sys.dforward_rows(ys)),
-        sys.inverse_diff_rows, sampled)
-    rep.proj_lipschitz = _proj_lipschitz(sampled,
-                                         points[0].p if points else 2.0)
+        sys.inverse_diff_rows)
+    rep.proj_lipschitz = _proj_lipschitz(
+        [(x, P[i]) for i, x in enumerate(points)], points[0].p)
     return rep
 
 
@@ -354,43 +392,44 @@ def verify_cl_opseq(seq, cert, horizon=12, n_dirs=N_DIRS, p=2.0,
     decay through inverse products; horizons truncate at the interval ends
     for aperiodic sequences and wrap for periodic ones.  With
     ``dichotomy=True`` the reverse leakage residual |P_{k+1} A_k Q_k| is
-    included, turning the invariance inclusions into equalities.
+    included, turning the invariance inclusions into equalities.  The
+    pairs are read once over the samples' times (:meth:`CLCertificate.read`),
+    the steps and their inverses come from the sequence's stacks, and the
+    leakage residuals of all the samples are one lockstep ``op_norm`` of
+    a stack per kind.
     """
-    window = seq.ops[0].window
-    # each operator is inverted once per call, however many samples'
-    # backward horizons reach it
-    inverses = {}
-
-    def inverse_at(k):
-        key = k if seq.period is None else (k - seq.lo) % seq.period
-        if key not in inverses:
-            inverses[key] = seq.op_at(k).inverse()
-        return inverses[key]
-
     if indices is None:
         if seq.period is not None:
             indices = range(seq.lo, seq.lo + seq.period)
         else:
             indices = range(seq.lo, seq.hi + 1)
+    ks = np.array(indices)
+    k0 = int(ks.min())
+    # every sample reads its pair and, where it has a step, the next one
+    has_step = (ks < seq.hi) | (seq.period is not None)
+    P, Q = cert.read(k0, int(ks.max()) - k0 + 1 + bool(has_step[ks.argmax()]))
+    residuals = np.zeros(len(ks))
+    if has_step.any():
+        steps = ks[has_step]
+        A, i = seq.stack[(steps - seq.lo) % seq.count], steps - k0
+        res = op_norm(Q.stack[i + 1] @ (A @ P.stack[i]), p)
+        if dichotomy:
+            res = np.maximum(res, op_norm(P.stack[i + 1] @ (A @ Q.stack[i]), p))
+        residuals[has_step] = res
 
-    def local(k, pair):
-        res = 0.0
-        if seq.period is not None or k < seq.hi:
-            A = seq.op_at(k)
-            pair_n = cert.proj_at(k + 1)
-            res = op_norm(compose(pair_n.Q, compose(A, pair.P)), p)
-            if dichotomy:
-                res = max(res, op_norm(compose(pair_n.P, compose(A, pair.Q)), p))
+    def walks(i):
+        k = int(ks[i])
         if seq.period is not None:
             n_fwd = n_bwd = horizon
         else:
             n_fwd = min(horizon, seq.hi - k)
             n_bwd = min(horizon, k - seq.lo)
-        return (res, [seq.op_at(k + j) for j in range(n_fwd)],
-                [inverse_at(k - 1 - j) for j in range(n_bwd)])
+        return ([seq.op_at(k + j) for j in range(n_fwd)],
+                [seq.inverse.op_at(k - 1 - j) for j in range(n_bwd)])
 
-    samples = [(k, k, window, p) for k in indices]
-    return _verify(cert, "index", samples, local, n_dirs)
+    return _verify(cert, "index", [int(k) for k in ks], P.stack[ks - k0],
+                   Q.stack[ks - k0], residuals, walks, seq.stack.window, p,
+                   n_dirs)
 
 
 def verify_dichotomy(seq, cert, side="Z", horizon=12, p=2.0):
@@ -437,5 +476,5 @@ def verify_cocycle_cl(sys, A, cert, points, horizon=12):
         return zs, A(zs).inverse()
 
     return _verify_orbits(sys, cert, points, horizon,
-                          lambda ys: (sys.forward_rows(ys), A(ys)), backward,
-                          [])
+                          lambda ys: (sys.forward_rows(ys), A(ys)),
+                          backward)[0]

@@ -37,9 +37,9 @@ import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
                       Segment, _sum_into, anchor_index, coeff_norm, dense,
-                      diag, inverse_stack, monitored_fixed_point, op_norm,
-                      row_norms, stack_ops, transport_rows, TruncationError)
-from .clstruct import CLCertificate, ProjPair, _directions
+                      diag, monitored_fixed_point, op_norm, row_norms,
+                      stack_ops, transport_rows, TruncationError)
+from .clstruct import CLCertificate, ProjPair, _directions, index_cert
 from .shadow import (Pseudotrajectory, recompute_step_error, shadow,
                      shadow_periodic)
 
@@ -318,12 +318,9 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
             f"target rate lam1={lam1} must lie strictly in (lam={cert.lam}, 1)")
     lo, hi = seq.lo, seq.hi
     n_ops = hi - lo
-    if n_ops < 1:
-        raise PreconditionError("sequence holds no operators")
     C, lam, R = cert.C, cert.lam, cert.R
     n_times = n_ops if period else n_ops + 1
-    ks = [lo + j for j in range(n_times)]
-    W = seq.op_at(lo).window
+    W = seq.stack.window
     # step j maps time j to time nxt[j]; reversed time j sits at time
     # rev[j].  On an interval both are basic slices, so the stacks they
     # select are views; around a period they wrap
@@ -332,25 +329,21 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     else:
         nxt, rev = (np.arange(n_ops) + 1) % n_ops, -np.arange(n_ops) % n_ops
 
-    a_ops = [seq.op_at(lo + j) for j in range(n_ops)]
-    b_ops = [pert.op_at(lo + j) for j in range(n_ops)]
-    base_pairs = [cert.proj_at(k) for k in ks]
+    # the base pairs at every time, read once
+    Pseq, Qseq = cert.read(lo, n_times, period)
     # weighted shifts stay structured; one dense operand makes the blocks
     # and iterates dense.  The transfer holds about 25 operators per step
     # of the largest operand's size (``_dense_bytes`` when n x n), so admit
-    # it only within its memory cap, before any stack is built
-    pair_ops = [op for pr in base_pairs for op in (pr.P, pr.Q)]
-    size = max(op.data.size for op in a_ops + b_ops + pair_ops)
+    # it only within its memory cap, before anything is built per step
+    size = max(X.stack[0].data.size for X in (seq, pert, Pseq, Qseq))
     need = _dense_bytes(n_ops, W.length) // W.length ** 2 * size
     if need > MAX_DENSE_BYTES:
         raise PreconditionError(
             f"splitting transfer over {n_ops} steps on a window of "
             f"{W.length} needs about {need} bytes, above the cap "
             f"{MAX_DENSE_BYTES}")
-    A, B = stack_ops(a_ops), stack_ops(b_ops)
-    P = stack_ops([pr.P for pr in base_pairs])
-    Q = stack_ops([pr.Q for pr in base_pairs])
-    Ai, Bi = inverse_stack(a_ops, A), inverse_stack(b_ops, B)
+    A, B, Ai, Bi = seq.stack, pert.stack, seq.inverse.stack, pert.inverse.stack
+    P, Q = Pseq.stack, Qseq.stack
 
     def sup_diff(X, Y):
         return float(np.max(_diff_norms(X, Y, p)))
@@ -396,32 +389,35 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
                 f"{label} tilt norm {attained:.3g} left its ball {ball:.3g}")
 
     # a zero tilt stays the op it already is (structured on weighted
-    # shifts); a nonzero tilt is densified once, for GraphMaps and its pair
+    # shifts); a nonzero tilt is densified once, for GraphMaps
     def tilts(H, norms):
-        zero_at = norms == 0.0
         return [H[j] if z else dense(H[j].to_dense_matrix(), W)
-                for j, z in enumerate(zero_at)], zero_at
+                for j, z in enumerate(norms == 0.0)]
 
-    Hs, zero_s = tilts(Hs, h_norms)
-    Hu, zero_u = tilts(Hu, hu_norms)
-    eye = np.eye(W.length)
-    pairs = list(base_pairs)
-    for j in np.flatnonzero(~(zero_s & zero_u)):
-        # a zero tilt on both sides keeps the original pair (bit-exact, and
-        # structured if it was); any other is tilted densely
-        hs, hu = Hs[j].to_dense_matrix(), Hu[j].to_dense_matrix()
-        tilt = np.linalg.inv(eye - hu @ hs)
-        Pt = (eye + hs) @ tilt @ (base_pairs[j].P.to_dense_matrix()
-                                  - hu @ base_pairs[j].Q.to_dense_matrix())
-        pair = ProjPair(dense(Pt, W), dense(eye - Pt, W))
-        try:
-            pair.validate(p=p)
-        except PreconditionError as exc:
-            raise ConvergenceError(
-                f"tilted pair at k={ks[j]} is not a projection: {exc}") from exc
-        pairs[j] = pair
-    P1 = stack_ops([pr.P for pr in pairs])
-    Q1 = stack_ops([pr.Q for pr in pairs])
+    # a zero tilt on both sides keeps the original pair (bit-exact, and
+    # structured if it was); the others are tilted densely, all at once,
+    # into dense stacks of the pairs
+    tilted = np.flatnonzero((h_norms != 0.0) | (hu_norms != 0.0))
+    if len(tilted):
+        eye = np.eye(W.length)
+        hs = Hs[tilted].to_dense_matrix()
+        hu = Hu[tilted].to_dense_matrix()
+        Pt = np.broadcast_to((eye + hs) @ np.linalg.inv(eye - hu @ hs) @ (
+            P[tilted].to_dense_matrix() - hu @ Q[tilted].to_dense_matrix()),
+            (len(tilted),) + eye.shape)
+        for j, m in zip(tilted, Pt):
+            try:
+                ProjPair(dense(m, W), dense(eye - m, W)).validate(p=p)
+            except PreconditionError as exc:
+                raise ConvergenceError(
+                    f"tilted pair at k={lo + j} is not a projection: "
+                    f"{exc}") from exc
+        P1, Q1 = (np.array(np.broadcast_to(X.to_dense_matrix(),
+                                           (n_times, W.length, W.length)))
+                  for X in (P, Q))
+        P1[tilted], Q1[tilted] = Pt, eye - Pt
+        Pseq, Qseq = (OperatorSeq(lo, dense(X, W), period) for X in (P1, Q1))
+    P1, Q1 = Pseq.stack, Qseq.stack
     proj_sup = float(max(np.max(op_norm(P1, p)), np.max(op_norm(Q1, p))))
     if proj_sup > 2.0 * C * (1.0 + CONTRACTION_SLACK):
         raise ConvergenceError(
@@ -477,27 +473,22 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         fwd_js = bwd_js = list(range(n_times))
     stride = max(1, len(fwd_js) // 12)
     for j in fwd_js[::stride]:
-        scan(pairs[j].P, [B[(j + l) % n_ops] for l in range(N)])
+        scan(Pseq.ops[j], [pert.ops[(j + l) % n_ops] for l in range(N)])
     stride = max(1, len(bwd_js) // 12)
     for j in bwd_js[::stride]:
-        scan(pairs[j].Q, [Bi[(j - 1 - l) % n_ops] for l in range(N)])
+        scan(Qseq.ops[j], [pert.inverse.ops[(j - 1 - l) % n_ops]
+                           for l in range(N)])
     if worst_n_step > bound:
         raise ConvergenceError(
             f"{N}-step decay {worst_n_step:.6f} exceeds lam1^{N} = "
             f"{lam1 ** N:.6f}")
 
     R_res = float(max(np.max(_upper_norms(B, p)), np.max(_upper_norms(Bi, p))))
-    pair_by_time = dict(zip(ks, pairs))
-    if period is None:
-        proj_fn = pair_by_time.__getitem__
-    else:
-        def proj_fn(k):
-            return pair_by_time[lo + (k - lo) % period]
-    result = CLCertificate(C1, lam1, R_res, proj_fn)
+    result = index_cert(C1, lam1, R_res, Pseq, Qseq)
 
     graph = GraphMaps(
-        H=dict(zip(ks, Hs)),
-        H_u=dict(zip(ks, Hu)),
+        H=dict(enumerate(tilts(Hs, h_norms), lo)),
+        H_u=dict(enumerate(tilts(Hu, hu_norms), lo)),
         eps2=float(max(eps2_fwd, eps2_rev)),
         iterations=it_s + it_u,
         attained=float(max(np.max(h_norms), np.max(hu_norms))),
@@ -583,10 +574,7 @@ def shadowed_splitting(f, ptraj):
     engine = shadow if ptraj.period is None else shadow_periodic
     sres = engine(f, ptraj, base)
     traj = sres.trajectory
-    steps = traj.path[:-1]
-    stack = f.dforward_rows(steps)
-    aseq = OperatorSeq(traj.lo, [stack[j] for j in range(len(steps))],
-                       period=traj.period)
+    aseq = OperatorSeq(traj.lo, f.dforward_rows(traj.path[:-1]), traj.period)
     return aseq, base.along(traj), sres
 
 
@@ -633,8 +621,7 @@ def perturbed_cl_for_diffeo(f, g, orbit, lam1):
     ptraj = Pseudotrajectory(points, recompute_step_error(f, points),
                              period=period)
     aseq, base_idx, sres = shadowed_splitting(f, ptraj)
-    stack = g.dforward_rows(rows[:-1])
-    bseq = OperatorSeq(0, [stack[k] for k in range(n_ops)], period=period)
+    bseq = OperatorSeq(0, g.dforward_rows(rows[:-1]), period)
     route = graph_transform_periodic if closed else graph_transform_seq
     pc = route(aseq, base_idx, bseq, lam1, p=p)
 

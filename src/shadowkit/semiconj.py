@@ -58,13 +58,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundedsol import perron_constant, perron_sums
-from .clstruct import CLCertificate, ProjPair
+from .clstruct import CLCertificate
 from .graphtf import (_diff_norms, graph_transform_seq, shadowed_splitting,
                       upgraded_constant)
-from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor,
+from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor, LinOp,
                       OperatorSeq, PreconditionError, Segment, SeqVec,
-                      anchor_index, apply_coeffs, coeff_norm, norm, row_norms,
-                      stack_ops)
+                      anchor_index, apply_coeffs, coeff_norm, norm, row_norms)
 from .shadow import Pseudotrajectory, recompute_step_error
 from .systems import DiffeoSystem
 
@@ -144,10 +143,11 @@ def orbit_perron_apply(alpha, A, cert, w, x, T):
     if not tail < TAIL_TOL:
         raise PreconditionError(
             f"series tail {tail:.3g} at T = {T} is not below {TAIL_TOL:.0e}")
-    row = perron_sums({j: A(pts[j]) for j in range(T)},
-                      {j: A(pts[j]).inverse() for j in range(T, 2 * T)},
-                      [cert.proj_at(y) for y in pts],
-                      [wi.coeffs for wi in ws], range(T, T + 1))
+    steps = OperatorSeq(0, [A(y) for y in pts[:-1]])
+    P, Q = (OperatorSeq.of(0, X, len(pts)) for X in cert.pairs_on(
+        np.array([y.coeffs for y in pts]), x.window, x.p))
+    row = perron_sums(steps, steps.inverse, P, Q, [wi.coeffs for wi in ws],
+                      range(T, T + 1))
     value = ws[T].with_coeffs(row[0])
     bound = perron_constant(cert.C, cert.lam) * w_sup
     if bound > 0.0 and norm(value) > bound * (1.0 + BALL_SLACK):
@@ -242,15 +242,14 @@ def make_conjugacy_job(f, g, x0, *, d, span=(0, 0), lam1=None,
     d_map = recompute_step_error(f, orbit)
     df = f.dforward_rows(orbit.rows)
     d_der = float(np.max(_diff_norms(g.dforward_rows(orbit.rows), df, f.p)))
-    f_ops = [df[i] for i in range(len(orbit))]
     d_measured = max(d_map, d_der)
     if d_measured > d * (1.0 + CONTRACTION_SLACK):
         raise PreconditionError(
             f"measured C1 distance {d_measured:.3g} along the segment "
             f"exceeds the declared d = {d:.3g}")
-    bseq = OperatorSeq(lo, f_ops[:-1])
+    bseq = OperatorSeq(lo, df[:-1])
     aseq, base, sres = shadowed_splitting(
-        f, Pseudotrajectory(orbit, d_map, ops=bseq.ops))
+        f, Pseudotrajectory(orbit, d_map, ops=bseq))
     pc = graph_transform_seq(aseq, base, bseq, lam1, p=f.p)
     meta = {
         "d_measured": d_measured,
@@ -274,8 +273,10 @@ def _anchor_index(job, x):
 
 
 def _h1_groups(job, xs):
-    """The h1 frames ``(rows, pairs)`` of the points xs, one list per
-    group of queries.
+    """The h1 frames of the points xs, one group of queries at a time:
+    ``(rows, P, Q)``, the (frames, 2B+2, n) orbit rows and the projection
+    stacks of the rows x_{-B} .. x_B (one operator stands for every row of
+    a constant certificate).
 
     A group holds as many queries as STACK_BUDGET holds by their rows
     alone (:func:`_chunks` then cuts it by the whole frame cost), and it
@@ -286,7 +287,7 @@ def _h1_groups(job, xs):
     """
     B = 2 * job.truncation
     f = job.f
-    rows_only = _frame_bytes(np.empty((2 * B + 2, f.window.length)), ())
+    rows_only = _frame_bytes(np.empty((2 * B + 2, f.window.length)))
     group = max(1, STACK_BUDGET // rows_only)
     for at in range(0, len(xs), group):
         starts = np.array([x.coeffs for x in xs[at:at + group]])
@@ -300,15 +301,29 @@ def _h1_groups(job, xs):
             raise PreconditionError(
                 f"measured distance {d_here[far][0]:.3g} along the query "
                 f"orbit exceeds the declared d = {job.d:.3g}")
-        yield list(zip(rows, job.cert.pairs_on(rows[:, 1:], f.window, f.p)))
+        yield (rows, *job.cert.pairs_on(rows[:, 1:], f.window, f.p))
 
 
-def _h2_frame(job, q):
+def _h2_group(job, qs):
+    """The h2 frames of the anchors qs, ``(rows, ops, P, Q)``: the job's
+    orbit rows x_{q-B-1} .. x_{q+B}, its differentials at x_{q-B-1} ..
+    x_{q+B-1} and the transferred pairs at q-B .. q+B, taken from the
+    job's stacks, which all share the orbit's times, by one index array
+    of rows."""
     B = 2 * job.truncation
-    # the job's orbit rows and differentials x_{q-B-1} .. x_{q+B}
-    i = q - B - 1 - job.orbit.lo
-    return (job.orbit.rows[i:i + 2 * B + 2], job.dseq.ops[i:i + 2 * B + 1],
-            [job.cert_g.proj_at(j) for j in range(q - B, q + B + 1)])
+    at = np.array(qs)[:, None] - B - 1 - job.orbit.lo + np.arange(2 * B + 2)
+    P, Q = job.cert_g.read(job.orbit.lo, len(job.orbit))
+    return (job.orbit.rows[at], job.dseq.stack[at[:, :-1]],
+            P.stack[at[:, 1:]], Q.stack[at[:, 1:]])
+
+
+def _by_step(A, count):
+    """A (frames, count) operator stack as the time-indexed sequence of
+    its count steps, each a stack over the frames: a view with the time
+    axis first (one operator stands for every step)."""
+    if A.lead:
+        A = LinOp(A.shift, np.moveaxis(A.data, 1, 0), A.window)
+    return OperatorSeq.of(0, A, count)
 
 
 class _Stack:
@@ -319,36 +334,18 @@ class _Stack:
     pairs at lo .. hi, with the query at the middle time point.  rows is
     (frames, m+1, n); ops and the projections are operator stacks over
     (frames, m), and inv the inverses of ops[:, 1:], the segment's own
-    steps.  The per-step views that :func:`perron_sums` reads are taken
-    once per stack.
+    steps.  The time-indexed sequences that :func:`perron_sums` reads --
+    the segment's steps, their inverses and the pairs -- are views of
+    these stacks with the time axis first, and their per-step views are
+    built once per stack.
     """
 
     def __init__(self, rows, ops, P, Q, inv=None):
         self.rows, self.ops, self.P, self.Q = rows, ops, P, Q
         self.inv = ops[:, 1:].inverse() if inv is None else inv
         m = rows.shape[1] - 1
-        self.seg_ops = [ops[:, j] for j in range(1, m)]
-        self.seg_inv = [self.inv[:, j] for j in range(m - 1)]
-        self.pairs = [ProjPair(P[:, j], Q[:, j]) for j in range(m)]
-
-    @classmethod
-    def of(cls, job, kind, frames):
-        """The stack of h1 (kind 1) or h2 (kind 2) frames.
-
-        h1 frames walk fresh f-orbits, and their differentials come from
-        one ``dforward_rows`` call on the stacked rows; h2 frames read the
-        job's orbit block and its differential sequence.
-        """
-        if kind == 1:
-            rows, pairs = zip(*frames)
-            rows = np.array(rows)
-            ops = job.f.dforward_rows(rows[:, :-1])
-        else:
-            rows, ops, pairs = zip(*frames)
-            rows, ops = np.array(rows), stack_ops(ops)
-        return cls(rows, ops,
-                   stack_ops([[pr.P for pr in prs] for prs in pairs]),
-                   stack_ops([[pr.Q for pr in prs] for prs in pairs]))
+        self.seqs = (_by_step(ops[:, 1:], m - 1), _by_step(self.inv, m - 1),
+                     _by_step(P, m), _by_step(Q, m))
 
     def take(self, keep):
         """The stack of the frames ``keep``."""
@@ -356,33 +353,38 @@ class _Stack:
                       self.Q[keep], self.inv[keep])
 
 
-def _frame_bytes(rows, pairs):
+def _frame_bytes(rows, *projections):
     """Bytes one frame adds to a stack: STACK_BLOCKS blocks of its rows,
-    and its projections twice (the differentials and their inverses are
-    taken to weigh as much)."""
-    ops = {id(A): A for pr in pairs for A in (pr.P, pr.Q)}.values()
-    held = sum(A.data.nbytes for A in ops)
-    return STACK_BLOCKS * rows.nbytes + 2 * held
+    and its projection stacks twice (the differentials and their inverses
+    are taken to weigh as much)."""
+    return STACK_BLOCKS * rows.nbytes + 2 * sum(A.data.nbytes
+                                                for A in projections)
 
 
 def _chunks(job, kind, where):
-    """The frames of ``where``, in consecutive chunks of at most
-    STACK_BUDGET bytes (and at least one frame) each; a chunk of h1
-    frames never spans two of their groups, so one group is walked only
-    after the chunks of the last one have been solved."""
-    groups = (_h1_groups(job, where) if kind == 1
-              else [(_h2_frame(job, q) for q in where)])
-    for frames in groups:
-        chunk, used = [], 0
-        for frame in frames:
-            cost = _frame_bytes(frame[0], frame[-1])
-            if chunk and used + cost > STACK_BUDGET:
-                yield chunk
-                chunk, used = [], 0
-            chunk.append(frame)
-            used += cost
-        if chunk:
-            yield chunk
+    """The frames of ``where``, in stacks ``(rows, ops, P, Q)`` of
+    consecutive frames of at most STACK_BUDGET bytes (and at least one
+    frame) each; the differentials of h1 frames come from one
+    ``dforward_rows`` call on the rows of a chunk, as it is yielded.  The
+    frames of a kind weigh alike.  A chunk of h1 frames never spans two
+    of their groups, so one group is walked only after the chunks of the
+    last one have been solved, and h2 frames are taken from the job's
+    stacks one chunk at a time."""
+    def size(rows, P, Q):
+        return max(1, STACK_BUDGET // _frame_bytes(rows[0], P[0], Q[0]))
+
+    if kind == 2:
+        rows, _, P, Q = _h2_group(job, where[:1])
+        n = size(rows, P, Q)
+        for at in range(0, len(where), n):
+            yield _h2_group(job, where[at:at + n])
+        return
+    for rows, P, Q in _h1_groups(job, where):
+        n = size(rows, P, Q)
+        for at in range(0, len(rows), n):
+            cut = slice(at, at + n)
+            yield (rows[cut], job.f.dforward_rows(rows[cut, :-1]), P[cut],
+                   Q[cut])
 
 
 def _fixed_point(job, kind, where):
@@ -405,8 +407,8 @@ def _fixed_point(job, kind, where):
     solve.  Returns one ``(value, stats)`` per query: the displacement at
     the query and its sweeps, fixed-point residual and observed ratio.
     """
-    return [solved for frames in _chunks(job, kind, where)
-            for solved in _solve_stack(job, kind, _Stack.of(job, kind, frames))]
+    return [solved for chunk in _chunks(job, kind, where)
+            for solved in _solve_stack(job, kind, _Stack(*chunk))]
 
 
 def _solve_stack(job, kind, st):
@@ -444,7 +446,7 @@ def _solve_stack(job, kind, st):
             raise PreconditionError(
                 f"series tail {tail:.3g} during the sweep is not below "
                 f"{TAIL_TOL:.0e}; increase the truncation")
-        new = perron_sums(st.seg_ops, st.seg_inv, st.pairs, cs, range(m))
+        new = perron_sums(*st.seqs, cs, range(m))
         del cs
         sup_h = frame_max(new).max()
         if ball > 0.0 and sup_h > ball * (1.0 + BALL_SLACK):

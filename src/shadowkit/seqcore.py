@@ -15,7 +15,8 @@ application; ``op_apply`` raises :class:`TruncationError` when that mass
 exceeds ``LOST_TOL * (1 + |v|_inf)`` (the test is ``edge_trips``), and
 ``transport_rows`` carries a block of rows through a list of operators
 under the same guard.  ``Segment`` holds points at consecutive times as
-one read-only block of rows.  ``monitored_fixed_point`` runs one
+one read-only block of rows, and ``OperatorSeq`` operators at consecutive
+times as one stack with a time axis.  ``monitored_fixed_point`` runs one
 fixed-point iteration under a ``FixedPointMonitor``'s contraction gate.
 """
 
@@ -30,7 +31,7 @@ __all__ = [
     "Window", "SeqVec", "Segment", "LinOp", "OperatorSeq",
     "norm", "coeff_norm", "row_norms", "anchor_index", "op_apply",
     "edge_trips", "edge_loss", "transport_rows", "apply_coeffs",
-    "apply_rows", "stack_ops", "inverse_stack", "op_norm", "cocycle",
+    "stack_ops", "op_norm", "cocycle",
     "compose", "add", "sub", "FixedPointMonitor", "monitored_fixed_point",
     "dense", "diag", "shift_diag", "identity_op",
     "PreconditionError", "TruncationError", "ConvergenceError", "LOST_TOL",
@@ -345,6 +346,11 @@ class LinOp:
     # by index would never stop
     __iter__ = None
 
+    @property
+    def lead(self):
+        """The leading shape of a stack; () for one operator."""
+        return self.data.shape[:self.data.ndim - (2 if self.shift is None else 1)]
+
     def __getitem__(self, idx):
         if self.data.ndim == (2 if self.shift is None else 1):
             return self
@@ -448,55 +454,24 @@ def identity_op(window):
     return diag(window, np.ones(window.length))
 
 
-def _flat(ops):
-    """The leading shape of a nested list of operators, and its operators
-    in order (an operator itself has shape ())."""
-    shape, flat = (), [ops]
-    while not isinstance(flat[0], LinOp):
-        shape += (len(flat[0]),)
-        flat = [A for row in flat for A in row]
-    return shape, flat
-
-
 def stack_ops(ops):
-    """The operators of a nested list of some leading shape as one stack.
+    """A list of operators as one stack, with a leading axis over the list.
 
     Weighted shifts by one common s stack their scalars, and any other mix
     (a dense operator, shifts by different s) is densified, as a mixed
     ``add`` densifies.  When all the operators are one object, that
     operator is the stack.  Every operator must act on one window.
     """
-    shape, flat = _flat(ops)
-    first = flat[0]
-    if all(A is first for A in flat):
+    first = ops[0]
+    if all(A is first for A in ops):
         return first
-    if any(A.window != first.window for A in flat
+    if any(A.window != first.window for A in ops
            if A.window is not first.window):
         raise PreconditionError("stacked operators act between different windows")
-    same = all(A.shift == first.shift for A in flat)
-    rows = [A.data if same else A.to_dense_matrix() for A in flat]
+    same = all(A.shift == first.shift for A in ops)
     return LinOp(first.shift if same else None,
-                 np.array(rows).reshape(shape + rows[0].shape), first.window)
-
-
-def inverse_stack(ops, stack):
-    """The inverses of the nested list ``ops`` as one stack, ``stack``
-    being ``stack_ops(ops)``.
-
-    A stack of weighted shifts (by one s) is inverted as it is, in one
-    array operation, and so is an all-dense list, in one batched
-    ``np.linalg.inv`` (the LAPACK solve of each matrix alone).  A mix is
-    inverted operator by operator into one densified stack: it keeps the
-    inverse of each shift, whose dense view (s != 0) is singular.
-    """
-    shape, flat = _flat(ops)
-    if stack.shift is not None or all(A.shift is None for A in flat):
-        return stack.inverse()
-    n = flat[0].window.length
-    out = np.empty((len(flat), n, n))
-    for row, A in zip(out, flat):
-        row[...] = A.inverse().to_dense_matrix()
-    return dense(out.reshape(shape + (n, n)), flat[0].window)
+                 np.array([A.data if same else A.to_dense_matrix()
+                           for A in ops]), first.window)
 
 
 def apply_coeffs(A, x):
@@ -514,12 +489,6 @@ def apply_coeffs(A, x):
     out = np.zeros(x.shape)
     np.multiply(A.data[..., kept], x[..., kept], out=out[..., landed])
     return out
-
-
-def apply_rows(ops, rows):
-    """Apply ``ops[i]`` to row i of an (m, n) coefficient array: ``ops`` is
-    a list of operators or their stack (see :func:`stack_ops`)."""
-    return apply_coeffs(stack_ops(ops), rows)
 
 
 def edge_trips(dropped, rows):
@@ -684,35 +653,81 @@ def op_norm(A, p=2.0):
 
 
 class OperatorSeq:
-    """A two-sided-indexable family {A_k} over an integer interval.
+    """A two-sided-indexable family {A_k} over an integer interval, held
+    as one stack whose leading axis is time.
 
-    ``ops[k]`` maps time k to time k+1.  The interval [lo, hi] indexes the
-    *time points*; operators exist for k in [lo, hi - 1].  An optional
+    ``op_at(k)`` maps time k to time k+1.  The interval [lo, hi] indexes
+    the *time points*; operators exist for k in [lo, hi - 1].  An optional
     ``period`` m declares A_{k+m} = A_k, in which case ``op_at`` answers
     for every integer k.
+
+    The operators come as a stack with a time axis, or as a list, packed
+    once into ``stack`` by :func:`stack_ops` (a list of one object keeps
+    that operator, standing for every step; a mix of kinds is densified).
+    ``ops`` is the given list, or the views of the given stack, built once
+    on first read.  ``inverse`` is the sequence of the inverses, computed
+    once: a stack is inverted whole, and a list that mixes kinds operator
+    by operator, each inverse keeping its kind (the dense view of a shift
+    by s != 0 is singular).
     """
 
     def __init__(self, lo, ops, period=None):
-        self.lo = lo
-        self.ops = list(ops)
-        self.period = period
-        if period is not None and period != len(self.ops):
+        if isinstance(ops, LinOp):
+            if not ops.lead:
+                raise PreconditionError("an operator stack needs a time axis")
+            self.stack, self.count = ops, ops.lead[0]
+        else:
+            self.ops = list(ops)
+            if not self.ops:
+                raise PreconditionError("an operator sequence needs an operator")
+            self.stack, self.count = stack_ops(self.ops), len(self.ops)
+        self.lo, self.period = lo, period
+        if period is not None and period != self.count:
             raise PreconditionError("periodic OperatorSeq must hold exactly one period of ops")
-        for a, b in zip(self.ops, self.ops[1:]):
-            if a.window != b.window:
-                raise PreconditionError("consecutive operators act on different windows")
+
+    @classmethod
+    def of(cls, lo, A, count, period=None):
+        """The sequence of the ``count`` rows of a stack with a time axis,
+        or of one operator standing for every time."""
+        return cls(lo, A if A.lead else [A] * count, period)
+
+    @functools.cached_property
+    def ops(self):
+        return [self.stack[j] for j in range(self.count)]
+
+    @functools.cached_property
+    def inverse(self):
+        if self.stack.shift is None and any(A.shift is not None for A in self.ops):
+            return OperatorSeq(self.lo, [A.inverse() for A in self.ops],
+                               self.period)
+        return OperatorSeq.of(self.lo, self.stack.inverse(), self.count,
+                              self.period)
 
     @property
     def hi(self):
         """Last time point (one past the last operator index)."""
-        return self.lo + len(self.ops)
+        return self.lo + self.count
 
-    def op_at(self, k):
+    def row_index(self, k):
+        """The row of time k in ``stack``, wrapped modulo the period."""
         if self.period is not None:
-            return self.ops[(k - self.lo) % self.period]
+            return (k - self.lo) % self.period
         if not self.lo <= k < self.hi:
             raise PreconditionError(f"no operator at index {k}")
-        return self.ops[k - self.lo]
+        return k - self.lo
+
+    def op_at(self, k):
+        return self.ops[self.row_index(k)]
+
+    def part(self, k, count, period=None):
+        """The operators at k .. k + count - 1 as a sequence from k, with
+        the ``period`` given: a slice of ``stack`` (an index array where it
+        wraps around the period), or the one operator of a stack of one."""
+        i = self.row_index(k)
+        self.row_index(k + count - 1)
+        rows = (slice(i, i + count) if i + count <= self.count
+                else (i + np.arange(count)) % self.count)
+        return OperatorSeq.of(k, self.stack[rows], count, period)
 
 
 def cocycle(seq, k, l):
@@ -725,12 +740,13 @@ def cocycle(seq, k, l):
     dense.
     """
     if k == l:
-        at_end = seq.period is None and k == seq.hi
-        return identity_op((seq.ops[-1] if at_end else seq.op_at(k)).window)
+        if k != seq.hi:
+            seq.op_at(k)            # outside the interval raises
+        return identity_op(seq.stack.window)
     if l < k:
         factors = [seq.op_at(j) for j in range(l, k)]          # apply A_l first
     else:
-        factors = [seq.op_at(j).inverse() for j in range(l - 1, k - 1, -1)]
+        factors = [seq.inverse.op_at(j) for j in range(l - 1, k - 1, -1)]
     return functools.reduce(lambda out, f: compose(f, out), factors)
 
 

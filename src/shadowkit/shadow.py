@@ -70,16 +70,17 @@ class Pseudotrajectory:
     a periodic trajectory exactly one period is stored and ``points[k]``
     wraps.  ``d`` is always the realized maximum step error, recomputed
     from the points, never the requested noise level.  ``ops`` optionally
-    holds the differentials Df(y_k) of every step, in time order, when the
-    caller has already evaluated them; the first refinement then reads
-    them instead of evaluating the differentials again.
+    holds the differentials Df(y_k) of every step, as the
+    :class:`seqcore.OperatorSeq` of the points' times, when the caller has
+    already evaluated them; the first refinement then reads them instead
+    of evaluating the differentials again.
     """
 
     points: Segment
     d: float
     period: int = None
     meta: dict = field(default_factory=dict)
-    ops: list = None
+    ops: OperatorSeq = None
 
     def __post_init__(self):
         self.points = Segment.pack(self.points, self.period)
@@ -268,11 +269,10 @@ def shadowing_constants(sys, cert):
 def _variational_problem(sys, pstraj, cert):
     points = pstraj.points
     path = points.path
-    ops = pstraj.ops
-    if ops is None:
-        stack = sys.dforward_rows(path[:-1])
-        ops = [stack[j] for j in range(len(path) - 1)]
-    seq = OperatorSeq(points.lo, ops, period=points.period)
+    seq = pstraj.ops
+    if seq is None:
+        seq = OperatorSeq(points.lo, sys.dforward_rows(path[:-1]),
+                          points.period)
     # the scaled defects (f(y_k) - y_{k+1}) / d of every step, the forcing
     # of time k + 1; time lo has none, or for a period the last step's
     defects = sys.forward_rows(path[:-1])

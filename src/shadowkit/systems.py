@@ -246,13 +246,15 @@ class TanhShiftFamily:
 
     def deriv(self, ks, xs):
         c1, c2 = self._coef(ks)
-        return c1 + c2 / np.cosh(xs) ** 2
+        # cosh(x)^2 overflows to inf for |x| above about 355, where
+        # c2 / inf = 0 gives the derivative its exact limit c1
+        with np.errstate(over="ignore"):
+            return c1 + c2 / np.cosh(xs) ** 2
 
     def apply_inv(self, ks, ys):
-        c1, c2 = self._coef(ks)
-        return _newton(lambda xs: c1 * xs + c2 * np.tanh(xs),
-                       lambda xs: c1 + c2 / np.cosh(xs) ** 2,
-                       ys, ys / c1, 60, 1e-15)
+        return _newton(lambda xs: self.apply(ks, xs),
+                       lambda xs: self.deriv(ks, xs),
+                       ys, ys / self._coef(ks)[0], 60, 1e-15)
 
 
 class SinPerturbedFamily:
@@ -634,10 +636,10 @@ def make_ms_product(params, window, p=2.0, name="ms_product"):
 def make_linear_example_seq(window, interval):
     """Diagonal operators (A_k x)_m = x_m/2 for m <= k, 2 x_m for m > k,
     for k over ``interval`` (a range of time indices)."""
-    ks = list(interval)
+    ks = np.array(interval)
     ms = np.arange(window.lo, window.hi + 1)
-    ops = [diag(window, np.where(ms <= k, 0.5, 2.0)) for k in ks]
-    return OperatorSeq(ks[0], ops)
+    return OperatorSeq(int(ks[0]),
+                       diag(window, np.where(ms <= ks[:, None], 0.5, 2.0)))
 
 
 def linear_example_cert(window):

@@ -22,6 +22,14 @@ CERT2 = constant_cert(1.0, 0.5, 2.0,
                       diag(W2, np.array([0.0, 1.0])))
 
 
+def _sums(ops, inv_ops, pairs, w, at):
+    # perron_sums on per-step lists, each packed into a time-indexed
+    # sequence from 0
+    return perron_sums(OperatorSeq(0, ops), OperatorSeq(0, inv_ops),
+                       OperatorSeq(0, [pr.P for pr in pairs]),
+                       OperatorSeq(0, [pr.Q for pr in pairs]), w, at)
+
+
 def const_problem(length, w_fn, lo=0):
     seq = OperatorSeq(lo, [A2 for _ in range(length)])
     w = {k: w_fn(k) for k in range(lo + 1, lo + length + 1)}
@@ -321,9 +329,9 @@ def test_periodic_green_builds_each_pair_once():
     for k in range(lo, lo + m):
         times = range(k - T, k + T + 1)
         steps = [(i - lo) % m for i in times[:-1]]
-        row = perron_sums([seq.ops[i] for i in steps], [inv[i] for i in steps],
-                          [proj_at(i) for i in times],
-                          [prob.w[i].coeffs for i in times], range(T, T + 1))
+        row = _sums([seq.ops[i] for i in steps], [inv[i] for i in steps],
+                    [proj_at(i) for i in times],
+                    [prob.w[i].coeffs for i in times], range(T, T + 1))
         assert sol.v[k].coeffs.tobytes() == row[0].tobytes()
 
 
@@ -415,7 +423,10 @@ def test_neumann_inverts_once_and_matches_repeated_perron_solves(monkeypatch):
 
     monkeypatch.setattr(LinOp, "inverse", counted_inverse)
     cert = CLCertificate(CERT2.C, CERT2.lam, CERT2.R, counted_proj_at)
-    sol = neumann_perturbed_solve(prob_b, base, cert, eps=eps * (1 + 1e-12))
+    # a fresh sequence of the same steps: the reference's solves have
+    # inverted ``base`` already, once
+    sol = neumann_perturbed_solve(prob_b, OperatorSeq(base.lo, base.ops),
+                                  cert, eps=eps * (1 + 1e-12))
     assert len(inversions) == 1
     assert reads == list(range(11))
     got = np.array([sol.v[k].coeffs for k in range(11)])
@@ -556,11 +567,11 @@ def _per_point_periodic_rows(prob, cert, T):
     for k in range(lo, lo + m):
         times = range(k - T, k + T + 1)
         steps = [(i - lo) % m for i in times]
-        rows.append(perron_sums([ops[i] for i in steps[:-1]],
-                                [inv_ops[i] for i in steps[:-1]],
-                                [pairs[i] for i in steps],
-                                [prob.w[i].coeffs for i in times],
-                                range(T, T + 1))[0])
+        rows.append(_sums([ops[i] for i in steps[:-1]],
+                          [inv_ops[i] for i in steps[:-1]],
+                          [pairs[i] for i in steps],
+                          [prob.w[i].coeffs for i in times],
+                          range(T, T + 1))[0])
     return np.array(rows)
 
 

@@ -14,7 +14,8 @@ conjugated system, and the conjugated ``shadow`` probe of the ``sweep``
 workload, whose CSV digest ``bench/refs.json`` does not hold and is
 recorded below.  ``robustness``, the dense transfers, runs at the
 held-out seed too, and so do the ``sweep`` runs of the noise block and of
-the oracle's instance stacks, ``shadow`` and ``solver-oracle``.  A change
+the oracle's instance stacks, ``shadow`` and ``solver-oracle``, and those
+of the periodic solver, ``shadow-periodic`` and ``chain-demo``.  A change
 that moves the bits of a verifier, a solver or a transfer fails here, before
 the benchmark's correctness gate sees it.  The tests only read ``bench/``.
 """
@@ -105,13 +106,17 @@ ROBUSTNESS_HELD_OUT = (
     "fffd4756c91bbce2abb806937ef665dbf6e33cda988001b090284a44090de910")
 ROBUSTNESS = next(inv for inv in CERTIFY if inv.label == "robustness")
 #: sha256 of the report.json at the held-out seed of the ``sweep`` runs on
-#: the noise block and the oracle's instance stacks, by label; their CSV
-#: digests are in ``bench/refs.json``
+#: the noise block, the oracle's instance stacks and the periodic solver,
+#: by label; their CSV digests are in ``bench/refs.json``
 SWEEP_HELD_OUT = {
     "shadow":
         "82894f26c19735956954f1cef597ead96e44c65bf6b64f4dff305d3b7304b0fd",
     "solver-oracle":
         "c0f15d75226f2868e2497d035669b6a44126f091557abea8b792b8a722dee722",
+    "shadow-periodic":
+        "be55c94b882b6087119446d6e813b07493e34ec7db8efb8570d1f87913f609fb",
+    "chain-demo":
+        "b7ef8a77d34eb8988e1a6708ecbb07752f7d2bb230df6bfe31301f4eea5a8a96",
 }
 SWEEP_RUNS = [inv for inv in WORKLOADS["sweep"].invocations
               if inv.label in SWEEP_HELD_OUT]

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from shadowkit.boundedsol import random_hyperbolic_instance
 from shadowkit.seqcore import (
-    Window, SeqVec, OperatorSeq, LinOp, dense, diag, shift_diag, identity_op,
-    norm, op_apply, op_norm, compose, PreconditionError, TruncationError,
+    Window, SeqVec, Segment, OperatorSeq, LinOp, dense, diag, shift_diag,
+    identity_op,
+    norm, op_apply, op_norm, compose, stack_ops, PreconditionError,
+    TruncationError,
 )
 from shadowkit import clstruct
 from shadowkit.clstruct import (
@@ -282,14 +285,20 @@ def _point_walk(op_at, step, x, steps):
     return ops
 
 
+def _shared_loop(cert, points, pairs, walked):
+    # the verifiers' shared loop on the pairs read point by point, where
+    # walked[i] holds point i's residual and its forward/backward operators
+    P, Q = (stack_ops([getattr(pr, side) for pr in pairs]) for side in "PQ")
+    return clstruct._verify(cert, "point", range(len(points)), P, Q,
+                            [res for res, _, _ in walked],
+                            lambda i: walked[i][1:], points[0].window,
+                            points[0].p, clstruct.N_DIRS)
+
+
 def _verify_point_by_point(sys, cert, points, horizon, lengths):
     # reference: the splitting verifier with each sample's orbits walked
     # alone, point by point; ``lengths`` collects the walks' lengths
-    sampled = []
-
-    def local(i, pair):
-        x = points[i]
-        sampled.append((x, pair.P))
+    def local(x, pair):
         fx, bx = sys.forward(x), sys.inverse(x)
         dfx, dbx = sys.dforward(x), sys.dinverse(x)
         res_s = op_norm(compose(cert.proj_at(fx).Q, compose(dfx, pair.P)), x.p)
@@ -299,9 +308,11 @@ def _verify_point_by_point(sys, cert, points, horizon, lengths):
         lengths.append((len(fwd), len(bwd)))
         return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
 
-    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    rep = clstruct._verify(cert, "point", samples, local, clstruct.N_DIRS)
-    rep.proj_lipschitz = clstruct._proj_lipschitz(sampled, points[0].p)
+    pairs = [cert.proj_at(x) for x in points]
+    rep = _shared_loop(cert, points, pairs,
+                       [local(x, pair) for x, pair in zip(points, pairs)])
+    rep.proj_lipschitz = clstruct._proj_lipschitz(
+        [(x, pair.P) for x, pair in zip(points, pairs)], points[0].p)
     return rep
 
 
@@ -311,8 +322,7 @@ def _cocycle_point_by_point(sys, A, cert, points, horizon, lengths):
     def A_at(x):
         return A(x.coeffs)
 
-    def local(i, pair):
-        x = points[i]
+    def local(x, pair):
         ax, bx = sys.forward(x), sys.inverse(x)
         a_x, b_x = A_at(x), A_at(bx).inverse()
         res_s = op_norm(compose(cert.proj_at(ax).Q, compose(a_x, pair.P)), x.p)
@@ -323,8 +333,9 @@ def _cocycle_point_by_point(sys, A, cert, points, horizon, lengths):
         lengths.append((len(fwd), len(bwd)))
         return max(res_s, res_u), fwd[:horizon], bwd[:horizon]
 
-    samples = [(i, x, x.window, x.p) for i, x in enumerate(points)]
-    return clstruct._verify(cert, "point", samples, local, clstruct.N_DIRS)
+    pairs = [cert.proj_at(x) for x in points]
+    return _shared_loop(cert, points, pairs,
+                        [local(x, pair) for x, pair in zip(points, pairs)])
 
 
 def _edge_points():
@@ -489,6 +500,9 @@ def test_decay_scan_matches_direction_by_direction_loop(p):
 
 
 def test_operator_sequence_inverts_each_operator_once(monkeypatch):
+    # the sequence is inverted once, as its whole stack, however many
+    # verifications and samples read the inverses; a list that mixes
+    # kinds is inverted operator by operator, each operator once
     calls = []
     real = LinOp.inverse
 
@@ -499,11 +513,59 @@ def test_operator_sequence_inverts_each_operator_once(monkeypatch):
     monkeypatch.setattr(LinOp, "inverse", counted)
     w = Window(-6, 6)
     seq = make_linear_example_seq(w, range(-5, 6))
-    rep = verify_cl_opseq(seq, linear_example_cert(w), horizon=4, n_dirs=2)
-    assert rep.passed
-    assert len(calls) == len(seq.ops)
-    assert len({id(A) for A in calls}) == len(seq.ops)
+    for _ in range(2):
+        rep = verify_cl_opseq(seq, linear_example_cert(w), horizon=4, n_dirs=2)
+        assert rep.passed
+    assert calls == [seq.stack]
     periodic = OperatorSeq(0, seq.ops[:3], period=3)
     calls.clear()
     verify_cl_opseq(periodic, linear_example_cert(w), horizon=7, n_dirs=2)
-    assert len(calls) == 3
+    assert calls == [periodic.stack]
+    mixed = OperatorSeq(0, [seq.ops[0], shift_diag(w, np.full(13, 2.0), 1),
+                            dense(2.0 * np.eye(13), w)])
+    calls.clear()
+    assert mixed.inverse is mixed.inverse
+    assert [id(A) for A in calls] == [id(A) for A in mixed.ops]
+
+
+def _same_op(A, B):
+    return (A.shift, A.data.shape, A.data.tobytes()) == (
+        B.shift, B.data.shape, B.data.tobytes())
+
+
+@pytest.mark.parametrize("kind", ["along", "along-periodic", "constant",
+                                  "per-index", "held-stacks"])
+def test_certificate_read_serves_the_pairs_of_proj_at(kind):
+    # a read over an interval of times gives two stacks whose views are the
+    # pairs proj_at serves at every time: read along a Segment of points
+    # (wrapping with a periodic one), from a constant certificate, one
+    # proj_at per time, or from the stacks an index-keyed one holds
+    rng = np.random.default_rng(7)
+    w = W if kind.startswith("along") else Window(-6, 6)
+    if kind.startswith("along"):
+        base = make_system("weighted_shift_linear", w)
+        point_cert = conjugate(base, make_sin_wobble(w)).cert
+        period = 4 if kind == "along-periodic" else None
+        seg = Segment(3, 0.2 * rng.standard_normal((4 if period else 6,
+                                                    w.length)),
+                      w, 2.0, period)
+        cert = point_cert.along(seg)
+        lo, count = (1, 11) if period else (3, 6)
+
+        def want(k):
+            return point_cert.proj_at(seg[k])
+    else:
+        if kind == "constant":
+            cert = make_system("weighted_shift_linear", w).cert
+        elif kind == "per-index":
+            cert = linear_example_cert(w)
+        else:
+            cert = random_hyperbolic_instance(4, 8, rng)[1]
+        lo, count = (0, 9) if kind == "held-stacks" else (-4, 9)
+        want = cert.proj_at
+    P, Q = cert.read(lo, count)
+    assert P.count == Q.count == count
+    for k in range(lo, lo + count):
+        for got, side in ((P.op_at(k), "P"), (Q.op_at(k), "Q")):
+            assert _same_op(got, getattr(want(k), side))
+            assert _same_op(got, getattr(cert.proj_at(k), side))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from shadowkit import boundedsol, cli, semiconj, seqcore
 from shadowkit.boundedsol import (InhomProblem, perron_constant, perron_solve,
                                   perron_sums)
-from shadowkit.clstruct import CLCertificate, ProjPair
+from shadowkit.clstruct import CLCertificate
 from shadowkit.semiconj import (MAX_SWEEPS, H1_RATIO, H2_RATIO,
                                 _fixed_point, continuity_probe, h1_at, h2_at,
                                 make_conjugacy_job, orbit_perron_apply,
@@ -20,7 +20,7 @@ from shadowkit.seqcore import (FP_STOP_TOL, LinOp, OperatorSeq,
                                PreconditionError, SeqVec,
                                TruncationError, Window, apply_coeffs,
                                coeff_norm, monitored_fixed_point, norm,
-                               op_apply, stack_ops)
+                               op_apply)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                TanhShiftFamily, make_weighted_shift)
 
@@ -342,6 +342,9 @@ def _pointwise_displacement(job, kind, x, q=None, with_sweeps=False):
     ops = {j: f.dforward(pts[j]) for j in range(lo - 1, hi)}
     seg_ops = [ops[j] for j in range(lo, hi)]
     seg_inv = [A.inverse() for A in seg_ops]
+    seqs = (OperatorSeq(0, seg_ops), OperatorSeq(0, seg_inv),
+            OperatorSeq(0, [pr.P for pr in pairs]),
+            OperatorSeq(0, [pr.Q for pr in pairs]))
     zero = np.zeros(W.length)
 
     def sweep(hs):
@@ -351,7 +354,7 @@ def _pointwise_displacement(job, kind, x, q=None, with_sweeps=False):
             xp = pts[j].with_coeffs(pts[j].coeffs + hj)
             cs.append(other(xp).coeffs - pts[j + 1].coeffs
                       - apply_coeffs(ops[j], hj))
-        return perron_sums(seg_ops, seg_inv, pairs, cs, range(hi - lo + 1))
+        return perron_sums(*seqs, cs, range(hi - lo + 1))
 
     hs, sweeps, *_ = monitored_fixed_point(
         sweep, np.zeros((hi - lo + 1, W.length)),
@@ -422,18 +425,22 @@ def test_stacked_perron_sums_match_the_solo_sums_bit_for_bit():
     ops = [[f.dforward(y) for y in orbit[:-1]] for orbit in xs]
     pairs = [[job.cert.proj_at(y) for y in orbit] for orbit in xs]
     w = rng.standard_normal((frames, m, W.length))
-    stacked_ops = stack_ops(ops)
+    # the frames' stacks as the lockstep solves build them, from the rows
+    rows = np.array([[y.coeffs for y in orbit] for orbit in xs])
+    stacked_ops = f.dforward_rows(rows[:, :-1])
     inv = stacked_ops.inverse()
-    P = stack_ops([[pr.P for pr in prs] for prs in pairs])
-    Q = stack_ops([[pr.Q for pr in prs] for prs in pairs])
+    P, Q = job.cert.pairs_on(rows, W, 2.0)
+    # the frames' stacks read step by step, as the lockstep solves read them
+    stacked = [semiconj._by_step(X, count) for X, count in (
+        (stacked_ops, m - 1), (inv, m - 1), (P, m), (Q, m))]
     for at in (range(m), range(5, 6), range(3, m - 2)):
-        got = perron_sums([stacked_ops[:, j] for j in range(m - 1)],
-                          [inv[:, j] for j in range(m - 1)],
-                          [ProjPair(P[:, j], Q[:, j]) for j in range(m)],
-                          w, at)
+        got = perron_sums(*stacked, w, at)
         for i in range(frames):
-            want = perron_sums(ops[i], [A.inverse() for A in ops[i]],
-                               pairs[i], list(w[i]), at)
+            want = perron_sums(OperatorSeq(0, ops[i]),
+                               OperatorSeq(0, [A.inverse() for A in ops[i]]),
+                               OperatorSeq(0, [pr.P for pr in pairs[i]]),
+                               OperatorSeq(0, [pr.Q for pr in pairs[i]]),
+                               list(w[i]), at)
             assert got[i].tobytes() == want.tobytes()
 
 
@@ -443,7 +450,7 @@ def test_default_job_counters(monkeypatch):
     counts = {"apply_coeffs": 0, "dforward": 0, "densified": 0}
     real_apply = seqcore.apply_coeffs
     # applications of whole operator stacks -- the lockstep sums over
-    # (frames, m, n) blocks and the solution recheck's apply_rows -- are
+    # (frames, m, n) blocks and the solution recheck's -- are
     # left out of the count, as when stacks had their own apply
     stacked = []
 
@@ -452,10 +459,10 @@ def test_default_job_counters(monkeypatch):
         return real_apply(A, x)
 
     def leaving_out(fn, is_stacked):
-        def wrapped(*args):
+        def wrapped(*args, **kw):
             stacked.append(is_stacked(*args))
             try:
-                return fn(*args)
+                return fn(*args, **kw)
             finally:
                 stacked.pop()
         return wrapped
@@ -463,9 +470,9 @@ def test_default_job_counters(monkeypatch):
     monkeypatch.setattr(seqcore, "apply_coeffs", counted_apply)
     monkeypatch.setattr(boundedsol, "apply_coeffs", counted_apply)
     monkeypatch.setattr(semiconj, "perron_sums", leaving_out(
-        semiconj.perron_sums, lambda *args: np.ndim(args[3]) == 3))
-    monkeypatch.setattr(boundedsol, "apply_rows", leaving_out(
-        boundedsol.apply_rows, lambda *args: True))
+        semiconj.perron_sums, lambda *args: np.ndim(args[4]) == 3))
+    monkeypatch.setattr(boundedsol, "_solution", leaving_out(
+        boundedsol._solution, lambda *args: True))
 
     def counted(sys):
         # the points at which Df is evaluated, one per row of each block
@@ -545,9 +552,9 @@ def test_chunked_stacks_match_one_stack_with_flat_memory(monkeypatch):
     whole = _fixed_point(job, 1, points)
     anchors = list(range(6))
     whole2 = _fixed_point(job, 2, anchors)
-    (rows, pairs), = next(semiconj._h1_groups(job, points[:1]))
+    rows, P, Q = next(semiconj._h1_groups(job, points[:1]))
     monkeypatch.setattr(semiconj, "STACK_BUDGET",
-                        2 * semiconj._frame_bytes(rows, pairs))
+                        2 * semiconj._frame_bytes(rows[0], P[0], Q[0]))
     calls = []
     real_solve = semiconj._solve_stack
 

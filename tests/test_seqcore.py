@@ -11,8 +11,8 @@ from shadowkit.graphtf import _diff_norms
 from shadowkit.seqcore import (
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
-    apply_coeffs, apply_rows, coeff_norm, row_norms, anchor_index, LOST_TOL,
-    LinOp, Segment, edge_loss, inverse_stack, stack_ops, transport_rows,
+    apply_coeffs, coeff_norm, row_norms, anchor_index, LOST_TOL,
+    LinOp, Segment, edge_loss, stack_ops, transport_rows,
     ConvergenceError, PreconditionError, TruncationError,
 )
 
@@ -349,11 +349,15 @@ def test_a_singular_dense_matrix_is_a_precondition_error():
     good = dense(2.0 * np.eye(4), w)
     with pytest.raises(PreconditionError, match="^dense matrix is singular$"):
         bad.inverse()
-    for ops, at in (([good, bad, good, bad], "1"),
-                    ([[good, good], [good, bad]], "1, 1")):
+    nested = dense(np.array([[good.data, good.data], [good.data, bad.data]]),
+                   w)
+    for stack, at in ((stack_ops([good, bad, good, bad]), "1"),
+                      (nested, "1, 1")):
         with pytest.raises(PreconditionError,
                            match=f"at stack index {at} is singular"):
-            inverse_stack(ops, stack_ops(ops))
+            stack.inverse()
+    with pytest.raises(PreconditionError, match="at stack index 3 is singular"):
+        OperatorSeq(0, [good, good, good, bad]).inverse
 
 
 @settings(max_examples=150)
@@ -455,7 +459,7 @@ def test_row_operations_match_row_by_row_bits(seed, m, n, s):
     else:
         ops = stacked_as = [_random_shift(rng, w, s) for _ in range(m)]
     want = np.array([apply_coeffs(A, x) for A, x in zip(stacked_as, rows)])
-    assert apply_rows(ops, rows).tobytes() == want.tobytes()
+    assert apply_coeffs(stack_ops(ops), rows).tobytes() == want.tobytes()
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         want = np.array([coeff_norm(x, p) for x in rows])
         assert row_norms(rows, p).tobytes() == want.tobytes()
@@ -487,8 +491,12 @@ def test_stacked_row_ops_match_each_operator(seed, frames, steps, n, s):
         if s is None:
             ops[-1][-1] = dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
     rows = rng.standard_normal((frames, steps, n))
-    stacked = stack_ops(ops)
-    inverse = inverse_stack(ops, stacked)
+    # the steps as one sequence, its stack and its inverses in the frames'
+    # leading shape
+    seq = OperatorSeq(0, [A for row in ops for A in row])
+    stacked, inverse = (X if not X.lead else LinOp(X.shift, X.data.reshape(
+        (frames, steps) + X.data.shape[1:]), w)
+        for X in (seq.stack, seq.inverse.stack))
 
     def check(got_ops, got_inv, picks):
         got = apply_coeffs(got_ops, rows[picks])
@@ -568,8 +576,8 @@ def test_one_operator_type_whose_derived_views_stay_in_seqcore():
     ops = [diag(w, np.ones(3)), dense(np.eye(3), w),
            shift_diag(w, np.ones(3), 1)]
     stacks = [stack_ops(ops), stack_ops([ops[0], diag(w, np.ones(3))]),
-              stack_ops([[ops[2]] * 2] * 3),
-              inverse_stack(ops, stack_ops(ops))]
+              stack_ops([ops[2]] * 6),
+              OperatorSeq(0, ops).inverse.stack]
     assert {type(A) for A in ops + stacks} == {LinOp}
     readers = []
     for path in sorted(pathlib.Path(seqcore.__file__).parent.glob("*.py")):
@@ -941,3 +949,62 @@ def test_shift_dense_products_match_the_densified_matmul(s):
                 assert got.shift is None
                 assert got.data.shape == want.shape
                 assert got.data.tobytes() == want.tobytes()
+
+
+def _same_op(A, B):
+    return (A.shift, A.data.shape, A.data.tobytes()) == (
+        B.shift, B.data.shape, B.data.tobytes())
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 7),
+       st.sampled_from(["aperiodic", "periodic", "dense", "mixed"]))
+def test_sequence_from_a_list_matches_the_sequence_from_its_stack(
+        seed, m, n, kind):
+    # a list is packed once into the sequence's stack, and a sequence built
+    # from that stack serves the same operators, views and inverses, bit
+    # for bit, at every time (wrapping around a period); a list that mixes
+    # shifts is stacked densified, keeps its operators as given and is
+    # inverted operator by operator, since the dense view of a shift by
+    # s != 0 is singular
+    rng = np.random.default_rng(seed)
+    w = Window(0, n - 1)
+    if kind == "dense":
+        ops = [dense(rng.standard_normal((n, n)) + 3 * np.eye(n), w)
+               for _ in range(m)]
+    else:
+        shifts = (rng.integers(-2, 3, m) if kind == "mixed"
+                  else [int(rng.integers(-2, 3))] * m)
+        ops = [_random_shift(rng, w, int(s), zeros=False) for s in shifts]
+    period = m if kind == "periodic" else None
+    lo = int(rng.integers(-5, 5))
+    listed = OperatorSeq(lo, ops, period)
+    # (a list of one operator keeps it as its stack, standing for every time)
+    stacked = OperatorSeq.of(lo, listed.stack, m, period)
+    assert listed.ops == ops and listed.count == stacked.count == m
+    assert _same_op(listed.stack, stack_ops(ops))
+    mixed = len({A.shift for A in ops}) > 1
+    times = range(lo - 2 * m, lo + 3 * m) if period else range(lo, lo + m)
+    for k in times:
+        A, B = listed.op_at(k), stacked.op_at(k)
+        inv = listed.inverse.op_at(k)
+        assert _same_op(inv, A.inverse())
+        if mixed:
+            assert B.shift is None
+            assert B.data.tobytes() == A.to_dense_matrix().tobytes()
+            continue
+        assert _same_op(A, B)
+        assert _same_op(inv, stacked.inverse.op_at(k))
+    if not mixed:
+        assert all(_same_op(A, B) for A, B in zip(listed.ops, stacked.ops))
+    want = np.array([A.inverse().to_dense_matrix() for A in ops])
+    assert listed.inverse.stack.to_dense_matrix().tobytes() == want.tobytes()
+    # a part is the stack's rows of its times, wrapping around a period
+    start = lo + 1 if period else lo + m // 2
+    count = 2 * m if period else m - m // 2
+    part = stacked.part(start, count)
+    for k in range(start, start + count):
+        assert _same_op(part.op_at(k), stacked.op_at(k))
+    if not period:
+        with pytest.raises(PreconditionError, match="no operator"):
+            stacked.part(lo, m + 1)
