@@ -19,7 +19,9 @@ fails (artifacts are still written), 3 on a precondition failure, which is
 also reported as an error JSON on stderr and in ``error.json``.
 
 Config keys (all optional, defaults depend on the experiment): ``system``
-(name plus extra construction parameters), ``N`` (window half-width), ``p``
+(name plus the construction parameters that name takes: ``lam1``, ``lam2``
+and ``M`` for ``ms_product``, ``interval`` for ``linear_no_ed``, ``amp``
+and the base's for ``conjugated:<base>``), ``N`` (window half-width), ``p``
 (norm exponent), ``d`` or ``d_sweep`` (perturbation / step-error sizes),
 ``seed``, ``runs`` (number of consecutive seeds), ``horizon`` (orbit or
 verification length), ``periods`` (shadow-periodic), ``side`` (verify-ed),
@@ -70,6 +72,11 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "load_config", "run", "main"]
 BOUND_SLACK = 1e-9
 #: the largest integer config key; numpy sizes its arrays in int64
 INT_MAX = int(np.iinfo(np.int64).max)
+#: the construction keys each registry system takes in ``system``; a
+#: ``conjugated:<base>`` system takes ``amp`` and the keys of its base
+_SYSTEM_KEYS = {"weighted_shift_linear": (), "weighted_shift_tanh": (),
+                "ms_product": ("lam1", "lam2", "M"),
+                "linear_no_ed": ("interval",)}
 
 
 @dataclass(frozen=True)
@@ -170,6 +177,35 @@ def _as_float(raw, key, minimum=None, optional=False):
     return v
 
 
+def _check_system(system):
+    """Refuse a ``system`` key that its name does not take, a number that is
+    not finite, and an ``interval`` that is not a non-empty run of
+    consecutive integers; an unknown name is left to ``make_system``."""
+    name = system["name"]
+    base = name.split(":", 1)[1] if name.startswith("conjugated:") else name
+    if base not in _SYSTEM_KEYS:
+        return
+    known = set(_SYSTEM_KEYS[base]) | ({"amp"} if base != name else set())
+    unknown = set(system) - known - {"name"}
+    if unknown:
+        raise PreconditionError(
+            f"unknown system keys for {name!r}: {sorted(unknown)}; "
+            f"known keys are {sorted(known)}")
+    for key in sorted(known & set(system)):
+        label = f"system.{key}"
+        if key != "interval":
+            _as_float({label: system[key]}, label)
+            continue
+        ks = system[key]
+        if not isinstance(ks, (list, tuple)) or not ks:
+            raise PreconditionError(
+                f"{label} must be a non-empty list of integers, got {ks!r}")
+        ks = [_as_int({label: k}, label, -INT_MAX) for k in ks]
+        if ks != list(range(ks[0], ks[0] + len(ks))):
+            raise PreconditionError(
+                f"{label} must be a run of consecutive integers, got {ks}")
+
+
 def load_config(experiment, path=None, overrides=(), seed=None, out=None):
     """Resolve an :class:`ExperimentConfig` from defaults, file, and flags.
 
@@ -229,6 +265,7 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
     if not isinstance(raw["system"], dict) or "name" not in raw["system"] \
             or not isinstance(raw["system"]["name"], str):
         raise PreconditionError("system must be an object with a 'name' key")
+    _check_system(raw["system"])
     cfg = {
         "experiment": experiment,
         "system": raw["system"],

@@ -554,10 +554,10 @@ def graph_transform_periodic(seq, cert, pert, lam1, *, eps=None, p=2.0):
         raise PreconditionError(
             "both sequences must be periodic with the same period")
     m = seq.period
-    first, wrapped = cert.proj_at(seq.lo), cert.proj_at(seq.lo + m)
-    drift = max(
-        np.max(np.abs(wrapped.P.to_dense_matrix() - first.P.to_dense_matrix())),
-        np.max(np.abs(wrapped.Q.to_dense_matrix() - first.Q.to_dense_matrix())))
+    # the two end pairs as one-row parts, which build no per-row views
+    drift = max(np.max(np.abs(b.stack.to_dense_matrix()
+                              - a.stack.to_dense_matrix()))
+                for a, b in zip(cert.read(seq.lo, 1), cert.read(seq.lo + m, 1)))
     if drift > 1e-12:
         raise PreconditionError(
             f"certificate projections drift by {drift:.3g} over one period")

@@ -300,6 +300,15 @@ def _first_singular(m):
             return i
 
 
+def _singular(A, at):
+    """The PreconditionError for a singular operator of the kind of A,
+    naming the stack index ``at`` (none for () or None)."""
+    what = ("dense matrix" if A.shift is None
+            else "weighted shift with a zero scalar")
+    where = f" at stack index {', '.join(map(str, at))}" if at else ""
+    return PreconditionError(f"{what}{where} is singular")
+
+
 class LinOp:
     """A linear operator on one window, or a stack of them.
 
@@ -363,24 +372,20 @@ class LinOp:
         the coordinates the shift keeps must be nonzero; the |s| inverse
         scalars that never act are set to 1/c at their own coordinate (1
         where c is zero), so the edge guard of ``op_apply`` still sees a
-        scale there.  A singular dense matrix raises PreconditionError,
-        which names the first singular matrix of a stack.
+        scale there.  A singular operator raises PreconditionError, which
+        names the first singular operator of a stack.
         """
         if self.shift is None:
             try:
                 return LinOp(None, np.linalg.inv(self.data), self.window)
             except np.linalg.LinAlgError:
-                at = _first_singular(self.data)
-                where = f" at stack index {', '.join(map(str, at))}" \
-                    if at else ""
-                raise PreconditionError(
-                    f"dense matrix{where} is singular") from None
+                raise _singular(self, _first_singular(self.data)) from None
         c, s = self.data, self.shift
         n = c.shape[-1]
         kept, landed = _acting(n, s)
-        if np.any(c[..., kept] == 0.0):
-            raise PreconditionError(
-                "weighted shift with a zero scalar is singular")
+        zero = np.any(c[..., kept] == 0.0, axis=-1)
+        if zero.any():
+            raise _singular(self, tuple(np.argwhere(zero)[0]))
         # (A^{-1} w)_k = w_{k+s} / c_k: input coordinate k + s carries 1/c_k
         inv = np.ones(c.shape)
         inv[..., landed] = 1.0 / c[..., kept]
@@ -698,8 +703,13 @@ class OperatorSeq:
     @functools.cached_property
     def inverse(self):
         if self.stack.shift is None and any(A.shift is not None for A in self.ops):
-            return OperatorSeq(self.lo, [A.inverse() for A in self.ops],
-                               self.period)
+            inverses = []
+            for j, A in enumerate(self.ops):
+                try:
+                    inverses.append(A.inverse())
+                except PreconditionError:
+                    raise _singular(A, (j,)) from None
+            return OperatorSeq(self.lo, inverses, self.period)
         return OperatorSeq.of(self.lo, self.stack.inverse(), self.count,
                               self.period)
 

@@ -5,13 +5,14 @@ Three families are built in:
 * ``weighted shift``   f({x_k}) = {y_{k+1} = a_k(x_k)} with per-index 1-D
   diffeomorphisms a_k that fix 0, expand (slope in [1/lam, R]) for k < 0
   and contract (slope in [1/R, lam]) for k >= 0.  Its differential is a
-  ShiftDiag operator and the constant splitting "support on k >= 0" /
-  "support on k < 0" carries a (C = 1, lam) certificate.
+  ``LinOp`` weighted shift by 1 and the constant splitting "support on
+  k >= 0" / "support on k < 0" carries a (C = 1, lam) certificate.
 * ``ms product``       f({x_k}) = {a(x_k)} for a single odd 1-D map a with
   attracting fixed points -1, +1 (multiplier lam1) and a repelling fixed
-  point 0 (multiplier 1/lam1).  Coordinate-wise, so the differential is
-  Diag; the splitting groups coordinates by |x_k| > 1/2 vs <= 1/2 and its
-  decay constant is measured on a 1-D orbit grid at rate lam2.
+  point 0 (multiplier 1/lam1).  Coordinate-wise, so the differential is a
+  diagonal ``LinOp`` (a weighted shift by 0); the splitting groups
+  coordinates by |x_k| > 1/2 vs <= 1/2 and its decay constant is measured
+  on a 1-D orbit grid at rate lam2.
 * ``linear no-dichotomy sequence``  the diagonal operator sequence
   (A_k x)_m = x_m/2 for m <= k, 2 x_m for m > k, which carries the
   splitting structure with C = 1, lam = 1/2 but fails the equality
@@ -25,6 +26,13 @@ on every coefficient row of a block, and f^{-1} with Df^{-1} from one
 solve (see :class:`DiffeoSystem`).  The shifts, the Morse-Smale product
 and the sine wobble evaluate their coordinate maps on whole blocks, and a
 conjugated system composes the row maps of h^{-1}, the base system and h.
+
+Every inverse coordinate map (the tanh and sine-perturbed shifts, the
+Morse-Smale profile and the sine wobble) runs one Newton loop,
+:func:`_newton_steps`: each row stops at its own bound, and a row that
+neither meets its stop nor comes within NEWTON_SLACK times the accuracy its
+map can reach raises :class:`ConvergenceError`, so no unconverged row is
+ever returned.
 """
 
 import math
@@ -52,11 +60,15 @@ __all__ = [
 END_SLACK = 1e-12
 #: distance from the window edges kept by ``sample_interior_points``
 SUPPORT_MARGIN = 4
-#: Newton steps the Morse-Smale profile's inverse may take
+#: Newton steps the shift families' and the Morse-Smale profile's inverses
+#: may take
 NEWTON_MAX_STEPS = 60
-#: multiple of the profile series' rounding scale (``_MSProfile.reach``)
-#: that its inverse accepts as residual when Newton misses the 1e-15 stop
+#: multiple of a Newton solve's reach (the rounding scale of its residual)
+#: that an inverse accepts as residual when a row misses its stop
 NEWTON_SLACK = 16.0
+#: the reach of the coordinate maps' Newton solves, per unit of
+#: 1 + |y|_inf: their residuals round at a few ulps of the larger of x, y
+NEWTON_REACH = 4 * np.finfo(float).eps
 #: upper end of the bisection for the Morse-Smale profile's exponent s
 MS_EXPONENT_MAX = 80.0
 #: how far the Morse-Smale profile's series may miss a(1) = 1
@@ -172,26 +184,67 @@ def s_remainder(sys, x, v):
 
 
 # ---------------------------------------------------------------------------
+# the Newton loop of every inverse map
+
+
+def _newton_steps(y, x, stop, steps, reach, what):
+    """Newton's method for f(x) = y from the start x, as a generator that
+    leaves each evaluation to its driver: it yields every iterate x, takes
+    ``(f(x), f'(x))`` back by ``send``, and returns ``(x, f'(x))`` at the
+    inverse.  It is the one Newton loop: every inverse map of this module
+    runs it, through :func:`_newton_solve` or, to evaluate its iterates
+    together with other points, by hand.
+
+    y is one row or a (..., n) block of rows (a 0-d y is one row), and each
+    row stops at its own bound ``stop * (1 + |y_row|_inf)`` and keeps its
+    iterate while the other rows go on, so every row gets the bits and the
+    step count of its solve alone.  A row that misses its stop in ``steps``
+    steps keeps its last iterate if its residual is within ``NEWTON_SLACK *
+    reach * (1 + |y_row|_inf)``, ``reach`` being the accuracy that f's
+    evaluation can reach; otherwise, a NaN residual included,
+    :class:`ConvergenceError` is raised, naming ``what``.
+    """
+    y = np.asarray(y, dtype=float)
+    axis = -1 if y.ndim else None
+    scale = 1.0 + np.max(np.abs(y), axis=axis, keepdims=True, initial=0.0)
+    for step in range(steps + 1):
+        val, dx = yield x
+        fx = val - y
+        res = np.max(np.abs(fx), axis=axis, keepdims=True)
+        live = ~(res <= stop * scale)
+        if step == steps:
+            live &= ~(res <= NEWTON_SLACK * reach * scale)
+        if not live.any():
+            return x, dx
+        x = np.where(live, x - fx / dx, x)
+    raise ConvergenceError(
+        f"{what} inverse still off by {np.max(np.abs(fx)):.3g} after "
+        f"{steps} Newton steps")
+
+
+def _newton_solve(evaluate, steps):
+    """Drive the generator ``steps`` of :func:`_newton_steps` to its end,
+    every iterate x evaluated as ``evaluate(x) = (f(x), f'(x))``; returns
+    ``(x, f'(x))`` at the inverse."""
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(evaluate(x))
+        except StopIteration as done:
+            return done.value
+
+
+# ---------------------------------------------------------------------------
 # weighted shift families
 
 
-def _newton(fn, dfn, ys, xs, steps, stop):
-    """Solve fn(x) = ys coordinate-wise by Newton's method from xs, in at
-    most ``steps`` steps; every coordinate map's inverse runs it.
-
-    ys is one row or a (..., n) block of rows, and each row stops at its
-    own bound: once its |fn(x) - y|_inf is at most ``stop * (1 +
-    |y|_inf)``, it keeps its iterate while the other rows go on.  So every
-    row gets the bits and the step count of its solve alone.
-    """
-    bound = stop * (1.0 + np.max(np.abs(ys), axis=-1, initial=0.0))
-    for _ in range(steps):
-        fx = fn(xs) - ys
-        live = np.max(np.abs(fx), axis=-1) > bound
-        if not live.any():
-            break
-        xs = np.where(live[..., None], xs - fx / dfn(xs), xs)
-    return xs
+def _shift_family_inverse(family, ks, ys, start):
+    """a_k^{-1}(ys) of a shift family by Newton's method from ``start``,
+    stopping at 1e-15 within NEWTON_MAX_STEPS steps."""
+    return _newton_solve(
+        lambda xs: (family.apply(ks, xs), family.deriv(ks, xs)),
+        _newton_steps(ys, start, 1e-15, NEWTON_MAX_STEPS, NEWTON_REACH,
+                      type(family).__name__))[0]
 
 
 class LinearShiftFamily:
@@ -252,9 +305,7 @@ class TanhShiftFamily:
             return c1 + c2 / np.cosh(xs) ** 2
 
     def apply_inv(self, ks, ys):
-        return _newton(lambda xs: self.apply(ks, xs),
-                       lambda xs: self.deriv(ks, xs),
-                       ys, ys / self._coef(ks)[0], 60, 1e-15)
+        return _shift_family_inverse(self, ks, ys, ys / self._coef(ks)[0])
 
 
 class SinPerturbedFamily:
@@ -272,9 +323,8 @@ class SinPerturbedFamily:
         return self.base.deriv(ks, xs) + self.amp * np.cos(xs)
 
     def apply_inv(self, ks, ys):
-        return _newton(lambda xs: self.apply(ks, xs),
-                       lambda xs: self.deriv(ks, xs),
-                       ys, self.base.apply_inv(ks, ys), 60, 1e-15)
+        return _shift_family_inverse(self, ks, ys,
+                                     self.base.apply_inv(ks, ys))
 
 
 def _validate_shift_family(family, lam, R, window):
@@ -400,7 +450,9 @@ class _MSProfile:
     :meth:`value_deriv` evaluates the two series in one Horner pass, and
     :meth:`inverse_deriv` returns the derivative that Newton's last pass
     computed at the inverse; each carries the bits of :meth:`value`,
-    :meth:`deriv` and :meth:`inverse`.
+    :meth:`deriv` and :meth:`inverse`.  ``reach`` is the rounding error
+    the a series carries near |x| = 1, below which no Newton residual can
+    go.
     """
 
     def __init__(self, lam1):
@@ -482,58 +534,28 @@ class _MSProfile:
         inner = self.K * 2.0 * x * self._poly(dcoef, u)
         return np.where(ax <= 1.0, inner, 0.0)
 
-    def inverse_deriv(self, y):
-        """The inverse x = a^{-1}(y) and a'(x), by Newton's method: the
-        steps of :meth:`_newton_steps`, each iterate evaluated by
-        :meth:`value_deriv`."""
-        steps = self._newton_steps(y)
-        x = next(steps)
-        while True:
-            try:
-                x = steps.send(self.value_deriv(x))
-            except StopIteration as done:
-                return done.value
-
-    def _newton_steps(self, y):
-        """Newton's method for a(x) = y, as a generator that leaves each
-        evaluation to its driver: it yields every iterate x, takes
-        ``value_deriv(x)`` back by ``send``, and returns ``(x, a'(x))`` at
-        the inverse.
+    def newton(self, y):
+        """The Newton solve of a(x) = y, the generator of
+        :func:`_newton_steps` with ``value_deriv`` left to its driver,
+        stopping at 1e-15 within NEWTON_MAX_STEPS steps and accepting a
+        residual within NEWTON_SLACK times ``reach`` (near |x| = 1 and for
+        lam1 below about 0.45 the series cannot meet the stop).
 
         On the inner branch a is concave-increasing for y > 0 and the start
         y*lam1 sits below the root, so iterates increase monotonically
-        (mirrored for y < 0); about 6 steps reach the 1e-15 stop.  y is one
-        row or a (..., n) block of rows, and each row stops at its own
-        bound ``1e-15 * (1 + |y_row|_inf)`` and keeps its iterate while the
-        other rows go on, as :func:`_newton` does, so every row gets the
-        bits of its solve alone.  A row that misses its stop in
-        NEWTON_MAX_STEPS steps keeps its last iterate if its residual is
-        within ``NEWTON_SLACK * reach * (1 + |y_row|_inf)``, the accuracy
-        the series can reach (near |x| = 1 and for lam1 below about 0.45
-        that is above the stop); otherwise, a NaN residual included,
-        :class:`ConvergenceError` is raised.
+        (mirrored for y < 0); about 6 steps reach the stop.  On the outer
+        branch a is linear and the start is the inverse.
         """
-        y = np.asarray(y, dtype=float)
         ay = np.abs(y)
-        axis = -1 if y.ndim else None
-        scale = 1.0 + np.max(ay, axis=axis, keepdims=True, initial=0.0)
         outer = np.sign(y) * (1.0 + (ay - 1.0) / self.lam1)
-        x = np.where(ay <= 1.0, y * self.lam1, outer)
-        for step in range(NEWTON_MAX_STEPS + 1):
-            val, dx = yield x
-            fx = val - y
-            res = np.max(np.abs(fx), axis=axis, keepdims=True)
-            live = ~(res <= 1e-15 * scale)
-            if not live.any():
-                return x, dx
-            if step == NEWTON_MAX_STEPS:
-                break
-            x = np.where(live, x - fx / dx, x)
-        if not (live & ~(res <= NEWTON_SLACK * self.reach * scale)).any():
-            return x, dx
-        raise ConvergenceError(
-            f"Morse-Smale profile inverse still off by "
-            f"{np.max(np.abs(fx)):.3g} after {NEWTON_MAX_STEPS} Newton steps")
+        return _newton_steps(y, np.where(ay <= 1.0, y * self.lam1, outer),
+                             1e-15, NEWTON_MAX_STEPS, self.reach,
+                             "Morse-Smale profile")
+
+    def inverse_deriv(self, y):
+        """The inverse x = a^{-1}(y) and a'(x): :meth:`newton`, each
+        iterate evaluated by :meth:`value_deriv`."""
+        return _newton_solve(self.value_deriv, self.newton(y))
 
     def inverse(self, y):
         return self.inverse_deriv(y)[0]
@@ -558,7 +580,7 @@ def _ms_measure_constant(profile, lam2):
     worst, n0 = 1.0, 0
     u_cur = np.linspace(-0.5, 0.5, 301)
     u_prod, u_step = np.ones_like(u_cur), 1
-    newton = profile._newton_steps(u_cur)
+    newton = profile.newton(u_cur)
     u_x = next(newton)
     while s_step < horizon or newton is not None:
         walks = [stable] if s_step < horizon else []
@@ -582,7 +604,7 @@ def _ms_measure_constant(profile, lam2):
             newton = None
             if u_step < horizon:
                 u_step += 1
-                newton = profile._newton_steps(u_cur)
+                newton = profile.newton(u_cur)
                 u_x = next(newton)
     return worst, max(n0, 1)
 
@@ -664,22 +686,26 @@ def make_sin_wobble(window, p=2.0, amp=0.05):
     if not 0.0 <= amp < 1.0:
         raise PreconditionError("amp must lie in [0, 1)")
 
-    def inverse_rows(ys):
-        return _newton(lambda x: x + amp * np.sin(x),
-                       lambda x: 1.0 + amp * np.cos(x), ys, ys.copy(), 80,
-                       1e-16)
+    forward_rows = lambda xs: xs + amp * np.sin(xs)
+    deriv = lambda xs: 1.0 + amp * np.cos(xs)
+
+    def solve(ys):
+        return _newton_solve(
+            lambda xs: (forward_rows(xs), deriv(xs)),
+            _newton_steps(ys, ys.copy(), 1e-16, 80, NEWTON_REACH,
+                          "sine wobble"))
 
     def dforward_rows(xs):
-        return diag(window, 1.0 + amp * np.cos(xs))
+        return diag(window, deriv(xs))
 
     def inverse_diff_rows(ys):
-        xs = inverse_rows(ys)
-        return xs, dforward_rows(xs).inverse()
+        xs, d = solve(ys)
+        return xs, diag(window, 1.0 / d)
 
     R1 = 1.0 / (1.0 - amp)
-    return DiffeoSystem("sin_wobble", window, p,
-                        lambda xs: xs + amp * np.sin(xs), inverse_rows,
-                        dforward_rows, inverse_diff_rows, R1,
+    return DiffeoSystem("sin_wobble", window, p, forward_rows,
+                        lambda ys: solve(ys)[0], dforward_rows,
+                        inverse_diff_rows, R1,
                         lambda t: amp * t, support_shift=0)
 
 
@@ -692,11 +718,21 @@ def sample_interior_points(sys, count, seed=0, radius=0.25):
 
 
 def _interior_rows(w, count, seed, radius):
-    """The coefficients of ``sample_interior_points`` as a (count, n) block."""
-    rng = np.random.default_rng(seed)
-    rows = np.zeros((count, w.length))
+    """The coefficients of ``sample_interior_points`` as a (count, n) block.
+
+    Every support keeps SUPPORT_MARGIN coordinates from both edges, so a
+    window shorter than 2 SUPPORT_MARGIN + 8 coordinates has no room for
+    one and is refused, before any draw.
+    """
     lo = w.lo + SUPPORT_MARGIN
     hi = w.hi - SUPPORT_MARGIN
+    if hi - 6 <= lo:
+        need = 2 * SUPPORT_MARGIN + 8
+        raise PreconditionError(
+            f"window [{w.lo}, {w.hi}] has room for no interior sample: it "
+            f"needs {need} coordinates, N >= {need // 2} for [-N, N]")
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((count, w.length))
     for c in rows:
         span = rng.integers(lo, hi - 6)
         width = int(rng.integers(3, 7))
@@ -761,8 +797,9 @@ def conjugate(sys, h, name=None):
     rule; when ``sys`` carries a certificate, its projections transport as
     Dh(y) P_y Dh(y)^{-1} at y = h^{-1}(x), with constants (lam, R1^2 C)
     for R1 = h.R.  Each evaluation at a block of rows x solves
-    y = h^{-1}(x) once and takes Dh^{-1}(x) as Dh(y)^{-1}.  The modulus
-    of g is fitted empirically from sampled remainders.
+    y = h^{-1}(x) once, with Dh^{-1}(x) from the same solve
+    (``h.inverse_diff_rows``).  The modulus of g is fitted empirically
+    from sampled remainders.
     """
     if h.window != sys.window:
         raise PreconditionError("coordinate change lives on a different window")
@@ -775,16 +812,15 @@ def conjugate(sys, h, name=None):
         return h.forward_rows(sys.inverse_rows(h.inverse_rows(xs)))
 
     def dforward_rows(xs):
-        ys = h.inverse_rows(xs)
+        ys, dhinv = h.inverse_diff_rows(xs)
         return compose(h.dforward_rows(sys.forward_rows(ys)),
-                       compose(sys.dforward_rows(ys),
-                               h.dforward_rows(ys).inverse()))
+                       compose(sys.dforward_rows(ys), dhinv))
 
     def inverse_diff_rows(xs):
-        ys = h.inverse_rows(xs)
+        ys, dhinv = h.inverse_diff_rows(xs)
         bs, dbs = sys.inverse_diff_rows(ys)
-        return h.forward_rows(bs), compose(
-            h.dforward_rows(bs), compose(dbs, h.dforward_rows(ys).inverse()))
+        return h.forward_rows(bs), compose(h.dforward_rows(bs),
+                                           compose(dbs, dhinv))
 
     cert = None
     if sys.cert is not None:

@@ -402,6 +402,64 @@ def test_ms_product_with_a_low_lam1_exits_3(tmp_path, capsys):
     assert (out / "error.json").exists()
 
 
+@pytest.mark.parametrize("system, key", [
+    ('{"name": "ms_product", "lamb1": 0.3}', "'lamb1'"),
+    ('{"name": "ms_product", "M": NaN}', "system.M"),
+    ('{"name": "ms_product", "M": 1e400}', "system.M"),
+    ('{"name": "conjugated:weighted_shift_linear", "amp": "x"}', "system.amp"),
+    ('{"name": "linear_no_ed", "interval": []}', "system.interval"),
+    ('{"name": "linear_no_ed", "interval": [0, 5]}', "system.interval"),
+    ('{"name": "linear_no_ed", "interval": [0, 1.5]}', "system.interval"),
+    ('{"name": "weighted_shift_linear", "amp": 0.1}', "'amp'"),
+])
+def test_bad_system_parameters_exit_3_naming_the_key(system, key, tmp_path,
+                                                     capsys):
+    out = tmp_path / "run"
+    code, lines, err = run_cli(
+        ["verify-cl", "--out", str(out), "--override", f"system={system}"],
+        capsys)
+    assert code == 3
+    assert not lines
+    payload = read_json(out / "error.json")
+    assert payload == json.loads(err)
+    assert payload["error"]["type"] == "PreconditionError"
+    assert key in payload["error"]["message"]
+
+
+def test_the_keys_a_system_takes_still_reach_it(tmp_path, capsys):
+    for i, system in enumerate((
+            '{"name": "linear_no_ed", "interval": [-3, -2, -1, 0]}',
+            '{"name": "conjugated:weighted_shift_linear", "amp": 0.1}')):
+        out = tmp_path / str(i)
+        code, lines, _ = run_cli(
+            ["verify-cl", "--out", str(out), "--override", f"system={system}"],
+            capsys)
+        assert code == 0
+        assert lines[0].startswith("PASS structure-verifies")
+        assert read_json(out / "manifest.json")["config"]["system"] == \
+            json.loads(system)
+
+
+@pytest.mark.parametrize("N", [4, 7, 8])
+def test_a_window_too_small_for_interior_samples_exits_3(N, tmp_path, capsys):
+    for system in ("weighted_shift_linear", "conjugated:weighted_shift_linear"):
+        out = tmp_path / system.replace(":", "_")
+        code, lines, err = run_cli(
+            ["verify-cl", "--out", str(out), "--override", f"N={N}",
+             "--override", f'system={{"name": "{system}"}}'], capsys)
+        if N == 8:
+            assert code == 0
+            assert (out / "verify_cl.csv").exists()
+            continue
+        assert code == 3
+        assert not lines
+        payload = read_json(out / "error.json")
+        assert payload == json.loads(err)
+        assert payload["error"]["type"] == "PreconditionError"
+        assert f"[-{N}, {N}]" in payload["error"]["message"]
+        assert "N >= 8" in payload["error"]["message"]
+
+
 def test_failed_check_exits_2_but_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     code, lines, _ = run_cli(

@@ -360,6 +360,40 @@ def test_a_singular_dense_matrix_is_a_precondition_error():
         OperatorSeq(0, [good, good, good, bad]).inverse
 
 
+def test_a_singular_weighted_shift_stack_names_its_index():
+    # one operator keeps its message; a stack names its first singular step
+    w = Window(0, 3)
+    c = np.ones((6, 4))
+    c[3, 1] = c[5, 0] = 0.0
+    with pytest.raises(PreconditionError,
+                       match="^weighted shift with a zero scalar is singular$"):
+        shift_diag(w, c[3], 1).inverse()
+    for stack, at in ((shift_diag(w, c, 1), "3"),
+                      (shift_diag(w, c.reshape(3, 2, 4), -1), "1, 1")):
+        with pytest.raises(PreconditionError,
+                           match=f"^weighted shift with a zero scalar at "
+                                 f"stack index {at} is singular$"):
+            stack.inverse()
+    with pytest.raises(PreconditionError,
+                       match="zero scalar at stack index 3 is singular"):
+        OperatorSeq(0, shift_diag(w, c, 1)).inverse
+
+
+def test_a_mixed_list_names_its_first_singular_step():
+    # a list that mixes kinds is inverted operator by operator
+    w = Window(0, 3)
+    good = dense(2.0 * np.eye(4), w)
+    zero = np.ones(4)
+    zero[2] = 0.0
+    for ops, what in (([good, diag(w, np.ones(4)), shift_diag(w, zero, 1)],
+                       "weighted shift with a zero scalar"),
+                      ([diag(w, np.ones(4)), good, dense(np.zeros((4, 4)), w)],
+                       "dense matrix")):
+        with pytest.raises(PreconditionError,
+                           match=f"^{what} at stack index 2 is singular$"):
+            OperatorSeq(0, ops).inverse
+
+
 @settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
        st.integers(-3, 3), st.integers(-3, 3))

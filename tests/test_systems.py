@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -806,14 +807,107 @@ def test_inverse_row_map_equals_stacked_inverse(seed, m, which):
 def test_newton_stops_each_row_at_its_own_bound():
     # row 0 meets its stop at once, row 1 needs many steps: row 0 keeps its
     # start, as alone, and is not judged by row 1's looser bound
-    fn = lambda x: x ** 3 + x
-    dfn = lambda x: 3.0 * x ** 2 + 1.0
+    fn = lambda x: (x ** 3 + x, 3.0 * x ** 2 + 1.0)
+
+    def solve(y):
+        return systems._newton_solve(fn, systems._newton_steps(
+            y, y.copy(), 1e-6, 60, systems.NEWTON_REACH, "cubic"))[0]
+
     ys = np.array([[1e-3, -2e-3], [50.0, -7.0]])
-    got = systems._newton(fn, dfn, ys, ys.copy(), 60, 1e-6)
+    got = solve(ys)
     for y, row in zip(ys, got):
-        alone = systems._newton(fn, dfn, y, y.copy(), 60, 1e-6)
+        alone = solve(y)
         assert row.tobytes() == alone.tobytes()
     assert got[0].tobytes() == ys[0].tobytes()
+
+
+def test_unconverged_inverse_rows_raise():
+    # rows on which Newton wanders off: at amp 0.99 the wobble's slope
+    # falls to 0.01, and so does the sine-perturbed 0.5 branch at 0.49
+    rng = np.random.default_rng(0)
+    w = Window(-8, 8)
+    with pytest.raises(ConvergenceError,
+                       match="^sine wobble inverse still off by .* after 80 "):
+        make_sin_wobble(w, amp=0.99).inverse_rows(
+            rng.uniform(-20.0, 20.0, (500, w.length)))
+    fam = SinPerturbedFamily(LinearShiftFamily(), 0.49)
+    with pytest.raises(ConvergenceError, match="after 60 Newton steps"):
+        fam.apply_inv(np.arange(-50, 50), rng.uniform(-50.0, 50.0, (200, 100)))
+    # a NaN residual is never taken for a converged row
+    ys = np.array([[0.1, np.nan, 0.2], [0.3, 0.0, -0.1]])
+    for inverse in (lambda y: TanhShiftFamily().apply_inv(np.arange(3), y),
+                    lambda y: fam.apply_inv(np.arange(3), y),
+                    make_sin_wobble(Window(0, 2), amp=0.5).inverse_rows,
+                    _MSProfile(0.5).inverse):
+        with pytest.raises(ConvergenceError, match="off by nan"):
+            inverse(ys)
+        inverse(ys[1:])
+
+
+@functools.cache
+def _profile(lam1):
+    return _MSProfile(lam1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12),
+       st.sampled_from([1e-3, 1.0, 20.0, 50.0]), st.floats(0.0, 0.99),
+       st.floats(0.0, 1.0), st.booleans(), st.sampled_from([0.3, 0.5, 0.7]),
+       st.booleans())
+def test_every_inverse_returns_rows_within_their_acceptance_bound(
+        seed, rows, n, scale, amp, u, tanh_base, lam1, nan):
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(-6, 6, n)
+    ys = rng.uniform(-scale, scale, (rows, n))
+    if nan:
+        ys[rng.integers(rows), rng.integers(n)] = np.nan
+    tanh = TanhShiftFamily()
+    base = tanh if tanh_base else LinearShiftFamily()
+    # amplitudes that keep every branch increasing
+    fam = SinPerturbedFamily(base, u * (0.44 if tanh_base else 0.49))
+    wobble = make_sin_wobble(Window(0, n - 1), amp=amp)
+    prof = _profile(lam1)
+    reach = systems.NEWTON_REACH
+    cases = [(lambda y: tanh.apply_inv(ks, y), lambda x: tanh.apply(ks, x),
+              1e-15, reach),
+             (lambda y: fam.apply_inv(ks, y), lambda x: fam.apply(ks, x),
+              1e-15, reach),
+             (wobble.inverse_rows, wobble.forward_rows, 1e-16, reach),
+             (prof.inverse, prof.value, 1e-15, prof.reach)]
+    for inverse, forward, stop, reach in cases:
+        try:
+            xs = inverse(ys)
+        except ConvergenceError:
+            continue
+        assert not nan
+        res = np.max(np.abs(forward(xs) - ys), axis=-1)
+        bound = max(stop, systems.NEWTON_SLACK * reach)
+        assert np.all(res <= bound * (1.0 + np.max(np.abs(ys), axis=-1)))
+
+
+def test_wobble_takes_its_inverse_differential_from_its_solve():
+    w = Window(-8, 8)
+    h = make_sin_wobble(w, amp=0.6)
+    ys = np.random.default_rng(4).uniform(-3.0, 3.0, (5, w.length))
+    xs, D = h.inverse_diff_rows(ys)
+    assert xs.tobytes() == h.inverse_rows(ys).tobytes()
+    assert D.kind == "diag"
+    assert D.data.tobytes() == h.dforward_rows(xs).inverse().data.tobytes()
+
+
+@pytest.mark.parametrize("N", [4, 7])
+def test_a_window_too_small_for_interior_samples_is_refused(N):
+    w = Window(-N, N)
+    with pytest.raises(PreconditionError,
+                       match=fr"window \[-{N}, {N}\] .* N >= 8"):
+        sample_interior_points(make_system("weighted_shift_linear", w), 1)
+    with pytest.raises(PreconditionError, match="N >= 8"):
+        make_system("conjugated:weighted_shift_linear", w)
+    w = Window(-8, 8)
+    pts = sample_interior_points(make_system("weighted_shift_linear", w), 3)
+    margin = systems.SUPPORT_MARGIN
+    assert all(not x.coeffs[:margin].any() and not x.coeffs[-margin:].any()
+               for x in pts)
 
 
 def test_ms_inverse_stops_each_row_at_its_own_bound(monkeypatch):
