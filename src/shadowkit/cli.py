@@ -30,8 +30,10 @@ transfers), ``tolerances`` (per-check bounds), ``out``.  Every number must
 be finite, except ``p``, where ``Infinity`` selects the l^inf norm.  Sweep
 cells (d x seed and the like) run one after another, in cell order.
 
-Each experiment is one entry of ``_EXPERIMENTS``: its runner and the config
-keys it sets on top of ``_BASE``, default tolerances included.
+Each config key is declared once, as a field of :class:`ExperimentConfig`
+whose default is the base value; each experiment is one entry of
+``_EXPERIMENTS``: its runner and the config keys it sets on top of those
+defaults, default tolerances included.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -61,7 +63,7 @@ from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
 from .shadow import (make_loop, make_pseudotrajectory, periodic_point_near,
                      recompute_step_error, shadow, shadow_periodic,
                      shadowing_constants, Pseudotrajectory)
-from .systems import (LinearShiftFamily, SinPerturbedFamily,
+from .systems import (SYSTEM_KEYS, LinearShiftFamily, SinPerturbedFamily,
                       linear_example_cert, make_linear_example_seq,
                       make_system, make_weighted_shift,
                       sample_interior_points)
@@ -72,50 +74,29 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "load_config", "run", "main"]
 BOUND_SLACK = 1e-9
 #: the largest integer config key; numpy sizes its arrays in int64
 INT_MAX = int(np.iinfo(np.int64).max)
-#: the construction keys each registry system takes in ``system``; a
-#: ``conjugated:<base>`` system takes ``amp`` and the keys of its base
-_SYSTEM_KEYS = {"weighted_shift_linear": (), "weighted_shift_tanh": (),
-                "ms_product": ("lam1", "lam2", "M"),
-                "linear_no_ed": ("interval",)}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved parameters of one experiment run."""
+    """Fully resolved parameters of one experiment run; the defaults are
+    the base that every experiment's entry of ``_EXPERIMENTS`` sets keys on."""
 
     experiment: str
-    system: dict
-    N: int
-    p: float
-    d: float | None
-    d_sweep: tuple | None
-    seed: int
-    runs: int
-    horizon: int
-    periods: tuple
-    side: str
-    points: int
-    lam1: float | None
-    tolerances: dict
-    out: str
-
-
-_BASE = {
-    "system": {"name": "weighted_shift_linear"},
-    "N": 32,
-    "p": 2.0,
-    "d": None,
-    "d_sweep": None,
-    "seed": 7,
-    "runs": 1,
-    "horizon": 12,
-    "periods": (1, 5, 12),
-    "side": "Z+",
-    "points": 5,
-    "lam1": None,
-    "tolerances": {},
-    "out": "shadowkit-out",
-}
+    system: dict = field(
+        default_factory=lambda: {"name": "weighted_shift_linear"})
+    N: int = 32
+    p: float = 2.0
+    d: float | None = None
+    d_sweep: tuple | None = None
+    seed: int = 7
+    runs: int = 1
+    horizon: int = 12
+    periods: tuple = (1, 5, 12)
+    side: str = "Z+"
+    points: int = 5
+    lam1: float | None = None
+    tolerances: dict = field(default_factory=dict)
+    out: str = "shadowkit-out"
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +158,25 @@ def _as_float(raw, key, minimum=None, optional=False):
     return v
 
 
+def _as_list(raw, key, what, parse, minimum):
+    """``raw[key]``, a non-empty list, as a tuple of its entries, each read
+    by ``parse`` (:func:`_as_int` or :func:`_as_float`) at ``minimum``."""
+    v = raw[key]
+    if not isinstance(v, (list, tuple)) or not v:
+        raise PreconditionError(f"{key} must be a non-empty list of {what}")
+    label = f"{key}[i]"
+    return tuple(parse({label: x}, label, minimum) for x in v)
+
+
 def _check_system(system):
     """Refuse a ``system`` key that its name does not take, a number that is
     not finite, and an ``interval`` that is not a non-empty run of
     consecutive integers; an unknown name is left to ``make_system``."""
     name = system["name"]
     base = name.split(":", 1)[1] if name.startswith("conjugated:") else name
-    if base not in _SYSTEM_KEYS:
+    if base not in SYSTEM_KEYS:
         return
-    known = set(_SYSTEM_KEYS[base]) | ({"amp"} if base != name else set())
+    known = set(SYSTEM_KEYS[base]) | ({"amp"} if base != name else set())
     unknown = set(system) - known - {"name"}
     if unknown:
         raise PreconditionError(
@@ -206,18 +197,18 @@ def _check_system(system):
                 f"{label} must be a run of consecutive integers, got {ks}")
 
 
-def load_config(experiment, path=None, overrides=(), seed=None, out=None):
-    """Resolve an :class:`ExperimentConfig` from defaults, file, and flags.
-
-    Precedence, lowest to highest: experiment defaults, the JSON document at
-    ``path``, each ``--override`` in order, then the dedicated ``seed`` and
-    ``out`` flags.  Every key is validated; unknown keys are rejected rather
-    than ignored so typos surface before anything runs.
-    """
+def _merge(experiment, path, overrides, seed, out):
+    """The raw keys of a run, lowest to highest: the defaults of
+    :class:`ExperimentConfig`, the experiment's entry of ``_EXPERIMENTS``,
+    the JSON document at ``path``, each override in order, then the
+    ``seed`` and ``out`` flags.  Returns the raw keys, the top-level keys
+    given explicitly, and the defaults; nothing is validated yet."""
     if experiment not in EXPERIMENTS:
         raise PreconditionError(
             f"unknown experiment {experiment!r}; choose one of {EXPERIMENTS}")
-    defaults = {**_BASE, **_EXPERIMENTS[experiment][1]}
+    base = asdict(ExperimentConfig(experiment))
+    del base["experiment"]
+    defaults = {**base, **_EXPERIMENTS[experiment][1]}
     raw = copy.deepcopy(defaults)
 
     explicit = set()
@@ -246,12 +237,16 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
         raw["seed"] = seed
     if out is not None:
         raw["out"] = out
+    return raw, explicit, defaults
 
-    unknown = set(raw) - set(_BASE)
+
+def _resolve(experiment, raw, explicit, defaults):
+    """Validate the merged keys of :func:`_merge` into a config."""
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise PreconditionError(
             f"unknown config keys: {sorted(unknown)}; "
-            f"known keys are {sorted(_BASE)}")
+            f"known keys are {sorted(defaults)}")
 
     # a sweep given on top of a defaulted single d (or vice versa) replaces
     # it; both given explicitly is a contradiction
@@ -276,30 +271,17 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
         "runs": _as_int(raw, "runs", 1),
         "horizon": _as_int(raw, "horizon", 1),
         "points": _as_int(raw, "points", 1),
+        "d_sweep": None if raw["d_sweep"] is None
+        else _as_list(raw, "d_sweep", "sizes", _as_float, 0.0),
+        "periods": _as_list(raw, "periods", "integers", _as_int, 1),
     }
-    if raw["d_sweep"] is None:
-        cfg["d_sweep"] = None
-    else:
-        if not isinstance(raw["d_sweep"], (list, tuple)) or not raw["d_sweep"]:
-            raise PreconditionError("d_sweep must be a non-empty list of sizes")
-        cfg["d_sweep"] = tuple(
-            _as_float({"d_sweep[i]": v}, "d_sweep[i]", 0.0)
-            for v in raw["d_sweep"])
-    if not isinstance(raw["periods"], (list, tuple)) or not raw["periods"]:
-        raise PreconditionError("periods must be a non-empty list of integers")
-    cfg["periods"] = tuple(
-        _as_int({"periods[i]": m}, "periods[i]", 1) for m in raw["periods"])
     if raw["side"] not in ("Z", "Z+", "Z-"):
         raise PreconditionError(
             f"side must be 'Z', 'Z+' or 'Z-', got {raw['side']!r}")
     cfg["side"] = raw["side"]
-    if raw["lam1"] is None:
-        cfg["lam1"] = None
-    else:
-        lam1 = _as_float(raw, "lam1")
-        if not 0.0 < lam1 < 1.0:
-            raise PreconditionError(f"lam1 must lie in (0, 1), got {lam1}")
-        cfg["lam1"] = lam1
+    lam1 = cfg["lam1"] = _as_float(raw, "lam1", optional=True)
+    if lam1 is not None and not 0.0 < lam1 < 1.0:
+        raise PreconditionError(f"lam1 must lie in (0, 1), got {lam1}")
     if not isinstance(raw["tolerances"], dict):
         raise PreconditionError("tolerances must be an object")
     # a whole tolerances object given on top keeps the defaults it omits
@@ -314,6 +296,17 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
     return ExperimentConfig(**cfg)
 
 
+def load_config(experiment, path=None, overrides=(), seed=None, out=None):
+    """Resolve an :class:`ExperimentConfig` from defaults, file, and flags.
+
+    Precedence, lowest to highest: experiment defaults, the JSON document at
+    ``path``, each ``--override`` in order, then the dedicated ``seed`` and
+    ``out`` flags.  Every key is validated; unknown keys are rejected rather
+    than ignored so typos surface before anything runs.
+    """
+    return _resolve(experiment, *_merge(experiment, path, overrides, seed, out))
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -321,16 +314,6 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
 def _map_cells(fn, cells):
     """Run independent sweep cells in order."""
     return [fn(cell) for cell in cells]
-
-
-def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def _jsonable(value):
@@ -365,7 +348,8 @@ def _write_artifacts(config, result):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(result["header"])
         for row in result["rows"]:
-            writer.writerow([_fmt(row[col]) for col in result["header"]])
+            writer.writerow([str(_jsonable(row[col]))
+                             for col in result["header"]])
     _dump_json(os.path.join(outdir, "manifest.json"), {
         "config": asdict(config),
         "versions": {
@@ -808,8 +792,9 @@ def _run_solver_oracle(config):
             "constants": constants}
 
 
-#: every experiment: its runner, and the config keys it sets on top of
-#: ``_BASE``, the default ``tolerances`` of its checks among them
+#: every experiment: its runner, and the config keys it sets on top of the
+#: defaults of ``ExperimentConfig``, the default ``tolerances`` of its checks
+#: among them
 _EXPERIMENTS = {
     "verify-cl": (_run_verify_cl, {}),
     "verify-ed": (_run_verify_ed, {"system": {"name": "linear_no_ed"},
@@ -881,13 +866,17 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    raw = {}
     try:
-        config = load_config(args.experiment, path=args.config,
-                             overrides=args.override, seed=args.seed,
-                             out=args.out)
+        raw, explicit, defaults = _merge(args.experiment, args.config,
+                                         args.override, args.seed, args.out)
+        config = _resolve(args.experiment, raw, explicit, defaults)
     except (PreconditionError, OSError, json.JSONDecodeError) as exc:
-        return _emit_error(args.experiment, exc, 3,
-                           args.out or _BASE["out"])
+        # the run's own directory: --out, else a usable merged ``out``
+        out = args.out or raw.get("out")
+        if not isinstance(out, str) or not out:
+            out = ExperimentConfig.out
+        return _emit_error(args.experiment, exc, 3, out)
     return run(config)
 
 

@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
-                      Segment, _sum_into, anchor_index, coeff_norm, dense,
-                      diag, monitored_fixed_point, op_norm, row_norms,
-                      stack_ops, transport_rows, TruncationError)
+                      Segment, _NORM_ORDS, _diff_norms, _norms, _sum_into,
+                      _upper_norms, anchor_index, coeff_norm, dense, diag,
+                      monitored_fixed_point, op_norm, row_norms, stack_ops,
+                      transport_rows, TruncationError)
 from .clstruct import CLCertificate, ProjPair, _directions, index_cert
 from .shadow import (Pseudotrajectory, recompute_step_error, shadow,
                      shadow_periodic)
@@ -68,10 +69,6 @@ CONTRACTION_SLACK = 1e-9
 MAX_FP_ITERATIONS = 80
 #: memory the dense transfer path may claim (see ``_dense_bytes``)
 MAX_DENSE_BYTES = 2 * 1024 ** 3
-#: c of the outward factor (1 + c n eps) on a dense n x n norm (``_upper_norms``)
-NORM_ROUND_C = 4.0
-
-_NORM_ORDS = {1.0: 1, 2.0: 2, math.inf: np.inf}
 
 
 def series_gain(C, lam):
@@ -178,46 +175,6 @@ class PerturbedCert:
                                     in sorted(self.inclusion_residuals.items())},
             "meta": self.meta,
         }
-
-
-def _norms(stack, p):
-    """Exact l^p operator norm of every row of an operator stack:
-    seqcore's for weighted shifts, numpy's (the SVD for p = 2) for dense
-    matrices, in one batched call."""
-    if stack.shift is not None:
-        return op_norm(stack, p)
-    return np.linalg.norm(stack.data, _NORM_ORDS[p], axis=(-2, -1))
-
-
-def _upper_norms(stack, p):
-    """l^p operator norms of the rows of a stack, never below the exact ones.
-
-    Weighted shifts: :func:`_norms`, exact.  Dense n x n matrices:
-    :func:`_norms` rounded outward by (1 + c n eps), c = NORM_ROUND_C.
-    LAPACK bounds the error of a computed singular value by p(n) eps
-    sigma_1, p a modestly growing function of n (LAPACK Users' Guide,
-    section 4.9; Higham, Accuracy and Stability of Numerical Algorithms,
-    2002), and a column or row sum of n terms carries at most (n - 1) eps
-    of relative error; c n covers both with room to spare.
-    """
-    norms = _norms(stack, p)
-    if stack.shift is not None:
-        return norms
-    n = stack.data.shape[-1]
-    return norms * (1.0 + NORM_ROUND_C * n * np.finfo(float).eps)
-
-
-def _diff_norms(B, A, p):
-    """|B_j - A_j| for every pair of rows of two stacks.
-
-    For two weighted shifts by the same s the difference is one too, and
-    its norm is the largest scalar gap -- including the gaps at the
-    coordinates the dense zero-extended view drops at the window edge.
-    """
-    d = B - A
-    if d.shift is not None:
-        return np.abs(d.data).max(axis=-1)
-    return _norms(d, p)
 
 
 def _dense_bytes(n_ops, n):

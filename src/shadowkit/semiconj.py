@@ -59,11 +59,11 @@ import numpy as np
 
 from .boundedsol import perron_constant, perron_sums
 from .clstruct import CLCertificate
-from .graphtf import (_diff_norms, graph_transform_seq, shadowed_splitting,
-                      upgraded_constant)
+from .graphtf import graph_transform_seq, shadowed_splitting, upgraded_constant
 from .seqcore import (FP_STOP_TOL, ConvergenceError, FixedPointMonitor, LinOp,
                       OperatorSeq, PreconditionError, Segment, SeqVec,
-                      anchor_index, apply_coeffs, coeff_norm, norm, row_norms)
+                      _diff_norms, anchor_index, apply_coeffs, coeff_norm,
+                      norm, row_norms)
 from .shadow import Pseudotrajectory, recompute_step_error
 from .systems import DiffeoSystem
 

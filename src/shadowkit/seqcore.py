@@ -657,6 +657,52 @@ def op_norm(A, p=2.0):
     return float(norms) if norms.ndim == 0 else norms
 
 
+#: c of the outward factor (1 + c n eps) on a dense n x n norm (``_upper_norms``)
+NORM_ROUND_C = 4.0
+
+_NORM_ORDS = {1.0: 1, 2.0: 2, math.inf: np.inf}
+
+
+def _norms(stack, p):
+    """Exact l^p operator norm of every row of an operator stack:
+    seqcore's for weighted shifts, numpy's (the SVD for p = 2) for dense
+    matrices, in one batched call."""
+    if stack.shift is not None:
+        return op_norm(stack, p)
+    return np.linalg.norm(stack.data, _NORM_ORDS[p], axis=(-2, -1))
+
+
+def _upper_norms(stack, p):
+    """l^p operator norms of the rows of a stack, never below the exact ones.
+
+    Weighted shifts: :func:`_norms`, exact.  Dense n x n matrices:
+    :func:`_norms` rounded outward by (1 + c n eps), c = NORM_ROUND_C.
+    LAPACK bounds the error of a computed singular value by p(n) eps
+    sigma_1, p a modestly growing function of n (LAPACK Users' Guide,
+    section 4.9; Higham, Accuracy and Stability of Numerical Algorithms,
+    2002), and a column or row sum of n terms carries at most (n - 1) eps
+    of relative error; c n covers both with room to spare.
+    """
+    norms = _norms(stack, p)
+    if stack.shift is not None:
+        return norms
+    n = stack.data.shape[-1]
+    return norms * (1.0 + NORM_ROUND_C * n * np.finfo(float).eps)
+
+
+def _diff_norms(B, A, p):
+    """|B_j - A_j| for every pair of rows of two stacks.
+
+    For two weighted shifts by the same s the difference is one too, and
+    its norm is the largest scalar gap -- including the gaps at the
+    coordinates the dense zero-extended view drops at the window edge.
+    """
+    d = B - A
+    if d.shift is not None:
+        return np.abs(d.data).max(axis=-1)
+    return _norms(d, p)
+
+
 class OperatorSeq:
     """A two-sided-indexable family {A_k} over an integer interval, held
     as one stack whose leading axis is time.

@@ -52,7 +52,7 @@ __all__ = [
     "make_weighted_shift", "make_ms_product", "make_linear_example_seq",
     "linear_example_cert", "conjugate", "make_sin_wobble", "make_system",
     "LinearShiftFamily", "TanhShiftFamily", "SinPerturbedFamily",
-    "sample_interior_points",
+    "sample_interior_points", "SYSTEM_KEYS",
 ]
 
 #: slack accepted at the closed ends of the slope intervals; the canonical
@@ -69,6 +69,11 @@ NEWTON_SLACK = 16.0
 #: the reach of the coordinate maps' Newton solves, per unit of
 #: 1 + |y|_inf: their residuals round at a few ulps of the larger of x, y
 NEWTON_REACH = 4 * np.finfo(float).eps
+#: the construction keys each registry system of ``make_system`` takes; a
+#: ``conjugated:<base>`` system takes ``amp`` and the keys of its base
+SYSTEM_KEYS = {"weighted_shift_linear": (), "weighted_shift_tanh": (),
+               "ms_product": ("lam1", "lam2", "M"),
+               "linear_no_ed": ("interval",)}
 #: upper end of the bisection for the Morse-Smale profile's exponent s
 MS_EXPONENT_MAX = 80.0
 #: how far the Morse-Smale profile's series may miss a(1) = 1
@@ -657,8 +662,16 @@ def make_ms_product(params, window, p=2.0, name="ms_product"):
 
 def make_linear_example_seq(window, interval):
     """Diagonal operators (A_k x)_m = x_m/2 for m <= k, 2 x_m for m > k,
-    for k over ``interval`` (a range of time indices)."""
+    for k over ``interval``, a non-empty run of consecutive integers (a
+    range of time indices)."""
     ks = np.array(interval)
+    first = ks[0] if ks.ndim == 1 and ks.size else None
+    if not (isinstance(first, (np.integer, np.floating))
+            and np.isfinite(first) and first == np.floor(first)
+            and np.array_equal(ks, first + np.arange(len(ks)))):
+        raise PreconditionError(
+            "interval must be a non-empty run of consecutive integers, "
+            f"got {interval!r}")
     ms = np.arange(window.lo, window.hi + 1)
     return OperatorSeq(int(ks[0]),
                        diag(window, np.where(ms <= ks[:, None], 0.5, 2.0)))
@@ -857,7 +870,19 @@ def make_system(name, window, p=2.0, **kw):
     Names: weighted_shift_linear, weighted_shift_tanh, ms_product,
     linear_no_ed (returns (OperatorSeq, CLCertificate)), and
     conjugated:<base> which wraps the base system in the sine coordinate
-    change."""
+    change.  A key the name does not take (``SYSTEM_KEYS``, and ``amp``
+    for ``conjugated:<base>``, whose other keys go to the base) is refused."""
+    if name.startswith("conjugated:"):
+        amp = kw.pop("amp", 0.05)
+        base = make_system(name.split(":", 1)[1], window, p, **kw)
+        return conjugate(base, make_sin_wobble(window, p, amp=amp), name=name)
+    if name not in SYSTEM_KEYS:
+        raise PreconditionError(f"unknown system name {name!r}")
+    unknown = set(kw) - set(SYSTEM_KEYS[name])
+    if unknown:
+        raise PreconditionError(
+            f"unknown system keys for {name!r}: {sorted(unknown)}; "
+            f"known keys are {sorted(SYSTEM_KEYS[name])}")
     if name == "weighted_shift_linear":
         return make_weighted_shift(LinearShiftFamily(), 0.5, 2.0, window, p,
                                    name=name)
@@ -865,16 +890,10 @@ def make_system(name, window, p=2.0, **kw):
         return make_weighted_shift(TanhShiftFamily(), 0.5, 2.5, window, p,
                                    name=name)
     if name == "ms_product":
-        params = MSMapParams(**{k: kw[k] for k in ("lam1", "lam2", "M") if k in kw})
-        return make_ms_product(params, window, p, name=name)
-    if name == "linear_no_ed":
-        interval = kw.get("interval")
-        if interval is None:
-            half = min(20, (window.length - 9) // 2)
-            interval = range(-half, half + 1)
-        return make_linear_example_seq(window, interval), linear_example_cert(window)
-    if name.startswith("conjugated:"):
-        base = make_system(name.split(":", 1)[1], window, p, **kw)
-        h = make_sin_wobble(window, p, amp=kw.get("amp", 0.05))
-        return conjugate(base, h, name=name)
-    raise PreconditionError(f"unknown system name {name!r}")
+        return make_ms_product(MSMapParams(**kw), window, p, name=name)
+    # linear_no_ed, the one name left
+    interval = kw.get("interval")
+    if interval is None:
+        half = min(20, (window.length - 9) // 2)
+        interval = range(-half, half + 1)
+    return make_linear_example_seq(window, interval), linear_example_cert(window)

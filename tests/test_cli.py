@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
+import math
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shadowkit import cli
@@ -255,6 +258,56 @@ def test_precondition_failures_exit_3_with_error_json(tmp_path, capsys):
         capsys)
     assert code == 3
     assert "experiment" in json.loads(err)["error"]["message"]
+
+
+def test_a_failed_load_writes_error_json_into_the_documents_out(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"out": "mine", "bogus": 1}))
+    code, lines, err = run_cli(["verify-cl", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert not lines
+    assert read_json(tmp_path / "mine" / "error.json") == json.loads(err)
+    assert "bogus" in json.loads(err)["error"]["message"]
+    assert not (tmp_path / "shadowkit-out").exists()
+    # --out still comes first, and an out that is no path gives the default
+    code, _, _ = run_cli(["verify-cl", "--config", str(cfg),
+                          "--out", str(tmp_path / "flag")], capsys)
+    assert code == 3
+    assert (tmp_path / "flag" / "error.json").exists()
+    cfg.write_text(json.dumps({"out": 5}))
+    code, _, err = run_cli(["verify-cl", "--config", str(cfg)], capsys)
+    assert code == 3
+    assert read_json(tmp_path / "shadowkit-out" / "error.json") \
+        == json.loads(err)
+
+
+def test_csv_cells_keep_the_text_of_every_scalar(tmp_path):
+    cells = {"bool": (True, "True"), "np_bool": (np.bool_(False), "False"),
+             "int": (3, "3"), "np_int64": (np.int64(-4), "-4"),
+             "float": (0.1, "0.1"), "big": (1e16, "1e+16"),
+             "np_float64": (np.float64(0.1) + np.float64(0.2),
+                            "0.30000000000000004"),
+             "inf": (math.inf, "inf"), "neg_inf": (-math.inf, "-inf"),
+             "nan": (math.nan, "nan"), "none": (None, "None"),
+             "str": ("sequence", "sequence")}
+    config = cli.ExperimentConfig("verify-cl", out=str(tmp_path))
+    cli._write_artifacts(config, {
+        "header": list(cells), "rows": [{k: v for k, (v, _) in cells.items()}],
+        "checks": [], "constants": {}})
+    text = (tmp_path / "verify_cl.csv").read_text()
+    assert text == ",".join(cells) + "\n" + ",".join(
+        want for _, want in cells.values()) + "\n"
+
+
+def test_each_experiment_sets_config_fields_on_the_dataclass_defaults():
+    fields = {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    for experiment, (_, entry) in cli._EXPERIMENTS.items():
+        assert set(entry) <= fields - {"experiment"}
+        want = {**dataclasses.asdict(cli.ExperimentConfig(experiment)),
+                **entry}
+        assert dataclasses.asdict(cli.load_config(experiment)) == want
 
 
 # every numeric config key, with the override that sets it to a value

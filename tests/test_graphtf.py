@@ -14,14 +14,15 @@ from shadowkit.boundedsol import (InhomProblem, neumann_perturbed_solve,
                                   random_hyperbolic_instance)
 from shadowkit.clstruct import (CLCertificate, ProjPair, constant_cert,
                                 verify_cl_diffeo, verify_cl_opseq)
-from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes, _diff_norms,
+from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes,
                                graph_transform_periodic, graph_transform_seq,
                                perturbation_budget, perturbed_cl_for_diffeo,
                                rate_upgrade_steps, series_gain,
                                upgraded_constant)
 from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError,
-                               SeqVec, TruncationError, Window, dense, diag,
-                               norm, op_apply, op_norm, shift_diag, sub)
+                               SeqVec, TruncationError, Window, _diff_norms,
+                               dense, diag, norm, op_apply, op_norm,
+                               shift_diag, sub)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                linear_example_cert, make_linear_example_seq,
                                make_weighted_shift)
@@ -757,7 +758,7 @@ def test_dense_transfer_R_is_an_outward_rounded_svd_bound():
            for M in (pseq.op_at(k).matrix, np.linalg.inv(pseq.op_at(k).matrix))]
     assert all(R >= s for s in svd)
     assert R > _POWER_ITERATION_R
-    slack = graphtf.NORM_ROUND_C * W.length * np.finfo(float).eps
+    slack = seqcore.NORM_ROUND_C * W.length * np.finfo(float).eps
     assert R <= max(svd) * (1.0 + slack)
     assert R == max(svd) * (1.0 + slack)
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shadowkit import seqcore
-from shadowkit.graphtf import _diff_norms
 from shadowkit.seqcore import (
+    _diff_norms,
     Window, SeqVec, OperatorSeq, norm, op_apply, op_norm, cocycle, compose,
     dense, diag, shift_diag, identity_op, monitored_fixed_point, add, sub,
     apply_coeffs, coeff_norm, row_norms, anchor_index, LOST_TOL,

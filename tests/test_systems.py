@@ -530,6 +530,24 @@ def test_linear_example_cert_projections():
     assert norm(op_apply(pair.P, SeqVec.basis(W, 3))) == 0.0
 
 
+@pytest.mark.parametrize("interval", [
+    [0, 5], [], [2, 1], [0, 1.5], [0.5, 1.5], [[0, 1]], [math.nan],
+    [math.inf], ["0", "1"], [True, False], 3])
+def test_linear_example_refuses_an_interval_that_is_not_a_run(interval):
+    # [0, 5] would label the operators of k = 0 and k = 5 as times 0 and 1
+    with pytest.raises(PreconditionError, match="consecutive integers"):
+        make_linear_example_seq(W, interval)
+
+
+def test_linear_example_takes_any_run_of_consecutive_integers():
+    want = make_linear_example_seq(W, range(-3, 2))
+    for interval in ([-3, -2, -1, 0, 1], np.arange(-3, 2),
+                     [-3.0, -2.0, -1.0, 0.0, 1.0]):
+        seq = make_linear_example_seq(W, interval)
+        assert (seq.lo, seq.count) == (-3, 5)
+        assert seq.stack.data.tobytes() == want.stack.data.tobytes()
+
+
 # ------------------------------------------------------------- conjugation
 
 def test_conjugate_by_identity_is_f():
@@ -629,6 +647,30 @@ def test_make_system_registry():
     assert seq.op_at(0).kind == "diag"
     with pytest.raises(PreconditionError):
         make_system("no_such_system", W)
+
+
+@pytest.mark.parametrize("name, kw, key", [
+    ("ms_product", {"lamb1": 0.3}, "'lamb1'"),
+    ("weighted_shift_linear", {"amp": 0.1}, "'amp'"),
+    ("weighted_shift_tanh", {"interval": [0, 1]}, "'interval'"),
+    ("linear_no_ed", {"M": 6.0}, "'M'"),
+    ("conjugated:weighted_shift_linear", {"lam1": 0.4}, "'lam1'"),
+    ("conjugated:ms_product", {"lamb1": 0.3, "amp": 0.1}, "'lamb1'"),
+])
+def test_make_system_refuses_a_key_its_name_does_not_take(name, kw, key):
+    with pytest.raises(PreconditionError, match=f"unknown system keys.*{key}"):
+        make_system(name, W, **kw)
+
+
+def test_conjugated_system_passes_all_but_amp_to_its_base():
+    x = SeqVec(W, 0.3 * np.sin(np.arange(W.length)), 2.0)
+    got = make_system("conjugated:ms_product", W, lam1=0.4, M=6.0, amp=0.1)
+    want = conjugate(make_system("ms_product", W, lam1=0.4, M=6.0),
+                     make_sin_wobble(W, amp=0.1),
+                     name="conjugated:ms_product")
+    assert got.forward(x).coeffs.tobytes() == want.forward(x).coeffs.tobytes()
+    assert got.cert.C == want.cert.C and got.cert.lam == want.cert.lam
+    assert set(systems.SYSTEM_KEYS["ms_product"]) == {"lam1", "lam2", "M"}
 
 
 # ------------------------------------------------------------- row maps
