@@ -27,8 +27,17 @@ and the base's for ``conjugated:<base>``), ``N`` (window half-width), ``p``
 verification length), ``periods`` (shadow-periodic), ``side`` (verify-ed),
 ``points`` (verify-cl sample count), ``lam1`` (relaxed decay rate for
 transfers), ``tolerances`` (per-check bounds), ``out``.  Every number must
-be finite, except ``p``, where ``Infinity`` selects the l^inf norm.  Sweep
-cells (d x seed and the like) run one after another, in cell order.
+be finite, except ``p``, where ``Infinity`` selects the l^inf norm.
+
+Sweep cells (d x seed, oracle instances, robustness seeds) are independent,
+so they run at once on W processes, W = min(the CPUs this process may run
+on, the number of cells): this process and W - 1 forked children (see
+:func:`_map_on`).  In a process with more than one thread, or without
+``os.fork`` and ``os.sched_getaffinity``, W is 1 and the cells run one
+after another here.  Either way the results come back in cell order, so
+the artifacts are the same bytes; pinning BLAS to one thread (for OpenBLAS,
+``OPENBLAS_NUM_THREADS=1`` before numpy loads) is what leaves the process
+with one thread, and so lets the cells run in parallel.
 
 Each config key is declared once, as a field of :class:`ExperimentConfig`
 whose default is the base value; each experiment is one entry of
@@ -44,7 +53,9 @@ import csv
 import json
 import math
 import os
+import pickle
 import platform
+import signal
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -63,10 +74,10 @@ from .seqcore import (ConvergenceError, OperatorSeq, PreconditionError,
 from .shadow import (make_loop, make_pseudotrajectory, periodic_point_near,
                      recompute_step_error, shadow, shadow_periodic,
                      shadowing_constants, Pseudotrajectory)
-from .systems import (SYSTEM_KEYS, LinearShiftFamily, SinPerturbedFamily,
+from .systems import (LinearShiftFamily, SinPerturbedFamily,
                       linear_example_cert, make_linear_example_seq,
                       make_system, make_weighted_shift,
-                      sample_interior_points)
+                      sample_interior_points, system_keys)
 
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "load_config", "run", "main"]
 
@@ -172,16 +183,9 @@ def _check_system(system):
     """Refuse a ``system`` key that its name does not take, a number that is
     not finite, and an ``interval`` that is not a non-empty run of
     consecutive integers; an unknown name is left to ``make_system``."""
-    name = system["name"]
-    base = name.split(":", 1)[1] if name.startswith("conjugated:") else name
-    if base not in SYSTEM_KEYS:
+    known = system_keys(system["name"], set(system) - {"name"})
+    if known is None:
         return
-    known = set(SYSTEM_KEYS[base]) | ({"amp"} if base != name else set())
-    unknown = set(system) - known - {"name"}
-    if unknown:
-        raise PreconditionError(
-            f"unknown system keys for {name!r}: {sorted(unknown)}; "
-            f"known keys are {sorted(known)}")
     for key in sorted(known & set(system)):
         label = f"system.{key}"
         if key != "interval":
@@ -311,9 +315,128 @@ def load_config(experiment, path=None, overrides=(), seed=None, out=None):
 # plumbing
 
 
+def _worker_count(cells):
+    """How many processes a sweep of ``cells`` cells runs on: one per CPU
+    this process may run on, at most one per cell, and 1 where forking is
+    unsafe or unavailable: in a process with more than one thread (a child
+    gets only the forking thread, so a lock another thread held stays held
+    in it), or without ``os.fork`` and ``os.sched_getaffinity``."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+    except OSError:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), cells))
+
+
 def _map_cells(fn, cells):
-    """Run independent sweep cells in order."""
-    return [fn(cell) for cell in cells]
+    """``[fn(cell) for cell in cells]``, with the cells spread over
+    :func:`_worker_count` processes; see :func:`_map_on`."""
+    cells = list(cells)
+    return _map_on(fn, cells, _worker_count(len(cells)))
+
+
+def _run_share(fn, cells, worker, workers):
+    """``(i, ok, result or exception)`` for the cells i = worker mod
+    workers, in order, up to and including the first that raises."""
+    entries = []
+    for i in range(worker, len(cells), workers):
+        try:
+            entries.append((i, True, fn(cells[i])))
+        except Exception as exc:
+            entries.append((i, False, exc))
+            break
+    return entries
+
+
+def _sendable(entry):
+    """``entry`` pickled, or, when it does not survive the round trip, a
+    failure of its cell that says so."""
+    try:
+        data = pickle.dumps(entry)
+        pickle.loads(data)
+        return data
+    except Exception as exc:
+        i, ok, value = entry
+        what = "result" if ok else type(value).__name__
+        return pickle.dumps((i, False, RuntimeError(
+            f"sweep cell {i}: its {what} cannot be sent back from a worker "
+            f"process: {exc!r}")))
+
+
+def _serve_share(fn, cells, worker, workers, wfd):
+    """The whole life of a forked worker: run its share, write it to
+    ``wfd`` as a pickled list of pickled entries, and leave by
+    ``os._exit``, with status 0 only once all of it is written."""
+    code = 1
+    try:
+        share = [_sendable(e) for e in _run_share(fn, cells, worker, workers)]
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(share))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _map_on(fn, cells, workers):
+    """``[fn(cell) for cell in cells]`` on ``workers`` processes.
+
+    Cell i runs on worker i mod workers.  Worker 0 is this process; the
+    others are forked children, each of which stops at its first failing
+    cell and sends its share back through a pipe.  This process runs its
+    own share, then drains every pipe, and reaps every child before it
+    returns or raises.  When cells fail, the exception of the first failing
+    cell in cell order is raised, the one the plain loop raises (a child's
+    arrives without its traceback); a child that ends without sending its
+    whole share raises a ``RuntimeError`` naming the worker and its exit
+    status.  With ``workers`` 1 this is the plain loop and forks nothing.
+    A child the system refuses to fork leaves its share to this process.
+    """
+    if workers <= 1:
+        return [fn(cell) for cell in cells]
+    shares, children = [0], []          # children: (worker, pid, read end)
+    try:
+        for worker in range(1, workers):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                shares.append(worker)
+                continue
+            if pid == 0:
+                _serve_share(fn, cells, worker, workers, wfd)
+            os.close(wfd)
+            children.append((worker, pid, os.fdopen(rfd, "rb")))
+        entries = [e for s in shares for e in _run_share(fn, cells, s, workers)]
+        while children:
+            worker, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0:
+                how = f"by signal {-status}" if status < 0 \
+                    else f"with status {status}"
+                raise RuntimeError(
+                    f"sweep worker {worker} (pid {pid}) ended {how} before "
+                    f"sending back all its cells")
+            entries += [pickle.loads(e) for e in pickle.loads(data)]
+    finally:
+        for worker, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # each worker stops at its first failure, so the first failure in cell
+    # order is the first failing cell; without one every cell is here once
+    entries.sort(key=lambda e: e[0])
+    for _, ok, value in entries:
+        if not ok:
+            raise value
+    return [value for _, _, value in entries]
 
 
 def _jsonable(value):

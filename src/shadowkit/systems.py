@@ -52,7 +52,7 @@ __all__ = [
     "make_weighted_shift", "make_ms_product", "make_linear_example_seq",
     "linear_example_cert", "conjugate", "make_sin_wobble", "make_system",
     "LinearShiftFamily", "TanhShiftFamily", "SinPerturbedFamily",
-    "sample_interior_points", "SYSTEM_KEYS",
+    "sample_interior_points", "SYSTEM_KEYS", "system_keys",
 ]
 
 #: slack accepted at the closed ends of the slope intervals; the canonical
@@ -864,25 +864,40 @@ def conjugate(sys, h, name=None):
 # registry for the CLI
 
 
+def system_keys(name, given=()):
+    """The construction keys the registry name ``name`` takes, as a set:
+    its ``SYSTEM_KEYS`` entry, and for ``conjugated:<base>`` ``amp`` plus
+    the keys of its base; None for a name the registry does not know.  A
+    key among ``given`` that a known name does not take is refused, in the
+    one wording that :func:`make_system` and the CLI share."""
+    if name.startswith("conjugated:"):
+        known = system_keys(name.split(":", 1)[1])
+        known = None if known is None else known | {"amp"}
+    else:
+        known = set(SYSTEM_KEYS[name]) if name in SYSTEM_KEYS else None
+    unknown = set() if known is None else set(given) - known
+    if unknown:
+        raise PreconditionError(
+            f"unknown system keys for {name!r}: {sorted(unknown)}; "
+            f"known keys are {sorted(known)}")
+    return known
+
+
 def make_system(name, window, p=2.0, **kw):
     """Build a system by its registry name.
 
     Names: weighted_shift_linear, weighted_shift_tanh, ms_product,
     linear_no_ed (returns (OperatorSeq, CLCertificate)), and
     conjugated:<base> which wraps the base system in the sine coordinate
-    change.  A key the name does not take (``SYSTEM_KEYS``, and ``amp``
-    for ``conjugated:<base>``, whose other keys go to the base) is refused."""
+    change.  A key the name does not take (:func:`system_keys`) is
+    refused; ``conjugated:<base>`` passes all but ``amp`` to its base."""
+    system_keys(name, kw)
     if name.startswith("conjugated:"):
         amp = kw.pop("amp", 0.05)
         base = make_system(name.split(":", 1)[1], window, p, **kw)
         return conjugate(base, make_sin_wobble(window, p, amp=amp), name=name)
     if name not in SYSTEM_KEYS:
         raise PreconditionError(f"unknown system name {name!r}")
-    unknown = set(kw) - set(SYSTEM_KEYS[name])
-    if unknown:
-        raise PreconditionError(
-            f"unknown system keys for {name!r}: {sorted(unknown)}; "
-            f"known keys are {sorted(SYSTEM_KEYS[name])}")
     if name == "weighted_shift_linear":
         return make_weighted_shift(LinearShiftFamily(), 0.5, 2.0, window, p,
                                    name=name)

@@ -1,16 +1,22 @@
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from shadowkit import cli
-from shadowkit.seqcore import ConvergenceError, PreconditionError
+from shadowkit.seqcore import (ConvergenceError, PreconditionError,
+                               TruncationError, Window)
+from shadowkit.systems import make_system
 
 
 def run_cli(argv, capsys):
@@ -538,3 +544,185 @@ def test_module_and_console_entry_points(tmp_path):
         proc2 = subprocess.run([exe, "verify-ed", "--out", str(out2)],
                                capture_output=True, text=True, timeout=120)
         assert proc2.returncode == 0, proc2.stderr
+
+
+# ------------------------------------------------------------- sweep cells
+#
+# The map's contract, on workers forced through ``cli._map_on``.  pytest's
+# process may hold OpenBLAS threads, so these cells call no BLAS.
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block outlasts ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _map(fn, cells, workers):
+    """``cli._map_on`` under a deadline; afterwards no child is left."""
+    try:
+        with _deadline(30):
+            return cli._map_on(fn, cells, workers)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_cells_come_back_in_cell_order_from_every_worker(workers):
+    got = _map(lambda c: (c * c, os.getpid()), list(range(11)), workers)
+    assert [value for value, _ in got] == [c * c for c in range(11)]
+    pids = [pid for _, pid in got]
+    assert len(set(pids)) == workers
+    assert all(pids[i] == pids[i % workers] for i in range(11))
+    assert pids[0] == os.getpid()
+
+
+@pytest.mark.parametrize("workers, failing", [
+    (4, (3, 5)), (3, (3, 5)), (3, (4, 6)), (2, (2, 3)), (2, (3, 4))])
+def test_the_first_failing_cell_in_cell_order_raises(workers, failing):
+    def fn(c):
+        if c in failing:
+            raise ValueError(f"cell {c}")
+        return c
+
+    with pytest.raises(ValueError, match=f"^cell {failing[0]}$"):
+        _map(fn, list(range(9)), workers)
+
+
+@pytest.mark.parametrize("kind", [PreconditionError, TruncationError,
+                                  ConvergenceError, ValueError])
+def test_an_exception_in_a_child_arrives_with_its_type_and_message(kind):
+    def fn(c):
+        if c == 1:
+            raise kind(f"{kind.__name__} in cell {c}")
+        return c
+
+    with pytest.raises(kind) as info:
+        _map(fn, list(range(4)), 2)
+    assert type(info.value) is kind
+    assert str(info.value) == f"{kind.__name__} in cell 1"
+
+
+def test_a_killed_child_gives_an_error_not_a_hang():
+    parent = os.getpid()
+
+    def fn(c):
+        if c == 3 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return c
+
+    with pytest.raises(RuntimeError, match="worker 1 .* by signal 9"):
+        _map(fn, list(range(6)), 2)
+
+
+def test_an_unpicklable_result_gives_an_error():
+    with pytest.raises(RuntimeError, match="cell 1: its result cannot be sent"):
+        _map(lambda c: (lambda: c), list(range(4)), 2)
+
+
+def test_one_worker_is_the_plain_loop_and_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _map(lambda c: c + 1, list(range(5)), 1) == [1, 2, 3, 4, 5]
+    monkeypatch.setattr(cli, "_worker_count", lambda cells: 1)
+    assert cli._map_cells(lambda c: c + 1, range(5)) == [1, 2, 3, 4, 5]
+
+
+def test_a_refused_fork_leaves_its_share_to_this_process(monkeypatch):
+    def refused():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    got = _map(lambda c: (c, os.getpid()), list(range(7)), 3)
+    assert got == [(c, os.getpid()) for c in range(7)]
+
+
+def test_the_worker_count(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+    assert cli._worker_count(1) == 1
+    assert cli._worker_count(0) == 1
+    assert cli._worker_count(10 ** 6) == cpus
+    # a second thread, or no fork, means one worker
+    monkeypatch.setattr(os, "listdir", lambda path: ["1", "2"])
+    assert cli._worker_count(10 ** 6) == 1
+    monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+    monkeypatch.delattr(os, "fork")
+    assert cli._worker_count(10 ** 6) == 1
+
+
+def test_a_live_thread_keeps_the_map_in_this_process():
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert cli._worker_count(10 ** 6) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+#: small sweeps of every experiment that maps cells
+SWEEPS = [
+    ("shadow", ["N=32", "horizon=12", "d_sweep=[1e-3,1e-4]", "runs=3"]),
+    ("shadow-periodic", ["N=32", "runs=2"]),
+    ("chain-demo", ["N=32", "runs=2"]),
+    ("solver-oracle", ["runs=12"]),
+    ("robustness", ["N=16", "runs=2", "horizon=8"]),
+]
+
+
+def _run_on(cpus, experiment, overrides, out):
+    """A CLI run in a fresh interpreter, held to the CPUs ``cpus`` (None
+    for all), with OpenBLAS on one thread: (stdout, CSV, report.json)."""
+    argv = [sys.executable, "-m", "shadowkit.cli", experiment, "--out",
+            str(out)]
+    for text in overrides:
+        argv += ["--override", text]
+    proc = subprocess.run(
+        argv, capture_output=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=None if cpus is None
+        else lambda: os.sched_setaffinity(0, cpus))
+    assert proc.returncode == 0, proc.stderr
+    csv_name = experiment.replace("-", "_") + ".csv"
+    return (proc.stdout, (out / csv_name).read_bytes(),
+            (out / "report.json").read_bytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least 2 CPUs to run cells in parallel")
+@pytest.mark.parametrize("experiment, overrides", SWEEPS,
+                         ids=[e for e, _ in SWEEPS])
+def test_sweeps_write_the_same_bytes_on_one_cpu_and_on_all(
+        experiment, overrides, tmp_path):
+    one_cpu = {min(os.sched_getaffinity(0))}
+    serial = _run_on(one_cpu, experiment, overrides, tmp_path / "one")
+    parallel = _run_on(None, experiment, overrides, tmp_path / "all")
+    assert serial == parallel
+
+
+def test_cli_and_make_system_refuse_an_unknown_system_key_alike(tmp_path):
+    system = {"name": "conjugated:ms_product", "lamb1": 0.3}
+    with pytest.raises(PreconditionError) as from_cli:
+        cli.load_config("verify-cl",
+                        overrides=[f"system={json.dumps(system)}"])
+    with pytest.raises(PreconditionError) as from_systems:
+        make_system(system["name"], Window(-12, 12), lamb1=0.3)
+    assert str(from_cli.value) == str(from_systems.value)
+    assert "'conjugated:ms_product'" in str(from_cli.value)
+    assert "['M', 'amp', 'lam1', 'lam2']" in str(from_cli.value)
