@@ -55,7 +55,6 @@ import math
 import os
 import pickle
 import platform
-import signal
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -351,30 +350,26 @@ def _run_share(fn, cells, worker, workers):
     return entries
 
 
-def _sendable(entry):
-    """``entry`` pickled, or, when it does not survive the round trip, a
-    failure of its cell that says so."""
-    try:
-        data = pickle.dumps(entry)
-        pickle.loads(data)
-        return data
-    except Exception as exc:
-        i, ok, value = entry
-        what = "result" if ok else type(value).__name__
-        return pickle.dumps((i, False, RuntimeError(
-            f"sweep cell {i}: its {what} cannot be sent back from a worker "
-            f"process: {exc!r}")))
+def _failure(worker, reason):
+    """The entry that stands for worker ``worker``'s lost share: a failure
+    at its first cell, the earliest cell the share may have failed at."""
+    return [(worker, False, RuntimeError(f"sweep worker {worker} {reason}"))]
 
 
 def _serve_share(fn, cells, worker, workers, wfd):
     """The whole life of a forked worker: run its share, write it to
-    ``wfd`` as a pickled list of pickled entries, and leave by
-    ``os._exit``, with status 0 only once all of it is written."""
+    ``wfd`` pickled, and leave by ``os._exit``, with status 0 only once all
+    of it is written."""
     code = 1
     try:
-        share = [_sendable(e) for e in _run_share(fn, cells, worker, workers)]
+        share = _run_share(fn, cells, worker, workers)
+        try:
+            data = pickle.dumps(share)
+        except Exception as exc:
+            data = pickle.dumps(_failure(
+                worker, f"cannot send back its cells: {exc!r}"))
         with os.fdopen(wfd, "wb") as pipe:
-            pipe.write(pickle.dumps(share))
+            pipe.write(data)
         code = 0
     finally:
         os._exit(code)
@@ -389,13 +384,12 @@ def _map_on(fn, cells, workers):
     own share, then drains every pipe, and reaps every child before it
     returns or raises.  When cells fail, the exception of the first failing
     cell in cell order is raised, the one the plain loop raises (a child's
-    arrives without its traceback); a child that ends without sending its
-    whole share raises a ``RuntimeError`` naming the worker and its exit
-    status.  With ``workers`` 1 this is the plain loop and forks nothing.
-    A child the system refuses to fork leaves its share to this process.
+    arrives without its traceback).  A child that ends without sending its
+    share, or whose share cannot be sent or received, fails at its first
+    cell with a ``RuntimeError`` that says why.  With ``workers`` 1 no
+    child is forked, and a child the system refuses to fork leaves its
+    share to this process.
     """
-    if workers <= 1:
-        return [fn(cell) for cell in cells]
     shares, children = [0], []          # children: (worker, pid, read end)
     try:
         for worker in range(1, workers):
@@ -421,17 +415,24 @@ def _map_on(fn, cells, workers):
             if status != 0:
                 how = f"by signal {-status}" if status < 0 \
                     else f"with status {status}"
-                raise RuntimeError(
-                    f"sweep worker {worker} (pid {pid}) ended {how} before "
-                    f"sending back all its cells")
-            entries += [pickle.loads(e) for e in pickle.loads(data)]
+                entries += _failure(worker, f"(pid {pid}) ended {how} before "
+                                            f"sending back all its cells")
+                continue
+            try:
+                entries += pickle.loads(data)
+            except Exception as exc:
+                entries += _failure(worker, f"sent back cells that cannot be "
+                                            f"received: {exc!r}")
     finally:
+        if children:            # only on the way out of a failure, so not
+            import signal       # at import time
         for worker, pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # each worker stops at its first failure, so the first failure in cell
-    # order is the first failing cell; without one every cell is here once
+    # each worker stops at its first failure, and a lost share fails at its
+    # first cell, so the first failure in cell order is the first failing
+    # cell; without one every cell is here once
     entries.sort(key=lambda e: e[0])
     for _, ok, value in entries:
         if not ok:

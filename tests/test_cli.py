@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -625,17 +626,89 @@ def test_a_killed_child_gives_an_error_not_a_hang():
         _map(fn, list(range(6)), 2)
 
 
+def test_a_killed_child_after_an_earlier_failure_keeps_cell_order():
+    parent = os.getpid()
+
+    def fn(c):
+        if c == 0:
+            raise PreconditionError("cell 0")
+        if c == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return c
+
+    with pytest.raises(PreconditionError, match="^cell 0$"):
+        _map(fn, list(range(6)), 2)
+
+
+def test_a_killed_child_fails_at_its_first_cell():
+    parent = os.getpid()
+
+    def fn(c):
+        if c == 5 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if c == 2:
+            raise ValueError("cell 2")
+        return c
+
+    # worker 1 (cells 1, 3, 5) is lost, and cell 1 comes before cell 2
+    with pytest.raises(RuntimeError, match="worker 1 .* by signal 9"):
+        _map(fn, list(range(6)), 2)
+
+
+def test_an_interrupt_here_kills_and_reaps_every_child():
+    parent = os.getpid()
+
+    def fn(c):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return c
+
+    with pytest.raises(KeyboardInterrupt):
+        _map(fn, list(range(3)), 3)
+
+
 def test_an_unpicklable_result_gives_an_error():
-    with pytest.raises(RuntimeError, match="cell 1: its result cannot be sent"):
+    with pytest.raises(RuntimeError,
+                       match="worker 1 cannot send back its cells"):
         _map(lambda c: (lambda: c), list(range(4)), 2)
 
 
-def test_one_worker_is_the_plain_loop_and_forks_nothing(monkeypatch):
+class _TwoArgError(Exception):
+    """Pickles, but cannot be unpickled: ``args`` holds one of two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def test_an_exception_that_cannot_be_received_gives_an_error():
+    def fn(c):
+        if c == 1:
+            raise _TwoArgError(c, "b")
+        return c
+
+    with pytest.raises(RuntimeError,
+                       match="worker 1 sent back cells that cannot be received"):
+        _map(fn, list(range(4)), 2)
+
+
+def test_one_worker_forks_nothing(monkeypatch):
     def no_fork():
         raise AssertionError("os.fork called")
 
+    ran = []
+
+    def fn(c):
+        ran.append(c)
+        if c == 2:
+            raise ValueError("cell 2")
+        return c + 1
+
     monkeypatch.setattr(os, "fork", no_fork)
     assert _map(lambda c: c + 1, list(range(5)), 1) == [1, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="^cell 2$"):
+        _map(fn, list(range(5)), 1)
+    assert ran == [0, 1, 2]
     monkeypatch.setattr(cli, "_worker_count", lambda cells: 1)
     assert cli._map_cells(lambda c: c + 1, range(5)) == [1, 2, 3, 4, 5]
 
