@@ -10,8 +10,9 @@ run writes, into the output directory:
   config and seed give byte-identical bytes),
 * ``report.json``       -- structured results (verification reports, probe
   data, transfer summaries) plus the evaluated checks,
-* ``manifest.json``     -- the resolved config echo, library versions, and
-  the constants the experiment ran with.
+* ``manifest.json``     -- the resolved config echo, library versions and
+  the ``OPENBLAS_NUM_THREADS`` setting (null when unset), and the constants
+  the experiment ran with.
 
 Each check the experiment covers is printed as a single ``PASS``/``FAIL``
 line on stdout.  Exit status: 0 when every check passes, 2 when a check
@@ -480,6 +481,9 @@ def _write_artifacts(config, result):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "shadowkit": __version__,
+            # the BLAS thread count moves the bytes of robustness's dense
+            # CSV columns, and it decides whether a sweep forks workers
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
         "constants": result["constants"],
     })

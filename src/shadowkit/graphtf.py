@@ -10,6 +10,21 @@ time-reversed inverse sequence.  The rebuilt splitting is certified at a
 relaxed decay rate ``lam1 > lam`` with constant ``((R + 1) / lam1) ** N``,
 where N is the block length at which the original decay beats ``lam1``.
 
+``graph_transform_seq`` and ``graph_transform_periodic`` run the transfer
+as five stages, each a function of the stacks it reads:
+
+* ``_admit``: the input gates, the base pairs read once at every time,
+  the byte admission and the eps and budget gates;
+* ``_tilts``: the stable and unstable fixed points and their ball gate;
+* ``_rebuild``: the tilted pairs, their projection check and the leakage
+  check;
+* ``_decay``: the N-step decay scan of the rebuilt splitting;
+* ``_result``: the certificate at ``(C1, lam1)`` and the record.
+
+The tilts ``GraphMaps.H`` and ``H_u`` are :class:`seqcore.OperatorSeq`
+sequences over the transfer's times, held as the stacks the fixed points
+return.
+
 The whole construction runs on operator stacks (:class:`seqcore.LinOp`),
 one stack per block kind, iterate and product over all steps, so each
 block, update, difference, inclusion product and norm is one array
@@ -21,8 +36,7 @@ projections) makes the stacks it meets (steps, n, n) matrix arrays, run
 by batched ``matmul``, ``inv`` and ``norm``; that is admitted only while
 its estimated memory, ``_dense_bytes``, stays below ``MAX_DENSE_BYTES``.
 Every step keeps the association order and the bits of the algebra on
-one operator, and only the nonzero final tilts are materialized; a zero
-tilt stays structured.
+one operator; a zero tilt on weighted shifts stays structured.
 
 ``perturbed_cl_for_diffeo`` lifts the construction to diffeomorphisms: an
 orbit of the perturbed map is shadowed by an exact trajectory of the base
@@ -113,21 +127,24 @@ def upgraded_constant(C, lam, R, lam1):
 
 @dataclass
 class GraphMaps:
-    """Per-time tilt maps defining a rebuilt splitting.
+    """The tilt maps defining a rebuilt splitting, one sequence per side.
 
-    ``H[k]`` maps the old stable space at time k into the old unstable one
-    (its graph is the new stable space); ``H_u[k]`` tilts the unstable side
-    symmetrically.  ``eps2`` is the norm ball both families are confined
-    to and ``attained`` the largest norm actually realized.
+    ``H`` and ``H_u`` are :class:`seqcore.OperatorSeq` sequences over the
+    times of the transfer (one more time than steps on an interval, one
+    period around a closed orbit), held as the stacks the two fixed points
+    returned.  ``H.op_at(k)`` maps the old stable space at time k into the
+    old unstable one (its graph is the new stable space); ``H_u.op_at(k)``
+    tilts the unstable side symmetrically.  ``eps2`` is the norm ball both
+    families are confined to and ``attained`` the largest norm actually
+    realized.
     """
 
-    H: dict
-    H_u: dict
+    H: OperatorSeq
+    H_u: OperatorSeq
     eps2: float
     iterations: int
     attained: float = 0.0
     fp_residual: float = 0.0
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -146,19 +163,23 @@ class PerturbedCert:
     meta: dict = field(default_factory=dict)
 
     def residual_rows(self):
-        """``(k, |H_k|, inclusion residual)`` rows, ascending in k; the
-        norms are one ``op_norm`` of the stacked tilts (a zero tilt reads
-        0.0 structured or densified)."""
+        """``(k, |H_k|, inclusion residual)`` rows, ascending in k, at the
+        times with a step: one ``op_norm`` of those rows of the tilt
+        stack."""
         p = self.meta.get("p", 2.0)
         ks = sorted(self.inclusion_residuals)
-        norms = np.broadcast_to(
-            op_norm(stack_ops([self.graph.H[k] for k in ks]), p), (len(ks),))
+        norms = np.broadcast_to(op_norm(self.graph.H.stack[:len(ks)], p),
+                                (len(ks),))
         return [(k, float(h), self.inclusion_residuals[k])
                 for k, h in zip(ks, norms)]
 
     def to_json(self):
         def blob(c):
             return {"C": c.C, "lam": c.lam, "R": c.R}
+
+        def tilts(H):
+            return {str(k): op.to_dense_matrix().tolist()
+                    for k, op in enumerate(H.ops, H.lo)}
 
         return {
             "base": blob(self.base),
@@ -167,10 +188,8 @@ class PerturbedCert:
             "iterations": self.graph.iterations,
             "attained": self.graph.attained,
             "fp_residual": self.graph.fp_residual,
-            "H": {str(k): op.to_dense_matrix().tolist()
-                  for k, op in sorted(self.graph.H.items())},
-            "H_u": {str(k): op.to_dense_matrix().tolist()
-                    for k, op in sorted(self.graph.H_u.items())},
+            "H": tilts(self.graph.H),
+            "H_u": tilts(self.graph.H_u),
             "inclusion_residuals": {str(k): v for k, v
                                     in sorted(self.inclusion_residuals.items())},
             "meta": self.meta,
@@ -185,6 +204,16 @@ def _dense_bytes(n_ops, n):
     robustness's route, densified, with 6 to 24 steps on windows of 21 to
     161), and the caller holds the two input operators."""
     return 25 * n_ops * n * n * 8
+
+
+def _times(n_ops, period):
+    """``(n_times, nxt, rev)`` of a transfer over ``n_ops`` steps: step j
+    maps time j to time ``nxt[j]``, and reversed time j sits at time
+    ``rev[j]``.  On an interval both are basic slices, so the stacks they
+    select are views; around a period they wrap."""
+    if period is None:
+        return n_ops + 1, slice(1, None), slice(None, None, -1)
+    return n_ops, (np.arange(n_ops) + 1) % n_ops, -np.arange(n_ops) % n_ops
 
 
 _BLOCK_NAMES = ("Z", "Ass", "Aus", "Bsu", "Dss", "Dus", "Duu")
@@ -226,9 +255,7 @@ def _fixed_point(blk, n_ops, nxt, C, lam, p, period, label, zero):
     monitor enforces; returns ``(H, iterations, fp_residual,
     worst_ratio)``.
     """
-    n_times = n_ops if period else n_ops + 1
-    Z, Ass, Aus, Bsu = blk["Z"], blk["Ass"], blk["Aus"], blk["Bsu"]
-    Dss, Dus, Duu = blk["Dss"], blk["Dus"], blk["Duu"]
+    Z, Ass, Aus, Bsu, Dss, Dus, Duu = (blk[k] for k in _BLOCK_NAMES)
 
     def q_step(H):
         # -Bsu - Duu Hj + Hn Aus Hj + Hn Dss + Hn Dus Hj, left to right,
@@ -243,12 +270,12 @@ def _fixed_point(blk, n_ops, nxt, C, lam, p, period, label, zero):
         if period is None:
             # the finite backward sweep sums the whole series exactly; at
             # the last time there are no later terms to pick up
-            new = [zero] * n_times
+            new = [zero] * (n_ops + 1)
             for j in range(n_ops - 1, -1, -1):
                 new[j] = S[j] + (Z[j] @ new[j + 1]) @ Ass[j]
             return stack_ops(new)
         T = _series_terms(C, lam, float(np.max(_norms(S, p))))
-        idx = np.arange(n_times)
+        idx = np.arange(n_ops)
         acc, left, right = S, None, None
         for l in range(1, T):
             zi = (idx + l - 1) % n_ops
@@ -265,7 +292,10 @@ def _fixed_point(blk, n_ops, nxt, C, lam, p, period, label, zero):
         ratio_bound=0.5, ratio_floor=1e-13, max_iter=MAX_FP_ITERATIONS)
 
 
-def _transfer(seq, cert, pert, lam1, eps, p, period):
+def _admit(seq, cert, pert, lam1, eps, p, period):
+    """Admission stage: the input gates, the base pairs read once at every
+    time, the byte admission and the eps and budget gates.  Returns the
+    pair sequences ``(P, Q)`` and the gates' part of ``meta``."""
     if p not in _NORM_ORDS:
         raise PreconditionError("splitting transfer supports p in {1, 2, inf}")
     if seq.lo != pert.lo or seq.hi != pert.hi:
@@ -273,26 +303,13 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     if not cert.lam < lam1 < 1.0:
         raise PreconditionError(
             f"target rate lam1={lam1} must lie strictly in (lam={cert.lam}, 1)")
-    lo, hi = seq.lo, seq.hi
-    n_ops = hi - lo
-    C, lam, R = cert.C, cert.lam, cert.R
-    n_times = n_ops if period else n_ops + 1
-    W = seq.stack.window
-    # step j maps time j to time nxt[j]; reversed time j sits at time
-    # rev[j].  On an interval both are basic slices, so the stacks they
-    # select are views; around a period they wrap
-    if period is None:
-        nxt, rev = slice(1, None), slice(None, None, -1)
-    else:
-        nxt, rev = (np.arange(n_ops) + 1) % n_ops, -np.arange(n_ops) % n_ops
-
-    # the base pairs at every time, read once
-    Pseq, Qseq = cert.read(lo, n_times, period)
+    n_ops, W = seq.count, seq.stack.window
+    P, Q = cert.read(seq.lo, _times(n_ops, period)[0], period)
     # weighted shifts stay structured; one dense operand makes the blocks
     # and iterates dense.  The transfer holds about 25 operators per step
     # of the largest operand's size (``_dense_bytes`` when n x n), so admit
     # it only within its memory cap, before anything is built per step
-    size = max(X.stack[0].data.size for X in (seq, pert, Pseq, Qseq))
+    size = max(X.stack[0].data.size for X in (seq, pert, P, Q))
     need = _dense_bytes(n_ops, W.length) // W.length ** 2 * size
     if need > MAX_DENSE_BYTES:
         raise PreconditionError(
@@ -300,27 +317,39 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
             f"{W.length} needs about {need} bytes, above the cap "
             f"{MAX_DENSE_BYTES}")
     A, B, Ai, Bi = seq.stack, pert.stack, seq.inverse.stack, pert.inverse.stack
-    P, Q = Pseq.stack, Qseq.stack
 
-    def sup_diff(X, Y):
-        return float(np.max(_diff_norms(X, Y, p)))
-
-    eps_meas = sup_diff(B, A)
-    if eps is None:
-        eps_use = eps_meas
-    else:
-        if eps_meas > eps * (1.0 + CONTRACTION_SLACK):
-            raise PreconditionError(
-                f"declared perturbation bound {eps:.3g} is below the measured "
-                f"difference {eps_meas:.3g}")
-        eps_use = eps
-    budget = perturbation_budget(C, lam, R)
+    eps_meas = float(np.max(_diff_norms(B, A, p)))
+    if eps is not None and eps_meas > eps * (1.0 + CONTRACTION_SLACK):
+        raise PreconditionError(
+            f"declared perturbation bound {eps:.3g} is below the measured "
+            f"difference {eps_meas:.3g}")
+    eps_use = eps_meas if eps is None else eps
+    budget = perturbation_budget(cert.C, cert.lam, cert.R)
     if eps_use > budget * (1.0 + 1e-12):
         raise PreconditionError(
             f"perturbation {eps_use:.3g} exceeds the admissible budget "
-            f"{budget:.3g} for (C={C}, lam={lam}, R={R})")
-    eps_rev = sup_diff(Bi, Ai)
+            f"{budget:.3g} for (C={cert.C}, lam={cert.lam}, R={cert.R})")
+    eps_rev = float(np.max(_diff_norms(Bi, Ai, p)))
+    return P, Q, {
+        "p": p,
+        "eps": float(eps_use),
+        "eps_measured": float(eps_meas),
+        "eps_reverse": float(eps_rev),
+        "budget": float(budget),
+        "reverse_within_budget": bool(eps_rev <= budget * (1.0 + 1e-12)),
+    }
 
+
+def _tilts(seq, pert, P, Q, cert, gates, period):
+    """Tilt stage: the stable fixed point, the unstable one on the
+    time-reversed inverse sequence, and their ball gate.  Returns the
+    :class:`GraphMaps`, the times with a nonzero tilt on either side, and
+    the stage's part of ``meta``."""
+    n_ops, lo = seq.count, seq.lo
+    n_times, nxt, rev = _times(n_ops, period)
+    C, lam, p = cert.C, cert.lam, gates["p"]
+    A, B, Ai, Bi = seq.stack, pert.stack, seq.inverse.stack, pert.inverse.stack
+    P, Q, W = P.stack, Q.stack, A.window
     # stable side, then the unstable side on the time-reversed inverse
     # sequence: reversed step j applies the inverse of original step
     # n_ops - 1 - j, from time rev[j] into time rev[j + 1]
@@ -334,8 +363,8 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
     Hu = Hr[rev]
 
     Lp = series_gain(C, lam)
-    eps2_fwd = 2.0 * Lp * C * eps_use
-    eps2_rev = 2.0 * Lp * C * eps_rev
+    eps2_fwd = 2.0 * Lp * C * gates["eps"]
+    eps2_rev = 2.0 * Lp * C * gates["eps_reverse"]
     h_norms = np.broadcast_to(_norms(Hs, p), (n_times,))
     hu_norms = np.broadcast_to(_norms(Hu, p), (n_times,))
     for attained, ball, label in ((float(np.max(h_norms)), eps2_fwd, "stable"),
@@ -344,23 +373,37 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         if attained > ball * (1.0 + CONTRACTION_SLACK):
             raise ConvergenceError(
                 f"{label} tilt norm {attained:.3g} left its ball {ball:.3g}")
+    graph = GraphMaps(
+        H=OperatorSeq.of(lo, Hs, n_times, period),
+        H_u=OperatorSeq.of(lo, Hu, n_times, period),
+        eps2=float(max(eps2_fwd, eps2_rev)),
+        iterations=it_s + it_u,
+        attained=float(max(np.max(h_norms), np.max(hu_norms))),
+        fp_residual=float(max(fpres_s, fpres_u)),
+    )
+    tilted = np.flatnonzero((h_norms != 0.0) | (hu_norms != 0.0))
+    return graph, tilted, {"eps2_forward": float(eps2_fwd),
+                           "eps2_reverse": float(eps2_rev),
+                           "contraction_ratio": float(max(ratio_s, ratio_u))}
 
-    # a zero tilt stays the op it already is (structured on weighted
-    # shifts); a nonzero tilt is densified once, for GraphMaps
-    def tilts(H, norms):
-        return [H[j] if z else dense(H[j].to_dense_matrix(), W)
-                for j, z in enumerate(norms == 0.0)]
 
+def _rebuild(pert, P, Q, graph, tilted, C, p, period):
+    """Rebuild stage: the pairs tilted by the graph at the times in
+    ``tilted``, their projection check and the leakage check.  Returns the
+    rebuilt pair sequences, the inclusion residuals by time and the
+    checks' part of ``meta``."""
+    lo, n_ops, W = pert.lo, pert.count, pert.stack.window
+    _, nxt, _ = _times(n_ops, period)
     # a zero tilt on both sides keeps the original pair (bit-exact, and
     # structured if it was); the others are tilted densely, all at once,
     # into dense stacks of the pairs
-    tilted = np.flatnonzero((h_norms != 0.0) | (hu_norms != 0.0))
     if len(tilted):
         eye = np.eye(W.length)
-        hs = Hs[tilted].to_dense_matrix()
-        hu = Hu[tilted].to_dense_matrix()
+        hs = graph.H.stack[tilted].to_dense_matrix()
+        hu = graph.H_u.stack[tilted].to_dense_matrix()
         Pt = np.broadcast_to((eye + hs) @ np.linalg.inv(eye - hu @ hs) @ (
-            P[tilted].to_dense_matrix() - hu @ Q[tilted].to_dense_matrix()),
+            P.stack[tilted].to_dense_matrix()
+            - hu @ Q.stack[tilted].to_dense_matrix()),
             (len(tilted),) + eye.shape)
         for j, m in zip(tilted, Pt):
             try:
@@ -369,18 +412,19 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
                 raise ConvergenceError(
                     f"tilted pair at k={lo + j} is not a projection: "
                     f"{exc}") from exc
-        P1, Q1 = (np.array(np.broadcast_to(X.to_dense_matrix(),
-                                           (n_times, W.length, W.length)))
+        P1, Q1 = (np.array(np.broadcast_to(X.stack.to_dense_matrix(),
+                                           (P.count, W.length, W.length)))
                   for X in (P, Q))
         P1[tilted], Q1[tilted] = Pt, eye - Pt
-        Pseq, Qseq = (OperatorSeq(lo, dense(X, W), period) for X in (P1, Q1))
-    P1, Q1 = Pseq.stack, Qseq.stack
-    proj_sup = float(max(np.max(op_norm(P1, p)), np.max(op_norm(Q1, p))))
+        P, Q = (OperatorSeq(lo, dense(X, W), period) for X in (P1, Q1))
+    proj_sup = float(max(np.max(op_norm(P.stack, p)),
+                         np.max(op_norm(Q.stack, p))))
     if proj_sup > 2.0 * C * (1.0 + CONTRACTION_SLACK):
         raise ConvergenceError(
             f"tilted projection norm {proj_sup:.3g} exceeds 2C = {2 * C}")
 
-    Pj, Qn = P1[:n_ops], Q1[nxt]
+    B, Bi = pert.stack, pert.inverse.stack
+    Pj, Qn = P.stack[:n_ops], Q.stack[nxt]
     r_f = np.broadcast_to(op_norm(Qn @ (B @ Pj), p), (n_ops,))
     r_b = np.broadcast_to(op_norm(Pj @ (Bi @ Qn), p), (n_ops,))
     incl = {lo + j: float(r) for j, r in enumerate(r_f)}
@@ -390,89 +434,68 @@ def _transfer(seq, cert, pert, lam1, eps, p, period):
         raise ConvergenceError(
             f"rebuilt splitting leaks at k={lo + j}: forward {r_f[j]:.3g}, "
             f"backward {r_b[j]:.3g}")
-    incl_rev_max = float(np.max(r_b))
+    return P, Q, incl, {"proj_norm_sup": proj_sup,
+                        "reverse_inclusion_max": float(np.max(r_b))}
 
-    N = rate_upgrade_steps(C, lam, lam1)
-    C1 = ((R + 1.0) / lam1) ** N
-    bound = lam1 ** N * (1.0 + DECAY_SLACK)
+
+def _decay(pert, P, Q, cert, lam1, p, period):
+    """Decay stage: the N-step growth of the rebuilt sides under the
+    perturbed steps, from about 12 times per side, against ``lam1^N``.
+
+    Each scan carries the directions of one side as one block by
+    ``transport_rows``; a direction that trips the edge guard within N
+    steps is skipped.  Every kept direction's ratios |transport_n v| / |v|
+    bound the empirical constant (against lam1^n) and its last one the
+    N-step worst.  Returns the stage's part of ``meta``.
+    """
+    n_ops, W = pert.count, pert.stack.window
+    N = rate_upgrade_steps(cert.C, cert.lam, lam1)
+    # an interval scans the times at least N steps from its far end
+    fwd_js = range(n_ops + 1 - N) if period is None else range(n_ops)
+    bwd_js = range(N, n_ops + 1) if period is None else range(n_ops)
+    scans = [(P.ops[j], [pert.ops[(j + l) % n_ops] for l in range(N)])
+             for j in fwd_js[::max(1, len(fwd_js) // 12)]]
+    scans += [(Q.ops[j], [pert.inverse.ops[(j - 1 - l) % n_ops]
+                          for l in range(N)])
+              for j in bwd_js[::max(1, len(bwd_js) // 12)]]
     rng = np.random.default_rng(0)
-    worst_n_step = 0.0
-    c1_emp = 0.0
-    skipped = 0
-    checked = 0
-
-    lam1_pows = np.array([lam1 ** n for n in range(1, N + 1)])
-
-    def scan(side_P, ops):
-        """N-step growth of the directions of one side under ``ops``.
-
-        The directions are carried as one block by ``transport_rows``; a
-        direction that trips the edge guard within N steps is skipped.
-        Every kept direction's ratios |transport_n v| / |v| raise the
-        empirical constant (against lam1^n) and its last one the N-step
-        worst, with the bits of a scan direction by direction.
-        """
-        nonlocal worst_n_step, c1_emp, skipped, checked
+    ratios, skipped = [np.zeros((0, N))], 0
+    for side_P, ops in scans:
         dirs = _directions(side_P, W, p, 6, rng)
         norms, tripped, _ = transport_rows(ops, dirs, p)
-        kept = ~tripped
-        ratios = norms[kept] / row_norms(dirs[kept], p)[:, None]
+        ratios.append(norms[~tripped] / row_norms(dirs[~tripped], p)[:, None])
         skipped += int(tripped.sum())
-        checked += len(ratios)
-        if len(ratios):
-            c1_emp = max(c1_emp, float(np.max(ratios / lam1_pows)))
-            worst_n_step = max(worst_n_step, float(np.max(ratios[:, -1])))
-
-    if period is None:
-        fwd_js = [j for j in range(n_times) if j + N <= n_ops]
-        bwd_js = [j for j in range(n_times) if j - N >= 0]
-    else:
-        fwd_js = bwd_js = list(range(n_times))
-    stride = max(1, len(fwd_js) // 12)
-    for j in fwd_js[::stride]:
-        scan(Pseq.ops[j], [pert.ops[(j + l) % n_ops] for l in range(N)])
-    stride = max(1, len(bwd_js) // 12)
-    for j in bwd_js[::stride]:
-        scan(Qseq.ops[j], [pert.inverse.ops[(j - 1 - l) % n_ops]
-                           for l in range(N)])
-    if worst_n_step > bound:
+    ratios = np.concatenate(ratios)
+    worst = float(np.max(ratios[:, -1], initial=0.0))
+    bound = lam1 ** N * (1.0 + DECAY_SLACK)
+    if not worst <= bound:      # a NaN growth certifies nothing either
         raise ConvergenceError(
-            f"{N}-step decay {worst_n_step:.6f} exceeds lam1^{N} = "
-            f"{lam1 ** N:.6f}")
-
-    R_res = float(max(np.max(_upper_norms(B, p)), np.max(_upper_norms(Bi, p))))
-    result = index_cert(C1, lam1, R_res, Pseq, Qseq)
-
-    graph = GraphMaps(
-        H=dict(enumerate(tilts(Hs, h_norms), lo)),
-        H_u=dict(enumerate(tilts(Hu, hu_norms), lo)),
-        eps2=float(max(eps2_fwd, eps2_rev)),
-        iterations=it_s + it_u,
-        attained=float(max(np.max(h_norms), np.max(hu_norms))),
-        fp_residual=float(max(fpres_s, fpres_u)),
-        meta={"iterations_stable": it_s, "iterations_unstable": it_u},
-    )
-    meta = {
-        "p": p,
-        "eps": float(eps_use),
-        "eps_measured": float(eps_meas),
-        "eps_reverse": float(eps_rev),
-        "budget": float(budget),
-        "reverse_within_budget": bool(eps_rev <= budget * (1.0 + 1e-12)),
-        "eps2_forward": float(eps2_fwd),
-        "eps2_reverse": float(eps2_rev),
+            f"{N}-step decay {worst:.6f} exceeds lam1^{N} = {lam1 ** N:.6f}")
+    lam1_pows = np.array([lam1 ** n for n in range(1, N + 1)])
+    return {
         "rate_steps": int(N),
-        "C1_formula": float(C1),
-        "C1_empirical": float(c1_emp),
-        "n_step_worst": float(worst_n_step),
+        "C1_formula": float(((cert.R + 1.0) / lam1) ** N),
+        "C1_empirical": float(np.max(ratios / lam1_pows, initial=0.0)),
+        "n_step_worst": worst,
         "n_step_bound": float(bound),
-        "decay_checked": int(checked),
-        "decay_skipped": int(skipped),
-        "contraction_ratio": float(max(ratio_s, ratio_u)),
-        "proj_norm_sup": float(proj_sup),
-        "reverse_inclusion_max": float(incl_rev_max),
-        "period": period,
+        "decay_checked": len(ratios),
+        "decay_skipped": skipped,
     }
+
+
+def _result(cert, pert, P, Q, graph, incl, lam1, period, gates, tilt, decay,
+            checks):
+    """Result stage: the certificate of the rebuilt pairs at the relaxed
+    constants ``(C1, lam1)``, its R the largest upper norm of every
+    perturbed step and its inverse, and the record with the stages' parts
+    of ``meta``."""
+    R_res = float(max(np.max(_upper_norms(pert.stack, gates["p"])),
+                      np.max(_upper_norms(pert.inverse.stack, gates["p"]))))
+    result = index_cert(decay["C1_formula"], lam1, R_res, P, Q)
+    # the record lists the contraction ratio after the decay scan's part
+    meta = {**gates, **tilt, **decay}
+    meta["contraction_ratio"] = meta.pop("contraction_ratio")
+    meta.update(checks, period=period)
     return PerturbedCert(base=cert, result=result, graph=graph,
                          inclusion_residuals=incl, meta=meta)
 
@@ -497,7 +520,12 @@ def graph_transform_seq(seq, cert, pert, lam1, *, eps=None, p=2.0):
     if seq.period is not None or pert.period is not None:
         raise PreconditionError(
             "use graph_transform_periodic for periodic sequences")
-    return _transfer(seq, cert, pert, lam1, eps, p, None)
+    P, Q, gates = _admit(seq, cert, pert, lam1, eps, p, None)
+    graph, tilted, tilt = _tilts(seq, pert, P, Q, cert, gates, None)
+    P, Q, incl, checks = _rebuild(pert, P, Q, graph, tilted, cert.C, p, None)
+    decay = _decay(pert, P, Q, cert, lam1, p, None)
+    return _result(cert, pert, P, Q, graph, incl, lam1, None, gates, tilt,
+                   decay, checks)
 
 
 def graph_transform_periodic(seq, cert, pert, lam1, *, eps=None, p=2.0):
@@ -518,7 +546,12 @@ def graph_transform_periodic(seq, cert, pert, lam1, *, eps=None, p=2.0):
     if drift > 1e-12:
         raise PreconditionError(
             f"certificate projections drift by {drift:.3g} over one period")
-    return _transfer(seq, cert, pert, lam1, eps, p, m)
+    P, Q, gates = _admit(seq, cert, pert, lam1, eps, p, m)
+    graph, tilted, tilt = _tilts(seq, pert, P, Q, cert, gates, m)
+    P, Q, incl, checks = _rebuild(pert, P, Q, graph, tilted, cert.C, p, m)
+    decay = _decay(pert, P, Q, cert, lam1, p, m)
+    return _result(cert, pert, P, Q, graph, incl, lam1, m, gates, tilt,
+                   decay, checks)
 
 
 def shadowed_splitting(f, ptraj):

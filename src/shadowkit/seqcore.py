@@ -239,14 +239,24 @@ def norm(v):
 
 
 def coeff_norm(c, p):
-    """l^p norm of a raw coefficient array."""
+    """l^p norm of a raw coefficient array.
+
+    Outside p in {1, 2, inf} it is the scaled form m (sum (|c|/m)^p)^(1/p),
+    m = max |c|: exact on a vector with one nonzero coordinate, and free of
+    overflow and underflow in the powers.  It is m itself when m is 0, inf
+    or NaN.
+    """
     if p == math.inf:
         return float(np.max(np.abs(c))) if c.size else 0.0
     if p == 2.0:
         return float(np.linalg.norm(c))
     if p == 1.0:
         return float(np.sum(np.abs(c)))
-    return float(np.sum(np.abs(c) ** p) ** (1.0 / p))
+    a = np.abs(c)
+    m = np.max(a, initial=0.0)
+    if not 0.0 < m < math.inf:
+        return float(m)
+    return float(m * np.sum((a / m) ** p) ** (1.0 / p))
 
 
 def row_norms(c, p):
@@ -254,7 +264,8 @@ def row_norms(c, p):
 
     Each entry equals ``coeff_norm`` of its row bit for bit: a row times
     column ``matmul`` runs the same dot kernel as ``np.linalg.norm``, and
-    the 1/p-th power of a general exponent is taken per row, as a scalar.
+    a general exponent scales each row by its own largest |c| and takes
+    the 1/p-th power per row, as a scalar.
     """
     if p == math.inf:
         return np.max(np.abs(c), axis=-1, initial=0.0)
@@ -262,7 +273,13 @@ def row_norms(c, p):
         return np.sqrt(np.matmul(c[:, None, :], c[:, :, None])[:, 0, 0])
     if p == 1.0:
         return np.sum(np.abs(c), axis=-1)
-    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(c) ** p, axis=-1)])
+    a = np.abs(c)
+    m = np.max(a, axis=-1, initial=0.0)
+    scales = (0.0 < m) & (m < math.inf)
+    scaled = np.divide(a, m[:, None], out=np.zeros_like(a),
+                       where=scales[:, None])
+    return np.array([mj * s ** (1.0 / p) if ok else mj for mj, s, ok
+                     in zip(m, np.sum(scaled ** p, axis=-1), scales)])
 
 
 def anchor_index(rows, v):

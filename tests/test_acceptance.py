@@ -234,13 +234,12 @@ def test_07_sequence_splitting_transfer():
     pseq = OperatorSeq(seq.lo, pert)
     pc = graph_transform_seq(seq, cert, pseq, 0.75, eps=eps)
     ball = 2.0 * series_gain(1.0, 0.5) * 1.0 * eps
-    h_worst = max(op_norm(op, 2.0) for op in pc.graph.H.values())
+    h_worst = max(op_norm(op, 2.0) for op in pc.graph.H.ops)
     incl_worst = max(pc.inclusion_residuals.values())
     vrep = verify_cl_opseq(pseq, pc.result, p=2.0)
     pc0 = graph_transform_seq(seq, cert, seq, 0.75)
     zero_exact = not any(op.to_dense_matrix().any()
-                         for op in list(pc0.graph.H.values())
-                         + list(pc0.graph.H_u.values()))
+                         for op in pc0.graph.H.ops + pc0.graph.H_u.ops)
     zero_exact = zero_exact and pc0.graph.attained == 0.0 and all(
         np.array_equal(pc0.result.proj_at(k).P.to_dense_matrix(),
                        cert.proj_at(k).P.to_dense_matrix())

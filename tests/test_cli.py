@@ -56,6 +56,8 @@ def test_shadow_defaults_meet_ratio_bound(tmp_path, capsys):
     assert manifest["constants"]["M"] == 6.0
     for key in ("python", "numpy", "shadowkit"):
         assert key in manifest["versions"]
+    assert manifest["versions"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
 
 
 def test_shadow_sweep_writes_identical_bytes_on_two_runs(tmp_path, capsys):
@@ -149,6 +151,18 @@ def test_verify_ed_reports_the_expected_separation(tmp_path, capsys):
         assert -20 <= m <= -1
         assert float(row["growth_observed"]) == 2.0 ** (-m)
         assert float(row["growth_observed"]) == float(row["growth_expected"])
+        assert row["exact"] == "True"
+
+
+def test_verify_ed_witness_is_exact_at_p3(tmp_path, capsys):
+    # the scaled l^3 norm reads a one-coordinate vector exactly
+    out = tmp_path / "run"
+    code, lines, _ = run_cli(
+        ["verify-ed", "--out", str(out), "--override", "p=3"], capsys)
+    assert code == 0
+    assert any(line.startswith("PASS witness-exact") for line in lines)
+    for row in read_csv(out / "verify_ed.csv"):
+        assert float(row["growth_observed"]) == 2.0 ** (-int(row["m"]))
         assert row["exact"] == "True"
 
 

@@ -19,10 +19,10 @@ from shadowkit.graphtf import (MAX_DENSE_BYTES, _dense_bytes,
                                perturbation_budget, perturbed_cl_for_diffeo,
                                rate_upgrade_steps, series_gain,
                                upgraded_constant)
-from shadowkit.seqcore import (LinOp, OperatorSeq, PreconditionError,
-                               SeqVec, TruncationError, Window, _diff_norms,
-                               dense, diag, norm, op_apply, op_norm,
-                               shift_diag, sub)
+from shadowkit.seqcore import (ConvergenceError, LinOp, OperatorSeq,
+                               PreconditionError, SeqVec, TruncationError,
+                               Window, _diff_norms, dense, diag, norm,
+                               op_apply, op_norm, shift_diag, sub)
 from shadowkit.systems import (LinearShiftFamily, SinPerturbedFamily,
                                linear_example_cert, make_linear_example_seq,
                                make_weighted_shift)
@@ -76,8 +76,8 @@ def test_scalar_periodic_fixed_point_matches_eigenvector():
     vs = evecs[:, int(np.argmin(np.abs(evals - 0.5)))]
     vu = evecs[:, int(np.argmin(np.abs(evals - 2.0)))]
     vs, vu = vs / vs[0], vu / vu[1]
-    H = pc.graph.H[0].to_dense_matrix()
-    Hu = pc.graph.H_u[0].to_dense_matrix()
+    H = pc.graph.H.op_at(0).to_dense_matrix()
+    Hu = pc.graph.H_u.op_at(0).to_dense_matrix()
     assert H[1, 0] == pytest.approx(vs[1], abs=1e-12)
     assert H[1, 0] == pytest.approx(-1.333511152602867e-4, rel=1e-9)
     assert H[0, 0] == H[0, 1] == H[1, 1] == 0.0
@@ -102,7 +102,7 @@ def test_identical_sequences_keep_splitting_bit_exact():
     assert pc.graph.attained == 0.0
     assert pc.graph.fp_residual == 0.0
     assert pc.graph.iterations == 2  # one sweep per side settles at zero
-    for op in list(pc.graph.H.values()) + list(pc.graph.H_u.values()):
+    for op in pc.graph.H.ops + pc.graph.H_u.ops:
         assert not op.to_dense_matrix().any()
     assert max(pc.inclusion_residuals.values()) == 0.0
     for k in range(seq.lo, seq.hi + 1):
@@ -134,7 +134,7 @@ def test_no_dichotomy_instance_passes_at_relaxed_rate():
     assert max(pc.inclusion_residuals.values()) <= 1e-9
     assert pc.meta["reverse_inclusion_max"] <= 1e-9
     ball = 2.0 * series_gain(1.0, 0.5) * eps
-    assert max(op_norm(op, 2.0) for op in pc.graph.H.values()) <= ball
+    assert max(op_norm(op, 2.0) for op in pc.graph.H.ops) <= ball
     # the inverse-side difference really does overshoot its own budget
     # here; the construction survives on measured behavior, and says so
     assert not pc.meta["reverse_within_budget"]
@@ -161,7 +161,7 @@ def test_periodic_matches_unrolled_fixed_point():
         OperatorSeq(0, [dense(B0, W), dense(B1, W)], period=2), 0.75)
     assert per.result.proj_at(2) is per.result.proj_at(0)
     assert per.result.proj_at(7) is per.result.proj_at(1)
-    assert set(per.graph.H) == {0, 1}
+    assert (per.graph.H.lo, per.graph.H.hi) == (0, 2)
     assert verify_cl_opseq(
         OperatorSeq(0, [dense(B0, W), dense(B1, W)], period=2),
         per.result, p=2.0, indices=range(0, 2)).passed
@@ -173,8 +173,9 @@ def test_periodic_matches_unrolled_fixed_point():
     # far from the ends the aperiodic sweep forgets the boundary and
     # reproduces the periodic fixed point
     for t, parity in ((reps, 0), (reps + 1, 1)):
-        assert np.allclose(unrolled.graph.H[t].to_dense_matrix(),
-                           per.graph.H[parity].to_dense_matrix(), atol=1e-9)
+        assert np.allclose(unrolled.graph.H.op_at(t).to_dense_matrix(),
+                           per.graph.H.op_at(parity).to_dense_matrix(),
+                           atol=1e-9)
         assert np.allclose(unrolled.result.proj_at(t).P.to_dense_matrix(),
                            per.result.proj_at(parity).P.to_dense_matrix(),
                            atol=1e-9)
@@ -209,6 +210,77 @@ def test_precondition_gates():
     drifting = OperatorSeq(0, [seq.op_at(0), seq.op_at(1)], period=2)
     with pytest.raises(PreconditionError, match="drift"):
         graph_transform_periodic(drifting, cert, drifting, 0.75)
+
+
+# ---------------------------------------------------------------------------
+# the stages' own gates, each handed stacks that trip it
+
+def _gate_route():
+    """A diagonal sequence of 6 steps (7 times) with a constant coordinate
+    splitting and a dense perturbation of it, with the admission stage's
+    pairs and gates."""
+    n_ops, W = 6, Window(0, 3)
+    scalars = np.array([0.5, 0.4, 2.0, 2.5])
+    seq = OperatorSeq(0, diag(W, np.tile(scalars, (n_ops, 1))))
+    rng = np.random.default_rng(8)
+    pert = OperatorSeq(0, dense(
+        np.diag(scalars) + 2e-4 * rng.uniform(-1, 1, (n_ops, 4, 4)), W))
+    cert = coordinate_cert(W, [1.0, 1.0, 0.0, 0.0])
+    P, Q, gates = graphtf._admit(seq, cert, pert, 0.75, None, 2.0, None)
+    return seq, cert, pert, P, Q, gates
+
+
+def test_sequences_must_share_their_time_interval():
+    seq, cert, pert, *_ = _gate_route()
+    with pytest.raises(PreconditionError, match="share their time interval"):
+        graph_transform_seq(seq, cert, OperatorSeq(1, pert.stack), 0.75)
+
+
+@pytest.mark.parametrize("side, key", [("stable", "eps"),
+                                       ("unstable", "eps_reverse")])
+def test_tilt_stage_refuses_a_tilt_outside_its_ball(side, key):
+    seq, cert, pert, P, Q, gates = _gate_route()
+    graph, tilted, _ = graphtf._tilts(seq, pert, P, Q, cert, gates, None)
+    assert graph.attained > 0.0 and len(tilted) == 7
+    # the same stacks against a ball a hundred times too small on one side
+    small = dict(gates, **{key: gates[key] / 100})
+    with pytest.raises(ConvergenceError,
+                       match=f"^{side} tilt norm .* left its ball"):
+        graphtf._tilts(seq, pert, P, Q, cert, small, None)
+
+
+def _crafted_graph(W, n_times, hs):
+    """Tilts as the rebuild stage reads them: the matrix ``hs`` on the
+    stable side at every time, zero on the unstable side."""
+    H = OperatorSeq(0, dense(np.tile(hs, (n_times, 1, 1)), W))
+    zero = OperatorSeq.of(0, diag(W, np.zeros(W.length)), n_times)
+    return graphtf.GraphMaps(H, zero, eps2=0.0, iterations=0)
+
+
+def _stable_0_to_unstable_2(t):
+    """t times the map of stable coordinate 0 onto unstable coordinate 2."""
+    hs = np.zeros((4, 4))
+    hs[2, 0] = t
+    return hs
+
+
+@pytest.mark.parametrize("hs, match", [
+    # a tilt with a stable-to-stable part: (I + hs) P is not idempotent
+    (0.1 * np.eye(4), "tilted pair at k=0 is not a projection"),
+    # a graph over the stable space, so a projection, but one of norm 5.1
+    (_stable_0_to_unstable_2(5.0),
+     "tilted projection norm 5.1 exceeds 2C = 2.0"),
+    # the same direction at 1e-3: a bounded projection that B does not keep
+    (_stable_0_to_unstable_2(1e-3), "rebuilt splitting leaks at k=0"),
+])
+def test_rebuild_stage_refuses_a_bad_tilt(hs, match):
+    seq, cert, pert, P, Q, gates = _gate_route()
+    graph, tilted, _ = graphtf._tilts(seq, pert, P, Q, cert, gates, None)
+    # the fixed points' own tilts pass every check of the stage
+    graphtf._rebuild(pert, P, Q, graph, tilted, cert.C, 2.0, None)
+    with pytest.raises(ConvergenceError, match=match):
+        graphtf._rebuild(pert, P, Q, _crafted_graph(seq.stack.window, 7, hs),
+                         np.arange(7), cert.C, 2.0, None)
 
 
 @settings(max_examples=15, deadline=None)
@@ -251,7 +323,7 @@ def test_diffeo_same_map_is_identity_transfer():
     assert pc.meta["route"] == "aperiodic"
     assert pc.meta["eps_measured"] == 0.0
     assert pc.graph.attained == 0.0
-    for op in list(pc.graph.H.values()) + list(pc.graph.H_u.values()):
+    for op in pc.graph.H.ops + pc.graph.H_u.ops:
         assert not op.to_dense_matrix().any()
     base = f.cert.proj_at(orbit[3])
     assert np.array_equal(pc.result.proj_at(orbit[3]).P.to_dense_matrix(),
@@ -352,16 +424,33 @@ def _dense_pairs(cert):
     return CLCertificate(cert.C, cert.lam, cert.R, proj_at)
 
 
-def _assert_same_transfer(pc, pc_dense):
+def _side_iterations(monkeypatch):
+    """The iteration counts of the fixed points that transfers run from
+    now on, stable then unstable side per transfer."""
+    counts = []
+    real = graphtf._fixed_point
+
+    def counted(*args):
+        out = real(*args)
+        counts.append(out[1])
+        return out
+
+    monkeypatch.setattr(graphtf, "_fixed_point", counted)
+    return counts
+
+
+def _assert_same_transfer(pc, pc_dense, sides):
+    # ``sides`` ends with the two transfers' per-side iteration counts
     assert pc.graph.iterations == pc_dense.graph.iterations
-    assert pc.graph.meta == pc_dense.graph.meta
+    assert len(sides) >= 4 and sides[-4:-2] == sides[-2:]
     assert pc.graph.attained == pc_dense.graph.attained
-    assert sorted(pc.graph.H) == sorted(pc_dense.graph.H)
-    for k in pc.graph.H:
+    H, H_dense = pc.graph.H, pc_dense.graph.H
+    assert (H.lo, H.hi) == (H_dense.lo, H_dense.hi)
+    for k in range(H.lo, H.hi):
         for tilts in ("H", "H_u"):
             assert np.array_equal(
-                getattr(pc.graph, tilts)[k].to_dense_matrix(),
-                getattr(pc_dense.graph, tilts)[k].to_dense_matrix())
+                getattr(pc.graph, tilts).op_at(k).to_dense_matrix(),
+                getattr(pc_dense.graph, tilts).op_at(k).to_dense_matrix())
         pair, pair_dense = pc.result.proj_at(k), pc_dense.result.proj_at(k)
         assert np.array_equal(pair.P.to_dense_matrix(), pair_dense.P.matrix)
         assert np.array_equal(pair.Q.to_dense_matrix(), pair_dense.Q.matrix)
@@ -403,6 +492,7 @@ def test_conjugacy_job_transfer_stays_structured(monkeypatch):
     seq = OperatorSeq(seq.lo + a, seq.ops[a:a + 24])
     pert = OperatorSeq(pert.lo + a, pert.ops[a:a + 24])
     calls = _count_densifications(monkeypatch)
+    sides = _side_iterations(monkeypatch)
     pc = graph_transform_seq(seq, cert, pert, lam1, **kw)
     # zero tilts stay structured: nothing is densified
     assert len(calls) == 0
@@ -410,7 +500,7 @@ def test_conjugacy_job_transfer_stays_structured(monkeypatch):
     # the dense view of a shift is singular, so the reference densifies the
     # projections: every block, iterate and norm then takes the dense path
     pc_dense = graph_transform_seq(seq, _dense_pairs(cert), pert, lam1, **kw)
-    _assert_same_transfer(pc, pc_dense)
+    _assert_same_transfer(pc, pc_dense, sides)
 
 
 def _dense_perturbation_route(W, n_ops, eps):
@@ -426,17 +516,19 @@ def _dense_perturbation_route(W, n_ops, eps):
     return seq, linear_example_cert(W), OperatorSeq(seq.lo, pert)
 
 
-def test_diag_base_with_dense_perturbation_matches_all_dense():
+def test_diag_base_with_dense_perturbation_matches_all_dense(monkeypatch):
     # nonzero tilt on the dense perturbation route
+    sides = _side_iterations(monkeypatch)
     eps = 1e-4
     seq, cert, pseq = _dense_perturbation_route(Window(-10, 10), 12, eps)
     pc = graph_transform_seq(seq, cert, pseq, 0.75, eps=eps)
     assert pc.graph.attained > 0.0
     _assert_same_transfer(pc, graph_transform_seq(
-        _dense_ops(seq), _dense_pairs(cert), pseq, 0.75, eps=eps))
+        _dense_ops(seq), _dense_pairs(cert), pseq, 0.75, eps=eps), sides)
 
 
-def test_periodic_transfers_match_dense_reference():
+def test_periodic_transfers_match_dense_reference(monkeypatch):
+    sides = _side_iterations(monkeypatch)
     W = Window(0, 3)
     rng = np.random.default_rng(5)
     ops = [diag(W, np.array([0.5, 0.4, 2.0, 2.5]) * (1.0 + 0.01 * k))
@@ -449,7 +541,7 @@ def test_periodic_transfers_match_dense_reference():
     pc = graph_transform_periodic(seq, cert, pseq, 0.75)
     assert pc.graph.attained > 0.0
     _assert_same_transfer(pc, graph_transform_periodic(
-        _dense_ops(seq), _dense_pairs(cert), pseq, 0.75))
+        _dense_ops(seq), _dense_pairs(cert), pseq, 0.75), sides)
 
     # zero tilt on weighted shifts: the fixed point of the closed-orbit route
     W = Window(-16, 32)
@@ -462,7 +554,7 @@ def test_periodic_transfers_match_dense_reference():
     pc = graph_transform_periodic(seq, f.cert, pseq, 0.75)
     assert pc.graph.attained == 0.0
     _assert_same_transfer(pc, graph_transform_periodic(
-        seq, _dense_pairs(f.cert), pseq, 0.75))
+        seq, _dense_pairs(f.cert), pseq, 0.75), sides)
 
 
 def test_dense_transfer_admission_estimate():

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_periodic_operator_seq_wraps():
 
 
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
-       st.sampled_from([1.0, 2.0, math.inf]))
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
 def test_norm_scaling_property(coeffs, p):
     w = Window(0, len(coeffs) - 1)
     v = SeqVec(w, coeffs, p=p)
@@ -214,6 +215,29 @@ def test_norm_consistency_structured(seed, kind, p):
         coeffs[0] = coeffs[-1] = 0.0
     v = SeqVec(w, coeffs, p=p)
     assert norm(op_apply(A, v)) <= op_norm(A, p) * norm(v) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+def test_general_p_norm_is_exact_on_one_coordinate(p):
+    for c in (2.0 ** 20, -3.7, 1e-120, 1e110, 5e-324):
+        for at in range(3):
+            x = np.zeros(3)
+            x[at] = c
+            assert coeff_norm(x, p) == abs(c)
+            assert row_norms(x[None, :], p)[0] == abs(c)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_general_p_norm_neither_overflows_nor_underflows(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e150, 1e-150):
+            x = np.array([c, -c, 0.0])
+            want = c * 2.0 ** (1.0 / p)
+            assert coeff_norm(x, p) == pytest.approx(want, rel=1e-15)
+            assert row_norms(np.array([x, x / 2]), p)[0] == coeff_norm(x, p)
+        assert coeff_norm(np.zeros(4), p) == 0.0
+        assert row_norms(np.zeros((2, 4)), p).tolist() == [0.0, 0.0]
 
 
 def test_seqvec_json_round_trip():
